@@ -21,11 +21,11 @@ from .sampling import (SamplingPlan, StrfdConfig, calibrate_beta,
                        frame_redundancies, passive_baselines, plan, supervisor)
 from .sparseconv import (ConvKernel, CostReport, build_rulebook, cost,
                          glorot_kernel, identity_kernel, separable_conv,
-                         sparse_pointwise_conv, strided_conv, submanifold_conv)
+                         sparse_pointwise_conv, submanifold_conv)
 from .ssim import ssim
-from .training import (ModelState, SGD, ToyPipelineConfig, confusion_matrix,
-                       ema_update, iou_per_class, mean_iou, run_toy_pipeline)
+from .training import (SGD, ToyPipelineConfig, confusion_matrix, ema_update,
+                       iou_per_class, mean_iou, run_toy_pipeline)
 from .voxel import (CylGridSpec, SparseVoxelTensor, densify, load_tensor,
-                    save_tensor, sparsify, voxelize)
+                    point_rows, save_tensor, sparsify, voxelize)
 
 __version__ = "0.1.0"

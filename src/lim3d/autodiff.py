@@ -57,9 +57,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
@@ -154,9 +151,6 @@ class Tensor:
             return (g * np.where(mask, 1.0, slope),)
 
         return Tensor(np.where(mask, self.data, slope * self.data), _parents=(self,), _backward=backward)
-
-    def relu(self):
-        return self.leaky_relu(0.0)
 
     # -- reductions ------------------------------------------------------
 

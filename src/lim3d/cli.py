@@ -28,14 +28,14 @@ from . import __version__
 from .errors import Lim3dError
 from .network import MiniSegNet, mini_backbone_topology, topology_cost, LayerSpec
 from .pointcloud import (SceneSpec, frame_path, image_path, label_path,
-                         list_sequence_frames, load_frame, load_labels,
-                         project_range_image, range_to_grayscale, read_pgm,
-                         save_frame, save_labels, synth_sequence, write_pgm)
+                         list_sequence_frames, load_frame, project_range_image,
+                         range_to_grayscale, read_pgm, save_frame, save_labels,
+                         synth_sequence, write_pgm)
 from .pseudolabel import VoxelPredictions, entropy_partition, crb_select
 from .reflectivity import ReflecConfig, coarse_histograms, normalize_reflectivity, reflectivity
 from .sampling import StrfdConfig, calibrate_beta, plan, save_plan
 from .training import ToyPipelineConfig, run_toy_pipeline
-from .voxel import CylGridSpec, voxelize
+from .voxel import CylGridSpec, point_rows, voxelize
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -115,12 +115,10 @@ def _load_sequence_images(root: Path, seq: str, source: str,
         raise Lim3dError(f"no frames under {root}/sequences/{seq}/velodyne")
     if source == "gray":
         return [read_pgm(image_path(root, seq, t)).astype(np.float64) for t in frames]
-    images = []
-    for t in frames:
-        pc = load_frame(frame_path(root, seq, t), frame_id=t)
-        images.append(project_range_image(pc, width=width, height=height).values.astype(np.float64))
-    peak = max((float(im.max()) for im in images), default=0.0) or 1.0
-    return [np.round(np.clip(im / peak, 0, 1) * 255.0) for im in images]
+    ranges = [project_range_image(load_frame(frame_path(root, seq, t), frame_id=t),
+                                  width=width, height=height) for t in frames]
+    peak = max((float(ri.values.max()) for ri in ranges), default=0.0) or 1.0
+    return [range_to_grayscale(ri, peak) for ri in ranges]
 
 
 def cmd_sample(args) -> int:
@@ -138,8 +136,7 @@ def cmd_sample(args) -> int:
         for name in names
     ]
     cfg = StrfdConfig(subset_size=args.subset_size,
-                      beta=args.beta if args.beta is not None else 0.0,
-                      redundancy_source="grayscale_image" if args.source == "gray" else "range_image")
+                      beta=args.beta if args.beta is not None else 0.0)
     threads = _threads(args)
     if args.target_fraction is not None:
         beta, result = calibrate_beta(sequences, cfg, args.target_fraction, n_threads=threads)
@@ -228,34 +225,19 @@ def cmd_pseudo(args) -> int:
         if args.per_class_keep < 1.0:
             pls = crb_select(pls, vp, args.per_class_keep)
 
-    # Map voxel labels back to points through each point's voxel id.
-    labels = np.full(len(pc), UNRELIABLE_LABEL, dtype=np.uint32)
-    keys = svt.keys()
-    if len(pc) and len(keys):
-        xyz = pc.xyz.astype(np.float64)
-        rho = np.hypot(xyz[:, 0], xyz[:, 1])
-        phi = np.arctan2(xyz[:, 1], xyz[:, 0])
-        inside = (rho < grid.rho_max) & (xyz[:, 2] >= args.z_min) & (xyz[:, 2] < args.z_max)
-        i_rho = np.minimum(np.floor(rho / grid.rho_max * grid.n_rho).astype(np.int64), grid.n_rho - 1)
-        i_phi = np.floor((phi + np.pi) / (2 * np.pi) * grid.n_phi).astype(np.int64) % grid.n_phi
-        i_z = np.minimum(np.floor((xyz[:, 2] - args.z_min) / (args.z_max - args.z_min)
-                                  * grid.n_z).astype(np.int64), grid.n_z - 1)
-        pkeys = (i_rho * grid.n_phi + i_phi) * grid.n_z + i_z
-        pos = np.minimum(np.searchsorted(keys, pkeys), len(keys) - 1)
-        hit = inside & (keys[pos] == pkeys)
-        for i in np.flatnonzero(hit):
-            vox = int(pos[i])
-            if vox in pls.reliable:
-                labels[i] = pls.reliable[vox]
-    save_labels(args.out, labels)
+    # Per-voxel labels with one trailing sentinel row, which the -1 of a
+    # point outside every voxel selects.
+    reliable_ids = np.fromiter(pls.reliable.keys(), dtype=np.int64, count=len(pls.reliable))
+    reliable_cls = np.fromiter(pls.reliable.values(), dtype=np.int64, count=len(pls.reliable))
+    voxel_labels = np.full(svt.n_active + 1, UNRELIABLE_LABEL, dtype=np.uint32)
+    voxel_labels[reliable_ids] = reliable_cls
+    save_labels(args.out, voxel_labels[point_rows(pc, svt)])
 
-    argmax = probs.argmax(axis=1)
-    counts: dict[str, dict[str, int]] = {}
-    for c in range(args.n_classes):
-        counts[str(c)] = {
-            "reliable": sum(1 for v in pls.reliable.values() if v == c),
-            "unreliable": sum(1 for i in pls.unreliable if argmax[i] == c),
-        }
+    unreliable_ids = np.fromiter(pls.unreliable, dtype=np.int64, count=len(pls.unreliable))
+    reliable_counts = np.bincount(reliable_cls, minlength=args.n_classes)
+    unreliable_counts = np.bincount(probs.argmax(axis=1)[unreliable_ids], minlength=args.n_classes)
+    counts = {str(c): {"reliable": int(reliable_counts[c]), "unreliable": int(unreliable_counts[c])}
+              for c in range(args.n_classes)}
     _write_json(args.out + ".meta.json", {
         "provenance": _provenance(args),
         "n_points": len(pc),

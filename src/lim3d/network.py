@@ -19,7 +19,7 @@ import numpy as np
 from .autodiff import Tensor, softmax
 from .errors import ShapeError
 from .sparseconv import (ConvKernel, CostReport, Rulebook, apply_pointwise,
-                         apply_spatial, build_rulebook, cost, glorot_kernel)
+                         apply_spatial, build_rulebook, conv_cost, glorot_kernel)
 from .voxel import SparseVoxelTensor
 
 __all__ = ["LayerSpec", "MiniSegNet", "mini_backbone_topology", "topology_cost"]
@@ -50,43 +50,36 @@ def mini_backbone_topology(in_channels: int, n_classes: int,
 
 def topology_cost(layers: tuple[LayerSpec, ...], active_sites: int,
                   neighbor_pairs: int | None = None) -> tuple[list[dict], CostReport]:
-    """Per-layer and total cost, plus the standard-kernel comparison ratio."""
+    """Per-layer and total cost, plus the standard-kernel comparison ratio.
+
+    A separable layer costs a bias-free depthwise kernel plus a pointwise
+    mix carrying the layer's bias; see `sparseconv.conv_cost`.
+    """
     rows = []
-    params_total = 0
-    ma_total = 0
+    total = CostReport(0, 0)
     for layer in layers:
-        d3 = layer.kernel_size ** 3
-        bias = layer.out_channels if layer.bias else 0
+        m, n, d, bias = layer.in_channels, layer.out_channels, layer.kernel_size, layer.bias
         if layer.kind == "separable":
-            params = layer.in_channels * d3 + layer.in_channels * layer.out_channels + bias
-            pairs = neighbor_pairs if neighbor_pairs is not None else active_sites * d3
-            ma = (pairs * layer.in_channels
-                  + active_sites * layer.in_channels * layer.out_channels) if active_sites else 0
-            standard = layer.in_channels * layer.out_channels * d3 + bias
-        elif layer.kind == "standard":
-            params = layer.in_channels * layer.out_channels * d3 + bias
-            pairs = neighbor_pairs if neighbor_pairs is not None else active_sites * d3
-            ma = pairs * layer.in_channels * layer.out_channels if active_sites else 0
-            standard = params
-        elif layer.kind == "pointwise":
-            params = layer.in_channels * layer.out_channels + bias
-            ma = active_sites * layer.in_channels * layer.out_channels if active_sites else 0
-            standard = params
+            c = (conv_cost("depthwise", m, m, d, False, active_sites, neighbor_pairs)
+                 + conv_cost("pointwise", m, n, 1, bias, active_sites))
+            standard = conv_cost("standard", m, n, d, bias, active_sites).trainable_params
+        elif layer.kind in ("standard", "pointwise"):
+            c = conv_cost(layer.kind, m, n, d, bias, active_sites, neighbor_pairs)
+            standard = c.trainable_params
         else:
             raise ShapeError(f"unknown layer kind {layer.kind!r}")
         rows.append({
             "kind": layer.kind,
-            "in_channels": layer.in_channels,
-            "out_channels": layer.out_channels,
-            "kernel_size": layer.kernel_size,
-            "trainable_params": int(params),
-            "mult_adds": int(ma),
-            "standard_params": int(standard),
-            "params_ratio_vs_standard": round(standard / params, 4),
+            "in_channels": m,
+            "out_channels": n,
+            "kernel_size": d,
+            "trainable_params": c.trainable_params,
+            "mult_adds": c.mult_adds,
+            "standard_params": standard,
+            "params_ratio_vs_standard": round(standard / c.trainable_params, 4),
         })
-        params_total += params
-        ma_total += ma
-    return rows, CostReport(int(params_total), int(ma_total))
+        total = total + c
+    return rows, total
 
 
 class MiniSegNet:

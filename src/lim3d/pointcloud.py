@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -100,9 +100,6 @@ class PointCloud:
     @property
     def n_points(self) -> int:
         return len(self.xyz)
-
-    def with_labels(self, labels: np.ndarray) -> "PointCloud":
-        return replace(self, labels=labels)
 
     def ranges(self) -> np.ndarray:
         """Euclidean distance of every point from the sensor origin."""

@@ -52,7 +52,6 @@ class VoxelPredictions:
     embeddings: np.ndarray          # (v, d)
     labels: np.ndarray | None = None
     radii: np.ndarray | None = None
-    frame_id: int = 0
 
     def __post_init__(self):
         probs = np.ascontiguousarray(self.probs, dtype=np.float64)
@@ -131,9 +130,6 @@ class MemoryBank:
         if len(q) < k:
             raise ValidationError(f"class {class_id}: {len(q)} negatives < {k} requested")
         return np.stack(list(q)[-k:]) if k else np.empty((0, 0))
-
-    def as_list(self, class_id: int) -> list[np.ndarray]:
-        return list(self._queues[class_id])
 
 
 @dataclass(frozen=True)
@@ -283,12 +279,11 @@ def bank_push_negatives(bank: MemoryBank, v: VoxelPredictions, pls: PseudoLabelS
     bottom half of their class distribution; oldest entries are evicted."""
     if not 0 <= class_id < v.n_classes:
         raise DomainError(f"class_id {class_id} out of range")
-    cutoff = math.ceil(v.n_classes / 2)
-    for voxel in sorted(pls.unreliable):
-        row = v.probs[voxel]
-        rank = int(np.argsort(row, kind="stable").tolist().index(class_id))
-        if rank < cutoff:
-            bank.push(class_id, v.embeddings[voxel])
+    ids = np.array(sorted(pls.unreliable), dtype=np.int64)
+    order = np.argsort(v.probs[ids], axis=1, kind="stable")
+    rank = (order == class_id).argmax(axis=1)
+    for voxel in ids[rank < math.ceil(v.n_classes / 2)]:
+        bank.push(class_id, v.embeddings[voxel])
     return bank
 
 

@@ -43,19 +43,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StrfdConfig:
-    """Sampler settings: subset size, decay coefficient, redundancy source."""
+    """Sampler settings: subset size and decay coefficient."""
 
     subset_size: int = 10
     beta: float = 0.0
-    redundancy_source: str = "grayscale_image"  # or "range_image"
 
     def __post_init__(self):
         if self.subset_size < 1:
             raise DomainError("subset_size must be >= 1")
         if self.beta < 0:
             raise DomainError("beta must be nonnegative")
-        if self.redundancy_source not in ("grayscale_image", "range_image"):
-            raise DomainError(f"unknown redundancy source {self.redundancy_source!r}")
 
 
 @dataclass
@@ -168,9 +165,7 @@ def calibrate_beta(sequences: list[list[np.ndarray]], cfg: StrfdConfig,
     psis = [frame_redundancies(frames, n_threads=n_threads) for frames in sequences]
 
     def count_at(beta: float) -> tuple[int, SamplingPlan]:
-        p = plan_from_redundancies(psis, StrfdConfig(
-            subset_size=cfg.subset_size, beta=beta,
-            redundancy_source=cfg.redundancy_source))
+        p = plan_from_redundancies(psis, StrfdConfig(subset_size=cfg.subset_size, beta=beta))
         return p.total(), p
 
     lo = 0.0

@@ -38,9 +38,9 @@ __all__ = [
     "submanifold_conv",
     "sparse_pointwise_conv",
     "separable_conv",
-    "strided_conv",
     "apply_spatial",
     "apply_pointwise",
+    "conv_cost",
     "cost",
 ]
 
@@ -63,13 +63,10 @@ class ConvKernel:
     kernel_size: int
     weights: np.ndarray
     bias: np.ndarray | None = None
-    stride: int = 1
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise DomainError(f"kernel kind must be one of {KERNEL_KINDS}, got {self.kind!r}")
-        if self.stride != 1:
-            raise DomainError("only stride 1 kernels are supported")
         d, m, n = self.kernel_size, self.in_channels, self.out_channels
         if self.kind == "pointwise":
             if d != 1:
@@ -269,56 +266,6 @@ def separable_conv(t: SparseVoxelTensor, depthwise: ConvKernel,
     return sparse_pointwise_conv(submanifold_conv(t, depthwise), pointwise)
 
 
-def strided_conv(t: SparseVoxelTensor, kernel: ConvKernel, stride: int) -> SparseVoxelTensor:
-    """Downsampling variant: a regular sparse convolution with stride.
-
-    Departure from submanifold behavior: an output site exists wherever at
-    least one kernel tap lands on an active input. Output site ``o`` reads
-    input coordinates ``stride * o + offset``. The azimuth extent must be
-    divisible by the stride so the circular wrap stays consistent.
-    """
-    if kernel.kind != "standard":
-        raise DomainError("strided_conv takes a standard kernel")
-    if stride < 1:
-        raise DomainError("stride must be >= 1")
-    g = t.grid
-    if g.n_phi % stride != 0:
-        raise DomainError(f"n_phi={g.n_phi} not divisible by stride={stride}")
-    out_grid = CylGridSpec(
-        n_rho=-(-g.n_rho // stride), n_phi=g.n_phi // stride, n_z=-(-g.n_z // stride),
-        rho_max=g.rho_max, z_range=g.z_range)
-
-    r = (kernel.kernel_size - 1) // 2
-    in_index = {tuple(c): i for i, c in enumerate(t.coords.tolist())}
-    d = kernel.kernel_size
-    flat_w = kernel.weights.reshape(d ** 3, kernel.in_channels, kernel.out_channels)
-
-    accum: dict[tuple[int, int, int], np.ndarray] = {}
-    for tap, (d_rho, d_phi, d_z) in enumerate(product(range(-r, r + 1), repeat=3)):
-        for (i_rho, i_phi, i_z), row in in_index.items():
-            o_rho, rem_rho = divmod(i_rho - d_rho, stride)
-            o_z, rem_z = divmod(i_z - d_z, stride)
-            if rem_rho or rem_z:
-                continue
-            o_phi_raw = i_phi - d_phi
-            o_phi, rem_phi = divmod(o_phi_raw % g.n_phi, stride)
-            if rem_phi:
-                continue
-            if not (0 <= o_rho < out_grid.n_rho and 0 <= o_z < out_grid.n_z):
-                continue
-            key = (o_rho, o_phi, o_z)
-            acc = accum.setdefault(key, np.zeros(kernel.out_channels))
-            acc += t.features[row] @ flat_w[tap]
-    if not accum:
-        return SparseVoxelTensor(grid=out_grid, coords=np.empty((0, 3), dtype=np.int64),
-                                 features=np.empty((0, kernel.out_channels)))
-    coords = np.array(sorted(accum.keys()), dtype=np.int64)
-    feats = np.stack([accum[tuple(c)] for c in coords.tolist()])
-    if kernel.bias is not None:
-        feats = feats + kernel.bias
-    return SparseVoxelTensor(grid=out_grid, coords=coords, features=feats)
-
-
 # ---------------------------------------------------------------------------
 # Cost accounting
 # ---------------------------------------------------------------------------
@@ -333,39 +280,45 @@ class CostReport:
         if self.trainable_params < 0 or self.mult_adds < 0:
             raise ValidationError("cost counts must be nonnegative")
 
+    def __add__(self, other: "CostReport") -> "CostReport":
+        return CostReport(self.trainable_params + other.trainable_params,
+                          self.mult_adds + other.mult_adds)
 
-def _params(kernel: ConvKernel) -> int:
-    d3 = kernel.kernel_size ** 3
-    m, n = kernel.in_channels, kernel.out_channels
-    base = {"standard": m * n * d3, "depthwise": m * d3, "pointwise": m * n}[kernel.kind]
-    return base + (0 if kernel.bias is None else n)
+
+def conv_cost(kind: str, in_channels: int, out_channels: int, kernel_size: int,
+              bias: bool, active_sites: int, neighbor_pairs: int | None = None) -> CostReport:
+    """Trainable parameters and multiply-adds of one convolution from its shape.
+
+    Pointwise kernels ignore `kernel_size` and cost one channel mix per
+    site. Spatial kernels cost one mix per neighbor pair visited; when
+    `neighbor_pairs` is not given the fully-active neighborhood bound
+    ``active_sites * kernel_size**3`` is assumed.
+    """
+    if kind not in KERNEL_KINDS:
+        raise DomainError(f"kernel kind must be one of {KERNEL_KINDS}, got {kind!r}")
+    if active_sites < 0:
+        raise DomainError("active_sites must be nonnegative")
+    d3 = kernel_size ** 3
+    per_pair = in_channels if kind == "depthwise" else in_channels * out_channels
+    if kind == "pointwise":
+        params, pairs = per_pair, active_sites
+    else:
+        params = per_pair * d3
+        pairs = neighbor_pairs if neighbor_pairs is not None else active_sites * d3
+    mult_adds = pairs * per_pair if active_sites else 0
+    return CostReport(params + (out_channels if bias else 0), int(mult_adds))
 
 
 def cost(kernel, active_sites: int, neighbor_pairs: int | None = None) -> CostReport:
     """Trainable parameters and multiply-adds for one forward pass.
 
-    `kernel` is a ConvKernel or a ``(depthwise, pointwise)`` pair. For
-    spatial kernels the multiply-adds scale with the neighbor pairs
-    actually visited; when `neighbor_pairs` is not given the fully-active
-    neighborhood bound ``active_sites * kernel_size**3`` is assumed.
+    `kernel` is a ConvKernel or a ``(depthwise, pointwise)`` pair; see
+    `conv_cost` for how the multiply-adds are counted.
     """
-    if active_sites < 0:
-        raise DomainError("active_sites must be nonnegative")
     if isinstance(kernel, tuple):
         dw, pw = kernel
         if dw.kind != "depthwise" or pw.kind != "pointwise":
             raise DomainError("a kernel pair must be (depthwise, pointwise)")
-        a = cost(dw, active_sites, neighbor_pairs)
-        b = cost(pw, active_sites)
-        return CostReport(a.trainable_params + b.trainable_params,
-                          a.mult_adds + b.mult_adds)
-    if active_sites == 0:
-        return CostReport(_params(kernel), 0)
-    m, n = kernel.in_channels, kernel.out_channels
-    if kernel.kind == "pointwise":
-        ma = active_sites * m * n
-    else:
-        pairs = neighbor_pairs if neighbor_pairs is not None \
-            else active_sites * kernel.kernel_size ** 3
-        ma = pairs * (m * n if kernel.kind == "standard" else m)
-    return CostReport(_params(kernel), int(ma))
+        return cost(dw, active_sites, neighbor_pairs) + cost(pw, active_sites)
+    return conv_cost(kernel.kind, kernel.in_channels, kernel.out_channels, kernel.kernel_size,
+                     kernel.bias is not None, active_sites, neighbor_pairs)

@@ -3,10 +3,11 @@
 Stage 1 trains a student on redundancy-sampled labeled frames while a
 teacher tracks it by exponential moving average. Stage 2 freezes the
 teacher and turns its predictions on unlabeled frames into entropy-split,
-class-and-range-balanced pseudo-labels. Stage 3 retrains a fresh student
-on ground truth plus reliable pseudo-labels with the full composite loss:
-supervised Jaccard extension, KL consistency to the teacher, and the
-contrastive term fed by a FIFO bank of unreliable-voxel negatives.
+class-and-range-balanced pseudo-labels. Stage 3 keeps training the stage-1
+student, with the teacher still tracking it, on ground truth plus reliable
+pseudo-labels with the full composite loss: supervised Jaccard extension,
+KL consistency to the teacher, and the contrastive term fed by a FIFO bank
+of unreliable-voxel negatives.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .autodiff import Tensor, softmax
 from .errors import DivergenceError, DomainError, ShapeError
 from .losses import LossConfig, kl_consistency, lovasz_softmax, total_loss
 from .network import MiniSegNet, topology_cost
-from .pointcloud import SceneSpec, synth_sequence
+from .pointcloud import SceneSpec, range_to_grayscale, synth_sequence
 from .pseudolabel import (ContrastiveConfig, MemoryBank, PseudoLabelSet,
                           VoxelPredictions, bank_push_negatives,
                           build_anchor_set, entropy_partition, crb_select,
@@ -31,7 +32,6 @@ from .sparseconv import Rulebook, build_rulebook
 from .voxel import CylGridSpec, SparseVoxelTensor, voxelize
 
 __all__ = [
-    "ModelState",
     "ema_update",
     "confusion_matrix",
     "iou_per_class",
@@ -45,19 +45,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # EMA and metrics
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ModelState:
-    """Flat student/teacher parameter vectors plus the layer layout."""
-
-    student: np.ndarray
-    teacher: np.ndarray
-    topology: tuple
-
-    def __post_init__(self):
-        if self.student.shape != self.teacher.shape:
-            raise ShapeError("student and teacher parameter vectors must align")
 
 
 def ema_update(teacher: np.ndarray, student: np.ndarray, kappa: float) -> np.ndarray:
@@ -214,9 +201,8 @@ def run_toy_pipeline(cfg: ToyPipelineConfig,
 
     # Redundancy-driven selection of the labeled subset.
     max_range = max(float(ri.values.max()) for frames in train_seqs for _, ri in frames) or 1.0
-    gray = [[np.round(np.clip(ri.values / max_range, 0, 1) * 255.0) for _, ri in frames]
-            for frames in train_seqs]
-    strfd = StrfdConfig(subset_size=cfg.subset_size, beta=0.0, redundancy_source="range_image")
+    gray = [[range_to_grayscale(ri, max_range) for _, ri in frames] for frames in train_seqs]
+    strfd = StrfdConfig(subset_size=cfg.subset_size, beta=0.0)
     if cfg.labeled_fraction >= 1.0:
         beta, labeled_plan = 0.0, plan(gray, strfd)
     else:

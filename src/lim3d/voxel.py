@@ -24,6 +24,7 @@ __all__ = [
     "CylGridSpec",
     "SparseVoxelTensor",
     "voxelize",
+    "point_rows",
     "densify",
     "sparsify",
     "save_tensor",
@@ -142,6 +143,21 @@ class SparseVoxelTensor:
 # ---------------------------------------------------------------------------
 
 
+def _bin_points(xyz: np.ndarray, grid: CylGridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the points inside the grid, and the linear cell key of each of those."""
+    rho = np.hypot(xyz[:, 0], xyz[:, 1])
+    phi = np.arctan2(xyz[:, 1], xyz[:, 0])
+    z = xyz[:, 2]
+    z_min, z_max = grid.z_range
+    keep = (rho < grid.rho_max) & (z >= z_min) & (z < z_max)
+    i_rho = np.floor(rho[keep] / grid.rho_max * grid.n_rho).astype(np.int64)
+    i_phi = np.floor((phi[keep] + np.pi) / (2.0 * np.pi) * grid.n_phi).astype(np.int64) % grid.n_phi
+    i_z = np.floor((z[keep] - z_min) / (z_max - z_min) * grid.n_z).astype(np.int64)
+    i_rho = np.minimum(i_rho, grid.n_rho - 1)  # guards rho == rho_max*(1-eps) float edge
+    i_z = np.minimum(i_z, grid.n_z - 1)
+    return keep, (i_rho * grid.n_phi + i_phi) * grid.n_z + i_z
+
+
 def voxelize(pc: PointCloud, grid: CylGridSpec, reducer: str = "mean") -> SparseVoxelTensor:
     """Bin a cloud into the cylindrical grid.
 
@@ -155,36 +171,23 @@ def voxelize(pc: PointCloud, grid: CylGridSpec, reducer: str = "mean") -> Sparse
         raise DomainError(f"reducer must be 'mean' or 'max', got {reducer!r}")
 
     xyz = pc.xyz.astype(np.float64)
-    rho = np.hypot(xyz[:, 0], xyz[:, 1])
-    phi = np.arctan2(xyz[:, 1], xyz[:, 0])
-    z = xyz[:, 2]
-    z_min, z_max = grid.z_range
-
-    keep = (rho < grid.rho_max) & (z >= z_min) & (z < z_max)
+    keep, keys = _bin_points(xyz, grid)
     dropped = int(len(pc) - keep.sum())
     if dropped:
         log.info("voxelize: dropped %d of %d points outside the grid", dropped, len(pc))
-
-    i_rho = np.floor(rho[keep] / grid.rho_max * grid.n_rho).astype(np.int64)
-    i_phi = np.floor((phi[keep] + np.pi) / (2.0 * np.pi) * grid.n_phi).astype(np.int64) % grid.n_phi
-    i_z = np.floor((z[keep] - z_min) / (z_max - z_min) * grid.n_z).astype(np.int64)
-    i_rho = np.minimum(i_rho, grid.n_rho - 1)  # guards rho == rho_max*(1-eps) float edge
-    i_z = np.minimum(i_z, grid.n_z - 1)
-    coords_all = np.column_stack([i_rho, i_phi, i_z])
 
     base = [xyz[keep], pc.intensity[keep].astype(np.float64)[:, None]]
     if pc.extra_features is not None:
         base.append(pc.extra_features[keep].astype(np.float64))
     point_feats = np.hstack(base)
 
-    if coords_all.shape[0] == 0:
+    if keys.size == 0:
         channels = point_feats.shape[1]
         empty_labels = np.empty(0, dtype=np.int64) if pc.labels is not None else None
         return SparseVoxelTensor(grid=grid, coords=np.empty((0, 3), dtype=np.int64),
                                  features=np.empty((0, channels)),
                                  labels=empty_labels, dropped_points=dropped)
 
-    keys = (coords_all[:, 0] * grid.n_phi + coords_all[:, 1]) * grid.n_z + coords_all[:, 2]
     uniq_keys, inverse = np.unique(keys, return_inverse=True)
     n_voxels = uniq_keys.size
     coords = np.column_stack([
@@ -221,6 +224,19 @@ def voxelize(pc: PointCloud, grid: CylGridSpec, reducer: str = "mean") -> Sparse
 
     return SparseVoxelTensor(grid=grid, coords=coords, features=feats,
                              labels=labels, dropped_points=dropped)
+
+
+def point_rows(pc: PointCloud, t: SparseVoxelTensor) -> np.ndarray:
+    """Row of `t` holding each point of `pc`; -1 for a point outside the grid
+    or in a cell that `t` leaves inactive."""
+    keep, keys = _bin_points(pc.xyz.astype(np.float64), t.grid)
+    rows = np.full(len(pc), -1, dtype=np.int64)
+    active = t.keys()
+    if len(active) and keys.size:
+        pos = np.minimum(np.searchsorted(active, keys), len(active) - 1)
+        hit = active[pos] == keys
+        rows[np.flatnonzero(keep)[hit]] = pos[hit]
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,7 @@ class TestMemoryBank:
         bank = MemoryBank(n_classes=1, capacity=2)
         for tag in (1.0, 2.0, 3.0):
             bank.push(0, np.array([tag]))
-        assert [v[0] for v in bank.as_list(0)] == [2.0, 3.0]
+        assert bank.newest(0, 2)[:, 0].tolist() == [2.0, 3.0]
 
     def test_capacity_never_exceeded(self, rng):
         bank = MemoryBank(n_classes=2, capacity=5)
@@ -194,6 +194,23 @@ class TestMemoryBank:
             bank_push_negatives(bank, vp, pls, c)
         assert bank.size(3) == 1 and bank.size(2) == 1  # bottom ceil(4/2) = 2 classes
         assert bank.size(0) == 0 and bank.size(1) == 0
+
+    def test_push_matches_per_voxel_rank_oracle(self, rng):
+        vp = make_predictions(rng, n=40, c=5)
+        probs = vp.probs.copy()
+        probs[::3] = 0.2  # uniform rows: the stable sort breaks ties by class id
+        vp = VoxelPredictions(probs=probs, embeddings=vp.embeddings)
+        unreliable = frozenset(rng.choice(40, size=25, replace=False).tolist())
+        pls = PseudoLabelSet(reliable={}, unreliable=unreliable, entropy=np.ones(40))
+        for c in range(5):
+            bank = MemoryBank(n_classes=5, capacity=100)
+            bank_push_negatives(bank, vp, pls, c)
+            expect = [i for i in sorted(unreliable)
+                      if list(np.argsort(probs[i], kind="stable")).index(c) < 3]
+            assert bank.size(c) == len(expect)
+            if expect:
+                np.testing.assert_array_equal(bank.newest(c, len(expect)),
+                                              vp.embeddings[expect])
 
     def test_empty_unreliable_no_change(self, rng):
         vp = make_predictions(rng, n=5)

@@ -7,7 +7,7 @@ from dense_reference import (dense_pointwise_reference, dense_separable_referenc
 from lim3d import (ConvKernel, CylGridSpec, DomainError, ShapeError,
                    SparseVoxelTensor, build_rulebook, cost, densify,
                    glorot_kernel, identity_kernel, separable_conv,
-                   sparse_pointwise_conv, strided_conv, submanifold_conv)
+                   sparse_pointwise_conv, submanifold_conv)
 from lim3d.autodiff import Tensor
 from lim3d.sparseconv import apply_pointwise, apply_spatial
 
@@ -34,10 +34,6 @@ class TestKernelValidation:
     def test_even_kernel_rejected(self):
         with pytest.raises(DomainError):
             ConvKernel("standard", 1, 1, 2, np.zeros((2, 2, 2, 1, 1)))
-
-    def test_stride_fixed_to_one(self):
-        with pytest.raises(DomainError):
-            ConvKernel("standard", 1, 1, 3, np.zeros((3, 3, 3, 1, 1)), stride=2)
 
     def test_channel_mismatch_raises(self, rng):
         t = random_sparse_tensor(rng, channels=3)
@@ -139,33 +135,6 @@ class TestDenseOracle:
         fused = separable_conv(t, dw, pw)
         two_step = sparse_pointwise_conv(submanifold_conv(t, dw), pw)
         np.testing.assert_array_equal(fused.features, two_step.features)
-
-    def test_strided_conv_output_rule_and_values(self, rng):
-        grid = CylGridSpec(4, 4, 4, 4.0, (0.0, 4.0))
-        t = random_sparse_tensor(rng, grid=grid, channels=2)
-        k = glorot_kernel("standard", 2, 3, 3, rng)
-        out = strided_conv(t, k, stride=2)
-        assert out.grid.shape == (2, 2, 2)
-        dense = densify(t)
-        mask = active_mask(t)
-        r = 1
-        for o in out.coords:
-            acc = np.zeros(3)
-            hit = False
-            for a in range(3):
-                for b in range(3):
-                    for c in range(3):
-                        ii = 2 * o[0] + (a - r)
-                        jj = (2 * o[1] + (b - r)) % 4
-                        kk = 2 * o[2] + (c - r)
-                        if not (0 <= ii < 4 and 0 <= kk < 4):
-                            continue
-                        if mask[ii, jj, kk]:
-                            hit = True
-                            acc += dense[ii, jj, kk] @ k.weights[a, b, c]
-            assert hit
-            row = np.flatnonzero((out.coords == o).all(axis=1))[0]
-            np.testing.assert_allclose(out.features[row], acc, atol=1e-10)
 
 
 class TestInvariants:

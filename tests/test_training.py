@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import max_rel_err
-from lim3d import (MiniSegNet, SceneSpec, ShapeError, ToyPipelineConfig,
-                   confusion_matrix, ema_update, iou_per_class, mean_iou,
-                   run_toy_pipeline, synth_sequence, voxelize)
+from lim3d import (LayerSpec, MiniSegNet, SceneSpec, ShapeError, ToyPipelineConfig,
+                   confusion_matrix, cost, ema_update, glorot_kernel, iou_per_class,
+                   mean_iou, run_toy_pipeline, synth_sequence, voxelize)
 from lim3d.network import mini_backbone_topology, topology_cost
 from lim3d.training import SGD
 from lim3d.voxel import CylGridSpec
@@ -136,6 +136,30 @@ class TestNetwork:
         hand += 64 * 3 + 3
         assert totals.trainable_params == hand
         assert all(r["params_ratio_vs_standard"] > 1 for r in rows[:-1])
+
+    def test_topology_cost_counts_given_neighbor_pairs(self):
+        sites, pairs = 100, 1280
+        layers = mini_backbone_topology(34, 3) + (LayerSpec("standard", 3, 5, 3, bias=False),)
+        rows, totals = topology_cost(layers, active_sites=sites, neighbor_pairs=pairs)
+        # Separable: a depthwise pass over every pair, then a channel mix per site.
+        hand = []
+        prev = 34
+        for w in (16, 32, 64, 64):
+            hand.append(pairs * prev + sites * prev * w)
+            prev = w
+        hand += [sites * 64 * 3, pairs * 3 * 5]
+        assert [r["mult_adds"] for r in rows] == hand
+        assert totals.mult_adds == sum(hand)
+        assert rows[-1]["trainable_params"] == rows[-1]["standard_params"] == 3 * 5 * 27
+
+    def test_topology_cost_matches_kernel_cost(self, rng):
+        dw = glorot_kernel("depthwise", 8, 8, 3, rng)
+        pw = glorot_kernel("pointwise", 8, 12, 1, rng, bias=True)
+        rows, _ = topology_cost((LayerSpec("separable", 8, 12, 3, bias=True),),
+                                active_sites=50, neighbor_pairs=600)
+        expect = cost((dw, pw), 50, neighbor_pairs=600)
+        assert (rows[0]["trainable_params"], rows[0]["mult_adds"]) == \
+            (expect.trainable_params, expect.mult_adds)
 
     def test_sgd_momentum_step(self):
         params = [np.zeros(2)]

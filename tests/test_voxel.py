@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_sparse_tensor
 from lim3d import (CapacityError, CylGridSpec, PointCloud, SparseVoxelTensor,
-                   ValidationError, densify, sparsify, voxelize)
+                   ValidationError, densify, point_rows, sparsify, voxelize)
 from lim3d.voxel import load_tensor, save_tensor
 
 
@@ -155,3 +155,72 @@ def test_voxelize_pure_function_of_seed(seed):
     tb = voxelize(b, GRID)
     np.testing.assert_array_equal(ta.coords, tb.coords)
     np.testing.assert_array_equal(ta.features, tb.features)
+
+
+def brute_point_rows(pc, t):
+    """Per-point binning by the module's rule, then a dict lookup of the cell."""
+    g = t.grid
+    z_min, z_max = g.z_range
+    cells = {tuple(c): row for row, c in enumerate(t.coords.tolist())}
+    rows = []
+    for x, y, z in pc.xyz.astype(np.float64).tolist():
+        rho, phi = np.hypot(x, y), np.arctan2(y, x)
+        if not (rho < g.rho_max and z_min <= z < z_max):
+            rows.append(-1)
+            continue
+        cell = (min(int(np.floor(rho / g.rho_max * g.n_rho)), g.n_rho - 1),
+                int(np.floor((phi + np.pi) / (2.0 * np.pi) * g.n_phi)) % g.n_phi,
+                min(int(np.floor((z - z_min) / (z_max - z_min) * g.n_z)), g.n_z - 1))
+        rows.append(cells.get(cell, -1))
+    return rows
+
+
+# Points on the grid's edges: rho just below rho_max, phi = +pi and -pi,
+# z = z_min (kept) and z = z_max (dropped).
+EDGE_POINTS = [
+    (float(np.nextafter(np.float32(4.0), np.float32(0.0))), 0.0, 0.0),
+    (-1.0, 0.0, 0.5),
+    (-1.0, -0.0, 0.5),
+    (2.5, 1.0, -2.0),
+    (2.5, 1.0, 2.0),
+]
+
+
+class TestPointRows:
+    def test_edges(self):
+        pc = PointCloud(xyz=EDGE_POINTS, intensity=np.zeros(len(EDGE_POINTS)))
+        t = voxelize(pc, GRID)
+        rows = point_rows(pc, t)
+        assert rows.dtype == np.int64
+        assert rows[-1] == -1 and (rows[:-1] >= 0).all()
+        assert t.coords[rows[0], 0] == GRID.n_rho - 1
+        assert rows[1] == rows[2] and t.coords[rows[1], 1] == 0  # phi = pi wraps onto -pi
+        assert t.coords[rows[3], 2] == 0
+        assert rows.tolist() == brute_point_rows(pc, t)
+
+    def test_empty_cloud(self):
+        pc = PointCloud(xyz=np.empty((0, 3)), intensity=np.empty(0))
+        rows = point_rows(pc, voxelize(pc, GRID))
+        assert rows.dtype == np.int64 and rows.shape == (0,)
+
+    def test_every_point_outside(self):
+        pc = PointCloud(xyz=[[9.0, 0.0, 0.0], [0.0, 1.0, 5.0], [1.0, 1.0, -3.0]],
+                        intensity=np.zeros(3))
+        t = voxelize(pc, GRID)
+        assert t.n_active == 0
+        np.testing.assert_array_equal(point_rows(pc, t), [-1, -1, -1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(points=st.lists(st.one_of(
+               st.sampled_from(EDGE_POINTS),
+               st.tuples(st.floats(-6, 6), st.floats(-6, 6), st.floats(-3, 3))), max_size=40),
+           n_rho=st.integers(1, 6), n_phi=st.integers(1, 9), n_z=st.integers(1, 5),
+           split=st.integers(0, 40))
+    def test_matches_brute_force(self, points, n_rho, n_phi, n_z, split):
+        # `t` holds only the first `split` points, so some cells of the
+        # later points may be inactive in it.
+        grid = CylGridSpec(n_rho, n_phi, n_z, rho_max=4.0, z_range=(-2.0, 2.0))
+        pc = PointCloud(xyz=np.array(points, dtype=np.float64).reshape(-1, 3),
+                        intensity=np.zeros(len(points)))
+        t = voxelize(PointCloud(xyz=pc.xyz[:split], intensity=pc.intensity[:split]), grid)
+        assert point_rows(pc, t).tolist() == brute_point_rows(pc, t)
