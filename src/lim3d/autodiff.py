@@ -7,8 +7,8 @@ created with `requires_grad=True`. A graph is single-use: running
 `backward()` through nodes that already participated in a backward pass
 raises `LifecycleError`.
 
-Only the primitives needed by the sparse convolutions and the loss heads
-are provided; everything else is composed from them.
+Only the primitives the network and the loss heads need are provided; a
+spatial sparse convolution is one node with its own backward (`sparseconv`).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import LifecycleError, ShapeError
 
-__all__ = ["Tensor", "as_tensor", "log_softmax", "softmax", "scatter_rows"]
+__all__ = ["Tensor", "as_tensor", "log_softmax", "softmax"]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -245,19 +245,6 @@ class Tensor:
 
 def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
-
-
-def scatter_rows(n_rows: int, indices, updates: Tensor) -> Tensor:
-    """Rows of `updates` summed into a zero (n_rows, C) tensor at `indices`."""
-    updates = as_tensor(updates)
-    idx = np.asarray(indices, dtype=np.intp)
-    out_data = np.zeros((n_rows,) + updates.data.shape[1:], dtype=np.float64)
-    np.add.at(out_data, idx, updates.data)
-
-    def backward(g):
-        return (g[idx],)
-
-    return Tensor(out_data, _parents=(updates,), _backward=backward)
 
 
 def log_softmax(t: Tensor, axis: int = -1) -> Tensor:

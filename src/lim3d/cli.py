@@ -234,10 +234,10 @@ def cmd_pseudo(args) -> int:
     save_labels(args.out, voxel_labels[point_rows(pc, svt)])
 
     unreliable_ids = np.fromiter(pls.unreliable, dtype=np.int64, count=len(pls.unreliable))
-    reliable_counts = np.bincount(reliable_cls, minlength=args.n_classes)
-    unreliable_counts = np.bincount(probs.argmax(axis=1)[unreliable_ids], minlength=args.n_classes)
+    reliable_counts = np.bincount(reliable_cls, minlength=net.n_classes)
+    unreliable_counts = np.bincount(probs.argmax(axis=1)[unreliable_ids], minlength=net.n_classes)
     counts = {str(c): {"reliable": int(reliable_counts[c]), "unreliable": int(unreliable_counts[c])}
-              for c in range(args.n_classes)}
+              for c in range(net.n_classes)}
     _write_json(args.out + ".meta.json", {
         "provenance": _provenance(args),
         "n_points": len(pc),

@@ -6,15 +6,19 @@ over active neighbors. The azimuth axis wraps circularly (cylindrical
 topology); taps falling outside the radius or height extent contribute
 nothing.
 
+A `Rulebook` is a neighbor table: per active site and kernel tap, the
+input row read, or the sentinel ``n_sites`` for an inactive or off-grid
+cell. A spatial convolution is one autodiff node: it pads its input with
+a zero sentinel row, gathers all neighbor rows at once and contracts them
+with the flattened kernel. If tap ``k`` of site ``o`` reads row ``i``,
+tap ``K-1-k`` of site ``i`` reads row ``o`` (across the azimuth wrap
+too), so the input gradient is the same gather with the kernel mirrored.
+
 A depthwise separable convolution is the composition of a depthwise
 spatial kernel (one filter per channel) and a pointwise 1x1x1 channel mix.
 For kernel size ``D`` it needs ``M*D^3 + M*N`` weights against the
-``M*N*D^3`` of a standard kernel.
-
-Forward passes run through the `autodiff` tensor type, so wrapping the
-input features in a ``Tensor(..., requires_grad=True)`` and calling
-``backward()`` on any scalar of the output yields exact gradients for
-weights, biases and input features.
+``M*N*D^3`` of a standard kernel. ``backward()`` on any scalar of the output
+yields exact gradients for weights, biases and input features.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from itertools import product
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, scatter_rows
+from .autodiff import Tensor, as_tensor
 from .errors import DomainError, ShapeError, ValidationError
 from .voxel import CylGridSpec, SparseVoxelTensor
 
@@ -137,24 +141,31 @@ def glorot_kernel(kind: str, in_channels: int, out_channels: int,
 
 
 # ---------------------------------------------------------------------------
-# Rulebook: per kernel offset, the (input row, output row) pairs to visit
+# Rulebook: per active site, its neighbor row at every kernel tap
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Rulebook:
+    """``neighbors[o, k]`` is the input row tap ``k`` of site ``o`` reads, or
+    the sentinel ``n_sites``. Taps run over ``(d_rho, d_phi, d_z)`` in C
+    order, as the flattened weights do, so tap ``K-1-k`` negates tap ``k``."""
+
     kernel_size: int
-    n_sites: int
-    offsets: tuple[tuple[int, int, int], ...]
-    pairs: tuple[tuple[np.ndarray, np.ndarray], ...]  # (in_rows, out_rows) per offset
+    neighbors: np.ndarray  # (n_sites, kernel_size**3) intp, sentinel n_sites
+
+    @property
+    def n_sites(self) -> int:
+        return len(self.neighbors)
 
     @property
     def n_pairs(self) -> int:
-        return sum(len(i) for i, _ in self.pairs)
+        """Neighbor pairs visited: the non-sentinel entries."""
+        return int(np.count_nonzero(self.neighbors < self.n_sites))
 
 
 def build_rulebook(coords: np.ndarray, grid: CylGridSpec, kernel_size: int) -> Rulebook:
-    """Neighbor pairs for every kernel offset over the given active sites."""
+    """Neighbor table for every kernel tap over the given active sites."""
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
     n = len(coords)
     keys = (coords[:, 0] * grid.n_phi + coords[:, 1]) * grid.n_z + coords[:, 2]
@@ -162,26 +173,16 @@ def build_rulebook(coords: np.ndarray, grid: CylGridSpec, kernel_size: int) -> R
     sorted_keys = keys[order]
 
     r = (kernel_size - 1) // 2
-    offsets = []
-    pairs = []
-    for d_rho, d_phi, d_z in product(range(-r, r + 1), repeat=3):
-        offsets.append((d_rho, d_phi, d_z))
-        if n == 0:
-            pairs.append((np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)))
-            continue
-        n_rho = coords[:, 0] + d_rho
-        n_phi = (coords[:, 1] + d_phi) % grid.n_phi
-        n_z = coords[:, 2] + d_z
-        valid = (n_rho >= 0) & (n_rho < grid.n_rho) & (n_z >= 0) & (n_z < grid.n_z)
-        neigh_keys = (n_rho[valid] * grid.n_phi + n_phi[valid]) * grid.n_z + n_z[valid]
-        pos = np.searchsorted(sorted_keys, neigh_keys)
-        pos_clip = np.minimum(pos, n - 1)
-        found = sorted_keys[pos_clip] == neigh_keys
-        out_rows = np.flatnonzero(valid)[found]
-        in_rows = order[pos_clip[found]]
-        pairs.append((in_rows, out_rows))
-    return Rulebook(kernel_size=kernel_size, n_sites=n,
-                    offsets=tuple(offsets), pairs=tuple(pairs))
+    offsets = np.array(list(product(range(-r, r + 1), repeat=3)), dtype=np.int64)
+    cells = coords[:, None, :] + offsets  # (n, K, 3)
+    n_rho, n_phi, n_z = cells[..., 0], cells[..., 1] % grid.n_phi, cells[..., 2]
+    valid = (n_rho >= 0) & (n_rho < grid.n_rho) & (n_z >= 0) & (n_z < grid.n_z)
+    neigh_keys = (n_rho * grid.n_phi + n_phi) * grid.n_z + n_z
+    pos = np.minimum(np.searchsorted(sorted_keys, neigh_keys), n - 1)
+    found = valid & (sorted_keys[pos] == neigh_keys)
+    neighbors = np.where(found, order[pos], n).astype(np.intp)
+    neighbors.setflags(write=False)
+    return Rulebook(kernel_size=kernel_size, neighbors=neighbors)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +194,7 @@ def apply_spatial(features: Tensor | np.ndarray, rulebook: Rulebook,
                   kernel: ConvKernel,
                   weights: Tensor | None = None,
                   bias: Tensor | None = None) -> Tensor:
-    """Standard or depthwise spatial convolution over precomputed pairs.
+    """Standard or depthwise spatial convolution as one autodiff node.
 
     `weights`/`bias` override the kernel arrays with live tensors during
     training; otherwise the kernel arrays enter the graph as constants.
@@ -204,19 +205,29 @@ def apply_spatial(features: Tensor | np.ndarray, rulebook: Rulebook,
     if rulebook.kernel_size != kernel.kernel_size:
         raise ShapeError("rulebook kernel size does not match the kernel")
     w = as_tensor(kernel.weights if weights is None else weights)
-    d = kernel.kernel_size
-    flat_w = w.reshape((d ** 3,) + w.shape[3:])
+    n, k3 = rulebook.neighbors.shape
+    flat_w = w.data.reshape((k3,) + w.shape[3:])  # (K, C) or (K, M, N)
+    depthwise = kernel.kind == "depthwise"
 
-    out = Tensor(np.zeros((rulebook.n_sites, kernel.out_channels)))
-    for tap, (in_rows, out_rows) in enumerate(rulebook.pairs):
-        if len(in_rows) == 0:
-            continue
-        gathered = x.take(in_rows)
-        if kernel.kind == "depthwise":
-            contrib = gathered * flat_w.take([tap]).reshape((kernel.in_channels,))
+    def gather(rows: np.ndarray) -> np.ndarray:  # (n, K, C), sentinel rows read zeros
+        return np.concatenate([rows, np.zeros((1, rows.shape[1]))])[rulebook.neighbors]
+
+    def contract(rows: np.ndarray, taps: np.ndarray) -> np.ndarray:
+        if depthwise:
+            return np.einsum("nkc,kc->nc", gather(rows), taps)
+        taps = taps.reshape(-1, taps.shape[-1])
+        return gather(rows).reshape(n, len(taps)) @ taps
+
+    def backward(g):
+        # Mirrored kernel: taps reversed, channel axes swapped (a no-op for depthwise).
+        g_x = contract(g, np.swapaxes(flat_w[::-1], 1, -1)) if x.requires_grad else None
+        if depthwise:
+            g_w = np.einsum("nkc,nc->kc", gather(x.data), g)
         else:
-            contrib = gathered @ flat_w.take([tap]).reshape((kernel.in_channels, kernel.out_channels))
-        out = out + scatter_rows(rulebook.n_sites, out_rows, contrib)
+            g_w = gather(x.data).reshape(n, k3 * kernel.in_channels).T @ g
+        return g_x, g_w.reshape(w.shape)
+
+    out = Tensor(contract(x.data, flat_w), _parents=(x, w), _backward=backward)
     if kernel.bias is not None or bias is not None:
         out = out + as_tensor(kernel.bias if bias is None else bias)
     return out
@@ -240,18 +251,14 @@ def submanifold_conv(t: SparseVoxelTensor, kernel: ConvKernel,
     if kernel.kind not in ("standard", "depthwise"):
         raise DomainError("submanifold_conv takes a standard or depthwise kernel")
     rb = rulebook if rulebook is not None else build_rulebook(t.coords, t.grid, kernel.kernel_size)
-    out = apply_spatial(t.features, rb, kernel)
-    return SparseVoxelTensor(grid=t.grid, coords=t.coords, features=out.data,
-                             labels=t.labels, dropped_points=t.dropped_points)
+    return t.with_features(apply_spatial(t.features, rb, kernel).data)
 
 
 def sparse_pointwise_conv(t: SparseVoxelTensor, kernel: ConvKernel) -> SparseVoxelTensor:
     """Per-site channel mix; the active set is untouched."""
     if kernel.kind != "pointwise":
         raise DomainError("sparse_pointwise_conv takes a pointwise kernel")
-    out = apply_pointwise(t.features, kernel)
-    return SparseVoxelTensor(grid=t.grid, coords=t.coords, features=out.data,
-                             labels=t.labels, dropped_points=t.dropped_points)
+    return t.with_features(apply_pointwise(t.features, kernel).data)
 
 
 def separable_conv(t: SparseVoxelTensor, depthwise: ConvKernel,

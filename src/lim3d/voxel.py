@@ -285,23 +285,31 @@ def save_tensor(path: str | os.PathLike, t: SparseVoxelTensor) -> None:
             f.write(t.labels.astype("<i4").tobytes())
 
 
+def _read_section(f, path, name: str, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Exactly one section's bytes as an array; a short read is a FormatError."""
+    n_bytes = np.dtype(dtype).itemsize * int(np.prod(shape))
+    body = f.read(n_bytes)
+    if len(body) != n_bytes:
+        raise FormatError(f"{path}: truncated {name} ({len(body)} of {n_bytes} bytes)")
+    return np.frombuffer(body, dtype=dtype).reshape(shape)
+
+
 def load_tensor(path: str | os.PathLike) -> SparseVoxelTensor:
     with open(path, "rb") as f:
-        header = f.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise FormatError(f"{path}: truncated header")
         magic, version, n_rho, n_phi, n_z, rho_max, z_min, z_max, channels, count, has_labels = \
-            _HEADER.unpack(header)
+            _HEADER.unpack(_read_section(f, path, "header", "u1", (_HEADER.size,)))
         if magic != _MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r}")
         if version != _VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
         grid = CylGridSpec(n_rho=n_rho, n_phi=n_phi, n_z=n_z, rho_max=rho_max,
                            z_range=(z_min, z_max))
-        coords = np.frombuffer(f.read(count * 3 * 4), dtype="<i4").reshape(count, 3)
-        features = np.frombuffer(f.read(count * channels * 8), dtype="<f8").reshape(count, channels)
+        coords = _read_section(f, path, "coords", "<i4", (count, 3))
+        features = _read_section(f, path, "features", "<f8", (count, channels))
         labels = None
         if has_labels:
-            labels = np.frombuffer(f.read(count * 4), dtype="<i4").astype(np.int64)
+            labels = _read_section(f, path, "labels", "<i4", (count,)).astype(np.int64)
+        if f.read(1):
+            raise FormatError(f"{path}: trailing bytes after the last section")
     return SparseVoxelTensor(grid=grid, coords=coords.astype(np.int64),
                              features=features.copy(), labels=labels)

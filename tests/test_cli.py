@@ -210,6 +210,24 @@ class TestTrainToy:
         flat = np.load(tmp_path / "m.npz")["flat"]
         assert flat.ndim == 1 and flat.size == report["cost"]["trainable_params"]
 
+    @pytest.mark.parametrize("model_classes,flag_classes", [(3, 5), (5, 3)])
+    def test_pseudo_counts_classes_of_the_model(self, dataset, tmp_path,
+                                                model_classes, flag_classes):
+        from lim3d.network import MiniSegNet
+        net = MiniSegNet(4, model_classes, widths=(4, 4), kernel_size=3, seed=1)
+        model = tmp_path / "m.npz"
+        np.savez(model, flat=net.flat(), in_channels=4, n_classes=model_classes,
+                 widths=np.array(net.widths, dtype=np.int64), kernel_size=3,
+                 reflec_bins=0, reflec_grids=np.empty((0, 2), dtype=np.int64))
+        frame = dataset / "sequences" / "00" / "velodyne" / "000000.bin"
+        out = tmp_path / "m.label"
+        assert main(["pseudo", "--in", str(frame), "--model", str(model),
+                     "--n-classes", str(flag_classes), "--out", str(out)]) == 0
+        meta = json.loads((tmp_path / "m.label.meta.json").read_text())
+        assert set(meta["per_class"]) == {str(c) for c in range(model_classes)}
+        assert sum(v["reliable"] + v["unreliable"]
+                   for v in meta["per_class"].values()) == meta["n_voxels"]
+
     def test_saved_model_loads_in_pseudo(self, dataset, tmp_path):
         model = tmp_path / "m.npz"
         assert main(["train-toy", "--labeled-fraction", "1.0", "--stages", "1",

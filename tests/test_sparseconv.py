@@ -1,5 +1,9 @@
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import finite_difference, max_rel_err, random_sparse_tensor
 from dense_reference import (dense_pointwise_reference, dense_separable_reference,
@@ -248,3 +252,79 @@ class TestGradients:
         out = apply_spatial(Tensor(t.features), rb, k, weights=w)
         out.backward(np.zeros(out.shape))
         np.testing.assert_array_equal(w.grad, 0.0)
+
+
+def wrap_grid_tensor(seed, kernel_size, n_phi, channels):
+    """Random tensor on a small grid `n_phi` bins around; with `n_phi` below
+    the kernel size, several taps of one site wrap onto the same neighbor."""
+    rng = np.random.default_rng(seed)
+    grid = CylGridSpec(int(rng.integers(1, 5)), n_phi, int(rng.integers(1, 5)),
+                       rho_max=4.0, z_range=(0.0, 4.0))
+    return random_sparse_tensor(rng, grid=grid, channels=channels), rng
+
+
+class TestNeighborTable:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["standard", "depthwise"]),
+           kernel_size=st.sampled_from([1, 3, 5]), data=st.data())
+    def test_spatial_matches_dense_with_wrapped_taps(self, seed, kind, kernel_size, data):
+        n_phi = data.draw(st.integers(1, kernel_size))
+        channels = data.draw(st.integers(1, 3))
+        t, rng = wrap_grid_tensor(seed, kernel_size, n_phi, channels)
+        out_ch = channels if kind == "depthwise" else data.draw(st.integers(1, 3))
+        k = glorot_kernel(kind, channels, out_ch, kernel_size, rng, bias=data.draw(st.booleans()))
+        out = submanifold_conv(t, k)
+        ref = dense_spatial_reference(densify(t), active_mask(t), k.weights, kind, bias=k.bias)
+        assert np.abs(out.features - masked_rows(ref, t)).max() < 1e-5
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kernel_size=st.sampled_from([1, 3, 5]),
+           data=st.data())
+    def test_mirror_property_and_brute_force_pairs(self, seed, kernel_size, data):
+        n_phi = data.draw(st.integers(1, kernel_size + 2))
+        t, _ = wrap_grid_tensor(seed, kernel_size, n_phi, 1)
+        rb = build_rulebook(t.coords, t.grid, kernel_size)
+        nb, n, k3 = rb.neighbors, t.n_active, kernel_size ** 3
+        assert nb.shape == (n, k3) and rb.n_sites == n
+
+        # nb[o, k] == i implies nb[i, K-1-k] == o; over every (o, k) this
+        # also covers the converse, which is the same rule at tap K-1-k.
+        sites, taps = np.nonzero(nb < n)
+        np.testing.assert_array_equal(nb[nb[sites, taps], k3 - 1 - taps], sites)
+
+        row_of = {tuple(c): i for i, c in enumerate(t.coords.tolist())}
+        r = (kernel_size - 1) // 2
+        pairs = 0
+        for o, (a, b, c) in enumerate(t.coords.tolist()):
+            for tap, (da, db, dc) in enumerate(product(range(-r, r + 1), repeat=3)):
+                i = row_of.get((a + da, (b + db) % n_phi, c + dc), n)
+                assert nb[o, tap] == i
+                pairs += i < n
+        assert rb.n_pairs == pairs
+
+    @pytest.mark.parametrize("kind", ["standard", "depthwise"])
+    def test_kernel5_gradients_fd_on_two_phi_bins(self, rng, kind):
+        grid = CylGridSpec(3, 2, 3, rho_max=3.0, z_range=(0.0, 3.0))
+        keys = rng.choice(grid.n_cells, size=10, replace=False)
+        t = SparseVoxelTensor(grid=grid, coords=np.column_stack(np.unravel_index(keys, grid.shape)),
+                              features=rng.normal(size=(10, 2)))
+        out_ch = 2 if kind == "depthwise" else 3
+        k = glorot_kernel(kind, 2, out_ch, 5, rng, bias=True)
+        rb = build_rulebook(t.coords, t.grid, 5)
+        downstream = rng.normal(size=(t.n_active, out_ch))
+
+        def run(w_arr, x_arr, b_arr):
+            w = Tensor(w_arr, requires_grad=True)
+            x = Tensor(x_arr, requires_grad=True)
+            b = Tensor(b_arr, requires_grad=True)
+            out = apply_spatial(x, rb, k, weights=w, bias=b)
+            return w, x, b, (out * Tensor(downstream)).sum()
+
+        w, x, b, loss = run(k.weights, t.features, k.bias)
+        loss.backward()
+        fd_w = finite_difference(lambda v: run(v, t.features, k.bias)[3].item(), k.weights)
+        fd_x = finite_difference(lambda v: run(k.weights, v, k.bias)[3].item(), t.features)
+        fd_b = finite_difference(lambda v: run(k.weights, t.features, v)[3].item(), k.bias)
+        assert max_rel_err(w.grad, fd_w) < 1e-3
+        assert max_rel_err(x.grad, fd_x) < 1e-3
+        assert max_rel_err(b.grad, fd_b) < 1e-3

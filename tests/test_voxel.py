@@ -137,6 +137,29 @@ class TestInvariantsAndSerialization:
         save_tensor(tmp_path / "t.svt", t)
         np.testing.assert_array_equal(load_tensor(tmp_path / "t.svt").labels, [2, 0])
 
+    def test_truncated_sections_rejected(self, tmp_path):
+        from lim3d import FormatError
+        from lim3d.voxel import _HEADER
+        t = SparseVoxelTensor(grid=GRID, coords=[[0, 0, 0], [1, 1, 1], [2, 3, 1]],
+                              features=np.arange(6.0).reshape(3, 2), labels=[2, 0, 1])
+        save_tensor(tmp_path / "t.svt", t)
+        body = (tmp_path / "t.svt").read_bytes()
+        ends = np.cumsum([_HEADER.size, 3 * 3 * 4, 3 * 2 * 8, 3 * 4])
+        assert ends[-1] == len(body)
+        for start, end in zip(ends[:-1], ends[1:]):
+            for cut in (start, start + 1, (start + end) // 2, end - 1):
+                (tmp_path / "cut.svt").write_bytes(body[:cut])
+                with pytest.raises(FormatError):
+                    load_tensor(tmp_path / "cut.svt")
+
+    def test_trailing_byte_rejected(self, tmp_path):
+        from lim3d import FormatError
+        t = SparseVoxelTensor(grid=GRID, coords=[[0, 0, 0]], features=[[1.0]])
+        save_tensor(tmp_path / "t.svt", t)
+        (tmp_path / "t.svt").write_bytes((tmp_path / "t.svt").read_bytes() + b"\x00")
+        with pytest.raises(FormatError):
+            load_tensor(tmp_path / "t.svt")
+
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / "junk.svt").write_bytes(b"NOPE" + b"\x00" * 60)
         from lim3d import FormatError
