@@ -1,9 +1,11 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-A `Tensor` wraps an ndarray and records the operation that produced it.
-Calling `backward()` on a scalar result walks the recorded graph once in
-reverse topological order and accumulates gradients into every tensor
-created with `requires_grad=True`. A graph is single-use: running
+A `Tensor` wraps an ndarray and records the operation that produced it
+when some input requires a gradient; a result of constants records
+nothing, so inference (`MiniSegNet.predict`) holds no graph. Calling
+`backward()` on a scalar result walks the recorded graph once in reverse
+topological order and accumulates gradients into every tensor created
+with `requires_grad=True`. A graph is single-use: running
 `backward()` through nodes that already participated in a backward pass
 raises `LifecycleError`.
 
@@ -37,8 +39,9 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
-        self._parents = tuple(_parents)
-        self._backward = _backward
+        # A constant result keeps no graph, so its inputs can be freed at once.
+        self._parents = tuple(_parents) if self.requires_grad else ()
+        self._backward = _backward if self.requires_grad else None
         self._consumed = False
 
     # -- introspection -------------------------------------------------

@@ -210,12 +210,16 @@ def read_pgm(path: str | os.PathLike) -> np.ndarray:
             pos += 1
         tokens.append(data[start:pos])
     pos += 1  # single whitespace after maxval
+    if not all(t.isdigit() for t in tokens):
+        raise FormatError(f"{path}: width, height and maxval must be decimal integers")
     width, height, maxval = (int(t) for t in tokens)
+    if width == 0 or height == 0:
+        raise FormatError(f"{path}: empty image ({width}x{height})")
     if maxval != 255:
         raise FormatError(f"{path}: only 8-bit PGM supported (maxval={maxval})")
-    raster = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
-    if raster.size != width * height:
+    if len(data) - pos < width * height:
         raise FormatError(f"{path}: truncated raster")
+    raster = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
     return raster.reshape(height, width).copy()
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, FormatError, ValidationError
 from .ssim import ssim
 
 __all__ = [
@@ -201,6 +201,17 @@ def save_plan(path: str | os.PathLike, plan_: SamplingPlan,
 
 
 def load_plan(path: str | os.PathLike) -> dict[str, list[int]]:
+    """Read a plan written by `save_plan`; anything else raises `FormatError`."""
     with open(path) as f:
-        payload = json.load(f)
-    return {str(k): [int(i) for i in v] for k, v in payload.items()}
+        try:
+            payload = json.load(f)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: a plan is a JSON object, got {type(payload).__name__}")
+    for key, idx in payload.items():
+        if not isinstance(idx, list):
+            raise FormatError(f"{path}: sequence {key!r} must map to a list of frame indices")
+        if not all(isinstance(i, int) and not isinstance(i, bool) for i in idx):
+            raise FormatError(f"{path}: sequence {key!r} has a non-integer frame index")
+    return payload

@@ -122,3 +122,9 @@ class TestLifecycle:
         t = Tensor(np.array([3.0]), requires_grad=True)
         ((t * t) + t).sum().backward()
         np.testing.assert_allclose(t.grad, [7.0])
+
+    def test_constant_result_keeps_no_graph(self):
+        a, b = Tensor(np.ones(3)), Tensor(np.arange(3.0))
+        out = (a * b + a).exp().sum()
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None

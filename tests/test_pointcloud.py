@@ -137,6 +137,27 @@ class TestPgm:
         with pytest.raises(FormatError):
             read_pgm(tmp_path / "bad.pgm")
 
+    def test_truncated_raster(self, tmp_path):
+        (tmp_path / "short.pgm").write_bytes(b"P5\n4 2\n255\n" + bytes(7))
+        with pytest.raises(FormatError, match="truncated"):
+            read_pgm(tmp_path / "short.pgm")
+
+    def test_missing_header_field(self, tmp_path):
+        (tmp_path / "nomax.pgm").write_bytes(b"P5\n4 2\n")
+        with pytest.raises(FormatError):
+            read_pgm(tmp_path / "nomax.pgm")
+
+    def test_non_numeric_header_field(self, tmp_path):
+        (tmp_path / "word.pgm").write_bytes(b"P5\nfour 2\n255\n" + bytes(8))
+        with pytest.raises(FormatError):
+            read_pgm(tmp_path / "word.pgm")
+
+    @pytest.mark.parametrize("dims", [b"0 8", b"8 0"])
+    def test_zero_width_or_height(self, tmp_path, dims):
+        (tmp_path / "empty.pgm").write_bytes(b"P5\n" + dims + b"\n255\n")
+        with pytest.raises(FormatError):
+            read_pgm(tmp_path / "empty.pgm")
+
     def test_range_to_grayscale(self):
         ri_values = np.array([[0.0, 5.0], [10.0, 20.0]], dtype=np.float32)
         from lim3d import RangeImage

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lim3d import (DomainError, SceneSpec, StrfdConfig, calibrate_beta,
+from lim3d import (DomainError, FormatError, SceneSpec, StrfdConfig, calibrate_beta,
                    passive_baselines, plan, range_to_grayscale, supervisor,
                    synth_sequence)
 from lim3d.sampling import frame_redundancies, load_plan, save_plan
@@ -64,6 +64,11 @@ class TestRedundancy:
         b = rng.integers(0, 256, (8, 8)).astype(float)
         psi = frame_redundancies([a, b])
         assert psi[0] == psi[1]
+
+    def test_thread_pool_matches_serial_bitwise(self):
+        frames = two_regime_frames()
+        np.testing.assert_array_equal(frame_redundancies(frames, n_threads=2),
+                                      frame_redundancies(frames, n_threads=1))
 
     def test_single_frame_scores_zero(self):
         assert frame_redundancies([np.zeros((8, 8))]).tolist() == [0.0]
@@ -170,3 +175,16 @@ class TestPlanIO:
         save_plan(tmp_path / "plan.json", result, keys={0: "00"})
         loaded = load_plan(tmp_path / "plan.json")
         assert loaded == {"00": result.entries[0]}
+
+    @pytest.mark.parametrize("text", [
+        '{"00": [1, 2',           # invalid JSON
+        '[[1, 2]]',               # top level is a list, not an object
+        '{"00": 3}',              # an entry that is not a list
+        '{"00": [1, "two"]}',     # a non-integer index
+        '{"00": [1.5]}',          # a fractional index
+    ], ids=["invalid-json", "top-level-list", "non-list-entry", "string-index",
+            "float-index"])
+    def test_malformed_plan_raises_format_error(self, tmp_path, text):
+        (tmp_path / "plan.json").write_text(text)
+        with pytest.raises(FormatError):
+            load_plan(tmp_path / "plan.json")

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lim3d import ShapeError, ssim
-from ssim_reference import ssim_reference
+from ssim_reference import ssim_direct, ssim_reference
 
 
 class TestSsim:
@@ -33,6 +33,11 @@ class TestSsim:
         with pytest.raises(ShapeError):
             ssim(np.zeros((8, 8)), np.zeros((8, 9)))
 
+    @pytest.mark.parametrize("shape", [(0, 8), (8, 0), (0, 0)])
+    def test_empty_grid_raises(self, shape):
+        with pytest.raises(ShapeError):
+            ssim(np.zeros(shape), np.zeros(shape))
+
     def test_small_images_clip_window(self):
         a = np.arange(16, dtype=np.float64).reshape(4, 4)
         assert ssim(a, a) == 1.0
@@ -50,3 +55,17 @@ class TestSsim:
 def test_ssim_symmetric_and_self_unit(a, b):
     assert ssim(a, a) == 1.0
     assert ssim(a, b) == ssim(b, a)
+
+
+@st.composite
+def uint8_pairs(draw):
+    shape = (draw(st.integers(1, 24)), draw(st.integers(1, 40)))
+    grid = arrays(np.uint8, shape, elements=st.integers(0, 255))
+    return draw(grid), draw(grid), draw(st.integers(1, 12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(uint8_pairs())
+def test_ssim_bitwise_equals_direct_window_means(pair):
+    a, b, window = pair
+    assert ssim(a, b, window) == ssim_direct(a, b, window)

@@ -125,6 +125,19 @@ class TestNetwork:
         probs, emb = net.predict(svt)
         assert isinstance(probs, np.ndarray) and isinstance(emb, np.ndarray)
 
+    def test_predict_equals_softmax_of_forward(self):
+        from lim3d.autodiff import softmax
+
+        frames = synth_sequence(SceneSpec(n_points=150), 1, seed=0)
+        grid = CylGridSpec(8, 12, 5, 20.0, (-1.0, 5.0))
+        svt = voxelize(frames[0][0], grid)
+        net = MiniSegNet(4, 3, widths=(8, 8), seed=0)
+        probs, emb = net.predict(svt)
+        logits, embeddings = net.forward(svt)
+        assert logits._parents == () and embeddings._parents == ()
+        np.testing.assert_array_equal(probs, softmax(logits, axis=1).data)
+        np.testing.assert_array_equal(emb, embeddings.data)
+
     def test_topology_cost_mini_backbone(self):
         layers = mini_backbone_topology(34, 3)
         rows, totals = topology_cost(layers, active_sites=100)
