@@ -23,8 +23,9 @@ from .sparseconv import (ConvKernel, CostReport, build_rulebook, cost,
                          glorot_kernel, identity_kernel, separable_conv,
                          sparse_pointwise_conv, submanifold_conv)
 from .ssim import ssim
-from .training import (SGD, ToyPipelineConfig, confusion_matrix, ema_update,
-                       iou_per_class, mean_iou, run_toy_pipeline)
+from .training import (SGD, TOY_GRID, ToyPipelineConfig, confusion_matrix, ema_update,
+                       iou_per_class, load_model, mean_iou, prepare_frame,
+                       run_toy_pipeline, save_model)
 from .voxel import (CylGridSpec, SparseVoxelTensor, densify, load_tensor,
                     point_rows, save_tensor, sparsify, voxelize)
 

@@ -25,17 +25,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import Lim3dError
+from .errors import Lim3dError, ValidationError
 from .network import MiniSegNet, mini_backbone_topology, topology_cost, LayerSpec
 from .pointcloud import (SceneSpec, frame_path, image_path, label_path,
                          list_sequence_frames, load_frame, project_range_image,
                          range_to_grayscale, read_pgm, save_frame, save_labels,
                          synth_sequence, write_pgm)
-from .pseudolabel import VoxelPredictions, entropy_partition, crb_select
+from .pseudolabel import (PseudoLabelSet, VoxelPredictions, crb_select,
+                          entropy_partition, shannon_entropy)
 from .reflectivity import ReflecConfig, coarse_histograms, normalize_reflectivity, reflectivity
 from .sampling import StrfdConfig, calibrate_beta, plan, save_plan
-from .training import ToyPipelineConfig, run_toy_pipeline
-from .voxel import CylGridSpec, point_rows, voxelize
+from .training import TOY_GRID, ToyPipelineConfig, load_model, prepare_frame, run_toy_pipeline
+from .voxel import CylGridSpec, point_rows
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -114,7 +115,7 @@ def _load_sequence_images(root: Path, seq: str, source: str,
     if not frames:
         raise Lim3dError(f"no frames under {root}/sequences/{seq}/velodyne")
     if source == "gray":
-        return [read_pgm(image_path(root, seq, t)).astype(np.float64) for t in frames]
+        return [read_pgm(image_path(root, seq, t)) for t in frames]
     ranges = [project_range_image(load_frame(frame_path(root, seq, t), frame_id=t),
                                   width=width, height=height) for t in frames]
     peak = max((float(ri.values.max()) for ri in ranges), default=0.0) or 1.0
@@ -182,48 +183,51 @@ def cmd_featurize(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _grid_from_args(args) -> CylGridSpec:
-    return CylGridSpec(n_rho=args.n_rho, n_phi=args.n_phi, n_z=args.n_z,
-                       rho_max=args.rho_max, z_range=(args.z_min, args.z_max))
+def _pseudo_grid(args, model_grid: CylGridSpec | None) -> tuple[CylGridSpec, dict]:
+    """The grid `pseudo` voxelizes on, and its values under the grid flags'
+    names as plain numbers (for the config hash).
+
+    A model's grid is used as is: a grid flag that disagrees with it is an
+    error. Without a model, flags not given fall back to `TOY_GRID`.
+    """
+    base = model_grid if model_grid is not None else TOY_GRID
+    values = {"n_rho": int(base.n_rho), "n_phi": int(base.n_phi), "n_z": int(base.n_z),
+              "rho_max": float(base.rho_max),
+              "z_min": float(base.z_range[0]), "z_max": float(base.z_range[1])}
+    given = {k: getattr(args, k) for k in values if getattr(args, k) is not None}
+    if model_grid is not None:
+        clash = [f"--{k.replace('_', '-')} {v} (model: {values[k]})"
+                 for k, v in given.items() if v != values[k]]
+        if clash:
+            raise ValidationError(f"{args.model} was trained on another grid: {', '.join(clash)}")
+    values.update(given)
+    grid = CylGridSpec(n_rho=values["n_rho"], n_phi=values["n_phi"], n_z=values["n_z"],
+                       rho_max=values["rho_max"], z_range=(values["z_min"], values["z_max"]))
+    return grid, values
 
 
 def cmd_pseudo(args) -> int:
     pc = load_frame(args.infile)
-    grid = _grid_from_args(args)
     if args.model is not None:
-        # The weight file records the featurization and topology it was
-        # trained with; rebuild both before voxelizing.
-        saved = np.load(args.model)
-        n_bins = int(saved["reflec_bins"])
-        if n_bins > 0:
-            rcfg = ReflecConfig(n_bins=n_bins,
-                                bin_grids=tuple(tuple(int(v) for v in g)
-                                                for g in saved["reflec_grids"]))
-            from .reflectivity import augment
-            pc = augment(pc, coarse_histograms(
-                pc, normalize_reflectivity(reflectivity(pc)), rcfg))
-        svt = voxelize(pc, grid)
-        net = MiniSegNet(int(saved["in_channels"]), int(saved["n_classes"]),
-                         tuple(int(w) for w in saved["widths"]),
-                         int(saved["kernel_size"]), seed=args.seed)
-        net.load_flat(saved["flat"])
+        net, model_grid, reflec = load_model(args.model)
+        grid, grid_values = _pseudo_grid(args, model_grid)
+        frame = prepare_frame(pc, grid, reflec, net.kernel_size)
     else:
-        svt = voxelize(pc, grid)
-        net = MiniSegNet(svt.channels, args.n_classes, seed=args.seed)
-    probs, emb = net.predict(svt)
-    vp = VoxelPredictions(probs=probs, embeddings=emb,
-                          radii=grid.voxel_centers(svt.coords)[:, 0])
+        grid, grid_values = _pseudo_grid(args, None)
+        frame = prepare_frame(pc, grid, None)
+        net = MiniSegNet(frame.svt.channels, args.n_classes, seed=args.seed)
+    svt = frame.svt
+    probs, emb = net.predict(svt, rulebook=frame.rulebook)
+    vp = VoxelPredictions(probs=probs, embeddings=emb, radii=frame.radii)
 
     if args.percentile == 0.0:
         # Degenerate lower boundary: nothing is unreliable.
-        from .pseudolabel import PseudoLabelSet, shannon_entropy
         argmax = probs.argmax(axis=1)
         pls = PseudoLabelSet(reliable={int(i): int(argmax[i]) for i in range(len(probs))},
                              unreliable=frozenset(), entropy=shannon_entropy(probs))
     else:
-        pls = entropy_partition(vp, percentile=args.percentile)
-        if args.per_class_keep < 1.0:
-            pls = crb_select(pls, vp, args.per_class_keep)
+        pls = crb_select(entropy_partition(vp, percentile=args.percentile), vp,
+                         args.per_class_keep)
 
     # Per-voxel labels with one trailing sentinel row, which the -1 of a
     # point outside every voxel selects.
@@ -239,7 +243,7 @@ def cmd_pseudo(args) -> int:
     counts = {str(c): {"reliable": int(reliable_counts[c]), "unreliable": int(unreliable_counts[c])}
               for c in range(net.n_classes)}
     _write_json(args.out + ".meta.json", {
-        "provenance": _provenance(args),
+        "provenance": _provenance(args, grid_values),
         "n_points": len(pc),
         "n_voxels": svt.n_active,
         "reliable_voxels": len(pls.reliable),
@@ -363,16 +367,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pseudo", help="emit entropy-split pseudo-labels for a frame")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--model", default=None, help="npz with a 'flat' parameter vector")
+    p.add_argument("--model", default=None,
+                   help="model file from train-toy --save-model; its grid and classes win")
     p.add_argument("--n-classes", type=int, default=3)
     p.add_argument("--percentile", type=float, default=80.0)
     p.add_argument("--per-class-keep", type=float, default=1.0)
-    p.add_argument("--n-rho", type=int, default=10)
-    p.add_argument("--n-phi", type=int, default=16)
-    p.add_argument("--n-z", type=int, default=6)
-    p.add_argument("--rho-max", type=float, default=20.0)
-    p.add_argument("--z-min", type=float, default=-1.0)
-    p.add_argument("--z-max", type=float, default=5.0)
+    grid_help = "grid flags default to the model's grid, or else the toy grid"
+    p.add_argument("--n-rho", type=int, default=None, help=grid_help)
+    p.add_argument("--n-phi", type=int, default=None, help=grid_help)
+    p.add_argument("--n-z", type=int, default=None, help=grid_help)
+    p.add_argument("--rho-max", type=float, default=None, help=grid_help)
+    p.add_argument("--z-min", type=float, default=None, help=grid_help)
+    p.add_argument("--z-max", type=float, default=None, help=grid_help)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pseudo)

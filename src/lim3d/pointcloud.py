@@ -140,11 +140,11 @@ def load_frame(path: str | os.PathLike, format: str = "kitti-bin",
     if format != "kitti-bin":
         raise DomainError(f"unsupported frame format: {format!r}")
     path = Path(path)
-    raw = np.fromfile(path, dtype="<f4")
-    if raw.size % 4 != 0:
+    raw = path.read_bytes()
+    if len(raw) % POINT_RECORD_BYTES != 0:
         raise FormatError(
-            f"{path}: byte length {raw.size * 4} is not divisible by {POINT_RECORD_BYTES}")
-    records = raw.reshape(-1, 4)
+            f"{path}: byte length {len(raw)} is not divisible by {POINT_RECORD_BYTES}")
+    records = np.frombuffer(raw, dtype="<f4").reshape(-1, 4)
     bad = np.flatnonzero(~np.isfinite(records).all(axis=1))
     if bad.size:
         shown = ", ".join(str(i) for i in bad[:10])
@@ -168,8 +168,15 @@ def save_frame(path: str | os.PathLike, pc: PointCloud) -> None:
 
 
 def load_labels(path: str | os.PathLike) -> np.ndarray:
-    """Load a ``.label`` file as a uint32 array (one id per point)."""
-    return np.fromfile(path, dtype="<u4")
+    """Load a ``.label`` file as a uint32 array (one id per point).
+
+    Raises:
+        FormatError: byte length is not a multiple of 4.
+    """
+    raw = Path(path).read_bytes()
+    if len(raw) % 4 != 0:
+        raise FormatError(f"{path}: byte length {len(raw)} is not divisible by 4")
+    return np.frombuffer(raw, dtype="<u4").copy()
 
 
 def save_labels(path: str | os.PathLike, labels: np.ndarray) -> None:

@@ -8,19 +8,27 @@ student, with the teacher still tracking it, on ground truth plus reliable
 pseudo-labels with the full composite loss: supervised Jaccard extension,
 KL consistency to the teacher, and the contrastive term fed by a FIFO bank
 of unreliable-voxel negatives.
+
+A trained network only works on its training input: the features and
+voxels that `prepare_frame` builds from a cloud with one grid and one
+reflectivity config. `save_model` records that contract next to the
+weights, and `load_model` returns it with the network.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import Tensor, softmax
-from .errors import DivergenceError, DomainError, ShapeError
+from .errors import DivergenceError, DomainError, FormatError, ShapeError
 from .losses import LossConfig, kl_consistency, lovasz_softmax, total_loss
-from .network import MiniSegNet, topology_cost
+from .network import MiniSegNet, mini_backbone_topology, topology_cost
 from .pointcloud import SceneSpec, range_to_grayscale, synth_sequence
 from .pseudolabel import (ContrastiveConfig, MemoryBank, PseudoLabelSet,
                           VoxelPredictions, bank_push_negatives,
@@ -37,9 +45,18 @@ __all__ = [
     "iou_per_class",
     "mean_iou",
     "SGD",
+    "TOY_GRID",
     "ToyPipelineConfig",
+    "Frame",
+    "prepare_frame",
     "run_toy_pipeline",
+    "save_model",
+    "load_model",
 ]
+
+# The cylindrical grid of the toy scenes; `lim3d pseudo` falls back to it
+# when no model says otherwise.
+TOY_GRID = CylGridSpec(n_rho=10, n_phi=16, n_z=6, rho_max=20.0, z_range=(-1.0, 5.0))
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +129,7 @@ class ToyPipelineConfig:
     heldout_fraction: float = 0.25
     labeled_fraction: float = 1.0
     subset_size: int = 8
-    grid: CylGridSpec = field(default_factory=lambda: CylGridSpec(
-        n_rho=10, n_phi=16, n_z=6, rho_max=20.0, z_range=(-1.0, 5.0)))
+    grid: CylGridSpec = TOY_GRID
     reflec: ReflecConfig | None = field(default_factory=lambda: ReflecConfig(
         n_bins=10, bin_grids=((4, 8), (8, 16), (16, 24))))
     widths: tuple[int, ...] = (16, 32, 64, 64)
@@ -144,23 +160,30 @@ class ToyPipelineConfig:
 
 
 @dataclass
-class _Frame:
+class Frame:
+    """A cloud as the network sees it: voxels, their rulebook and radii.
+
+    `labeled` and `pseudo` are filled in by the training loop.
+    """
+
     svt: SparseVoxelTensor
     rulebook: Rulebook
     radii: np.ndarray
-    labeled: bool
+    labeled: bool = False
     pseudo: PseudoLabelSet | None = None
 
 
-def _prepare_frame(pc, grid: CylGridSpec, reflec: ReflecConfig | None,
-                   kernel_size: int = 3) -> _Frame:
+def prepare_frame(pc, grid: CylGridSpec, reflec: ReflecConfig | None,
+                  kernel_size: int = 3) -> Frame:
+    """The network input for `pc`: reflectivity histograms appended to the
+    point features (when `reflec` is given), voxelized on `grid`."""
     if reflec is not None:
         feats = coarse_histograms(pc, normalize_reflectivity(reflectivity(pc)), reflec)
         pc = augment(pc, feats)
     svt = voxelize(pc, grid)
     rb = build_rulebook(svt.coords, svt.grid, kernel_size)
     radii = grid.voxel_centers(svt.coords)[:, 0]
-    return _Frame(svt=svt, rulebook=rb, radii=radii, labeled=False)
+    return Frame(svt=svt, rulebook=rb, radii=radii)
 
 
 def _finite_or_raise(value: float, stage: str, step: int) -> float:
@@ -169,7 +192,7 @@ def _finite_or_raise(value: float, stage: str, step: int) -> float:
     return value
 
 
-def _forward(net: MiniSegNet, frame: _Frame, params: list[Tensor]):
+def _forward(net: MiniSegNet, frame: Frame, params: list[Tensor]):
     logits, emb = net.forward(frame.svt, params=params, rulebook=frame.rulebook)
     return softmax(logits, axis=1), emb
 
@@ -208,16 +231,16 @@ def run_toy_pipeline(cfg: ToyPipelineConfig,
     else:
         beta, labeled_plan = calibrate_beta(gray, strfd, cfg.labeled_fraction)
 
-    frames: list[_Frame] = []
+    frames: list[Frame] = []
     labeled_ids, unlabeled_ids = [], []
     for seq_id, seq_frames in enumerate(train_seqs):
         chosen = set(labeled_plan.entries.get(seq_id, []))
         for idx, (pc, _) in enumerate(seq_frames):
-            f = _prepare_frame(pc, cfg.grid, cfg.reflec, cfg.kernel_size)
+            f = prepare_frame(pc, cfg.grid, cfg.reflec, cfg.kernel_size)
             f.labeled = idx in chosen
             (labeled_ids if f.labeled else unlabeled_ids).append(len(frames))
             frames.append(f)
-    heldout_frames = [_prepare_frame(pc, cfg.grid, cfg.reflec, cfg.kernel_size) for pc, _ in heldout]
+    heldout_frames = [prepare_frame(pc, cfg.grid, cfg.reflec, cfg.kernel_size) for pc, _ in heldout]
 
     in_channels = 4 + (cfg.reflec.feature_dim if cfg.reflec is not None else 0)
     n_classes = cfg.scene.n_classes
@@ -361,13 +384,86 @@ def run_toy_pipeline(cfg: ToyPipelineConfig,
         "per_layer": layer_rows,
     }
     if save_model is not None:
-        # The weight file records its input contract so downstream tools can
-        # rebuild the featurization and topology.
-        reflec_grids = (np.array(cfg.reflec.bin_grids, dtype=np.int64)
-                        if cfg.reflec is not None else np.empty((0, 2), dtype=np.int64))
-        np.savez(save_model, flat=student.flat(), in_channels=in_channels,
-                 n_classes=n_classes, widths=np.array(cfg.widths, dtype=np.int64),
-                 kernel_size=cfg.kernel_size,
-                 reflec_bins=cfg.reflec.n_bins if cfg.reflec is not None else 0,
-                 reflec_grids=reflec_grids)
+        _save_model(save_model, student, cfg.grid, cfg.reflec)
     return report
+
+
+# ---------------------------------------------------------------------------
+# Model file: weights, topology and input contract in one `.npz`
+# ---------------------------------------------------------------------------
+
+_MODEL_KEYS = ("flat", "in_channels", "n_classes", "widths", "kernel_size",
+               "reflec_bins", "reflec_grids", "grid_bins", "grid_rho_max", "grid_z_range")
+
+
+def save_model(path: str | os.PathLike, net: MiniSegNet, grid: CylGridSpec,
+               reflec: ReflecConfig | None) -> None:
+    """Write `net`'s weights and topology with the grid and reflectivity
+    config its input is built with (``reflec_bins`` 0 means no histograms).
+    As with `np.savez`, a path without the ``.npz`` suffix gets one."""
+    reflec_grids = (np.array(reflec.bin_grids, dtype=np.int64)
+                    if reflec is not None else np.empty((0, 2), dtype=np.int64))
+    np.savez(path, flat=net.flat(), in_channels=net.in_channels,
+             n_classes=net.n_classes, widths=np.array(net.widths, dtype=np.int64),
+             kernel_size=net.kernel_size,
+             reflec_bins=reflec.n_bins if reflec is not None else 0,
+             reflec_grids=reflec_grids,
+             grid_bins=np.array(grid.shape, dtype=np.int64),
+             grid_rho_max=float(grid.rho_max),
+             grid_z_range=np.array(grid.z_range, dtype=np.float64))
+
+
+# `run_toy_pipeline`'s `save_model` argument shadows the function.
+_save_model = save_model
+
+# What a damaged archive raises: `zipfile` gives BadZipFile, EOFError, and for
+# a damaged method or flag field OSError, RuntimeError or NotImplementedError;
+# a deflated member gives zlib.error; `np.load` gives ValueError.
+_ARCHIVE_ERRORS = (zipfile.BadZipFile, zlib.error, EOFError, OSError, RuntimeError,
+                   NotImplementedError, ValueError)
+
+
+def load_model(path: str | os.PathLike) -> tuple[MiniSegNet, CylGridSpec, ReflecConfig | None]:
+    """Read a file written by `save_model`: the network, its grid and its
+    reflectivity config (None without histograms).
+
+    Raises:
+        FormatError: the file is not a complete model (not a zip archive,
+            truncated, a bad checksum, a missing key or a malformed value).
+    """
+    with open(path, "rb") as f:
+        try:
+            # The checksums are read in full first, so a damaged member fails
+            # here and not halfway through `np.load`.
+            with zipfile.ZipFile(f) as archive:
+                damaged = archive.testzip()
+            if damaged is None:
+                f.seek(0)
+                with np.load(f) as npz:
+                    saved = dict(npz)
+        except _ARCHIVE_ERRORS as exc:
+            raise FormatError(f"{path}: not a model file ({exc})") from exc
+    if damaged is not None:
+        raise FormatError(f"{path}: bad checksum in {damaged}")
+    missing = [k for k in _MODEL_KEYS if k not in saved]
+    if missing:
+        raise FormatError(f"{path}: model file lacks {', '.join(missing)}")
+    try:
+        n_rho, n_phi, n_z = (int(v) for v in saved["grid_bins"])
+        z_min, z_max = (float(v) for v in saved["grid_z_range"])
+        grid = CylGridSpec(n_rho=n_rho, n_phi=n_phi, n_z=n_z,
+                           rho_max=float(saved["grid_rho_max"]), z_range=(z_min, z_max))
+        n_bins = int(saved["reflec_bins"])
+        reflec = ReflecConfig(n_bins=n_bins, bin_grids=tuple(
+            (int(r), int(p)) for r, p in saved["reflec_grids"])) if n_bins > 0 else None
+        shape = (int(saved["in_channels"]), int(saved["n_classes"]),
+                 tuple(int(w) for w in saved["widths"]), int(saved["kernel_size"]))
+        # Checked before the network allocates its layers.
+        _, cost = topology_cost(mini_backbone_topology(*shape), 0)
+        if cost.trainable_params != saved["flat"].size:
+            raise FormatError(f"{saved['flat'].size} weights do not fit the topology")
+        net = MiniSegNet(*shape)
+        net.load_flat(saved["flat"])
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed model value ({exc})") from exc
+    return net, grid, reflec

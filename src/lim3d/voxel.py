@@ -11,6 +11,7 @@ majority vote of point labels with ties broken toward the smaller class id.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import struct
 from dataclasses import dataclass, replace
@@ -286,12 +287,13 @@ def save_tensor(path: str | os.PathLike, t: SparseVoxelTensor) -> None:
 
 
 def _read_section(f, path, name: str, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Exactly one section's bytes as an array; a short read is a FormatError."""
-    n_bytes = np.dtype(dtype).itemsize * int(np.prod(shape))
-    body = f.read(n_bytes)
-    if len(body) != n_bytes:
-        raise FormatError(f"{path}: truncated {name} ({len(body)} of {n_bytes} bytes)")
-    return np.frombuffer(body, dtype=dtype).reshape(shape)
+    """Exactly one section's bytes as an array. A section larger than what is
+    left of the file is a FormatError, raised before anything is read."""
+    n_bytes = np.dtype(dtype).itemsize * math.prod(shape)
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n_bytes > left:
+        raise FormatError(f"{path}: truncated {name} ({left} of {n_bytes} bytes)")
+    return np.frombuffer(f.read(n_bytes), dtype=dtype).reshape(shape)
 
 
 def load_tensor(path: str | os.PathLike) -> SparseVoxelTensor:

@@ -1,11 +1,15 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lim3d.cli import main
+from lim3d.network import MiniSegNet
 from lim3d.pointcloud import load_labels
 from lim3d.sampling import load_plan
+from lim3d.training import TOY_GRID, save_model
+from lim3d.voxel import CylGridSpec
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +143,12 @@ class TestPseudo:
         inside = labels != 0xFFFFFFFF
         assert inside.sum() > 0
 
+    @pytest.mark.parametrize("keep", ["0", "1.5", "-0.5"])
+    def test_per_class_keep_outside_unit_interval_exits_2(self, dataset, tmp_path, keep):
+        frame = dataset / "sequences" / "00" / "velodyne" / "000000.bin"
+        assert main(["pseudo", "--in", str(frame), "--per-class-keep", keep,
+                     "--out", str(tmp_path / "k.label")]) == 2
+
 
 class TestCost:
     def test_mini_backbone_closed_form(self, tmp_path):
@@ -213,12 +223,9 @@ class TestTrainToy:
     @pytest.mark.parametrize("model_classes,flag_classes", [(3, 5), (5, 3)])
     def test_pseudo_counts_classes_of_the_model(self, dataset, tmp_path,
                                                 model_classes, flag_classes):
-        from lim3d.network import MiniSegNet
         net = MiniSegNet(4, model_classes, widths=(4, 4), kernel_size=3, seed=1)
         model = tmp_path / "m.npz"
-        np.savez(model, flat=net.flat(), in_channels=4, n_classes=model_classes,
-                 widths=np.array(net.widths, dtype=np.int64), kernel_size=3,
-                 reflec_bins=0, reflec_grids=np.empty((0, 2), dtype=np.int64))
+        save_model(model, net, TOY_GRID, None)
         frame = dataset / "sequences" / "00" / "velodyne" / "000000.bin"
         out = tmp_path / "m.label"
         assert main(["pseudo", "--in", str(frame), "--model", str(model),
@@ -241,3 +248,60 @@ class TestTrainToy:
         meta = json.loads((tmp_path / "m.label.meta.json").read_text())
         assert meta["n_voxels"] > 0
         assert meta["reliable_voxels"] + meta["unreliable_voxels"] == meta["n_voxels"]
+
+
+class TestPseudoModelContract:
+    """`pseudo --model` voxelizes on the grid stored in the model file."""
+
+    @pytest.fixture(scope="class")
+    def model(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("model") / "m.npz"
+        save_model(path, MiniSegNet(4, 3, widths=(4, 4), seed=1), TOY_GRID, None)
+        return path
+
+    @staticmethod
+    def _pseudo(dataset, out, *flags):
+        frame = dataset / "sequences" / "00" / "velodyne" / "000000.bin"
+        return main(["pseudo", "--in", str(frame), "--out", str(out), *flags])
+
+    @pytest.mark.parametrize("flags", [["--n-rho", "4", "--n-phi", "5"], ["--rho-max", "25"],
+                                       ["--z-min", "-2"], ["--n-z", "6", "--z-max", "4"]])
+    def test_grid_flag_disagreeing_with_model_exits_2(self, dataset, model, tmp_path, capsys,
+                                                      flags):
+        assert self._pseudo(dataset, tmp_path / "x.label", "--model", str(model), *flags) == 2
+        assert "grid" in capsys.readouterr().err
+        assert not (tmp_path / "x.label").exists()
+
+    def test_grid_flags_equal_to_model_keep_output(self, dataset, model, tmp_path):
+        a, b = tmp_path / "a.label", tmp_path / "b.label"
+        assert self._pseudo(dataset, a, "--model", str(model)) == 0
+        assert self._pseudo(dataset, b, "--model", str(model), "--n-rho", "10", "--n-phi", "16",
+                            "--n-z", "6", "--rho-max", "20", "--z-min", "-1",
+                            "--z-max", "5") == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert (Path(f"{a}.meta.json").read_text() == Path(f"{b}.meta.json").read_text())
+
+    def test_model_grid_is_used(self, dataset, tmp_path):
+        small = CylGridSpec(n_rho=4, n_phi=5, n_z=3, rho_max=20.0, z_range=(-1.0, 5.0))
+        model = tmp_path / "small.npz"
+        save_model(model, MiniSegNet(4, 3, widths=(4, 4), seed=1), small, None)
+        with_model, by_flags = tmp_path / "m.label", tmp_path / "f.label"
+        assert self._pseudo(dataset, with_model, "--model", str(model)) == 0
+        assert self._pseudo(dataset, by_flags, "--n-rho", "4", "--n-phi", "5", "--n-z", "3") == 0
+        n_voxels = [json.loads(Path(f"{p}.meta.json").read_text())["n_voxels"]
+                    for p in (with_model, by_flags)]
+        assert n_voxels[0] == n_voxels[1] <= small.n_cells
+
+    @pytest.mark.parametrize("damage", ["truncated", "not_zip", "key_missing"])
+    def test_malformed_model_exits_2(self, dataset, model, tmp_path, capsys, damage):
+        bad = tmp_path / "bad.npz"
+        if damage == "truncated":
+            bad.write_bytes(model.read_bytes()[:-40])
+        elif damage == "not_zip":
+            bad.write_bytes(b"not a model")
+        else:
+            with np.load(model) as npz:
+                kept = {k: npz[k] for k in npz.files if k != "grid_bins"}
+            np.savez(bad, **kept)
+        assert self._pseudo(dataset, tmp_path / "x.label", "--model", str(bad)) == 2
+        assert "bad.npz" in capsys.readouterr().err

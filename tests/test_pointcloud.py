@@ -28,6 +28,13 @@ class TestBinaryFrames:
         with pytest.raises(FormatError):
             load_frame(path)
 
+    @pytest.mark.parametrize("extra", [1, 2, 3])
+    def test_partial_trailing_float_rejected(self, tmp_path, extra):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(np.zeros(8, dtype="<f4").tobytes() + b"\x00" * extra)
+        with pytest.raises(FormatError, match=str(32 + extra)):
+            load_frame(path)
+
     def test_nonfinite_values_listed(self, tmp_path):
         data = np.zeros((3, 4), dtype="<f4")
         data[1, 2] = np.nan
@@ -163,3 +170,9 @@ class TestPgm:
         from lim3d import RangeImage
         gray = range_to_grayscale(RangeImage(width=2, height=2, values=ri_values), max_range=10.0)
         np.testing.assert_array_equal(gray, [[0, 128], [255, 255]])
+
+    @pytest.mark.parametrize("n_bytes", [1, 5, 7])
+    def test_label_partial_element_rejected(self, tmp_path, n_bytes):
+        (tmp_path / "a.label").write_bytes(b"\x01" * n_bytes)
+        with pytest.raises(FormatError):
+            load_labels(tmp_path / "a.label")

@@ -1,0 +1,71 @@
+"""Every file reader either loads a damaged file or raises a `Lim3dError`.
+
+Damage is a prefix of a valid file or the file with one byte changed; a
+reader must never let a bare numpy, zipfile or memory error escape.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lim3d import Lim3dError, MiniSegNet, PointCloud, SparseVoxelTensor
+from lim3d.pointcloud import load_frame, load_labels, read_pgm, save_frame, save_labels, write_pgm
+from lim3d.reflectivity import ReflecConfig
+from lim3d.sampling import SamplingPlan, load_plan, save_plan
+from lim3d.training import TOY_GRID, load_model, save_model
+from lim3d.voxel import load_tensor, save_tensor
+
+
+def _write_frame(path):
+    save_frame(path, PointCloud(xyz=np.arange(15.0).reshape(5, 3), intensity=np.linspace(0, 1, 5)))
+
+
+def _write_tensor(path):
+    save_tensor(path, SparseVoxelTensor(grid=TOY_GRID, coords=[[0, 0, 0], [1, 2, 3], [9, 15, 5]],
+                                        features=np.arange(6.0).reshape(3, 2), labels=[2, 0, 1]))
+
+
+def _write_model(path):
+    reflec = ReflecConfig(n_bins=2, bin_grids=((2, 4),))
+    save_model(path, MiniSegNet(6, 3, widths=(4,), seed=0), TOY_GRID, reflec)
+
+
+READERS = {
+    "frame": (load_frame, _write_frame),
+    "labels": (load_labels, lambda p: save_labels(p, np.array([0, 1, 2, 7], dtype=np.uint32))),
+    "pgm": (read_pgm, lambda p: write_pgm(p, np.arange(24, dtype=np.uint8).reshape(4, 6))),
+    "tensor": (load_tensor, _write_tensor),
+    "plan": (load_plan, lambda p: save_plan(p, SamplingPlan({0: [0, 3], 1: [2]}))),
+    "model": (load_model, _write_model),
+}
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("valid")
+    files = {}
+    for name, (reader, write) in READERS.items():
+        path = root / f"{name}.npz" if name == "model" else root / name
+        write(path)
+        reader(path)  # the undamaged file loads
+        files[name] = path
+    return files
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_damaged_file_loads_or_raises_lim3d_error(valid_files, name, data):
+    body = bytearray(valid_files[name].read_bytes())
+    if data.draw(st.booleans(), label="truncate"):
+        body = body[:data.draw(st.integers(0, len(body) - 1), label="length")]
+    else:
+        pos = data.draw(st.integers(0, len(body) - 1), label="position")
+        body[pos] ^= data.draw(st.integers(1, 255), label="xor")
+    damaged = valid_files[name].with_name("damaged" + valid_files[name].suffix)
+    damaged.write_bytes(bytes(body))
+    try:
+        READERS[name][0](damaged)
+    except Lim3dError:
+        pass

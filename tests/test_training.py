@@ -8,7 +8,9 @@ from lim3d import (LayerSpec, MiniSegNet, SceneSpec, ShapeError, ToyPipelineConf
                    confusion_matrix, cost, ema_update, glorot_kernel, iou_per_class,
                    mean_iou, run_toy_pipeline, synth_sequence, voxelize)
 from lim3d.network import mini_backbone_topology, topology_cost
-from lim3d.training import SGD
+from lim3d.errors import FormatError
+from lim3d.reflectivity import ReflecConfig
+from lim3d.training import SGD, TOY_GRID, load_model, save_model
 from lim3d.voxel import CylGridSpec
 
 
@@ -221,3 +223,38 @@ class TestToyPipeline:
         from lim3d import DivergenceError
         with pytest.raises(DivergenceError):
             run_toy_pipeline(cfg)
+
+
+class TestModelFile:
+    GRID = CylGridSpec(n_rho=7, n_phi=9, n_z=3, rho_max=12.5, z_range=(-2.0, 4.0))
+
+    @pytest.mark.parametrize("reflec", [None, ReflecConfig(n_bins=4, bin_grids=((2, 4), (8, 16)))])
+    def test_save_load_roundtrip(self, tmp_path, reflec):
+        in_channels = 4 + (reflec.feature_dim if reflec is not None else 0)
+        net = MiniSegNet(in_channels, 5, widths=(6, 8), kernel_size=5, seed=4)
+        save_model(tmp_path / "m.npz", net, self.GRID, reflec)
+        back, grid, back_reflec = load_model(tmp_path / "m.npz")
+        np.testing.assert_array_equal(back.flat(), net.flat())
+        assert back.topology == net.topology
+        assert (back.in_channels, back.n_classes, back.widths, back.kernel_size) == \
+            (in_channels, 5, (6, 8), 5)
+        assert grid == self.GRID
+        assert back_reflec == reflec
+
+    def test_toy_pipeline_writes_its_grid_and_features(self, tmp_path):
+        cfg = ToyPipelineConfig(stages=(1,), steps_stage1=2, frames_per_sequence=8, seed=2)
+        report = run_toy_pipeline(cfg, save_model=str(tmp_path / "m.npz"))
+        net, grid, reflec = load_model(tmp_path / "m.npz")
+        assert grid == cfg.grid == TOY_GRID
+        assert reflec == cfg.reflec
+        assert net.n_params == report["cost"]["trainable_params"]
+
+    def test_weights_not_fitting_the_topology_rejected(self, tmp_path):
+        net = MiniSegNet(4, 3, widths=(4,), seed=0)
+        save_model(tmp_path / "m.npz", net, self.GRID, None)
+        with np.load(tmp_path / "m.npz") as npz:
+            saved = dict(npz)
+        saved["widths"] = np.array([10 ** 6], dtype=np.int64)
+        np.savez(tmp_path / "wide.npz", **saved)
+        with pytest.raises(FormatError, match="topology"):
+            load_model(tmp_path / "wide.npz")

@@ -160,6 +160,24 @@ class TestInvariantsAndSerialization:
         with pytest.raises(FormatError):
             load_tensor(tmp_path / "t.svt")
 
+    def test_oversized_section_rejected_before_reading(self, tmp_path):
+        import tracemalloc
+        from lim3d import FormatError
+        from lim3d.voxel import _HEADER
+        t = SparseVoxelTensor(grid=GRID, coords=[[0, 0, 0], [1, 1, 1]], features=[[1.0], [2.0]])
+        save_tensor(tmp_path / "t.svt", t)
+        body = bytearray((tmp_path / "t.svt").read_bytes())
+        body[_HEADER.size - 5] = 0x40  # top byte of the site count: about 1.07e9 sites
+        (tmp_path / "big.svt").write_bytes(bytes(body))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="coords"):
+                load_tensor(tmp_path / "big.svt")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / "junk.svt").write_bytes(b"NOPE" + b"\x00" * 60)
         from lim3d import FormatError
