@@ -31,8 +31,8 @@ from .pointcloud import (SceneSpec, frame_path, image_path, label_path,
                          list_sequence_frames, load_frame, project_range_image,
                          range_to_grayscale, read_pgm, save_frame, save_labels,
                          synth_sequence, write_pgm)
-from .pseudolabel import (PseudoLabelSet, VoxelPredictions, crb_select,
-                          entropy_partition, shannon_entropy)
+from .pseudolabel import (PseudoLabelSet, VoxelPredictions, check_per_class_keep,
+                          crb_select, entropy_partition, shannon_entropy)
 from .reflectivity import ReflecConfig, coarse_histograms, normalize_reflectivity, reflectivity
 from .sampling import StrfdConfig, calibrate_beta, plan, save_plan
 from .training import TOY_GRID, ToyPipelineConfig, load_model, prepare_frame, run_toy_pipeline
@@ -207,6 +207,7 @@ def _pseudo_grid(args, model_grid: CylGridSpec | None) -> tuple[CylGridSpec, dic
 
 
 def cmd_pseudo(args) -> int:
+    check_per_class_keep(args.per_class_keep)  # also under --percentile 0, which skips CRB
     pc = load_frame(args.infile)
     if args.model is not None:
         net, model_grid, reflec = load_model(args.model)

@@ -186,6 +186,11 @@ def entropy_partition(v: VoxelPredictions, percentile: float = 80.0) -> PseudoLa
                           entropy=h)
 
 
+def check_per_class_keep(per_class_keep: float) -> None:
+    if not 0.0 < per_class_keep <= 1.0:
+        raise DomainError(f"per_class_keep must lie in (0, 1], got {per_class_keep}")
+
+
 def crb_select(pls: PseudoLabelSet, v: VoxelPredictions,
                per_class_keep: float) -> PseudoLabelSet:
     """Keep only the most confident reliable voxels, balanced per class and range.
@@ -196,8 +201,7 @@ def crb_select(pls: PseudoLabelSet, v: VoxelPredictions,
     the rest are demoted to the unreliable group. Ties prefer the lower
     voxel id.
     """
-    if not 0.0 < per_class_keep <= 1.0:
-        raise DomainError(f"per_class_keep must lie in (0, 1], got {per_class_keep}")
+    check_per_class_keep(per_class_keep)
     if per_class_keep == 1.0:
         return pls
 

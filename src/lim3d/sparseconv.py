@@ -9,10 +9,11 @@ nothing.
 A `Rulebook` is a neighbor table: per active site and kernel tap, the
 input row read, or the sentinel ``n_sites`` for an inactive or off-grid
 cell. A spatial convolution is one autodiff node: it pads its input with
-a zero sentinel row, gathers all neighbor rows at once and contracts them
-with the flattened kernel. If tap ``k`` of site ``o`` reads row ``i``,
-tap ``K-1-k`` of site ``i`` reads row ``o`` (across the azimuth wrap
-too), so the input gradient is the same gather with the kernel mirrored.
+a zero sentinel row, then gathers and contracts the neighbor rows of
+`SPATIAL_BLOCK` sites at a time. If tap ``k`` of site ``o`` reads row
+``i``, tap ``K-1-k`` of site ``i`` reads row ``o`` (across the azimuth wrap
+too), so one gather of the upstream gradient gives the input gradient
+(kernel mirrored) and the weight gradient (input rows, taps flipped back).
 
 A depthwise separable convolution is the composition of a depthwise
 spatial kernel (one filter per channel) and a pointwise 1x1x1 channel mix.
@@ -49,6 +50,9 @@ __all__ = [
 ]
 
 KERNEL_KINDS = ("standard", "depthwise", "pointwise")
+
+# Sites per gathered block: (256, 27, 64) float64 is 3.5 MB; a toy frame fits in one.
+SPATIAL_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -196,6 +200,10 @@ def apply_spatial(features: Tensor | np.ndarray, rulebook: Rulebook,
                   bias: Tensor | None = None) -> Tensor:
     """Standard or depthwise spatial convolution as one autodiff node.
 
+    It gathers and contracts `SPATIAL_BLOCK` sites at a time, never all
+    ``(n_sites, K, C)`` neighbor rows; its backward pass takes both the
+    input and the weight gradient from one gather of the upstream gradient.
+
     `weights`/`bias` override the kernel arrays with live tensors during
     training; otherwise the kernel arrays enter the graph as constants.
     """
@@ -205,29 +213,38 @@ def apply_spatial(features: Tensor | np.ndarray, rulebook: Rulebook,
     if rulebook.kernel_size != kernel.kernel_size:
         raise ShapeError("rulebook kernel size does not match the kernel")
     w = as_tensor(kernel.weights if weights is None else weights)
-    n, k3 = rulebook.neighbors.shape
+    nb = rulebook.neighbors
+    n, k3 = nb.shape
     flat_w = w.data.reshape((k3,) + w.shape[3:])  # (K, C) or (K, M, N)
     depthwise = kernel.kind == "depthwise"
 
-    def gather(rows: np.ndarray) -> np.ndarray:  # (n, K, C), sentinel rows read zeros
-        return np.concatenate([rows, np.zeros((1, rows.shape[1]))])[rulebook.neighbors]
+    def blocks(rows: np.ndarray):  # (site slice, its (b, K, C) gather), sentinel rows read zeros
+        padded = np.concatenate([rows, np.zeros((1, rows.shape[1]))])
+        for start in range(0, n, SPATIAL_BLOCK):
+            yield slice(start, start + SPATIAL_BLOCK), padded[nb[start:start + SPATIAL_BLOCK]]
 
-    def contract(rows: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    def contract(gathered: np.ndarray, taps: np.ndarray) -> np.ndarray:
         if depthwise:
-            return np.einsum("nkc,kc->nc", gather(rows), taps)
-        taps = taps.reshape(-1, taps.shape[-1])
-        return gather(rows).reshape(n, len(taps)) @ taps
+            return np.einsum("nkc,kc->nc", gathered, taps)
+        return gathered.reshape(len(gathered), -1) @ taps.reshape(-1, taps.shape[-1])
 
     def backward(g):
-        # Mirrored kernel: taps reversed, channel axes swapped (a no-op for depthwise).
-        g_x = contract(g, np.swapaxes(flat_w[::-1], 1, -1)) if x.requires_grad else None
-        if depthwise:
-            g_w = np.einsum("nkc,nc->kc", gather(x.data), g)
-        else:
-            g_w = gather(x.data).reshape(n, k3 * kernel.in_channels).T @ g
-        return g_x, g_w.reshape(w.shape)
+        g_x = np.empty(x.shape) if x.requires_grad else None
+        g_w = np.zeros(flat_w.shape)  # taps flipped: row k sums x[i] * g[nb[i, k]] over sites i
+        for block, g_nb in blocks(g):
+            if g_x is not None:
+                # Mirrored kernel: taps reversed, channel axes swapped (a no-op for depthwise).
+                g_x[block] = contract(g_nb, np.swapaxes(flat_w[::-1], 1, -1))
+            if depthwise:
+                g_w += np.einsum("nkc,nc->kc", g_nb, x.data[block])
+            else:
+                g_w += np.einsum("nkc,nm->kmc", g_nb, x.data[block], optimize=True)
+        return g_x, g_w[::-1].reshape(w.shape)
 
-    out = Tensor(contract(x.data, flat_w), _parents=(x, w), _backward=backward)
+    out = np.empty((n, kernel.out_channels))
+    for block, x_nb in blocks(x.data):
+        out[block] = contract(x_nb, flat_w)
+    out = Tensor(out, _parents=(x, w), _backward=backward)
     if kernel.bias is not None or bias is not None:
         out = out + as_tensor(kernel.bias if bias is None else bias)
     return out

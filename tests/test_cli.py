@@ -149,6 +149,16 @@ class TestPseudo:
         assert main(["pseudo", "--in", str(frame), "--per-class-keep", keep,
                      "--out", str(tmp_path / "k.label")]) == 2
 
+    @pytest.mark.parametrize("keep", ["0", "1.5", "-0.5"])
+    def test_per_class_keep_outside_unit_interval_exits_2_at_percentile_0(self, dataset,
+                                                                         tmp_path, keep):
+        """`--percentile 0` skips the CRB filter but not the check of its flag."""
+        frame = dataset / "sequences" / "00" / "velodyne" / "000000.bin"
+        out = tmp_path / "k.label"
+        assert main(["pseudo", "--in", str(frame), "--percentile", "0",
+                     "--per-class-keep", keep, "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestCost:
     def test_mini_backbone_closed_form(self, tmp_path):

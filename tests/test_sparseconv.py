@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -13,7 +14,7 @@ from lim3d import (ConvKernel, CylGridSpec, DomainError, ShapeError,
                    glorot_kernel, identity_kernel, separable_conv,
                    sparse_pointwise_conv, submanifold_conv)
 from lim3d.autodiff import Tensor
-from lim3d.sparseconv import apply_pointwise, apply_spatial
+from lim3d.sparseconv import SPATIAL_BLOCK, apply_pointwise, apply_spatial
 
 
 def active_mask(t):
@@ -328,3 +329,83 @@ class TestNeighborTable:
         assert max_rel_err(w.grad, fd_w) < 1e-3
         assert max_rel_err(x.grad, fd_x) < 1e-3
         assert max_rel_err(b.grad, fd_b) < 1e-3
+
+
+def frame_of(rng, n_sites, channels, grid=CylGridSpec(12, 16, 8, 12.0, (0.0, 8.0))):
+    """Exactly `n_sites` random active sites on `grid`."""
+    keys = rng.choice(grid.n_cells, size=n_sites, replace=False)
+    coords = np.column_stack(np.unravel_index(keys, grid.shape)).reshape(-1, 3)
+    return SparseVoxelTensor(grid=grid, coords=coords,
+                             features=rng.normal(size=(n_sites, channels)))
+
+
+# Empty, exactly one block, one block and one row, and a ragged third block.
+BLOCK_SIZES = [0, SPATIAL_BLOCK, SPATIAL_BLOCK + 1, 5 * SPATIAL_BLOCK // 2]
+
+
+class TestBlocks:
+    """Frames sized from `SPATIAL_BLOCK`, so the block loop runs 0 to 3 times."""
+
+    @pytest.mark.parametrize("n_sites", BLOCK_SIZES)
+    @pytest.mark.parametrize("kind", ["standard", "depthwise"])
+    def test_spatial_matches_dense(self, n_sites, kind):
+        rng = np.random.default_rng(n_sites)
+        t = frame_of(rng, n_sites, 3)
+        k = glorot_kernel(kind, 3, 3 if kind == "depthwise" else 2, 3, rng, bias=True)
+        out = submanifold_conv(t, k)
+        ref = dense_spatial_reference(densify(t), active_mask(t), k.weights, kind, bias=k.bias)
+        assert out.features.shape == (n_sites, k.out_channels)
+        if n_sites:
+            assert np.abs(out.features - masked_rows(ref, t)).max() < 1e-5
+
+    @pytest.mark.parametrize("n_sites", BLOCK_SIZES)
+    def test_depthwise_forward_equals_one_shot_gather(self, n_sites):
+        rng = np.random.default_rng(n_sites + 1)
+        t = frame_of(rng, n_sites, 4)
+        k = glorot_kernel("depthwise", 4, 4, 3, rng)
+        rb = build_rulebook(t.coords, t.grid, 3)
+        padded = np.concatenate([t.features, np.zeros((1, 4))])
+        one_shot = np.einsum("nkc,kc->nc", padded[rb.neighbors], k.weights.reshape(27, 4))
+        np.testing.assert_array_equal(apply_spatial(t.features, rb, k).data, one_shot)
+
+    @pytest.mark.parametrize("kind", ["standard", "depthwise"])
+    def test_gradients_fd_across_blocks(self, kind):
+        rng = np.random.default_rng(5)
+        t = frame_of(rng, BLOCK_SIZES[-1], 2)
+        k = glorot_kernel(kind, 2, 2 if kind == "depthwise" else 3, 3, rng, bias=True)
+        rb = build_rulebook(t.coords, t.grid, 3)
+        downstream = rng.normal(size=(t.n_active, k.out_channels))
+
+        def run(w_arr, x_arr, b_arr):
+            w = Tensor(w_arr, requires_grad=True)
+            x = Tensor(x_arr, requires_grad=True)
+            b = Tensor(b_arr, requires_grad=True)
+            out = apply_spatial(x, rb, k, weights=w, bias=b)
+            return w, x, b, (out * Tensor(downstream)).sum()
+
+        w, x, b, loss = run(k.weights, t.features, k.bias)
+        loss.backward()
+        fd_w = finite_difference(lambda v: run(v, t.features, k.bias)[3].item(), k.weights)
+        fd_x = finite_difference(lambda v: run(k.weights, v, k.bias)[3].item(), t.features)
+        fd_b = finite_difference(lambda v: run(k.weights, t.features, v)[3].item(), k.bias)
+        assert max_rel_err(w.grad, fd_w) < 1e-3
+        assert max_rel_err(x.grad, fd_x) < 1e-3
+        assert max_rel_err(b.grad, fd_b) < 1e-3
+
+    @pytest.mark.parametrize("kind", ["standard", "depthwise"])
+    def test_peak_memory_stays_under_a_quarter_of_the_full_gather(self, kind):
+        rng = np.random.default_rng(9)
+        t = frame_of(rng, 5000, 64, grid=CylGridSpec(40, 40, 8, 40.0, (0.0, 8.0)))
+        k = glorot_kernel(kind, 64, 64, 3, rng)
+        rb = build_rulebook(t.coords, t.grid, 3)
+        x = Tensor(t.features, requires_grad=True)
+        w = Tensor(k.weights, requires_grad=True)
+        upstream = rng.normal(size=(t.n_active, 64))
+        tracemalloc.start()
+        try:
+            apply_spatial(x, rb, k, weights=w).backward(upstream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        full_gather = t.n_active * 27 * 64 * 8
+        assert peak < full_gather / 4, f"peak {peak / 1e6:.1f} MB"
