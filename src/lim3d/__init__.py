@@ -24,8 +24,8 @@ from .sparseconv import (ConvKernel, CostReport, build_rulebook, cost,
                          sparse_pointwise_conv, submanifold_conv)
 from .ssim import ssim
 from .training import (SGD, TOY_GRID, ToyPipelineConfig, confusion_matrix, ema_update,
-                       iou_per_class, load_model, mean_iou, prepare_frame,
-                       run_toy_pipeline, save_model)
+                       iou_per_class, label_frame, load_model, mean_iou, prepare_frame,
+                       run_toy_pipeline, save_model, train_step)
 from .voxel import (CylGridSpec, SparseVoxelTensor, densify, load_tensor,
                     point_rows, save_tensor, sparsify, voxelize)
 

@@ -31,11 +31,10 @@ from .pointcloud import (SceneSpec, frame_path, image_path, label_path,
                          list_sequence_frames, load_frame, project_range_image,
                          range_to_grayscale, read_pgm, save_frame, save_labels,
                          synth_sequence, write_pgm)
-from .pseudolabel import (PseudoLabelSet, VoxelPredictions, check_per_class_keep,
-                          crb_select, entropy_partition, shannon_entropy)
 from .reflectivity import ReflecConfig, coarse_histograms, normalize_reflectivity, reflectivity
 from .sampling import StrfdConfig, calibrate_beta, plan, save_plan
-from .training import TOY_GRID, ToyPipelineConfig, load_model, prepare_frame, run_toy_pipeline
+from .training import (TOY_GRID, ToyPipelineConfig, label_frame, load_model, prepare_frame,
+                       run_toy_pipeline)
 from .voxel import CylGridSpec, point_rows
 
 EXIT_OK = 0
@@ -54,7 +53,8 @@ def _threads(args) -> int:
     return os.cpu_count() or 1
 
 
-_HASH_EXCLUDED = {"func", "report", "out", "save_model", "out_dir"}
+# Paths stay out of the hash; `extra` adds the settings read from input files.
+_HASH_EXCLUDED = {"func", "infile", "model", "config", "report", "out", "save_model", "out_dir"}
 
 
 def _provenance(args, extra: dict | None = None) -> dict:
@@ -169,7 +169,7 @@ def cmd_featurize(args) -> int:
     feats = coarse_histograms(pc, normalize_reflectivity(reflectivity(pc)), cfg)
     feats.astype("<f4").tofile(args.out)
     _write_json(args.out + ".meta.json", {
-        "provenance": _provenance(args),
+        "provenance": _provenance(args, {"n_bins": cfg.n_bins, "bin_grids": cfg.bin_grids}),
         "n_points": len(pc),
         "channels_added": cfg.feature_dim,
         "layout": "little-endian float32, per point, histogram scales concatenated",
@@ -207,7 +207,6 @@ def _pseudo_grid(args, model_grid: CylGridSpec | None) -> tuple[CylGridSpec, dic
 
 
 def cmd_pseudo(args) -> int:
-    check_per_class_keep(args.per_class_keep)  # also under --percentile 0, which skips CRB
     pc = load_frame(args.infile)
     if args.model is not None:
         net, model_grid, reflec = load_model(args.model)
@@ -218,17 +217,7 @@ def cmd_pseudo(args) -> int:
         frame = prepare_frame(pc, grid, None)
         net = MiniSegNet(frame.svt.channels, args.n_classes, seed=args.seed)
     svt = frame.svt
-    probs, emb = net.predict(svt, rulebook=frame.rulebook)
-    vp = VoxelPredictions(probs=probs, embeddings=emb, radii=frame.radii)
-
-    if args.percentile == 0.0:
-        # Degenerate lower boundary: nothing is unreliable.
-        argmax = probs.argmax(axis=1)
-        pls = PseudoLabelSet(reliable={int(i): int(argmax[i]) for i in range(len(probs))},
-                             unreliable=frozenset(), entropy=shannon_entropy(probs))
-    else:
-        pls = crb_select(entropy_partition(vp, percentile=args.percentile), vp,
-                         args.per_class_keep)
+    pls, probs = label_frame(net, frame, args.percentile, args.per_class_keep)
 
     # Per-voxel labels with one trailing sentinel row, which the -1 of a
     # point outside every voxel selects.

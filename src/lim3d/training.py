@@ -1,13 +1,15 @@
 """Mean-teacher training: EMA weights, metrics, and the three-stage toy run.
 
-Stage 1 trains a student on redundancy-sampled labeled frames while a
-teacher tracks it by exponential moving average. Stage 2 freezes the
-teacher and turns its predictions on unlabeled frames into entropy-split,
-class-and-range-balanced pseudo-labels. Stage 3 keeps training the stage-1
-student, with the teacher still tracking it, on ground truth plus reliable
-pseudo-labels with the full composite loss: supervised Jaccard extension,
-KL consistency to the teacher, and the contrastive term fed by a FIFO bank
-of unreliable-voxel negatives.
+The semi-supervised half is two steps. In `label_frame` the teacher
+predicts a frame, splits its voxels by entropy and filters the reliable ones
+class-and-range-balanced. In `train_step` the student takes one update on
+the composite loss (supervised Jaccard extension, KL consistency to the
+teacher, and in the distill stage the contrastive term fed by a FIFO bank
+of unreliable-voxel negatives), then the teacher tracks it by EMA.
+
+`run_toy_pipeline` composes them: stage 1 trains on redundancy-sampled
+labeled frames, stage 2 labels the unlabeled ones, and stage 3 keeps
+training the stage-1 student on ground truth plus reliable pseudo-labels.
 
 A trained network only works on its training input: the features and
 voxels that `prepare_frame` builds from a cloud with one grid and one
@@ -33,7 +35,7 @@ from .pointcloud import SceneSpec, range_to_grayscale, synth_sequence
 from .pseudolabel import (ContrastiveConfig, MemoryBank, PseudoLabelSet,
                           VoxelPredictions, bank_push_negatives,
                           build_anchor_set, entropy_partition, crb_select,
-                          infonce_loss, positive_center)
+                          infonce_loss, positive_center, shannon_entropy)
 from .reflectivity import ReflecConfig, augment, coarse_histograms, normalize_reflectivity, reflectivity
 from .sampling import StrfdConfig, calibrate_beta, plan
 from .sparseconv import Rulebook, build_rulebook
@@ -49,6 +51,8 @@ __all__ = [
     "ToyPipelineConfig",
     "Frame",
     "prepare_frame",
+    "label_frame",
+    "train_step",
     "run_toy_pipeline",
     "save_model",
     "load_model",
@@ -163,7 +167,8 @@ class ToyPipelineConfig:
 class Frame:
     """A cloud as the network sees it: voxels, their rulebook and radii.
 
-    `labeled` and `pseudo` are filled in by the training loop.
+    `run_toy_pipeline` sets `labeled` for the frames its sampling plan
+    picks, and stores `label_frame`'s pseudo-labels in `pseudo`.
     """
 
     svt: SparseVoxelTensor
@@ -186,15 +191,77 @@ def prepare_frame(pc, grid: CylGridSpec, reflec: ReflecConfig | None,
     return Frame(svt=svt, rulebook=rb, radii=radii)
 
 
-def _finite_or_raise(value: float, stage: str, step: int) -> float:
+def label_frame(teacher: MiniSegNet, frame: Frame, percentile: float,
+                per_class_keep: float) -> tuple[PseudoLabelSet, np.ndarray]:
+    """The teacher's pseudo-labels for `frame`, and its class probabilities.
+
+    Voxels above the `percentile` of the frame's entropy are unreliable;
+    percentile 0 marks every voxel reliable. `crb_select` then keeps the
+    `per_class_keep` most confident reliable voxels per class and range band.
+    """
+    probs, emb = teacher.predict(frame.svt, rulebook=frame.rulebook)
+    vp = VoxelPredictions(probs=probs, embeddings=emb, radii=frame.radii)
+    if percentile == 0.0:
+        pls = PseudoLabelSet(reliable=dict(enumerate(probs.argmax(axis=1).tolist())),
+                             unreliable=frozenset(), entropy=shannon_entropy(probs))
+    else:
+        pls = entropy_partition(vp, percentile=percentile)
+    return crb_select(pls, vp, per_class_keep), probs
+
+
+def train_step(student: MiniSegNet, teacher: MiniSegNet, frame: Frame, opt: SGD,
+               loss_cfg: LossConfig, bank: MemoryBank | None,
+               contrastive: ContrastiveConfig) -> float:
+    """One student update on `frame`, then the teacher's EMA update at
+    ``loss_cfg.kappa``; returns the loss. The supervised term covers a
+    labeled frame's voxels, or else its reliable pseudo-labels. In the
+    distill stage with a `bank`, the frame's unreliable voxels are pushed
+    into it and the contrastive term joins.
+
+    Raises:
+        DivergenceError: the loss is not finite; no weight has changed.
+    """
+    params = student.param_tensors()
+    logits, emb = student.forward(frame.svt, params=params, rulebook=frame.rulebook)
+    probs = softmax(logits, axis=1)
+    pls = frame.pseudo
+    if frame.labeled:
+        ids, target = np.arange(frame.svt.n_active), frame.svt.labels
+    else:
+        ids = np.array(sorted(pls.reliable) if pls is not None else [], dtype=np.int64)
+        target = np.array([pls.reliable[int(i)] for i in ids], dtype=np.int64)
+    ls = lovasz_softmax(probs.take(ids), target) if len(ids) else Tensor(0.0)
+
+    # Consistency with the teacher on every voxel of the frame.
+    t_probs, _ = teacher.predict(frame.svt, rulebook=frame.rulebook)
+    lu = kl_consistency(probs, t_probs)
+
+    lc = None
+    if bank is not None and loss_cfg.stage == "distill":
+        vp = VoxelPredictions(probs=probs.data, embeddings=emb.data,
+                              labels=frame.svt.labels if frame.labeled else None,
+                              radii=frame.radii)
+        if pls is None:
+            pls = PseudoLabelSet(reliable={}, unreliable=frozenset(),
+                                 entropy=np.zeros(frame.svt.n_active))
+        for c in range(student.n_classes):
+            bank_push_negatives(bank, vp, pls, c)
+        anchors, positives = {}, {}
+        for c in range(student.n_classes):
+            a_ids, _ = build_anchor_set(vp, pls, contrastive, c)
+            if len(a_ids):
+                anchors[c] = emb.take(a_ids)
+                positives[c] = positive_center(anchors[c])
+        lc = infonce_loss(anchors, positives, bank, contrastive)
+
+    loss = total_loss(ls, lu, lc, loss_cfg)
+    value = loss.item()
     if not math.isfinite(value):
-        raise DivergenceError(f"{stage}: loss became non-finite at step {step}")
+        raise DivergenceError(f"{loss_cfg.stage}: loss became non-finite")
+    loss.backward()
+    opt.step([p.grad for p in params])
+    teacher.load_flat(ema_update(teacher.flat(), student.flat(), loss_cfg.kappa))
     return value
-
-
-def _forward(net: MiniSegNet, frame: Frame, params: list[Tensor]):
-    logits, emb = net.forward(frame.svt, params=params, rulebook=frame.rulebook)
-    return softmax(logits, axis=1), emb
 
 
 def run_toy_pipeline(cfg: ToyPipelineConfig,
@@ -264,82 +331,33 @@ def run_toy_pipeline(cfg: ToyPipelineConfig,
         "stages": {},
     }
 
-    def train_stage(name: str, net: MiniSegNet, tnet: MiniSegNet, steps: int,
-                    loss_cfg: LossConfig, frame_ids: list[int],
+    def train_stage(stage: str, steps: int, frame_ids: list[int],
                     bank: MemoryBank | None) -> dict:
-        losses = []
-        opt = SGD(net.params, lr=cfg.lr, momentum=cfg.momentum)
+        loss_cfg = LossConfig(kappa=cfg.kappa, lambda_u=cfg.lambda_u, lambda_c=cfg.lambda_c,
+                              stage=stage, literal_gate=cfg.literal_gate)
+        opt = SGD(student.params, lr=cfg.lr, momentum=cfg.momentum)
+        losses: list[float] = []
         order: list[int] = []
-        for step in range(steps):
+        for _ in range(steps):
             if not order:
                 order = list(frame_ids)
                 rng.shuffle(order)
-            f = frames[order.pop()]
-            params = net.param_tensors()
-            probs, emb = _forward(net, f, params)
-
-            # Supervised term on voxels with a hard target.
-            if f.labeled:
-                ids = np.arange(f.svt.n_active)
-                target = f.svt.labels
-            elif f.pseudo is not None and f.pseudo.reliable:
-                ids = np.array(sorted(f.pseudo.reliable), dtype=np.int64)
-                target = np.array([f.pseudo.reliable[int(i)] for i in ids], dtype=np.int64)
-            else:
-                ids = None
-                target = None
-            ls = lovasz_softmax(probs.take(ids), target) if ids is not None and len(ids) \
-                else Tensor(0.0)
-
-            # Consistency with the teacher on every voxel of the frame.
-            t_probs, _ = tnet.predict(f.svt, rulebook=f.rulebook)
-            lu = kl_consistency(probs, t_probs)
-
-            lc = None
-            if bank is not None and loss_cfg.stage == "distill":
-                vp = VoxelPredictions(probs=probs.data, embeddings=emb.data,
-                                      labels=f.svt.labels if f.labeled else None,
-                                      radii=f.radii)
-                pls = f.pseudo if f.pseudo is not None else PseudoLabelSet(
-                    reliable={}, unreliable=frozenset(), entropy=np.zeros(f.svt.n_active))
-                for c in range(n_classes):
-                    bank_push_negatives(bank, vp, pls, c)
-                anchors, positives = {}, {}
-                for c in range(n_classes):
-                    a_ids, _ = build_anchor_set(vp, pls, cfg.contrastive, c)
-                    if len(a_ids) == 0:
-                        continue
-                    anchor_t = emb.take(a_ids)
-                    anchors[c] = anchor_t
-                    positives[c] = positive_center(anchor_t)
-                lc = infonce_loss(anchors, positives, bank, cfg.contrastive)
-
-            loss = total_loss(ls, lu, lc, loss_cfg)
-            losses.append(_finite_or_raise(loss.item(), name, step))
-            loss.backward()
-            opt.step([p.grad for p in params])
-            tnet.load_flat(ema_update(tnet.flat(), net.flat(), cfg.kappa))
+            losses.append(train_step(student, teacher, frames[order.pop()], opt, loss_cfg,
+                                     bank, cfg.contrastive))
         return {"steps": steps, "losses": [round(v, 6) for v in losses],
                 "final_loss": losses[-1] if losses else None}
 
     if 1 in cfg.stages:
-        loss_cfg = LossConfig(kappa=cfg.kappa, lambda_u=cfg.lambda_u,
-                              lambda_c=cfg.lambda_c, stage="train",
-                              literal_gate=cfg.literal_gate)
         report["stages"]["train"] = train_stage(
-            "train", student, teacher, cfg.steps_stage1, loss_cfg,
-            labeled_ids or list(range(len(frames))), bank=None)
+            "train", cfg.steps_stage1, labeled_ids or list(range(len(frames))), bank=None)
 
     if 2 in cfg.stages:
         n_reliable = n_unreliable = agree_hits = agree_total = 0
         per_class_reliable = np.zeros(n_classes, dtype=np.int64)
         for fid in unlabeled_ids:
             f = frames[fid]
-            probs, emb = teacher.predict(f.svt, rulebook=f.rulebook)
-            vp = VoxelPredictions(probs=probs, embeddings=emb, radii=f.radii)
-            pls = entropy_partition(vp, percentile=cfg.percentile)
-            pls = crb_select(pls, vp, cfg.per_class_keep)
-            f.pseudo = pls
+            f.pseudo, _ = label_frame(teacher, f, cfg.percentile, cfg.per_class_keep)
+            pls = f.pseudo
             n_reliable += len(pls.reliable)
             n_unreliable += len(pls.unreliable)
             for voxel, cls in pls.reliable.items():
@@ -360,13 +378,9 @@ def run_toy_pipeline(cfg: ToyPipelineConfig,
         # objective; the teacher that produced the pseudo-labels carries over
         # and keeps tracking the student by EMA.
         bank = MemoryBank(n_classes, cfg.contrastive.capacity) if cfg.use_bank else None
-        loss_cfg = LossConfig(kappa=cfg.kappa, lambda_u=cfg.lambda_u,
-                              lambda_c=cfg.lambda_c, stage="distill",
-                              literal_gate=cfg.literal_gate)
         usable = [i for i in range(len(frames))
                   if frames[i].labeled or frames[i].pseudo is not None]
-        report["stages"]["distill"] = train_stage(
-            "distill", student, teacher, cfg.steps_stage3, loss_cfg, usable, bank=bank)
+        report["stages"]["distill"] = train_stage("distill", cfg.steps_stage3, usable, bank)
 
     confusion = evaluate(student)
     per_class = iou_per_class(confusion)

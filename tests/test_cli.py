@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,20 @@ class TestSynthAndSample:
 
 
 class TestFeaturize:
+    def test_config_hash_covers_the_config_not_its_path(self, dataset, tmp_path):
+        frame = dataset / "sequences" / "00" / "velodyne" / "000000.bin"
+        hashes = []
+        for name, grids in (("a", [[2, 4]]), ("b", [[2, 4]]), ("c", [[2, 8]])):
+            (tmp_path / name).mkdir()
+            cfg = tmp_path / name / "reflec.json"
+            cfg.write_text(json.dumps({"n_bins": 4, "bin_grids": grids}))
+            out = tmp_path / name / "f.feat"
+            assert main(["featurize", "--in", str(frame), "--config", str(cfg),
+                         "--out", str(out)]) == 0
+            meta = json.loads(Path(f"{out}.meta.json").read_text())
+            hashes.append(meta["provenance"]["config_hash"])
+        assert hashes[0] == hashes[1] != hashes[2]
+
     def test_adds_thirty_channels(self, dataset, tmp_path):
         frame = dataset / "sequences" / "00" / "velodyne" / "000000.bin"
         out = tmp_path / "f.feat"
@@ -143,6 +158,39 @@ class TestPseudo:
         inside = labels != 0xFFFFFFFF
         assert inside.sum() > 0
 
+    def test_percentile_zero_runs_the_crb_filter(self, dataset, tmp_path):
+        """Percentile 0 marks every voxel reliable, then `--per-class-keep`
+        demotes the less confident ones as at any other percentile."""
+        frame = dataset / "sequences" / "00" / "velodyne" / "000000.bin"
+        out = tmp_path / "p0k.label"
+        assert main(["pseudo", "--in", str(frame), "--percentile", "0",
+                     "--per-class-keep", "0.5", "--out", str(out)]) == 0
+        meta = json.loads((tmp_path / "p0k.label.meta.json").read_text())
+        n = meta["n_voxels"]
+        assert n / 2 <= meta["reliable_voxels"] < n
+        assert meta["reliable_voxels"] + meta["unreliable_voxels"] == n
+        assert sum(v["unreliable"] for v in meta["per_class"].values()) == \
+            meta["unreliable_voxels"]
+        assert (load_labels(out) == 0xFFFFFFFF).any()
+
+    def test_config_hash_covers_the_config_not_its_paths(self, dataset, tmp_path):
+        frame = dataset / "sequences" / "00" / "velodyne" / "000000.bin"
+        net = MiniSegNet(4, 3, widths=(4, 4), seed=1)
+
+        def config_hash(where, *flags):
+            where.mkdir(parents=True)
+            shutil.copy(frame, where / "f.bin")
+            save_model(where / "m.npz", net, TOY_GRID, None)
+            out = where / "p.label"
+            assert main(["pseudo", "--in", str(where / "f.bin"), "--model",
+                         str(where / "m.npz"), "--out", str(out), *flags]) == 0
+            meta = json.loads(Path(f"{out}.meta.json").read_text())
+            return meta["provenance"]["config_hash"]
+
+        here = config_hash(tmp_path / "a")
+        assert config_hash(tmp_path / "b" / "elsewhere") == here
+        assert config_hash(tmp_path / "c", "--percentile", "60") != here
+
     @pytest.mark.parametrize("keep", ["0", "1.5", "-0.5"])
     def test_per_class_keep_outside_unit_interval_exits_2(self, dataset, tmp_path, keep):
         frame = dataset / "sequences" / "00" / "velodyne" / "000000.bin"
@@ -152,7 +200,7 @@ class TestPseudo:
     @pytest.mark.parametrize("keep", ["0", "1.5", "-0.5"])
     def test_per_class_keep_outside_unit_interval_exits_2_at_percentile_0(self, dataset,
                                                                          tmp_path, keep):
-        """`--percentile 0` skips the CRB filter but not the check of its flag."""
+        """`--percentile 0` runs the CRB filter, whose flag is checked."""
         frame = dataset / "sequences" / "00" / "velodyne" / "000000.bin"
         out = tmp_path / "k.label"
         assert main(["pseudo", "--in", str(frame), "--percentile", "0",

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import max_rel_err
-from lim3d import (LayerSpec, MiniSegNet, SceneSpec, ShapeError, ToyPipelineConfig,
-                   confusion_matrix, cost, ema_update, glorot_kernel, iou_per_class,
-                   mean_iou, run_toy_pipeline, synth_sequence, voxelize)
+from lim3d import (ContrastiveConfig, DivergenceError, LayerSpec, LossConfig, MemoryBank,
+                   MiniSegNet, SceneSpec, ShapeError, ToyPipelineConfig, VoxelPredictions,
+                   confusion_matrix, cost, crb_select, ema_update, entropy_partition,
+                   glorot_kernel, iou_per_class, label_frame, mean_iou, prepare_frame,
+                   run_toy_pipeline, synth_sequence, train_step, voxelize)
 from lim3d.network import mini_backbone_topology, topology_cost
 from lim3d.errors import FormatError
 from lim3d.reflectivity import ReflecConfig
@@ -185,6 +187,71 @@ class TestNetwork:
         np.testing.assert_allclose(params[0], -0.25)  # velocity compounds
 
 
+class TestSteps:
+    """`label_frame` and `train_step`, the pipeline's two steps."""
+
+    @staticmethod
+    def _frame(labeled: bool):
+        pc = synth_sequence(SceneSpec(n_points=300), 1, seed=4)[0][0]
+        frame = prepare_frame(pc, TOY_GRID, None)
+        frame.labeled = labeled
+        return frame
+
+    def test_label_frame_is_entropy_split_then_crb(self):
+        frame = self._frame(labeled=False)
+        net = MiniSegNet(4, 3, widths=(8, 8), seed=0)
+        pls, probs = label_frame(net, frame, 70.0, 0.6)
+        want_probs, emb = net.predict(frame.svt, rulebook=frame.rulebook)
+        vp = VoxelPredictions(probs=want_probs, embeddings=emb, radii=frame.radii)
+        want = crb_select(entropy_partition(vp, percentile=70.0), vp, 0.6)
+        np.testing.assert_array_equal(probs, want_probs)
+        assert pls.reliable == want.reliable and pls.unreliable == want.unreliable
+        np.testing.assert_array_equal(pls.entropy, want.entropy)
+        n = frame.svt.n_active
+        assert len(pls.reliable) + len(pls.unreliable) == n and pls.covers(n)
+        assert 0 < len(pls.reliable) < n
+
+    def _step(self, frame, loss_cfg, bank=None, lr=0.05):
+        student = MiniSegNet(4, 3, widths=(8, 8), seed=0)
+        teacher = student.clone()
+        opt = SGD(student.params, lr=lr)
+        return student, teacher, lambda: train_step(student, teacher, frame, opt, loss_cfg,
+                                                    bank, ContrastiveConfig(n_negatives=1))
+
+    @pytest.mark.parametrize("stage,filled", [("train", False), ("distill", True)])
+    def test_bank_is_filled_only_in_distill(self, stage, filled):
+        frame = self._frame(labeled=False)
+        frame.pseudo, _ = label_frame(MiniSegNet(4, 3, widths=(8, 8), seed=1), frame, 50.0, 1.0)
+        bank = MemoryBank(3, capacity=64)
+        _, _, step = self._step(frame, LossConfig(stage=stage), bank)
+        assert np.isfinite(step())
+        assert (sum(bank.size(c) for c in range(3)) > 0) == filled
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0])
+    def test_ema_reads_the_loss_config_kappa(self, kappa):
+        student, teacher, step = self._step(self._frame(labeled=True), LossConfig(kappa=kappa))
+        before = teacher.flat()
+        step()
+        np.testing.assert_array_equal(teacher.flat(),
+                                      ema_update(before, student.flat(), kappa))
+        assert not np.array_equal(student.flat(), before)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_step_changes_no_weight(self):
+        student, teacher, step = self._step(self._frame(labeled=True), LossConfig(), lr=1e6)
+        for _ in range(20):
+            before = student.flat(), teacher.flat()
+            try:
+                step()
+            except DivergenceError as exc:
+                assert str(exc).startswith("train:")
+                break
+        else:
+            pytest.fail("lr 1e6 never diverged")
+        np.testing.assert_array_equal(student.flat(), before[0])
+        np.testing.assert_array_equal(teacher.flat(), before[1])
+
+
 class TestToyPipeline:
     def test_zero_steps_equals_random_baseline(self):
         cfg = ToyPipelineConfig(stages=(1,), steps_stage1=0, seed=5,
@@ -215,6 +282,17 @@ class TestToyPipeline:
         assert report["cost"]["trainable_params"] > 0
         import json
         json.dumps(report)  # must be serializable
+
+    def test_one_optimizer_step_per_training_step(self, monkeypatch):
+        """The benchmark times the toy pipeline's steps between `SGD.step`
+        calls, so there is exactly one per training step."""
+        calls = []
+        step = SGD.step
+        monkeypatch.setattr(SGD, "step", lambda opt, grads: calls.append(1) or step(opt, grads))
+        cfg = ToyPipelineConfig(labeled_fraction=0.5, stages=(1, 2, 3), steps_stage1=5,
+                                steps_stage3=4, frames_per_sequence=12, seed=1)
+        run_toy_pipeline(cfg)
+        assert len(calls) == cfg.steps_stage1 + cfg.steps_stage3
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_guard(self):
