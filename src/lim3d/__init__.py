@@ -26,7 +26,7 @@ from .ssim import ssim
 from .training import (SGD, TOY_GRID, ToyPipelineConfig, confusion_matrix, ema_update,
                        iou_per_class, label_frame, load_model, mean_iou, prepare_frame,
                        run_toy_pipeline, save_model, train_step)
-from .voxel import (CylGridSpec, SparseVoxelTensor, densify, load_tensor,
-                    point_rows, save_tensor, sparsify, voxelize)
+from .voxel import (CylGridSpec, SparseVoxelTensor, densify, point_rows,
+                    sparsify, voxelize)
 
 __version__ = "0.1.0"

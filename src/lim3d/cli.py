@@ -219,29 +219,27 @@ def cmd_pseudo(args) -> int:
     svt = frame.svt
     pls, probs = label_frame(net, frame, args.percentile, args.per_class_keep)
 
-    # Per-voxel labels with one trailing sentinel row, which the -1 of a
-    # point outside every voxel selects.
-    reliable_ids = np.fromiter(pls.reliable.keys(), dtype=np.int64, count=len(pls.reliable))
-    reliable_cls = np.fromiter(pls.reliable.values(), dtype=np.int64, count=len(pls.reliable))
-    voxel_labels = np.full(svt.n_active + 1, UNRELIABLE_LABEL, dtype=np.uint32)
-    voxel_labels[reliable_ids] = reliable_cls
-    save_labels(args.out, voxel_labels[point_rows(pc, svt)])
+    # A point outside every voxel has row -1, which picks the appended -1.
+    point_labels = np.append(pls.labels, -1)[point_rows(pc, svt)]
+    save_labels(args.out, np.where(point_labels >= 0, point_labels, UNRELIABLE_LABEL))
 
-    unreliable_ids = np.fromiter(pls.unreliable, dtype=np.int64, count=len(pls.unreliable))
-    reliable_counts = np.bincount(reliable_cls, minlength=net.n_classes)
-    unreliable_counts = np.bincount(probs.argmax(axis=1)[unreliable_ids], minlength=net.n_classes)
+    reliable = pls.labels >= 0
+    reliable_counts = np.bincount(pls.labels[reliable], minlength=net.n_classes)
+    unreliable_counts = np.bincount(probs.argmax(axis=1)[~reliable], minlength=net.n_classes)
     counts = {str(c): {"reliable": int(reliable_counts[c]), "unreliable": int(unreliable_counts[c])}
               for c in range(net.n_classes)}
+    n_reliable = int(reliable.sum())
+    n_unreliable = svt.n_active - n_reliable
     _write_json(args.out + ".meta.json", {
         "provenance": _provenance(args, grid_values),
         "n_points": len(pc),
         "n_voxels": svt.n_active,
-        "reliable_voxels": len(pls.reliable),
-        "unreliable_voxels": len(pls.unreliable),
+        "reliable_voxels": n_reliable,
+        "unreliable_voxels": n_unreliable,
         "per_class": counts,
         "unreliable_sentinel": UNRELIABLE_LABEL,
     })
-    print(f"{len(pls.reliable)} reliable / {len(pls.unreliable)} unreliable voxels -> {args.out}")
+    print(f"{n_reliable} reliable / {n_unreliable} unreliable voxels -> {args.out}")
     return EXIT_OK
 
 

@@ -1,20 +1,22 @@
 """Pseudo-label partitioning and contrastive mining of unreliable voxels.
 
 Predicted voxels are split by Shannon entropy into a reliable group, which
-receives hard argmax pseudo-labels, and an unreliable group. Reliable
-labels can be further filtered class- and range-balanced (keep the most
-confident fraction per class, independently in near/mid/far radial
-bands). Unreliable voxels are not discarded: for classes ranked in the
-bottom half of a voxel's class probabilities, its embedding is pushed into
-that class's fixed-capacity FIFO bank and later serves as a negative
-sample in a temperature-scaled contrastive loss over cosine similarities.
+receives hard argmax pseudo-labels, and an unreliable group, marked -1 in
+one label array. Reliable labels can be further filtered class- and
+range-balanced (keep the most confident fraction per class, independently
+in near/mid/far radial bands). Unreliable voxels are not discarded: for
+classes ranked in the bottom half of a voxel's class probabilities, its
+embedding is pushed into that class's fixed-capacity FIFO bank and later
+serves as a negative sample in a temperature-scaled contrastive loss over
+cosine similarities.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import deque
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -89,47 +91,66 @@ class VoxelPredictions:
 
 @dataclass(frozen=True)
 class PseudoLabelSet:
-    """Disjoint reliable (voxel -> class) and unreliable partitions."""
+    """One frame's pseudo-labels: `labels` holds a voxel's class where it is
+    reliable and -1 where it is unreliable, so the two groups are disjoint
+    and cover the frame by construction. `entropy` is each voxel's entropy.
+    """
 
-    reliable: dict[int, int]
-    unreliable: frozenset[int]
-    entropy: np.ndarray
+    labels: np.ndarray              # (v,) int64, read-only
+    entropy: np.ndarray             # (v,)
 
     def __post_init__(self):
-        overlap = set(self.reliable) & self.unreliable
-        if overlap:
-            raise ValidationError(f"voxels in both partitions: {sorted(overlap)[:5]}")
-        object.__setattr__(self, "unreliable", frozenset(self.unreliable))
+        labels = np.array(self.labels, dtype=np.int64).reshape(-1)
+        labels.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+
+    # Read-only views of `labels` as voxel -> class and a voxel set; cached,
+    # since a caller may index `reliable` once per voxel.
+    @functools.cached_property
+    def reliable(self) -> MappingProxyType:
+        ids = np.flatnonzero(self.labels >= 0)
+        return MappingProxyType(dict(zip(ids.tolist(), self.labels[ids].tolist())))
+
+    @functools.cached_property
+    def unreliable(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(self.labels < 0).tolist())
 
     def covers(self, n_voxels: int) -> bool:
-        return set(self.reliable) | self.unreliable == set(range(n_voxels))
+        return len(self.labels) == n_voxels
 
 
 class MemoryBank:
-    """Per-class FIFO queues of negative embeddings with a fixed capacity."""
+    """Per-class FIFO queues of negative embeddings with a fixed capacity:
+    each class holds one array of its newest rows, oldest first."""
 
     def __init__(self, n_classes: int, capacity: int = 256):
         if n_classes < 1 or capacity < 1:
             raise DomainError("n_classes and capacity must be >= 1")
         self.capacity = capacity
-        self._queues: list[deque[np.ndarray]] = [deque(maxlen=capacity) for _ in range(n_classes)]
+        self._rows: list[np.ndarray] = [np.empty((0, 0))] * n_classes
 
     @property
     def n_classes(self) -> int:
-        return len(self._queues)
+        return len(self._rows)
 
-    def push(self, class_id: int, embedding: np.ndarray) -> None:
-        self._queues[class_id].append(np.array(embedding, dtype=np.float64))
+    def push(self, class_id: int, rows: np.ndarray) -> None:
+        """Append one row ``(d,)`` or a block ``(n, d)``, evicting the oldest
+        rows past `capacity`."""
+        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))[-self.capacity:]
+        held = self._rows[class_id]
+        kept = np.concatenate([held, rows])[-self.capacity:] if held.size else rows.copy()
+        kept.setflags(write=False)
+        self._rows[class_id] = kept
 
     def size(self, class_id: int) -> int:
-        return len(self._queues[class_id])
+        return len(self._rows[class_id])
 
     def newest(self, class_id: int, k: int) -> np.ndarray:
         """The `k` most recently pushed negatives, oldest of them first."""
-        q = self._queues[class_id]
-        if len(q) < k:
-            raise ValidationError(f"class {class_id}: {len(q)} negatives < {k} requested")
-        return np.stack(list(q)[-k:]) if k else np.empty((0, 0))
+        held = self._rows[class_id]
+        if len(held) < k:
+            raise ValidationError(f"class {class_id}: {len(held)} negatives < {k} requested")
+        return held[len(held) - k:] if k else np.empty((0, 0))
 
 
 @dataclass(frozen=True)
@@ -176,14 +197,9 @@ def entropy_partition(v: VoxelPredictions, percentile: float = 80.0) -> PseudoLa
         raise DomainError(f"percentile must lie in (0, 100), got {percentile}")
     h = shannon_entropy(v.probs)
     if len(h) == 0:
-        return PseudoLabelSet(reliable={}, unreliable=frozenset(), entropy=h)
-    threshold = np.percentile(h, percentile)
-    unreliable = np.flatnonzero(h > threshold)
-    reliable_ids = np.flatnonzero(h <= threshold)
-    argmax = v.probs.argmax(axis=1)
-    reliable = {int(i): int(argmax[i]) for i in reliable_ids}
-    return PseudoLabelSet(reliable=reliable, unreliable=frozenset(int(i) for i in unreliable),
-                          entropy=h)
+        return PseudoLabelSet(labels=np.empty(0, dtype=np.int64), entropy=h)
+    labels = np.where(h > np.percentile(h, percentile), -1, v.probs.argmax(axis=1))
+    return PseudoLabelSet(labels=labels, entropy=h)
 
 
 def crb_select(pls: PseudoLabelSet, v: VoxelPredictions,
@@ -201,10 +217,10 @@ def crb_select(pls: PseudoLabelSet, v: VoxelPredictions,
     if per_class_keep == 1.0:
         return pls
 
-    ids = np.array(sorted(pls.reliable), dtype=np.int64)
+    ids = np.flatnonzero(pls.labels >= 0)
     if ids.size == 0:
         return pls
-    classes = np.array([pls.reliable[int(i)] for i in ids], dtype=np.int64)
+    classes = pls.labels[ids]
 
     if v.radii is not None:
         r = v.radii[ids]
@@ -216,23 +232,17 @@ def crb_select(pls: PseudoLabelSet, v: VoxelPredictions,
     else:
         band = np.zeros(ids.size, dtype=np.int64)
 
-    keep: set[int] = set()
+    labels = pls.labels.copy()
     for cls in np.unique(classes):
         for b in np.unique(band):
-            mask = (classes == cls) & (band == b)
-            group = ids[mask]
+            group = ids[(classes == cls) & (band == b)]
             if group.size == 0:
                 continue
             conf = v.probs[group, cls]
             n_keep = math.ceil(per_class_keep * group.size)
             order = np.lexsort((group, -conf))  # confidence desc, id asc on ties
-            keep.update(int(g) for g in group[order[:n_keep]])
-
-    reliable = {i: c for i, c in pls.reliable.items() if i in keep}
-    demoted = set(pls.reliable) - keep
-    return PseudoLabelSet(reliable=reliable,
-                          unreliable=frozenset(pls.unreliable | demoted),
-                          entropy=pls.entropy)
+            labels[group[order[n_keep:]]] = -1
+    return PseudoLabelSet(labels=labels, entropy=pls.entropy)
 
 
 # ---------------------------------------------------------------------------
@@ -240,15 +250,14 @@ def crb_select(pls: PseudoLabelSet, v: VoxelPredictions,
 # ---------------------------------------------------------------------------
 
 
+def _check_aligned(v: VoxelPredictions, pls: PseudoLabelSet) -> None:
+    if len(pls.labels) != v.n_voxels:
+        raise ShapeError(f"{len(pls.labels)} pseudo-labels for {v.n_voxels} voxels")
+
+
 def effective_labels(v: VoxelPredictions, pls: PseudoLabelSet) -> np.ndarray:
     """Ground truth where present, reliable pseudo-label otherwise, else -1."""
-    out = np.full(v.n_voxels, -1, dtype=np.int64)
-    for i, c in pls.reliable.items():
-        out[i] = c
-    if v.labels is not None:
-        has_gt = v.labels >= 0
-        out[has_gt] = v.labels[has_gt]
-    return out
+    return pls.labels if v.labels is None else np.where(v.labels >= 0, v.labels, pls.labels)
 
 
 def build_anchor_set(v: VoxelPredictions, pls: PseudoLabelSet,
@@ -259,6 +268,7 @@ def build_anchor_set(v: VoxelPredictions, pls: PseudoLabelSet,
     softmax probability for the class exceeds the confidence threshold.
     Returns at most `cfg.max_anchors` anchors (lowest voxel ids first).
     """
+    _check_aligned(v, pls)
     labels = effective_labels(v, pls)
     eligible = np.flatnonzero((labels == class_id) & (v.probs[:, class_id] > cfg.delta_p))
     eligible = eligible[: cfg.max_anchors]
@@ -279,11 +289,12 @@ def bank_push_negatives(bank: MemoryBank, v: VoxelPredictions, pls: PseudoLabelS
     bottom half of their class distribution; oldest entries are evicted."""
     if not 0 <= class_id < v.n_classes:
         raise DomainError(f"class_id {class_id} out of range")
-    ids = np.array(sorted(pls.unreliable), dtype=np.int64)
+    _check_aligned(v, pls)
+    ids = np.flatnonzero(pls.labels < 0)
     order = np.argsort(v.probs[ids], axis=1, kind="stable")
     rank = (order == class_id).argmax(axis=1)
-    for voxel in ids[rank < math.ceil(v.n_classes / 2)]:
-        bank.push(class_id, v.embeddings[voxel])
+    # Only the newest `capacity` rows would survive the push; gather no more.
+    bank.push(class_id, v.embeddings[ids[rank < math.ceil(v.n_classes / 2)][-bank.capacity:]])
     return bank
 
 

@@ -161,6 +161,10 @@ class ToyPipelineConfig:
             raise DomainError("heldout_fraction must lie in (0, 1)")
         if any(s not in (1, 2, 3) for s in self.stages):
             raise DomainError("stages must be a subset of (1, 2, 3)")
+        if not 0.0 <= self.percentile < 100.0:
+            raise DomainError("percentile must lie in [0, 100)")
+        if not 0.0 < self.per_class_keep <= 1.0:
+            raise DomainError("per_class_keep must lie in (0, 1]")
 
 
 @dataclass
@@ -202,8 +206,7 @@ def label_frame(teacher: MiniSegNet, frame: Frame, percentile: float,
     probs, emb = teacher.predict(frame.svt, rulebook=frame.rulebook)
     vp = VoxelPredictions(probs=probs, embeddings=emb, radii=frame.radii)
     if percentile == 0.0:
-        pls = PseudoLabelSet(reliable=dict(enumerate(probs.argmax(axis=1).tolist())),
-                             unreliable=frozenset(), entropy=shannon_entropy(probs))
+        pls = PseudoLabelSet(labels=probs.argmax(axis=1), entropy=shannon_entropy(probs))
     else:
         pls = entropy_partition(vp, percentile=percentile)
     return crb_select(pls, vp, per_class_keep), probs
@@ -216,7 +219,8 @@ def train_step(student: MiniSegNet, teacher: MiniSegNet, frame: Frame, opt: SGD,
     ``loss_cfg.kappa``; returns the loss. The supervised term covers a
     labeled frame's voxels, or else its reliable pseudo-labels. In the
     distill stage with a `bank`, the frame's unreliable voxels are pushed
-    into it and the contrastive term joins.
+    into it and the contrastive term joins, unless the frame has neither
+    ground truth nor pseudo-labels.
 
     Raises:
         DivergenceError: the loss is not finite; no weight has changed.
@@ -226,24 +230,19 @@ def train_step(student: MiniSegNet, teacher: MiniSegNet, frame: Frame, opt: SGD,
     probs = softmax(logits, axis=1)
     pls = frame.pseudo
     if frame.labeled:
-        ids, target = np.arange(frame.svt.n_active), frame.svt.labels
-    else:
-        ids = np.array(sorted(pls.reliable) if pls is not None else [], dtype=np.int64)
-        target = np.array([pls.reliable[int(i)] for i in ids], dtype=np.int64)
-    ls = lovasz_softmax(probs.take(ids), target) if len(ids) else Tensor(0.0)
+        # Ground truth stands in for a labeled frame's pseudo-labels; as
+        # `voxelize` gives every voxel a class, none is pushed as a negative.
+        pls = PseudoLabelSet(labels=frame.svt.labels, entropy=np.zeros(frame.svt.n_active))
+    ids = np.flatnonzero(pls.labels >= 0) if pls is not None else []
+    ls = lovasz_softmax(probs.take(ids), pls.labels[ids]) if len(ids) else Tensor(0.0)
 
     # Consistency with the teacher on every voxel of the frame.
     t_probs, _ = teacher.predict(frame.svt, rulebook=frame.rulebook)
     lu = kl_consistency(probs, t_probs)
 
     lc = None
-    if bank is not None and loss_cfg.stage == "distill":
-        vp = VoxelPredictions(probs=probs.data, embeddings=emb.data,
-                              labels=frame.svt.labels if frame.labeled else None,
-                              radii=frame.radii)
-        if pls is None:
-            pls = PseudoLabelSet(reliable={}, unreliable=frozenset(),
-                                 entropy=np.zeros(frame.svt.n_active))
+    if bank is not None and loss_cfg.stage == "distill" and pls is not None:
+        vp = VoxelPredictions(probs=probs.data, embeddings=emb.data, radii=frame.radii)
         for c in range(student.n_classes):
             bank_push_negatives(bank, vp, pls, c)
         anchors, positives = {}, {}
@@ -357,14 +356,14 @@ def run_toy_pipeline(cfg: ToyPipelineConfig,
         for fid in unlabeled_ids:
             f = frames[fid]
             f.pseudo, _ = label_frame(teacher, f, cfg.percentile, cfg.per_class_keep)
-            pls = f.pseudo
-            n_reliable += len(pls.reliable)
-            n_unreliable += len(pls.unreliable)
-            for voxel, cls in pls.reliable.items():
-                per_class_reliable[cls] += 1
-                if f.svt.labels is not None:
-                    agree_total += 1
-                    agree_hits += int(f.svt.labels[voxel] == cls)
+            labels = f.pseudo.labels
+            reliable = labels >= 0
+            n_reliable += int(reliable.sum())
+            n_unreliable += int(len(labels) - reliable.sum())
+            per_class_reliable += np.bincount(labels[reliable], minlength=n_classes)
+            if f.svt.labels is not None:
+                agree_total += int(reliable.sum())
+                agree_hits += int((f.svt.labels[reliable] == labels[reliable]).sum())
         report["stages"]["pseudo_label"] = {
             "frames": len(unlabeled_ids),
             "reliable_voxels": n_reliable,

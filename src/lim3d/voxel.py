@@ -3,7 +3,7 @@
 Points are binned in cylinder coordinates ``(rho, phi, z)``. Bin edges are
 uniform and half-open: a point exactly on a boundary falls into the
 higher-index bin, and ``phi = pi`` wraps onto the ``-pi`` edge. Per-voxel
-features are the reduced point features ``(dx, dy, dz, intensity, *extra)``
+features are the mean point features ``(dx, dy, dz, intensity, *extra)``
 where the offsets are measured from the voxel center; voxel labels are the
 majority vote of point labels with ties broken toward the smaller class id.
 """
@@ -11,14 +11,11 @@ majority vote of point labels with ties broken toward the smaller class id.
 from __future__ import annotations
 
 import logging
-import math
-import os
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, FormatError, ShapeError, ValidationError
+from .errors import CapacityError, DomainError, ShapeError, ValidationError
 from .pointcloud import PointCloud
 
 __all__ = [
@@ -28,15 +25,11 @@ __all__ = [
     "point_rows",
     "densify",
     "sparsify",
-    "save_tensor",
-    "load_tensor",
 ]
 
 log = logging.getLogger(__name__)
 
 DENSIFY_GUARD = 10_000_000
-_MAGIC = b"LSVT"
-_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -159,18 +152,14 @@ def _bin_points(xyz: np.ndarray, grid: CylGridSpec) -> tuple[np.ndarray, np.ndar
     return keep, (i_rho * grid.n_phi + i_phi) * grid.n_z + i_z
 
 
-def voxelize(pc: PointCloud, grid: CylGridSpec, reducer: str = "mean") -> SparseVoxelTensor:
+def voxelize(pc: PointCloud, grid: CylGridSpec) -> SparseVoxelTensor:
     """Bin a cloud into the cylindrical grid.
 
     Points with ``rho >= rho_max`` or ``z`` outside the grid are dropped;
     the count is logged and recorded on the result. Feature rows are
-    ``(dx, dy, dz, intensity, *extra_features)`` reduced per voxel with
-    `reducer` (``mean`` or ``max``); offsets are from the voxel center in
-    Cartesian coordinates.
+    ``(dx, dy, dz, intensity, *extra_features)`` averaged per voxel;
+    offsets are from the voxel center in Cartesian coordinates.
     """
-    if reducer not in ("mean", "max"):
-        raise DomainError(f"reducer must be 'mean' or 'max', got {reducer!r}")
-
     xyz = pc.xyz.astype(np.float64)
     keep, keys = _bin_points(xyz, grid)
     dropped = int(len(pc) - keep.sum())
@@ -197,14 +186,10 @@ def voxelize(pc: PointCloud, grid: CylGridSpec, reducer: str = "mean") -> Sparse
         uniq_keys % grid.n_z,
     ])
 
-    if reducer == "mean":
-        sums = np.zeros((n_voxels, point_feats.shape[1]))
-        np.add.at(sums, inverse, point_feats)
-        counts = np.bincount(inverse, minlength=n_voxels).astype(np.float64)
-        feats = sums / counts[:, None]
-    else:
-        feats = np.full((n_voxels, point_feats.shape[1]), -np.inf)
-        np.maximum.at(feats, inverse, point_feats)
+    sums = np.zeros((n_voxels, point_feats.shape[1]))
+    np.add.at(sums, inverse, point_feats)
+    counts = np.bincount(inverse, minlength=n_voxels).astype(np.float64)
+    feats = sums / counts[:, None]
 
     # Offsets relative to voxel centers replace the absolute coordinates.
     centers_cyl = grid.voxel_centers(coords)
@@ -264,54 +249,3 @@ def sparsify(dense: np.ndarray, grid: CylGridSpec) -> SparseVoxelTensor:
     active = np.argwhere(np.any(dense != 0.0, axis=3))
     features = dense[active[:, 0], active[:, 1], active[:, 2]]
     return SparseVoxelTensor(grid=grid, coords=active, features=features)
-
-
-# ---------------------------------------------------------------------------
-# Serialization: versioned header, sorted coordinate list, feature block
-# ---------------------------------------------------------------------------
-
-_HEADER = struct.Struct("<4sB3xIIIdddIIB3x")  # magic, version, grid, channels, count, has_labels
-
-
-def save_tensor(path: str | os.PathLike, t: SparseVoxelTensor) -> None:
-    with open(path, "wb") as f:
-        f.write(_HEADER.pack(
-            _MAGIC, _VERSION, t.grid.n_rho, t.grid.n_phi, t.grid.n_z,
-            t.grid.rho_max, t.grid.z_range[0], t.grid.z_range[1],
-            t.channels, t.n_active, 1 if t.labels is not None else 0,
-        ))
-        f.write(t.coords.astype("<i4").tobytes())
-        f.write(t.features.astype("<f8").tobytes())
-        if t.labels is not None:
-            f.write(t.labels.astype("<i4").tobytes())
-
-
-def _read_section(f, path, name: str, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Exactly one section's bytes as an array. A section larger than what is
-    left of the file is a FormatError, raised before anything is read."""
-    n_bytes = np.dtype(dtype).itemsize * math.prod(shape)
-    left = os.fstat(f.fileno()).st_size - f.tell()
-    if n_bytes > left:
-        raise FormatError(f"{path}: truncated {name} ({left} of {n_bytes} bytes)")
-    return np.frombuffer(f.read(n_bytes), dtype=dtype).reshape(shape)
-
-
-def load_tensor(path: str | os.PathLike) -> SparseVoxelTensor:
-    with open(path, "rb") as f:
-        magic, version, n_rho, n_phi, n_z, rho_max, z_min, z_max, channels, count, has_labels = \
-            _HEADER.unpack(_read_section(f, path, "header", "u1", (_HEADER.size,)))
-        if magic != _MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}")
-        if version != _VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        grid = CylGridSpec(n_rho=n_rho, n_phi=n_phi, n_z=n_z, rho_max=rho_max,
-                           z_range=(z_min, z_max))
-        coords = _read_section(f, path, "coords", "<i4", (count, 3))
-        features = _read_section(f, path, "features", "<f8", (count, channels))
-        labels = None
-        if has_labels:
-            labels = _read_section(f, path, "labels", "<i4", (count,)).astype(np.int64)
-        if f.read(1):
-            raise FormatError(f"{path}: trailing bytes after the last section")
-    return SparseVoxelTensor(grid=grid, coords=coords.astype(np.int64),
-                             features=features.copy(), labels=labels)

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import finite_difference, max_rel_err
-from lim3d import (ContrastiveConfig, DegenerateEmbeddingError, MemoryBank,
+from lim3d import (ContrastiveConfig, DegenerateEmbeddingError, MemoryBank, ShapeError,
                    VoxelPredictions, bank_push_negatives, build_anchor_set,
                    crb_select, entropy_partition, infonce_loss,
                    positive_center, shannon_entropy)
 from lim3d.autodiff import Tensor
 from lim3d.pseudolabel import PseudoLabelSet
+from pseudolabel_reference import crb_select_reference, entropy_partition_reference
 
 
 def make_predictions(rng, n=20, c=4, d=6, labels=None, radii=None, peaked=None):
@@ -29,9 +32,7 @@ class TestEntropyPartition:
         probs[0] = [0.2, 0.5, 0.3]  # one soft row to set a positive threshold
         vp = VoxelPredictions(probs=probs, embeddings=np.zeros((4, 2)))
         pls = entropy_partition(vp, percentile=50.0)
-        for i in range(1, 4):
-            assert i in pls.reliable
-            assert pls.reliable[i] == 1
+        assert pls.labels[1:].tolist() == [1, 1, 1]
 
     def test_uniform_prediction_entropy_value(self):
         probs = np.full((1, 19), 1.0 / 19)
@@ -43,14 +44,13 @@ class TestEntropyPartition:
         probs[4] = 1.0 / 19
         vp = VoxelPredictions(probs=probs, embeddings=np.zeros((5, 2)))
         for pct in (20.0, 50.0, 79.0, 99.0):
-            assert 4 in entropy_partition(vp, percentile=pct).unreliable
+            assert entropy_partition(vp, percentile=pct).labels[4] == -1
 
     def test_two_voxels_median_split(self):
         probs = np.array([[0.99, 0.01], [0.6, 0.4]])
         vp = VoxelPredictions(probs=probs, embeddings=np.zeros((2, 2)))
         pls = entropy_partition(vp, percentile=50.0)
-        assert pls.unreliable == frozenset({1})
-        assert pls.reliable == {0: 0}
+        assert pls.labels.tolist() == [0, -1]
 
     def test_partition_covers_everything(self, rng):
         vp = make_predictions(rng, n=50)
@@ -61,10 +61,18 @@ class TestEntropyPartition:
     def test_entropy_ordering(self, rng):
         vp = make_predictions(rng, n=60)
         pls = entropy_partition(vp, percentile=70.0)
-        if pls.reliable and pls.unreliable:
-            max_rel = max(pls.entropy[i] for i in pls.reliable)
-            min_unrel = min(pls.entropy[i] for i in pls.unreliable)
-            assert max_rel <= min_unrel
+        reliable = pls.labels >= 0
+        if reliable.any() and not reliable.all():
+            assert pls.entropy[reliable].max() <= pls.entropy[~reliable].min()
+
+    def test_views_match_labels(self, rng):
+        pls = entropy_partition(make_predictions(rng, n=30), percentile=60.0)
+        assert not pls.labels.flags.writeable
+        assert pls.reliable == {i: int(c) for i, c in enumerate(pls.labels) if c >= 0}
+        assert pls.unreliable == {i for i, c in enumerate(pls.labels) if c < 0}
+        assert pls.covers(30) and not pls.covers(31)
+        with pytest.raises(TypeError):
+            pls.reliable[0] = 1
 
     def test_percentile_domain(self, rng):
         vp = make_predictions(rng, n=5)
@@ -83,19 +91,16 @@ class TestCrbSelect:
     def test_top_third_by_confidence(self):
         probs = np.array([[0.9, 0.1], [0.8, 0.2], [0.7, 0.3]])
         vp = VoxelPredictions(probs=probs, embeddings=np.zeros((3, 2)))
-        pls = PseudoLabelSet(reliable={0: 0, 1: 0, 2: 0}, unreliable=frozenset(),
-                             entropy=np.zeros(3))
+        pls = PseudoLabelSet(labels=[0, 0, 0], entropy=np.zeros(3))
         out = crb_select(pls, vp, 1.0 / 3.0)
-        assert out.reliable == {0: 0}
-        assert out.unreliable == frozenset({1, 2})
+        assert out.labels.tolist() == [0, -1, -1]
 
     def test_absent_class_untouched(self, rng):
         vp = make_predictions(rng, n=10)
-        pls = PseudoLabelSet(reliable={i: 1 for i in range(10)}, unreliable=frozenset(),
-                             entropy=np.zeros(10))
+        pls = PseudoLabelSet(labels=[1] * 10, entropy=np.zeros(10))
         out = crb_select(pls, vp, 0.5)
         # class 0 absent: nothing about it changes; class 1 got halved
-        assert len(out.reliable) == 5
+        assert (out.labels >= 0).sum() == 5
 
     def test_range_bands_balance_independently(self):
         # two bands; each keeps its own top fraction
@@ -104,10 +109,35 @@ class TestCrbSelect:
         probs[3] = [0.7, 0.3]
         radii = np.array([1.0, 1.0, 9.0, 9.0])
         vp = VoxelPredictions(probs=probs, embeddings=np.zeros((4, 2)), radii=radii)
-        pls = PseudoLabelSet(reliable={i: 0 for i in range(4)}, unreliable=frozenset(),
-                             entropy=np.zeros(4))
+        pls = PseudoLabelSet(labels=[0] * 4, entropy=np.zeros(4))
         out = crb_select(pls, vp, 0.5)
-        assert set(out.reliable) == {0, 2}
+        assert out.labels.tolist() == [0, -1, 0, -1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 60), c=st.integers(2, 5),
+       percentile=st.one_of(st.just(0.0), st.floats(0.0, 100.0, exclude_min=True,
+                                                    exclude_max=True)),
+       keep=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+       with_radii=st.booleans())
+def test_partition_matches_per_voxel_oracle(seed, n, c, percentile, keep, with_radii):
+    """Entropy split then CRB filter equal the dict-and-set versions, with
+    ties in entropy, in class probability and in radius across bands."""
+    rng = np.random.default_rng(seed)
+    logits = rng.integers(0, 3, size=(n, c)).astype(np.float64)  # repeated rows: ties
+    probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+    radii = rng.choice([1.0, 2.5, 2.5, 7.0, 9.0], size=n) if with_radii else None
+    vp = VoxelPredictions(probs=probs, embeddings=np.zeros((n, 2)), radii=radii)
+    if percentile == 0.0:  # `label_frame`'s rule: every voxel starts reliable
+        pls = PseudoLabelSet(labels=probs.argmax(axis=1), entropy=shannon_entropy(probs))
+        want = ({i: int(k) for i, k in enumerate(probs.argmax(axis=1))}, set())
+    else:
+        pls = entropy_partition(vp, percentile)
+        want = entropy_partition_reference(probs, percentile)
+    want_reliable, want_unreliable = crb_select_reference(*want, probs, radii, keep)
+    labels = crb_select(pls, vp, keep).labels
+    assert {i: int(k) for i, k in enumerate(labels) if k >= 0} == want_reliable
+    assert set(np.flatnonzero(labels < 0).tolist()) == want_unreliable
 
 
 class TestAnchors:
@@ -115,8 +145,7 @@ class TestAnchors:
         probs = np.array([[0.9, 0.1], [0.4, 0.6]])
         emb = np.array([[1.0, 0.0], [0.0, 1.0]])
         vp = VoxelPredictions(probs=probs, embeddings=emb)
-        pls = PseudoLabelSet(reliable={0: 0, 1: 0}, unreliable=frozenset(),
-                             entropy=np.zeros(2))
+        pls = PseudoLabelSet(labels=[0, 0], entropy=np.zeros(2))
         cfg = ContrastiveConfig(delta_p=0.5)
         ids, vecs = build_anchor_set(vp, pls, cfg, 0)
         assert ids.tolist() == [0]
@@ -126,7 +155,7 @@ class TestAnchors:
         probs = np.array([[0.9, 0.1]])
         vp = VoxelPredictions(probs=probs, embeddings=np.ones((1, 2)),
                               labels=np.array([1]))
-        pls = PseudoLabelSet(reliable={0: 0}, unreliable=frozenset(), entropy=np.zeros(1))
+        pls = PseudoLabelSet(labels=[0], entropy=np.zeros(1))
         cfg = ContrastiveConfig(delta_p=0.5)
         assert build_anchor_set(vp, pls, cfg, 0)[0].size == 0  # gt says class 1
 
@@ -141,11 +170,19 @@ class TestAnchors:
             brute = [i for i in range(60) if eff[i] == c and vp.probs[i, c] > cfg.delta_p]
             assert ids.tolist() == brute
 
+    def test_labels_not_matching_the_voxels_rejected(self, rng):
+        vp = make_predictions(rng, n=5)
+        for labels in ([0] * 4, [-1] * 6):
+            pls = PseudoLabelSet(labels=labels, entropy=np.zeros(len(labels)))
+            with pytest.raises(ShapeError):
+                build_anchor_set(vp, pls, ContrastiveConfig(), 0)
+            with pytest.raises(ShapeError):
+                bank_push_negatives(MemoryBank(n_classes=4), vp, pls, 0)
+
     def test_anchor_cap(self, rng):
         probs = np.tile([[0.95, 0.05]], (300, 1))
         vp = VoxelPredictions(probs=probs, embeddings=rng.normal(size=(300, 4)))
-        pls = PseudoLabelSet(reliable={i: 0 for i in range(300)}, unreliable=frozenset(),
-                             entropy=np.zeros(300))
+        pls = PseudoLabelSet(labels=[0] * 300, entropy=np.zeros(300))
         cfg = ContrastiveConfig(delta_p=0.5, max_anchors=128)
         ids, _ = build_anchor_set(vp, pls, cfg, 0)
         assert len(ids) == 128
@@ -188,7 +225,7 @@ class TestMemoryBank:
         probs = np.array([[0.4, 0.3, 0.2, 0.1]])
         emb = np.array([[7.0, 7.0]])
         vp = VoxelPredictions(probs=probs, embeddings=emb)
-        pls = PseudoLabelSet(reliable={}, unreliable=frozenset({0}), entropy=np.ones(1))
+        pls = PseudoLabelSet(labels=[-1], entropy=np.ones(1))
         bank = MemoryBank(n_classes=4, capacity=4)
         for c in range(4):
             bank_push_negatives(bank, vp, pls, c)
@@ -201,7 +238,8 @@ class TestMemoryBank:
         probs[::3] = 0.2  # uniform rows: the stable sort breaks ties by class id
         vp = VoxelPredictions(probs=probs, embeddings=vp.embeddings)
         unreliable = frozenset(rng.choice(40, size=25, replace=False).tolist())
-        pls = PseudoLabelSet(reliable={}, unreliable=unreliable, entropy=np.ones(40))
+        pls = PseudoLabelSet(labels=[-1 if i in unreliable else 0 for i in range(40)],
+                             entropy=np.ones(40))
         for c in range(5):
             bank = MemoryBank(n_classes=5, capacity=100)
             bank_push_negatives(bank, vp, pls, c)
@@ -214,8 +252,7 @@ class TestMemoryBank:
 
     def test_empty_unreliable_no_change(self, rng):
         vp = make_predictions(rng, n=5)
-        pls = PseudoLabelSet(reliable={i: 0 for i in range(5)}, unreliable=frozenset(),
-                             entropy=np.zeros(5))
+        pls = PseudoLabelSet(labels=[0] * 5, entropy=np.zeros(5))
         bank = MemoryBank(n_classes=4, capacity=4)
         bank_push_negatives(bank, vp, pls, 0)
         assert bank.size(0) == 0
@@ -225,6 +262,23 @@ class TestMemoryBank:
         for i in range(10):
             bank.push(0, np.array([float(i)]))
         np.testing.assert_array_equal(bank.newest(0, 4).ravel(), [6, 7, 8, 9])
+
+
+    @pytest.mark.parametrize("n", [0, 3, 5, 8])  # capacity is 5
+    @pytest.mark.parametrize("n_held", [0, 2])
+    def test_block_push_equals_row_pushes(self, rng, n, n_held):
+        held, block = rng.normal(size=(n_held, 4)), rng.normal(size=(n, 4))
+        by_block, by_row = MemoryBank(n_classes=2, capacity=5), MemoryBank(n_classes=2, capacity=5)
+        for bank in (by_block, by_row):
+            for row in held:
+                bank.push(1, row)
+        by_block.push(1, block)
+        for row in block:
+            by_row.push(1, row)
+        assert by_block.size(0) == 0
+        assert by_block.size(1) == by_row.size(1) == min(n_held + n, 5)
+        for k in range(by_row.size(1) + 1):
+            np.testing.assert_array_equal(by_block.newest(1, k), by_row.newest(1, k))
 
 
 class TestInfoNce:

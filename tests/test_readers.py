@@ -9,21 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lim3d import Lim3dError, MiniSegNet, PointCloud, SparseVoxelTensor
+from lim3d import Lim3dError, MiniSegNet, PointCloud
 from lim3d.pointcloud import load_frame, load_labels, read_pgm, save_frame, save_labels, write_pgm
 from lim3d.reflectivity import ReflecConfig
 from lim3d.sampling import SamplingPlan, load_plan, save_plan
 from lim3d.training import TOY_GRID, load_model, save_model
-from lim3d.voxel import load_tensor, save_tensor
 
 
 def _write_frame(path):
     save_frame(path, PointCloud(xyz=np.arange(15.0).reshape(5, 3), intensity=np.linspace(0, 1, 5)))
-
-
-def _write_tensor(path):
-    save_tensor(path, SparseVoxelTensor(grid=TOY_GRID, coords=[[0, 0, 0], [1, 2, 3], [9, 15, 5]],
-                                        features=np.arange(6.0).reshape(3, 2), labels=[2, 0, 1]))
 
 
 def _write_model(path):
@@ -35,7 +29,6 @@ READERS = {
     "frame": (load_frame, _write_frame),
     "labels": (load_labels, lambda p: save_labels(p, np.array([0, 1, 2, 7], dtype=np.uint32))),
     "pgm": (read_pgm, lambda p: write_pgm(p, np.arange(24, dtype=np.uint8).reshape(4, 6))),
-    "tensor": (load_tensor, _write_tensor),
     "plan": (load_plan, lambda p: save_plan(p, SamplingPlan({0: [0, 3], 1: [2]}))),
     "model": (load_model, _write_model),
 }

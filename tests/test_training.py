@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import max_rel_err
-from lim3d import (ContrastiveConfig, DivergenceError, LayerSpec, LossConfig, MemoryBank,
+from lim3d import (ContrastiveConfig, DivergenceError, DomainError, LayerSpec, LossConfig, MemoryBank,
                    MiniSegNet, SceneSpec, ShapeError, ToyPipelineConfig, VoxelPredictions,
                    confusion_matrix, cost, crb_select, ema_update, entropy_partition,
                    glorot_kernel, iou_per_class, label_frame, mean_iou, prepare_frame,
@@ -205,11 +205,11 @@ class TestSteps:
         vp = VoxelPredictions(probs=want_probs, embeddings=emb, radii=frame.radii)
         want = crb_select(entropy_partition(vp, percentile=70.0), vp, 0.6)
         np.testing.assert_array_equal(probs, want_probs)
-        assert pls.reliable == want.reliable and pls.unreliable == want.unreliable
+        np.testing.assert_array_equal(pls.labels, want.labels)
         np.testing.assert_array_equal(pls.entropy, want.entropy)
         n = frame.svt.n_active
-        assert len(pls.reliable) + len(pls.unreliable) == n and pls.covers(n)
-        assert 0 < len(pls.reliable) < n
+        assert len(pls.labels) == n
+        assert 0 < (pls.labels >= 0).sum() < n
 
     def _step(self, frame, loss_cfg, bank=None, lr=0.05):
         student = MiniSegNet(4, 3, widths=(8, 8), seed=0)
@@ -226,6 +226,26 @@ class TestSteps:
         _, _, step = self._step(frame, LossConfig(stage=stage), bank)
         assert np.isfinite(step())
         assert (sum(bank.size(c) for c in range(3)) > 0) == filled
+
+    def test_labeled_frame_pushes_nothing_but_gives_anchors(self, rng):
+        """Ground truth stands in for a labeled frame's pseudo-labels: every
+        voxel is reliable, so the bank is left as it was, and the ground-truth
+        anchors still reach the contrastive term."""
+        frame = self._frame(labeled=True)
+        contrastive = ContrastiveConfig(delta_p=0.01, n_negatives=1)
+        known = rng.normal(size=(3, 8))
+        bank = MemoryBank(3, capacity=64)
+        for c in range(3):
+            bank.push(c, known[c])
+        losses = []
+        for b in (bank, None):
+            student = MiniSegNet(4, 3, widths=(8, 8), seed=0)
+            losses.append(train_step(student, student.clone(), frame, SGD(student.params, lr=0.05),
+                                     LossConfig(stage="distill"), b, contrastive))
+        for c in range(3):
+            assert bank.size(c) == 1
+            np.testing.assert_array_equal(bank.newest(c, 1), known[c:c + 1])
+        assert losses[0] != losses[1]
 
     @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0])
     def test_ema_reads_the_loss_config_kappa(self, kappa):
@@ -253,6 +273,12 @@ class TestSteps:
 
 
 class TestToyPipeline:
+    @pytest.mark.parametrize("bad", [dict(percentile=100.0), dict(percentile=-1.0),
+                                     dict(per_class_keep=0.0), dict(per_class_keep=1.5)])
+    def test_bad_stage2_setting_fails_at_construction(self, bad):
+        with pytest.raises(DomainError):
+            ToyPipelineConfig(**bad)
+
     def test_zero_steps_equals_random_baseline(self):
         cfg = ToyPipelineConfig(stages=(1,), steps_stage1=0, seed=5,
                                 frames_per_sequence=8)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from conftest import random_sparse_tensor
 from lim3d import (CapacityError, CylGridSpec, PointCloud, SparseVoxelTensor,
                    ValidationError, densify, point_rows, sparsify, voxelize)
-from lim3d.voxel import load_tensor, save_tensor
 
 
 GRID = CylGridSpec(n_rho=4, n_phi=4, n_z=4, rho_max=4.0, z_range=(-2.0, 2.0))
@@ -21,7 +20,7 @@ class TestVoxelize:
 
     def test_two_identical_points_mean(self):
         pc = PointCloud(xyz=[[1.0, 0.0, 0.0]] * 2, intensity=[0.5, 0.5])
-        t = voxelize(pc, GRID, reducer="mean")
+        t = voxelize(pc, GRID)
         assert t.n_active == 1
         single = voxelize(PointCloud(xyz=[[1.0, 0.0, 0.0]], intensity=[0.5]), GRID)
         np.testing.assert_allclose(t.features, single.features)
@@ -55,13 +54,10 @@ class TestVoxelize:
         xyz = rng.normal(scale=1.5, size=(n, 3))
         inten = rng.uniform(size=n)
         perm = rng.permutation(n)
-        a = voxelize(PointCloud(xyz=xyz, intensity=inten), GRID, reducer="mean")
-        b = voxelize(PointCloud(xyz=xyz[perm], intensity=inten[perm]), GRID, reducer="mean")
+        a = voxelize(PointCloud(xyz=xyz, intensity=inten), GRID)
+        b = voxelize(PointCloud(xyz=xyz[perm], intensity=inten[perm]), GRID)
         np.testing.assert_array_equal(a.coords, b.coords)
         np.testing.assert_allclose(a.features, b.features, atol=1e-6)
-        a_max = voxelize(PointCloud(xyz=xyz, intensity=inten), GRID, reducer="max")
-        b_max = voxelize(PointCloud(xyz=xyz[perm], intensity=inten[perm]), GRID, reducer="max")
-        np.testing.assert_array_equal(a_max.features, b_max.features)
 
     def test_extra_features_reduced(self):
         pc = PointCloud(xyz=[[1.0, 0.0, 0.0]] * 2, intensity=[0.5, 0.5],
@@ -122,67 +118,6 @@ class TestInvariantsAndSerialization:
                               features=[[3.0], [1.0], [0.0]])
         np.testing.assert_array_equal(t.coords, [[0, 0, 0], [0, 0, 1], [3, 0, 0]])
         np.testing.assert_allclose(t.features[:, 0], [0.0, 1.0, 3.0])
-
-    def test_save_load_roundtrip(self, tmp_path, rng):
-        t = random_sparse_tensor(rng)
-        save_tensor(tmp_path / "t.svt", t)
-        back = load_tensor(tmp_path / "t.svt")
-        assert back.grid == t.grid
-        np.testing.assert_array_equal(back.coords, t.coords)
-        np.testing.assert_array_equal(back.features, t.features)
-
-    def test_save_load_with_labels(self, tmp_path):
-        t = SparseVoxelTensor(grid=GRID, coords=[[0, 0, 0], [1, 1, 1]],
-                              features=[[1.0], [2.0]], labels=[2, 0])
-        save_tensor(tmp_path / "t.svt", t)
-        np.testing.assert_array_equal(load_tensor(tmp_path / "t.svt").labels, [2, 0])
-
-    def test_truncated_sections_rejected(self, tmp_path):
-        from lim3d import FormatError
-        from lim3d.voxel import _HEADER
-        t = SparseVoxelTensor(grid=GRID, coords=[[0, 0, 0], [1, 1, 1], [2, 3, 1]],
-                              features=np.arange(6.0).reshape(3, 2), labels=[2, 0, 1])
-        save_tensor(tmp_path / "t.svt", t)
-        body = (tmp_path / "t.svt").read_bytes()
-        ends = np.cumsum([_HEADER.size, 3 * 3 * 4, 3 * 2 * 8, 3 * 4])
-        assert ends[-1] == len(body)
-        for start, end in zip(ends[:-1], ends[1:]):
-            for cut in (start, start + 1, (start + end) // 2, end - 1):
-                (tmp_path / "cut.svt").write_bytes(body[:cut])
-                with pytest.raises(FormatError):
-                    load_tensor(tmp_path / "cut.svt")
-
-    def test_trailing_byte_rejected(self, tmp_path):
-        from lim3d import FormatError
-        t = SparseVoxelTensor(grid=GRID, coords=[[0, 0, 0]], features=[[1.0]])
-        save_tensor(tmp_path / "t.svt", t)
-        (tmp_path / "t.svt").write_bytes((tmp_path / "t.svt").read_bytes() + b"\x00")
-        with pytest.raises(FormatError):
-            load_tensor(tmp_path / "t.svt")
-
-    def test_oversized_section_rejected_before_reading(self, tmp_path):
-        import tracemalloc
-        from lim3d import FormatError
-        from lim3d.voxel import _HEADER
-        t = SparseVoxelTensor(grid=GRID, coords=[[0, 0, 0], [1, 1, 1]], features=[[1.0], [2.0]])
-        save_tensor(tmp_path / "t.svt", t)
-        body = bytearray((tmp_path / "t.svt").read_bytes())
-        body[_HEADER.size - 5] = 0x40  # top byte of the site count: about 1.07e9 sites
-        (tmp_path / "big.svt").write_bytes(bytes(body))
-        tracemalloc.start()
-        try:
-            with pytest.raises(FormatError, match="coords"):
-                load_tensor(tmp_path / "big.svt")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-
-    def test_bad_magic_rejected(self, tmp_path):
-        (tmp_path / "junk.svt").write_bytes(b"NOPE" + b"\x00" * 60)
-        from lim3d import FormatError
-        with pytest.raises(FormatError):
-            load_tensor(tmp_path / "junk.svt")
 
 
 @settings(max_examples=30, deadline=None)
