@@ -1,13 +1,20 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-A `Tensor` wraps an ndarray and records the operation that produced it
-when some input requires a gradient; a result of constants records
-nothing, so inference (`MiniSegNet.predict`) holds no graph. Calling
-`backward()` on a scalar result walks the recorded graph once in reverse
-topological order and accumulates gradients into every tensor created
-with `requires_grad=True`. A graph is single-use: running
-`backward()` through nodes that already participated in a backward pass
-raises `LifecycleError`.
+A `Tensor` wraps a float32 or float64 ndarray (anything else becomes
+float64) and records the operation that produced it when some input
+requires a gradient; a result of constants records nothing, so inference
+(`MiniSegNet.predict`) holds no graph. Calling `backward()` on a scalar
+result walks the recorded graph once in reverse topological order and
+accumulates gradients into every tensor created with `requires_grad=True`.
+A graph is single-use: running `backward()` through nodes that already
+participated in a backward pass raises `LifecycleError`.
+
+Dtypes follow the data. An op between tensors takes numpy's promotion
+(float32 with float64 gives float64), but a Python number operand takes
+the tensor's dtype, so ``t * 0.5`` or ``-t`` never promotes a float32 `t`.
+`astype` casts inside the graph, and its backward casts the gradient back.
+Every gradient is cast to its tensor's dtype before it is accumulated, so
+float64 loss heads do not drag a float32 network's backward into float64.
 
 Only the primitives the network and the loss heads need are provided; a
 spatial sparse convolution is one node with its own backward (`sparseconv`).
@@ -20,6 +27,8 @@ import numpy as np
 from .errors import LifecycleError, ShapeError
 
 __all__ = ["Tensor", "as_tensor", "log_softmax", "softmax"]
+
+_FLOATS = (np.float32, np.float64)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -36,7 +45,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_consumed")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype in _FLOATS else data.astype(np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
         # A constant result keeps no graph, so its inputs can be freed at once.
@@ -60,10 +70,23 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
+    def astype(self, dtype) -> "Tensor":
+        """This tensor cast to `dtype`; itself when the dtype already matches.
+        The gradient passes through, and `backward` casts it to this dtype."""
+        if self.data.dtype == dtype:
+            return self
+        return Tensor(self.data.astype(dtype), _parents=(self,), _backward=lambda g: (g,))
+
     # -- arithmetic ----------------------------------------------------
 
+    def _operand(self, other) -> "Tensor":
+        """`other` as a tensor; a Python number takes this tensor's dtype."""
+        if isinstance(other, (int, float)):
+            return Tensor(np.asarray(other, dtype=self.data.dtype))
+        return as_tensor(other)
+
     def __add__(self, other):
-        other = as_tensor(other)
+        other = self._operand(other)
         out_data = self.data + other.data
 
         def backward(g):
@@ -74,7 +97,7 @@ class Tensor:
     __radd__ = __add__
 
     def __mul__(self, other):
-        other = as_tensor(other)
+        other = self._operand(other)
         out_data = self.data * other.data
         a, b = self.data, other.data
 
@@ -89,17 +112,16 @@ class Tensor:
         return self * -1.0
 
     def __sub__(self, other):
-        return self + (-as_tensor(other))
+        return self + (-self._operand(other))
 
     def __rsub__(self, other):
-        return as_tensor(other) + (-self)
+        return self._operand(other) + (-self)
 
     def __truediv__(self, other):
-        other = as_tensor(other)
-        return self * other ** -1.0
+        return self * self._operand(other) ** -1.0
 
     def __rtruediv__(self, other):
-        return as_tensor(other) * self ** -1.0
+        return self._operand(other) * self ** -1.0
 
     def __pow__(self, exponent: float):
         p = float(exponent)
@@ -111,7 +133,7 @@ class Tensor:
         return Tensor(out_data, _parents=(self,), _backward=backward)
 
     def __matmul__(self, other):
-        other = as_tensor(other)
+        other = self._operand(other)
         out_data = self.data @ other.data
         a, b = self.data, other.data
 
@@ -151,7 +173,7 @@ class Tensor:
         mask = self.data > 0
 
         def backward(g):
-            return (g * np.where(mask, 1.0, slope),)
+            return (np.where(mask, g, g * slope),)
 
         return Tensor(np.where(mask, self.data, slope * self.data), _parents=(self,), _backward=backward)
 
@@ -195,7 +217,7 @@ class Tensor:
         shape = self.data.shape
 
         def backward(g):
-            full = np.zeros(shape, dtype=np.float64)
+            full = np.zeros(shape, dtype=g.dtype)
             key = tuple(idx if d == axis else slice(None) for d in range(len(shape)))
             np.add.at(full, key, g)
             return (full,)
@@ -210,7 +232,7 @@ class Tensor:
                 raise ShapeError("backward() without an explicit gradient needs a scalar output")
             grad = np.ones_like(self.data)
         else:
-            grad = np.asarray(grad, dtype=np.float64)
+            grad = np.asarray(grad, dtype=self.data.dtype)
             if grad.shape != self.data.shape:
                 raise ShapeError(f"upstream gradient shape {grad.shape} != output shape {self.data.shape}")
 
@@ -243,6 +265,7 @@ class Tensor:
             for parent, g in zip(node._parents, node._backward(node.grad)):
                 if not parent.requires_grad or g is None:
                     continue
+                g = g.astype(parent.data.dtype, copy=False)
                 parent.grad = g if parent.grad is None else parent.grad + g
 
 
@@ -251,8 +274,13 @@ def as_tensor(value) -> Tensor:
 
 
 def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax; the shift is detached (it has zero gradient)."""
-    t = as_tensor(t)
+    """Numerically stable log-softmax; the shift is detached (it has zero gradient).
+
+    It computes in float64 whatever the input dtype: probabilities feed the
+    loss heads and the pseudo-label entropy, and their rows sum to one
+    within float64 rounding.
+    """
+    t = as_tensor(t).astype(np.float64)
     shift = np.max(t.data, axis=axis, keepdims=True)
     shifted = t - Tensor(shift)
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()

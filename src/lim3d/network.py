@@ -5,9 +5,10 @@ on the pointwise mix only) widen the channels, and a pointwise classifier
 head maps the final block's activations to class logits. The activations
 feeding the head double as per-voxel embeddings for contrastive mining.
 
-Parameters live in a flat list of numpy arrays; `forward` accepts live
-autodiff tensors in their place so one code path serves training,
-gradient checks and inference.
+Parameters live in a flat list of float64 numpy arrays; `forward` accepts
+live autodiff tensors in their place so one code path serves training,
+gradient checks and inference. The activations take the features' dtype
+(float32 from `voxelize`); each layer casts its weights to it.
 """
 
 from __future__ import annotations
@@ -165,6 +166,7 @@ class MiniSegNet:
 
     def predict(self, t: SparseVoxelTensor,
                 rulebook: Rulebook | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Softmax probabilities and embeddings as plain arrays (no graph)."""
+        """Softmax probabilities (float64) and embeddings (in the features'
+        dtype) as plain arrays (no graph)."""
         logits, embeddings = self.forward(t, rulebook=rulebook)
         return softmax(logits, axis=1).data, embeddings.data

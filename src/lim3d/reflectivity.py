@@ -110,8 +110,8 @@ def coarse_histograms(pc: PointCloud, r_norm: np.ndarray, cfg: ReflecConfig) -> 
         i_phi = np.floor((phi + np.pi) / (2.0 * np.pi) * n_phi).astype(np.int64) % n_phi
         cell = i_rho * n_phi + i_phi
 
-        counts = np.zeros((n_rho * n_phi, cfg.n_bins), dtype=np.float64)
-        np.add.at(counts, (cell, value_bin), 1.0)
+        counts = np.bincount(cell * cfg.n_bins + value_bin, minlength=n_rho * n_phi * cfg.n_bins)
+        counts = counts.reshape(n_rho * n_phi, cfg.n_bins).astype(np.float64)
         peaks = counts.max(axis=1)
         nonempty = peaks > 0
         normalized = np.zeros_like(counts)

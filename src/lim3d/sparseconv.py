@@ -14,6 +14,8 @@ a zero sentinel row, then gathers and contracts the neighbor rows of
 ``i``, tap ``K-1-k`` of site ``i`` reads row ``o`` (across the azimuth wrap
 too), so one gather of the upstream gradient gives the input gradient
 (kernel mirrored) and the weight gradient (input rows, taps flipped back).
+A convolution computes in its input's dtype (float32 for voxelized
+features); float64 weights are cast in, and their gradients cast back.
 
 A depthwise separable convolution is the composition of a depthwise
 spatial kernel (one filter per channel) and a pointwise 1x1x1 channel mix.
@@ -51,7 +53,7 @@ __all__ = [
 
 KERNEL_KINDS = ("standard", "depthwise", "pointwise")
 
-# Sites per gathered block: (256, 27, 64) float64 is 3.5 MB; a toy frame fits in one.
+# Sites per gathered block: (256, 27, 64) float32 is 1.8 MB; a toy frame fits in one.
 SPATIAL_BLOCK = 256
 
 
@@ -206,20 +208,22 @@ def apply_spatial(features: Tensor | np.ndarray, rulebook: Rulebook,
 
     `weights`/`bias` override the kernel arrays with live tensors during
     training; otherwise the kernel arrays enter the graph as constants.
+    It computes in the dtype of `features`, with the weights and bias cast in.
     """
     x = as_tensor(features)
     if x.shape[1] != kernel.in_channels:
         raise ShapeError(f"input has {x.shape[1]} channels, kernel expects {kernel.in_channels}")
     if rulebook.kernel_size != kernel.kernel_size:
         raise ShapeError("rulebook kernel size does not match the kernel")
-    w = as_tensor(kernel.weights if weights is None else weights)
+    dtype = x.data.dtype
+    w = as_tensor(kernel.weights if weights is None else weights).astype(dtype)
     nb = rulebook.neighbors
     n, k3 = nb.shape
     flat_w = w.data.reshape((k3,) + w.shape[3:])  # (K, C) or (K, M, N)
     depthwise = kernel.kind == "depthwise"
 
     def blocks(rows: np.ndarray):  # (site slice, its (b, K, C) gather), sentinel rows read zeros
-        padded = np.concatenate([rows, np.zeros((1, rows.shape[1]))])
+        padded = np.concatenate([rows, np.zeros((1, rows.shape[1]), dtype)])
         for start in range(0, n, SPATIAL_BLOCK):
             yield slice(start, start + SPATIAL_BLOCK), padded[nb[start:start + SPATIAL_BLOCK]]
 
@@ -229,8 +233,8 @@ def apply_spatial(features: Tensor | np.ndarray, rulebook: Rulebook,
         return gathered.reshape(len(gathered), -1) @ taps.reshape(-1, taps.shape[-1])
 
     def backward(g):
-        g_x = np.empty(x.shape) if x.requires_grad else None
-        g_w = np.zeros(flat_w.shape)  # taps flipped: row k sums x[i] * g[nb[i, k]] over sites i
+        g_x = np.empty(x.shape, dtype) if x.requires_grad else None
+        g_w = np.zeros(flat_w.shape, dtype)  # taps flipped: row k sums x[i] * g[nb[i, k]] over sites i
         for block, g_nb in blocks(g):
             if g_x is not None:
                 # Mirrored kernel: taps reversed, channel axes swapped (a no-op for depthwise).
@@ -241,24 +245,26 @@ def apply_spatial(features: Tensor | np.ndarray, rulebook: Rulebook,
                 g_w += np.einsum("nkc,nm->kmc", g_nb, x.data[block], optimize=True)
         return g_x, g_w[::-1].reshape(w.shape)
 
-    out = np.empty((n, kernel.out_channels))
+    out = np.empty((n, kernel.out_channels), dtype)
     for block, x_nb in blocks(x.data):
         out[block] = contract(x_nb, flat_w)
     out = Tensor(out, _parents=(x, w), _backward=backward)
     if kernel.bias is not None or bias is not None:
-        out = out + as_tensor(kernel.bias if bias is None else bias)
+        out = out + as_tensor(kernel.bias if bias is None else bias).astype(dtype)
     return out
 
 
 def apply_pointwise(features: Tensor | np.ndarray, kernel: ConvKernel,
                     weights: Tensor | None = None,
                     bias: Tensor | None = None) -> Tensor:
+    """Per-site channel mix in the dtype of `features`, as `apply_spatial`."""
     x = as_tensor(features)
     if x.shape[1] != kernel.in_channels:
         raise ShapeError(f"input has {x.shape[1]} channels, kernel expects {kernel.in_channels}")
-    out = x @ as_tensor(kernel.weights if weights is None else weights)
+    dtype = x.data.dtype
+    out = x @ as_tensor(kernel.weights if weights is None else weights).astype(dtype)
     if kernel.bias is not None or bias is not None:
-        out = out + as_tensor(kernel.bias if bias is None else bias)
+        out = out + as_tensor(kernel.bias if bias is None else bias).astype(dtype)
     return out
 
 

@@ -4,8 +4,10 @@ Points are binned in cylinder coordinates ``(rho, phi, z)``. Bin edges are
 uniform and half-open: a point exactly on a boundary falls into the
 higher-index bin, and ``phi = pi`` wraps onto the ``-pi`` edge. Per-voxel
 features are the mean point features ``(dx, dy, dz, intensity, *extra)``
-where the offsets are measured from the voxel center; voxel labels are the
-majority vote of point labels with ties broken toward the smaller class id.
+where the offsets are measured from the voxel center; they are summed and
+averaged in float64 and stored as float32, the precision of the points.
+Voxel labels are the majority vote of point labels with ties broken toward
+the smaller class id.
 """
 
 from __future__ import annotations
@@ -74,19 +76,22 @@ class SparseVoxelTensor:
     """Active voxel coordinates plus a feature row per active site.
 
     Coordinates are lexicographically sorted, unique and in-bounds;
-    features are float64 with one row per coordinate. `dropped_points`
-    counts points discarded during voxelization (out of grid range).
+    features are float32 or float64 as given (any other dtype becomes
+    float64), one row per coordinate. `dropped_points` counts points
+    discarded during voxelization (out of grid range).
     """
 
     grid: CylGridSpec
     coords: np.ndarray            # (v, 3) int64, sorted lexicographically
-    features: np.ndarray          # (v, channels) float64
+    features: np.ndarray          # (v, channels) float32 or float64; the network computes in it
     labels: np.ndarray | None = None  # (v,) int64
     dropped_points: int = 0
 
     def __post_init__(self):
         coords = np.ascontiguousarray(self.coords, dtype=np.int64).reshape(-1, 3)
-        features = np.ascontiguousarray(self.features, dtype=np.float64)
+        features = np.ascontiguousarray(self.features)
+        if features.dtype not in (np.float32, np.float64):
+            features = features.astype(np.float64)
         if features.ndim != 2 or len(features) != len(coords):
             raise ShapeError(f"features shape {features.shape} does not match {len(coords)} coords")
         if not np.isfinite(features).all():
@@ -157,8 +162,9 @@ def voxelize(pc: PointCloud, grid: CylGridSpec) -> SparseVoxelTensor:
 
     Points with ``rho >= rho_max`` or ``z`` outside the grid are dropped;
     the count is logged and recorded on the result. Feature rows are
-    ``(dx, dy, dz, intensity, *extra_features)`` averaged per voxel;
-    offsets are from the voxel center in Cartesian coordinates.
+    ``(dx, dy, dz, intensity, *extra_features)`` averaged per voxel in
+    float64 and returned as float32; offsets are from the voxel center in
+    Cartesian coordinates.
     """
     xyz = pc.xyz.astype(np.float64)
     keep, keys = _bin_points(xyz, grid)
@@ -166,16 +172,14 @@ def voxelize(pc: PointCloud, grid: CylGridSpec) -> SparseVoxelTensor:
     if dropped:
         log.info("voxelize: dropped %d of %d points outside the grid", dropped, len(pc))
 
-    base = [xyz[keep], pc.intensity[keep].astype(np.float64)[:, None]]
+    columns = [*xyz[keep].T, pc.intensity[keep]]
     if pc.extra_features is not None:
-        base.append(pc.extra_features[keep].astype(np.float64))
-    point_feats = np.hstack(base)
+        columns.extend(pc.extra_features[keep].T)
 
     if keys.size == 0:
-        channels = point_feats.shape[1]
         empty_labels = np.empty(0, dtype=np.int64) if pc.labels is not None else None
         return SparseVoxelTensor(grid=grid, coords=np.empty((0, 3), dtype=np.int64),
-                                 features=np.empty((0, channels)),
+                                 features=np.empty((0, len(columns)), np.float32),
                                  labels=empty_labels, dropped_points=dropped)
 
     uniq_keys, inverse = np.unique(keys, return_inverse=True)
@@ -186,8 +190,9 @@ def voxelize(pc: PointCloud, grid: CylGridSpec) -> SparseVoxelTensor:
         uniq_keys % grid.n_z,
     ])
 
-    sums = np.zeros((n_voxels, point_feats.shape[1]))
-    np.add.at(sums, inverse, point_feats)
+    # bincount adds each voxel's points in point order, in float64.
+    sums = np.column_stack([np.bincount(inverse, weights=c, minlength=n_voxels)
+                            for c in columns])
     counts = np.bincount(inverse, minlength=n_voxels).astype(np.float64)
     feats = sums / counts[:, None]
 
@@ -208,7 +213,7 @@ def voxelize(pc: PointCloud, grid: CylGridSpec) -> SparseVoxelTensor:
         np.add.at(votes, (inverse, kept_labels), 1)
         labels = votes.argmax(axis=1)  # argmax takes the smallest id on ties
 
-    return SparseVoxelTensor(grid=grid, coords=coords, features=feats,
+    return SparseVoxelTensor(grid=grid, coords=coords, features=feats.astype(np.float32),
                              labels=labels, dropped_points=dropped)
 
 

@@ -128,3 +128,51 @@ class TestLifecycle:
         out = (a * b + a).exp().sum()
         assert not out.requires_grad
         assert out._parents == () and out._backward is None
+
+
+class TestDtypes:
+    def test_float32_and_float64_kept_anything_else_float64(self):
+        assert Tensor(np.ones(2, np.float32)).data.dtype == np.float32
+        assert Tensor(np.ones(2)).data.dtype == np.float64
+        assert Tensor([1, 2]).data.dtype == np.float64
+        assert Tensor(np.ones(2, np.float16)).data.dtype == np.float64
+
+    def test_python_scalar_never_promotes_float32(self):
+        t = Tensor(np.array([0.5, -1.5, 2.0], np.float32), requires_grad=True)
+        results = [t * 2.0, 2.0 * t, t + 1, 1 + t, -t, t - 1.0, 1.0 - t, t / 2.0, 2.0 / t,
+                   t * np.float64(3.0), t ** 2.0, t.mean(), t.leaky_relu(0.1), t.exp(),
+                   t.abs().log(), t.take([2, 0])]
+        assert [r.data.dtype for r in results] == [np.float32] * len(results)
+        total = results[0].sum()
+        for r in results[1:]:
+            total = total + r.sum()
+        assert total.data.dtype == np.float32
+        total.backward()
+        assert t.grad.dtype == np.float32
+
+    def test_float32_with_float64_tensor_gives_float64(self):
+        a = Tensor(np.ones(3, np.float32), requires_grad=True)
+        b = Tensor(np.full(3, 2.0), requires_grad=True)
+        for out in (a * b, b * a, a + b, a - b, a / b):
+            assert out.data.dtype == np.float64
+        (a * b).sum().backward()
+        # Each gradient is cast to its own tensor's dtype.
+        assert a.grad.dtype == np.float32 and b.grad.dtype == np.float64
+        np.testing.assert_array_equal(a.grad, 2.0)
+
+    def test_astype_backward_returns_the_source_dtype(self):
+        w = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+        assert w.astype(np.float64) is w
+        w32 = w.astype(np.float32)
+        assert w32.data.dtype == np.float32 and w32.requires_grad
+        (w32 * np.float32(2.0)).sum().backward()
+        assert w.grad.dtype == np.float64
+        np.testing.assert_array_equal(w.grad, 2.0)
+
+    def test_softmax_computes_in_float64(self, rng):
+        x = Tensor(rng.normal(size=(5, 3)).astype(np.float32), requires_grad=True)
+        s = softmax(x, axis=1)
+        assert s.data.dtype == np.float64
+        np.testing.assert_allclose(s.data.sum(axis=1), 1.0, atol=1e-12)
+        (s * Tensor(rng.normal(size=(5, 3)))).sum().backward()
+        assert x.grad.dtype == np.float32

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from conftest import max_rel_err
 from lim3d import (ContrastiveConfig, DivergenceError, DomainError, LayerSpec, LossConfig, MemoryBank,
-                   MiniSegNet, SceneSpec, ShapeError, ToyPipelineConfig, VoxelPredictions,
+                   MiniSegNet, SceneSpec, ShapeError, Tensor, ToyPipelineConfig, VoxelPredictions,
                    confusion_matrix, cost, crb_select, ema_update, entropy_partition,
-                   glorot_kernel, iou_per_class, label_frame, mean_iou, prepare_frame,
-                   run_toy_pipeline, synth_sequence, train_step, voxelize)
+                   glorot_kernel, iou_per_class, kl_consistency, label_frame, lovasz_softmax,
+                   mean_iou, prepare_frame, run_toy_pipeline, softmax, synth_sequence, train_step,
+                   voxelize)
 from lim3d.network import mini_backbone_topology, topology_cost
 from lim3d.errors import FormatError
 from lim3d.reflectivity import ReflecConfig
@@ -362,3 +363,67 @@ class TestModelFile:
         np.savez(tmp_path / "wide.npz", **saved)
         with pytest.raises(FormatError, match="topology"):
             load_model(tmp_path / "wide.npz")
+
+
+
+def _toy_frame():
+    hp = ToyPipelineConfig()
+    pc = synth_sequence(hp.scene, 1, seed=3)[0][0]
+    return prepare_frame(pc, TOY_GRID, hp.reflec), hp.scene.n_classes
+
+
+class TestDtypePolicy:
+    """The features' dtype carries from the voxels to the logits; the
+    parameters, their gradients and the loss heads stay float64."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_computes_in_the_features_dtype(self, dtype, monkeypatch):
+        frame, n_classes = _toy_frame()
+        assert frame.svt.features.dtype == np.float32
+        svt = frame.svt.with_features(frame.svt.features.astype(dtype))
+        net = MiniSegNet(svt.channels, n_classes, seed=0)
+        created = []
+        init = Tensor.__init__
+
+        def recording_init(tensor, *args, **kwargs):
+            init(tensor, *args, **kwargs)
+            created.append(tensor)
+
+        params = net.param_tensors()
+        monkeypatch.setattr(Tensor, "__init__", recording_init)
+        logits, emb = net.forward(svt, params=params, rulebook=frame.rulebook)
+        monkeypatch.setattr(Tensor, "__init__", init)
+        assert logits.data.dtype == dtype and emb.data.dtype == dtype
+        # The input, four per block (spatial, pointwise, bias, leaky ReLU), and
+        # the head's two, plus the weight casts at float32.
+        assert len(created) >= 1 + 4 * 4 + 2
+        assert {t.data.dtype for t in created} == {np.dtype(dtype)}
+        lovasz_softmax(softmax(logits, axis=1), svt.labels).backward()
+        assert all(p.grad.dtype == np.float64 for p in params)
+        assert all(t.grad.dtype == dtype for t in created if t.grad is not None)
+        assert all(p.dtype == np.float64 for p in net.params)
+
+    def test_float32_agrees_with_float64(self):
+        frame, n_classes = _toy_frame()
+        net = MiniSegNet(frame.svt.channels, n_classes, seed=0)
+        teacher = MiniSegNet(frame.svt.channels, n_classes, seed=1)
+
+        def run(svt):
+            teacher_probs, _ = teacher.predict(svt, rulebook=frame.rulebook)
+            params = net.param_tensors()
+            logits, emb = net.forward(svt, params=params, rulebook=frame.rulebook)
+            probs = softmax(logits, axis=1)
+            (lovasz_softmax(probs, svt.labels) + kl_consistency(probs, teacher_probs)).backward()
+            return emb.data, [p.grad for p in params]
+
+        emb32, grads32 = run(frame.svt)
+        emb64, grads64 = run(frame.svt.with_features(frame.svt.features.astype(np.float64)))
+
+        def rel(a, b):
+            return float(np.abs(a - b).max() / np.abs(b).max())
+
+        assert emb32.dtype == np.float32
+        assert rel(emb32, emb64) < 1e-5
+        for a, b in zip(grads32, grads64):
+            assert a.dtype == b.dtype == np.float64
+            assert rel(a, b) < 1e-5

@@ -200,3 +200,39 @@ class TestPointRows:
                         intensity=np.zeros(len(points)))
         t = voxelize(PointCloud(xyz=pc.xyz[:split], intensity=pc.intensity[:split]), grid)
         assert point_rows(pc, t).tolist() == brute_point_rows(pc, t)
+
+
+def reference_voxel_features(pc, t):
+    """Each point's row added into its voxel's float64 sum, one point at a
+    time in point order; the mean minus the voxel center, cast to float32."""
+    rows = point_rows(pc, t)
+    columns = [pc.xyz, pc.intensity[:, None]]
+    if pc.extra_features is not None:
+        columns.append(pc.extra_features)
+    point_feats = np.hstack(columns).astype(np.float64)
+    sums = np.zeros((t.n_active, point_feats.shape[1]))
+    counts = np.zeros(t.n_active)
+    for row, feats in zip(rows.tolist(), point_feats):
+        if row >= 0:
+            sums[row] += feats
+            counts[row] += 1
+    assert (counts > 0).all() and counts.sum() == len(pc) - t.dropped_points
+    means = sums / counts[:, None]
+    cyl = t.grid.voxel_centers(t.coords)
+    means[:, :3] -= np.column_stack([cyl[:, 0] * np.cos(cyl[:, 1]),
+                                     cyl[:, 0] * np.sin(cyl[:, 1]), cyl[:, 2]])
+    return means.astype(np.float32)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 120), n_extra=st.integers(0, 3))
+def test_voxelize_matches_per_point_reference(seed, n, n_extra):
+    # 120 points on GRID's 64 cells, some outside it: cells repeat.
+    rng = np.random.default_rng(seed)
+    pc = PointCloud(xyz=rng.uniform(-4.5, 4.5, size=(n, 3)),
+                    intensity=rng.uniform(size=n),
+                    extra_features=rng.normal(size=(n, n_extra)) if n_extra else None)
+    t = voxelize(pc, GRID)
+    assert t.features.dtype == np.float32
+    assert t.features.shape == (t.n_active, 4 + n_extra)
+    np.testing.assert_array_equal(t.features, reference_voxel_features(pc, t))
