@@ -28,8 +28,6 @@ from .errors import LifecycleError, ShapeError
 
 __all__ = ["Tensor", "as_tensor", "log_softmax", "softmax"]
 
-_FLOATS = (np.float32, np.float64)
-
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
@@ -46,7 +44,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
         data = np.asarray(data)
-        self.data = data if data.dtype in _FLOATS else data.astype(np.float64)
+        self.data = data if data.dtype in (np.float32, np.float64) else data.astype(np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
         # A constant result keeps no graph, so its inputs can be freed at once.
