@@ -305,7 +305,7 @@ def cmd_train_toy(args) -> int:
         frames_per_sequence=args.frames,
         **overrides,
     )
-    report = run_toy_pipeline(cfg, save_model=args.save_model)
+    report = run_toy_pipeline(cfg, model_path=args.save_model)
     report["provenance"] = _provenance(args)
     _write_json(args.report, report)
     print(f"miou={report['metrics']['miou']} -> {args.report}")

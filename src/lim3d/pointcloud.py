@@ -97,14 +97,6 @@ class PointCloud:
     def __len__(self) -> int:
         return len(self.xyz)
 
-    @property
-    def n_points(self) -> int:
-        return len(self.xyz)
-
-    def ranges(self) -> np.ndarray:
-        """Euclidean distance of every point from the sensor origin."""
-        return np.linalg.norm(self.xyz.astype(np.float64), axis=1)
-
 
 @dataclass(frozen=True)
 class RangeImage:
@@ -128,8 +120,8 @@ class RangeImage:
 # ---------------------------------------------------------------------------
 
 
-def load_frame(path: str | os.PathLike, format: str = "kitti-bin",
-               frame_id: int = 0, sequence_id: int = 0) -> PointCloud:
+def load_frame(path: str | os.PathLike, frame_id: int = 0,
+               sequence_id: int = 0) -> PointCloud:
     """Load a binary ``.bin`` frame.
 
     Raises:
@@ -137,8 +129,6 @@ def load_frame(path: str | os.PathLike, format: str = "kitti-bin",
         ValidationError: the file contains non-finite values (offending
             point indices are listed in the message).
     """
-    if format != "kitti-bin":
-        raise DomainError(f"unsupported frame format: {format!r}")
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) % POINT_RECORD_BYTES != 0:

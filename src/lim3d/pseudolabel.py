@@ -4,7 +4,9 @@ Predicted voxels are split by Shannon entropy into a reliable group, which
 receives hard argmax pseudo-labels, and an unreliable group, marked -1 in
 one label array. Reliable labels can be further filtered class- and
 range-balanced (keep the most confident fraction per class, independently
-in near/mid/far radial bands). Unreliable voxels are not discarded: for
+in near/mid/far radial bands). A labeled frame's ground truth is a label
+array of the same kind with no -1, so anchors and negatives are mined from
+both alike. Unreliable voxels are not discarded: for
 classes ranked in the bottom half of a voxel's class probabilities, its
 embedding is pushed into that class's fixed-capacity FIFO bank and later
 serves as a negative sample in a temperature-scaled contrastive loss over
@@ -45,19 +47,20 @@ _PROB_TOL = 1e-5
 class VoxelPredictions:
     """Per-voxel softmax rows and embeddings for one frame.
 
-    `labels` holds ground-truth class ids with -1 marking voxels without
-    ground truth. `radii` (voxel center distance from the sensor axis)
-    enables range-balanced filtering; it is optional.
+    Embeddings stay float32 or float64 as given (any other dtype becomes
+    float64). `radii` (voxel center distance from the sensor axis) enables
+    range-balanced filtering; it is optional.
     """
 
     probs: np.ndarray               # (v, n_classes), rows sum to 1
-    embeddings: np.ndarray          # (v, d)
-    labels: np.ndarray | None = None
+    embeddings: np.ndarray          # (v, d) float32 or float64
     radii: np.ndarray | None = None
 
     def __post_init__(self):
         probs = np.ascontiguousarray(self.probs, dtype=np.float64)
-        emb = np.ascontiguousarray(self.embeddings, dtype=np.float64)
+        emb = np.ascontiguousarray(self.embeddings)
+        if emb.dtype not in (np.float32, np.float64):
+            emb = emb.astype(np.float64)
         if probs.ndim != 2:
             raise ShapeError("probs must be a (voxels, classes) matrix")
         if emb.ndim != 2 or len(emb) != len(probs):
@@ -69,11 +72,6 @@ class VoxelPredictions:
             raise ValidationError("embeddings must be finite")
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "embeddings", emb)
-        if self.labels is not None:
-            labels = np.ascontiguousarray(self.labels, dtype=np.int64).reshape(-1)
-            if len(labels) != len(probs):
-                raise ShapeError("labels must align with probs rows")
-            object.__setattr__(self, "labels", labels)
         if self.radii is not None:
             radii = np.ascontiguousarray(self.radii, dtype=np.float64).reshape(-1)
             if len(radii) != len(probs):
@@ -93,11 +91,11 @@ class VoxelPredictions:
 class PseudoLabelSet:
     """One frame's pseudo-labels: `labels` holds a voxel's class where it is
     reliable and -1 where it is unreliable, so the two groups are disjoint
-    and cover the frame by construction. `entropy` is each voxel's entropy.
+    and cover the frame by construction. A frame's ground truth is a set
+    with every voxel reliable.
     """
 
     labels: np.ndarray              # (v,) int64, read-only
-    entropy: np.ndarray             # (v,)
 
     def __post_init__(self):
         labels = np.array(self.labels, dtype=np.int64).reshape(-1)
@@ -197,9 +195,9 @@ def entropy_partition(v: VoxelPredictions, percentile: float = 80.0) -> PseudoLa
         raise DomainError(f"percentile must lie in (0, 100), got {percentile}")
     h = shannon_entropy(v.probs)
     if len(h) == 0:
-        return PseudoLabelSet(labels=np.empty(0, dtype=np.int64), entropy=h)
+        return PseudoLabelSet(labels=np.empty(0, dtype=np.int64))
     labels = np.where(h > np.percentile(h, percentile), -1, v.probs.argmax(axis=1))
-    return PseudoLabelSet(labels=labels, entropy=h)
+    return PseudoLabelSet(labels=labels)
 
 
 def crb_select(pls: PseudoLabelSet, v: VoxelPredictions,
@@ -242,7 +240,7 @@ def crb_select(pls: PseudoLabelSet, v: VoxelPredictions,
             n_keep = math.ceil(per_class_keep * group.size)
             order = np.lexsort((group, -conf))  # confidence desc, id asc on ties
             labels[group[order[n_keep:]]] = -1
-    return PseudoLabelSet(labels=labels, entropy=pls.entropy)
+    return PseudoLabelSet(labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -255,22 +253,16 @@ def _check_aligned(v: VoxelPredictions, pls: PseudoLabelSet) -> None:
         raise ShapeError(f"{len(pls.labels)} pseudo-labels for {v.n_voxels} voxels")
 
 
-def effective_labels(v: VoxelPredictions, pls: PseudoLabelSet) -> np.ndarray:
-    """Ground truth where present, reliable pseudo-label otherwise, else -1."""
-    return pls.labels if v.labels is None else np.where(v.labels >= 0, v.labels, pls.labels)
-
-
 def build_anchor_set(v: VoxelPredictions, pls: PseudoLabelSet,
                      cfg: ContrastiveConfig, class_id: int) -> tuple[np.ndarray, np.ndarray]:
     """Voxel ids and embeddings eligible as anchors for `class_id`.
 
-    A voxel qualifies when its effective label equals the class and its
+    A voxel qualifies when its label in `pls` equals the class and its
     softmax probability for the class exceeds the confidence threshold.
     Returns at most `cfg.max_anchors` anchors (lowest voxel ids first).
     """
     _check_aligned(v, pls)
-    labels = effective_labels(v, pls)
-    eligible = np.flatnonzero((labels == class_id) & (v.probs[:, class_id] > cfg.delta_p))
+    eligible = np.flatnonzero((pls.labels == class_id) & (v.probs[:, class_id] > cfg.delta_p))
     eligible = eligible[: cfg.max_anchors]
     return eligible, v.embeddings[eligible]
 

@@ -74,7 +74,7 @@ def normalize_reflectivity(r: np.ndarray) -> np.ndarray:
 
 
 def coarse_histograms(pc: PointCloud, r_norm: np.ndarray, cfg: ReflecConfig) -> np.ndarray:
-    """Per-point histogram features of shape ``(n_points, n_scales * n_bins)``.
+    """Per-point float32 histogram features of shape ``(n_points, n_scales * n_bins)``.
 
     `r_norm` must already lie in [0, 1). For each scale, points fall into
     cylindrical bins spanning the frame's observed rho range and the full
@@ -89,7 +89,7 @@ def coarse_histograms(pc: PointCloud, r_norm: np.ndarray, cfg: ReflecConfig) -> 
     if n and (r_norm.min() < 0.0 or r_norm.max() >= 1.0):
         raise DomainError("normalized reflectivity must lie in [0, 1)")
 
-    out = np.zeros((n, cfg.feature_dim), dtype=np.float64)
+    out = np.zeros((n, cfg.feature_dim), dtype=np.float32)
     if n == 0:
         return out
 
@@ -126,7 +126,7 @@ def augment(pc: PointCloud, features: np.ndarray) -> PointCloud:
     """Append per-point feature columns; a cloud can be augmented once."""
     if pc.extra_features is not None:
         raise ValidationError("cloud already carries extra features")
-    features = np.asarray(features, dtype=np.float64)
+    features = np.asarray(features)
     if features.ndim != 2 or len(features) != len(pc):
         raise ShapeError(f"features shape {features.shape} does not match {len(pc)} points")
     return replace(pc, extra_features=features.astype(np.float32))

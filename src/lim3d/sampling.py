@@ -70,9 +70,6 @@ class SamplingPlan:
     def total(self) -> int:
         return sum(len(v) for v in self.entries.values())
 
-    def __eq__(self, other):
-        return isinstance(other, SamplingPlan) and self.entries == other.entries
-
 
 def supervisor(x: float, beta: float) -> float:
     """Sampling fraction ``exp(-beta * x)`` for redundancy ``x`` in [0, 1]."""

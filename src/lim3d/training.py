@@ -7,9 +7,11 @@ the composite loss (supervised Jaccard extension, KL consistency to the
 teacher, and in the distill stage the contrastive term fed by a FIFO bank
 of unreliable-voxel negatives), then the teacher tracks it by EMA.
 
-`run_toy_pipeline` composes them: stage 1 trains on redundancy-sampled
-labeled frames, stage 2 labels the unlabeled ones, and stage 3 keeps
-training the stage-1 student on ground truth plus reliable pseudo-labels.
+`run_toy_pipeline` composes them. Each frame's training labels live in one
+place, `Frame.pseudo`: the frames that the redundancy-driven sampling plan
+picks get their ground truth there, and stage 1 trains on them; stage 2
+labels the other frames; stage 3 keeps training the stage-1 student on every
+frame with labels, ground truth or pseudo-labels alike.
 
 A trained network only works on its training input: the features and
 voxels that `prepare_frame` builds from a cloud with one grid and one
@@ -35,9 +37,9 @@ from .pointcloud import SceneSpec, range_to_grayscale, synth_sequence
 from .pseudolabel import (ContrastiveConfig, MemoryBank, PseudoLabelSet,
                           VoxelPredictions, bank_push_negatives,
                           build_anchor_set, entropy_partition, crb_select,
-                          infonce_loss, positive_center, shannon_entropy)
+                          infonce_loss, positive_center)
 from .reflectivity import ReflecConfig, augment, coarse_histograms, normalize_reflectivity, reflectivity
-from .sampling import StrfdConfig, calibrate_beta, plan
+from .sampling import StrfdConfig, calibrate_beta
 from .sparseconv import Rulebook, build_rulebook
 from .voxel import CylGridSpec, SparseVoxelTensor, voxelize
 
@@ -171,14 +173,15 @@ class ToyPipelineConfig:
 class Frame:
     """A cloud as the network sees it: voxels, their rulebook and radii.
 
-    `run_toy_pipeline` sets `labeled` for the frames its sampling plan
-    picks, and stores `label_frame`'s pseudo-labels in `pseudo`.
+    `pseudo` holds the frame's training labels, None until it has some:
+    `run_toy_pipeline` sets it to the ground truth (every voxel reliable)
+    for the frames its sampling plan picks, and to `label_frame`'s
+    pseudo-labels for the others.
     """
 
     svt: SparseVoxelTensor
     rulebook: Rulebook
     radii: np.ndarray
-    labeled: bool = False
     pseudo: PseudoLabelSet | None = None
 
 
@@ -206,7 +209,7 @@ def label_frame(teacher: MiniSegNet, frame: Frame, percentile: float,
     probs, emb = teacher.predict(frame.svt, rulebook=frame.rulebook)
     vp = VoxelPredictions(probs=probs, embeddings=emb, radii=frame.radii)
     if percentile == 0.0:
-        pls = PseudoLabelSet(labels=probs.argmax(axis=1), entropy=shannon_entropy(probs))
+        pls = PseudoLabelSet(labels=probs.argmax(axis=1))
     else:
         pls = entropy_partition(vp, percentile=percentile)
     return crb_select(pls, vp, per_class_keep), probs
@@ -216,11 +219,11 @@ def train_step(student: MiniSegNet, teacher: MiniSegNet, frame: Frame, opt: SGD,
                loss_cfg: LossConfig, bank: MemoryBank | None,
                contrastive: ContrastiveConfig) -> float:
     """One student update on `frame`, then the teacher's EMA update at
-    ``loss_cfg.kappa``; returns the loss. The supervised term covers a
-    labeled frame's voxels, or else its reliable pseudo-labels. In the
-    distill stage with a `bank`, the frame's unreliable voxels are pushed
-    into it and the contrastive term joins, unless the frame has neither
-    ground truth nor pseudo-labels.
+    ``loss_cfg.kappa``; returns the loss. The supervised term covers the
+    reliable voxels of `frame.pseudo`, which holds ground truth or
+    pseudo-labels alike. In the distill stage with a `bank`, the frame's
+    unreliable voxels are pushed into it and the contrastive term joins,
+    unless `frame.pseudo` is None.
 
     Raises:
         DivergenceError: the loss is not finite; no weight has changed.
@@ -229,10 +232,6 @@ def train_step(student: MiniSegNet, teacher: MiniSegNet, frame: Frame, opt: SGD,
     logits, emb = student.forward(frame.svt, params=params, rulebook=frame.rulebook)
     probs = softmax(logits, axis=1)
     pls = frame.pseudo
-    if frame.labeled:
-        # Ground truth stands in for a labeled frame's pseudo-labels; as
-        # `voxelize` gives every voxel a class, none is pushed as a negative.
-        pls = PseudoLabelSet(labels=frame.svt.labels, entropy=np.zeros(frame.svt.n_active))
     ids = np.flatnonzero(pls.labels >= 0) if pls is not None else []
     ls = lovasz_softmax(probs.take(ids), pls.labels[ids]) if len(ids) else Tensor(0.0)
 
@@ -265,13 +264,14 @@ def train_step(student: MiniSegNet, teacher: MiniSegNet, frame: Frame, opt: SGD,
 
 def run_toy_pipeline(cfg: ToyPipelineConfig,
                      sequences: list[list] | None = None,
-                     save_model: str | None = None) -> dict:
+                     model_path: str | None = None) -> dict:
     """Run the staged loop on synthetic sequences and report metrics.
 
     `sequences` overrides the generated data; each entry is a list of
     ``(PointCloud, RangeImage)`` pairs as produced by `synth_sequence`.
     Returns a JSON-serializable report with per-stage losses, the sampling
-    plan, per-class IoU on the held-out split, and cost totals.
+    plan, per-class IoU on the held-out split, and cost totals. With
+    `model_path`, the trained student is written there by `save_model`.
     """
     rng = np.random.default_rng(cfg.seed)
     if sequences is None:
@@ -291,11 +291,8 @@ def run_toy_pipeline(cfg: ToyPipelineConfig,
     # Redundancy-driven selection of the labeled subset.
     max_range = max(float(ri.values.max()) for frames in train_seqs for _, ri in frames) or 1.0
     gray = [[range_to_grayscale(ri, max_range) for _, ri in frames] for frames in train_seqs]
-    strfd = StrfdConfig(subset_size=cfg.subset_size, beta=0.0)
-    if cfg.labeled_fraction >= 1.0:
-        beta, labeled_plan = 0.0, plan(gray, strfd)
-    else:
-        beta, labeled_plan = calibrate_beta(gray, strfd, cfg.labeled_fraction)
+    beta, labeled_plan = calibrate_beta(gray, StrfdConfig(subset_size=cfg.subset_size),
+                                        cfg.labeled_fraction)
 
     frames: list[Frame] = []
     labeled_ids, unlabeled_ids = [], []
@@ -303,8 +300,9 @@ def run_toy_pipeline(cfg: ToyPipelineConfig,
         chosen = set(labeled_plan.entries.get(seq_id, []))
         for idx, (pc, _) in enumerate(seq_frames):
             f = prepare_frame(pc, cfg.grid, cfg.reflec, cfg.kernel_size)
-            f.labeled = idx in chosen
-            (labeled_ids if f.labeled else unlabeled_ids).append(len(frames))
+            if idx in chosen:  # `voxelize` gives every voxel a class: none is unreliable
+                f.pseudo = PseudoLabelSet(labels=f.svt.labels)
+            (unlabeled_ids if f.pseudo is None else labeled_ids).append(len(frames))
             frames.append(f)
     heldout_frames = [prepare_frame(pc, cfg.grid, cfg.reflec, cfg.kernel_size) for pc, _ in heldout]
 
@@ -377,8 +375,7 @@ def run_toy_pipeline(cfg: ToyPipelineConfig,
         # objective; the teacher that produced the pseudo-labels carries over
         # and keeps tracking the student by EMA.
         bank = MemoryBank(n_classes, cfg.contrastive.capacity) if cfg.use_bank else None
-        usable = [i for i in range(len(frames))
-                  if frames[i].labeled or frames[i].pseudo is not None]
+        usable = [i for i in range(len(frames)) if frames[i].pseudo is not None]
         report["stages"]["distill"] = train_stage("distill", cfg.steps_stage3, usable, bank)
 
     confusion = evaluate(student)
@@ -396,8 +393,8 @@ def run_toy_pipeline(cfg: ToyPipelineConfig,
         "mult_adds": totals.mult_adds,
         "per_layer": layer_rows,
     }
-    if save_model is not None:
-        _save_model(save_model, student, cfg.grid, cfg.reflec)
+    if model_path is not None:
+        save_model(model_path, student, cfg.grid, cfg.reflec)
     return report
 
 
@@ -425,9 +422,6 @@ def save_model(path: str | os.PathLike, net: MiniSegNet, grid: CylGridSpec,
              grid_rho_max=float(grid.rho_max),
              grid_z_range=np.array(grid.z_range, dtype=np.float64))
 
-
-# `run_toy_pipeline`'s `save_model` argument shadows the function.
-_save_model = save_model
 
 # What a damaged archive raises: `zipfile` gives BadZipFile, EOFError, and for
 # a damaged method or flag field OSError, RuntimeError or NotImplementedError;

@@ -15,14 +15,14 @@ from lim3d.pseudolabel import PseudoLabelSet
 from pseudolabel_reference import crb_select_reference, entropy_partition_reference
 
 
-def make_predictions(rng, n=20, c=4, d=6, labels=None, radii=None, peaked=None):
+def make_predictions(rng, n=20, c=4, d=6, radii=None, peaked=None):
     logits = rng.normal(scale=1.0, size=(n, c))
     if peaked is not None:
         logits[peaked] *= 8.0
     probs = np.exp(logits)
     probs /= probs.sum(axis=1, keepdims=True)
     emb = rng.normal(size=(n, d))
-    return VoxelPredictions(probs=probs, embeddings=emb, labels=labels, radii=radii)
+    return VoxelPredictions(probs=probs, embeddings=emb, radii=radii)
 
 
 class TestEntropyPartition:
@@ -61,9 +61,9 @@ class TestEntropyPartition:
     def test_entropy_ordering(self, rng):
         vp = make_predictions(rng, n=60)
         pls = entropy_partition(vp, percentile=70.0)
-        reliable = pls.labels >= 0
+        reliable, h = pls.labels >= 0, shannon_entropy(vp.probs)
         if reliable.any() and not reliable.all():
-            assert pls.entropy[reliable].max() <= pls.entropy[~reliable].min()
+            assert h[reliable].max() <= h[~reliable].min()
 
     def test_views_match_labels(self, rng):
         pls = entropy_partition(make_predictions(rng, n=30), percentile=60.0)
@@ -91,13 +91,13 @@ class TestCrbSelect:
     def test_top_third_by_confidence(self):
         probs = np.array([[0.9, 0.1], [0.8, 0.2], [0.7, 0.3]])
         vp = VoxelPredictions(probs=probs, embeddings=np.zeros((3, 2)))
-        pls = PseudoLabelSet(labels=[0, 0, 0], entropy=np.zeros(3))
+        pls = PseudoLabelSet(labels=[0, 0, 0])
         out = crb_select(pls, vp, 1.0 / 3.0)
         assert out.labels.tolist() == [0, -1, -1]
 
     def test_absent_class_untouched(self, rng):
         vp = make_predictions(rng, n=10)
-        pls = PseudoLabelSet(labels=[1] * 10, entropy=np.zeros(10))
+        pls = PseudoLabelSet(labels=[1] * 10)
         out = crb_select(pls, vp, 0.5)
         # class 0 absent: nothing about it changes; class 1 got halved
         assert (out.labels >= 0).sum() == 5
@@ -109,7 +109,7 @@ class TestCrbSelect:
         probs[3] = [0.7, 0.3]
         radii = np.array([1.0, 1.0, 9.0, 9.0])
         vp = VoxelPredictions(probs=probs, embeddings=np.zeros((4, 2)), radii=radii)
-        pls = PseudoLabelSet(labels=[0] * 4, entropy=np.zeros(4))
+        pls = PseudoLabelSet(labels=[0] * 4)
         out = crb_select(pls, vp, 0.5)
         assert out.labels.tolist() == [0, -1, 0, -1]
 
@@ -129,7 +129,7 @@ def test_partition_matches_per_voxel_oracle(seed, n, c, percentile, keep, with_r
     radii = rng.choice([1.0, 2.5, 2.5, 7.0, 9.0], size=n) if with_radii else None
     vp = VoxelPredictions(probs=probs, embeddings=np.zeros((n, 2)), radii=radii)
     if percentile == 0.0:  # `label_frame`'s rule: every voxel starts reliable
-        pls = PseudoLabelSet(labels=probs.argmax(axis=1), entropy=shannon_entropy(probs))
+        pls = PseudoLabelSet(labels=probs.argmax(axis=1))
         want = ({i: int(k) for i, k in enumerate(probs.argmax(axis=1))}, set())
     else:
         pls = entropy_partition(vp, percentile)
@@ -142,38 +142,34 @@ def test_partition_matches_per_voxel_oracle(seed, n, c, percentile, keep, with_r
 
 class TestAnchors:
     def test_predicate_inclusion(self):
+        """Anchors are the confident voxels of the class; embeddings keep
+        float32 or float64 and become float64 from any other dtype."""
         probs = np.array([[0.9, 0.1], [0.4, 0.6]])
-        emb = np.array([[1.0, 0.0], [0.0, 1.0]])
-        vp = VoxelPredictions(probs=probs, embeddings=emb)
-        pls = PseudoLabelSet(labels=[0, 0], entropy=np.zeros(2))
+        pls = PseudoLabelSet(labels=[0, 0])
         cfg = ContrastiveConfig(delta_p=0.5)
-        ids, vecs = build_anchor_set(vp, pls, cfg, 0)
-        assert ids.tolist() == [0]
-        np.testing.assert_array_equal(vecs, [[1.0, 0.0]])
-
-    def test_ground_truth_overrides_pseudo(self):
-        probs = np.array([[0.9, 0.1]])
-        vp = VoxelPredictions(probs=probs, embeddings=np.ones((1, 2)),
-                              labels=np.array([1]))
-        pls = PseudoLabelSet(labels=[0], entropy=np.zeros(1))
-        cfg = ContrastiveConfig(delta_p=0.5)
-        assert build_anchor_set(vp, pls, cfg, 0)[0].size == 0  # gt says class 1
+        for given, kept in ((np.float32, np.float32), (np.float64, np.float64),
+                            (np.int64, np.float64)):
+            vp = VoxelPredictions(probs=probs, embeddings=np.array([[1, 0], [0, 1]], dtype=given))
+            assert vp.embeddings.dtype == kept
+            ids, vecs = build_anchor_set(vp, pls, cfg, 0)
+            assert ids.tolist() == [0]
+            assert vecs.dtype == kept
+            np.testing.assert_array_equal(vecs, [[1.0, 0.0]])
 
     def test_matches_bruteforce_filter(self, rng):
         vp = make_predictions(rng, n=60, c=3)
         pls = entropy_partition(vp, percentile=60.0)
         cfg = ContrastiveConfig(delta_p=0.3, max_anchors=128)
-        from lim3d.pseudolabel import effective_labels
-        eff = effective_labels(vp, pls)
         for c in range(3):
             ids, _ = build_anchor_set(vp, pls, cfg, c)
-            brute = [i for i in range(60) if eff[i] == c and vp.probs[i, c] > cfg.delta_p]
+            brute = [i for i in range(60)
+                     if pls.labels[i] == c and vp.probs[i, c] > cfg.delta_p]
             assert ids.tolist() == brute
 
     def test_labels_not_matching_the_voxels_rejected(self, rng):
         vp = make_predictions(rng, n=5)
         for labels in ([0] * 4, [-1] * 6):
-            pls = PseudoLabelSet(labels=labels, entropy=np.zeros(len(labels)))
+            pls = PseudoLabelSet(labels=labels)
             with pytest.raises(ShapeError):
                 build_anchor_set(vp, pls, ContrastiveConfig(), 0)
             with pytest.raises(ShapeError):
@@ -182,7 +178,7 @@ class TestAnchors:
     def test_anchor_cap(self, rng):
         probs = np.tile([[0.95, 0.05]], (300, 1))
         vp = VoxelPredictions(probs=probs, embeddings=rng.normal(size=(300, 4)))
-        pls = PseudoLabelSet(labels=[0] * 300, entropy=np.zeros(300))
+        pls = PseudoLabelSet(labels=[0] * 300)
         cfg = ContrastiveConfig(delta_p=0.5, max_anchors=128)
         ids, _ = build_anchor_set(vp, pls, cfg, 0)
         assert len(ids) == 128
@@ -225,7 +221,7 @@ class TestMemoryBank:
         probs = np.array([[0.4, 0.3, 0.2, 0.1]])
         emb = np.array([[7.0, 7.0]])
         vp = VoxelPredictions(probs=probs, embeddings=emb)
-        pls = PseudoLabelSet(labels=[-1], entropy=np.ones(1))
+        pls = PseudoLabelSet(labels=[-1])
         bank = MemoryBank(n_classes=4, capacity=4)
         for c in range(4):
             bank_push_negatives(bank, vp, pls, c)
@@ -238,8 +234,7 @@ class TestMemoryBank:
         probs[::3] = 0.2  # uniform rows: the stable sort breaks ties by class id
         vp = VoxelPredictions(probs=probs, embeddings=vp.embeddings)
         unreliable = frozenset(rng.choice(40, size=25, replace=False).tolist())
-        pls = PseudoLabelSet(labels=[-1 if i in unreliable else 0 for i in range(40)],
-                             entropy=np.ones(40))
+        pls = PseudoLabelSet(labels=[-1 if i in unreliable else 0 for i in range(40)])
         for c in range(5):
             bank = MemoryBank(n_classes=5, capacity=100)
             bank_push_negatives(bank, vp, pls, c)
@@ -252,7 +247,7 @@ class TestMemoryBank:
 
     def test_empty_unreliable_no_change(self, rng):
         vp = make_predictions(rng, n=5)
-        pls = PseudoLabelSet(labels=[0] * 5, entropy=np.zeros(5))
+        pls = PseudoLabelSet(labels=[0] * 5)
         bank = MemoryBank(n_classes=4, capacity=4)
         bank_push_negatives(bank, vp, pls, 0)
         assert bank.size(0) == 0

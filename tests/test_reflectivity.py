@@ -99,8 +99,11 @@ class TestAugment:
         n = 50
         pc = PointCloud(xyz=rng.normal(size=(n, 3)), intensity=rng.uniform(size=n))
         feats = coarse_histograms(pc, normalize_reflectivity(reflectivity(pc)), CFG)
+        assert feats.dtype == np.float32
         aug = augment(pc, feats)
         assert aug.extra_features.shape == (n, 30)
+        assert aug.extra_features.dtype == np.float32
+        np.testing.assert_array_equal(aug.extra_features, feats)
 
     def test_zero_features_voxelize_identically_in_base_channels(self, rng):
         n = 40

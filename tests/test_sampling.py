@@ -166,6 +166,7 @@ class TestCalibration:
         beta, result = calibrate_beta([frames], StrfdConfig(subset_size=8), 1.0)
         assert beta == 0.0
         assert result.total() == len(frames)
+        assert result == plan([frames], StrfdConfig(subset_size=8))
 
 
 class TestPlanIO:

@@ -11,6 +11,7 @@ from lim3d import (ContrastiveConfig, DivergenceError, DomainError, LayerSpec, L
                    mean_iou, prepare_frame, run_toy_pipeline, softmax, synth_sequence, train_step,
                    voxelize)
 from lim3d.network import mini_backbone_topology, topology_cost
+from lim3d.pseudolabel import PseudoLabelSet
 from lim3d.errors import FormatError
 from lim3d.reflectivity import ReflecConfig
 from lim3d.training import SGD, TOY_GRID, load_model, save_model
@@ -195,7 +196,8 @@ class TestSteps:
     def _frame(labeled: bool):
         pc = synth_sequence(SceneSpec(n_points=300), 1, seed=4)[0][0]
         frame = prepare_frame(pc, TOY_GRID, None)
-        frame.labeled = labeled
+        if labeled:  # ground truth, as `run_toy_pipeline` sets it
+            frame.pseudo = PseudoLabelSet(labels=frame.svt.labels)
         return frame
 
     def test_label_frame_is_entropy_split_then_crb(self):
@@ -207,7 +209,6 @@ class TestSteps:
         want = crb_select(entropy_partition(vp, percentile=70.0), vp, 0.6)
         np.testing.assert_array_equal(probs, want_probs)
         np.testing.assert_array_equal(pls.labels, want.labels)
-        np.testing.assert_array_equal(pls.entropy, want.entropy)
         n = frame.svt.n_active
         assert len(pls.labels) == n
         assert 0 < (pls.labels >= 0).sum() < n
@@ -229,9 +230,9 @@ class TestSteps:
         assert (sum(bank.size(c) for c in range(3)) > 0) == filled
 
     def test_labeled_frame_pushes_nothing_but_gives_anchors(self, rng):
-        """Ground truth stands in for a labeled frame's pseudo-labels: every
-        voxel is reliable, so the bank is left as it was, and the ground-truth
-        anchors still reach the contrastive term."""
+        """A labeled frame's ground truth marks every voxel reliable, so the
+        bank is left as it was, and the ground-truth anchors still reach the
+        contrastive term."""
         frame = self._frame(labeled=True)
         contrastive = ContrastiveConfig(delta_p=0.01, n_negatives=1)
         known = rng.normal(size=(3, 8))
@@ -348,7 +349,7 @@ class TestModelFile:
 
     def test_toy_pipeline_writes_its_grid_and_features(self, tmp_path):
         cfg = ToyPipelineConfig(stages=(1,), steps_stage1=2, frames_per_sequence=8, seed=2)
-        report = run_toy_pipeline(cfg, save_model=str(tmp_path / "m.npz"))
+        report = run_toy_pipeline(cfg, model_path=str(tmp_path / "m.npz"))
         net, grid, reflec = load_model(tmp_path / "m.npz")
         assert grid == cfg.grid == TOY_GRID
         assert reflec == cfg.reflec
