@@ -2,14 +2,15 @@
 
 Subcommands: ``synth`` (generate labeled synthetic sequences), ``sample``
 (redundancy-aware frame selection), ``featurize`` (reflectivity histogram
-features), ``pseudo`` (entropy-split pseudo-labels for one frame),
-``cost`` (parameter and multiply-add accounting) and ``train-toy`` (the
-staged semi-supervised loop on synthetic data).
+features), ``pseudo`` (a trained model's entropy-split pseudo-labels for
+one frame), ``cost`` (parameter and multiply-add accounting) and
+``train-toy`` (the staged semi-supervised loop on synthetic data).
 
 Exit codes: 0 on success, 2 on validation problems (bad flags, missing or
-malformed inputs), 3 on internal errors. ``LIM3D_THREADS`` overrides the
-``--threads`` flag. Outputs of featurize/pseudo/train-toy carry a
-provenance block (tool version, config hash, seed); bulk binary outputs
+malformed inputs), 3 on internal errors. ``LIM3D_THREADS`` sets the
+sampler's worker threads (default: the machine's CPU count). Outputs of
+featurize/pseudo/train-toy carry a provenance block (tool version, config
+hash, and the seed, null where the command takes none); bulk binary outputs
 get it as a ``.meta.json`` sidecar.
 """
 
@@ -20,37 +21,28 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import Lim3dError, ValidationError
-from .network import MiniSegNet, mini_backbone_topology, topology_cost, LayerSpec
+from .errors import Lim3dError
+from .network import mini_backbone_topology, topology_cost, LayerSpec
 from .pointcloud import (SceneSpec, frame_path, image_path, label_path,
                          list_sequence_frames, load_frame, project_range_image,
                          range_to_grayscale, read_pgm, save_frame, save_labels,
                          synth_sequence, write_pgm)
 from .reflectivity import ReflecConfig, coarse_histograms, normalize_reflectivity, reflectivity
 from .sampling import StrfdConfig, calibrate_beta, plan, save_plan
-from .training import (TOY_GRID, ToyPipelineConfig, label_frame, load_model, prepare_frame,
-                       run_toy_pipeline)
-from .voxel import CylGridSpec, point_rows
+from .training import ToyPipelineConfig, label_frame, load_model, prepare_frame, run_toy_pipeline
+from .voxel import point_rows
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INTERNAL = 3
 
 UNRELIABLE_LABEL = 0xFFFFFFFF  # sentinel for voxels without a reliable label
-
-
-def _threads(args) -> int:
-    env = os.environ.get("LIM3D_THREADS")
-    if env is not None:
-        return max(1, int(env))
-    if args.threads is not None:
-        return max(1, args.threads)
-    return os.cpu_count() or 1
 
 
 # Paths stay out of the hash; `extra` adds the settings read from input files.
@@ -138,7 +130,7 @@ def cmd_sample(args) -> int:
     ]
     cfg = StrfdConfig(subset_size=args.subset_size,
                       beta=args.beta if args.beta is not None else 0.0)
-    threads = _threads(args)
+    threads = max(1, int(os.environ.get("LIM3D_THREADS", os.cpu_count() or 1)))
     if args.target_fraction is not None:
         beta, result = calibrate_beta(sequences, cfg, args.target_fraction, n_threads=threads)
         print(f"calibrated beta = {beta:.6f}")
@@ -183,39 +175,10 @@ def cmd_featurize(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _pseudo_grid(args, model_grid: CylGridSpec | None) -> tuple[CylGridSpec, dict]:
-    """The grid `pseudo` voxelizes on, and its values under the grid flags'
-    names as plain numbers (for the config hash).
-
-    A model's grid is used as is: a grid flag that disagrees with it is an
-    error. Without a model, flags not given fall back to `TOY_GRID`.
-    """
-    base = model_grid if model_grid is not None else TOY_GRID
-    values = {"n_rho": int(base.n_rho), "n_phi": int(base.n_phi), "n_z": int(base.n_z),
-              "rho_max": float(base.rho_max),
-              "z_min": float(base.z_range[0]), "z_max": float(base.z_range[1])}
-    given = {k: getattr(args, k) for k in values if getattr(args, k) is not None}
-    if model_grid is not None:
-        clash = [f"--{k.replace('_', '-')} {v} (model: {values[k]})"
-                 for k, v in given.items() if v != values[k]]
-        if clash:
-            raise ValidationError(f"{args.model} was trained on another grid: {', '.join(clash)}")
-    values.update(given)
-    grid = CylGridSpec(n_rho=values["n_rho"], n_phi=values["n_phi"], n_z=values["n_z"],
-                       rho_max=values["rho_max"], z_range=(values["z_min"], values["z_max"]))
-    return grid, values
-
-
 def cmd_pseudo(args) -> int:
     pc = load_frame(args.infile)
-    if args.model is not None:
-        net, model_grid, reflec = load_model(args.model)
-        grid, grid_values = _pseudo_grid(args, model_grid)
-        frame = prepare_frame(pc, grid, reflec, net.kernel_size)
-    else:
-        grid, grid_values = _pseudo_grid(args, None)
-        frame = prepare_frame(pc, grid, None)
-        net = MiniSegNet(frame.svt.channels, args.n_classes, seed=args.seed)
+    net, grid, reflec = load_model(args.model)
+    frame = prepare_frame(pc, grid, reflec, net.kernel_size)
     svt = frame.svt
     pls, probs = label_frame(net, frame, args.percentile, args.per_class_keep)
 
@@ -231,7 +194,7 @@ def cmd_pseudo(args) -> int:
     n_reliable = int(reliable.sum())
     n_unreliable = svt.n_active - n_reliable
     _write_json(args.out + ".meta.json", {
-        "provenance": _provenance(args, grid_values),
+        "provenance": _provenance(args, {"grid": asdict(grid)}),
         "n_points": len(pc),
         "n_voxels": svt.n_active,
         "reliable_voxels": n_reliable,
@@ -301,7 +264,6 @@ def cmd_train_toy(args) -> int:
         stages=stages,
         seed=args.seed,
         use_bank=not args.no_bank,
-        literal_gate=args.literal_gate,
         frames_per_sequence=args.frames,
         **overrides,
     )
@@ -319,8 +281,6 @@ def cmd_train_toy(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lim3d", description=__doc__.split("\n\n")[0])
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: machine parallelism; env LIM3D_THREADS wins)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled dataset")
@@ -350,24 +310,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--config", default=None, help="JSON with n_bins and bin_grids")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("pseudo", help="emit entropy-split pseudo-labels for a frame")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--model", default=None,
-                   help="model file from train-toy --save-model; its grid and classes win")
-    p.add_argument("--n-classes", type=int, default=3)
+    p.add_argument("--model", required=True,
+                   help="model file from train-toy --save-model; its grid, classes and "
+                        "features are used")
     p.add_argument("--percentile", type=float, default=80.0)
     p.add_argument("--per-class-keep", type=float, default=1.0)
-    grid_help = "grid flags default to the model's grid, or else the toy grid"
-    p.add_argument("--n-rho", type=int, default=None, help=grid_help)
-    p.add_argument("--n-phi", type=int, default=None, help=grid_help)
-    p.add_argument("--n-z", type=int, default=None, help=grid_help)
-    p.add_argument("--rho-max", type=float, default=None, help=grid_help)
-    p.add_argument("--z-min", type=float, default=None, help=grid_help)
-    p.add_argument("--z-max", type=float, default=None, help=grid_help)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pseudo)
 
@@ -388,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override both training stages' step counts")
     p.add_argument("--frames", type=int, default=24)
     p.add_argument("--no-bank", action="store_true")
-    p.add_argument("--literal-gate", action="store_true")
     p.add_argument("--save-model", default=None)
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_train_toy)

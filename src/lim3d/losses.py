@@ -22,13 +22,16 @@ _ROW_TOL = 1e-5
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Composite-loss weights and the training stage gating the contrastive term."""
+    """Composite-loss weights and the training stage gating the contrastive term.
+
+    The contrastive term enters with weight `lambda_c` in the distill stage
+    and 0 in the others.
+    """
 
     kappa: float = 0.99
     lambda_u: float = 1.0
     lambda_c: float = 0.3
     stage: str = "train"
-    literal_gate: bool = False  # gate the contrastive term by lambda_c instead of 1
 
     def __post_init__(self):
         if not 0.0 <= self.kappa <= 1.0:
@@ -40,10 +43,7 @@ class LossConfig:
 
     @property
     def contrastive_weight(self) -> float:
-        if self.stage != "distill":
-            return 0.0
-        gate = self.lambda_c if self.literal_gate else 1.0
-        return gate * self.lambda_c
+        return self.lambda_c if self.stage == "distill" else 0.0
 
 
 def _jaccard_grad(fg_sorted: np.ndarray) -> np.ndarray:
@@ -57,14 +57,13 @@ def _jaccard_grad(fg_sorted: np.ndarray) -> np.ndarray:
     return jaccard
 
 
-def lovasz_softmax(probs: Tensor | np.ndarray, labels: np.ndarray,
-                   classes: str | list[int] = "present") -> Tensor:
+def lovasz_softmax(probs: Tensor | np.ndarray, labels: np.ndarray) -> Tensor:
     """Smooth extension of the per-class Jaccard loss over softmax outputs.
 
     `probs` is a (voxels, classes) matrix of probabilities; `labels` hard
     class ids. At binary corners (hard 0/1 predictions) the value equals
-    one minus the Jaccard index of the foreground class. Averaged over
-    `classes`: every class present in the labels, or an explicit list.
+    one minus the Jaccard index of the foreground class. Averaged over the
+    classes present in the labels.
     """
     probs = as_tensor(probs)
     labels = np.asarray(labels, dtype=np.int64)
@@ -73,15 +72,8 @@ def lovasz_softmax(probs: Tensor | np.ndarray, labels: np.ndarray,
         raise ValidationError(f"labels shape {labels.shape} does not match {n} rows")
     if n == 0:
         return Tensor(0.0)
-    if classes == "present":
-        class_ids = [int(k) for k in np.unique(labels)]
-    else:
-        class_ids = [int(k) for k in classes]
-        if not class_ids:
-            raise DomainError("classes list must be nonempty")
-
     terms = []
-    for k in class_ids:
+    for k in np.unique(labels).tolist():
         fg = (labels == k).astype(np.float64)
         p_k = probs.take([k], axis=1).reshape((n,))
         errors = (Tensor(fg) - p_k).abs()

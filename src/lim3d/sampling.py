@@ -3,11 +3,13 @@
 Each sequence is split into subsets of `subset_size` consecutive frames.
 A frame's redundancy is the structural similarity between it and the next
 frame in the sequence (the last frame reuses its predecessor pair),
-clamped to [0, 1]. The mean redundancy of a subset feeds the decay
-supervisor ``exp(-beta * x)``, which fixes how many frames the subset
-contributes; the least redundant frames are chosen first, ties going to
-the lower frame index. Static stretches therefore collapse to a single
-pick per subset at high beta, while dynamic stretches keep most frames.
+clamped to [0, 1]. The mean redundancy ``x`` of a subset feeds the decay
+supervisor ``exp(-beta * x)``, and the subset contributes
+``max(1, ceil(exp(-beta * x) * q))`` frames, ``q`` being `subset_size` (a
+shorter tail subset gives at most all of its frames); the least redundant
+frames are chosen first, ties going to the lower frame index. Static
+stretches therefore collapse to a single pick per subset at high beta,
+while dynamic stretches keep most frames.
 
 Passive uniform and seeded-random baselines, plus a bisection calibrator
 that finds the beta hitting a target global sampling fraction, round out
@@ -114,7 +116,8 @@ def plan_from_redundancies(redundancies: list[np.ndarray],
         for start in range(0, len(psi), q):
             sub = psi[start:start + q]
             mean_red = float(sub.mean())
-            k = min(math.ceil(supervisor(mean_red, cfg.beta) * q), len(sub))
+            # At least one: exp(-beta * x) underflows to 0 once beta * x > ~745.
+            k = min(max(1, math.ceil(supervisor(mean_red, cfg.beta) * q)), len(sub))
             order = np.argsort(sub, kind="stable")  # stable: ties to lower index
             chosen.extend(start + int(j) for j in order[:k])
         entries[seq_id] = sorted(chosen)

@@ -174,7 +174,7 @@ def build_rulebook(coords: np.ndarray, grid: CylGridSpec, kernel_size: int) -> R
     """Neighbor table for every kernel tap over the given active sites."""
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
     n = len(coords)
-    keys = (coords[:, 0] * grid.n_phi + coords[:, 1]) * grid.n_z + coords[:, 2]
+    keys = grid.cell_key(*coords.T)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
 
@@ -183,7 +183,7 @@ def build_rulebook(coords: np.ndarray, grid: CylGridSpec, kernel_size: int) -> R
     cells = coords[:, None, :] + offsets  # (n, K, 3)
     n_rho, n_phi, n_z = cells[..., 0], cells[..., 1] % grid.n_phi, cells[..., 2]
     valid = (n_rho >= 0) & (n_rho < grid.n_rho) & (n_z >= 0) & (n_z < grid.n_z)
-    neigh_keys = (n_rho * grid.n_phi + n_phi) * grid.n_z + n_z
+    neigh_keys = grid.cell_key(n_rho, n_phi, n_z)
     pos = np.minimum(np.searchsorted(sorted_keys, neigh_keys), n - 1)
     found = valid & (sorted_keys[pos] == neigh_keys)
     neighbors = np.where(found, order[pos], n).astype(np.intp)

@@ -60,8 +60,7 @@ __all__ = [
     "load_model",
 ]
 
-# The cylindrical grid of the toy scenes; `lim3d pseudo` falls back to it
-# when no model says otherwise.
+# The cylindrical grid of the toy scenes, `ToyPipelineConfig`'s default.
 TOY_GRID = CylGridSpec(n_rho=10, n_phi=16, n_z=6, rho_max=20.0, z_range=(-1.0, 5.0))
 
 
@@ -147,7 +146,6 @@ class ToyPipelineConfig:
     kappa: float = 0.99
     lambda_u: float = 1.0
     lambda_c: float = 0.3
-    literal_gate: bool = False
     percentile: float = 80.0
     per_class_keep: float = 0.9
     contrastive: ContrastiveConfig = field(default_factory=lambda: ContrastiveConfig(
@@ -331,7 +329,7 @@ def run_toy_pipeline(cfg: ToyPipelineConfig,
     def train_stage(stage: str, steps: int, frame_ids: list[int],
                     bank: MemoryBank | None) -> dict:
         loss_cfg = LossConfig(kappa=cfg.kappa, lambda_u=cfg.lambda_u, lambda_c=cfg.lambda_c,
-                              stage=stage, literal_gate=cfg.literal_gate)
+                              stage=stage)
         opt = SGD(student.params, lr=cfg.lr, momentum=cfg.momentum)
         losses: list[float] = []
         order: list[int] = []
@@ -345,8 +343,7 @@ def run_toy_pipeline(cfg: ToyPipelineConfig,
                 "final_loss": losses[-1] if losses else None}
 
     if 1 in cfg.stages:
-        report["stages"]["train"] = train_stage(
-            "train", cfg.steps_stage1, labeled_ids or list(range(len(frames))), bank=None)
+        report["stages"]["train"] = train_stage("train", cfg.steps_stage1, labeled_ids, bank=None)
 
     if 2 in cfg.stages:
         n_reliable = n_unreliable = agree_hits = agree_total = 0

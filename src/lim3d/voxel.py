@@ -61,6 +61,15 @@ class CylGridSpec:
     def n_cells(self) -> int:
         return self.n_rho * self.n_phi * self.n_z
 
+    def cell_key(self, i_rho, i_phi, i_z):
+        """Linear index of cells, C order over `shape`; active sites are
+        sorted by it."""
+        return (i_rho * self.n_phi + i_phi) * self.n_z + i_z
+
+    def cell_coords(self, keys: np.ndarray) -> np.ndarray:
+        """Inverse of `cell_key`: the ``(n, 3)`` coordinates of in-grid keys."""
+        return np.column_stack(np.unravel_index(keys, self.shape))
+
     def voxel_centers(self, coords: np.ndarray) -> np.ndarray:
         """Cylindrical centers ``(rho, phi, z)`` of integer voxel coordinates."""
         coords = np.asarray(coords, dtype=np.float64)
@@ -99,7 +108,7 @@ class SparseVoxelTensor:
         if len(coords):
             if coords.min() < 0 or np.any(coords >= np.array(self.grid.shape)):
                 raise ValidationError("voxel coordinates out of grid bounds")
-            keys = self._keys_of(coords)
+            keys = self.grid.cell_key(*coords.T)
             if np.unique(keys).size != len(keys):
                 raise ValidationError("duplicate voxel coordinates")
             order = np.argsort(keys, kind="stable")
@@ -114,10 +123,6 @@ class SparseVoxelTensor:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def _keys_of(self, coords: np.ndarray) -> np.ndarray:
-        g = self.grid
-        return (coords[:, 0] * g.n_phi + coords[:, 1]) * g.n_z + coords[:, 2]
-
     @property
     def n_active(self) -> int:
         return len(self.coords)
@@ -128,7 +133,7 @@ class SparseVoxelTensor:
 
     def keys(self) -> np.ndarray:
         """Sorted linear cell indices of the active sites."""
-        return self._keys_of(self.coords)
+        return self.grid.cell_key(*self.coords.T)
 
     def with_features(self, features: np.ndarray) -> "SparseVoxelTensor":
         return replace(self, features=features)
@@ -154,7 +159,7 @@ def _bin_points(xyz: np.ndarray, grid: CylGridSpec) -> tuple[np.ndarray, np.ndar
     i_z = np.floor((z[keep] - z_min) / (z_max - z_min) * grid.n_z).astype(np.int64)
     i_rho = np.minimum(i_rho, grid.n_rho - 1)  # guards rho == rho_max*(1-eps) float edge
     i_z = np.minimum(i_z, grid.n_z - 1)
-    return keep, (i_rho * grid.n_phi + i_phi) * grid.n_z + i_z
+    return keep, grid.cell_key(i_rho, i_phi, i_z)
 
 
 def voxelize(pc: PointCloud, grid: CylGridSpec) -> SparseVoxelTensor:
@@ -184,11 +189,7 @@ def voxelize(pc: PointCloud, grid: CylGridSpec) -> SparseVoxelTensor:
 
     uniq_keys, inverse = np.unique(keys, return_inverse=True)
     n_voxels = uniq_keys.size
-    coords = np.column_stack([
-        uniq_keys // (grid.n_phi * grid.n_z),
-        (uniq_keys // grid.n_z) % grid.n_phi,
-        uniq_keys % grid.n_z,
-    ])
+    coords = grid.cell_coords(uniq_keys)
 
     # bincount adds each voxel's points in point order, in float64.
     sums = np.column_stack([np.bincount(inverse, weights=c, minlength=n_voxels)

@@ -1,16 +1,18 @@
+import argparse
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lim3d.cli import main
+from lim3d.cli import build_parser, main
 from lim3d.network import MiniSegNet
-from lim3d.pointcloud import load_labels
+from lim3d.pointcloud import load_frame, load_labels
 from lim3d.sampling import load_plan
 from lim3d.training import TOY_GRID, save_model
-from lim3d.voxel import CylGridSpec
+from lim3d.voxel import CylGridSpec, voxelize
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +23,41 @@ def dataset(tmp_path_factory):
                "--speeds", "0,1"])
     assert rc == 0
     return root
+
+
+@pytest.fixture(scope="module")
+def model(tmp_path_factory):
+    """An untrained network saved with the toy grid and no histograms."""
+    path = tmp_path_factory.mktemp("model") / "m.npz"
+    save_model(path, MiniSegNet(4, 3, widths=(4, 4), seed=1), TOY_GRID, None)
+    return path
+
+
+# Every option of every subcommand; the global parser has only --help.
+FLAGS = {
+    "synth": {"--out-dir", "--sequences", "--frames", "--seed", "--n-points",
+              "--segment-length", "--speeds", "--width", "--height"},
+    "sample": {"--seq-dir", "--beta", "--target-fraction", "--subset-size", "--source",
+               "--width", "--height", "--out"},
+    "featurize": {"--in", "--config", "--out"},
+    "pseudo": {"--in", "--model", "--percentile", "--per-class-keep", "--out"},
+    "cost": {"--topology", "--mini-backbone", "--in-channels", "--n-classes",
+             "--active-sites", "--out"},
+    "train-toy": {"--labeled-fraction", "--stages", "--seed", "--steps", "--frames",
+                  "--no-bank", "--save-model", "--report"},
+}
+
+
+def _options(parser: argparse.ArgumentParser) -> set[str]:
+    return {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+
+
+def test_flag_inventory():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert _options(parser) == set()
+    assert {name: _options(p) for name, p in sub.choices.items()} == FLAGS
+    assert sum(len(f) for f in FLAGS.values()) == 39
 
 
 class TestSynthAndSample:
@@ -83,8 +120,9 @@ class TestSynthAndSample:
     def test_thread_env_override_keeps_results(self, dataset, tmp_path, monkeypatch):
         single = tmp_path / "single.json"
         multi = tmp_path / "multi.json"
-        assert main(["--threads", "1", "sample", "--seq-dir", str(dataset),
-                     "--beta", "4.0", "--subset-size", "8", "--out", str(single)]) == 0
+        monkeypatch.setenv("LIM3D_THREADS", "1")
+        assert main(["sample", "--seq-dir", str(dataset), "--beta", "4.0",
+                     "--subset-size", "8", "--out", str(single)]) == 0
         monkeypatch.setenv("LIM3D_THREADS", "4")
         assert main(["sample", "--seq-dir", str(dataset), "--beta", "4.0",
                      "--subset-size", "8", "--out", str(multi)]) == 0
@@ -134,11 +172,19 @@ class TestFeaturize:
 
 
 class TestPseudo:
-    def test_emits_labels_and_sidecar(self, dataset, tmp_path):
+    def test_without_model_exits_2_and_writes_nothing(self, dataset, tmp_path, capsys):
+        frame = dataset / "sequences" / "00" / "velodyne" / "000000.bin"
+        with pytest.raises(SystemExit) as exc:
+            main(["pseudo", "--in", str(frame), "--out", str(tmp_path / "p.label")])
+        assert exc.value.code == 2
+        assert "--model" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_emits_labels_and_sidecar(self, dataset, model, tmp_path):
         frame = dataset / "sequences" / "00" / "velodyne" / "000000.bin"
         out = tmp_path / "p.label"
-        assert main(["pseudo", "--in", str(frame), "--percentile", "80",
-                     "--out", str(out), "--seed", "3"]) == 0
+        assert main(["pseudo", "--in", str(frame), "--model", str(model), "--percentile", "80",
+                     "--out", str(out)]) == 0
         labels = load_labels(out)
         n_points = frame.stat().st_size // 16
         assert labels.size == n_points
@@ -146,10 +192,10 @@ class TestPseudo:
         assert meta["reliable_voxels"] + meta["unreliable_voxels"] == meta["n_voxels"]
         assert meta["unreliable_voxels"] > 0
 
-    def test_percentile_zero_degenerate_all_reliable(self, dataset, tmp_path):
+    def test_percentile_zero_degenerate_all_reliable(self, dataset, model, tmp_path):
         frame = dataset / "sequences" / "00" / "velodyne" / "000000.bin"
         out = tmp_path / "p0.label"
-        assert main(["pseudo", "--in", str(frame), "--percentile", "0",
+        assert main(["pseudo", "--in", str(frame), "--model", str(model), "--percentile", "0",
                      "--out", str(out)]) == 0
         meta = json.loads((tmp_path / "p0.label.meta.json").read_text())
         assert meta["unreliable_voxels"] == 0
@@ -158,12 +204,12 @@ class TestPseudo:
         inside = labels != 0xFFFFFFFF
         assert inside.sum() > 0
 
-    def test_percentile_zero_runs_the_crb_filter(self, dataset, tmp_path):
+    def test_percentile_zero_runs_the_crb_filter(self, dataset, model, tmp_path):
         """Percentile 0 marks every voxel reliable, then `--per-class-keep`
         demotes the less confident ones as at any other percentile."""
         frame = dataset / "sequences" / "00" / "velodyne" / "000000.bin"
         out = tmp_path / "p0k.label"
-        assert main(["pseudo", "--in", str(frame), "--percentile", "0",
+        assert main(["pseudo", "--in", str(frame), "--model", str(model), "--percentile", "0",
                      "--per-class-keep", "0.5", "--out", str(out)]) == 0
         meta = json.loads((tmp_path / "p0k.label.meta.json").read_text())
         n = meta["n_voxels"]
@@ -177,10 +223,10 @@ class TestPseudo:
         frame = dataset / "sequences" / "00" / "velodyne" / "000000.bin"
         net = MiniSegNet(4, 3, widths=(4, 4), seed=1)
 
-        def config_hash(where, *flags):
+        def config_hash(where, *flags, grid=TOY_GRID):
             where.mkdir(parents=True)
             shutil.copy(frame, where / "f.bin")
-            save_model(where / "m.npz", net, TOY_GRID, None)
+            save_model(where / "m.npz", net, grid, None)
             out = where / "p.label"
             assert main(["pseudo", "--in", str(where / "f.bin"), "--model",
                          str(where / "m.npz"), "--out", str(out), *flags]) == 0
@@ -190,20 +236,21 @@ class TestPseudo:
         here = config_hash(tmp_path / "a")
         assert config_hash(tmp_path / "b" / "elsewhere") == here
         assert config_hash(tmp_path / "c", "--percentile", "60") != here
+        assert config_hash(tmp_path / "d", grid=replace(TOY_GRID, rho_max=25.0)) != here
 
     @pytest.mark.parametrize("keep", ["0", "1.5", "-0.5"])
-    def test_per_class_keep_outside_unit_interval_exits_2(self, dataset, tmp_path, keep):
+    def test_per_class_keep_outside_unit_interval_exits_2(self, dataset, model, tmp_path, keep):
         frame = dataset / "sequences" / "00" / "velodyne" / "000000.bin"
-        assert main(["pseudo", "--in", str(frame), "--per-class-keep", keep,
-                     "--out", str(tmp_path / "k.label")]) == 2
+        assert main(["pseudo", "--in", str(frame), "--model", str(model),
+                     "--per-class-keep", keep, "--out", str(tmp_path / "k.label")]) == 2
 
     @pytest.mark.parametrize("keep", ["0", "1.5", "-0.5"])
-    def test_per_class_keep_outside_unit_interval_exits_2_at_percentile_0(self, dataset,
+    def test_per_class_keep_outside_unit_interval_exits_2_at_percentile_0(self, dataset, model,
                                                                          tmp_path, keep):
         """`--percentile 0` runs the CRB filter, whose flag is checked."""
         frame = dataset / "sequences" / "00" / "velodyne" / "000000.bin"
         out = tmp_path / "k.label"
-        assert main(["pseudo", "--in", str(frame), "--percentile", "0",
+        assert main(["pseudo", "--in", str(frame), "--model", str(model), "--percentile", "0",
                      "--per-class-keep", keep, "--out", str(out)]) == 2
         assert not out.exists()
 
@@ -278,16 +325,15 @@ class TestTrainToy:
         flat = np.load(tmp_path / "m.npz")["flat"]
         assert flat.ndim == 1 and flat.size == report["cost"]["trainable_params"]
 
-    @pytest.mark.parametrize("model_classes,flag_classes", [(3, 5), (5, 3)])
-    def test_pseudo_counts_classes_of_the_model(self, dataset, tmp_path,
-                                                model_classes, flag_classes):
+    @pytest.mark.parametrize("model_classes", [3, 5])
+    def test_pseudo_counts_classes_of_the_model(self, dataset, tmp_path, model_classes):
         net = MiniSegNet(4, model_classes, widths=(4, 4), kernel_size=3, seed=1)
         model = tmp_path / "m.npz"
         save_model(model, net, TOY_GRID, None)
         frame = dataset / "sequences" / "00" / "velodyne" / "000000.bin"
         out = tmp_path / "m.label"
         assert main(["pseudo", "--in", str(frame), "--model", str(model),
-                     "--n-classes", str(flag_classes), "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
         meta = json.loads((tmp_path / "m.label.meta.json").read_text())
         assert set(meta["per_class"]) == {str(c) for c in range(model_classes)}
         assert sum(v["reliable"] + v["unreliable"]
@@ -311,44 +357,20 @@ class TestTrainToy:
 class TestPseudoModelContract:
     """`pseudo --model` voxelizes on the grid stored in the model file."""
 
-    @pytest.fixture(scope="class")
-    def model(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("model") / "m.npz"
-        save_model(path, MiniSegNet(4, 3, widths=(4, 4), seed=1), TOY_GRID, None)
-        return path
-
     @staticmethod
     def _pseudo(dataset, out, *flags):
         frame = dataset / "sequences" / "00" / "velodyne" / "000000.bin"
         return main(["pseudo", "--in", str(frame), "--out", str(out), *flags])
 
-    @pytest.mark.parametrize("flags", [["--n-rho", "4", "--n-phi", "5"], ["--rho-max", "25"],
-                                       ["--z-min", "-2"], ["--n-z", "6", "--z-max", "4"]])
-    def test_grid_flag_disagreeing_with_model_exits_2(self, dataset, model, tmp_path, capsys,
-                                                      flags):
-        assert self._pseudo(dataset, tmp_path / "x.label", "--model", str(model), *flags) == 2
-        assert "grid" in capsys.readouterr().err
-        assert not (tmp_path / "x.label").exists()
-
-    def test_grid_flags_equal_to_model_keep_output(self, dataset, model, tmp_path):
-        a, b = tmp_path / "a.label", tmp_path / "b.label"
-        assert self._pseudo(dataset, a, "--model", str(model)) == 0
-        assert self._pseudo(dataset, b, "--model", str(model), "--n-rho", "10", "--n-phi", "16",
-                            "--n-z", "6", "--rho-max", "20", "--z-min", "-1",
-                            "--z-max", "5") == 0
-        assert a.read_bytes() == b.read_bytes()
-        assert (Path(f"{a}.meta.json").read_text() == Path(f"{b}.meta.json").read_text())
-
     def test_model_grid_is_used(self, dataset, tmp_path):
         small = CylGridSpec(n_rho=4, n_phi=5, n_z=3, rho_max=20.0, z_range=(-1.0, 5.0))
         model = tmp_path / "small.npz"
         save_model(model, MiniSegNet(4, 3, widths=(4, 4), seed=1), small, None)
-        with_model, by_flags = tmp_path / "m.label", tmp_path / "f.label"
-        assert self._pseudo(dataset, with_model, "--model", str(model)) == 0
-        assert self._pseudo(dataset, by_flags, "--n-rho", "4", "--n-phi", "5", "--n-z", "3") == 0
-        n_voxels = [json.loads(Path(f"{p}.meta.json").read_text())["n_voxels"]
-                    for p in (with_model, by_flags)]
-        assert n_voxels[0] == n_voxels[1] <= small.n_cells
+        out = tmp_path / "m.label"
+        assert self._pseudo(dataset, out, "--model", str(model)) == 0
+        n_voxels = json.loads(Path(f"{out}.meta.json").read_text())["n_voxels"]
+        frame = load_frame(dataset / "sequences" / "00" / "velodyne" / "000000.bin")
+        assert n_voxels == voxelize(frame, small).n_active <= small.n_cells
 
     @pytest.mark.parametrize("damage", ["truncated", "not_zip", "key_missing"])
     def test_malformed_model_exits_2(self, dataset, model, tmp_path, capsys, damage):

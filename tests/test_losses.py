@@ -47,16 +47,6 @@ class TestLovasz:
         j = jaccard_oracle(set(np.flatnonzero(pred == 1)), set(range(n)), n)
         assert loss == pytest.approx(1.0 - j, abs=1e-12)
 
-    def test_explicit_class_list(self, rng):
-        n = 10
-        labels = rng.integers(0, 2, size=n)
-        pred = rng.integers(0, 2, size=n)
-        probs = np.column_stack([1.0 - pred, pred]).astype(np.float64)
-        loss = lovasz_softmax(probs, labels, classes=[1]).item()
-        j = jaccard_oracle(set(np.flatnonzero(pred == 1)),
-                           set(np.flatnonzero(labels == 1)), n)
-        assert loss == pytest.approx(1.0 - j, abs=1e-12)
-
     def test_gradient_matches_finite_differences(self, rng):
         for _ in range(8):
             n, c = 10, 3
@@ -135,10 +125,6 @@ class TestTotalLoss:
     def test_distill_stage_weights_contrastive(self):
         cfg = LossConfig(lambda_u=0.0, lambda_c=0.3, stage="distill")
         assert total_loss(0.0, 0.0, 2.0, cfg).item() == pytest.approx(0.6)
-
-    def test_literal_gate_squares_weight(self):
-        cfg = LossConfig(lambda_u=0.0, lambda_c=0.3, stage="distill", literal_gate=True)
-        assert total_loss(0.0, 0.0, 2.0, cfg).item() == pytest.approx(0.18)
 
     def test_all_zero(self):
         cfg = LossConfig(stage="distill")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from lim3d import (DomainError, FormatError, SceneSpec, StrfdConfig, calibrate_beta,
                    passive_baselines, plan, range_to_grayscale, supervisor,
                    synth_sequence)
-from lim3d.sampling import frame_redundancies, load_plan, save_plan
+from lim3d.sampling import frame_redundancies, load_plan, plan_from_redundancies, save_plan
 
 BETA_GRID = (2.28, 4.00, 5.72, 7.45)
 
@@ -82,6 +82,14 @@ class TestPlan:
         result = plan([frames], cfg)
         # redundancy 1 everywhere: ceil(10 * exp(-7.45)) = 1 frame per subset
         assert len(result.entries[0]) == 2
+
+    def test_fully_redundant_subset_keeps_one_frame_up_to_max_beta(self):
+        """exp(-beta) underflows to 0 above beta ~745; a subset still keeps
+        its one frame, here the first (ties go to the lower index)."""
+        for beta in (*np.geomspace(2.1, 1024.0, 40), 745.2):
+            result = plan_from_redundancies([np.ones(8), np.ones(3)],
+                                            StrfdConfig(subset_size=8, beta=float(beta)))
+            assert result.entries == {0: [0], 1: [0]}, beta
 
     def test_beta_zero_selects_everything(self):
         frames = two_regime_frames()
@@ -160,6 +168,13 @@ class TestCalibration:
         beta, result = calibrate_beta([frames], cfg, target_fraction=0.10)
         assert abs(result.total() - 10) <= 1
         assert beta > 0
+
+    @pytest.mark.parametrize("target", [0.01, 0.05])
+    def test_static_sequence_keeps_a_frame_per_subset(self, target):
+        img = np.full((8, 8), 100.0)
+        _, result = calibrate_beta([[img.copy() for _ in range(24)]],
+                                   StrfdConfig(subset_size=8), target)
+        assert result.entries == {0: [0, 8, 16]}
 
     def test_fraction_one_returns_beta_zero(self):
         frames = two_regime_frames()

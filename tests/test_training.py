@@ -293,6 +293,15 @@ class TestToyPipeline:
         assert report["metrics"] == report2["metrics"]
         assert report["stages"]["train"]["final_loss"] is None
 
+    def test_small_labeled_fraction_labels_a_frame_per_subset(self):
+        """At fraction 0.05 the calibrated beta is large enough for exp(-beta)
+        to underflow; each of the 3 training subsets (8, 8 and 2 frames)
+        still gets one labeled frame."""
+        report = run_toy_pipeline(ToyPipelineConfig(labeled_fraction=0.05, stages=(1,),
+                                                    steps_stage1=0))
+        assert [i // 8 for i in report["plan"]["0"]] == [0, 1, 2]
+        assert report["n_labeled_frames"] == 3
+
     def test_deterministic_given_seed(self):
         kw = dict(labeled_fraction=0.5, stages=(1, 2, 3), steps_stage1=12,
                   steps_stage3=8, frames_per_sequence=12, seed=3)
