@@ -8,14 +8,13 @@ and most of the moving half, while passive baselines ignore the structure.
 
 import numpy as np
 
-from lim3d import (SceneSpec, StrfdConfig, calibrate_beta, passive_baselines,
-                   plan, range_to_grayscale, synth_sequence)
+from lim3d import (SceneSpec, calibrate_beta, passive_baselines, plan,
+                   ranges_to_grayscale, synth_sequence)
 from lim3d.sampling import frame_redundancies
 
 spec = SceneSpec(n_points=300, segment_length=8, segment_speeds=(0.0, 1.0))
 frames = synth_sequence(spec, 16, seed=4)
-peak = max(float(ri.values.max()) for _, ri in frames)
-gray = [range_to_grayscale(ri, peak).astype(np.float64) for _, ri in frames]
+gray = ranges_to_grayscale([ri for _, ri in frames])
 
 psi = frame_redundancies(gray)
 print("per-frame redundancy (structural similarity to the next frame):")
@@ -23,7 +22,7 @@ print("  static half:", np.round(psi[:8], 3))
 print("  moving half:", np.round(psi[8:], 3))
 
 for beta in (0.0, 2.28, 4.0, 7.45):
-    chosen = plan([gray], StrfdConfig(subset_size=8, beta=beta)).entries[0]
+    chosen = plan([gray], subset_size=8, beta=beta).entries[0]
     marks = "".join("x" if i in chosen else "." for i in range(16))
     print(f"beta={beta:5.2f}: {marks}  ({len(chosen)} frames)")
 
@@ -31,6 +30,6 @@ uniform = passive_baselines(16, 0.5, "uniform").entries[0]
 print("uniform 50%:", "".join("x" if i in uniform else "." for i in range(16)),
       " (ignores redundancy)")
 
-beta, calibrated = calibrate_beta([gray], StrfdConfig(subset_size=8), target_fraction=0.5)
+beta, calibrated = calibrate_beta([gray], subset_size=8, target_fraction=0.5)
 print(f"calibrated beta for a 50% budget: {beta:.3f} "
       f"-> {calibrated.total()} of 16 frames: {sorted(calibrated.entries[0])}")

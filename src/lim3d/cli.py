@@ -31,10 +31,10 @@ from .errors import Lim3dError
 from .network import mini_backbone_topology, topology_cost, LayerSpec
 from .pointcloud import (SceneSpec, frame_path, image_path, label_path,
                          list_sequence_frames, load_frame, project_range_image,
-                         range_to_grayscale, read_pgm, save_frame, save_labels,
+                         ranges_to_grayscale, read_pgm, save_frame, save_labels,
                          synth_sequence, write_pgm)
 from .reflectivity import ReflecConfig, coarse_histograms, normalize_reflectivity, reflectivity
-from .sampling import StrfdConfig, calibrate_beta, plan, save_plan
+from .sampling import calibrate_beta, plan, save_plan
 from .training import ToyPipelineConfig, label_frame, load_model, prepare_frame, run_toy_pipeline
 from .voxel import point_rows
 
@@ -85,13 +85,13 @@ def cmd_synth(args) -> int:
     for s in range(args.sequences):
         seq = f"{s:02d}"
         frames = synth_sequence(spec, args.frames, args.seed + 1000 * s, sequence_id=s)
-        max_range = max(float(ri.values.max()) for _, ri in frames) or 1.0
-        for t, (pc, ri) in enumerate(frames):
+        gray = ranges_to_grayscale([ri for _, ri in frames])
+        for t, ((pc, _), img) in enumerate(zip(frames, gray)):
             for p in (frame_path(root, seq, t), label_path(root, seq, t), image_path(root, seq, t)):
                 p.parent.mkdir(parents=True, exist_ok=True)
             save_frame(frame_path(root, seq, t), pc)
             save_labels(label_path(root, seq, t), pc.labels.astype(np.uint32))
-            write_pgm(image_path(root, seq, t), range_to_grayscale(ri, max_range))
+            write_pgm(image_path(root, seq, t), img)
     print(f"wrote {args.sequences} sequence(s) x {args.frames} frame(s) under {root}")
     return EXIT_OK
 
@@ -108,10 +108,9 @@ def _load_sequence_images(root: Path, seq: str, source: str,
         raise Lim3dError(f"no frames under {root}/sequences/{seq}/velodyne")
     if source == "gray":
         return [read_pgm(image_path(root, seq, t)) for t in frames]
-    ranges = [project_range_image(load_frame(frame_path(root, seq, t), frame_id=t),
-                                  width=width, height=height) for t in frames]
-    peak = max((float(ri.values.max()) for ri in ranges), default=0.0) or 1.0
-    return [range_to_grayscale(ri, peak) for ri in ranges]
+    ranges = [project_range_image(load_frame(frame_path(root, seq, t)), width=width, height=height)
+              for t in frames]
+    return ranges_to_grayscale(ranges)
 
 
 def cmd_sample(args) -> int:
@@ -128,14 +127,13 @@ def cmd_sample(args) -> int:
         _load_sequence_images(root, name, args.source, args.width, args.height)
         for name in names
     ]
-    cfg = StrfdConfig(subset_size=args.subset_size,
-                      beta=args.beta if args.beta is not None else 0.0)
     threads = max(1, int(os.environ.get("LIM3D_THREADS", os.cpu_count() or 1)))
     if args.target_fraction is not None:
-        beta, result = calibrate_beta(sequences, cfg, args.target_fraction, n_threads=threads)
+        beta, result = calibrate_beta(sequences, args.subset_size, args.target_fraction,
+                                      n_threads=threads)
         print(f"calibrated beta = {beta:.6f}")
     else:
-        result = plan(sequences, cfg, n_threads=threads)
+        result = plan(sequences, args.subset_size, args.beta, n_threads=threads)
     save_plan(args.out, result, keys={i: n for i, n in enumerate(names)})
     print(f"selected {result.total()} of {sum(len(s) for s in sequences)} frames -> {args.out}")
     return EXIT_OK

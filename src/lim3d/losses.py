@@ -70,6 +70,8 @@ def lovasz_softmax(probs: Tensor | np.ndarray, labels: np.ndarray) -> Tensor:
     n, c = probs.shape
     if labels.shape != (n,):
         raise ValidationError(f"labels shape {labels.shape} does not match {n} rows")
+    if n and not 0 <= labels.min() <= labels.max() < c:
+        raise ValidationError(f"labels must be class ids in [0, {c})")
     if n == 0:
         return Tensor(0.0)
     terms = []

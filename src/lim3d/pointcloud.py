@@ -13,7 +13,9 @@ Frames live under ``sequences/<seq>/velodyne/<frame>.bin`` with labels in
 ``sequences/<seq>/image_2/<frame>.pgm``.
 
 All containers are frozen dataclasses whose arrays are marked read-only at
-construction, so frames can be shared across threads freely.
+construction, so frames can be shared across threads freely. A range image
+is a plain read-only ``(height, width)`` float32 array of ranges in meters;
+`ranges_to_grayscale` quantizes a sequence of them by its farthest return.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .errors import DomainError, FormatError, ShapeError, ValidationError
 
 __all__ = [
     "PointCloud",
-    "RangeImage",
     "SceneSpec",
     "load_frame",
     "save_frame",
@@ -38,7 +39,7 @@ __all__ = [
     "read_pgm",
     "write_pgm",
     "project_range_image",
-    "range_to_grayscale",
+    "ranges_to_grayscale",
     "synth_sequence",
     "frame_path",
     "label_path",
@@ -96,23 +97,6 @@ class PointCloud:
 
     def __len__(self) -> int:
         return len(self.xyz)
-
-
-@dataclass(frozen=True)
-class RangeImage:
-    """Row-major grid of ranges in meters; 0 marks pixels with no return."""
-
-    width: int
-    height: int
-    values: np.ndarray  # (height, width) float32
-
-    def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float32)
-        if values.shape != (self.height, self.width):
-            raise ShapeError(f"values shape {values.shape} != (height={self.height}, width={self.width})")
-        if np.any(values < 0):
-            raise ValidationError("range image contains negative ranges")
-        object.__setattr__(self, "values", _frozen(values))
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +211,13 @@ def read_pgm(path: str | os.PathLike) -> np.ndarray:
 
 def project_range_image(pc: PointCloud, width: int = DEFAULT_IMAGE_WIDTH,
                         height: int = DEFAULT_IMAGE_HEIGHT,
-                        vfov: tuple[float, float] = (-25.0, 3.0)) -> RangeImage:
-    """Project a cloud to a range image.
+                        vfov: tuple[float, float] = (-25.0, 3.0)) -> np.ndarray:
+    """Project a cloud to a read-only ``(height, width)`` float32 range image.
 
-    Azimuth maps to columns over [-pi, pi), elevation to rows (top row =
-    highest elevation). Points outside the vertical field of view are
-    dropped; when several points land on one pixel the nearest wins.
+    Pixels hold ranges in meters, 0 where there is no return. Azimuth maps
+    to columns over [-pi, pi), elevation to rows (top row = highest
+    elevation). Points outside the vertical field of view are dropped; when
+    several points land on one pixel the nearest wins.
     """
     if width < 1 or height < 1:
         raise DomainError("width and height must be >= 1")
@@ -241,9 +226,6 @@ def project_range_image(pc: PointCloud, width: int = DEFAULT_IMAGE_WIDTH,
         raise DomainError(f"vfov must satisfy min < max, got {vfov}")
 
     grid = np.zeros((height, width), dtype=np.float32)
-    if len(pc) == 0:
-        return RangeImage(width=width, height=height, values=grid)
-
     xyz = pc.xyz.astype(np.float64)
     r = np.linalg.norm(xyz, axis=1)
     valid = r > 0
@@ -259,15 +241,18 @@ def project_range_image(pc: PointCloud, width: int = DEFAULT_IMAGE_WIDTH,
     # Sort by descending range so the nearest point is written last per pixel.
     order = idx[np.argsort(-r[idx], kind="stable")]
     grid[rows[order], cols[order]] = r[order]
-    return RangeImage(width=width, height=height, values=grid)
+    return _frozen(grid)
 
 
-def range_to_grayscale(image: RangeImage, max_range: float) -> np.ndarray:
-    """Quantize ranges to an 8-bit grid (0 stays 0; `max_range` maps to 255)."""
-    if max_range <= 0:
-        raise DomainError("max_range must be positive")
-    scaled = np.clip(image.values.astype(np.float64) / max_range, 0.0, 1.0)
-    return np.round(scaled * 255.0).astype(np.uint8)
+def ranges_to_grayscale(images: list[np.ndarray]) -> list[np.ndarray]:
+    """Quantize one sequence's range images to 8-bit grids.
+
+    The sequence's farthest return maps to 255 and 0 (no return) stays 0;
+    an all-zero sequence stays all zero.
+    """
+    peak = max((float(img.max()) for img in images), default=0.0) or 1.0
+    return [np.round(np.clip(np.asarray(img, np.float64) / peak, 0.0, 1.0) * 255.0).astype(np.uint8)
+            for img in images]
 
 
 # ---------------------------------------------------------------------------
@@ -326,19 +311,20 @@ def _base_scene(spec: SceneSpec, rng: np.random.Generator):
         ]))
         intensity.append(rng.uniform(i_lo, i_hi, n))
         labels.append(np.full(n, cls, dtype=np.int64))
-    return np.vstack(xyz), np.concatenate(intensity), np.concatenate(labels)
+    # float32 once, so every frame's PointCloud shares one intensity array.
+    return np.vstack(xyz), np.concatenate(intensity).astype(np.float32), np.concatenate(labels)
 
 
 def synth_sequence(spec: SceneSpec, n_frames: int, seed: int,
-                   sequence_id: int = 0) -> list[tuple[PointCloud, RangeImage]]:
-    """Deterministic synthetic sequence of labeled frames plus range renders."""
+                   sequence_id: int = 0) -> list[tuple[PointCloud, np.ndarray]]:
+    """Deterministic synthetic sequence of labeled frames, each with its range image."""
     if n_frames < 1:
         raise DomainError("n_frames must be >= 1")
     rng = np.random.default_rng(seed)
     xyz0, intensity, labels = _base_scene(spec, rng)
     moving = labels == min(spec.moving_class, spec.n_classes - 1)
 
-    out: list[tuple[PointCloud, RangeImage]] = []
+    out: list[tuple[PointCloud, np.ndarray]] = []
     offset = 0.0
     width = 2.0 * spec.wrap_extent
     for t in range(n_frames):

@@ -1,19 +1,21 @@
 """Redundancy-aware frame selection for continuously captured sequences.
 
-Each sequence is split into subsets of `subset_size` consecutive frames.
-A frame's redundancy is the structural similarity between it and the next
-frame in the sequence (the last frame reuses its predecessor pair),
-clamped to [0, 1]. The mean redundancy ``x`` of a subset feeds the decay
-supervisor ``exp(-beta * x)``, and the subset contributes
-``max(1, ceil(exp(-beta * x) * q))`` frames, ``q`` being `subset_size` (a
-shorter tail subset gives at most all of its frames); the least redundant
-frames are chosen first, ties going to the lower frame index. Static
-stretches therefore collapse to a single pick per subset at high beta,
-while dynamic stretches keep most frames.
+Frames are 8-bit grayscale grids, such as `ranges_to_grayscale` makes of a
+sequence's range images. Each sequence is split into subsets of
+`subset_size` consecutive frames. A frame's redundancy is the structural
+similarity between it and the next frame in the sequence (the last frame
+reuses its predecessor pair), clamped to [0, 1]. The mean redundancy ``x``
+of a subset feeds the decay supervisor ``exp(-beta * x)``, and the subset
+contributes ``max(1, ceil(exp(-beta * x) * q))`` frames, ``q`` being
+`subset_size` (a shorter tail subset gives at most all of its frames); the
+least redundant frames are chosen first, ties going to the lower frame
+index. Static stretches therefore collapse to a single pick per subset at
+high beta, while dynamic stretches keep most frames.
 
 Passive uniform and seeded-random baselines, plus a bisection calibrator
 that finds the beta hitting a target global sampling fraction, round out
-the module.
+the module. The calibrator brackets beta in [0, `MAX_BETA`] and halves the
+bracket `CALIBRATION_STEPS` times.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .errors import DomainError, FormatError, ValidationError
 from .ssim import ssim
 
 __all__ = [
-    "StrfdConfig",
     "SamplingPlan",
     "supervisor",
     "frame_redundancies",
@@ -43,18 +44,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StrfdConfig:
-    """Sampler settings: subset size and decay coefficient."""
+MAX_BETA = 1024.0
+CALIBRATION_STEPS = 64
 
-    subset_size: int = 10
-    beta: float = 0.0
 
-    def __post_init__(self):
-        if self.subset_size < 1:
-            raise DomainError("subset_size must be >= 1")
-        if self.beta < 0:
-            raise DomainError("beta must be nonnegative")
+def _check_settings(subset_size: int, beta: float = 0.0) -> None:
+    """Reject bad settings before any structural-similarity work."""
+    if subset_size < 1:
+        raise DomainError("subset_size must be >= 1")
+    if beta < 0:
+        raise DomainError("beta must be nonnegative")
 
 
 @dataclass
@@ -106,29 +105,31 @@ def frame_redundancies(frames: list[np.ndarray], n_threads: int = 1) -> np.ndarr
     return np.clip(psi, 0.0, 1.0)
 
 
-def plan_from_redundancies(redundancies: list[np.ndarray],
-                           cfg: StrfdConfig) -> SamplingPlan:
+def plan_from_redundancies(redundancies: list[np.ndarray], subset_size: int,
+                           beta: float) -> SamplingPlan:
     """Frame selection given precomputed per-frame redundancies."""
+    _check_settings(subset_size, beta)
     entries: dict[int, list[int]] = {}
-    q = cfg.subset_size
+    q = subset_size
     for seq_id, psi in enumerate(redundancies):
         chosen: list[int] = []
         for start in range(0, len(psi), q):
             sub = psi[start:start + q]
             mean_red = float(sub.mean())
             # At least one: exp(-beta * x) underflows to 0 once beta * x > ~745.
-            k = min(max(1, math.ceil(supervisor(mean_red, cfg.beta) * q)), len(sub))
+            k = min(max(1, math.ceil(supervisor(mean_red, beta) * q)), len(sub))
             order = np.argsort(sub, kind="stable")  # stable: ties to lower index
             chosen.extend(start + int(j) for j in order[:k])
         entries[seq_id] = sorted(chosen)
     return SamplingPlan(entries=entries)
 
 
-def plan(sequences: list[list[np.ndarray]], cfg: StrfdConfig,
+def plan(sequences: list[list[np.ndarray]], subset_size: int, beta: float,
          n_threads: int = 1) -> SamplingPlan:
     """Select frames per sequence; see the module docstring for the rule."""
+    _check_settings(subset_size, beta)
     psis = [frame_redundancies(frames, n_threads=n_threads) for frames in sequences]
-    return plan_from_redundancies(psis, cfg)
+    return plan_from_redundancies(psis, subset_size, beta)
 
 
 def passive_baselines(n_frames: int, fraction: float, mode: str = "uniform",
@@ -149,9 +150,8 @@ def passive_baselines(n_frames: int, fraction: float, mode: str = "uniform",
     return SamplingPlan(entries={0: idx})
 
 
-def calibrate_beta(sequences: list[list[np.ndarray]], cfg: StrfdConfig,
-                   target_fraction: float, max_beta: float = 1024.0,
-                   iterations: int = 64, n_threads: int = 1) -> tuple[float, SamplingPlan]:
+def calibrate_beta(sequences: list[list[np.ndarray]], subset_size: int,
+                   target_fraction: float, n_threads: int = 1) -> tuple[float, SamplingPlan]:
     """Bisection on beta toward a target global sampling fraction.
 
     The selected count is a nonincreasing step function of beta, so the
@@ -160,24 +160,25 @@ def calibrate_beta(sequences: list[list[np.ndarray]], cfg: StrfdConfig,
     """
     if not 0.0 < target_fraction <= 1.0:
         raise DomainError(f"target_fraction must lie in (0, 1], got {target_fraction}")
+    _check_settings(subset_size)
     total = sum(len(s) for s in sequences)
     target = target_fraction * total
     psis = [frame_redundancies(frames, n_threads=n_threads) for frames in sequences]
 
     def count_at(beta: float) -> tuple[int, SamplingPlan]:
-        p = plan_from_redundancies(psis, StrfdConfig(subset_size=cfg.subset_size, beta=beta))
+        p = plan_from_redundancies(psis, subset_size, beta)
         return p.total(), p
 
     lo = 0.0
     lo_count, lo_plan = count_at(lo)
     if lo_count <= target:
         return lo, lo_plan
-    hi = max_beta
+    hi = MAX_BETA
     hi_count, hi_plan = count_at(hi)
     if hi_count > target:
         # Floor of the step function still above target; best effort.
         return hi, hi_plan
-    for _ in range(iterations):
+    for _ in range(CALIBRATION_STEPS):
         mid = 0.5 * (lo + hi)
         mid_count, mid_plan = count_at(mid)
         if mid_count > target:

@@ -30,16 +30,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, softmax
-from .errors import DivergenceError, DomainError, FormatError, ShapeError
+from .errors import DivergenceError, DomainError, FormatError, ShapeError, ValidationError
 from .losses import LossConfig, kl_consistency, lovasz_softmax, total_loss
 from .network import MiniSegNet, mini_backbone_topology, topology_cost
-from .pointcloud import SceneSpec, range_to_grayscale, synth_sequence
+from .pointcloud import SceneSpec, ranges_to_grayscale, synth_sequence
 from .pseudolabel import (ContrastiveConfig, MemoryBank, PseudoLabelSet,
                           VoxelPredictions, bank_push_negatives,
                           build_anchor_set, entropy_partition, crb_select,
                           infonce_loss, positive_center)
 from .reflectivity import ReflecConfig, augment, coarse_histograms, normalize_reflectivity, reflectivity
-from .sampling import StrfdConfig, calibrate_beta
+from .sampling import calibrate_beta
 from .sparseconv import Rulebook, build_rulebook
 from .voxel import CylGridSpec, SparseVoxelTensor, voxelize
 
@@ -81,10 +81,14 @@ def ema_update(teacher: np.ndarray, student: np.ndarray, kappa: float) -> np.nda
 
 
 def confusion_matrix(pred: np.ndarray, gt: np.ndarray, n_classes: int) -> np.ndarray:
+    """Counts of ``(ground truth, prediction)`` pairs; ids must lie in [0, n_classes)."""
     pred = np.asarray(pred, dtype=np.int64)
     gt = np.asarray(gt, dtype=np.int64)
     if pred.shape != gt.shape:
         raise ShapeError("prediction and ground truth lengths differ")
+    for name, ids in (("prediction", pred), ("ground truth", gt)):
+        if ids.size and not 0 <= ids.min() <= ids.max() < n_classes:
+            raise ValidationError(f"{name} ids must lie in [0, {n_classes})")
     out = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(out, (gt, pred), 1)
     return out
@@ -266,7 +270,7 @@ def run_toy_pipeline(cfg: ToyPipelineConfig,
     """Run the staged loop on synthetic sequences and report metrics.
 
     `sequences` overrides the generated data; each entry is a list of
-    ``(PointCloud, RangeImage)`` pairs as produced by `synth_sequence`.
+    ``(PointCloud, range image)`` pairs as produced by `synth_sequence`.
     Returns a JSON-serializable report with per-stage losses, the sampling
     plan, per-class IoU on the held-out split, and cost totals. With
     `model_path`, the trained student is written there by `save_model`.
@@ -287,10 +291,8 @@ def run_toy_pipeline(cfg: ToyPipelineConfig,
         heldout.extend(frames[-n_held:])
 
     # Redundancy-driven selection of the labeled subset.
-    max_range = max(float(ri.values.max()) for frames in train_seqs for _, ri in frames) or 1.0
-    gray = [[range_to_grayscale(ri, max_range) for _, ri in frames] for frames in train_seqs]
-    beta, labeled_plan = calibrate_beta(gray, StrfdConfig(subset_size=cfg.subset_size),
-                                        cfg.labeled_fraction)
+    gray = [ranges_to_grayscale([ri for _, ri in frames]) for frames in train_seqs]
+    beta, labeled_plan = calibrate_beta(gray, cfg.subset_size, cfg.labeled_fraction)
 
     frames: list[Frame] = []
     labeled_ids, unlabeled_ids = [], []
@@ -304,9 +306,9 @@ def run_toy_pipeline(cfg: ToyPipelineConfig,
             frames.append(f)
     heldout_frames = [prepare_frame(pc, cfg.grid, cfg.reflec, cfg.kernel_size) for pc, _ in heldout]
 
-    in_channels = 4 + (cfg.reflec.feature_dim if cfg.reflec is not None else 0)
     n_classes = cfg.scene.n_classes
-    student = MiniSegNet(in_channels, n_classes, cfg.widths, cfg.kernel_size, seed=cfg.seed)
+    student = MiniSegNet(frames[0].svt.channels, n_classes, cfg.widths, cfg.kernel_size,
+                         seed=cfg.seed)
     teacher = student.clone()
 
     def evaluate(net: MiniSegNet) -> np.ndarray:

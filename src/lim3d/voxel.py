@@ -7,7 +7,7 @@ features are the mean point features ``(dx, dy, dz, intensity, *extra)``
 where the offsets are measured from the voxel center; they are summed and
 averaged in float64 and stored as float32, the precision of the points.
 Voxel labels are the majority vote of point labels with ties broken toward
-the smaller class id.
+the smaller class id; a negative point label raises `ValidationError`.
 """
 
 from __future__ import annotations
@@ -170,7 +170,12 @@ def voxelize(pc: PointCloud, grid: CylGridSpec) -> SparseVoxelTensor:
     ``(dx, dy, dz, intensity, *extra_features)`` averaged per voxel in
     float64 and returned as float32; offsets are from the voxel center in
     Cartesian coordinates.
+
+    Raises:
+        ValidationError: a point label is negative.
     """
+    if pc.labels is not None and pc.labels.size and pc.labels.min() < 0:
+        raise ValidationError("voxelize: point labels must be nonnegative class ids")
     xyz = pc.xyz.astype(np.float64)
     keep, keys = _bin_points(xyz, grid)
     dropped = int(len(pc) - keep.sum())

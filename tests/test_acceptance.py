@@ -14,11 +14,10 @@ import pytest
 from conftest import finite_difference, max_rel_err, random_sparse_tensor
 from dense_reference import (dense_pointwise_reference, dense_separable_reference,
                              dense_spatial_reference)
-from lim3d import (ContrastiveConfig, MemoryBank, SceneSpec, StrfdConfig,
-                   ToyPipelineConfig, build_rulebook, cost, densify, ema_update,
-                   glorot_kernel, infonce_loss, kl_consistency, lovasz_softmax,
-                   range_to_grayscale, run_toy_pipeline, ssim, submanifold_conv,
-                   synth_sequence)
+from lim3d import (ContrastiveConfig, MemoryBank, SceneSpec, ToyPipelineConfig,
+                   build_rulebook, cost, densify, ema_update, glorot_kernel,
+                   infonce_loss, kl_consistency, lovasz_softmax, ranges_to_grayscale,
+                   run_toy_pipeline, ssim, submanifold_conv, synth_sequence)
 from lim3d.autodiff import Tensor, softmax
 from lim3d.cli import main
 from lim3d.pseudolabel import positive_center
@@ -40,9 +39,7 @@ def criterion(num, name):
 
 
 def gray_sequence(spec, n_frames, seed):
-    frames = synth_sequence(spec, n_frames, seed)
-    peak = max(float(ri.values.max()) for _, ri in frames) or 1.0
-    return [range_to_grayscale(ri, peak).astype(np.float64) for _, ri in frames]
+    return ranges_to_grayscale([ri for _, ri in synth_sequence(spec, n_frames, seed)])
 
 
 def test_01_submanifold_invariance():
@@ -234,12 +231,12 @@ def test_05_sampler_behavior():
         frames = gray_sequence(spec, 16, seed=5)
         psi = [frame_redundancies(frames)]
         for beta in BETA_GRID:
-            chosen = plan_from_redundancies(psi, StrfdConfig(subset_size=8, beta=beta)).entries[0]
+            chosen = plan_from_redundancies(psi, 8, beta).entries[0]
             static = sum(1 for i in chosen if i < 8)
             moving = sum(1 for i in chosen if i >= 8)
             assert moving >= static, f"beta={beta}: moving {moving} < static {static}"
 
-        full = plan_from_redundancies(psi, StrfdConfig(subset_size=8, beta=0.0))
+        full = plan_from_redundancies(psi, 8, 0.0)
         assert full.entries[0] == list(range(16))
 
         rng = np.random.default_rng(55)
@@ -250,9 +247,7 @@ def test_05_sampler_behavior():
                           segment_length=int(rng.integers(4, 9)),
                           segment_speeds=speeds)
             seq_psi = [frame_redundancies(gray_sequence(s, 24, seed=int(rng.integers(1e6))))]
-            counts = [plan_from_redundancies(
-                seq_psi, StrfdConfig(subset_size=8, beta=b)).total()
-                for b in (0.0,) + BETA_GRID]
+            counts = [plan_from_redundancies(seq_psi, 8, b).total() for b in (0.0,) + BETA_GRID]
             assert all(a >= b for a, b in zip(counts, counts[1:])), counts
 
 

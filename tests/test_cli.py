@@ -9,7 +9,8 @@ import pytest
 
 from lim3d.cli import build_parser, main
 from lim3d.network import MiniSegNet
-from lim3d.pointcloud import load_frame, load_labels
+from lim3d.pointcloud import (SceneSpec, image_path, load_frame, load_labels, ranges_to_grayscale,
+                              read_pgm, synth_sequence)
 from lim3d.sampling import load_plan
 from lim3d.training import TOY_GRID, save_model
 from lim3d.voxel import CylGridSpec, voxelize
@@ -66,6 +67,13 @@ class TestSynthAndSample:
         assert (dataset / "sequences" / "01" / "labels" / "000015.label").exists()
         assert (dataset / "sequences" / "00" / "image_2" / "000003.pgm").exists()
 
+    def test_pgms_are_the_sequences_grayscale(self, dataset):
+        spec = SceneSpec(n_points=250, segment_length=8, segment_speeds=(0.0, 1.0))
+        for s, seq in enumerate(("00", "01")):
+            frames = synth_sequence(spec, 16, seed=1000 * s, sequence_id=s)
+            for t, img in enumerate(ranges_to_grayscale([ri for _, ri in frames])):
+                np.testing.assert_array_equal(read_pgm(image_path(dataset, seq, t)), img)
+
     def test_beta_zero_selects_all(self, dataset, tmp_path):
         out = tmp_path / "plan.json"
         rc = main(["sample", "--seq-dir", str(dataset), "--beta", "0",
@@ -116,6 +124,14 @@ class TestSynthAndSample:
         rc = main(["sample", "--seq-dir", str(dataset), "--beta", "1",
                    "--target-fraction", "0.5", "--out", str(tmp_path / "p.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize("flags", [["--subset-size", "0", "--beta", "1"],
+                                       ["--subset-size", "0", "--target-fraction", "0.5"],
+                                       ["--beta", "-1"]])
+    def test_bad_sampler_settings_exit_2_without_plan(self, dataset, tmp_path, flags):
+        out = tmp_path / "p.json"
+        assert main(["sample", "--seq-dir", str(dataset), *flags, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_thread_env_override_keeps_results(self, dataset, tmp_path, monkeypatch):
         single = tmp_path / "single.json"

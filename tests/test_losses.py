@@ -76,6 +76,11 @@ class TestLovasz:
         fd = finite_difference(lambda v: f(v)[1].item(), logits)
         assert max_rel_err(t.grad, fd) < 1e-3
 
+    @pytest.mark.parametrize("labels", [[0, -1, 1], [0, 3, 1]])
+    def test_label_outside_class_range_rejected(self, labels):
+        with pytest.raises(ValidationError, match=r"\[0, 3\)"):
+            lovasz_softmax(np.full((3, 3), 1.0 / 3.0), np.array(labels))
+
 
 class TestKlConsistency:
     def test_identical_distributions_zero(self, rng):

@@ -3,7 +3,7 @@ import pytest
 
 from lim3d import (DomainError, FormatError, PointCloud, SceneSpec,
                    ValidationError, load_frame, project_range_image,
-                   range_to_grayscale, read_pgm, save_frame, synth_sequence,
+                   ranges_to_grayscale, read_pgm, save_frame, synth_sequence,
                    write_pgm)
 from lim3d.pointcloud import load_labels, save_labels
 
@@ -71,22 +71,22 @@ class TestRangeProjection:
     def test_single_point_center_pixel(self):
         pc = PointCloud(xyz=[[1.0, 0.0, 0.0]], intensity=[0.5])
         ri = project_range_image(pc, width=64, height=32, vfov=(-25.0, 25.0))
-        nonzero = np.argwhere(ri.values > 0)
+        nonzero = np.argwhere(ri > 0)
         assert nonzero.shape == (1, 3) or nonzero.shape == (1, 2)
         row, col = nonzero[0][:2]
         assert (row, col) == (16, 32)
-        assert ri.values[row, col] == pytest.approx(1.0)
+        assert ri[row, col] == pytest.approx(1.0)
 
     def test_empty_cloud_all_zero(self):
         pc = PointCloud(xyz=np.empty((0, 3)), intensity=np.empty(0))
         ri = project_range_image(pc, width=8, height=4, vfov=(-10, 10))
-        assert not ri.values.any()
+        assert not ri.any()
 
     def test_nearest_point_wins(self):
         pc = PointCloud(xyz=[[5.0, 0.0, 0.0], [3.0, 0.0, 0.0]], intensity=[0.1, 0.2])
         ri = project_range_image(pc, width=16, height=8, vfov=(-10, 10))
-        assert ri.values.max() == pytest.approx(3.0)
-        assert np.count_nonzero(ri.values) == 1
+        assert ri.max() == pytest.approx(3.0)
+        assert np.count_nonzero(ri) == 1
 
     def test_pixels_never_exceed_points(self, rng):
         for _ in range(10):
@@ -94,7 +94,14 @@ class TestRangeProjection:
             pc = PointCloud(xyz=rng.normal(scale=5.0, size=(n, 3)),
                             intensity=rng.uniform(size=n))
             ri = project_range_image(pc, width=32, height=16, vfov=(-30, 30))
-            assert np.count_nonzero(ri.values) <= n
+            assert np.count_nonzero(ri) <= n
+
+    def test_read_only_float32_grid(self):
+        pc = PointCloud(xyz=[[1.0, 0.0, 0.0]], intensity=[0.5])
+        for cloud in (pc, PointCloud(xyz=np.empty((0, 3)), intensity=np.empty(0))):
+            ri = project_range_image(cloud, width=8, height=4, vfov=(-10, 10))
+            assert ri.shape == (4, 8) and ri.dtype == np.float32
+            assert not ri.flags.writeable
 
     def test_bad_vfov(self):
         pc = PointCloud(xyz=[[1.0, 0, 0]], intensity=[0.5])
@@ -109,19 +116,19 @@ class TestSynthSequence:
         b = synth_sequence(spec, 4, seed=9)
         for (pa, ra), (pb, rb) in zip(a, b):
             np.testing.assert_array_equal(pa.xyz, pb.xyz)
-            np.testing.assert_array_equal(ra.values, rb.values)
+            np.testing.assert_array_equal(ra, rb)
 
     def test_static_profile_identical_frames(self):
         spec = SceneSpec(n_points=200, segment_speeds=(0.0,))
         frames = synth_sequence(spec, 5, seed=1)
         for _, ri in frames[1:]:
-            np.testing.assert_array_equal(ri.values, frames[0][1].values)
+            np.testing.assert_array_equal(ri, frames[0][1])
 
     def test_moving_profile_changes_images(self):
         spec = SceneSpec(n_points=200, segment_speeds=(1.0,), segment_length=4)
         frames = synth_sequence(spec, 5, seed=1)
         for (_, prev), (_, cur) in zip(frames, frames[1:]):
-            assert np.any(prev.values != cur.values)
+            assert np.any(prev != cur)
 
     def test_labels_and_bands(self):
         frames = synth_sequence(SceneSpec(n_points=300), 1, seed=0)
@@ -131,6 +138,24 @@ class TestSynthSequence:
         for cls, (lo, hi) in enumerate([(0.08, 0.12), (0.45, 0.55), (0.80, 0.90)]):
             vals = pc.intensity[pc.labels == cls]
             assert vals.min() >= lo and vals.max() <= hi
+
+
+class TestRangesToGrayscale:
+    def test_sequence_peak_maps_to_255_and_zero_stays_zero(self):
+        a = np.array([[0.0, 5.0], [10.0, 2.5]], dtype=np.float32)
+        b = np.array([[20.0, 0.0], [0.0, 0.0]], dtype=np.float32)
+        gray = ranges_to_grayscale([a, b])
+        assert all(g.dtype == np.uint8 for g in gray)
+        np.testing.assert_array_equal(gray[0], [[0, 64], [128, 32]])
+        np.testing.assert_array_equal(gray[1], [[255, 0], [0, 0]])
+
+    def test_all_zero_sequence_gives_zeros(self):
+        gray = ranges_to_grayscale([np.zeros((2, 3), np.float32)] * 2)
+        for g in gray:
+            np.testing.assert_array_equal(g, np.zeros((2, 3), np.uint8))
+
+    def test_empty_sequence(self):
+        assert ranges_to_grayscale([]) == []
 
 
 class TestPgm:
@@ -164,12 +189,6 @@ class TestPgm:
         (tmp_path / "empty.pgm").write_bytes(b"P5\n" + dims + b"\n255\n")
         with pytest.raises(FormatError):
             read_pgm(tmp_path / "empty.pgm")
-
-    def test_range_to_grayscale(self):
-        ri_values = np.array([[0.0, 5.0], [10.0, 20.0]], dtype=np.float32)
-        from lim3d import RangeImage
-        gray = range_to_grayscale(RangeImage(width=2, height=2, values=ri_values), max_range=10.0)
-        np.testing.assert_array_equal(gray, [[0, 128], [255, 255]])
 
     @pytest.mark.parametrize("n_bytes", [1, 5, 7])
     def test_label_partial_element_rejected(self, tmp_path, n_bytes):

@@ -5,18 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lim3d import (DomainError, FormatError, SceneSpec, StrfdConfig, calibrate_beta,
-                   passive_baselines, plan, range_to_grayscale, supervisor,
-                   synth_sequence)
+from lim3d import (DomainError, FormatError, SceneSpec, calibrate_beta, passive_baselines,
+                   plan, ranges_to_grayscale, supervisor, synth_sequence)
 from lim3d.sampling import frame_redundancies, load_plan, plan_from_redundancies, save_plan
 
 BETA_GRID = (2.28, 4.00, 5.72, 7.45)
 
 
 def gray_frames(spec, n_frames, seed):
-    frames = synth_sequence(spec, n_frames, seed)
-    peak = max(float(ri.values.max()) for _, ri in frames) or 1.0
-    return [range_to_grayscale(ri, peak).astype(np.float64) for _, ri in frames]
+    return ranges_to_grayscale([ri for _, ri in synth_sequence(spec, n_frames, seed)])
 
 
 def two_regime_frames(n=16, seed=0):
@@ -78,8 +75,7 @@ class TestPlan:
     def test_all_identical_high_beta_one_per_subset(self):
         img = np.full((16, 16), 80.0)
         frames = [img.copy() for _ in range(20)]
-        cfg = StrfdConfig(subset_size=10, beta=7.45)
-        result = plan([frames], cfg)
+        result = plan([frames], subset_size=10, beta=7.45)
         # redundancy 1 everywhere: ceil(10 * exp(-7.45)) = 1 frame per subset
         assert len(result.entries[0]) == 2
 
@@ -87,19 +83,17 @@ class TestPlan:
         """exp(-beta) underflows to 0 above beta ~745; a subset still keeps
         its one frame, here the first (ties go to the lower index)."""
         for beta in (*np.geomspace(2.1, 1024.0, 40), 745.2):
-            result = plan_from_redundancies([np.ones(8), np.ones(3)],
-                                            StrfdConfig(subset_size=8, beta=float(beta)))
+            result = plan_from_redundancies([np.ones(8), np.ones(3)], 8, float(beta))
             assert result.entries == {0: [0], 1: [0]}, beta
 
     def test_beta_zero_selects_everything(self):
         frames = two_regime_frames()
-        cfg = StrfdConfig(subset_size=8, beta=0.0)
-        assert plan([frames], cfg).entries[0] == list(range(len(frames)))
+        assert plan([frames], 8, 0.0).entries[0] == list(range(len(frames)))
 
     def test_moving_subset_gets_at_least_static(self):
         frames = two_regime_frames()
         for beta in BETA_GRID:
-            result = plan([frames], StrfdConfig(subset_size=8, beta=beta))
+            result = plan([frames], 8, beta)
             chosen = result.entries[0]
             static = [i for i in chosen if i < 8]
             moving = [i for i in chosen if i >= 8]
@@ -107,12 +101,11 @@ class TestPlan:
 
     def test_plan_deterministic(self):
         frames = two_regime_frames()
-        cfg = StrfdConfig(subset_size=8, beta=4.0)
-        assert plan([frames], cfg) == plan([frames], cfg)
+        assert plan([frames], 8, 4.0) == plan([frames], 8, 4.0)
 
     def test_monotone_in_beta(self, rng):
         frames = two_regime_frames()
-        counts = [plan([frames], StrfdConfig(subset_size=8, beta=b)).total()
+        counts = [plan([frames], 8, b).total()
                   for b in (0.0,) + BETA_GRID]
         ordered = sorted(((0.0,) + BETA_GRID), key=lambda b: b)
         by_beta = dict(zip((0.0,) + BETA_GRID, counts))
@@ -122,7 +115,7 @@ class TestPlan:
     def test_selected_count_bounds(self):
         frames = two_regime_frames()
         for beta in (0.0, 1.0, 7.45):
-            result = plan([frames], StrfdConfig(subset_size=8, beta=beta))
+            result = plan([frames], 8, beta)
             chosen = result.entries[0]
             for start in range(0, 16, 8):
                 k = sum(1 for i in chosen if start <= i < start + 8)
@@ -131,10 +124,20 @@ class TestPlan:
     def test_ragged_tail_subset(self):
         img = np.full((8, 8), 10.0)
         frames = [img.copy() for _ in range(13)]
-        result = plan([frames], StrfdConfig(subset_size=5, beta=7.45))
+        result = plan([frames], 5, 7.45)
         assert all(0 <= i < 13 for i in result.entries[0])
         tail = [i for i in result.entries[0] if i >= 10]
         assert 1 <= len(tail) <= 3
+
+    @pytest.mark.parametrize("call", [
+        lambda seqs: plan(seqs, 0, 1.0),
+        lambda seqs: plan(seqs, 8, -1.0),
+        lambda seqs: calibrate_beta(seqs, 0, 0.5),
+    ], ids=["plan-subset-0", "plan-beta-negative", "calibrate-subset-0"])
+    def test_bad_settings_rejected_before_ssim(self, monkeypatch, call):
+        monkeypatch.setattr("lim3d.sampling.ssim", lambda *a: pytest.fail("ssim ran"))
+        with pytest.raises(DomainError):
+            call([[np.zeros((8, 8))] * 4])
 
 
 class TestPassiveBaselines:
@@ -164,30 +167,28 @@ class TestCalibration:
         spec = SceneSpec(n_points=250, segment_length=10,
                          segment_speeds=(0.0, 0.05, 0.0, 0.1))
         frames = gray_frames(spec, 100, seed=2)
-        cfg = StrfdConfig(subset_size=20, beta=0.0)
-        beta, result = calibrate_beta([frames], cfg, target_fraction=0.10)
+        beta, result = calibrate_beta([frames], 20, target_fraction=0.10)
         assert abs(result.total() - 10) <= 1
         assert beta > 0
 
     @pytest.mark.parametrize("target", [0.01, 0.05])
     def test_static_sequence_keeps_a_frame_per_subset(self, target):
         img = np.full((8, 8), 100.0)
-        _, result = calibrate_beta([[img.copy() for _ in range(24)]],
-                                   StrfdConfig(subset_size=8), target)
+        _, result = calibrate_beta([[img.copy() for _ in range(24)]], 8, target)
         assert result.entries == {0: [0, 8, 16]}
 
     def test_fraction_one_returns_beta_zero(self):
         frames = two_regime_frames()
-        beta, result = calibrate_beta([frames], StrfdConfig(subset_size=8), 1.0)
+        beta, result = calibrate_beta([frames], 8, 1.0)
         assert beta == 0.0
         assert result.total() == len(frames)
-        assert result == plan([frames], StrfdConfig(subset_size=8))
+        assert result == plan([frames], 8, 0.0)
 
 
 class TestPlanIO:
     def test_save_load_roundtrip(self, tmp_path):
         frames = two_regime_frames()
-        result = plan([frames], StrfdConfig(subset_size=8, beta=4.0))
+        result = plan([frames], 8, 4.0)
         save_plan(tmp_path / "plan.json", result, keys={0: "00"})
         loaded = load_plan(tmp_path / "plan.json")
         assert loaded == {"00": result.entries[0]}

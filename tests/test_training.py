@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from conftest import max_rel_err
 from lim3d import (ContrastiveConfig, DivergenceError, DomainError, LayerSpec, LossConfig, MemoryBank,
-                   MiniSegNet, SceneSpec, ShapeError, Tensor, ToyPipelineConfig, VoxelPredictions,
-                   confusion_matrix, cost, crb_select, ema_update, entropy_partition,
-                   glorot_kernel, iou_per_class, kl_consistency, label_frame, lovasz_softmax,
-                   mean_iou, prepare_frame, run_toy_pipeline, softmax, synth_sequence, train_step,
-                   voxelize)
+                   MiniSegNet, SceneSpec, ShapeError, Tensor, ToyPipelineConfig, ValidationError,
+                   VoxelPredictions, confusion_matrix, cost, crb_select, ema_update,
+                   entropy_partition, glorot_kernel, iou_per_class, kl_consistency, label_frame,
+                   lovasz_softmax, mean_iou, prepare_frame, run_toy_pipeline, softmax,
+                   synth_sequence, train_step, voxelize)
 from lim3d.network import mini_backbone_topology, topology_cost
 from lim3d.pseudolabel import PseudoLabelSet
 from lim3d.errors import FormatError
@@ -74,6 +74,12 @@ class TestMetrics:
         confusion = confusion_matrix(np.array([0, 0]), np.array([0, 0]), 3)
         per = iou_per_class(confusion)
         assert per[0] == 1.0 and np.isnan(per[1]) and np.isnan(per[2])
+
+    @pytest.mark.parametrize("pred, gt", [([0, 1], [0, -1]), ([0, 3], [0, 1]),
+                                          ([-1, 0], [0, 0]), ([0, 0], [0, 3])])
+    def test_id_outside_class_range_rejected(self, pred, gt):
+        with pytest.raises(ValidationError, match=r"\[0, 3\)"):
+            confusion_matrix(np.array(pred), np.array(gt), 3)
 
 
 class TestNetwork:

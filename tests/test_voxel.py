@@ -49,6 +49,13 @@ class TestVoxelize:
         t = voxelize(pc, GRID)
         assert t.labels.tolist() == [1]
 
+    @pytest.mark.parametrize("labels", [[-1, -1, 0], [-1, -1, -1]])
+    def test_negative_label_rejected(self, labels):
+        pc = PointCloud(xyz=[[1.0, 0.0, 0.0], [1.01, 0.0, 0.0], [1.02, 0.0, 0.0]],
+                        intensity=[0.5] * 3, labels=labels)
+        with pytest.raises(ValidationError, match="nonnegative"):
+            voxelize(pc, GRID)
+
     def test_permutation_invariance(self, rng):
         n = 60
         xyz = rng.normal(scale=1.5, size=(n, 3))
