@@ -12,10 +12,16 @@ least redundant frames are chosen first, ties going to the lower frame
 index. Static stretches therefore collapse to a single pick per subset at
 high beta, while dynamic stretches keep most frames.
 
+Scoring a sequence of ``p`` frames takes each frame's SSIM window
+statistics once (`lim3d.ssim.frame_stats`) and carries them to the next
+pair. With ``n_threads > 1`` each worker scores one contiguous run of
+pairs; the scores do not depend on the thread count.
+
 Passive uniform and seeded-random baselines, plus a bisection calibrator
 that finds the beta hitting a target global sampling fraction, round out
 the module. The calibrator brackets beta in [0, `MAX_BETA`] and halves the
-bracket `CALIBRATION_STEPS` times.
+bracket `CALIBRATION_STEPS` times, counting frames from the subset means
+alone; it builds one plan, for the beta it returns.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, FormatError, ValidationError
-from .ssim import ssim
+from .ssim import frame_stats, pair_score
 
 __all__ = [
     "SamplingPlan",
@@ -81,28 +87,49 @@ def supervisor(x: float, beta: float) -> float:
     return math.exp(-beta * x)
 
 
+def _score_run(frames: list[np.ndarray], start: int, stop: int) -> list[float]:
+    """SSIM of the pairs ``(j, j + 1)`` for ``start <= j < stop``; each
+    frame's statistics are taken once and reused for its second pair."""
+    prev = frame_stats(frames[start])
+    scores = []
+    for j in range(start + 1, stop + 1):
+        cur = frame_stats(frames[j])
+        scores.append(pair_score(prev, cur))
+        prev = cur
+    return scores
+
+
 def frame_redundancies(frames: list[np.ndarray], n_threads: int = 1) -> np.ndarray:
     """Per-frame redundancy over one sequence, clamped to [0, 1].
 
     Frame ``j`` scores ``ssim(frame_j, frame_j+1)``; the final frame reuses
     its predecessor pair. A single-frame sequence scores 0 (no adjacent
-    evidence of redundancy).
+    evidence of redundancy). Up to `n_threads` workers each score one
+    contiguous run of pairs.
     """
     p = len(frames)
     if p == 0:
         raise ValidationError("sequence must be nonempty")
     if p == 1:
         return np.zeros(1)
-    args = [(frames[j], frames[j + 1]) for j in range(p - 1)]
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            adjacent = list(pool.map(lambda ab: ssim(*ab), args))
+    n_runs = max(1, min(n_threads, p - 1))
+    cuts = [(p - 1) * i // n_runs for i in range(n_runs + 1)]
+    if n_runs > 1:
+        with ThreadPoolExecutor(max_workers=n_runs) as pool:
+            runs = list(pool.map(lambda ab: _score_run(frames, *ab), zip(cuts, cuts[1:])))
+        adjacent = [score for run in runs for score in run]
     else:
-        adjacent = [ssim(a, b) for a, b in args]
+        adjacent = _score_run(frames, 0, p - 1)
     psi = np.empty(p)
     psi[:-1] = adjacent
     psi[-1] = adjacent[-1]
     return np.clip(psi, 0.0, 1.0)
+
+
+def _subset_take(mean_red: float, beta: float, q: int, n: int) -> int:
+    """Frames a subset of `n` frames with mean redundancy `mean_red` keeps."""
+    # At least one: exp(-beta * x) underflows to 0 once beta * x > ~745.
+    return min(max(1, math.ceil(supervisor(mean_red, beta) * q)), n)
 
 
 def plan_from_redundancies(redundancies: list[np.ndarray], subset_size: int,
@@ -115,9 +142,7 @@ def plan_from_redundancies(redundancies: list[np.ndarray], subset_size: int,
         chosen: list[int] = []
         for start in range(0, len(psi), q):
             sub = psi[start:start + q]
-            mean_red = float(sub.mean())
-            # At least one: exp(-beta * x) underflows to 0 once beta * x > ~745.
-            k = min(max(1, math.ceil(supervisor(mean_red, beta) * q)), len(sub))
+            k = _subset_take(float(sub.mean()), beta, q, len(sub))
             order = np.argsort(sub, kind="stable")  # stable: ties to lower index
             chosen.extend(start + int(j) for j in order[:k])
         entries[seq_id] = sorted(chosen)
@@ -164,30 +189,30 @@ def calibrate_beta(sequences: list[list[np.ndarray]], subset_size: int,
     total = sum(len(s) for s in sequences)
     target = target_fraction * total
     psis = [frame_redundancies(frames, n_threads=n_threads) for frames in sequences]
+    q = subset_size
+    subsets = [(float(psi[s:s + q].mean()), min(q, len(psi) - s))
+               for psi in psis for s in range(0, len(psi), q)]
 
-    def count_at(beta: float) -> tuple[int, SamplingPlan]:
-        p = plan_from_redundancies(psis, subset_size, beta)
-        return p.total(), p
+    def count_at(beta: float) -> int:
+        return sum(_subset_take(mean_red, beta, q, n) for mean_red, n in subsets)
 
-    lo = 0.0
-    lo_count, lo_plan = count_at(lo)
+    lo, lo_count = 0.0, count_at(0.0)
+    hi, hi_count = MAX_BETA, count_at(MAX_BETA)
     if lo_count <= target:
-        return lo, lo_plan
-    hi = MAX_BETA
-    hi_count, hi_plan = count_at(hi)
-    if hi_count > target:
+        beta = lo
+    elif hi_count > target:
         # Floor of the step function still above target; best effort.
-        return hi, hi_plan
-    for _ in range(CALIBRATION_STEPS):
-        mid = 0.5 * (lo + hi)
-        mid_count, mid_plan = count_at(mid)
-        if mid_count > target:
-            lo, lo_count, lo_plan = mid, mid_count, mid_plan
-        else:
-            hi, hi_count, hi_plan = mid, mid_count, mid_plan
-    if abs(lo_count - target) <= abs(hi_count - target):
-        return lo, lo_plan
-    return hi, hi_plan
+        beta = hi
+    else:
+        for _ in range(CALIBRATION_STEPS):
+            mid = 0.5 * (lo + hi)
+            mid_count = count_at(mid)
+            if mid_count > target:
+                lo, lo_count = mid, mid_count
+            else:
+                hi, hi_count = mid, mid_count
+        beta = lo if abs(lo_count - target) <= abs(hi_count - target) else hi
+    return beta, plan_from_redundancies(psis, subset_size, beta)
 
 
 def save_plan(path: str | os.PathLike, plan_: SamplingPlan,

@@ -7,7 +7,8 @@ features are the mean point features ``(dx, dy, dz, intensity, *extra)``
 where the offsets are measured from the voxel center; they are summed and
 averaged in float64 and stored as float32, the precision of the points.
 Voxel labels are the majority vote of point labels with ties broken toward
-the smaller class id; a negative point label raises `ValidationError`.
+the smaller class id, counted over the ids present in the cloud; a
+negative point label raises `ValidationError`.
 """
 
 from __future__ import annotations
@@ -213,11 +214,14 @@ def voxelize(pc: PointCloud, grid: CylGridSpec) -> SparseVoxelTensor:
 
     labels = None
     if pc.labels is not None:
-        kept_labels = pc.labels[keep]
-        n_classes = int(kept_labels.max()) + 1 if kept_labels.size else 1
-        votes = np.zeros((n_voxels, n_classes), dtype=np.int64)
-        np.add.at(votes, (inverse, kept_labels), 1)
-        labels = votes.argmax(axis=1)  # argmax takes the smallest id on ties
+        # Vote over the ids present, not up to the largest id: a .label file
+        # may hold the 0xFFFFFFFF sentinel.
+        present, label_idx = np.unique(pc.labels[keep], return_inverse=True)
+        votes = np.bincount(inverse * present.size + label_idx,
+                            minlength=n_voxels * present.size)
+        # `present` is sorted and argmax takes the first maximum, so ties go
+        # to the smallest id.
+        labels = present[votes.reshape(n_voxels, present.size).argmax(axis=1)]
 
     return SparseVoxelTensor(grid=grid, coords=coords, features=feats.astype(np.float32),
                              labels=labels, dropped_points=dropped)

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -5,11 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lim3d import (DomainError, FormatError, SceneSpec, calibrate_beta, passive_baselines,
-                   plan, ranges_to_grayscale, supervisor, synth_sequence)
-from lim3d.sampling import frame_redundancies, load_plan, plan_from_redundancies, save_plan
+from lim3d import (DomainError, FormatError, SceneSpec, ShapeError, calibrate_beta,
+                   passive_baselines, plan, ranges_to_grayscale, ssim, supervisor,
+                   synth_sequence)
+from lim3d.sampling import (CALIBRATION_STEPS, MAX_BETA, frame_redundancies, load_plan,
+                            plan_from_redundancies, save_plan)
 
 BETA_GRID = (2.28, 4.00, 5.72, 7.45)
+# The package's `ssim` attribute is the function; this is its module.
+SSIM_MODULE = importlib.import_module("lim3d.ssim")
 
 
 def gray_frames(spec, n_frames, seed):
@@ -69,6 +74,41 @@ class TestRedundancy:
 
     def test_single_frame_scores_zero(self):
         assert frame_redundancies([np.zeros((8, 8))]).tolist() == [0.0]
+
+    @pytest.mark.parametrize("n_threads", [1, 2, 3, 7])
+    @pytest.mark.parametrize("p", [1, 2, 3, 9])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    def test_matches_pairwise_ssim_bitwise(self, rng, n_threads, p, dtype):
+        if dtype == np.uint8:
+            frames = [rng.integers(0, 256, (12, 20)).astype(np.uint8) for _ in range(p)]
+        else:
+            frames = [rng.uniform(0.0, 255.0, (12, 20)) for _ in range(p)]
+        scores = [ssim(frames[j], frames[j + 1]) for j in range(p - 1)]
+        want = np.clip(scores + scores[-1:], 0.0, 1.0) if p > 1 else np.zeros(1)
+        np.testing.assert_array_equal(frame_redundancies(frames, n_threads=n_threads), want)
+
+    def test_each_frame_statistics_taken_once(self, monkeypatch, rng):
+        p = 9
+        frames = [rng.integers(0, 256, (12, 20)).astype(np.uint8) for _ in range(p)]
+        calls = []
+        window_means = SSIM_MODULE._window_means
+
+        def counting(*args):
+            calls.append(1)
+            return window_means(*args)
+
+        monkeypatch.setattr(SSIM_MODULE, "_window_means", counting)
+        frame_redundancies(frames, n_threads=1)
+        # Two tables per frame (means, means of squares), one per pair (a * b).
+        assert len(calls) == 3 * p - 1
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    @pytest.mark.parametrize("bad", [np.zeros((8, 9)), np.zeros(64), np.zeros((0, 8))],
+                             ids=["other-shape", "1-D", "empty"])
+    def test_bad_frame_raises_shape_error(self, n_threads, bad):
+        frames = [np.zeros((8, 8))] * 4 + [bad] + [np.zeros((8, 8))] * 3
+        with pytest.raises(ShapeError):
+            frame_redundancies(frames, n_threads=n_threads)
 
 
 class TestPlan:
@@ -135,7 +175,8 @@ class TestPlan:
         lambda seqs: calibrate_beta(seqs, 0, 0.5),
     ], ids=["plan-subset-0", "plan-beta-negative", "calibrate-subset-0"])
     def test_bad_settings_rejected_before_ssim(self, monkeypatch, call):
-        monkeypatch.setattr("lim3d.sampling.ssim", lambda *a: pytest.fail("ssim ran"))
+        monkeypatch.setattr("lim3d.sampling.frame_stats", lambda *a: pytest.fail("ssim ran"))
+        monkeypatch.setattr("lim3d.sampling.pair_score", lambda *a: pytest.fail("ssim ran"))
         with pytest.raises(DomainError):
             call([[np.zeros((8, 8))] * 4])
 
@@ -183,6 +224,48 @@ class TestCalibration:
         assert beta == 0.0
         assert result.total() == len(frames)
         assert result == plan([frames], 8, 0.0)
+
+
+def calibrate_by_plans(psis, subset_size, target_fraction):
+    """The bisection of `calibrate_beta`, building a whole plan at every step."""
+    target = target_fraction * sum(len(psi) for psi in psis)
+
+    def count_at(beta):
+        p = plan_from_redundancies(psis, subset_size, beta)
+        return p.total(), p
+
+    lo = 0.0
+    lo_count, lo_plan = count_at(lo)
+    if lo_count <= target:
+        return lo, lo_plan
+    hi = MAX_BETA
+    hi_count, hi_plan = count_at(hi)
+    if hi_count > target:
+        return hi, hi_plan
+    for _ in range(CALIBRATION_STEPS):
+        mid = 0.5 * (lo + hi)
+        mid_count, mid_plan = count_at(mid)
+        if mid_count > target:
+            lo, lo_count, lo_plan = mid, mid_count, mid_plan
+        else:
+            hi, hi_count, hi_plan = mid, mid_count, mid_plan
+    if abs(lo_count - target) <= abs(hi_count - target):
+        return lo, lo_plan
+    return hi, hi_plan
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_calibration_matches_plan_per_step_oracle(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    # Redundancies on a coarse grid tie often; 19 and 13 frames leave short
+    # tail subsets of 3 and 5 at subset size 8.
+    psis = [rng.integers(0, 9, n) / 8.0 for n in (19, 13, 24)]
+    sequences = [[None] * len(psi) for psi in psis]
+    by_sequence = {id(seq): psi for seq, psi in zip(sequences, psis)}
+    monkeypatch.setattr("lim3d.sampling.frame_redundancies",
+                        lambda frames, n_threads=1: by_sequence[id(frames)])
+    for target in (0.01, 0.1, 0.2, 0.25, 0.37, 0.5, 0.8, 1.0):
+        assert calibrate_beta(sequences, 8, target) == calibrate_by_plans(psis, 8, target)
 
 
 class TestPlanIO:

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lim3d import ShapeError, ssim
+from lim3d import DomainError, ShapeError, ssim
+from lim3d.ssim import frame_stats, pair_score
 from ssim_reference import ssim_direct, ssim_reference
 
 
@@ -37,6 +38,15 @@ class TestSsim:
     def test_empty_grid_raises(self, shape):
         with pytest.raises(ShapeError):
             ssim(np.zeros(shape), np.zeros(shape))
+
+    def test_statistics_keep_the_frame_not_a_float_copy(self, rng):
+        img = rng.integers(0, 256, size=(10, 12)).astype(np.uint8)
+        assert frame_stats(img).x is img
+
+    def test_pair_of_different_windows_rejected(self):
+        img = np.arange(100, dtype=np.float64).reshape(10, 10)
+        with pytest.raises(DomainError):
+            pair_score(frame_stats(img, 4), frame_stats(img, 5))
 
     def test_small_images_clip_window(self):
         a = np.arange(16, dtype=np.float64).reshape(4, 4)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,33 @@ class TestVoxelize:
                         intensity=[0.5] * 3, labels=labels)
         with pytest.raises(ValidationError, match="nonnegative"):
             voxelize(pc, GRID)
+
+    def test_vote_matches_dense_vote(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(1, 200))
+            labels = rng.choice([0, 1, 3, 7, 12], size=n) if rng.integers(2) else \
+                rng.integers(0, 4, size=n)
+            pc = PointCloud(xyz=rng.uniform(-4.5, 4.5, size=(n, 3)),
+                            intensity=rng.uniform(size=n), labels=labels)
+            t = voxelize(pc, GRID)
+            rows = point_rows(pc, t)
+            kept = rows >= 0
+            # One row per voxel over every id up to the largest.
+            votes = np.zeros((t.n_active, int(labels.max()) + 1), dtype=np.int64)
+            np.add.at(votes, (rows[kept], labels[kept]), 1)
+            np.testing.assert_array_equal(t.labels, votes.argmax(axis=1))
+
+    def test_sentinel_label_votes_without_large_table(self):
+        pc = PointCloud(xyz=[[1.0, 0.0, 0.0], [1.01, 0.0, 0.0]],
+                        intensity=[0.5, 0.5], labels=[0, 0xFFFFFFFF])
+        tracemalloc.start()
+        try:
+            t = voxelize(pc, GRID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.labels.tolist() == [0]
+        assert peak < 1 << 20
 
     def test_permutation_invariance(self, rng):
         n = 60
