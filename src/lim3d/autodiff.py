@@ -2,8 +2,9 @@
 
 A `Tensor` wraps a float32 or float64 ndarray (anything else becomes
 float64) and records the operation that produced it when some input
-requires a gradient; a result of constants records nothing, so inference
-(`MiniSegNet.predict`) holds no graph. Calling `backward()` on a scalar
+requires a gradient; a result of constants records nothing. Inference
+(`MiniSegNet.predict`) builds no `Tensor` at all: it calls the plain-array
+kernels that the layer nodes wrap. Calling `backward()` on a scalar
 result walks the recorded graph once in reverse topological order and
 accumulates gradients into every tensor created with `requires_grad=True`.
 A graph is single-use: running `backward()` through nodes that already
@@ -16,8 +17,11 @@ the tensor's dtype, so ``t * 0.5`` or ``-t`` never promotes a float32 `t`.
 Every gradient is cast to its tensor's dtype before it is accumulated, so
 float64 loss heads do not drag a float32 network's backward into float64.
 
-Only the primitives the network and the loss heads need are provided; a
-spatial sparse convolution is one node with its own backward (`sparseconv`).
+Only the primitives the network and the loss heads need are provided.
+Each network layer (`sparseconv`) and loss head (`losses`), and
+`log_softmax`, is one node with its own backward, which repeats the numpy
+operations of the primitive graph in the same order, so the values and
+gradients are those of the composed graph bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 from .errors import LifecycleError, ShapeError
 
-__all__ = ["Tensor", "as_tensor", "log_softmax", "softmax"]
+__all__ = ["Tensor", "as_tensor", "log_softmax", "log_softmax_parts", "softmax"]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -271,17 +275,32 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+def log_softmax_parts(x: np.ndarray, axis: int = -1):
+    """Plain-array log-softmax in float64: the log-probabilities, the exp of
+    the max-shifted input and its sums along `axis` (what the backward needs)."""
+    x = x.astype(np.float64, copy=False)
+    shifted = x - np.max(x, axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    s = e.sum(axis=axis, keepdims=True)
+    return shifted - np.log(s), e, s
+
+
 def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax; the shift is detached (it has zero gradient).
+    """Numerically stable log-softmax as one node; the max shift is detached
+    (it has zero gradient).
 
     It computes in float64 whatever the input dtype: probabilities feed the
     loss heads and the pseudo-label entropy, and their rows sum to one
-    within float64 rounding.
+    within float64 rounding. The gradient is cast back to the input's dtype.
     """
-    t = as_tensor(t).astype(np.float64)
-    shift = np.max(t.data, axis=axis, keepdims=True)
-    shifted = t - Tensor(shift)
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
+    t = as_tensor(t)
+    out, e, s = log_softmax_parts(t.data, axis)
+
+    def backward(g):
+        g_s = (_unbroadcast(g, s.shape) * -1.0) / s
+        return (g + g_s * e,)
+
+    return Tensor(out, _parents=(t,), _backward=backward)
 
 
 def softmax(t: Tensor, axis: int = -1) -> Tensor:

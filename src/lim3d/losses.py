@@ -2,7 +2,9 @@
 
 All losses accept autodiff tensors and return scalar tensors, so gradient
 checks and training share one code path. Plain arrays are wrapped as
-constants.
+constants. `lovasz_softmax` and `kl_consistency` are one autodiff node
+each; their backward repeats, in order, the numpy operations of the
+primitive graph they replace, so values and gradients match it bit for bit.
 """
 
 from __future__ import annotations
@@ -74,18 +76,32 @@ def lovasz_softmax(probs: Tensor | np.ndarray, labels: np.ndarray) -> Tensor:
         raise ValidationError(f"labels must be class ids in [0, {c})")
     if n == 0:
         return Tensor(0.0)
-    terms = []
-    for k in np.unique(labels).tolist():
+    p = probs.data
+    classes = np.unique(labels).tolist()
+    scale = 1.0 / len(classes)
+    total, saved = None, []
+    for k in classes:
         fg = (labels == k).astype(np.float64)
-        p_k = probs.take([k], axis=1).reshape((n,))
-        errors = (Tensor(fg) - p_k).abs()
-        perm = np.argsort(-errors.data, kind="stable")
+        diff = fg - p[:, k]
+        errors = np.abs(diff)
+        perm = np.argsort(-errors, kind="stable")
         weights = _jaccard_grad(fg[perm])
-        terms.append((errors.take(perm) * Tensor(weights)).sum())
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total * (1.0 / len(terms))
+        term = (errors[perm] * weights).sum()
+        total = term if total is None else total + term
+        saved.append((k, perm, weights, np.sign(diff)))
+
+    def backward(g):
+        g_term = g * scale
+        grad = np.zeros(p.shape, p.dtype)
+        for k, perm, weights, sign in saved:
+            # Sorted errors back to voxel order. `perm` places each value once;
+            # adding into zeros turns -0.0 into 0.0, as `take`'s backward does.
+            g_errors = np.zeros(n)
+            np.add.at(g_errors, perm, g_term * weights)
+            grad[:, k] += (g_errors * sign).astype(p.dtype, copy=False) * -1.0
+        return (grad,)
+
+    return Tensor(total * scale, _parents=(probs,), _backward=backward)
 
 
 def kl_consistency(student_probs: Tensor | np.ndarray,
@@ -104,9 +120,14 @@ def kl_consistency(student_probs: Tensor | np.ndarray,
     t_entropy = float(np.sum(np.where(teacher > 0, teacher * np.log(np.where(teacher > 0, teacher, 1.0)), 0.0)))
     # Entries with zero teacher mass are shifted inside the log so they cannot
     # produce nan; their factor is 0 and their gradient vanishes either way.
-    shift = Tensor((teacher == 0).astype(np.float64))
-    cross = (Tensor(teacher) * (student + shift).log()).sum()
-    return (Tensor(t_entropy) - cross) * (1.0 / teacher.shape[0])
+    shifted = student.data + (teacher == 0).astype(np.float64)
+    cross = (teacher * np.log(shifted)).sum()
+    scale = 1.0 / teacher.shape[0]
+
+    def backward(g):
+        return ((g * scale * -1.0) * teacher / shifted,)
+
+    return Tensor((t_entropy - cross) * scale, _parents=(student,), _backward=backward)
 
 
 def total_loss(ls, lu, lc, cfg: LossConfig):

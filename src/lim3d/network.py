@@ -6,9 +6,12 @@ head maps the final block's activations to class logits. The activations
 feeding the head double as per-voxel embeddings for contrastive mining.
 
 Parameters live in a flat list of float64 numpy arrays; `forward` accepts
-live autodiff tensors in their place so one code path serves training,
-gradient checks and inference. The activations take the features' dtype
-(float32 from `voxelize`); each layer casts its weights to it.
+live autodiff tensors in their place and builds one node per layer, for
+training and gradient checks. `predict` runs the same plain-array kernels
+(`sparseconv.spatial_forward`, `pointwise_forward`, `log_softmax_parts`)
+with no `Tensor`, so inference shares the one code path and keeps no
+graph. The activations take the features' dtype (float32 from
+`voxelize`); each layer casts its weights to it.
 """
 
 from __future__ import annotations
@@ -17,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, softmax
+from .autodiff import Tensor, log_softmax_parts
 from .errors import ShapeError
-from .sparseconv import (ConvKernel, CostReport, Rulebook, apply_pointwise,
-                         apply_spatial, build_rulebook, conv_cost, glorot_kernel)
+from .sparseconv import (ConvKernel, CostReport, Rulebook, apply_pointwise, apply_spatial,
+                         build_rulebook, conv_cost, glorot_kernel, pointwise_forward,
+                         spatial_forward)
 from .voxel import SparseVoxelTensor
 
 __all__ = ["LayerSpec", "MiniSegNet", "mini_backbone_topology", "topology_cost"]
@@ -140,16 +144,20 @@ class MiniSegNet:
 
     # -- forward -------------------------------------------------------------
 
+    def _rulebook(self, t: SparseVoxelTensor, rulebook: Rulebook | None) -> Rulebook:
+        if t.channels != self.in_channels:
+            raise ShapeError(f"tensor has {t.channels} channels, network expects {self.in_channels}")
+        return rulebook if rulebook is not None else build_rulebook(t.coords, t.grid, self.kernel_size)
+
     def forward(self, t: SparseVoxelTensor, params: list[Tensor] | None = None,
                 rulebook: Rulebook | None = None) -> tuple[Tensor, Tensor]:
-        """Logits and embeddings for every active voxel.
+        """Logits and embeddings for every active voxel, one autodiff node per
+        layer.
 
         With `params` given (live tensors), gradients flow back into them;
         otherwise the stored arrays are used as constants.
         """
-        if t.channels != self.in_channels:
-            raise ShapeError(f"tensor has {t.channels} channels, network expects {self.in_channels}")
-        rb = rulebook if rulebook is not None else build_rulebook(t.coords, t.grid, self.kernel_size)
+        rb = self._rulebook(t, rulebook)
         live = params if params is not None else [Tensor(p) for p in self.params]
 
         x = Tensor(t.features)
@@ -167,6 +175,14 @@ class MiniSegNet:
     def predict(self, t: SparseVoxelTensor,
                 rulebook: Rulebook | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Softmax probabilities (float64) and embeddings (in the features'
-        dtype) as plain arrays (no graph)."""
-        logits, embeddings = self.forward(t, rulebook=rulebook)
-        return softmax(logits, axis=1).data, embeddings.data
+        dtype), computed by `forward`'s kernels on plain arrays: no `Tensor`,
+        no graph."""
+        nb = self._rulebook(t, rulebook).neighbors
+        p = self.params
+        x = t.features
+        for pos in range(0, 3 * len(self.widths), 3):
+            x = spatial_forward(x, nb, p[pos])
+            x = pointwise_forward(x, p[pos + 1], p[pos + 2])
+            x = np.where(x > 0, x, self.LEAK * x)
+        log_probs, _, _ = log_softmax_parts(pointwise_forward(x, *p[-2:]), axis=1)
+        return np.exp(log_probs), x

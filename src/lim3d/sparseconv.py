@@ -8,14 +8,18 @@ nothing.
 
 A `Rulebook` is a neighbor table: per active site and kernel tap, the
 input row read, or the sentinel ``n_sites`` for an inactive or off-grid
-cell. A spatial convolution is one autodiff node: it pads its input with
-a zero sentinel row, then gathers and contracts the neighbor rows of
-`SPATIAL_BLOCK` sites at a time. If tap ``k`` of site ``o`` reads row
-``i``, tap ``K-1-k`` of site ``i`` reads row ``o`` (across the azimuth wrap
-too), so one gather of the upstream gradient gives the input gradient
-(kernel mirrored) and the weight gradient (input rows, taps flipped back).
-A convolution computes in its input's dtype (float32 for voxelized
-features); float64 weights are cast in, and their gradients cast back.
+cell. `spatial_forward` pads its input with a zero sentinel row, then
+gathers (``np.take``) and contracts the neighbor rows of `SPATIAL_BLOCK`
+sites at a time. If tap ``k`` of site ``o`` reads row ``i``, tap ``K-1-k``
+of site ``i`` reads row ``o`` (across the azimuth wrap too), so in
+`spatial_backward` one gather of the upstream gradient gives the input
+gradient (kernel mirrored once per call) and the weight gradient (input
+rows, taps flipped back). These plain-array kernels, and
+`pointwise_forward`, serve inference directly; `apply_spatial` and
+`apply_pointwise` wrap them as one autodiff node per convolution, bias
+included. A convolution computes in its input's dtype (float32 for
+voxelized features); float64 weights are cast in inside the node, and
+their gradients cast back.
 
 A depthwise separable convolution is the composition of a depthwise
 spatial kernel (one filter per channel) and a pointwise 1x1x1 channel mix.
@@ -47,6 +51,9 @@ __all__ = [
     "separable_conv",
     "apply_spatial",
     "apply_pointwise",
+    "spatial_forward",
+    "spatial_backward",
+    "pointwise_forward",
     "conv_cost",
     "cost",
 ]
@@ -192,80 +199,125 @@ def build_rulebook(coords: np.ndarray, grid: CylGridSpec, kernel_size: int) -> R
 
 
 # ---------------------------------------------------------------------------
-# Forward passes (autodiff-traced)
+# Plain-array kernels, and the autodiff nodes that wrap them
 # ---------------------------------------------------------------------------
+
+
+def _gathered_blocks(rows: np.ndarray, neighbors: np.ndarray):
+    """(site slice, its (b, K, C) neighbor rows) per `SPATIAL_BLOCK` sites;
+    the sentinel row reads zeros."""
+    padded = np.concatenate([rows, np.zeros((1, rows.shape[1]), rows.dtype)])
+    for start in range(0, len(neighbors), SPATIAL_BLOCK):
+        block = slice(start, start + SPATIAL_BLOCK)
+        yield block, np.take(padded, neighbors[block], axis=0)
+
+
+def _contract(gathered: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Sum gathered rows against flattened taps: (K, C) depthwise, (K, M, N) standard."""
+    if taps.ndim == 2:
+        return np.einsum("nkc,kc->nc", gathered, taps)
+    return gathered.reshape(len(gathered), -1) @ taps.reshape(-1, taps.shape[-1])
+
+
+def _taps(weights: np.ndarray, dtype) -> np.ndarray:
+    """Spatial weights cast to `dtype`, taps flattened to one leading axis."""
+    return weights.astype(dtype, copy=False).reshape((-1,) + weights.shape[3:])
+
+
+def spatial_forward(x: np.ndarray, neighbors: np.ndarray, weights: np.ndarray,
+                    bias: np.ndarray | None = None) -> np.ndarray:
+    """Standard or depthwise spatial convolution of the rows `x` over a
+    neighbor table, in the dtype of `x`; `weights` and `bias` are cast in."""
+    taps = _taps(weights, x.dtype)
+    out = np.empty((len(neighbors), taps.shape[-1]), x.dtype)
+    for block, x_nb in _gathered_blocks(x, neighbors):
+        out[block] = _contract(x_nb, taps)
+    if bias is not None:
+        out += bias.astype(x.dtype, copy=False)
+    return out
+
+
+def spatial_backward(g: np.ndarray, x: np.ndarray, neighbors: np.ndarray,
+                     weights: np.ndarray, input_grad: bool = True):
+    """``(grad of x or None, grad of weights)`` of `spatial_forward` for the
+    upstream gradient `g`, both in the dtype of `x`, from one gather of `g`:
+    the input gradient through the mirrored kernel (taps reversed, channel
+    axes swapped), the weight gradient with taps flipped back."""
+    taps = _taps(weights, x.dtype)
+    mirrored = np.ascontiguousarray(np.swapaxes(taps[::-1], 1, -1)) if input_grad else None
+    g_x = np.empty(x.shape, x.dtype) if input_grad else None
+    g_w = np.zeros(taps.shape, x.dtype)  # taps flipped: row k sums x[i] * g[nb[i, k]] over sites i
+    for block, g_nb in _gathered_blocks(g, neighbors):
+        if input_grad:
+            g_x[block] = _contract(g_nb, mirrored)
+        if taps.ndim == 2:
+            g_w += np.einsum("nkc,nc->kc", g_nb, x[block])
+        else:
+            g_w += np.einsum("nkc,nm->kmc", g_nb, x[block], optimize=True)
+    return g_x, g_w[::-1].reshape(weights.shape)
+
+
+def pointwise_forward(x: np.ndarray, weights: np.ndarray,
+                      bias: np.ndarray | None = None) -> np.ndarray:
+    """Per-site channel mix in the dtype of `x`; `weights` and `bias` are cast in."""
+    out = x @ weights.astype(x.dtype, copy=False)
+    if bias is not None:
+        out += bias.astype(x.dtype, copy=False)
+    return out
+
+
+def _node_inputs(features, kernel: ConvKernel, weights, bias):
+    """`features`, the weights and the bias (when there is one) as tensors:
+    live overrides, or the kernel's arrays as constants."""
+    x = as_tensor(features)
+    if x.shape[1] != kernel.in_channels:
+        raise ShapeError(f"input has {x.shape[1]} channels, kernel expects {kernel.in_channels}")
+    b = kernel.bias if bias is None else bias
+    w = as_tensor(kernel.weights if weights is None else weights)
+    return (x, w) if b is None else (x, w, as_tensor(b))
 
 
 def apply_spatial(features: Tensor | np.ndarray, rulebook: Rulebook,
                   kernel: ConvKernel,
                   weights: Tensor | None = None,
                   bias: Tensor | None = None) -> Tensor:
-    """Standard or depthwise spatial convolution as one autodiff node.
-
-    It gathers and contracts `SPATIAL_BLOCK` sites at a time, never all
-    ``(n_sites, K, C)`` neighbor rows; its backward pass takes both the
-    input and the weight gradient from one gather of the upstream gradient.
+    """Standard or depthwise spatial convolution, bias included, as one
+    autodiff node over `spatial_forward` and `spatial_backward`.
 
     `weights`/`bias` override the kernel arrays with live tensors during
-    training; otherwise the kernel arrays enter the graph as constants.
-    It computes in the dtype of `features`, with the weights and bias cast in.
+    training; otherwise the kernel arrays enter as constants. It computes
+    in the dtype of `features`; the weight and bias gradients are cast back
+    to their tensors' dtype by `Tensor.backward`.
     """
-    x = as_tensor(features)
-    if x.shape[1] != kernel.in_channels:
-        raise ShapeError(f"input has {x.shape[1]} channels, kernel expects {kernel.in_channels}")
+    inputs = _node_inputs(features, kernel, weights, bias)
     if rulebook.kernel_size != kernel.kernel_size:
         raise ShapeError("rulebook kernel size does not match the kernel")
-    dtype = x.data.dtype
-    w = as_tensor(kernel.weights if weights is None else weights).astype(dtype)
+    x, w = inputs[:2]
     nb = rulebook.neighbors
-    n, k3 = nb.shape
-    flat_w = w.data.reshape((k3,) + w.shape[3:])  # (K, C) or (K, M, N)
-    depthwise = kernel.kind == "depthwise"
-
-    def blocks(rows: np.ndarray):  # (site slice, its (b, K, C) gather), sentinel rows read zeros
-        padded = np.concatenate([rows, np.zeros((1, rows.shape[1]), dtype)])
-        for start in range(0, n, SPATIAL_BLOCK):
-            yield slice(start, start + SPATIAL_BLOCK), padded[nb[start:start + SPATIAL_BLOCK]]
-
-    def contract(gathered: np.ndarray, taps: np.ndarray) -> np.ndarray:
-        if depthwise:
-            return np.einsum("nkc,kc->nc", gathered, taps)
-        return gathered.reshape(len(gathered), -1) @ taps.reshape(-1, taps.shape[-1])
+    b = inputs[2].data if len(inputs) == 3 else None
 
     def backward(g):
-        g_x = np.empty(x.shape, dtype) if x.requires_grad else None
-        g_w = np.zeros(flat_w.shape, dtype)  # taps flipped: row k sums x[i] * g[nb[i, k]] over sites i
-        for block, g_nb in blocks(g):
-            if g_x is not None:
-                # Mirrored kernel: taps reversed, channel axes swapped (a no-op for depthwise).
-                g_x[block] = contract(g_nb, np.swapaxes(flat_w[::-1], 1, -1))
-            if depthwise:
-                g_w += np.einsum("nkc,nc->kc", g_nb, x.data[block])
-            else:
-                g_w += np.einsum("nkc,nm->kmc", g_nb, x.data[block], optimize=True)
-        return g_x, g_w[::-1].reshape(w.shape)
+        g_x, g_w = spatial_backward(g, x.data, nb, w.data, x.requires_grad)
+        return (g_x, g_w) if b is None else (g_x, g_w, g.sum(axis=0))
 
-    out = np.empty((n, kernel.out_channels), dtype)
-    for block, x_nb in blocks(x.data):
-        out[block] = contract(x_nb, flat_w)
-    out = Tensor(out, _parents=(x, w), _backward=backward)
-    if kernel.bias is not None or bias is not None:
-        out = out + as_tensor(kernel.bias if bias is None else bias).astype(dtype)
-    return out
+    return Tensor(spatial_forward(x.data, nb, w.data, b), _parents=inputs, _backward=backward)
 
 
 def apply_pointwise(features: Tensor | np.ndarray, kernel: ConvKernel,
                     weights: Tensor | None = None,
                     bias: Tensor | None = None) -> Tensor:
-    """Per-site channel mix in the dtype of `features`, as `apply_spatial`."""
-    x = as_tensor(features)
-    if x.shape[1] != kernel.in_channels:
-        raise ShapeError(f"input has {x.shape[1]} channels, kernel expects {kernel.in_channels}")
-    dtype = x.data.dtype
-    out = x @ as_tensor(kernel.weights if weights is None else weights).astype(dtype)
-    if kernel.bias is not None or bias is not None:
-        out = out + as_tensor(kernel.bias if bias is None else bias).astype(dtype)
-    return out
+    """Per-site channel mix as one autodiff node over `pointwise_forward`,
+    in the dtype of `features`, as `apply_spatial`."""
+    inputs = _node_inputs(features, kernel, weights, bias)
+    x, w = inputs[:2]
+    b = inputs[2].data if len(inputs) == 3 else None
+
+    def backward(g):
+        g_x = g @ w.data.astype(x.data.dtype, copy=False).T if x.requires_grad else None
+        g_w = x.data.T @ g
+        return (g_x, g_w) if b is None else (g_x, g_w, g.sum(axis=0))
+
+    return Tensor(pointwise_forward(x.data, w.data, b), _parents=inputs, _backward=backward)
 
 
 def submanifold_conv(t: SparseVoxelTensor, kernel: ConvKernel,

@@ -1,0 +1,118 @@
+"""Composed-graph oracles for the fused autodiff nodes.
+
+These are the library's earlier implementations, kept as references: each
+layer and loss head is built from autodiff primitives (`astype`, `take`,
+`abs`, `exp`, `log`, `sum`, ...), one node per numpy call. The fused nodes
+in `lim3d.sparseconv`, `lim3d.autodiff` and `lim3d.losses` repeat the same
+numpy operations in the same order inside one backward, so on any input
+the values and every gradient must agree bit for bit.
+"""
+
+import numpy as np
+
+from lim3d.autodiff import Tensor, as_tensor
+from lim3d.losses import _jaccard_grad
+from lim3d.sparseconv import SPATIAL_BLOCK
+
+
+def apply_spatial_reference(features, rulebook, kernel, weights=None, bias=None):
+    """Spatial convolution node over astype'd weights, plus a bias add node."""
+    x = as_tensor(features)
+    dtype = x.data.dtype
+    w = as_tensor(kernel.weights if weights is None else weights).astype(dtype)
+    nb = rulebook.neighbors
+    n, k3 = nb.shape
+    flat_w = w.data.reshape((k3,) + w.shape[3:])
+    depthwise = kernel.kind == "depthwise"
+
+    def blocks(rows):
+        padded = np.concatenate([rows, np.zeros((1, rows.shape[1]), dtype)])
+        for start in range(0, n, SPATIAL_BLOCK):
+            yield slice(start, start + SPATIAL_BLOCK), padded[nb[start:start + SPATIAL_BLOCK]]
+
+    def contract(gathered, taps):
+        if depthwise:
+            return np.einsum("nkc,kc->nc", gathered, taps)
+        return gathered.reshape(len(gathered), -1) @ taps.reshape(-1, taps.shape[-1])
+
+    def backward(g):
+        g_x = np.empty(x.shape, dtype) if x.requires_grad else None
+        g_w = np.zeros(flat_w.shape, dtype)
+        for block, g_nb in blocks(g):
+            if g_x is not None:
+                g_x[block] = contract(g_nb, np.swapaxes(flat_w[::-1], 1, -1))
+            if depthwise:
+                g_w += np.einsum("nkc,nc->kc", g_nb, x.data[block])
+            else:
+                g_w += np.einsum("nkc,nm->kmc", g_nb, x.data[block], optimize=True)
+        return g_x, g_w[::-1].reshape(w.shape)
+
+    out = np.empty((n, kernel.out_channels), dtype)
+    for block, x_nb in blocks(x.data):
+        out[block] = contract(x_nb, flat_w)
+    out = Tensor(out, _parents=(x, w), _backward=backward)
+    if kernel.bias is not None or bias is not None:
+        out = out + as_tensor(kernel.bias if bias is None else bias).astype(dtype)
+    return out
+
+
+def apply_pointwise_reference(features, kernel, weights=None, bias=None):
+    """Matmul node over astype'd weights, plus a bias add node."""
+    x = as_tensor(features)
+    dtype = x.data.dtype
+    out = x @ as_tensor(kernel.weights if weights is None else weights).astype(dtype)
+    if kernel.bias is not None or bias is not None:
+        out = out + as_tensor(kernel.bias if bias is None else bias).astype(dtype)
+    return out
+
+
+def log_softmax_reference(t, axis=-1):
+    t = as_tensor(t).astype(np.float64)
+    shift = np.max(t.data, axis=axis, keepdims=True)
+    shifted = t - Tensor(shift)
+    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
+
+
+def softmax_reference(t, axis=-1):
+    return log_softmax_reference(t, axis=axis).exp()
+
+
+def lovasz_softmax_reference(probs, labels):
+    """Per class: take, reshape, subtract, abs, take, multiply and sum nodes."""
+    probs = as_tensor(probs)
+    labels = np.asarray(labels, dtype=np.int64)
+    n = probs.shape[0]
+    terms = []
+    for k in np.unique(labels).tolist():
+        fg = (labels == k).astype(np.float64)
+        p_k = probs.take([k], axis=1).reshape((n,))
+        errors = (Tensor(fg) - p_k).abs()
+        perm = np.argsort(-errors.data, kind="stable")
+        weights = _jaccard_grad(fg[perm])
+        terms.append((errors.take(perm) * Tensor(weights)).sum())
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    return total * (1.0 / len(terms))
+
+
+def kl_consistency_reference(student_probs, teacher_probs):
+    student = as_tensor(student_probs)
+    teacher = np.asarray(teacher_probs, dtype=np.float64)
+    t_entropy = float(np.sum(np.where(teacher > 0, teacher * np.log(np.where(teacher > 0, teacher, 1.0)), 0.0)))
+    shift = Tensor((teacher == 0).astype(np.float64))
+    cross = (Tensor(teacher) * (student + shift).log()).sum()
+    return (Tensor(t_entropy) - cross) * (1.0 / teacher.shape[0])
+
+
+def forward_reference(net, t, params, rulebook):
+    """`MiniSegNet.forward` over the composed layers: logits and embeddings."""
+    x = Tensor(t.features)
+    pos = 0
+    for dw, pw in net._templates[:-1]:
+        x = apply_spatial_reference(x, rulebook, dw, weights=params[pos])
+        x = apply_pointwise_reference(x, pw, weights=params[pos + 1], bias=params[pos + 2])
+        x = x.leaky_relu(net.LEAK)
+        pos += 3
+    head, _ = net._templates[-1]
+    return apply_pointwise_reference(x, head, weights=params[pos], bias=params[pos + 1]), x

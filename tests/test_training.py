@@ -138,17 +138,38 @@ class TestNetwork:
         assert isinstance(probs, np.ndarray) and isinstance(emb, np.ndarray)
 
     def test_predict_equals_softmax_of_forward(self):
+        """`predict` runs the kernels on arrays, `forward` the nodes over
+        them; both agree bit for bit at either features dtype."""
         from lim3d.autodiff import softmax
 
         frames = synth_sequence(SceneSpec(n_points=150), 1, seed=0)
         grid = CylGridSpec(8, 12, 5, 20.0, (-1.0, 5.0))
-        svt = voxelize(frames[0][0], grid)
         net = MiniSegNet(4, 3, widths=(8, 8), seed=0)
+        for dtype in (np.float32, np.float64):
+            svt = voxelize(frames[0][0], grid)
+            svt = svt.with_features(svt.features.astype(dtype))
+            probs, emb = net.predict(svt)
+            logits, embeddings = net.forward(svt)
+            assert logits._parents == () and embeddings._parents == ()
+            np.testing.assert_array_equal(probs, softmax(logits, axis=1).data)
+            np.testing.assert_array_equal(emb, embeddings.data)
+            assert probs.dtype == np.float64 and emb.dtype == dtype
+
+    def test_predict_builds_no_tensor(self, monkeypatch):
+        frames = synth_sequence(SceneSpec(n_points=150), 1, seed=0)
+        svt = voxelize(frames[0][0], CylGridSpec(8, 12, 5, 20.0, (-1.0, 5.0)))
+        net = MiniSegNet(4, 3, widths=(8, 8), seed=0)
+        created = []
+        init = Tensor.__init__
+
+        def recording_init(tensor, *args, **kwargs):
+            init(tensor, *args, **kwargs)
+            created.append(tensor)
+
+        monkeypatch.setattr(Tensor, "__init__", recording_init)
         probs, emb = net.predict(svt)
-        logits, embeddings = net.forward(svt)
-        assert logits._parents == () and embeddings._parents == ()
-        np.testing.assert_array_equal(probs, softmax(logits, axis=1).data)
-        np.testing.assert_array_equal(emb, embeddings.data)
+        assert created == []
+        assert isinstance(probs, np.ndarray) and isinstance(emb, np.ndarray)
 
     def test_topology_cost_mini_backbone(self):
         layers = mini_backbone_topology(34, 3)
@@ -410,9 +431,9 @@ class TestDtypePolicy:
         logits, emb = net.forward(svt, params=params, rulebook=frame.rulebook)
         monkeypatch.setattr(Tensor, "__init__", init)
         assert logits.data.dtype == dtype and emb.data.dtype == dtype
-        # The input, four per block (spatial, pointwise, bias, leaky ReLU), and
-        # the head's two, plus the weight casts at float32.
-        assert len(created) >= 1 + 4 * 4 + 2
+        # The input, then one node per layer: spatial, pointwise and leaky ReLU
+        # per block, and the head. The weights are cast inside the nodes.
+        assert len(created) == 1 + 3 * 4 + 1
         assert {t.data.dtype for t in created} == {np.dtype(dtype)}
         lovasz_softmax(softmax(logits, axis=1), svt.labels).backward()
         assert all(p.grad.dtype == np.float64 for p in params)
