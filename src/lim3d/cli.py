@@ -86,11 +86,12 @@ def cmd_synth(args) -> int:
         seq = f"{s:02d}"
         frames = synth_sequence(spec, args.frames, args.seed + 1000 * s, sequence_id=s)
         gray = ranges_to_grayscale([ri for _, ri in frames])
+        for p in (frame_path(root, seq, 0), label_path(root, seq, 0), image_path(root, seq, 0)):
+            p.parent.mkdir(parents=True, exist_ok=True)
+        labels = frames[0][0].labels.astype(np.uint32)  # every frame shares one label array
         for t, ((pc, _), img) in enumerate(zip(frames, gray)):
-            for p in (frame_path(root, seq, t), label_path(root, seq, t), image_path(root, seq, t)):
-                p.parent.mkdir(parents=True, exist_ok=True)
             save_frame(frame_path(root, seq, t), pc)
-            save_labels(label_path(root, seq, t), pc.labels.astype(np.uint32))
+            save_labels(label_path(root, seq, t), labels)
             write_pgm(image_path(root, seq, t), img)
     print(f"wrote {args.sequences} sequence(s) x {args.frames} frame(s) under {root}")
     return EXIT_OK

@@ -163,9 +163,25 @@ def save_labels(path: str | os.PathLike, labels: np.ndarray) -> None:
 
 
 def write_pgm(path: str | os.PathLike, image: np.ndarray) -> None:
-    img = np.ascontiguousarray(image, dtype=np.uint8)
+    """Write a 2-D grid of integers in [0, 255] as a binary 8-bit PGM.
+
+    Raises:
+        ShapeError: the grid is not 2-D, or has no rows or no columns.
+        ValidationError: a value is not an integer in [0, 255].
+    """
+    img = np.asarray(image)
     if img.ndim != 2:
         raise ShapeError("PGM images are 2-D grayscale grids")
+    if img.size == 0:
+        raise ShapeError(f"PGM images need at least one row and one column, got shape {img.shape}")
+    if img.dtype != np.uint8:
+        if img.dtype.kind not in "biuf":
+            raise ValidationError(f"PGM pixels must be integers in [0, 255], got dtype {img.dtype}")
+        bad = ~((img >= 0) & (img <= 255) & (img == np.floor(img)))
+        if bad.any():
+            raise ValidationError(f"PGM pixels must be integers in [0, 255]; {int(bad.sum())} "
+                                  f"are not, the first is {img[bad][0]}")
+    img = np.ascontiguousarray(img, dtype=np.uint8)
     with open(path, "wb") as f:
         f.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii"))
         f.write(img.tobytes())
@@ -209,15 +225,14 @@ def read_pgm(path: str | os.PathLike) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def project_range_image(pc: PointCloud, width: int = DEFAULT_IMAGE_WIDTH,
-                        height: int = DEFAULT_IMAGE_HEIGHT,
-                        vfov: tuple[float, float] = (-25.0, 3.0)) -> np.ndarray:
-    """Project a cloud to a read-only ``(height, width)`` float32 range image.
+def _pixel_ranges(xyz: np.ndarray, width: int, height: int,
+                  vfov: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Flat pixel ids and float32 ranges of the points that land in the image.
 
-    Pixels hold ranges in meters, 0 where there is no return. Azimuth maps
-    to columns over [-pi, pi), elevation to rows (top row = highest
-    elevation). Points outside the vertical field of view are dropped; when
-    several points land on one pixel the nearest wins.
+    Points at range 0 or outside the vertical field of view are dropped.
+
+    Raises:
+        DomainError: width or height below 1, or ``vfov`` not ``(min, max)``.
     """
     if width < 1 or height < 1:
         raise DomainError("width and height must be >= 1")
@@ -225,23 +240,55 @@ def project_range_image(pc: PointCloud, width: int = DEFAULT_IMAGE_WIDTH,
     if not vfov_min < vfov_max:
         raise DomainError(f"vfov must satisfy min < max, got {vfov}")
 
-    grid = np.zeros((height, width), dtype=np.float32)
-    xyz = pc.xyz.astype(np.float64)
+    xyz = xyz.astype(np.float64)
     r = np.linalg.norm(xyz, axis=1)
-    valid = r > 0
     az = np.arctan2(xyz[:, 1], xyz[:, 0])
     el = np.degrees(np.arctan2(xyz[:, 2], np.hypot(xyz[:, 0], xyz[:, 1])))
-    valid &= (el >= vfov_min) & (el <= vfov_max)
+    valid = (r > 0) & (el >= vfov_min) & (el <= vfov_max)
 
     cols = np.floor((az + np.pi) / (2.0 * np.pi) * width).astype(np.int64) % width
     rows = np.floor((vfov_max - el) / (vfov_max - vfov_min) * height).astype(np.int64)
     rows = np.clip(rows, 0, height - 1)
+    return (rows * width + cols)[valid], r[valid].astype(np.float32)
 
-    idx = np.flatnonzero(valid)
-    # Sort by descending range so the nearest point is written last per pixel.
-    order = idx[np.argsort(-r[idx], kind="stable")]
-    grid[rows[order], cols[order]] = r[order]
-    return _frozen(grid)
+
+def _zbuffer(pix: np.ndarray, r: np.ndarray, n_pixels: int,
+             base: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest range per flat pixel, and which pixels any point hit.
+
+    `base` is the ``(ranges, hit)`` pair of points already buffered; it is
+    copied, not changed. Pixels no point hit hold ``inf`` in the ranges.
+    """
+    z = np.full(n_pixels, np.inf, dtype=np.float32) if base is None else base[0].copy()
+    hit = np.bincount(pix, minlength=n_pixels) > 0
+    if base is not None:
+        hit |= base[1]
+    np.minimum.at(z, pix, r)
+    return z, hit
+
+
+def _range_image(z: np.ndarray, hit: np.ndarray, width: int, height: int) -> np.ndarray:
+    return _frozen(np.where(hit, z, np.float32(0.0)).reshape(height, width))
+
+
+def project_range_image(pc: PointCloud, width: int = DEFAULT_IMAGE_WIDTH,
+                        height: int = DEFAULT_IMAGE_HEIGHT,
+                        vfov: tuple[float, float] = (-25.0, 3.0)) -> np.ndarray:
+    """Project a cloud to a read-only ``(height, width)`` float32 range image.
+
+    Pixels hold ranges in meters, 0 where there is no return. Azimuth maps
+    to columns over [-pi, pi), elevation to rows (top row = highest
+    elevation). Points at range 0 or outside the vertical field of view are
+    dropped. Each pixel keeps its nearest return, found by a scatter-min
+    over flat pixel ids in O(n); only the range is stored, so which of
+    several equally near points wins does not matter. A pixel hit only by
+    points at infinite range holds ``inf``.
+
+    Raises:
+        DomainError: width or height below 1, or ``vfov`` not ``(min, max)``.
+    """
+    pix, r = _pixel_ranges(pc.xyz, width, height, vfov)
+    return _range_image(*_zbuffer(pix, r, width * height), width, height)
 
 
 def ranges_to_grayscale(images: list[np.ndarray]) -> list[np.ndarray]:
@@ -317,27 +364,45 @@ def _base_scene(spec: SceneSpec, rng: np.random.Generator):
 
 def synth_sequence(spec: SceneSpec, n_frames: int, seed: int,
                    sequence_id: int = 0) -> list[tuple[PointCloud, np.ndarray]]:
-    """Deterministic synthetic sequence of labeled frames, each with its range image."""
+    """Deterministic synthetic sequence of labeled frames, each with its range image.
+
+    Every image equals ``project_range_image(pc, spec.image_width,
+    spec.image_height, spec.vfov)`` byte for byte, but only the moving class
+    is projected per frame: the still classes are z-buffered once per
+    sequence and each frame scatter-mins its moving points into a copy of
+    that buffer. A frame whose segment speed is 0 shares the previous
+    frame's read-only ``xyz`` array and range image, so consecutive frames
+    of a still segment stay bitwise identical.
+
+    Raises:
+        DomainError: ``n_frames`` below 1, or an image size or ``vfov`` that
+            `project_range_image` would reject.
+    """
     if n_frames < 1:
         raise DomainError("n_frames must be >= 1")
     rng = np.random.default_rng(seed)
     xyz0, intensity, labels = _base_scene(spec, rng)
     moving = labels == min(spec.moving_class, spec.n_classes - 1)
+    xyz32 = xyz0.astype(np.float32)
+    moving_x0 = xyz0[moving, 0]
+    w, h = spec.image_width, spec.image_height
+    still = _zbuffer(*_pixel_ranges(xyz32[~moving], w, h, spec.vfov), w * h)
 
     out: list[tuple[PointCloud, np.ndarray]] = []
     offset = 0.0
-    width = 2.0 * spec.wrap_extent
+    period = 2.0 * spec.wrap_extent
     for t in range(n_frames):
-        if t > 0:
-            speed = spec.segment_speeds[(t // spec.segment_length) % len(spec.segment_speeds)]
-            offset += float(speed)
-        xyz = xyz0.copy()
-        if offset != 0.0:
-            xyz[moving, 0] = np.mod(xyz[moving, 0] + offset + spec.wrap_extent, width) - spec.wrap_extent
+        speed = float(spec.segment_speeds[(t // spec.segment_length) % len(spec.segment_speeds)])
+        if t == 0 or speed != 0.0:
+            offset += speed if t > 0 else 0.0
+            xyz = xyz32.copy()
+            if offset != 0.0:
+                xyz[moving, 0] = np.mod(moving_x0 + offset + spec.wrap_extent, period) - spec.wrap_extent
+            xyz = _frozen(xyz)
+            pix, r = _pixel_ranges(xyz[moving], w, h, spec.vfov)
+            ri = _range_image(*_zbuffer(pix, r, w * h, base=still), w, h)
         pc = PointCloud(xyz=xyz, intensity=intensity, labels=labels,
                         frame_id=t, sequence_id=sequence_id)
-        ri = project_range_image(pc, width=spec.image_width, height=spec.image_height,
-                                 vfov=spec.vfov)
         out.append((pc, ri))
     return out
 

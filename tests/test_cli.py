@@ -114,6 +114,12 @@ class TestSynthAndSample:
         total = sum(len(v) for v in load_plan(out).values())
         assert abs(total - 20) <= 1
 
+    @pytest.mark.parametrize("flag", ["--width", "--height"])
+    def test_synth_empty_image_exits_2(self, tmp_path, flag):
+        root = tmp_path / "out"
+        assert main(["synth", "--out-dir", str(root), "--frames", "2", flag, "0"]) == 2
+        assert not root.exists()
+
     def test_missing_dir_exits_2(self, tmp_path, capsys):
         rc = main(["sample", "--seq-dir", str(tmp_path / "nope"), "--beta", "0",
                    "--out", str(tmp_path / "p.json")])

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from lim3d import (DomainError, FormatError, PointCloud, SceneSpec,
+from lim3d import (DomainError, FormatError, PointCloud, SceneSpec, ShapeError,
                    ValidationError, load_frame, project_range_image,
                    ranges_to_grayscale, read_pgm, save_frame, synth_sequence,
                    write_pgm)
 from lim3d.pointcloud import load_labels, save_labels
+from range_reference import project_reference
 
 
 class TestBinaryFrames:
@@ -109,6 +110,59 @@ class TestRangeProjection:
             project_range_image(pc, width=8, height=8, vfov=(10.0, -10.0))
 
 
+class TestRangeOracle:
+    """`project_range_image` against the per-point loop in range_reference.py."""
+
+    @staticmethod
+    def assert_matches(xyz, width, height, vfov):
+        pc = PointCloud(xyz=xyz, intensity=np.zeros(len(xyz)))
+        got = project_range_image(pc, width=width, height=height, vfov=vfov)
+        want = project_reference(pc.xyz, width, height, vfov)
+        assert got.tobytes() == want.tobytes()
+        return got
+
+    def test_random_clouds(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(1, 1500))
+            xyz = rng.normal(size=(n, 3)) * rng.uniform(0.5, 30.0)
+            width, height = int(rng.integers(1, 64)), int(rng.integers(1, 24))
+            self.assert_matches(xyz, width, height, tuple(sorted(rng.uniform(-80.0, 80.0, 2))))
+
+    def test_many_points_per_pixel_and_equal_ranges(self, rng):
+        # Integer points on a tiny image share pixels, and sign flips give equal ranges.
+        xyz = rng.integers(-4, 5, size=(600, 3)).astype(np.float64)
+        xyz = np.vstack([xyz, -xyz, xyz[:, [1, 0, 2]]])
+        for width, height in ((1, 1), (4, 2), (9, 5)):
+            self.assert_matches(xyz, width, height, (-60.0, 60.0))
+
+    def test_points_on_the_vfov_edges(self, rng):
+        xyz = rng.normal(scale=6.0, size=(400, 3)).astype(np.float32).astype(np.float64)
+        el = np.degrees(np.arctan2(xyz[:, 2], np.hypot(xyz[:, 0], xyz[:, 1])))
+        lo, hi = np.sort(el)[[50, 350]]
+        ri = self.assert_matches(xyz, 32, 7, (float(lo), float(hi)))
+        # The point at the top edge lands on row 0 and the one at the bottom is clipped in.
+        assert ri[0].any() and ri[-1].any()
+        flat = xyz.copy()
+        flat[:, 2] = 0.0
+        for vfov in ((0.0, 10.0), (-10.0, 0.0)):
+            assert self.assert_matches(flat, 16, 4, vfov).any()
+
+    def test_zero_range_point_dropped(self):
+        ri = self.assert_matches(np.zeros((3, 3)), 8, 4, (-10.0, 10.0))
+        assert not ri.any()
+
+    def test_infinite_coordinate_writes_inf(self):
+        xyz = [[0.0, np.inf, 0.0], [0.0, -np.inf, 0.0], [3.0, 0.0, 0.0]]
+        ri = self.assert_matches(xyz, 8, 4, (-10.0, 10.0))
+        assert np.isinf(ri).sum() == 2
+        # A finite point in the same pixel as an infinite one is nearer.
+        ri = self.assert_matches([[np.inf, 0.0, 0.0], [2.0, 0.0, 0.0]], 8, 4, (-10.0, 10.0))
+        assert ri.max() == 2.0
+
+    def test_empty_cloud(self):
+        assert not self.assert_matches(np.empty((0, 3)), 8, 4, (-10.0, 10.0)).any()
+
+
 class TestSynthSequence:
     def test_deterministic(self):
         spec = SceneSpec(n_points=100)
@@ -129,6 +183,39 @@ class TestSynthSequence:
         frames = synth_sequence(spec, 5, seed=1)
         for (_, prev), (_, cur) in zip(frames, frames[1:]):
             assert np.any(prev != cur)
+
+    @pytest.mark.parametrize("spec", [
+        SceneSpec(n_points=900, segment_length=3, segment_speeds=(0.0, 0.7, 0.0, 2.5, 9.0)),
+        SceneSpec(n_points=400, n_classes=1, segment_length=2, segment_speeds=(1.5, 0.0)),
+        SceneSpec(n_points=500, n_classes=2, moving_class=2, segment_length=2,
+                  segment_speeds=(3.0, 0.0, 3.0, -3.0)),
+        SceneSpec(n_points=300, segment_speeds=(0.0,)),
+        SceneSpec(n_points=2000, image_width=512, image_height=64, segment_speeds=(0.0, 1.0)),
+    ], ids=["speeds", "one-class", "clamped-moving-class", "static", "wide"])
+    def test_images_equal_a_full_projection(self, spec):
+        # Within 14 frames every moving profile carries some points past the 12 m wrap.
+        frames = synth_sequence(spec, 14, seed=4)
+        for pc, ri in frames:
+            want = project_range_image(pc, spec.image_width, spec.image_height, spec.vfov)
+            assert ri.tobytes() == want.tobytes()
+            assert ri.dtype == np.float32 and not ri.flags.writeable
+
+    def test_still_frames_share_arrays(self):
+        spec = SceneSpec(n_points=200, segment_length=2, segment_speeds=(0.0, 1.0))
+        frames = synth_sequence(spec, 6, seed=2)
+        for t, ((prev, prev_ri), (pc, ri)) in enumerate(zip(frames, frames[1:]), start=1):
+            still = (t // 2) % 2 == 0
+            assert np.shares_memory(pc.xyz, prev.xyz) == still
+            assert (ri is prev_ri) == still
+            assert pc.frame_id == t and not pc.xyz.flags.writeable
+
+    @pytest.mark.parametrize("kw", [dict(image_width=0), dict(image_height=0),
+                                    dict(vfov=(10.0, -10.0)), dict(vfov=(5.0, 5.0))])
+    def test_bad_image_settings_raise(self, kw):
+        with pytest.raises(DomainError):
+            synth_sequence(SceneSpec(n_points=50, **kw), 2, seed=0)
+        with pytest.raises(DomainError):
+            synth_sequence(SceneSpec(n_points=50, n_classes=1, **kw), 2, seed=0)
 
     def test_labels_and_bands(self):
         frames = synth_sequence(SceneSpec(n_points=300), 1, seed=0)
@@ -163,6 +250,32 @@ class TestPgm:
         img = rng.integers(0, 256, size=(12, 20)).astype(np.uint8)
         write_pgm(tmp_path / "x.pgm", img)
         np.testing.assert_array_equal(read_pgm(tmp_path / "x.pgm"), img)
+
+    def test_uint8_bytes(self, tmp_path):
+        img = np.arange(6, dtype=np.uint8).reshape(2, 3)
+        write_pgm(tmp_path / "x.pgm", img)
+        assert (tmp_path / "x.pgm").read_bytes() == b"P5\n3 2\n255\n" + img.tobytes()
+
+    def test_integer_valued_values_written(self, tmp_path):
+        img = np.array([[0, 255], [7, 128]])
+        for arr in (img, img.astype(np.float64), img.astype(np.int16)):
+            write_pgm(tmp_path / "x.pgm", arr)
+            np.testing.assert_array_equal(read_pgm(tmp_path / "x.pgm"), img)
+
+    @pytest.mark.parametrize("img", [
+        np.array([[300, 0]]), np.array([[-1, 0]]), np.array([[0.0, 0.5], [1.0, 0.25]]),
+        np.array([[np.nan]]), np.array([[np.inf]]), np.array([["a"]]),
+    ], ids=["above-255", "negative", "unit-floats", "nan", "inf", "strings"])
+    def test_values_outside_8_bit_rejected(self, tmp_path, img):
+        with pytest.raises(ValidationError):
+            write_pgm(tmp_path / "x.pgm", img)
+        assert not (tmp_path / "x.pgm").exists()
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+    def test_empty_grid_rejected(self, tmp_path, shape):
+        with pytest.raises(ShapeError):
+            write_pgm(tmp_path / "x.pgm", np.zeros(shape, np.uint8))
+        assert not (tmp_path / "x.pgm").exists()
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "bad.pgm").write_bytes(b"P6\n1 1\n255\n\x00")
