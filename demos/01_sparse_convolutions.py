@@ -2,14 +2,15 @@
 """Sparse convolutions on a cylindrical voxel grid.
 
 Builds a small sparse tensor, runs a standard kernel and the equivalent
-depthwise-separable pair over it, and compares their parameter and
-multiply-add budgets.
+depthwise-separable pair over it, and compares the parameter and
+multiply-add budgets of a standard and a separable layer, with the
+multiply-adds counted from the tensor's rulebook.
 """
 
 import numpy as np
 
-from lim3d import (CylGridSpec, PointCloud, cost, glorot_kernel,
-                   separable_conv, submanifold_conv, voxelize)
+from lim3d import (CylGridSpec, LayerSpec, PointCloud, build_rulebook, glorot_kernel,
+                   separable_conv, submanifold_conv, topology_cost, voxelize)
 
 rng = np.random.default_rng(0)
 
@@ -37,14 +38,11 @@ pw = glorot_kernel("pointwise", 4, 16, 1, rng, bias=True)
 sep = separable_conv(tensor, dw, pw)
 print(f"separable conv: {sep.n_active} active sites, {sep.channels} channels")
 
-# Cost accounting at a realistic layer width.
-sites = tensor.n_active
-wide_std = glorot_kernel("standard", 64, 64, 3, rng)
-wide_dw = glorot_kernel("depthwise", 64, 64, 3, rng)
-wide_pw = glorot_kernel("pointwise", 64, 64, 1, rng)
-c_std = cost(wide_std, sites)
-c_sep = cost((wide_dw, wide_pw), sites)
-print(f"\n64 -> 64 channel layer over {sites} sites:")
-print(f"  standard:  {c_std.trainable_params:7d} params, {c_std.mult_adds:11,d} mult-adds")
-print(f"  separable: {c_sep.trainable_params:7d} params, {c_sep.mult_adds:11,d} mult-adds")
-print(f"  parameter reduction: {c_std.trainable_params / c_sep.trainable_params:.1f}x")
+# Cost accounting at a realistic layer width. A separable layer runs a
+# bias-free depthwise kernel, then a pointwise mix (`lim3d.layer_kernels`).
+sites, pairs = tensor.n_active, build_rulebook(tensor.coords, grid, 3).n_pairs
+print(f"\n64 -> 64 channel layer over {sites} sites, {pairs} neighbour pairs:")
+for kind in ("standard", "separable"):
+    (row,), c = topology_cost((LayerSpec(kind, 64, 64, 3, bias=False),), sites, pairs)
+    print(f"  {kind + ':':10s} {c.trainable_params:7d} params, {c.mult_adds:11,d} mult-adds")
+print(f"  parameter reduction: {row['params_ratio_vs_standard']:.1f}x")

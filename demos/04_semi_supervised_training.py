@@ -40,5 +40,6 @@ print(f"stage 3 (distill):      {distill['steps']} steps, "
 print(f"\nheld-out per-class IoU: {report['metrics']['per_class_iou']}")
 print(f"held-out mean IoU:      {report['metrics']['miou']:.3f}")
 print(f"model:                  {report['cost']['trainable_params']} trainable params, "
-      f"{report['cost']['mult_adds']:,} mult-adds per frame")
+      f"{report['cost']['mult_adds']:,} mult-adds per training frame, counted from "
+      f"its rulebook ({report['cost']['mult_adds_bound']:,} if every neighbour were active)")
 print(f"wall time:              {elapsed:.0f}s")

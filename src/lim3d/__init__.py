@@ -6,7 +6,7 @@ from .errors import (CapacityError, DegenerateEmbeddingError, DivergenceError,
                      DomainError, FormatError, Lim3dError, LifecycleError,
                      ShapeError, ValidationError)
 from .losses import LossConfig, kl_consistency, lovasz_softmax, total_loss
-from .network import LayerSpec, MiniSegNet, mini_backbone_topology, topology_cost
+from .network import LayerSpec, MiniSegNet, layer_kernels, mini_backbone_topology, topology_cost
 from .pointcloud import (PointCloud, SceneSpec, load_frame, load_labels,
                          project_range_image, ranges_to_grayscale, read_pgm,
                          save_frame, save_labels, synth_sequence, write_pgm)
@@ -18,7 +18,7 @@ from .reflectivity import (ReflecConfig, augment, coarse_histograms,
                            normalize_reflectivity, reflectivity)
 from .sampling import (SamplingPlan, calibrate_beta, frame_redundancies,
                        passive_baselines, plan, supervisor)
-from .sparseconv import (ConvKernel, CostReport, build_rulebook, cost,
+from .sparseconv import (ConvKernel, CostReport, build_rulebook, conv_cost,
                          glorot_kernel, identity_kernel, separable_conv,
                          sparse_pointwise_conv, submanifold_conv)
 from .ssim import ssim

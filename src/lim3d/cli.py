@@ -213,16 +213,9 @@ def cmd_pseudo(args) -> int:
 def _topology_from_file(path: str) -> tuple[LayerSpec, ...]:
     with open(path) as f:
         raw = json.load(f)
-    layers = []
-    for item in raw["layers"]:
-        layers.append(LayerSpec(
-            kind=item["kind"],
-            in_channels=int(item["in"]),
-            out_channels=int(item["out"]),
-            kernel_size=int(item.get("kernel_size", 3 if item["kind"] != "pointwise" else 1)),
-            bias=bool(item.get("bias", True)),
-        ))
-    return tuple(layers)
+    return tuple(LayerSpec(item["kind"], int(item["in"]), int(item["out"]),
+                           int(item.get("kernel_size", 1 if item["kind"] == "pointwise" else 3)),
+                           bool(item.get("bias", True))) for item in raw["layers"])
 
 
 def cmd_cost(args) -> int:

@@ -1,78 +1,94 @@
-"""A miniature sparse segmentation network built from separable blocks.
+"""A miniature sparse segmentation network, built, run and costed from its
+topology, a tuple of `LayerSpec`s.
 
-Four depthwise separable convolution blocks (leaky-ReLU activations, bias
-on the pointwise mix only) widen the channels, and a pointwise classifier
-head maps the final block's activations to class logits. The activations
-feeding the head double as per-voxel embeddings for contrastive mining.
+`layer_kernels` is the one rule that turns a layer into the convolutions
+it runs: a separable layer is a bias-free depthwise kernel, then a
+pointwise mix that carries the layer's bias; a standard or pointwise layer
+is one kernel. `MiniSegNet` draws its weights, `forward` and `predict` run,
+and `topology_cost` counts by walking that rule. The mini backbone's four
+separable blocks (leaky-ReLU activations) widen the channels and a
+pointwise head gives class logits; the head's input doubles as per-voxel
+embeddings for contrastive mining (the input features, with no blocks).
 
-Parameters live in a flat list of float64 numpy arrays; `forward` accepts
-live autodiff tensors in their place and builds one node per layer, for
-training and gradient checks. `predict` runs the same plain-array kernels
-(`sparseconv.spatial_forward`, `pointwise_forward`, `log_softmax_parts`)
-with no `Tensor`, so inference shares the one code path and keeps no
-graph. The activations take the features' dtype (float32 from
-`voxelize`); each layer casts its weights to it.
+Parameters are a flat list of float64 arrays, per convolution its weights
+and then its bias, if any. `forward` accepts live autodiff tensors in their
+place and builds one node per convolution. `predict` runs the same
+plain-array kernels with no `Tensor`, so it keeps no graph. Activations
+take the features' dtype (float32 from `voxelize`); each layer casts its
+weights to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .autodiff import Tensor, log_softmax_parts
-from .errors import ShapeError
+from .errors import DomainError, ShapeError
 from .sparseconv import (ConvKernel, CostReport, Rulebook, apply_pointwise, apply_spatial,
                          build_rulebook, conv_cost, glorot_kernel, pointwise_forward,
                          spatial_forward)
 from .voxel import SparseVoxelTensor
 
-__all__ = ["LayerSpec", "MiniSegNet", "mini_backbone_topology", "topology_cost"]
+__all__ = ["LayerSpec", "MiniSegNet", "layer_kernels", "mini_backbone_topology", "topology_cost"]
 
 DEFAULT_WIDTHS = (16, 32, 64, 64)
+LAYER_KINDS = ("separable", "standard", "pointwise")
 
 
 @dataclass(frozen=True)
 class LayerSpec:
-    kind: str            # "separable" | "standard" | "pointwise"
+    """One layer: a kind from `LAYER_KINDS`, at least one channel in and
+    out, and an odd kernel size, which a pointwise layer ignores."""
+
+    kind: str
     in_channels: int
     out_channels: int
     kernel_size: int = 3
     bias: bool = True
 
+    def __post_init__(self):
+        if self.kind not in LAYER_KINDS:
+            raise DomainError(f"layer kind must be one of {LAYER_KINDS}, got {self.kind!r}")
+        if min(self.in_channels, self.out_channels) < 1:
+            raise DomainError(f"a layer needs a channel in and out, got {self.in_channels} -> "
+                              f"{self.out_channels}")
+        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
+            raise DomainError(f"kernel_size must be odd and positive, got {self.kernel_size}")
+
+
+def layer_kernels(spec: LayerSpec) -> tuple[tuple[str, int, int, int, bool], ...]:
+    """The convolutions `spec` runs, in order, as ``(kind, in_channels,
+    out_channels, kernel_size, bias)``."""
+    m, n, d = spec.in_channels, spec.out_channels, spec.kernel_size
+    if spec.kind == "separable":
+        return ("depthwise", m, m, d, False), ("pointwise", m, n, 1, spec.bias)
+    return ((spec.kind, m, n, 1 if spec.kind == "pointwise" else d, spec.bias),)
+
 
 def mini_backbone_topology(in_channels: int, n_classes: int,
                            widths: tuple[int, ...] = DEFAULT_WIDTHS,
                            kernel_size: int = 3) -> tuple[LayerSpec, ...]:
-    layers = []
-    prev = in_channels
-    for w in widths:
-        layers.append(LayerSpec("separable", prev, w, kernel_size, bias=True))
-        prev = w
-    layers.append(LayerSpec("pointwise", prev, n_classes, 1, bias=True))
-    return tuple(layers)
+    chans = (in_channels,) + tuple(widths)
+    return tuple(LayerSpec("separable", m, n, kernel_size) for m, n in zip(chans, chans[1:])) + (
+        LayerSpec("pointwise", chans[-1], n_classes, 1),)
 
 
 def topology_cost(layers: tuple[LayerSpec, ...], active_sites: int,
                   neighbor_pairs: int | None = None) -> tuple[list[dict], CostReport]:
-    """Per-layer and total cost, plus the standard-kernel comparison ratio.
-
-    A separable layer costs a bias-free depthwise kernel plus a pointwise
-    mix carrying the layer's bias; see `sparseconv.conv_cost`.
-    """
+    """Per-layer and total cost, the sum of `sparseconv.conv_cost` over each
+    layer's `layer_kernels`, plus the parameters of a standard kernel of the
+    same shape for comparison."""
     rows = []
     total = CostReport(0, 0)
     for layer in layers:
-        m, n, d, bias = layer.in_channels, layer.out_channels, layer.kernel_size, layer.bias
-        if layer.kind == "separable":
-            c = (conv_cost("depthwise", m, m, d, False, active_sites, neighbor_pairs)
-                 + conv_cost("pointwise", m, n, 1, bias, active_sites))
-            standard = conv_cost("standard", m, n, d, bias, active_sites).trainable_params
-        elif layer.kind in ("standard", "pointwise"):
-            c = conv_cost(layer.kind, m, n, d, bias, active_sites, neighbor_pairs)
-            standard = c.trainable_params
-        else:
-            raise ShapeError(f"unknown layer kind {layer.kind!r}")
+        m, n, d = layer.in_channels, layer.out_channels, layer.kernel_size
+        c = sum((conv_cost(*k, active_sites, neighbor_pairs) for k in layer_kernels(layer)),
+                CostReport(0, 0))
+        standard = (c.trainable_params if layer.kind == "pointwise"
+                    else conv_cost("standard", m, n, d, layer.bias, 0).trainable_params)
         rows.append({
             "kind": layer.kind,
             "in_channels": m,
@@ -85,6 +101,14 @@ def topology_cost(layers: tuple[LayerSpec, ...], active_sites: int,
         })
         total = total + c
     return rows, total
+
+
+@lru_cache(maxsize=None)
+def _shape_kernel(kind: str, m: int, n: int, d: int, bias: bool) -> ConvKernel:
+    """A zero kernel of one convolution's shape: `forward` passes every
+    weight and bias live, so its kernel argument only names the shape."""
+    shape = (m, n) if kind == "pointwise" else (d, d, d, m) + ((n,) if kind == "standard" else ())
+    return ConvKernel(kind, m, n, d, np.zeros(shape), np.zeros(n) if bias else None)
 
 
 class MiniSegNet:
@@ -102,18 +126,11 @@ class MiniSegNet:
         self.topology = mini_backbone_topology(in_channels, n_classes, self.widths, kernel_size)
 
         rng = np.random.default_rng(seed)
-        self._templates: list[tuple[ConvKernel, ConvKernel | None]] = []
         self.params: list[np.ndarray] = []
-        prev = in_channels
-        for w in self.widths:
-            dw = glorot_kernel("depthwise", prev, prev, kernel_size, rng)
-            pw = glorot_kernel("pointwise", prev, w, 1, rng, bias=True)
-            self._templates.append((dw, pw))
-            self.params.extend([dw.weights.copy(), pw.weights.copy(), pw.bias.copy()])
-            prev = w
-        head = glorot_kernel("pointwise", prev, n_classes, 1, rng, bias=True)
-        self._templates.append((head, None))
-        self.params.extend([head.weights.copy(), head.bias.copy()])
+        for spec in self.topology:
+            for kind, m, n, d, bias in layer_kernels(spec):
+                k = glorot_kernel(kind, m, n, d, rng, bias=bias)
+                self.params.extend([k.weights] if k.bias is None else [k.weights, k.bias])
 
     # -- parameter plumbing ------------------------------------------------
 
@@ -149,28 +166,35 @@ class MiniSegNet:
             raise ShapeError(f"tensor has {t.channels} channels, network expects {self.in_channels}")
         return rulebook if rulebook is not None else build_rulebook(t.coords, t.grid, self.kernel_size)
 
+    def _walk(self, x, params: list, conv, activate):
+        """Logits and embeddings: `conv(x, layer_kernels entry, weights, bias
+        or None)` per convolution, taking `params` in order, and `activate`
+        between layers."""
+        it, emb = iter(params), x
+        for i, spec in enumerate(self.topology):
+            if i:
+                x = emb = activate(x)
+            for k in layer_kernels(spec):
+                x = conv(x, k, next(it), next(it) if k[4] else None)
+        return x, emb
+
     def forward(self, t: SparseVoxelTensor, params: list[Tensor] | None = None,
                 rulebook: Rulebook | None = None) -> tuple[Tensor, Tensor]:
         """Logits and embeddings for every active voxel, one autodiff node per
-        layer.
+        convolution.
 
         With `params` given (live tensors), gradients flow back into them;
         otherwise the stored arrays are used as constants.
         """
         rb = self._rulebook(t, rulebook)
-        live = params if params is not None else [Tensor(p) for p in self.params]
 
-        x = Tensor(t.features)
-        pos = 0
-        for dw, pw in self._templates[:-1]:
-            x = apply_spatial(x, rb, dw, weights=live[pos])
-            x = apply_pointwise(x, pw, weights=live[pos + 1], bias=live[pos + 2])
-            x = x.leaky_relu(self.LEAK)
-            pos += 3
-        embeddings = x
-        head, _ = self._templates[-1]
-        logits = apply_pointwise(embeddings, head, weights=live[pos], bias=live[pos + 1])
-        return logits, embeddings
+        def conv(x, k, w, b):
+            if k[0] == "pointwise":
+                return apply_pointwise(x, _shape_kernel(*k), weights=w, bias=b)
+            return apply_spatial(x, rb, _shape_kernel(*k), weights=w, bias=b)
+
+        live = params if params is not None else [Tensor(p) for p in self.params]
+        return self._walk(Tensor(t.features), live, conv, lambda x: x.leaky_relu(self.LEAK))
 
     def predict(self, t: SparseVoxelTensor,
                 rulebook: Rulebook | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -178,11 +202,10 @@ class MiniSegNet:
         dtype), computed by `forward`'s kernels on plain arrays: no `Tensor`,
         no graph."""
         nb = self._rulebook(t, rulebook).neighbors
-        p = self.params
-        x = t.features
-        for pos in range(0, 3 * len(self.widths), 3):
-            x = spatial_forward(x, nb, p[pos])
-            x = pointwise_forward(x, p[pos + 1], p[pos + 2])
-            x = np.where(x > 0, x, self.LEAK * x)
-        log_probs, _, _ = log_softmax_parts(pointwise_forward(x, *p[-2:]), axis=1)
-        return np.exp(log_probs), x
+        logits, emb = self._walk(
+            t.features, self.params,
+            lambda x, k, w, b: (pointwise_forward(x, w, b) if k[0] == "pointwise"
+                                else spatial_forward(x, nb, w, b)),
+            lambda x: np.where(x > 0, x, self.LEAK * x))
+        log_probs, _, _ = log_softmax_parts(logits, axis=1)
+        return np.exp(log_probs), emb

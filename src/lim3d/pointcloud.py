@@ -67,7 +67,7 @@ class PointCloud:
 
     `extra_features` holds per-point feature columns appended after load
     (for example reflectivity histograms); voxelization reduces them like
-    any other channel.
+    any other channel. Non-finite coordinates raise `ValidationError`.
     """
 
     xyz: np.ndarray                      # (n, 3) float32
@@ -80,6 +80,8 @@ class PointCloud:
     def __post_init__(self):
         xyz = _frozen(np.ascontiguousarray(self.xyz, dtype=np.float32).reshape(-1, 3))
         inten = _frozen(np.ascontiguousarray(self.intensity, dtype=np.float32).reshape(-1))
+        if not np.isfinite(xyz).all():
+            raise ValidationError("point coordinates must be finite")
         object.__setattr__(self, "xyz", xyz)
         object.__setattr__(self, "intensity", inten)
         if len(inten) != len(xyz):
@@ -282,7 +284,7 @@ def project_range_image(pc: PointCloud, width: int = DEFAULT_IMAGE_WIDTH,
     dropped. Each pixel keeps its nearest return, found by a scatter-min
     over flat pixel ids in O(n); only the range is stored, so which of
     several equally near points wins does not matter. A pixel hit only by
-    points at infinite range holds ``inf``.
+    points whose range overflows float32 holds ``inf``.
 
     Raises:
         DomainError: width or height below 1, or ``vfov`` not ``(min, max)``.

@@ -57,8 +57,6 @@ class ReflecConfig:
 def reflectivity(pc: PointCloud) -> np.ndarray:
     """Per-point ``R = intensity * (x^2 + y^2 + z^2)``."""
     xyz = pc.xyz.astype(np.float64)
-    if not np.isfinite(xyz).all():
-        raise ValidationError("point coordinates must be finite")
     return pc.intensity.astype(np.float64) * np.einsum("ij,ij->i", xyz, xyz)
 
 

@@ -21,10 +21,8 @@ included. A convolution computes in its input's dtype (float32 for
 voxelized features); float64 weights are cast in inside the node, and
 their gradients cast back.
 
-A depthwise separable convolution is the composition of a depthwise
-spatial kernel (one filter per channel) and a pointwise 1x1x1 channel mix.
-For kernel size ``D`` it needs ``M*D^3 + M*N`` weights against the
-``M*N*D^3`` of a standard kernel. ``backward()`` on any scalar of the output
+`conv_cost` counts one convolution; `network.layer_kernels` says which
+convolutions a layer runs. ``backward()`` on any scalar of the output
 yields exact gradients for weights, biases and input features.
 """
 
@@ -55,7 +53,6 @@ __all__ = [
     "spatial_backward",
     "pointwise_forward",
     "conv_cost",
-    "cost",
 ]
 
 KERNEL_KINDS = ("standard", "depthwise", "pointwise")
@@ -390,17 +387,3 @@ def conv_cost(kind: str, in_channels: int, out_channels: int, kernel_size: int,
     mult_adds = pairs * per_pair if active_sites else 0
     return CostReport(params + (out_channels if bias else 0), int(mult_adds))
 
-
-def cost(kernel, active_sites: int, neighbor_pairs: int | None = None) -> CostReport:
-    """Trainable parameters and multiply-adds for one forward pass.
-
-    `kernel` is a ConvKernel or a ``(depthwise, pointwise)`` pair; see
-    `conv_cost` for how the multiply-adds are counted.
-    """
-    if isinstance(kernel, tuple):
-        dw, pw = kernel
-        if dw.kind != "depthwise" or pw.kind != "pointwise":
-            raise DomainError("a kernel pair must be (depthwise, pointwise)")
-        return cost(dw, active_sites, neighbor_pairs) + cost(pw, active_sites)
-    return conv_cost(kernel.kind, kernel.in_channels, kernel.out_channels, kernel.kernel_size,
-                     kernel.bias is not None, active_sites, neighbor_pairs)

@@ -272,7 +272,9 @@ def run_toy_pipeline(cfg: ToyPipelineConfig,
     `sequences` overrides the generated data; each entry is a list of
     ``(PointCloud, range image)`` pairs as produced by `synth_sequence`.
     Returns a JSON-serializable report with per-stage losses, the sampling
-    plan, per-class IoU on the held-out split, and cost totals. With
+    plan, per-class IoU on the held-out split, and the cost per training
+    frame: multiply-adds counted from the frames' rulebooks, next to the
+    bound of fully active neighbourhoods (`mult_adds_bound`). With
     `model_path`, the trained student is written there by `save_model`.
     """
     rng = np.random.default_rng(cfg.seed)
@@ -379,18 +381,22 @@ def run_toy_pipeline(cfg: ToyPipelineConfig,
 
     confusion = evaluate(student)
     per_class = iou_per_class(confusion)
-    typical_sites = frames[0].svt.n_active if frames else 0
-    layer_rows, totals = topology_cost(student.topology, typical_sites)
+    # Cost is linear in sites and pairs: the cost of the frames' sums, / n_frames, is the mean.
+    sites, n_frames = sum(f.svt.n_active for f in frames), len(frames)
+    layer_rows, totals = topology_cost(student.topology, sites,
+                                       sum(f.rulebook.n_pairs for f in frames))
     report["metrics"] = {
         "per_class_iou": [None if np.isnan(v) else round(float(v), 6) for v in per_class],
         "miou": round(mean_iou(confusion), 6),
         "confusion": confusion.tolist(),
     }
     report["cost"] = {
-        "active_sites": typical_sites,
+        "frames": n_frames,
+        "active_sites": round(sites / n_frames, 1),
         "trainable_params": totals.trainable_params,
-        "mult_adds": totals.mult_adds,
-        "per_layer": layer_rows,
+        "mult_adds": round(totals.mult_adds / n_frames),
+        "mult_adds_bound": round(topology_cost(student.topology, sites)[1].mult_adds / n_frames),
+        "per_layer": [{**r, "mult_adds": round(r["mult_adds"] / n_frames)} for r in layer_rows],
     }
     if model_path is not None:
         save_model(model_path, student, cfg.grid, cfg.reflec)

@@ -12,7 +12,8 @@ import numpy as np
 
 from lim3d.autodiff import Tensor, as_tensor
 from lim3d.losses import _jaccard_grad
-from lim3d.sparseconv import SPATIAL_BLOCK
+from lim3d.network import layer_kernels
+from lim3d.sparseconv import SPATIAL_BLOCK, ConvKernel
 
 
 def apply_spatial_reference(features, rulebook, kernel, weights=None, bias=None):
@@ -106,13 +107,21 @@ def kl_consistency_reference(student_probs, teacher_probs):
 
 
 def forward_reference(net, t, params, rulebook):
-    """`MiniSegNet.forward` over the composed layers: logits and embeddings."""
+    """`MiniSegNet.forward` over the composed layers: logits and embeddings.
+    It walks `net.topology` through `layer_kernels`, taking `params` in order."""
+    live = iter(params)
+
+    def layer(x, spec):
+        for kind, m, n, d, bias in layer_kernels(spec):
+            w, b = next(live), (next(live) if bias else None)
+            kernel = ConvKernel(kind, m, n, d, w.data, None if b is None else b.data)
+            if kind == "pointwise":
+                x = apply_pointwise_reference(x, kernel, weights=w, bias=b)
+            else:
+                x = apply_spatial_reference(x, rulebook, kernel, weights=w, bias=b)
+        return x
+
     x = Tensor(t.features)
-    pos = 0
-    for dw, pw in net._templates[:-1]:
-        x = apply_spatial_reference(x, rulebook, dw, weights=params[pos])
-        x = apply_pointwise_reference(x, pw, weights=params[pos + 1], bias=params[pos + 2])
-        x = x.leaky_relu(net.LEAK)
-        pos += 3
-    head, _ = net._templates[-1]
-    return apply_pointwise_reference(x, head, weights=params[pos], bias=params[pos + 1]), x
+    for spec in net.topology[:-1]:
+        x = layer(x, spec).leaky_relu(net.LEAK)
+    return layer(x, net.topology[-1]), x

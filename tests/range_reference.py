@@ -3,7 +3,7 @@
 `project_reference` is deliberately naive and independent of the library's
 z-buffer: it visits the points one at a time and keeps, per pixel, the
 nearest float32 range seen so far, with a separate "hit" flag so that a
-point at infinite range still writes ``inf``. Each point's pixel follows
+range that overflows float32 still writes ``inf``. Each point's pixel follows
 the formula `lim3d.project_range_image` documents, evaluated on scalars.
 
 The angles use numpy's scalar ufuncs, not the ``math`` module: on CPUs

@@ -15,11 +15,12 @@ from conftest import finite_difference, max_rel_err, random_sparse_tensor
 from dense_reference import (dense_pointwise_reference, dense_separable_reference,
                              dense_spatial_reference)
 from lim3d import (ContrastiveConfig, MemoryBank, SceneSpec, ToyPipelineConfig,
-                   build_rulebook, cost, densify, ema_update, glorot_kernel,
+                   build_rulebook, densify, ema_update, glorot_kernel,
                    infonce_loss, kl_consistency, lovasz_softmax, ranges_to_grayscale,
                    run_toy_pipeline, ssim, submanifold_conv, synth_sequence)
 from lim3d.autodiff import Tensor, softmax
 from lim3d.cli import main
+from lim3d.network import LayerSpec, topology_cost
 from lim3d.pseudolabel import positive_center
 from lim3d.sampling import frame_redundancies, plan_from_redundancies
 from lim3d.sparseconv import apply_pointwise, apply_spatial
@@ -104,12 +105,9 @@ def test_02_dense_oracle_equivalence():
 
 def test_03_parameter_count_formulas(tmp_path):
     with criterion(3, "parameter-count formulas and CLI cost totals"):
-        rng = np.random.default_rng(3)
-        dw = glorot_kernel("depthwise", 64, 64, 3, rng)
-        pw = glorot_kernel("pointwise", 64, 64, 1, rng)
-        std = glorot_kernel("standard", 64, 64, 3, rng)
-        sep_params = cost((dw, pw), 0).trainable_params
-        std_params = cost(std, 0).trainable_params
+        _, sep = topology_cost((LayerSpec("separable", 64, 64, 3, bias=False),), 0)
+        _, std = topology_cost((LayerSpec("standard", 64, 64, 3, bias=False),), 0)
+        sep_params, std_params = sep.trainable_params, std.trainable_params
         assert sep_params == 5824
         assert std_params == 110592
         assert round(std_params / sep_params, 1) == 19.0

@@ -325,6 +325,26 @@ class TestCost:
         payload = json.loads(out.read_text())
         assert payload["trainable_params"] == 0 and payload["mult_adds"] == 0
 
+    def test_zero_classes_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "cost.json"
+        assert main(["cost", "--mini-backbone", "--n-classes", "0", "--out", str(out)]) == 2
+        assert "internal error" not in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("layer", [
+        {"kind": "separable", "in": 0, "out": 16},
+        {"kind": "pointwise", "in": 16, "out": 0},
+        {"kind": "standard", "in": 8, "out": 8, "kernel_size": 4},
+        {"kind": "dense", "in": 8, "out": 8},
+    ])
+    def test_layer_no_network_can_build_exits_2(self, tmp_path, capsys, layer):
+        topo = tmp_path / "topo.json"
+        topo.write_text(json.dumps({"layers": [layer]}))
+        out = tmp_path / "cost.json"
+        assert main(["cost", "--topology", str(topo), "--out", str(out)]) == 2
+        assert "internal error" not in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainToy:
     def test_same_seed_identical_reports(self, tmp_path):

@@ -17,6 +17,7 @@ from conftest import random_sparse_tensor
 from lim3d import (CylGridSpec, MiniSegNet, Tensor, ToyPipelineConfig,
                    build_rulebook, glorot_kernel, kl_consistency, log_softmax,
                    lovasz_softmax, prepare_frame, softmax, synth_sequence)
+from lim3d.network import DEFAULT_WIDTHS
 from lim3d.sparseconv import SPATIAL_BLOCK, apply_pointwise, apply_spatial
 from lim3d.training import TOY_GRID
 
@@ -141,28 +142,39 @@ class TestLossHeads:
                          lambda s: kl_consistency_reference(s, teacher), [student], upstream)
 
 
+def assert_network_matches_composed(dtype, widths, kernel_size):
+    hp = ToyPipelineConfig()
+    pc = synth_sequence(hp.scene, 1, seed=3)[0][0]
+    frame = prepare_frame(pc, TOY_GRID, hp.reflec, kernel_size)
+    svt = frame.svt.with_features(frame.svt.features.astype(dtype))
+    assert len(np.unique(svt.labels)) >= 2
+    net = MiniSegNet(svt.channels, hp.scene.n_classes, widths, kernel_size, seed=0)
+    teacher_probs, _ = MiniSegNet(svt.channels, hp.scene.n_classes, widths, kernel_size,
+                                  seed=1).predict(svt, rulebook=frame.rulebook)
+
+    def run(forward, smax, lovasz, kl):
+        params = net.param_tensors()
+        logits, emb = forward(params)
+        probs = smax(logits, axis=1)
+        (lovasz(probs, svt.labels) + kl(probs, teacher_probs)).backward()
+        return [logits.data, emb.data] + [p.grad for p in params]
+
+    got = run(lambda ps: net.forward(svt, params=ps, rulebook=frame.rulebook),
+              softmax, lovasz_softmax, kl_consistency)
+    want = run(lambda ps: forward_reference(net, svt, ps, frame.rulebook),
+               softmax_reference, lovasz_softmax_reference, kl_consistency_reference)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert_bitwise(a, b)
+
+
 class TestNetwork:
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_forward_and_loss_gradients_match_composed(self, dtype):
-        hp = ToyPipelineConfig()
-        pc = synth_sequence(hp.scene, 1, seed=3)[0][0]
-        frame = prepare_frame(pc, TOY_GRID, hp.reflec)
-        svt = frame.svt.with_features(frame.svt.features.astype(dtype))
-        assert len(np.unique(svt.labels)) >= 2
-        net = MiniSegNet(svt.channels, hp.scene.n_classes, seed=0)
-        teacher_probs, _ = MiniSegNet(svt.channels, hp.scene.n_classes, seed=1).predict(
-            svt, rulebook=frame.rulebook)
+        assert_network_matches_composed(dtype, DEFAULT_WIDTHS, 3)
 
-        def run(forward, smax, lovasz, kl):
-            params = net.param_tensors()
-            logits, emb = forward(params)
-            probs = smax(logits, axis=1)
-            (lovasz(probs, svt.labels) + kl(probs, teacher_probs)).backward()
-            return [logits.data, emb.data] + [p.grad for p in params]
-
-        got = run(lambda ps: net.forward(svt, params=ps, rulebook=frame.rulebook),
-                  softmax, lovasz_softmax, kl_consistency)
-        want = run(lambda ps: forward_reference(net, svt, ps, frame.rulebook),
-                   softmax_reference, lovasz_softmax_reference, kl_consistency_reference)
-        for a, b in zip(got, want):
-            assert_bitwise(a, b)
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("kernel_size", [1, 5])
+    @pytest.mark.parametrize("widths", [(), (5,), DEFAULT_WIDTHS])
+    def test_other_shapes_match_composed(self, dtype, widths, kernel_size):
+        assert_network_matches_composed(dtype, widths, kernel_size)

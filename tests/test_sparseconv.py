@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from conftest import finite_difference, max_rel_err, random_sparse_tensor
 from dense_reference import (dense_pointwise_reference, dense_separable_reference,
                              dense_spatial_reference)
-from lim3d import (ConvKernel, CylGridSpec, DomainError, ShapeError,
-                   SparseVoxelTensor, build_rulebook, cost, densify,
+from lim3d import (ConvKernel, CylGridSpec, DomainError, LayerSpec, ShapeError,
+                   SparseVoxelTensor, build_rulebook, conv_cost, densify,
                    glorot_kernel, identity_kernel, separable_conv,
-                   sparse_pointwise_conv, submanifold_conv)
+                   sparse_pointwise_conv, submanifold_conv, topology_cost)
 from lim3d.autodiff import Tensor
 from lim3d.sparseconv import SPATIAL_BLOCK, apply_pointwise, apply_spatial
 
@@ -161,45 +161,39 @@ class TestInvariants:
         np.testing.assert_allclose(combo.features, split, atol=1e-6)
 
     def test_parameter_count_identity(self):
-        rng = np.random.default_rng(0)
         for m, n, d in [(16, 16, 3), (16, 32, 3), (32, 64, 3), (64, 64, 3), (8, 24, 5)]:
-            dw = glorot_kernel("depthwise", m, m, d, rng)
-            pw = glorot_kernel("pointwise", m, n, 1, rng)
-            std = glorot_kernel("standard", m, n, d, rng)
-            sep = cost((dw, pw), 0).trainable_params
-            full = cost(std, 0).trainable_params
+            (row,), _ = topology_cost((LayerSpec("separable", m, n, d, bias=False),), 0)
+            sep, full = row["trainable_params"], row["standard_params"]
             assert sep == m * d ** 3 + m * n
             assert full == m * n * d ** 3
             assert sep < full  # n > d^3/(d^3-1) holds for all configured layers
 
 
+def layer_cost(kind, m, n, d, active_sites, neighbor_pairs=None):
+    return topology_cost((LayerSpec(kind, m, n, d, bias=False),), active_sites, neighbor_pairs)[1]
+
+
 class TestCost:
-    def test_closed_form_params(self, rng):
-        dw = glorot_kernel("depthwise", 64, 64, 3, rng)
-        pw = glorot_kernel("pointwise", 64, 64, 1, rng)
-        std = glorot_kernel("standard", 64, 64, 3, rng)
-        assert cost(std, 100).trainable_params == 110592
-        assert cost((dw, pw), 100).trainable_params == 5824
-        ratio = cost(std, 100).trainable_params / cost((dw, pw), 100).trainable_params
-        assert round(ratio, 1) == 19.0
+    def test_closed_form_params(self):
+        std = layer_cost("standard", 64, 64, 3, 100).trainable_params
+        sep = layer_cost("separable", 64, 64, 3, 100).trainable_params
+        assert std == 110592
+        assert sep == 5824
+        assert round(std / sep, 1) == 19.0
 
-    def test_zero_active_sites_zero_multadds(self, rng):
-        k = glorot_kernel("standard", 4, 4, 3, rng)
-        assert cost(k, 0).mult_adds == 0
-        assert cost((glorot_kernel("depthwise", 4, 4, 3, rng),
-                     glorot_kernel("pointwise", 4, 8, 1, rng)), 0).mult_adds == 0
+    def test_zero_active_sites_zero_multadds(self):
+        assert conv_cost("standard", 4, 4, 3, False, 0).mult_adds == 0
+        assert layer_cost("separable", 4, 8, 3, 0).mult_adds == 0
 
-    def test_multadds_proportional_to_pairs(self, rng):
-        k = glorot_kernel("standard", 3, 5, 3, rng)
-        assert cost(k, 10, neighbor_pairs=40).mult_adds == 40 * 3 * 5
-        dw = glorot_kernel("depthwise", 3, 3, 3, rng)
-        assert cost(dw, 10, neighbor_pairs=40).mult_adds == 40 * 3
-        pw = glorot_kernel("pointwise", 3, 5, 1, rng)
-        assert cost(pw, 10).mult_adds == 10 * 3 * 5
+    def test_multadds_proportional_to_pairs(self):
+        assert conv_cost("standard", 3, 5, 3, False, 10, neighbor_pairs=40).mult_adds == 40 * 3 * 5
+        assert conv_cost("depthwise", 3, 3, 3, False, 10, neighbor_pairs=40).mult_adds == 40 * 3
+        assert conv_cost("pointwise", 3, 5, 1, False, 10).mult_adds == 10 * 3 * 5
+        # A separable layer: the depthwise pass over every pair, one mix per site.
+        assert layer_cost("separable", 3, 5, 3, 10, 40).mult_adds == 40 * 3 + 10 * 3 * 5
 
-    def test_bias_counts(self, rng):
-        k = glorot_kernel("pointwise", 4, 6, 1, rng, bias=True)
-        assert cost(k, 0).trainable_params == 4 * 6 + 6
+    def test_bias_counts(self):
+        assert conv_cost("pointwise", 4, 6, 1, True, 0).trainable_params == 4 * 6 + 6
 
 
 class TestGradients:

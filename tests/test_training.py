@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import max_rel_err
-from lim3d import (ContrastiveConfig, DivergenceError, DomainError, LayerSpec, LossConfig, MemoryBank,
+from lim3d import (ContrastiveConfig, ConvKernel, DivergenceError, DomainError, LayerSpec, LossConfig, MemoryBank,
                    MiniSegNet, SceneSpec, ShapeError, Tensor, ToyPipelineConfig, ValidationError,
-                   VoxelPredictions, confusion_matrix, cost, crb_select, ema_update,
-                   entropy_partition, glorot_kernel, iou_per_class, kl_consistency, label_frame,
+                   VoxelPredictions, confusion_matrix, crb_select, ema_update,
+                   entropy_partition, iou_per_class, kl_consistency, label_frame,
                    lovasz_softmax, mean_iou, prepare_frame, run_toy_pipeline, softmax,
                    synth_sequence, train_step, voxelize)
-from lim3d.network import mini_backbone_topology, topology_cost
+from lim3d.network import DEFAULT_WIDTHS, layer_kernels, mini_backbone_topology, topology_cost
 from lim3d.pseudolabel import PseudoLabelSet
 from lim3d.errors import FormatError
 from lim3d.reflectivity import ReflecConfig
@@ -171,6 +171,53 @@ class TestNetwork:
         assert created == []
         assert isinstance(probs, np.ndarray) and isinstance(emb, np.ndarray)
 
+    @pytest.mark.parametrize("kernel_size", [1, 5])
+    @pytest.mark.parametrize("widths", [(), (5,), DEFAULT_WIDTHS])
+    def test_params_follow_the_layer_rule(self, widths, kernel_size):
+        net = MiniSegNet(4, 3, widths, kernel_size, seed=0)
+        assert net.n_params == topology_cost(net.topology, 0)[1].trainable_params
+        d = (kernel_size,) * 3
+        shapes, prev = [], 4
+        for w in widths:  # a bias-free depthwise kernel, then a mix carrying the bias
+            shapes += [d + (prev,), (prev, w), (w,)]
+            prev = w
+        shapes += [(prev, 3), (3,)]
+        assert [p.shape for p in net.params] == shapes
+        it = iter(net.params)
+        for spec in net.topology:  # ConvKernel checks each weight's shape
+            for kind, m, n, k, bias in layer_kernels(spec):
+                ConvKernel(kind, m, n, k, next(it), next(it) if bias else None)
+        assert next(it, None) is None
+
+    @pytest.mark.parametrize("kernel_size", [1, 5])
+    @pytest.mark.parametrize("widths", [(), (5,), DEFAULT_WIDTHS])
+    def test_predict_is_softmax_of_forward_bitwise(self, widths, kernel_size):
+        frames = synth_sequence(SceneSpec(n_points=150), 1, seed=0)
+        svt = voxelize(frames[0][0], CylGridSpec(8, 12, 5, 20.0, (-1.0, 5.0)))
+        net = MiniSegNet(4, 3, widths, kernel_size, seed=2)
+        for dtype in (np.float32, np.float64):
+            t = svt.with_features(svt.features.astype(dtype))
+            probs, emb = net.predict(t)
+            logits, embeddings = net.forward(t)
+            assert probs.tobytes() == softmax(logits, axis=1).data.tobytes()
+            assert emb.dtype == dtype and emb.tobytes() == embeddings.data.tobytes()
+        if not widths:  # a network with no blocks embeds its input features
+            assert emb.tobytes() == t.features.tobytes()
+
+    def test_layer_kernels(self):
+        assert layer_kernels(LayerSpec("separable", 4, 6, 5, bias=True)) == (
+            ("depthwise", 4, 4, 5, False), ("pointwise", 4, 6, 1, True))
+        assert layer_kernels(LayerSpec("standard", 4, 6, 3, bias=False)) == (
+            ("standard", 4, 6, 3, False),)
+        assert layer_kernels(LayerSpec("pointwise", 4, 6, 3)) == (("pointwise", 4, 6, 1, True),)
+
+    @pytest.mark.parametrize("kind,m,n,d", [("dense", 4, 4, 3), ("separable", 0, 4, 3),
+                                            ("pointwise", 4, 0, 1), ("standard", 4, 4, 4),
+                                            ("separable", 4, 4, 0), ("standard", -1, 4, 3)])
+    def test_layer_no_network_can_build_rejected(self, kind, m, n, d):
+        with pytest.raises(DomainError):
+            LayerSpec(kind, m, n, d)
+
     def test_topology_cost_mini_backbone(self):
         layers = mini_backbone_topology(34, 3)
         rows, totals = topology_cost(layers, active_sites=100)
@@ -197,15 +244,6 @@ class TestNetwork:
         assert [r["mult_adds"] for r in rows] == hand
         assert totals.mult_adds == sum(hand)
         assert rows[-1]["trainable_params"] == rows[-1]["standard_params"] == 3 * 5 * 27
-
-    def test_topology_cost_matches_kernel_cost(self, rng):
-        dw = glorot_kernel("depthwise", 8, 8, 3, rng)
-        pw = glorot_kernel("pointwise", 8, 12, 1, rng, bias=True)
-        rows, _ = topology_cost((LayerSpec("separable", 8, 12, 3, bias=True),),
-                                active_sites=50, neighbor_pairs=600)
-        expect = cost((dw, pw), 50, neighbor_pairs=600)
-        assert (rows[0]["trainable_params"], rows[0]["mult_adds"]) == \
-            (expect.trainable_params, expect.mult_adds)
 
     def test_sgd_momentum_step(self):
         params = [np.zeros(2)]
@@ -346,6 +384,30 @@ class TestToyPipeline:
         assert report["cost"]["trainable_params"] > 0
         import json
         json.dumps(report)  # must be serializable
+
+    def test_cost_counts_multiply_adds_from_the_rulebooks(self, monkeypatch):
+        import lim3d.training as training
+        prepared = []
+        prepare = training.prepare_frame
+
+        def recording(*args, **kwargs):
+            prepared.append(prepare(*args, **kwargs))
+            return prepared[-1]
+
+        monkeypatch.setattr(training, "prepare_frame", recording)
+        report = run_toy_pipeline(ToyPipelineConfig(stages=(), frames_per_sequence=8))
+        n = report["n_labeled_frames"] + report["n_unlabeled_frames"]
+        train = prepared[:n]  # the training frames are prepared before the held-out ones
+        topo = mini_backbone_topology(train[0].svt.channels, 3)
+        counted = [topology_cost(topo, f.svt.n_active, f.rulebook.n_pairs)[1].mult_adds
+                   for f in train]
+        bound = [topology_cost(topo, f.svt.n_active)[1].mult_adds for f in train]
+        cost = report["cost"]
+        assert cost["frames"] == n
+        assert cost["mult_adds"] == round(np.mean(counted))
+        assert cost["mult_adds_bound"] == round(np.mean(bound))
+        assert cost["mult_adds"] < cost["mult_adds_bound"]
+        assert sum(r["trainable_params"] for r in cost["per_layer"]) == cost["trainable_params"]
 
     def test_one_optimizer_step_per_training_step(self, monkeypatch):
         """The benchmark times the toy pipeline's steps between `SGD.step`
