@@ -18,7 +18,7 @@ from .reflectivity import (ReflecConfig, augment, coarse_histograms,
                            normalize_reflectivity, reflectivity)
 from .sampling import (SamplingPlan, calibrate_beta, frame_redundancies,
                        passive_baselines, plan, supervisor)
-from .sparseconv import (ConvKernel, CostReport, build_rulebook, conv_cost,
+from .sparseconv import (ConvKernel, ConvSpec, CostReport, build_rulebook, conv_cost,
                          glorot_kernel, identity_kernel, separable_conv,
                          sparse_pointwise_conv, submanifold_conv)
 from .ssim import ssim

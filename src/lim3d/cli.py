@@ -150,8 +150,7 @@ def _reflec_config(path: str | None) -> ReflecConfig:
         return ReflecConfig()
     with open(path) as f:
         raw = json.load(f)
-    return ReflecConfig(n_bins=int(raw.get("n_bins", 10)),
-                        bin_grids=tuple(tuple(int(v) for v in g) for g in raw["bin_grids"]))
+    return ReflecConfig(n_bins=raw.get("n_bins", 10), bin_grids=tuple(map(tuple, raw["bin_grids"])))
 
 
 def cmd_featurize(args) -> int:
@@ -213,9 +212,9 @@ def cmd_pseudo(args) -> int:
 def _topology_from_file(path: str) -> tuple[LayerSpec, ...]:
     with open(path) as f:
         raw = json.load(f)
-    return tuple(LayerSpec(item["kind"], int(item["in"]), int(item["out"]),
-                           int(item.get("kernel_size", 1 if item["kind"] == "pointwise" else 3)),
-                           bool(item.get("bias", True))) for item in raw["layers"])
+    return tuple(LayerSpec(item["kind"], item["in"], item["out"],
+                           item.get("kernel_size", 1 if item["kind"] == "pointwise" else 3),
+                           item.get("bias", True)) for item in raw["layers"])
 
 
 def cmd_cost(args) -> int:

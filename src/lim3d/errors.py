@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the `is_count` test."""
+
+from numbers import Integral
 
 
 class Lim3dError(Exception):
@@ -35,3 +37,8 @@ class DegenerateEmbeddingError(Lim3dError, ValueError):
 
 class DivergenceError(Lim3dError, RuntimeError):
     """Training produced a non-finite loss."""
+
+
+def is_count(value) -> bool:
+    """Whether `value` is an integer >= 1: a Python or numpy int, not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= 1

@@ -1,7 +1,7 @@
 """A miniature sparse segmentation network, built, run and costed from its
 topology, a tuple of `LayerSpec`s.
 
-`layer_kernels` is the one rule that turns a layer into the convolutions
+`layer_kernels` is the one rule that turns a layer into the `ConvSpec`s
 it runs: a separable layer is a bias-free depthwise kernel, then a
 pointwise mix that carries the layer's bias; a standard or pointwise layer
 is one kernel. `MiniSegNet` draws its weights, `forward` and `predict` run,
@@ -12,22 +12,21 @@ embeddings for contrastive mining (the input features, with no blocks).
 
 Parameters are a flat list of float64 arrays, per convolution its weights
 and then its bias, if any. `forward` accepts live autodiff tensors in their
-place and builds one node per convolution. `predict` runs the same
-plain-array kernels with no `Tensor`, so it keeps no graph. Activations
-take the features' dtype (float32 from `voxelize`); each layer casts its
-weights to it.
+place and builds one node per convolution from its `ConvSpec` and them.
+`predict` runs the same plain-array kernels with no `Tensor`, so it keeps
+no graph. Activations take the features' dtype (float32 from `voxelize`);
+each layer casts its weights to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .autodiff import Tensor, log_softmax_parts
-from .errors import DomainError, ShapeError
-from .sparseconv import (ConvKernel, CostReport, Rulebook, apply_pointwise, apply_spatial,
+from .errors import DomainError, ShapeError, is_count
+from .sparseconv import (ConvSpec, CostReport, Rulebook, apply_pointwise, apply_spatial,
                          build_rulebook, conv_cost, glorot_kernel, pointwise_forward,
                          spatial_forward)
 from .voxel import SparseVoxelTensor
@@ -40,8 +39,9 @@ LAYER_KINDS = ("separable", "standard", "pointwise")
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One layer: a kind from `LAYER_KINDS`, at least one channel in and
-    out, and an odd kernel size, which a pointwise layer ignores."""
+    """One layer: a kind from `LAYER_KINDS`, integer channel counts of at
+    least one in and out, an odd integer kernel size, which a pointwise
+    layer ignores, and a bool `bias`."""
 
     kind: str
     in_channels: int
@@ -52,20 +52,21 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise DomainError(f"layer kind must be one of {LAYER_KINDS}, got {self.kind!r}")
-        if min(self.in_channels, self.out_channels) < 1:
-            raise DomainError(f"a layer needs a channel in and out, got {self.in_channels} -> "
-                              f"{self.out_channels}")
-        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            raise DomainError(f"kernel_size must be odd and positive, got {self.kernel_size}")
+        if not (is_count(self.in_channels) and is_count(self.out_channels)):
+            raise DomainError(f"a layer needs an integer count of channels in and out, at least "
+                              f"one, got {self.in_channels!r} -> {self.out_channels!r}")
+        if not is_count(self.kernel_size) or self.kernel_size % 2 == 0:
+            raise DomainError(f"kernel_size must be an odd positive integer, got {self.kernel_size!r}")
+        if not isinstance(self.bias, bool):
+            raise DomainError(f"bias must be True or False, got {self.bias!r}")
 
 
-def layer_kernels(spec: LayerSpec) -> tuple[tuple[str, int, int, int, bool], ...]:
-    """The convolutions `spec` runs, in order, as ``(kind, in_channels,
-    out_channels, kernel_size, bias)``."""
+def layer_kernels(spec: LayerSpec) -> tuple[ConvSpec, ...]:
+    """The convolutions `spec` runs, in order."""
     m, n, d = spec.in_channels, spec.out_channels, spec.kernel_size
     if spec.kind == "separable":
-        return ("depthwise", m, m, d, False), ("pointwise", m, n, 1, spec.bias)
-    return ((spec.kind, m, n, 1 if spec.kind == "pointwise" else d, spec.bias),)
+        return ConvSpec("depthwise", m, m, d, False), ConvSpec("pointwise", m, n, 1, spec.bias)
+    return (ConvSpec(spec.kind, m, n, 1 if spec.kind == "pointwise" else d, spec.bias),)
 
 
 def mini_backbone_topology(in_channels: int, n_classes: int,
@@ -101,14 +102,6 @@ def topology_cost(layers: tuple[LayerSpec, ...], active_sites: int,
         })
         total = total + c
     return rows, total
-
-
-@lru_cache(maxsize=None)
-def _shape_kernel(kind: str, m: int, n: int, d: int, bias: bool) -> ConvKernel:
-    """A zero kernel of one convolution's shape: `forward` passes every
-    weight and bias live, so its kernel argument only names the shape."""
-    shape = (m, n) if kind == "pointwise" else (d, d, d, m) + ((n,) if kind == "standard" else ())
-    return ConvKernel(kind, m, n, d, np.zeros(shape), np.zeros(n) if bias else None)
 
 
 class MiniSegNet:
@@ -167,15 +160,15 @@ class MiniSegNet:
         return rulebook if rulebook is not None else build_rulebook(t.coords, t.grid, self.kernel_size)
 
     def _walk(self, x, params: list, conv, activate):
-        """Logits and embeddings: `conv(x, layer_kernels entry, weights, bias
-        or None)` per convolution, taking `params` in order, and `activate`
-        between layers."""
+        """Logits and embeddings: `conv(x, ConvSpec, weights, bias or None)`
+        per convolution of `layer_kernels`, taking `params` in order, and
+        `activate` between layers."""
         it, emb = iter(params), x
         for i, spec in enumerate(self.topology):
             if i:
                 x = emb = activate(x)
             for k in layer_kernels(spec):
-                x = conv(x, k, next(it), next(it) if k[4] else None)
+                x = conv(x, k, next(it), next(it) if k.bias else None)
         return x, emb
 
     def forward(self, t: SparseVoxelTensor, params: list[Tensor] | None = None,
@@ -189,9 +182,9 @@ class MiniSegNet:
         rb = self._rulebook(t, rulebook)
 
         def conv(x, k, w, b):
-            if k[0] == "pointwise":
-                return apply_pointwise(x, _shape_kernel(*k), weights=w, bias=b)
-            return apply_spatial(x, rb, _shape_kernel(*k), weights=w, bias=b)
+            if k.kind == "pointwise":
+                return apply_pointwise(x, k, weights=w, bias=b)
+            return apply_spatial(x, rb, k, weights=w, bias=b)
 
         live = params if params is not None else [Tensor(p) for p in self.params]
         return self._walk(Tensor(t.features), live, conv, lambda x: x.leaky_relu(self.LEAK))
@@ -204,7 +197,7 @@ class MiniSegNet:
         nb = self._rulebook(t, rulebook).neighbors
         logits, emb = self._walk(
             t.features, self.params,
-            lambda x, k, w, b: (pointwise_forward(x, w, b) if k[0] == "pointwise"
+            lambda x, k, w, b: (pointwise_forward(x, w, b) if k.kind == "pointwise"
                                 else spatial_forward(x, nb, w, b)),
             lambda x: np.where(x > 0, x, self.LEAK * x))
         log_probs, _, _ = log_softmax_parts(logits, axis=1)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +54,7 @@ POINT_RECORD_BYTES = 16
 # Default projection resolution mirrors a 64-beam spinning sensor.
 DEFAULT_IMAGE_WIDTH = 512
 DEFAULT_IMAGE_HEIGHT = 64
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -67,7 +68,8 @@ class PointCloud:
 
     `extra_features` holds per-point feature columns appended after load
     (for example reflectivity histograms); voxelization reduces them like
-    any other channel. Non-finite coordinates raise `ValidationError`.
+    any other channel. Non-finite coordinates, and a point whose range
+    float32 cannot hold, raise `ValidationError`.
     """
 
     xyz: np.ndarray                      # (n, 3) float32
@@ -80,8 +82,14 @@ class PointCloud:
     def __post_init__(self):
         xyz = _frozen(np.ascontiguousarray(self.xyz, dtype=np.float32).reshape(-1, 3))
         inten = _frozen(np.ascontiguousarray(self.intensity, dtype=np.float32).reshape(-1))
-        if not np.isfinite(xyz).all():
+        # Reductions only: NaN and inf show in them, and while every coordinate
+        # stays within half of float32's maximum, every range fits float32.
+        lo, hi = float(xyz.min(initial=0.0)), float(xyz.max(initial=0.0))
+        if not np.isfinite(hi - lo):
             raise ValidationError("point coordinates must be finite")
+        if max(hi, -lo) > _FLOAT32_MAX / 2 and (
+                np.linalg.norm(xyz.astype(np.float64), axis=1) > _FLOAT32_MAX).any():
+            raise ValidationError("a point's range overflows float32")
         object.__setattr__(self, "xyz", xyz)
         object.__setattr__(self, "intensity", inten)
         if len(inten) != len(xyz):
@@ -255,22 +263,17 @@ def _pixel_ranges(xyz: np.ndarray, width: int, height: int,
 
 
 def _zbuffer(pix: np.ndarray, r: np.ndarray, n_pixels: int,
-             base: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest range per flat pixel, and which pixels any point hit.
-
-    `base` is the ``(ranges, hit)`` pair of points already buffered; it is
-    copied, not changed. Pixels no point hit hold ``inf`` in the ranges.
-    """
-    z = np.full(n_pixels, np.inf, dtype=np.float32) if base is None else base[0].copy()
-    hit = np.bincount(pix, minlength=n_pixels) > 0
-    if base is not None:
-        hit |= base[1]
+             base: np.ndarray | None = None) -> np.ndarray:
+    """Nearest range per flat pixel, ``inf`` where no point hit. `base`, the
+    buffer of points already projected, is copied, not changed."""
+    z = np.full(n_pixels, np.inf, dtype=np.float32) if base is None else base.copy()
     np.minimum.at(z, pix, r)
-    return z, hit
+    return z
 
 
-def _range_image(z: np.ndarray, hit: np.ndarray, width: int, height: int) -> np.ndarray:
-    return _frozen(np.where(hit, z, np.float32(0.0)).reshape(height, width))
+def _range_image(z: np.ndarray, width: int, height: int) -> np.ndarray:
+    """A pixel is hit when its range is finite: `PointCloud` rejects the rest."""
+    return _frozen(np.where(z < np.inf, z, np.float32(0.0)).reshape(height, width))
 
 
 def project_range_image(pc: PointCloud, width: int = DEFAULT_IMAGE_WIDTH,
@@ -283,14 +286,13 @@ def project_range_image(pc: PointCloud, width: int = DEFAULT_IMAGE_WIDTH,
     elevation). Points at range 0 or outside the vertical field of view are
     dropped. Each pixel keeps its nearest return, found by a scatter-min
     over flat pixel ids in O(n); only the range is stored, so which of
-    several equally near points wins does not matter. A pixel hit only by
-    points whose range overflows float32 holds ``inf``.
+    several equally near points wins does not matter.
 
     Raises:
         DomainError: width or height below 1, or ``vfov`` not ``(min, max)``.
     """
     pix, r = _pixel_ranges(pc.xyz, width, height, vfov)
-    return _range_image(*_zbuffer(pix, r, width * height), width, height)
+    return _range_image(_zbuffer(pix, r, width * height), width, height)
 
 
 def ranges_to_grayscale(images: list[np.ndarray]) -> list[np.ndarray]:
@@ -379,6 +381,7 @@ def synth_sequence(spec: SceneSpec, n_frames: int, seed: int,
     Raises:
         DomainError: ``n_frames`` below 1, or an image size or ``vfov`` that
             `project_range_image` would reject.
+        ValidationError: a point whose range float32 cannot hold.
     """
     if n_frames < 1:
         raise DomainError("n_frames must be >= 1")
@@ -388,7 +391,6 @@ def synth_sequence(spec: SceneSpec, n_frames: int, seed: int,
     xyz32 = xyz0.astype(np.float32)
     moving_x0 = xyz0[moving, 0]
     w, h = spec.image_width, spec.image_height
-    still = _zbuffer(*_pixel_ranges(xyz32[~moving], w, h, spec.vfov), w * h)
 
     out: list[tuple[PointCloud, np.ndarray]] = []
     offset = 0.0
@@ -397,14 +399,18 @@ def synth_sequence(spec: SceneSpec, n_frames: int, seed: int,
         speed = float(spec.segment_speeds[(t // spec.segment_length) % len(spec.segment_speeds)])
         if t == 0 or speed != 0.0:
             offset += speed if t > 0 else 0.0
-            xyz = xyz32.copy()
+            xyz = xyz32.copy() if t else xyz32  # frame 0 never moves
             if offset != 0.0:
                 xyz[moving, 0] = np.mod(moving_x0 + offset + spec.wrap_extent, period) - spec.wrap_extent
-            xyz = _frozen(xyz)
-            pix, r = _pixel_ranges(xyz[moving], w, h, spec.vfov)
-            ri = _range_image(*_zbuffer(pix, r, w * h, base=still), w, h)
-        pc = PointCloud(xyz=xyz, intensity=intensity, labels=labels,
-                        frame_id=t, sequence_id=sequence_id)
+            # Checked as a PointCloud before any of its points is projected.
+            pc = PointCloud(xyz=xyz, intensity=intensity, labels=labels,
+                            frame_id=t, sequence_id=sequence_id)
+            if t == 0:
+                still = _zbuffer(*_pixel_ranges(pc.xyz[~moving], w, h, spec.vfov), w * h)
+            pix, r = _pixel_ranges(pc.xyz[moving], w, h, spec.vfov)
+            ri = _range_image(_zbuffer(pix, r, w * h, base=still), w, h)
+        else:
+            pc = replace(pc, frame_id=t)
         out.append((pc, ri))
     return out
 

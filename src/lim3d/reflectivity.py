@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, ValidationError
+from .errors import DomainError, ShapeError, ValidationError, is_count
 from .pointcloud import PointCloud
 
 __all__ = [
@@ -31,18 +31,19 @@ _EPS = 1e-6
 
 @dataclass(frozen=True)
 class ReflecConfig:
-    """Histogram bins per value range and the per-scale (rho, phi) grids."""
+    """Histogram bins per value range and the per-scale (rho, phi) grids,
+    all integers >= 1."""
 
     n_bins: int = 10
     bin_grids: tuple[tuple[int, int], ...] = ((20, 40), (40, 80), (80, 120))
 
     def __post_init__(self):
-        if self.n_bins < 1:
-            raise DomainError("n_bins must be >= 1")
+        if not is_count(self.n_bins):
+            raise DomainError(f"n_bins must be an integer >= 1, got {self.n_bins!r}")
         if not self.bin_grids:
             raise DomainError("at least one (rho, phi) bin grid is required")
         for g in self.bin_grids:
-            if len(g) != 2 or g[0] < 1 or g[1] < 1:
+            if len(g) != 2 or not all(map(is_count, g)):
                 raise DomainError(f"bad bin grid {g!r}")
 
     @property

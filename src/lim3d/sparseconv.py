@@ -21,15 +21,21 @@ included. A convolution computes in its input's dtype (float32 for
 voxelized features); float64 weights are cast in inside the node, and
 their gradients cast back.
 
-`conv_cost` counts one convolution; `network.layer_kernels` says which
-convolutions a layer runs. ``backward()`` on any scalar of the output
-yields exact gradients for weights, biases and input features.
+A `ConvSpec` names one convolution, and its `weight_shape` is the one
+per-kind weight layout. Given live `weights`, a node's weights and bias are
+its `weights` and `bias` arguments, and a `ConvSpec` may be its kernel;
+otherwise both come from the `ConvKernel`. `conv_cost` counts one
+convolution; `network.layer_kernels` says which convolutions a layer runs.
+``backward()`` on any scalar of the output yields exact gradients for
+weights, biases and input features.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +44,7 @@ from .errors import DomainError, ShapeError, ValidationError
 from .voxel import CylGridSpec, SparseVoxelTensor
 
 __all__ = [
+    "ConvSpec",
     "ConvKernel",
     "CostReport",
     "identity_kernel",
@@ -55,21 +62,32 @@ __all__ = [
     "conv_cost",
 ]
 
-KERNEL_KINDS = ("standard", "depthwise", "pointwise")
-
 # Sites per gathered block: (256, 27, 64) float32 is 1.8 MB; a toy frame fits in one.
 SPATIAL_BLOCK = 256
 
 
+class ConvSpec(NamedTuple):
+    """One convolution, without its arrays."""
+
+    kind: str
+    in_channels: int
+    out_channels: int
+    kernel_size: int
+    bias: bool
+
+    @property
+    def weight_shape(self) -> tuple[int, ...]:
+        """The one per-kind weight layout; an unknown kind raises `DomainError`."""
+        d, m, n = self.kernel_size, self.in_channels, self.out_channels
+        shapes = {"standard": (d, d, d, m, n), "depthwise": (d, d, d, m), "pointwise": (m, n)}
+        if self.kind not in shapes:
+            raise DomainError(f"kernel kind must be one of {tuple(shapes)}, got {self.kind!r}")
+        return shapes[self.kind]
+
+
 @dataclass(frozen=True)
 class ConvKernel:
-    """Weights for one convolution.
-
-    Weight shapes by kind:
-      * ``standard``:  ``(D, D, D, in_channels, out_channels)``
-      * ``depthwise``: ``(D, D, D, in_channels)`` with in == out channels
-      * ``pointwise``: ``(in_channels, out_channels)`` with kernel_size 1
-    """
+    """One convolution's weights, of its `ConvSpec.weight_shape`, and bias."""
 
     kind: str
     in_channels: int
@@ -79,22 +97,15 @@ class ConvKernel:
     bias: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in KERNEL_KINDS:
-            raise DomainError(f"kernel kind must be one of {KERNEL_KINDS}, got {self.kind!r}")
         d, m, n = self.kernel_size, self.in_channels, self.out_channels
+        expect = ConvSpec(self.kind, m, n, d, self.bias is not None).weight_shape
         if self.kind == "pointwise":
             if d != 1:
                 raise DomainError("pointwise kernels require kernel_size == 1")
-            expect = (m, n)
-        else:
-            if d < 1 or d % 2 == 0:
-                raise DomainError(f"spatial kernel_size must be odd, got {d}")
-            if self.kind == "depthwise":
-                if m != n:
-                    raise ShapeError("depthwise kernels require in_channels == out_channels")
-                expect = (d, d, d, m)
-            else:
-                expect = (d, d, d, m, n)
+        elif d < 1 or d % 2 == 0:
+            raise DomainError(f"spatial kernel_size must be odd, got {d}")
+        elif self.kind == "depthwise" and m != n:
+            raise ShapeError("depthwise kernels require in_channels == out_channels")
         weights = np.ascontiguousarray(self.weights, dtype=np.float64)
         if weights.shape != expect:
             raise ShapeError(f"{self.kind} weights must have shape {expect}, got {weights.shape}")
@@ -107,44 +118,23 @@ class ConvKernel:
                 raise ShapeError(f"bias must have shape ({n},), got {bias.shape}")
             object.__setattr__(self, "bias", bias)
 
-    @property
-    def n_params(self) -> int:
-        return self.weights.size + (0 if self.bias is None else self.bias.size)
-
 
 def identity_kernel(kind: str, channels: int, kernel_size: int = 3) -> ConvKernel:
     """Kernel whose output equals its input (center tap = identity map)."""
-    c = (kernel_size - 1) // 2
-    if kind == "standard":
-        w = np.zeros((kernel_size,) * 3 + (channels, channels))
-        w[c, c, c] = np.eye(channels)
-    elif kind == "depthwise":
-        w = np.zeros((kernel_size,) * 3 + (channels,))
-        w[c, c, c] = 1.0
-    elif kind == "pointwise":
-        return ConvKernel("pointwise", channels, channels, 1, np.eye(channels))
-    else:
-        raise DomainError(f"unknown kernel kind {kind!r}")
-    return ConvKernel(kind, channels, channels, kernel_size, w)
+    d = 1 if kind == "pointwise" else kernel_size
+    w = np.zeros(ConvSpec(kind, channels, channels, d, False).weight_shape)
+    center = w[((d - 1) // 2,) * 3] if w.ndim > 2 else w
+    center[...] = np.eye(channels) if center.ndim == 2 else 1.0
+    return ConvKernel(kind, channels, channels, d, w)
 
 
 def glorot_kernel(kind: str, in_channels: int, out_channels: int,
                   kernel_size: int, rng: np.random.Generator,
                   bias: bool = False) -> ConvKernel:
-    """Uniform init in +-sqrt(6 / (fan_in + fan_out))."""
-    d3 = kernel_size ** 3
-    if kind == "standard":
-        fan_in, fan_out = in_channels * d3, out_channels * d3
-        shape = (kernel_size,) * 3 + (in_channels, out_channels)
-    elif kind == "depthwise":
-        fan_in = fan_out = d3
-        shape = (kernel_size,) * 3 + (in_channels,)
-    elif kind == "pointwise":
-        fan_in, fan_out = in_channels, out_channels
-        shape = (in_channels, out_channels)
-    else:
-        raise DomainError(f"unknown kernel kind {kind!r}")
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    """Uniform init in +-sqrt(6 / (fan_in + fan_out)), fans from the weight shape."""
+    shape = ConvSpec(kind, in_channels, out_channels, kernel_size, bias).weight_shape
+    size = prod(shape)
+    limit = np.sqrt(6.0 / (size // out_channels + size // in_channels))
     weights = rng.uniform(-limit, limit, shape)
     b = np.zeros(out_channels) if bias else None
     return ConvKernel(kind, in_channels, out_channels, kernel_size, weights, bias=b)
@@ -263,28 +253,30 @@ def pointwise_forward(x: np.ndarray, weights: np.ndarray,
     return out
 
 
-def _node_inputs(features, kernel: ConvKernel, weights, bias):
+def _node_inputs(features, kernel: ConvKernel | ConvSpec, weights, bias):
     """`features`, the weights and the bias (when there is one) as tensors:
-    live overrides, or the kernel's arrays as constants."""
+    `weights` and `bias` if `weights` is given, else the kernel's arrays."""
     x = as_tensor(features)
     if x.shape[1] != kernel.in_channels:
         raise ShapeError(f"input has {x.shape[1]} channels, kernel expects {kernel.in_channels}")
-    b = kernel.bias if bias is None else bias
-    w = as_tensor(kernel.weights if weights is None else weights)
-    return (x, w) if b is None else (x, w, as_tensor(b))
+    if weights is None:
+        weights, bias = kernel.weights, kernel.bias
+    w = as_tensor(weights)
+    return (x, w) if bias is None else (x, w, as_tensor(bias))
 
 
 def apply_spatial(features: Tensor | np.ndarray, rulebook: Rulebook,
-                  kernel: ConvKernel,
+                  kernel: ConvKernel | ConvSpec,
                   weights: Tensor | None = None,
                   bias: Tensor | None = None) -> Tensor:
     """Standard or depthwise spatial convolution, bias included, as one
     autodiff node over `spatial_forward` and `spatial_backward`.
 
-    `weights`/`bias` override the kernel arrays with live tensors during
-    training; otherwise the kernel arrays enter as constants. It computes
-    in the dtype of `features`; the weight and bias gradients are cast back
-    to their tensors' dtype by `Tensor.backward`.
+    With live `weights` (training), the weights and bias are `weights` and
+    `bias`, and `kernel` may be a `ConvSpec`; otherwise the `ConvKernel`'s
+    arrays enter as constants. It computes in the dtype of `features`; the
+    weight and bias gradients are cast back to their tensors' dtype by
+    `Tensor.backward`.
     """
     inputs = _node_inputs(features, kernel, weights, bias)
     if rulebook.kernel_size != kernel.kernel_size:
@@ -300,7 +292,7 @@ def apply_spatial(features: Tensor | np.ndarray, rulebook: Rulebook,
     return Tensor(spatial_forward(x.data, nb, w.data, b), _parents=inputs, _backward=backward)
 
 
-def apply_pointwise(features: Tensor | np.ndarray, kernel: ConvKernel,
+def apply_pointwise(features: Tensor | np.ndarray, kernel: ConvKernel | ConvSpec,
                     weights: Tensor | None = None,
                     bias: Tensor | None = None) -> Tensor:
     """Per-site channel mix as one autodiff node over `pointwise_forward`,
@@ -373,17 +365,11 @@ def conv_cost(kind: str, in_channels: int, out_channels: int, kernel_size: int,
     `neighbor_pairs` is not given the fully-active neighborhood bound
     ``active_sites * kernel_size**3`` is assumed.
     """
-    if kind not in KERNEL_KINDS:
-        raise DomainError(f"kernel kind must be one of {KERNEL_KINDS}, got {kind!r}")
+    params = prod(ConvSpec(kind, in_channels, out_channels, kernel_size, bias).weight_shape)
     if active_sites < 0:
         raise DomainError("active_sites must be nonnegative")
-    d3 = kernel_size ** 3
-    per_pair = in_channels if kind == "depthwise" else in_channels * out_channels
-    if kind == "pointwise":
-        params, pairs = per_pair, active_sites
-    else:
-        params = per_pair * d3
-        pairs = neighbor_pairs if neighbor_pairs is not None else active_sites * d3
-    mult_adds = pairs * per_pair if active_sites else 0
+    taps = 1 if kind == "pointwise" else kernel_size ** 3
+    if neighbor_pairs is None or kind == "pointwise":
+        neighbor_pairs = active_sites * taps
+    mult_adds = neighbor_pairs * (params // taps) if active_sites else 0
     return CostReport(params + (out_channels if bias else 0), int(mult_adds))
-

@@ -5,7 +5,8 @@
 without failing any test of the package itself. The smoke pass runs every
 workload once at a reduced size, untraced and traced, with all its output
 checks; it prints one verdict line per pass and exits non-zero on any
-failed check or a metric set that differs from `BENCHMARK.json`.
+failed check or a metric set that differs from `BENCHMARK.json`. The traced
+passes of the two workloads that run convolutions must also count them.
 """
 
 import json
@@ -29,3 +30,9 @@ def test_smoke_pass_is_correct_with_no_failed_operation():
             result = json.loads((ROOT / "bench" / "out" /
                                  f"result-{w}-smoke-seed1-trace{t}.json").read_text())
             assert result["attempted"] > 0 and result["failed"] == 0, (w, t, result["failures"])
+            if t and w in ("toy_pipeline", "large_frame"):
+                # The tracer counts multiply-adds from the kernel argument's kind and
+                # channels, so these read 0 if `apply_spatial` is handed less.
+                layers = result["layers"]
+                for metric in ("sparseconv.mult_adds", "sparseconv.mult_adds_per_s"):
+                    assert layers[metric][0] > 0, (w, metric, layers[metric])

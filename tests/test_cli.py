@@ -192,6 +192,19 @@ class TestFeaturize:
         assert main(["featurize", "--in", str(tmp_path / "no.bin"),
                      "--out", str(tmp_path / "x.feat")]) == 2
 
+    @pytest.mark.parametrize("config", [{"n_bins": 2.5, "bin_grids": [[2, 4]]},
+                                        {"n_bins": True, "bin_grids": [[2, 4]]},
+                                        {"n_bins": 4, "bin_grids": [[2, 4.5]]}])
+    def test_non_integer_config_exits_2_without_output(self, dataset, tmp_path, capsys, config):
+        cfg = tmp_path / "reflec.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "f.feat"
+        frame = dataset / "sequences" / "00" / "velodyne" / "000000.bin"
+        assert main(["featurize", "--in", str(frame), "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert "internal error" not in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
 
 class TestPseudo:
     def test_without_model_exits_2_and_writes_nothing(self, dataset, tmp_path, capsys):
@@ -336,6 +349,10 @@ class TestCost:
         {"kind": "pointwise", "in": 16, "out": 0},
         {"kind": "standard", "in": 8, "out": 8, "kernel_size": 4},
         {"kind": "dense", "in": 8, "out": 8},
+        {"kind": "separable", "in": 2.5, "out": 16},
+        {"kind": "standard", "in": 8, "out": 8, "kernel_size": 3.0},
+        {"kind": "pointwise", "in": 16, "out": True},
+        {"kind": "pointwise", "in": 16, "out": 4, "bias": "no"},
     ])
     def test_layer_no_network_can_build_exits_2(self, tmp_path, capsys, layer):
         topo = tmp_path / "topo.json"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,27 @@ class TestRangeProjection:
         xyz[1, column] = bad
         with pytest.raises(ValidationError, match="finite"):
             PointCloud(xyz=xyz, intensity=[0.5, 0.5])
+
+    def test_range_float32_cannot_hold_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="range"):
+                PointCloud(xyz=[[3e38, 3e38, 0], [3, 0, 0]], intensity=[0, 0])
+            # One band of points beyond float32's range, every coordinate inside it.
+            spec = SceneSpec(n_points=20, n_classes=1,
+                             class_bands=((3.0e38, 3.3e38, 2.0e38, 2.2e38, 0.1, 0.2),))
+            with pytest.raises(ValidationError, match="range"):
+                synth_sequence(spec, 2, seed=0)
+
+    @pytest.mark.parametrize("xyz", [[[2.4e38, 2.4e38, 0.0]], [[3.4e38, 0.0, 0.0]]])
+    def test_range_just_inside_float32_projects(self, xyz):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pc = PointCloud(xyz=xyz + [[0.0, -1.0, 0.0]], intensity=[0.5, 0.5])
+            ri = project_range_image(pc, width=8, height=4, vfov=(-10, 10))
+        assert ri.tobytes() == project_reference(pc.xyz, 8, 4, (-10, 10)).tobytes()
+        assert np.count_nonzero(ri) == 2
+        assert ri.max() == np.float32(np.linalg.norm(pc.xyz[0].astype(np.float64)))
 
 
 class TestRangeOracle:

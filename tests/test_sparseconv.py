@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from conftest import finite_difference, max_rel_err, random_sparse_tensor
 from dense_reference import (dense_pointwise_reference, dense_separable_reference,
                              dense_spatial_reference)
-from lim3d import (ConvKernel, CylGridSpec, DomainError, LayerSpec, ShapeError,
+from lim3d import (ConvKernel, ConvSpec, CylGridSpec, DomainError, LayerSpec, ShapeError,
                    SparseVoxelTensor, build_rulebook, conv_cost, densify,
                    glorot_kernel, identity_kernel, separable_conv,
                    sparse_pointwise_conv, submanifold_conv, topology_cost)
 from lim3d.autodiff import Tensor
-from lim3d.sparseconv import SPATIAL_BLOCK, apply_pointwise, apply_spatial
+from lim3d.sparseconv import (SPATIAL_BLOCK, apply_pointwise, apply_spatial, pointwise_forward,
+                              spatial_forward)
 
 
 def active_mask(t):
@@ -39,6 +40,49 @@ class TestKernelValidation:
     def test_even_kernel_rejected(self):
         with pytest.raises(DomainError):
             ConvKernel("standard", 1, 1, 2, np.zeros((2, 2, 2, 1, 1)))
+
+    def test_unknown_kind_rejected_by_the_layout_table(self, rng):
+        with pytest.raises(DomainError):
+            ConvSpec("dense", 2, 2, 3, False).weight_shape
+        with pytest.raises(DomainError):
+            conv_cost("dense", 2, 2, 3, False, 10)
+        with pytest.raises(DomainError):
+            glorot_kernel("dense", 2, 2, 3, rng)
+
+    @pytest.mark.parametrize("kind,m,n,d,fan_in,fan_out", [
+        ("standard", 2, 5, 3, 2 * 27, 5 * 27), ("depthwise", 4, 4, 5, 125, 125),
+        ("pointwise", 2, 5, 1, 2, 5)])
+    def test_glorot_limit_from_the_fans(self, kind, m, n, d, fan_in, fan_out):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        k = glorot_kernel(kind, m, n, d, np.random.default_rng(1))
+        want = np.random.default_rng(1).uniform(-limit, limit, k.weights.shape)
+        assert k.weights.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["standard", "depthwise", "pointwise"])
+    def test_live_weights_bring_their_own_bias(self, rng, kind):
+        """Given `weights`, a node's weights and bias are exactly its arguments,
+        and a `ConvSpec` may stand in for the kernel; without `weights`, both
+        come from the `ConvKernel`."""
+        t = random_sparse_tensor(rng, channels=3)
+        rb = build_rulebook(t.coords, t.grid, 3)
+        n, d = (3 if kind == "depthwise" else 4), (1 if kind == "pointwise" else 3)
+        k = ConvKernel(kind, 3, n, d, glorot_kernel(kind, 3, n, d, rng).weights, rng.normal(size=n))
+        w, b = rng.normal(size=k.weights.shape), rng.normal(size=n)
+
+        def node(kernel, **live):
+            if kind == "pointwise":
+                return apply_pointwise(t.features, kernel, **live).data.tobytes()
+            return apply_spatial(t.features, rb, kernel, **live).data.tobytes()
+
+        def plain(weights, bias):
+            if kind == "pointwise":
+                return pointwise_forward(t.features, weights, bias).tobytes()
+            return spatial_forward(t.features, rb.neighbors, weights, bias).tobytes()
+
+        assert node(k) == node(k, bias=Tensor(b)) == plain(k.weights, k.bias)
+        for kernel in (k, ConvSpec(kind, 3, n, d, True)):
+            assert node(kernel, weights=Tensor(w), bias=Tensor(b)) == plain(w, b)
+            assert node(kernel, weights=Tensor(w)) == plain(w, None)
 
     def test_channel_mismatch_raises(self, rng):
         t = random_sparse_tensor(rng, channels=3)

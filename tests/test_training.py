@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import max_rel_err
-from lim3d import (ContrastiveConfig, ConvKernel, DivergenceError, DomainError, LayerSpec, LossConfig, MemoryBank,
+from lim3d import (ContrastiveConfig, ConvSpec, DivergenceError, DomainError, LayerSpec, LossConfig, MemoryBank,
                    MiniSegNet, SceneSpec, ShapeError, Tensor, ToyPipelineConfig, ValidationError,
                    VoxelPredictions, confusion_matrix, crb_select, ema_update,
                    entropy_partition, iou_per_class, kl_consistency, label_frame,
@@ -184,9 +184,11 @@ class TestNetwork:
         shapes += [(prev, 3), (3,)]
         assert [p.shape for p in net.params] == shapes
         it = iter(net.params)
-        for spec in net.topology:  # ConvKernel checks each weight's shape
-            for kind, m, n, k, bias in layer_kernels(spec):
-                ConvKernel(kind, m, n, k, next(it), next(it) if bias else None)
+        for spec in net.topology:
+            for k in layer_kernels(spec):
+                assert next(it).shape == k.weight_shape
+                if k.bias:
+                    assert next(it).shape == (k.out_channels,)
         assert next(it, None) is None
 
     @pytest.mark.parametrize("kernel_size", [1, 5])
@@ -205,8 +207,13 @@ class TestNetwork:
             assert emb.tobytes() == t.features.tobytes()
 
     def test_layer_kernels(self):
-        assert layer_kernels(LayerSpec("separable", 4, 6, 5, bias=True)) == (
-            ("depthwise", 4, 4, 5, False), ("pointwise", 4, 6, 1, True))
+        dw, pw = layer_kernels(LayerSpec("separable", 4, 6, 5, bias=True))
+        assert ConvSpec._fields == ("kind", "in_channels", "out_channels", "kernel_size", "bias")
+        assert (dw.kind, dw.in_channels, dw.out_channels, dw.kernel_size, dw.bias) == (
+            "depthwise", 4, 4, 5, False)
+        assert (pw.kind, pw.in_channels, pw.out_channels, pw.kernel_size, pw.bias) == (
+            "pointwise", 4, 6, 1, True)
+        assert (dw, pw) == (("depthwise", 4, 4, 5, False), ("pointwise", 4, 6, 1, True))
         assert layer_kernels(LayerSpec("standard", 4, 6, 3, bias=False)) == (
             ("standard", 4, 6, 3, False),)
         assert layer_kernels(LayerSpec("pointwise", 4, 6, 3)) == (("pointwise", 4, 6, 1, True),)
@@ -217,6 +224,22 @@ class TestNetwork:
     def test_layer_no_network_can_build_rejected(self, kind, m, n, d):
         with pytest.raises(DomainError):
             LayerSpec(kind, m, n, d)
+
+    def test_counts_are_integers_and_bias_a_bool(self):
+        for args in [("separable", 2.5, 4, 3), ("standard", 4, 4.0, 3), ("standard", 4, 4, 3.0),
+                     ("pointwise", True, 4, 1), ("separable", 4, 4, 3, "no"),
+                     ("standard", 4, 4, 3, 1), ("pointwise", 4, 4, 1, np.bool_(True))]:
+            with pytest.raises(DomainError):
+                LayerSpec(*args)
+        # numpy integers count as integers
+        spec = LayerSpec("separable", np.int64(4), np.int32(6), np.int64(3))
+        assert layer_kernels(spec) == (("depthwise", 4, 4, 3, False), ("pointwise", 4, 6, 1, True))
+        assert ReflecConfig(np.int64(4), ((np.int64(2), np.int32(4)),)).feature_dim == 4
+        for bad in (2.5, True, 0):
+            with pytest.raises(DomainError):
+                ReflecConfig(n_bins=bad)
+            with pytest.raises(DomainError):
+                ReflecConfig(bin_grids=((2, bad),))
 
     def test_topology_cost_mini_backbone(self):
         layers = mini_backbone_topology(34, 3)
