@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .autodiff import Tensor, as_tensor
-from .errors import DomainError, ShapeError, ValidationError
+from .errors import DomainError, ShapeError, ValidationError, is_count
 from .voxel import CylGridSpec, SparseVoxelTensor
 
 __all__ = [
@@ -77,8 +77,12 @@ class ConvSpec(NamedTuple):
 
     @property
     def weight_shape(self) -> tuple[int, ...]:
-        """The one per-kind weight layout; an unknown kind raises `DomainError`."""
+        """The one per-kind weight layout; an unknown kind, or a channel count
+        or kernel size that is not an integer >= 1, raises `DomainError`."""
         d, m, n = self.kernel_size, self.in_channels, self.out_channels
+        if not all(map(is_count, (d, m, n))):
+            raise DomainError(f"channel counts and kernel size must be integers >= 1, got "
+                              f"in={m!r}, out={n!r}, kernel_size={d!r}")
         shapes = {"standard": (d, d, d, m, n), "depthwise": (d, d, d, m), "pointwise": (m, n)}
         if self.kind not in shapes:
             raise DomainError(f"kernel kind must be one of {tuple(shapes)}, got {self.kind!r}")
@@ -260,6 +264,8 @@ def _node_inputs(features, kernel: ConvKernel | ConvSpec, weights, bias):
     if x.shape[1] != kernel.in_channels:
         raise ShapeError(f"input has {x.shape[1]} channels, kernel expects {kernel.in_channels}")
     if weights is None:
+        if isinstance(kernel, ConvSpec):
+            raise ValidationError("a ConvSpec names only a shape: the node needs live `weights`")
         weights, bias = kernel.weights, kernel.bias
     w = as_tensor(weights)
     return (x, w) if bias is None else (x, w, as_tensor(bias))

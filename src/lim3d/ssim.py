@@ -13,14 +13,18 @@ product ``a * b``. `ssim(a, b)` is ``pair_score(frame_stats(a),
 frame_stats(b))``, so a caller scoring a run of adjacent frames can take
 each frame's statistics once and reuse them for both of its pairs.
 
-Window means come from summed-area tables (Crow, SIGGRAPH 1984): one zero
-row and column, then cumulative sums over both axes, so each window sum is
-four table lookups. For integer-valued inputs every table entry is an exact
-integer as long as the sum of squares over the whole grid stays below 2^53
-(an 8-bit grid of 64x512 reaches about 2.1e9), and each window mean is the
-correctly rounded ``sum / n``, bitwise equal to averaging the window
-directly. For other float inputs the means differ from a direct average by
-rounding only.
+Window means are exact window sums divided by ``win * win``. Each axis is
+summed by doubling runs (runs of 1, 2, 4, ... elements, then the runs that
+make up `win`: 3 adds per axis for an 8-wide window) in a dtype chosen from
+the input dtype's range, never from the data: int32 when
+``win**2 * max|x|**2 < 2**31`` (8-bit grids at the default window), int64
+when that bound is below 2**63, float64 otherwise and for float input. The
+squares ``x * x`` and products ``a * b`` are formed in that dtype. Integer
+sums are exact at any grid size, so while they stay below 2**53 (always,
+on 8-bit grids), and on integer-valued float grids whose window sums of
+squares do, each window mean is the correctly rounded ``sum / n``, bitwise
+equal to averaging the window directly. For other float inputs the means
+differ from a direct average by rounding only.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DomainError, ShapeError
 
@@ -51,16 +56,49 @@ class FrameStats(NamedTuple):
     var: np.ndarray
 
 
-def _window_means(x: np.ndarray, win: int) -> np.ndarray:
-    """Mean of every stride-1 ``win x win`` window of `x`, by summed-area table."""
-    s = np.zeros((x.shape[0] + 1, x.shape[1] + 1))
-    np.cumsum(x, axis=0, out=s[1:, 1:])
-    np.cumsum(s[1:, 1:], axis=1, out=s[1:, 1:])
-    sums = s[win:, win:] - s[:-win, win:]
-    sums -= s[win:, :-win]
-    sums += s[:-win, :-win]
-    sums /= win * win
+def _sum_dtype(dtype: np.dtype, win: int) -> type:
+    """int32, int64 or float64: the first in which no window sum of squares
+    of `dtype` data can overflow (float64 for float data)."""
+    if dtype.kind not in "biu":
+        return np.float64
+    peak = 1 if dtype.kind == "b" else max(-int(np.iinfo(dtype).min), int(np.iinfo(dtype).max))
+    bound = win * win * peak * peak
+    return np.int32 if bound < 2**31 else np.int64 if bound < 2**63 else np.float64
+
+
+def _run_sums(flat: np.ndarray, win: int, step: int) -> np.ndarray:
+    """``flat[i] + flat[i + step] + ... + flat[i + (win - 1) * step]`` for
+    every `i` where the last term is in range, by doubling runs."""
+    n = len(flat) - (win - 1) * step
+    sums, offset, run, width = None, 0, flat, 1
+    while width <= win:
+        if win & width:
+            piece = run[offset:offset + n]
+            sums = piece if sums is None else sums + piece
+            offset += width * step
+        if 2 * width <= win:
+            k = width * step
+            run = run[:-k] + run[k:]
+        width *= 2
     return sums
+
+
+def _window_means(x: np.ndarray, win: int) -> np.ndarray:
+    """Mean of every stride-1 ``win x win`` window of `x`, as float64, from
+    sums in `x`'s dtype: down the flattened grid (runs ``w`` elements apart),
+    then along it; a run that wraps past a row's end lands in a column no
+    window reads."""
+    h, w = x.shape
+    rows = _run_sums(np.ascontiguousarray(x).ravel(), win, w)
+    sums = _run_sums(rows, win, 1)
+    windows = as_strided(sums, (h - win + 1, w - win + 1), (w * sums.itemsize, sums.itemsize))
+    means = windows.astype(np.float64)
+    n = win * win
+    if n & (n - 1):
+        means /= n
+    else:
+        means *= 1.0 / n  # an exact reciprocal: the same rounding as dividing, but faster
+    return means
 
 
 def frame_stats(x: np.ndarray, window: int = DEFAULT_WINDOW) -> FrameStats:
@@ -73,10 +111,11 @@ def frame_stats(x: np.ndarray, window: int = DEFAULT_WINDOW) -> FrameStats:
     if window < 1:
         raise DomainError("window must be >= 1")
     win = min(window, x.shape[0], x.shape[1])
-    xf = x.astype(np.float64, copy=False)
-    mu = _window_means(xf, win)
+    xs = x.astype(_sum_dtype(x.dtype, win), copy=False)
+    mu = _window_means(xs, win)
     mu_sq = mu * mu
-    var = _window_means(xf * xf, win) - mu_sq
+    var = _window_means(xs * xs, win)
+    var -= mu_sq
     return FrameStats(x, win, mu, mu_sq, var)
 
 
@@ -88,10 +127,23 @@ def pair_score(a: FrameStats, b: FrameStats) -> float:
         raise DomainError(f"statistics taken with windows {a.win} and {b.win}")
     # mu_a * mu_b serves the covariance and, doubled (exact), the numerator.
     # The product table takes the squares' path, so ssim(x, x) is exactly 1.
-    mu_ab = a.mu * b.mu
-    cov = _window_means(np.multiply(a.x, b.x, dtype=np.float64), a.win) - mu_ab
-    num = (2.0 * mu_ab + _C1) * (2.0 * cov + _C2)
-    num /= (a.mu_sq + b.mu_sq + _C1) * (a.var + b.var + _C2)
+    # In place, the formula is (2 mu_ab + C1) (2 cov + C2) /
+    # ((mu_a^2 + mu_b^2 + C1) (var_a + var_b + C2)), operation for operation.
+    dtype = _sum_dtype(np.result_type(a.x.dtype, b.x.dtype), a.win)
+    num = a.mu * b.mu
+    cov = _window_means(np.multiply(a.x, b.x, dtype=dtype), a.win)
+    cov -= num
+    cov *= 2.0
+    cov += _C2
+    num *= 2.0
+    num += _C1
+    num *= cov
+    den = a.mu_sq + b.mu_sq
+    den += _C1
+    np.add(a.var, b.var, out=cov)
+    cov += _C2
+    den *= cov
+    num /= den
     return float(num.mean())
 
 

@@ -10,7 +10,7 @@ from conftest import finite_difference, max_rel_err, random_sparse_tensor
 from dense_reference import (dense_pointwise_reference, dense_separable_reference,
                              dense_spatial_reference)
 from lim3d import (ConvKernel, ConvSpec, CylGridSpec, DomainError, LayerSpec, ShapeError,
-                   SparseVoxelTensor, build_rulebook, conv_cost, densify,
+                   SparseVoxelTensor, ValidationError, build_rulebook, conv_cost, densify,
                    glorot_kernel, identity_kernel, separable_conv,
                    sparse_pointwise_conv, submanifold_conv, topology_cost)
 from lim3d.autodiff import Tensor
@@ -48,6 +48,16 @@ class TestKernelValidation:
             conv_cost("dense", 2, 2, 3, False, 10)
         with pytest.raises(DomainError):
             glorot_kernel("dense", 2, 2, 3, rng)
+        # Channel counts and kernel sizes are integers >= 1; numpy integers pass.
+        for kind, m, n, d in [("pointwise", 3, 0, 1), ("depthwise", 3, 3, 2.5),
+                              ("depthwise", 0, 0, 3), ("standard", 3.0, 3, 3),
+                              ("pointwise", 3, 3, True), ("standard", -1, 3, 3)]:
+            with pytest.raises(DomainError):
+                ConvSpec(kind, m, n, d, False).weight_shape
+            with pytest.raises(DomainError):
+                glorot_kernel(kind, m, n, d, rng)
+        spec = ConvSpec("standard", np.int64(2), np.int32(3), np.uint8(3), False)
+        assert spec.weight_shape == (3, 3, 3, 2, 3)
 
     @pytest.mark.parametrize("kind,m,n,d,fan_in,fan_out", [
         ("standard", 2, 5, 3, 2 * 27, 5 * 27), ("depthwise", 4, 4, 5, 125, 125),
@@ -62,7 +72,7 @@ class TestKernelValidation:
     def test_live_weights_bring_their_own_bias(self, rng, kind):
         """Given `weights`, a node's weights and bias are exactly its arguments,
         and a `ConvSpec` may stand in for the kernel; without `weights`, both
-        come from the `ConvKernel`."""
+        come from the `ConvKernel`, and a `ConvSpec` is refused."""
         t = random_sparse_tensor(rng, channels=3)
         rb = build_rulebook(t.coords, t.grid, 3)
         n, d = (3 if kind == "depthwise" else 4), (1 if kind == "pointwise" else 3)
@@ -83,6 +93,8 @@ class TestKernelValidation:
         for kernel in (k, ConvSpec(kind, 3, n, d, True)):
             assert node(kernel, weights=Tensor(w), bias=Tensor(b)) == plain(w, b)
             assert node(kernel, weights=Tensor(w)) == plain(w, None)
+        with pytest.raises(ValidationError, match="live `weights`"):
+            node(ConvSpec(kind, 3, n, d, True))
 
     def test_channel_mismatch_raises(self, rng):
         t = random_sparse_tensor(rng, channels=3)

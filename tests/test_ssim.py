@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from lim3d import DomainError, ShapeError, ssim
 from lim3d.ssim import frame_stats, pair_score
-from ssim_reference import ssim_direct, ssim_reference
+from ssim_reference import ssim_direct, ssim_reference, window_means_direct
 
 
 class TestSsim:
@@ -67,15 +67,51 @@ def test_ssim_symmetric_and_self_unit(a, b):
     assert ssim(a, b) == ssim(b, a)
 
 
+# Grids whose window sums take each integer path: uint8 and int8 (negative
+# values too) sum in int32, uint16 in int64, bool in int32, and integer-valued
+# float64 in float64, where the sums of these magnitudes are exact as well.
+GRID_ELEMENTS = {
+    np.uint8: st.integers(0, 255),
+    np.int8: st.integers(-128, 127),
+    np.uint16: st.integers(0, 65535),
+    np.bool_: st.booleans(),
+    np.float64: st.integers(-(2**20), 2**20).map(float),
+}
+
+
 @st.composite
-def uint8_pairs(draw):
+def integer_grid_pairs(draw):
+    dtype = draw(st.sampled_from(list(GRID_ELEMENTS)))
     shape = (draw(st.integers(1, 24)), draw(st.integers(1, 40)))
-    grid = arrays(np.uint8, shape, elements=st.integers(0, 255))
+    grid = arrays(dtype, shape, elements=GRID_ELEMENTS[dtype])
     return draw(grid), draw(grid), draw(st.integers(1, 12))
 
 
-@settings(max_examples=60, deadline=None)
-@given(uint8_pairs())
+@settings(max_examples=100, deadline=None)
+@given(integer_grid_pairs())
 def test_ssim_bitwise_equals_direct_window_means(pair):
     a, b, window = pair
     assert ssim(a, b, window) == ssim_direct(a, b, window)
+
+
+def test_window_statistics_exact_on_a_long_uint16_grid(rng):
+    """Window sums are exact at any grid size: on a grid whose whole sum of
+    squares passes 2**53, the last windows still equal direct averages."""
+    x = rng.integers(60000, 65536, size=(8, 400_000)).astype(np.uint16)
+    stats = frame_stats(x)
+    tail = x[:, -57:].astype(np.float64)
+    mu = window_means_direct(tail, 8)
+    var = window_means_direct(tail * tail, 8) - mu * mu
+    assert stats.mu[:, -50:].tobytes() == mu.tobytes()
+    assert stats.var[:, -50:].tobytes() == var.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.uint32, np.int64])
+def test_wide_integers_sum_without_wraparound(rng, dtype):
+    """Squares of these dtypes' extremes overflow every integer sum, so the
+    windows are summed in float64 and still match the scalar oracle."""
+    info = np.iinfo(dtype)
+    extremes = np.array([info.min, info.max, info.max - 1, info.min + 1], dtype=dtype)
+    a, b = rng.choice(extremes, size=(2, 10, 14))
+    assert ssim(a, b) == pytest.approx(ssim_reference(a, b), abs=1e-6)
+    assert ssim(a, a) == 1.0
