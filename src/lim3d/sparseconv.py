@@ -106,7 +106,7 @@ class ConvKernel:
         if self.kind == "pointwise":
             if d != 1:
                 raise DomainError("pointwise kernels require kernel_size == 1")
-        elif d < 1 or d % 2 == 0:
+        elif d % 2 == 0:
             raise DomainError(f"spatial kernel_size must be odd, got {d}")
         elif self.kind == "depthwise" and m != n:
             raise ShapeError("depthwise kernels require in_channels == out_channels")

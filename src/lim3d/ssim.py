@@ -17,14 +17,14 @@ Window means are exact window sums divided by ``win * win``. Each axis is
 summed by doubling runs (runs of 1, 2, 4, ... elements, then the runs that
 make up `win`: 3 adds per axis for an 8-wide window) in a dtype chosen from
 the input dtype's range, never from the data: int32 when
-``win**2 * max|x|**2 < 2**31`` (8-bit grids at the default window), int64
-when that bound is below 2**63, float64 otherwise and for float input. The
-squares ``x * x`` and products ``a * b`` are formed in that dtype. Integer
-sums are exact at any grid size, so while they stay below 2**53 (always,
-on 8-bit grids), and on integer-valued float grids whose window sums of
-squares do, each window mean is the correctly rounded ``sum / n``, bitwise
-equal to averaging the window directly. For other float inputs the means
-differ from a direct average by rounding only.
+``win**2 * max|x|**2 < 2**31`` (8-bit grids at the default window),
+float64 otherwise and for float input. The squares ``x * x`` and products
+``a * b`` are formed in that dtype. Each window is summed on its own, so
+on integer-valued grids whose window sums of squares stay below 2**53
+(8- and 16-bit grids at the default window) every sum is exact at any
+grid size, and each window mean is the correctly rounded ``sum / n``,
+bitwise equal to averaging the window directly. For other inputs the
+means differ from a direct average by rounding only.
 """
 
 from __future__ import annotations
@@ -57,13 +57,13 @@ class FrameStats(NamedTuple):
 
 
 def _sum_dtype(dtype: np.dtype, win: int) -> type:
-    """int32, int64 or float64: the first in which no window sum of squares
-    of `dtype` data can overflow (float64 for float data)."""
+    """int32 when no window sum of squares of `dtype` data can overflow it,
+    else float64 (and for float data)."""
     if dtype.kind not in "biu":
         return np.float64
     peak = 1 if dtype.kind == "b" else max(-int(np.iinfo(dtype).min), int(np.iinfo(dtype).max))
     bound = win * win * peak * peak
-    return np.int32 if bound < 2**31 else np.int64 if bound < 2**63 else np.float64
+    return np.int32 if bound < 2**31 else np.float64
 
 
 def _run_sums(flat: np.ndarray, win: int, step: int) -> np.ndarray:
@@ -93,11 +93,7 @@ def _window_means(x: np.ndarray, win: int) -> np.ndarray:
     sums = _run_sums(rows, win, 1)
     windows = as_strided(sums, (h - win + 1, w - win + 1), (w * sums.itemsize, sums.itemsize))
     means = windows.astype(np.float64)
-    n = win * win
-    if n & (n - 1):
-        means /= n
-    else:
-        means *= 1.0 / n  # an exact reciprocal: the same rounding as dividing, but faster
+    means /= win * win
     return means
 
 
@@ -126,7 +122,7 @@ def pair_score(a: FrameStats, b: FrameStats) -> float:
     if a.win != b.win:
         raise DomainError(f"statistics taken with windows {a.win} and {b.win}")
     # mu_a * mu_b serves the covariance and, doubled (exact), the numerator.
-    # The product table takes the squares' path, so ssim(x, x) is exactly 1.
+    # The products are summed in the squares' dtype, so ssim(x, x) is exactly 1.
     # In place, the formula is (2 mu_ab + C1) (2 cov + C2) /
     # ((mu_a^2 + mu_b^2 + C1) (var_a + var_b + C2)), operation for operation.
     dtype = _sum_dtype(np.result_type(a.x.dtype, b.x.dtype), a.win)

@@ -67,9 +67,9 @@ def test_ssim_symmetric_and_self_unit(a, b):
     assert ssim(a, b) == ssim(b, a)
 
 
-# Grids whose window sums take each integer path: uint8 and int8 (negative
-# values too) sum in int32, uint16 in int64, bool in int32, and integer-valued
-# float64 in float64, where the sums of these magnitudes are exact as well.
+# Grids whose window sums take each path: uint8, int8 (negative values too)
+# and bool sum in int32; uint16 and integer-valued float64 sum in float64,
+# where the window sums of these magnitudes are exact as well.
 GRID_ELEMENTS = {
     np.uint8: st.integers(0, 255),
     np.int8: st.integers(-128, 127),
