@@ -7,8 +7,11 @@ requires a gradient; a result of constants records nothing. Inference
 kernels that the layer nodes wrap. Calling `backward()` on a scalar
 result walks the recorded graph once in reverse topological order and
 accumulates gradients into every tensor created with `requires_grad=True`.
-A graph is single-use: running `backward()` through nodes that already
-participated in a backward pass raises `LifecycleError`.
+As soon as a node's own backward has run, it releases its gradient, its
+parents and the inputs its backward saved, so the graph shrinks as the
+pass goes and only those leaf tensors keep a `.grad`. A graph is therefore
+single-use: running `backward()` through nodes that already participated
+in a backward pass raises `LifecycleError`.
 
 Dtypes follow the data. An op between tensors takes numpy's promotion
 (float32 with float64 gives float64), but a Python number operand takes
@@ -229,6 +232,12 @@ class Tensor:
     # -- backward pass -----------------------------------------------------
 
     def backward(self, grad: np.ndarray | None = None) -> None:
+        """Accumulate d(self)/d(leaf) into the `.grad` of every leaf created
+        with `requires_grad=True`; `grad` is the upstream gradient, needed
+        unless this tensor is a scalar. Each interior node releases its
+        `.grad`, its parents and its saved inputs once its backward has run,
+        so afterwards only those leaves hold gradients and the graph is spent.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise ShapeError("backward() without an explicit gradient needs a scalar output")
@@ -260,15 +269,19 @@ class Tensor:
             raise LifecycleError("backward graph already consumed; rebuild the forward pass")
 
         self.grad = grad
-        for node in reversed(topo):
+        # Popping drops this pass's last reference to a node whose consumers
+        # have all run, so only tensors the caller holds outlive their step.
+        while topo:
+            node = topo.pop()
             node._consumed = True
-            if node._backward is None or node.grad is None:
-                continue
-            for parent, g in zip(node._parents, node._backward(node.grad)):
-                if not parent.requires_grad or g is None:
-                    continue
-                g = g.astype(parent.data.dtype, copy=False)
-                parent.grad = g if parent.grad is None else parent.grad + g
+            if node._backward is not None and node.grad is not None:
+                for parent, g in zip(node._parents, node._backward(node.grad)):
+                    if not parent.requires_grad or g is None:
+                        continue
+                    g = g.astype(parent.data.dtype, copy=False)
+                    parent.grad = g if parent.grad is None else parent.grad + g
+            if node._parents:
+                node.grad, node._parents, node._backward = None, (), None
 
 
 def as_tensor(value) -> Tensor:

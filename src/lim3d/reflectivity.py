@@ -117,15 +117,22 @@ def coarse_histograms(pc: PointCloud, r_norm: np.ndarray, cfg: ReflecConfig) -> 
         normalized[nonempty] = counts[nonempty] / peaks[nonempty, None]
 
         col = scale * cfg.n_bins
-        out[:, col:col + cfg.n_bins] = normalized[cell]
+        # Casting the per-bin table, not the per-point gather, rounds the same
+        # values and halves the (n, n_bins) temporary.
+        out[:, col:col + cfg.n_bins] = normalized.astype(np.float32)[cell]
     return out
 
 
 def augment(pc: PointCloud, features: np.ndarray) -> PointCloud:
-    """Append per-point feature columns; a cloud can be augmented once."""
+    """Append per-point feature columns; a cloud can be augmented once.
+
+    C-contiguous float32 `features` (what `coarse_histograms` returns) are
+    shared, not copied, and frozen: the array becomes read-only. Any other
+    array is converted to one first.
+    """
     if pc.extra_features is not None:
         raise ValidationError("cloud already carries extra features")
     features = np.asarray(features)
     if features.ndim != 2 or len(features) != len(pc):
         raise ShapeError(f"features shape {features.shape} does not match {len(pc)} points")
-    return replace(pc, extra_features=features.astype(np.float32))
+    return replace(pc, extra_features=features.astype(np.float32, copy=False))

@@ -33,7 +33,6 @@ weights, biases and input features.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import prod
 from typing import NamedTuple
 
@@ -62,7 +61,8 @@ __all__ = [
     "conv_cost",
 ]
 
-# Sites per gathered block: (256, 27, 64) float32 is 1.8 MB; a toy frame fits in one.
+# Sites per block of a gather or of the rulebook: (256, 27, 64) float32 is
+# 1.8 MB, and (256, 27) int64 is 55 kB; a toy frame fits in one.
 SPATIAL_BLOCK = 256
 
 
@@ -169,22 +169,26 @@ class Rulebook:
 
 
 def build_rulebook(coords: np.ndarray, grid: CylGridSpec, kernel_size: int) -> Rulebook:
-    """Neighbor table for every kernel tap over the given active sites."""
+    """Neighbor table for every kernel tap over the given active sites, built
+    `SPATIAL_BLOCK` sites at a time so its temporaries stay bounded."""
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
-    n = len(coords)
+    n, taps = len(coords), kernel_size ** 3
     keys = grid.cell_key(*coords.T)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
+    # Active sites come sorted by key; only unsorted coordinates need the permutation.
+    order = None if np.all(keys[1:] >= keys[:-1]) else np.argsort(keys, kind="stable")
+    sorted_keys = keys if order is None else keys[order]
 
-    r = (kernel_size - 1) // 2
-    offsets = np.array(list(product(range(-r, r + 1), repeat=3)), dtype=np.int64)
-    cells = coords[:, None, :] + offsets  # (n, K, 3)
-    n_rho, n_phi, n_z = cells[..., 0], cells[..., 1] % grid.n_phi, cells[..., 2]
-    valid = (n_rho >= 0) & (n_rho < grid.n_rho) & (n_z >= 0) & (n_z < grid.n_z)
-    neigh_keys = grid.cell_key(n_rho, n_phi, n_z)
-    pos = np.minimum(np.searchsorted(sorted_keys, neigh_keys), n - 1)
-    found = valid & (sorted_keys[pos] == neigh_keys)
-    neighbors = np.where(found, order[pos], n).astype(np.intp)
+    d_rho, d_phi, d_z = np.indices((kernel_size,) * 3).reshape(3, taps) - (kernel_size - 1) // 2
+    neighbors = np.empty((n, taps), np.intp)
+    for start in range(0, n, SPATIAL_BLOCK):
+        c = coords[start:start + SPATIAL_BLOCK]
+        n_rho, n_z = c[:, :1] + d_rho, c[:, 2:] + d_z  # (b, K) each
+        valid = (n_rho >= 0) & (n_rho < grid.n_rho) & (n_z >= 0) & (n_z < grid.n_z)
+        neigh_keys = grid.cell_key(n_rho, (c[:, 1:2] + d_phi) % grid.n_phi, n_z)
+        pos = np.minimum(np.searchsorted(sorted_keys, neigh_keys), n - 1)
+        found = valid & (sorted_keys[pos] == neigh_keys)
+        rows = pos if order is None else order[pos]
+        neighbors[start:start + SPATIAL_BLOCK] = np.where(found, rows, n)
     neighbors.setflags(write=False)
     return Rulebook(kernel_size=kernel_size, neighbors=neighbors)
 

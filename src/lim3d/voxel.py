@@ -183,9 +183,9 @@ def voxelize(pc: PointCloud, grid: CylGridSpec) -> SparseVoxelTensor:
     if dropped:
         log.info("voxelize: dropped %d of %d points outside the grid", dropped, len(pc))
 
-    columns = [*xyz[keep].T, pc.intensity[keep]]
+    columns = [*xyz.T, pc.intensity]
     if pc.extra_features is not None:
-        columns.extend(pc.extra_features[keep].T)
+        columns.extend(pc.extra_features.T)
 
     if keys.size == 0:
         empty_labels = np.empty(0, dtype=np.int64) if pc.labels is not None else None
@@ -197,8 +197,11 @@ def voxelize(pc: PointCloud, grid: CylGridSpec) -> SparseVoxelTensor:
     n_voxels = uniq_keys.size
     coords = grid.cell_coords(uniq_keys)
 
-    # bincount adds each voxel's points in point order, in float64.
-    sums = np.column_stack([np.bincount(inverse, weights=c, minlength=n_voxels)
+    # bincount adds each voxel's points in point order, in float64. It reads
+    # each column of the cloud in place, masked only when points were
+    # dropped, so the (n, k) extra features are never copied whole.
+    sums = np.column_stack([np.bincount(inverse, weights=c[keep] if dropped else c,
+                                        minlength=n_voxels)
                             for c in columns])
     counts = np.bincount(inverse, minlength=n_voxels).astype(np.float64)
     feats = sums / counts[:, None]

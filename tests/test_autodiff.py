@@ -1,8 +1,12 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
 from conftest import finite_difference, max_rel_err
-from lim3d import LifecycleError, ShapeError
+from lim3d import (CylGridSpec, LifecycleError, MiniSegNet, ShapeError, SparseVoxelTensor,
+                   build_rulebook, lovasz_softmax)
 from lim3d.autodiff import Tensor, log_softmax, softmax
 
 
@@ -128,6 +132,57 @@ class TestLifecycle:
         out = (a * b + a).exp().sum()
         assert not out.requires_grad
         assert out._parents == () and out._backward is None
+
+
+class TestRelease:
+    """Each interior node frees its gradient and saved inputs once its own
+    backward has run; only leaves created with ``requires_grad`` keep a grad."""
+
+    def test_interior_gradients_released_leaf_gradient_kept(self):
+        t = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        mid = t * 3.0
+        out = mid.exp().sum()
+        out.backward()
+        for node in (mid, out):
+            assert node.grad is None
+            assert node._parents == () and node._backward is None
+        np.testing.assert_allclose(t.grad, 3.0 * np.exp(3.0 * t.data))
+
+    def test_arrays_saved_in_closures_are_freed(self, rng):
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        out = log_softmax(x.leaky_relu(0.1), axis=1)
+        saved = [weakref.ref(cell.cell_contents)
+                 for node in (out, out._parents[0]) for cell in node._backward.__closure__
+                 if isinstance(cell.cell_contents, np.ndarray)]
+        assert len(saved) == 3  # log-softmax's exp and its sums, leaky ReLU's mask
+        out.sum().backward()
+        assert [ref() for ref in saved] == [None] * 3
+
+    def test_held_memory_after_backward_is_leaf_gradients_and_caller_tensors(self, rng):
+        grid = CylGridSpec(40, 40, 8, 40.0, (0.0, 8.0))
+        n = 3000
+        keys = rng.choice(grid.n_cells, size=n, replace=False)
+        coords = np.column_stack(np.unravel_index(keys, grid.shape))
+        svt = SparseVoxelTensor(grid=grid, coords=coords,
+                                features=rng.normal(size=(n, 8)).astype(np.float32))
+        rb = build_rulebook(svt.coords, grid, 3)
+        labels = rng.integers(0, 5, size=n)
+        net = MiniSegNet(8, 5, seed=0)
+        params = net.param_tensors()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            logits, emb = net.forward(svt, params=params, rulebook=rb)
+            probs = softmax(logits, axis=1)
+            loss = lovasz_softmax(probs, labels)
+            loss.backward()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        live = sum(t.data.nbytes for t in (logits, emb, probs, loss))
+        live += sum(p.grad.nbytes for p in params)
+        # 64 kB covers the Python objects; the graph itself is about 7 MB.
+        assert held <= live + 64_000, f"{(held - live) / 1e6:.2f} MB beyond the live arrays"
 
 
 class TestDtypes:

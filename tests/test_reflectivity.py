@@ -105,6 +105,17 @@ class TestAugment:
         assert aug.extra_features.dtype == np.float32
         np.testing.assert_array_equal(aug.extra_features, feats)
 
+    def test_float32_features_shared_and_frozen(self, rng):
+        n = 50
+        pc = PointCloud(xyz=rng.normal(size=(n, 3)), intensity=rng.uniform(size=n))
+        feats = coarse_histograms(pc, normalize_reflectivity(reflectivity(pc)), CFG)
+        assert feats.flags.writeable
+        aug = augment(pc, feats)
+        assert np.shares_memory(aug.extra_features, feats)
+        assert not feats.flags.writeable
+        with pytest.raises(ValueError):
+            feats[0, 0] = 2.0
+
     def test_zero_features_voxelize_identically_in_base_channels(self, rng):
         n = 40
         pc = PointCloud(xyz=rng.normal(scale=1.5, size=(n, 3)), intensity=rng.uniform(size=n))

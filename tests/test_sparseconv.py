@@ -381,6 +381,22 @@ class TestNeighborTable:
         assert max_rel_err(b.grad, fd_b) < 1e-3
 
 
+def rulebook_by_dense_table(coords, grid, kernel_size):
+    """Whole-frame neighbor table read from a dense grid of row ids: the
+    (n, K, 3) neighbor cells of every site at once, the azimuth wrapped and
+    cells past the radius or height edges left at the sentinel."""
+    n = len(coords)
+    rows = np.full(grid.shape, n, dtype=np.intp)
+    rows[tuple(coords.T)] = np.arange(n)
+    r = (kernel_size - 1) // 2
+    cells = coords[:, None, :] + np.array(list(product(range(-r, r + 1), repeat=3)))
+    rho, phi, z = cells[..., 0], cells[..., 1] % grid.n_phi, cells[..., 2]
+    valid = (rho >= 0) & (rho < grid.n_rho) & (z >= 0) & (z < grid.n_z)
+    out = np.full(cells.shape[:2], n, dtype=np.intp)
+    out[valid] = rows[rho[valid], phi[valid], z[valid]]
+    return out
+
+
 def frame_of(rng, n_sites, channels, grid=CylGridSpec(12, 16, 8, 12.0, (0.0, 8.0))):
     """Exactly `n_sites` random active sites on `grid`."""
     keys = rng.choice(grid.n_cells, size=n_sites, replace=False)
@@ -441,6 +457,36 @@ class TestBlocks:
         assert max_rel_err(w.grad, fd_w) < 1e-3
         assert max_rel_err(x.grad, fd_x) < 1e-3
         assert max_rel_err(b.grad, fd_b) < 1e-3
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kernel_size=st.sampled_from([1, 3, 5]),
+           n_sites=st.sampled_from(BLOCK_SIZES + [1, SPATIAL_BLOCK - 1, 2 * SPATIAL_BLOCK])
+           | st.integers(0, 3 * SPATIAL_BLOCK),
+           shuffled=st.booleans(), data=st.data())
+    def test_rulebook_matches_whole_frame_table(self, seed, kernel_size, n_sites, shuffled, data):
+        # Few radius and height bins put most sites on an edge; the azimuth
+        # count just holds the sites, so many sites sit at its wrap.
+        n_rho, n_z = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        n_phi = max(1, -(-n_sites // (n_rho * n_z))) + data.draw(st.integers(0, 3))
+        grid = CylGridSpec(n_rho, n_phi, n_z, rho_max=float(n_rho), z_range=(0.0, float(n_z)))
+        keys = np.random.default_rng(seed).choice(grid.n_cells, size=n_sites, replace=False)
+        if not shuffled:
+            keys.sort()
+        coords = np.column_stack(np.unravel_index(keys, grid.shape)).reshape(-1, 3)
+        got = build_rulebook(coords, grid, kernel_size).neighbors
+        want = rulebook_by_dense_table(coords, grid, kernel_size)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_rulebook_peak_stays_under_twice_its_table(self):
+        grid = CylGridSpec(40, 40, 8, 40.0, (0.0, 8.0))
+        t = frame_of(np.random.default_rng(9), 4000, 1, grid=grid)
+        tracemalloc.start()
+        try:
+            rb = build_rulebook(t.coords, t.grid, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * rb.neighbors.nbytes, f"peak {peak / rb.neighbors.nbytes:.2f} tables"
 
     @pytest.mark.parametrize("kind", ["standard", "depthwise"])
     def test_peak_memory_stays_under_a_quarter_of_the_full_gather(self, kind):

@@ -520,9 +520,20 @@ class TestDtypePolicy:
         # per block, and the head. The weights are cast inside the nodes.
         assert len(created) == 1 + 3 * 4 + 1
         assert {t.data.dtype for t in created} == {np.dtype(dtype)}
+        # Backward frees each node's gradient, so record the dtype reaching each node.
+        arriving = []
+
+        def recording(backward):
+            def wrapped(g):
+                arriving.append(g.dtype)
+                return backward(g)
+            return wrapped
+
+        for t in created[1:]:
+            t._backward = recording(t._backward)
         lovasz_softmax(softmax(logits, axis=1), svt.labels).backward()
         assert all(p.grad.dtype == np.float64 for p in params)
-        assert all(t.grad.dtype == dtype for t in created if t.grad is not None)
+        assert arriving == [np.dtype(dtype)] * (len(created) - 1)
         assert all(p.dtype == np.float64 for p in net.params)
 
     def test_float32_agrees_with_float64(self):

@@ -103,6 +103,44 @@ class TestVoxelize:
         np.testing.assert_allclose(t.features[0, 4:], [2.0, 4.0])
 
 
+def cloud_with_extra(rng, n, columns, drop):
+    """`n` labelled points with float32 extra features, inside GRID unless
+    `drop`; also the mask of the points inside."""
+    lim, z_lim = (4.5, 3.0) if drop else (2.5, 1.9)
+    xyz = np.column_stack([rng.uniform(-lim, lim, size=(n, 2)), rng.uniform(-z_lim, z_lim, n)])
+    pc = PointCloud(xyz=xyz, intensity=rng.uniform(size=n), labels=rng.integers(0, 4, n),
+                    extra_features=rng.normal(size=(n, columns)).astype(np.float32))
+    xyz = pc.xyz.astype(np.float64)
+    keep = (np.hypot(xyz[:, 0], xyz[:, 1]) < 4.0) & (xyz[:, 2] >= -2.0) & (xyz[:, 2] < 2.0)
+    assert keep.all() != drop
+    return pc, keep
+
+
+class TestExtraFeaturesReadInPlace:
+    @pytest.mark.parametrize("drop", [False, True])
+    def test_equals_voxelizing_the_masked_copy(self, rng, drop):
+        pc, keep = cloud_with_extra(rng, 400, 6, drop)
+        t = voxelize(pc, GRID)
+        # The earlier path: the kept points' columns copied whole, `extra_features[keep]`.
+        ref = voxelize(PointCloud(xyz=pc.xyz[keep], intensity=pc.intensity[keep],
+                                  labels=pc.labels[keep], extra_features=pc.extra_features[keep]),
+                       GRID)
+        assert t.dropped_points == len(pc) - keep.sum() and ref.dropped_points == 0
+        for a, b in ((t.coords, ref.coords), (t.features, ref.features), (t.labels, ref.labels)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("drop", [False, True])
+    def test_peak_stays_under_half_the_extra_features(self, rng, drop):
+        pc, _ = cloud_with_extra(rng, 5000, 100, drop)
+        tracemalloc.start()
+        try:
+            voxelize(pc, GRID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pc.extra_features.nbytes / 2, f"peak {peak / 1e6:.2f} MB"
+
+
 class TestDenseRoundTrip:
     def test_single_voxel(self):
         t = SparseVoxelTensor(grid=GRID, coords=[[1, 2, 3]], features=[[7.0, 8.0]])
