@@ -127,12 +127,12 @@ def augment(pc: PointCloud, features: np.ndarray) -> PointCloud:
     """Append per-point feature columns; a cloud can be augmented once.
 
     C-contiguous float32 `features` (what `coarse_histograms` returns) are
-    shared, not copied, and frozen: the array becomes read-only. Any other
-    array is converted to one first.
+    shared, not copied, and frozen: the array becomes read-only, as every
+    array a `PointCloud` holds is. Any other array is converted to one first.
     """
     if pc.extra_features is not None:
         raise ValidationError("cloud already carries extra features")
     features = np.asarray(features)
     if features.ndim != 2 or len(features) != len(pc):
         raise ShapeError(f"features shape {features.shape} does not match {len(pc)} points")
-    return replace(pc, extra_features=features.astype(np.float32, copy=False))
+    return replace(pc, extra_features=features)

@@ -174,9 +174,8 @@ def build_rulebook(coords: np.ndarray, grid: CylGridSpec, kernel_size: int) -> R
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
     n, taps = len(coords), kernel_size ** 3
     keys = grid.cell_key(*coords.T)
-    # Active sites come sorted by key; only unsorted coordinates need the permutation.
-    order = None if np.all(keys[1:] >= keys[:-1]) else np.argsort(keys, kind="stable")
-    sorted_keys = keys if order is None else keys[order]
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
 
     d_rho, d_phi, d_z = np.indices((kernel_size,) * 3).reshape(3, taps) - (kernel_size - 1) // 2
     neighbors = np.empty((n, taps), np.intp)
@@ -187,8 +186,7 @@ def build_rulebook(coords: np.ndarray, grid: CylGridSpec, kernel_size: int) -> R
         neigh_keys = grid.cell_key(n_rho, (c[:, 1:2] + d_phi) % grid.n_phi, n_z)
         pos = np.minimum(np.searchsorted(sorted_keys, neigh_keys), n - 1)
         found = valid & (sorted_keys[pos] == neigh_keys)
-        rows = pos if order is None else order[pos]
-        neighbors[start:start + SPATIAL_BLOCK] = np.where(found, rows, n)
+        neighbors[start:start + SPATIAL_BLOCK] = np.where(found, order[pos], n)
     neighbors.setflags(write=False)
     return Rulebook(kernel_size=kernel_size, neighbors=neighbors)
 

@@ -197,11 +197,9 @@ def voxelize(pc: PointCloud, grid: CylGridSpec) -> SparseVoxelTensor:
     n_voxels = uniq_keys.size
     coords = grid.cell_coords(uniq_keys)
 
-    # bincount adds each voxel's points in point order, in float64. It reads
-    # each column of the cloud in place, masked only when points were
-    # dropped, so the (n, k) extra features are never copied whole.
-    sums = np.column_stack([np.bincount(inverse, weights=c[keep] if dropped else c,
-                                        minlength=n_voxels)
+    # bincount adds each voxel's points in point order, in float64. Masking
+    # one column at a time means the (n, k) extra features are never copied whole.
+    sums = np.column_stack([np.bincount(inverse, weights=c[keep], minlength=n_voxels)
                             for c in columns])
     counts = np.bincount(inverse, minlength=n_voxels).astype(np.float64)
     feats = sums / counts[:, None]
