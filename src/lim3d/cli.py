@@ -21,7 +21,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +32,9 @@ from .network import mini_backbone_topology, topology_cost, LayerSpec
 from .pointcloud import (SceneSpec, frame_path, image_path, label_path,
                          list_sequence_frames, load_frame, project_range_image,
                          ranges_to_grayscale, read_pgm, save_frame, save_labels,
-                         synth_sequence, write_pgm)
+                         synth_frames, write_pgm)
 from .reflectivity import ReflecConfig, coarse_histograms, normalize_reflectivity, reflectivity
-from .sampling import calibrate_beta, plan, save_plan
+from .sampling import SamplingPlan, calibrate_beta, plan, save_plan
 from .training import ToyPipelineConfig, label_frame, load_model, prepare_frame, run_toy_pipeline
 from .voxel import point_rows
 
@@ -84,14 +84,20 @@ def cmd_synth(args) -> int:
     root = Path(args.out_dir)
     for s in range(args.sequences):
         seq = f"{s:02d}"
-        frames = synth_sequence(spec, args.frames, args.seed + 1000 * s, sequence_id=s)
-        gray = ranges_to_grayscale([ri for _, ri in frames])
+        # Raises on bad settings before the first directory is made.
+        frames = synth_frames(spec, args.frames, args.seed + 1000 * s, sequence_id=s)
         for p in (frame_path(root, seq, 0), label_path(root, seq, 0), image_path(root, seq, 0)):
             p.parent.mkdir(parents=True, exist_ok=True)
-        labels = frames[0][0].labels.astype(np.uint32)  # every frame shares one label array
-        for t, ((pc, _), img) in enumerate(zip(frames, gray)):
+        # Each frame is written as it is made. Only the range images are kept,
+        # for the sequence-wide grayscale scale; still frames share one.
+        ranges = []
+        for t, (pc, ri) in enumerate(frames):
+            if t == 0:
+                labels = pc.labels.astype(np.uint32)  # every frame shares one label array
             save_frame(frame_path(root, seq, t), pc)
             save_labels(label_path(root, seq, t), labels)
+            ranges.append(ri)
+        for t, img in enumerate(ranges_to_grayscale(ranges)):
             write_pgm(image_path(root, seq, t), img)
     print(f"wrote {args.sequences} sequence(s) x {args.frames} frame(s) under {root}")
     return EXIT_OK
@@ -102,16 +108,28 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_sequence_images(root: Path, seq: str, source: str,
-                          width: int, height: int) -> list[np.ndarray]:
-    frames = list_sequence_frames(root, seq)
-    if not frames:
-        raise Lim3dError(f"no frames under {root}/sequences/{seq}/velodyne")
-    if source == "gray":
-        return [read_pgm(image_path(root, seq, t)) for t in frames]
-    ranges = [project_range_image(load_frame(frame_path(root, seq, t)), width=width, height=height)
-              for t in frames]
-    return ranges_to_grayscale(ranges)
+@dataclass(frozen=True)
+class _SequenceImages:
+    """Each sequence's grayscale images, loaded only when iteration reaches
+    that sequence, so one pass holds one sequence at a time. Every pass
+    loads the files again."""
+
+    root: Path
+    names: list[str]
+    frame_ids: list[list[int]]
+    source: str
+    width: int
+    height: int
+
+    def __iter__(self):
+        return map(self.load, self.names, self.frame_ids)
+
+    def load(self, seq: str, frames: list[int]) -> list[np.ndarray]:
+        if self.source == "gray":
+            return [read_pgm(image_path(self.root, seq, t)) for t in frames]
+        ranges = [project_range_image(load_frame(frame_path(self.root, seq, t)),
+                                      width=self.width, height=self.height) for t in frames]
+        return ranges_to_grayscale(ranges)
 
 
 def cmd_sample(args) -> int:
@@ -124,10 +142,14 @@ def cmd_sample(args) -> int:
         print("error: pass exactly one of --beta or --target-fraction", file=sys.stderr)
         return EXIT_VALIDATION
     names = sorted(p.name for p in seq_root.iterdir() if p.is_dir())
-    sequences = [
-        _load_sequence_images(root, name, args.source, args.width, args.height)
-        for name in names
-    ]
+    if not names:
+        print(f"error: no sequences under {seq_root}", file=sys.stderr)
+        return EXIT_VALIDATION
+    frame_ids = [list_sequence_frames(root, name) for name in names]
+    for name, ids in zip(names, frame_ids):
+        if not ids:
+            raise Lim3dError(f"no frames under {seq_root}/{name}/velodyne")
+    sequences = _SequenceImages(root, names, frame_ids, args.source, args.width, args.height)
     threads = max(1, int(os.environ.get("LIM3D_THREADS", os.cpu_count() or 1)))
     if args.target_fraction is not None:
         beta, result = calibrate_beta(sequences, args.subset_size, args.target_fraction,
@@ -135,8 +157,11 @@ def cmd_sample(args) -> int:
         print(f"calibrated beta = {beta:.6f}")
     else:
         result = plan(sequences, args.subset_size, args.beta, n_threads=threads)
-    save_plan(args.out, result, keys={i: n for i, n in enumerate(names)})
-    print(f"selected {result.total()} of {sum(len(s) for s in sequences)} frames -> {args.out}")
+    # The sampler picks list positions; a plan names the frames on disk.
+    chosen = SamplingPlan({i: [frame_ids[i][j] for j in idx] for i, idx in result.entries.items()})
+    save_plan(args.out, chosen, keys=dict(enumerate(names)))
+    total = sum(len(ids) for ids in frame_ids)
+    print(f"selected {chosen.total()} of {total} frames -> {args.out}")
     return EXIT_OK
 
 

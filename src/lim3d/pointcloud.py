@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import logging
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -41,6 +42,7 @@ __all__ = [
     "project_range_image",
     "ranges_to_grayscale",
     "synth_sequence",
+    "synth_frames",
     "frame_path",
     "label_path",
     "image_path",
@@ -235,6 +237,13 @@ def read_pgm(path: str | os.PathLike) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _check_image(width: int, height: int, vfov: tuple[float, float]) -> None:
+    if width < 1 or height < 1:
+        raise DomainError("width and height must be >= 1")
+    if not float(vfov[0]) < float(vfov[1]):
+        raise DomainError(f"vfov must satisfy min < max, got {vfov}")
+
+
 def _pixel_ranges(xyz: np.ndarray, width: int, height: int,
                   vfov: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     """Flat pixel ids and float32 ranges of the points that land in the image.
@@ -244,12 +253,8 @@ def _pixel_ranges(xyz: np.ndarray, width: int, height: int,
     Raises:
         DomainError: width or height below 1, or ``vfov`` not ``(min, max)``.
     """
-    if width < 1 or height < 1:
-        raise DomainError("width and height must be >= 1")
+    _check_image(width, height, vfov)
     vfov_min, vfov_max = float(vfov[0]), float(vfov[1])
-    if not vfov_min < vfov_max:
-        raise DomainError(f"vfov must satisfy min < max, got {vfov}")
-
     xyz = xyz.astype(np.float64)
     r = np.linalg.norm(xyz, axis=1)
     az = np.arctan2(xyz[:, 1], xyz[:, 0])
@@ -366,9 +371,10 @@ def _base_scene(spec: SceneSpec, rng: np.random.Generator):
     return np.vstack(xyz), np.concatenate(intensity).astype(np.float32), np.concatenate(labels)
 
 
-def synth_sequence(spec: SceneSpec, n_frames: int, seed: int,
-                   sequence_id: int = 0) -> list[tuple[PointCloud, np.ndarray]]:
-    """Deterministic synthetic sequence of labeled frames, each with its range image.
+def synth_frames(spec: SceneSpec, n_frames: int, seed: int,
+                 sequence_id: int = 0) -> Iterator[tuple[PointCloud, np.ndarray]]:
+    """Deterministic synthetic sequence of labeled frames, each with its range
+    image, made one frame at a time as the iterator is advanced.
 
     Every image equals ``project_range_image(pc, spec.image_width,
     spec.image_height, spec.vfov)`` byte for byte, but only the moving class
@@ -379,12 +385,20 @@ def synth_sequence(spec: SceneSpec, n_frames: int, seed: int,
     of a still segment stay bitwise identical.
 
     Raises:
-        DomainError: ``n_frames`` below 1, or an image size or ``vfov`` that
-            `project_range_image` would reject.
-        ValidationError: a point whose range float32 cannot hold.
+        DomainError: at the call, before any frame is made: ``n_frames``
+            below 1, or an image size or ``vfov`` that `project_range_image`
+            would reject.
+        ValidationError: while iterating, a point whose range float32
+            cannot hold.
     """
     if n_frames < 1:
         raise DomainError("n_frames must be >= 1")
+    _check_image(spec.image_width, spec.image_height, spec.vfov)
+    return _synth_frames(spec, n_frames, seed, sequence_id)
+
+
+def _synth_frames(spec: SceneSpec, n_frames: int, seed: int,
+                  sequence_id: int) -> Iterator[tuple[PointCloud, np.ndarray]]:
     rng = np.random.default_rng(seed)
     xyz0, intensity, labels = _base_scene(spec, rng)
     moving = labels == min(spec.moving_class, spec.n_classes - 1)
@@ -392,7 +406,6 @@ def synth_sequence(spec: SceneSpec, n_frames: int, seed: int,
     moving_x0 = xyz0[moving, 0]
     w, h = spec.image_width, spec.image_height
 
-    out: list[tuple[PointCloud, np.ndarray]] = []
     offset = 0.0
     period = 2.0 * spec.wrap_extent
     for t in range(n_frames):
@@ -411,8 +424,13 @@ def synth_sequence(spec: SceneSpec, n_frames: int, seed: int,
             ri = _range_image(_zbuffer(pix, r, w * h, base=still), w, h)
         else:
             pc = replace(pc, frame_id=t)
-        out.append((pc, ri))
-    return out
+        yield pc, ri
+
+
+def synth_sequence(spec: SceneSpec, n_frames: int, seed: int,
+                   sequence_id: int = 0) -> list[tuple[PointCloud, np.ndarray]]:
+    """`synth_frames` as a list: the whole sequence at once."""
+    return list(synth_frames(spec, n_frames, seed, sequence_id))
 
 
 # ---------------------------------------------------------------------------

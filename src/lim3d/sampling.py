@@ -17,6 +17,12 @@ statistics once (`lim3d.ssim.frame_stats`) and carries them to the next
 pair. With ``n_threads > 1`` each worker scores one contiguous run of
 pairs; the scores do not depend on the thread count.
 
+`plan` and `calibrate_beta` take ``sequences`` as any iterable of
+sequences, such as a generator that loads each sequence's frames when it
+is reached. They go through it once, keep only each sequence's redundancy
+vector, and count frames from those vectors, so no two sequences' frames
+need to be held at once.
+
 Passive uniform and seeded-random baselines, plus a bisection calibrator
 that finds the beta hitting a target global sampling fraction, round out
 the module. The calibrator brackets beta in [0, `MAX_BETA`] and halves the
@@ -29,8 +35,10 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -149,12 +157,22 @@ def plan_from_redundancies(redundancies: list[np.ndarray], subset_size: int,
     return SamplingPlan(entries=entries)
 
 
-def plan(sequences: list[list[np.ndarray]], subset_size: int, beta: float,
+def _redundancies(sequences: Iterable[list[np.ndarray]], n_threads: int) -> list[np.ndarray]:
+    """One pass over `sequences`. `map` passes each sequence straight to
+    `frame_redundancies` and keeps no reference to it, so the previous
+    sequence is free before the next is loaded."""
+    return list(map(partial(frame_redundancies, n_threads=n_threads), sequences))
+
+
+def plan(sequences: Iterable[list[np.ndarray]], subset_size: int, beta: float,
          n_threads: int = 1) -> SamplingPlan:
-    """Select frames per sequence; see the module docstring for the rule."""
+    """Select frames per sequence; see the module docstring for the rule.
+
+    `sequences` may be any iterable; it is consumed once, and plan entry
+    ``i`` holds positions in the ``i``-th sequence it yields.
+    """
     _check_settings(subset_size, beta)
-    psis = [frame_redundancies(frames, n_threads=n_threads) for frames in sequences]
-    return plan_from_redundancies(psis, subset_size, beta)
+    return plan_from_redundancies(_redundancies(sequences, n_threads), subset_size, beta)
 
 
 def passive_baselines(n_frames: int, fraction: float, mode: str = "uniform",
@@ -175,20 +193,21 @@ def passive_baselines(n_frames: int, fraction: float, mode: str = "uniform",
     return SamplingPlan(entries={0: idx})
 
 
-def calibrate_beta(sequences: list[list[np.ndarray]], subset_size: int,
+def calibrate_beta(sequences: Iterable[list[np.ndarray]], subset_size: int,
                    target_fraction: float, n_threads: int = 1) -> tuple[float, SamplingPlan]:
     """Bisection on beta toward a target global sampling fraction.
 
     The selected count is a nonincreasing step function of beta, so the
     search brackets the target and returns the endpoint whose count is
-    closest (ties prefer the smaller beta, i.e. more frames).
+    closest (ties prefer the smaller beta, i.e. more frames). `sequences`
+    may be any iterable; it is consumed once, and the frame total is
+    counted from the redundancy vectors.
     """
     if not 0.0 < target_fraction <= 1.0:
         raise DomainError(f"target_fraction must lie in (0, 1], got {target_fraction}")
     _check_settings(subset_size)
-    total = sum(len(s) for s in sequences)
-    target = target_fraction * total
-    psis = [frame_redundancies(frames, n_threads=n_threads) for frames in sequences]
+    psis = _redundancies(sequences, n_threads)
+    target = target_fraction * sum(len(psi) for psi in psis)
     q = subset_size
     subsets = [(float(psi[s:s + q].mean()), min(q, len(psi) - s))
                for psi in psis for s in range(0, len(psi), q)]

@@ -198,11 +198,13 @@ def voxelize(pc: PointCloud, grid: CylGridSpec) -> SparseVoxelTensor:
     coords = grid.cell_coords(uniq_keys)
 
     # bincount adds each voxel's points in point order, in float64. Masking
-    # one column at a time means the (n, k) extra features are never copied whole.
-    sums = np.column_stack([np.bincount(inverse, weights=c[keep], minlength=n_voxels)
-                            for c in columns])
-    counts = np.bincount(inverse, minlength=n_voxels).astype(np.float64)
-    feats = sums / counts[:, None]
+    # one column at a time means the (n, k) extra features are never copied
+    # whole; each column's sums go straight into one (n_voxels, k) array,
+    # which becomes the means in place.
+    feats = np.empty((n_voxels, len(columns)))
+    for j, c in enumerate(columns):
+        feats[:, j] = np.bincount(inverse, weights=c[keep], minlength=n_voxels)
+    feats /= np.bincount(inverse, minlength=n_voxels)[:, None]
 
     # Offsets relative to voxel centers replace the absolute coordinates.
     centers_cyl = grid.voxel_centers(coords)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,16 @@ def random_sparse_tensor(rng, grid=None, channels=None, max_active=48, max_dim=8
     ])
     features = rng.normal(size=(n_active, channels))
     return SparseVoxelTensor(grid=grid, coords=coords, features=features)
+
+
+def peak_bytes(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated while `fn()` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def finite_difference(f, x, h=1e-4):

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import peak_bytes
 from lim3d.cli import build_parser, main
 from lim3d.network import MiniSegNet
 from lim3d.pointcloud import (SceneSpec, image_path, load_frame, load_labels, ranges_to_grayscale,
@@ -149,6 +150,56 @@ class TestSynthAndSample:
         assert main(["sample", "--seq-dir", str(dataset), "--beta", "4.0",
                      "--subset-size", "8", "--out", str(multi)]) == 0
         assert load_plan(single) == load_plan(multi)
+
+
+def _synth(root, sequences, *flags):
+    return main(["synth", "--out-dir", str(root), "--sequences", str(sequences), *flags])
+
+
+class TestFrameIds:
+    def test_plan_names_the_frames_on_disk(self, tmp_path):
+        root = tmp_path / "gap"
+        assert _synth(root, 1, "--frames", "16", "--n-points", "100") == 0
+        for t in (0, 1):
+            (root / "sequences" / "00" / "velodyne" / f"{t:06d}.bin").unlink()
+        out = tmp_path / "plan.json"
+        assert main(["sample", "--seq-dir", str(root), "--beta", "0", "--subset-size", "4",
+                     "--out", str(out)]) == 0
+        assert load_plan(out) == {"00": list(range(2, 16))}
+
+    @pytest.mark.parametrize("flag", [["--beta", "1"], ["--target-fraction", "0.5"]])
+    def test_empty_sequences_dir_exits_2_without_plan(self, tmp_path, capsys, flag):
+        (tmp_path / "empty" / "sequences").mkdir(parents=True)
+        out = tmp_path / "plan.json"
+        assert main(["sample", "--seq-dir", str(tmp_path / "empty"), *flag,
+                     "--out", str(out)]) == 2
+        assert "no sequences under" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestOneSequenceAtATime:
+    """Peak traced memory does not grow with the number of sequences."""
+
+    def test_synth(self, tmp_path):
+        flags = ("--frames", "16", "--n-points", "2000", "--width", "64", "--height", "32")
+        assert _synth(tmp_path / "warm-up", 1, "--frames", "2", "--n-points", "10") == 0
+        one = peak_bytes(lambda: _synth(tmp_path / "one", 1, *flags))
+        three = peak_bytes(lambda: _synth(tmp_path / "three", 3, *flags))
+        assert image_path(tmp_path / "three", "02", 15).exists()
+        assert three < 1.5 * one, f"{three / one:.2f}x the one-sequence peak"
+
+    def test_sample(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("LIM3D_THREADS", "1")
+        flags = ("--frames", "48", "--n-points", "50", "--width", "64", "--height", "32")
+        peaks = {}
+        for n in (1, 4):
+            root = tmp_path / str(n)
+            assert _synth(root, n, *flags) == 0
+            args = ["sample", "--seq-dir", str(root), "--beta", "1", "--subset-size", "8",
+                    "--out", str(tmp_path / f"{n}.json")]
+            assert main(args) == 0  # warm-up
+            peaks[n] = peak_bytes(lambda: main(args))
+        assert peaks[4] < 1.5 * peaks[1], f"{peaks[4] / peaks[1]:.2f}x the one-sequence peak"
 
 
 class TestFeaturize:

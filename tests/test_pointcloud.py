@@ -7,7 +7,7 @@ from lim3d import (DomainError, FormatError, PointCloud, SceneSpec, ShapeError,
                    ValidationError, load_frame, project_range_image,
                    ranges_to_grayscale, read_pgm, save_frame, synth_sequence,
                    write_pgm)
-from lim3d.pointcloud import load_labels, save_labels
+from lim3d.pointcloud import load_labels, save_labels, synth_frames
 from range_reference import project_reference
 
 
@@ -239,6 +239,13 @@ class TestSynthSequence:
             synth_sequence(SceneSpec(n_points=50, **kw), 2, seed=0)
         with pytest.raises(DomainError):
             synth_sequence(SceneSpec(n_points=50, n_classes=1, **kw), 2, seed=0)
+
+    @pytest.mark.parametrize("kw, n_frames", [({}, 0), (dict(image_width=0), 2),
+                                              (dict(image_height=0), 2),
+                                              (dict(vfov=(5.0, 5.0)), 2)])
+    def test_frames_raise_at_the_call(self, kw, n_frames):
+        with pytest.raises(DomainError):
+            synth_frames(SceneSpec(n_points=50, **kw), n_frames, seed=0)
 
     def test_labels_and_bands(self):
         frames = synth_sequence(SceneSpec(n_points=300), 1, seed=0)

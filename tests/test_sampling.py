@@ -226,6 +226,21 @@ class TestCalibration:
         assert result == plan([frames], 8, 0.0)
 
 
+class TestOnePass:
+    """A generator of sequences gives the result of the list it yields."""
+
+    SEQUENCES = [two_regime_frames(n, seed) for n, seed in ((16, 0), (11, 1), (19, 2))]
+
+    @pytest.mark.parametrize("beta", [0.0, 4.0, 7.45])
+    def test_plan(self, beta):
+        assert plan(iter(self.SEQUENCES), 8, beta) == plan(self.SEQUENCES, 8, beta)
+
+    @pytest.mark.parametrize("target", [0.2, 0.5, 1.0])
+    def test_calibrate_beta(self, target):
+        assert (calibrate_beta(iter(self.SEQUENCES), 8, target, n_threads=2)
+                == calibrate_beta(self.SEQUENCES, 8, target, n_threads=2))
+
+
 def calibrate_by_plans(psis, subset_size, target_fraction):
     """The bisection of `calibrate_beta`, building a whole plan at every step."""
     target = target_fraction * sum(len(psi) for psi in psis)

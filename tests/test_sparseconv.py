@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_difference, max_rel_err, random_sparse_tensor
+from conftest import finite_difference, max_rel_err, peak_bytes, random_sparse_tensor
 from dense_reference import (dense_pointwise_reference, dense_separable_reference,
                              dense_spatial_reference)
 from lim3d import (ConvKernel, ConvSpec, CylGridSpec, DomainError, LayerSpec, ShapeError,
@@ -497,11 +497,6 @@ class TestBlocks:
         x = Tensor(t.features, requires_grad=True)
         w = Tensor(k.weights, requires_grad=True)
         upstream = rng.normal(size=(t.n_active, 64))
-        tracemalloc.start()
-        try:
-            apply_spatial(x, rb, k, weights=w).backward(upstream)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(lambda: apply_spatial(x, rb, k, weights=w).backward(upstream))
         full_gather = t.n_active * 27 * 64 * 8
         assert peak < full_gather / 4, f"peak {peak / 1e6:.1f} MB"

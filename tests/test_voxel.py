@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_sparse_tensor
+from conftest import peak_bytes, random_sparse_tensor
 from lim3d import (CapacityError, CylGridSpec, PointCloud, SparseVoxelTensor,
                    ValidationError, densify, point_rows, sparsify, voxelize)
 
@@ -132,12 +132,7 @@ class TestExtraFeaturesReadInPlace:
     @pytest.mark.parametrize("drop", [False, True])
     def test_peak_stays_under_half_the_extra_features(self, rng, drop):
         pc, _ = cloud_with_extra(rng, 5000, 100, drop)
-        tracemalloc.start()
-        try:
-            voxelize(pc, GRID)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(lambda: voxelize(pc, GRID))
         assert peak < pc.extra_features.nbytes / 2, f"peak {peak / 1e6:.2f} MB"
 
 
