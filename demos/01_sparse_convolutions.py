@@ -9,8 +9,8 @@ multiply-adds counted from the tensor's rulebook.
 
 import numpy as np
 
-from lim3d import (CylGridSpec, LayerSpec, PointCloud, build_rulebook, glorot_kernel,
-                   separable_conv, submanifold_conv, topology_cost, voxelize)
+from lim3d import (ConvSpec, CylGridSpec, LayerSpec, PointCloud, apply_pointwise,
+                   apply_spatial, build_rulebook, glorot_weights, topology_cost, voxelize)
 
 rng = np.random.default_rng(0)
 
@@ -26,21 +26,25 @@ grid = CylGridSpec(n_rho=8, n_phi=16, n_z=6, rho_max=10.0, z_range=(-0.5, 3.5))
 tensor = voxelize(pc, grid)
 print(f"voxelized {n} points -> {tensor.n_active} active sites, {tensor.channels} channels")
 
-# Submanifold property: the active set never dilates.
-standard = glorot_kernel("standard", 4, 16, 3, rng)
-out = submanifold_conv(tensor, standard)
+# A convolution is its shape, a `ConvSpec`, and its weights. Each spatial
+# convolution reads the tensor's rulebook: per active site, its active
+# neighbours. Submanifold property: the active set never dilates.
+rulebook = build_rulebook(tensor.coords, grid, 3)
+standard = ConvSpec("standard", 4, 16, 3, False)
+out = tensor.with_features(
+    apply_spatial(tensor.features, rulebook, standard, glorot_weights(standard, rng)).data)
 print(f"standard conv: {out.n_active} active sites (unchanged: "
-      f"{out.coord_set() == tensor.coord_set()}), {out.channels} channels")
+      f"{np.array_equal(out.coords, tensor.coords)}), {out.channels} channels")
 
 # The separable pair computes a spatial pass per channel, then mixes channels.
-dw = glorot_kernel("depthwise", 4, 4, 3, rng)
-pw = glorot_kernel("pointwise", 4, 16, 1, rng, bias=True)
-sep = separable_conv(tensor, dw, pw)
-print(f"separable conv: {sep.n_active} active sites, {sep.channels} channels")
+dw, pw = ConvSpec("depthwise", 4, 4, 3, False), ConvSpec("pointwise", 4, 16, 1, True)
+mid = apply_spatial(tensor.features, rulebook, dw, glorot_weights(dw, rng))
+sep = apply_pointwise(mid, pw, glorot_weights(pw, rng), np.zeros(16))
+print(f"separable conv: {sep.shape[0]} active sites, {sep.shape[1]} channels")
 
 # Cost accounting at a realistic layer width. A separable layer runs a
 # bias-free depthwise kernel, then a pointwise mix (`lim3d.layer_kernels`).
-sites, pairs = tensor.n_active, build_rulebook(tensor.coords, grid, 3).n_pairs
+sites, pairs = tensor.n_active, rulebook.n_pairs
 print(f"\n64 -> 64 channel layer over {sites} sites, {pairs} neighbour pairs:")
 for kind in ("standard", "separable"):
     (row,), c = topology_cost((LayerSpec(kind, 64, 64, 3, bias=False),), sites, pairs)

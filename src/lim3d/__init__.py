@@ -18,9 +18,9 @@ from .reflectivity import (ReflecConfig, augment, coarse_histograms,
                            normalize_reflectivity, reflectivity)
 from .sampling import (SamplingPlan, calibrate_beta, frame_redundancies,
                        passive_baselines, plan, supervisor)
-from .sparseconv import (ConvKernel, ConvSpec, CostReport, build_rulebook, conv_cost,
-                         glorot_kernel, identity_kernel, separable_conv,
-                         sparse_pointwise_conv, submanifold_conv)
+from .sparseconv import (ConvSpec, CostReport, Rulebook, apply_pointwise, apply_spatial,
+                         build_rulebook, conv_cost, glorot_weights, pointwise_forward,
+                         spatial_forward)
 from .ssim import ssim
 from .training import (SGD, TOY_GRID, ToyPipelineConfig, confusion_matrix, ema_update,
                        iou_per_class, label_frame, load_model, mean_iou, prepare_frame,

@@ -27,7 +27,7 @@ import numpy as np
 from .autodiff import Tensor, log_softmax_parts
 from .errors import DomainError, ShapeError, is_count
 from .sparseconv import (ConvSpec, CostReport, Rulebook, apply_pointwise, apply_spatial,
-                         build_rulebook, conv_cost, glorot_kernel, pointwise_forward,
+                         build_rulebook, conv_cost, glorot_weights, pointwise_forward,
                          spatial_forward)
 from .voxel import SparseVoxelTensor
 
@@ -121,9 +121,10 @@ class MiniSegNet:
         rng = np.random.default_rng(seed)
         self.params: list[np.ndarray] = []
         for spec in self.topology:
-            for kind, m, n, d, bias in layer_kernels(spec):
-                k = glorot_kernel(kind, m, n, d, rng, bias=bias)
-                self.params.extend([k.weights] if k.bias is None else [k.weights, k.bias])
+            for k in layer_kernels(spec):
+                self.params.append(glorot_weights(k, rng))
+                if k.bias:
+                    self.params.append(np.zeros(k.out_channels))
 
     # -- parameter plumbing ------------------------------------------------
 

@@ -21,10 +21,10 @@ included. A convolution computes in its input's dtype (float32 for
 voxelized features); float64 weights are cast in inside the node, and
 their gradients cast back.
 
-A `ConvSpec` names one convolution, and its `weight_shape` is the one
-per-kind weight layout. Given live `weights`, a node's weights and bias are
-its `weights` and `bias` arguments, and a `ConvSpec` may be its kernel;
-otherwise both come from the `ConvKernel`. `conv_cost` counts one
+A convolution is a `ConvSpec`, which names its shape, and its weight
+arrays. The spec's `weight_shape` is the one per-kind weight layout and the
+one check of the shape: `glorot_weights` draws weights of it, and each node
+checks the weights and bias it is given against it. `conv_cost` counts one
 convolution; `network.layer_kernels` says which convolutions a layer runs.
 ``backward()`` on any scalar of the output yields exact gradients for
 weights, biases and input features.
@@ -40,19 +40,14 @@ import numpy as np
 
 from .autodiff import Tensor, as_tensor
 from .errors import DomainError, ShapeError, ValidationError, is_count
-from .voxel import CylGridSpec, SparseVoxelTensor
+from .voxel import CylGridSpec
 
 __all__ = [
     "ConvSpec",
-    "ConvKernel",
     "CostReport",
-    "identity_kernel",
-    "glorot_kernel",
+    "glorot_weights",
     "Rulebook",
     "build_rulebook",
-    "submanifold_conv",
-    "sparse_pointwise_conv",
-    "separable_conv",
     "apply_spatial",
     "apply_pointwise",
     "spatial_forward",
@@ -77,8 +72,10 @@ class ConvSpec(NamedTuple):
 
     @property
     def weight_shape(self) -> tuple[int, ...]:
-        """The one per-kind weight layout; an unknown kind, or a channel count
-        or kernel size that is not an integer >= 1, raises `DomainError`."""
+        """The one per-kind weight layout. An unknown kind, a channel count or
+        kernel size that is not an integer >= 1, a pointwise kernel of size
+        other than 1 and an even spatial kernel size raise `DomainError`; a
+        depthwise kernel with in != out channels raises `ShapeError`."""
         d, m, n = self.kernel_size, self.in_channels, self.out_channels
         if not all(map(is_count, (d, m, n))):
             raise DomainError(f"channel counts and kernel size must be integers >= 1, got "
@@ -86,23 +83,6 @@ class ConvSpec(NamedTuple):
         shapes = {"standard": (d, d, d, m, n), "depthwise": (d, d, d, m), "pointwise": (m, n)}
         if self.kind not in shapes:
             raise DomainError(f"kernel kind must be one of {tuple(shapes)}, got {self.kind!r}")
-        return shapes[self.kind]
-
-
-@dataclass(frozen=True)
-class ConvKernel:
-    """One convolution's weights, of its `ConvSpec.weight_shape`, and bias."""
-
-    kind: str
-    in_channels: int
-    out_channels: int
-    kernel_size: int
-    weights: np.ndarray
-    bias: np.ndarray | None = None
-
-    def __post_init__(self):
-        d, m, n = self.kernel_size, self.in_channels, self.out_channels
-        expect = ConvSpec(self.kind, m, n, d, self.bias is not None).weight_shape
         if self.kind == "pointwise":
             if d != 1:
                 raise DomainError("pointwise kernels require kernel_size == 1")
@@ -110,38 +90,15 @@ class ConvKernel:
             raise DomainError(f"spatial kernel_size must be odd, got {d}")
         elif self.kind == "depthwise" and m != n:
             raise ShapeError("depthwise kernels require in_channels == out_channels")
-        weights = np.ascontiguousarray(self.weights, dtype=np.float64)
-        if weights.shape != expect:
-            raise ShapeError(f"{self.kind} weights must have shape {expect}, got {weights.shape}")
-        if not np.isfinite(weights).all():
-            raise ValidationError("kernel weights must be finite")
-        object.__setattr__(self, "weights", weights)
-        if self.bias is not None:
-            bias = np.ascontiguousarray(self.bias, dtype=np.float64).reshape(-1)
-            if bias.shape != (n,):
-                raise ShapeError(f"bias must have shape ({n},), got {bias.shape}")
-            object.__setattr__(self, "bias", bias)
+        return shapes[self.kind]
 
 
-def identity_kernel(kind: str, channels: int, kernel_size: int = 3) -> ConvKernel:
-    """Kernel whose output equals its input (center tap = identity map)."""
-    d = 1 if kind == "pointwise" else kernel_size
-    w = np.zeros(ConvSpec(kind, channels, channels, d, False).weight_shape)
-    center = w[((d - 1) // 2,) * 3] if w.ndim > 2 else w
-    center[...] = np.eye(channels) if center.ndim == 2 else 1.0
-    return ConvKernel(kind, channels, channels, d, w)
-
-
-def glorot_kernel(kind: str, in_channels: int, out_channels: int,
-                  kernel_size: int, rng: np.random.Generator,
-                  bias: bool = False) -> ConvKernel:
-    """Uniform init in +-sqrt(6 / (fan_in + fan_out)), fans from the weight shape."""
-    shape = ConvSpec(kind, in_channels, out_channels, kernel_size, bias).weight_shape
+def glorot_weights(spec: ConvSpec, rng: np.random.Generator) -> np.ndarray:
+    """Uniform weights in +-sqrt(6 / (fan_in + fan_out)), fans from `spec.weight_shape`."""
+    shape = spec.weight_shape
     size = prod(shape)
-    limit = np.sqrt(6.0 / (size // out_channels + size // in_channels))
-    weights = rng.uniform(-limit, limit, shape)
-    b = np.zeros(out_channels) if bias else None
-    return ConvKernel(kind, in_channels, out_channels, kernel_size, weights, bias=b)
+    limit = np.sqrt(6.0 / (size // spec.out_channels + size // spec.in_channels))
+    return rng.uniform(-limit, limit, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -259,33 +216,35 @@ def pointwise_forward(x: np.ndarray, weights: np.ndarray,
     return out
 
 
-def _node_inputs(features, kernel: ConvKernel | ConvSpec, weights, bias):
-    """`features`, the weights and the bias (when there is one) as tensors:
-    `weights` and `bias` if `weights` is given, else the kernel's arrays."""
-    x = as_tensor(features)
+def _node_inputs(features, kernel: ConvSpec, weights, bias):
+    """`features`, `weights` and `bias` (when there is one) as tensors, each
+    checked against `kernel`: a wrong shape raises `ShapeError`."""
+    x, w = as_tensor(features), as_tensor(weights)
     if x.shape[1] != kernel.in_channels:
         raise ShapeError(f"input has {x.shape[1]} channels, kernel expects {kernel.in_channels}")
-    if weights is None:
-        if isinstance(kernel, ConvSpec):
-            raise ValidationError("a ConvSpec names only a shape: the node needs live `weights`")
-        weights, bias = kernel.weights, kernel.bias
-    w = as_tensor(weights)
-    return (x, w) if bias is None else (x, w, as_tensor(bias))
+    if w.shape != kernel.weight_shape:
+        raise ShapeError(f"{kernel.kind} weights must have shape {kernel.weight_shape}, "
+                         f"got {w.shape}")
+    if bias is None:
+        return x, w
+    b = as_tensor(bias)
+    if b.shape != (kernel.out_channels,):
+        raise ShapeError(f"bias must have shape ({kernel.out_channels},), got {b.shape}")
+    return x, w, b
 
 
-def apply_spatial(features: Tensor | np.ndarray, rulebook: Rulebook,
-                  kernel: ConvKernel | ConvSpec,
-                  weights: Tensor | None = None,
-                  bias: Tensor | None = None) -> Tensor:
-    """Standard or depthwise spatial convolution, bias included, as one
-    autodiff node over `spatial_forward` and `spatial_backward`.
+def apply_spatial(features: Tensor | np.ndarray, rulebook: Rulebook, kernel: ConvSpec,
+                  weights: Tensor | np.ndarray,
+                  bias: Tensor | np.ndarray | None = None) -> Tensor:
+    """The standard or depthwise spatial convolution `kernel`, run with
+    `weights` and `bias` as one autodiff node over `spatial_forward` and
+    `spatial_backward`.
 
-    With live `weights` (training), the weights and bias are `weights` and
-    `bias`, and `kernel` may be a `ConvSpec`; otherwise the `ConvKernel`'s
-    arrays enter as constants. It computes in the dtype of `features`; the
-    weight and bias gradients are cast back to their tensors' dtype by
-    `Tensor.backward`.
+    It computes in the dtype of `features`; the weight and bias gradients
+    are cast back to their tensors' dtype by `Tensor.backward`.
     """
+    if kernel.kind == "pointwise":
+        raise DomainError("apply_spatial takes a standard or depthwise kernel")
     inputs = _node_inputs(features, kernel, weights, bias)
     if rulebook.kernel_size != kernel.kernel_size:
         raise ShapeError("rulebook kernel size does not match the kernel")
@@ -300,11 +259,13 @@ def apply_spatial(features: Tensor | np.ndarray, rulebook: Rulebook,
     return Tensor(spatial_forward(x.data, nb, w.data, b), _parents=inputs, _backward=backward)
 
 
-def apply_pointwise(features: Tensor | np.ndarray, kernel: ConvKernel | ConvSpec,
-                    weights: Tensor | None = None,
-                    bias: Tensor | None = None) -> Tensor:
+def apply_pointwise(features: Tensor | np.ndarray, kernel: ConvSpec,
+                    weights: Tensor | np.ndarray,
+                    bias: Tensor | np.ndarray | None = None) -> Tensor:
     """Per-site channel mix as one autodiff node over `pointwise_forward`,
     in the dtype of `features`, as `apply_spatial`."""
+    if kernel.kind != "pointwise":
+        raise DomainError("apply_pointwise takes a pointwise kernel")
     inputs = _node_inputs(features, kernel, weights, bias)
     x, w = inputs[:2]
     b = inputs[2].data if len(inputs) == 3 else None
@@ -315,34 +276,6 @@ def apply_pointwise(features: Tensor | np.ndarray, kernel: ConvKernel | ConvSpec
         return (g_x, g_w) if b is None else (g_x, g_w, g.sum(axis=0))
 
     return Tensor(pointwise_forward(x.data, w.data, b), _parents=inputs, _backward=backward)
-
-
-def submanifold_conv(t: SparseVoxelTensor, kernel: ConvKernel,
-                     rulebook: Rulebook | None = None) -> SparseVoxelTensor:
-    """Spatial convolution preserving the active-site set exactly."""
-    if kernel.kind not in ("standard", "depthwise"):
-        raise DomainError("submanifold_conv takes a standard or depthwise kernel")
-    rb = rulebook if rulebook is not None else build_rulebook(t.coords, t.grid, kernel.kernel_size)
-    return t.with_features(apply_spatial(t.features, rb, kernel).data)
-
-
-def sparse_pointwise_conv(t: SparseVoxelTensor, kernel: ConvKernel) -> SparseVoxelTensor:
-    """Per-site channel mix; the active set is untouched."""
-    if kernel.kind != "pointwise":
-        raise DomainError("sparse_pointwise_conv takes a pointwise kernel")
-    return t.with_features(apply_pointwise(t.features, kernel).data)
-
-
-def separable_conv(t: SparseVoxelTensor, depthwise: ConvKernel,
-                   pointwise: ConvKernel) -> SparseVoxelTensor:
-    """Depthwise spatial convolution followed by a pointwise channel mix."""
-    if depthwise.kind != "depthwise" or pointwise.kind != "pointwise":
-        raise DomainError("separable_conv takes (depthwise, pointwise) kernels")
-    if depthwise.out_channels != pointwise.in_channels:
-        raise ShapeError(
-            f"depthwise outputs {depthwise.out_channels} channels, "
-            f"pointwise expects {pointwise.in_channels}")
-    return sparse_pointwise_conv(submanifold_conv(t, depthwise), pointwise)
 
 
 # ---------------------------------------------------------------------------
@@ -368,15 +301,16 @@ def conv_cost(kind: str, in_channels: int, out_channels: int, kernel_size: int,
               bias: bool, active_sites: int, neighbor_pairs: int | None = None) -> CostReport:
     """Trainable parameters and multiply-adds of one convolution from its shape.
 
-    Pointwise kernels ignore `kernel_size` and cost one channel mix per
-    site. Spatial kernels cost one mix per neighbor pair visited; when
-    `neighbor_pairs` is not given the fully-active neighborhood bound
-    ``active_sites * kernel_size**3`` is assumed.
+    A pointwise kernel has size 1 (`ConvSpec.weight_shape` checks it) and
+    costs one channel mix per site. A spatial kernel costs one mix per
+    neighbor pair visited; when `neighbor_pairs` is not given the
+    fully-active neighborhood bound ``active_sites * kernel_size**3`` is
+    assumed.
     """
     params = prod(ConvSpec(kind, in_channels, out_channels, kernel_size, bias).weight_shape)
     if active_sites < 0:
         raise DomainError("active_sites must be nonnegative")
-    taps = 1 if kind == "pointwise" else kernel_size ** 3
+    taps = kernel_size ** 3
     if neighbor_pairs is None or kind == "pointwise":
         neighbor_pairs = active_sites * taps
     mult_adds = neighbor_pairs * (params // taps) if active_sites else 0

@@ -85,10 +85,11 @@ class CylGridSpec:
 class SparseVoxelTensor:
     """Active voxel coordinates plus a feature row per active site.
 
-    Coordinates are lexicographically sorted, unique and in-bounds;
-    features are float32 or float64 as given (any other dtype becomes
-    float64), one row per coordinate. `dropped_points` counts points
-    discarded during voxelization (out of grid range).
+    Coordinates are lexicographically sorted, unique and in-bounds, so two
+    tensors on one grid have the same active sites exactly when their
+    `coords` are equal. Features are float32 or float64 as given (any other
+    dtype becomes float64), one row per coordinate. `dropped_points` counts
+    points discarded during voxelization (out of grid range).
     """
 
     grid: CylGridSpec
@@ -110,9 +111,9 @@ class SparseVoxelTensor:
             if coords.min() < 0 or np.any(coords >= np.array(self.grid.shape)):
                 raise ValidationError("voxel coordinates out of grid bounds")
             keys = self.grid.cell_key(*coords.T)
-            if np.unique(keys).size != len(keys):
-                raise ValidationError("duplicate voxel coordinates")
             order = np.argsort(keys, kind="stable")
+            if np.any(np.diff(keys[order]) == 0):
+                raise ValidationError("duplicate voxel coordinates")
             coords = coords[order]
             features = features[order]
             if self.labels is not None:
@@ -138,9 +139,6 @@ class SparseVoxelTensor:
 
     def with_features(self, features: np.ndarray) -> "SparseVoxelTensor":
         return replace(self, features=features)
-
-    def coord_set(self) -> set[tuple[int, int, int]]:
-        return {tuple(c) for c in self.coords.tolist()}
 
 
 # ---------------------------------------------------------------------------

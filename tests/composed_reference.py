@@ -13,14 +13,14 @@ import numpy as np
 from lim3d.autodiff import Tensor, as_tensor
 from lim3d.losses import _jaccard_grad
 from lim3d.network import layer_kernels
-from lim3d.sparseconv import SPATIAL_BLOCK, ConvKernel
+from lim3d.sparseconv import SPATIAL_BLOCK
 
 
-def apply_spatial_reference(features, rulebook, kernel, weights=None, bias=None):
+def apply_spatial_reference(features, rulebook, kernel, weights, bias=None):
     """Spatial convolution node over astype'd weights, plus a bias add node."""
     x = as_tensor(features)
     dtype = x.data.dtype
-    w = as_tensor(kernel.weights if weights is None else weights).astype(dtype)
+    w = as_tensor(weights).astype(dtype)
     nb = rulebook.neighbors
     n, k3 = nb.shape
     flat_w = w.data.reshape((k3,) + w.shape[3:])
@@ -52,18 +52,18 @@ def apply_spatial_reference(features, rulebook, kernel, weights=None, bias=None)
     for block, x_nb in blocks(x.data):
         out[block] = contract(x_nb, flat_w)
     out = Tensor(out, _parents=(x, w), _backward=backward)
-    if kernel.bias is not None or bias is not None:
-        out = out + as_tensor(kernel.bias if bias is None else bias).astype(dtype)
+    if bias is not None:
+        out = out + as_tensor(bias).astype(dtype)
     return out
 
 
-def apply_pointwise_reference(features, kernel, weights=None, bias=None):
+def apply_pointwise_reference(features, kernel, weights, bias=None):
     """Matmul node over astype'd weights, plus a bias add node."""
     x = as_tensor(features)
     dtype = x.data.dtype
-    out = x @ as_tensor(kernel.weights if weights is None else weights).astype(dtype)
-    if kernel.bias is not None or bias is not None:
-        out = out + as_tensor(kernel.bias if bias is None else bias).astype(dtype)
+    out = x @ as_tensor(weights).astype(dtype)
+    if bias is not None:
+        out = out + as_tensor(bias).astype(dtype)
     return out
 
 
@@ -112,10 +112,9 @@ def forward_reference(net, t, params, rulebook):
     live = iter(params)
 
     def layer(x, spec):
-        for kind, m, n, d, bias in layer_kernels(spec):
-            w, b = next(live), (next(live) if bias else None)
-            kernel = ConvKernel(kind, m, n, d, w.data, None if b is None else b.data)
-            if kind == "pointwise":
+        for kernel in layer_kernels(spec):
+            w, b = next(live), (next(live) if kernel.bias else None)
+            if kernel.kind == "pointwise":
                 x = apply_pointwise_reference(x, kernel, weights=w, bias=b)
             else:
                 x = apply_spatial_reference(x, rulebook, kernel, weights=w, bias=b)

@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lim3d import CylGridSpec, SparseVoxelTensor
+from lim3d import (ConvSpec, CylGridSpec, SparseVoxelTensor, apply_pointwise, apply_spatial,
+                   build_rulebook, glorot_weights)
 
 
 def random_grid(rng, max_dim=8):
@@ -28,6 +29,34 @@ def random_sparse_tensor(rng, grid=None, channels=None, max_active=48, max_dim=8
     ])
     features = rng.normal(size=(n_active, channels))
     return SparseVoxelTensor(grid=grid, coords=coords, features=features)
+
+
+def draw_conv(rng, kind, in_channels, out_channels, kernel_size, bias=False):
+    """A `ConvSpec`, its Glorot weights and its bias (zeros, or None without one)."""
+    spec = ConvSpec(kind, in_channels, out_channels, kernel_size, bias)
+    return spec, glorot_weights(spec, rng), np.zeros(out_channels) if bias else None
+
+
+def identity_weights(kind, channels, kernel_size=3):
+    """A `ConvSpec` whose output equals its input, and its weights: the
+    center tap is the identity map."""
+    d = 1 if kind == "pointwise" else kernel_size
+    spec = ConvSpec(kind, channels, channels, d, False)
+    w = np.zeros(spec.weight_shape)
+    center = w[((d - 1) // 2,) * 3] if w.ndim > 2 else w
+    center[...] = np.eye(channels) if center.ndim == 2 else 1.0
+    return spec, w
+
+
+def conv_tensor(t, spec, weights, bias=None):
+    """`t` with its features through one convolution node, a spatial one on
+    `t`'s own rulebook."""
+    if spec.kind == "pointwise":
+        out = apply_pointwise(t.features, spec, weights, bias)
+    else:
+        out = apply_spatial(t.features, build_rulebook(t.coords, t.grid, spec.kernel_size),
+                            spec, weights, bias)
+    return t.with_features(out.data)
 
 
 def peak_bytes(fn) -> int:

@@ -11,19 +11,18 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import finite_difference, max_rel_err, random_sparse_tensor
+from conftest import conv_tensor, draw_conv, finite_difference, max_rel_err, random_sparse_tensor
 from dense_reference import (dense_pointwise_reference, dense_separable_reference,
                              dense_spatial_reference)
 from lim3d import (ContrastiveConfig, MemoryBank, SceneSpec, ToyPipelineConfig,
-                   build_rulebook, densify, ema_update, glorot_kernel,
+                   apply_pointwise, apply_spatial, build_rulebook, densify, ema_update,
                    infonce_loss, kl_consistency, lovasz_softmax, ranges_to_grayscale,
-                   run_toy_pipeline, ssim, submanifold_conv, synth_sequence)
+                   run_toy_pipeline, ssim, synth_sequence)
 from lim3d.autodiff import Tensor, softmax
 from lim3d.cli import main
 from lim3d.network import LayerSpec, topology_cost
 from lim3d.pseudolabel import positive_center
 from lim3d.sampling import frame_redundancies, plan_from_redundancies
-from lim3d.sparseconv import apply_pointwise, apply_spatial
 from ssim_reference import ssim_reference
 
 BETA_GRID = (2.28, 4.00, 5.72, 7.45)
@@ -51,9 +50,9 @@ def test_01_submanifold_invariance():
             t = random_sparse_tensor(rng, max_dim=8)
             kind = ("standard", "depthwise")[i % 2]
             out_ch = t.channels if kind == "depthwise" else int(rng.integers(1, 9))
-            k = glorot_kernel(kind, t.channels, out_ch, 3, rng)
-            out = submanifold_conv(t, k)
-            assert out.coord_set() == t.coord_set()
+            spec, w, _ = draw_conv(rng, kind, t.channels, out_ch, 3)
+            out = conv_tensor(t, spec, w)
+            assert np.array_equal(out.coords, t.coords)
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"took {elapsed:.1f}s"
 
@@ -76,29 +75,27 @@ def test_02_dense_oracle_equivalence():
             m = t.channels
             flavor = case % 4
             if flavor == 0:  # standard
-                k = glorot_kernel("standard", m, int(rng.integers(1, 5)), 3, rng,
-                                  bias=bool(rng.integers(2)))
-                got = submanifold_conv(t, k).features
-                ref = rows(dense_spatial_reference(densify(t), mask_of(t), k.weights,
-                                                   "standard", bias=k.bias), t)
+                k, w, b = draw_conv(rng, "standard", m, int(rng.integers(1, 5)), 3,
+                                    bias=bool(rng.integers(2)))
+                got = conv_tensor(t, k, w, b).features
+                ref = rows(dense_spatial_reference(densify(t), mask_of(t), w,
+                                                   "standard", bias=b), t)
             elif flavor == 1:  # depthwise
-                k = glorot_kernel("depthwise", m, m, 3, rng)
-                got = submanifold_conv(t, k).features
-                ref = rows(dense_spatial_reference(densify(t), mask_of(t), k.weights,
+                k, w, _ = draw_conv(rng, "depthwise", m, m, 3)
+                got = conv_tensor(t, k, w).features
+                ref = rows(dense_spatial_reference(densify(t), mask_of(t), w,
                                                    "depthwise"), t)
             elif flavor == 2:  # pointwise
-                from lim3d import sparse_pointwise_conv
-                k = glorot_kernel("pointwise", m, int(rng.integers(1, 5)), 1, rng, bias=True)
-                got = sparse_pointwise_conv(t, k).features
-                ref = rows(dense_pointwise_reference(densify(t), mask_of(t),
-                                                     k.weights, k.bias), t)
+                k, w, b = draw_conv(rng, "pointwise", m, int(rng.integers(1, 5)), 1, bias=True)
+                got = conv_tensor(t, k, w, b).features
+                ref = rows(dense_pointwise_reference(densify(t), mask_of(t), w, b), t)
             else:  # separable composition
-                from lim3d import separable_conv
-                dw = glorot_kernel("depthwise", m, m, 3, rng)
-                pw = glorot_kernel("pointwise", m, int(rng.integers(1, 5)), 1, rng, bias=True)
-                got = separable_conv(t, dw, pw).features
-                ref = rows(dense_separable_reference(densify(t), mask_of(t), dw.weights,
-                                                     pw.weights, pw_bias=pw.bias), t)
+                dw, dw_w, _ = draw_conv(rng, "depthwise", m, m, 3)
+                pw, pw_w, pw_b = draw_conv(rng, "pointwise", m, int(rng.integers(1, 5)), 1,
+                                           bias=True)
+                got = conv_tensor(conv_tensor(t, dw, dw_w), pw, pw_w, pw_b).features
+                ref = rows(dense_separable_reference(densify(t), mask_of(t), dw_w,
+                                                     pw_w, pw_bias=pw_b), t)
             worst = max(worst, float(np.abs(got - ref).max()))
         assert worst < 1e-5, f"max |delta| = {worst:.2e}"
 
@@ -146,21 +143,21 @@ def test_04_gradient_suite():
                 down_ch = ch if kind == "depthwise" else 2
                 downstream = rng.normal(size=(t.n_active, down_ch))
                 if kind == "separable":
-                    dw = glorot_kernel("depthwise", ch, ch, 3, rng)
-                    pw = glorot_kernel("pointwise", ch, 2, 1, rng, bias=True)
+                    dw, dw_w, _ = draw_conv(rng, "depthwise", ch, ch, 3)
+                    pw, pw_w, pw_b = draw_conv(rng, "pointwise", ch, 2, 1, bias=True)
 
                     def run(w_arr):
                         w = Tensor(w_arr, requires_grad=True)
                         mid = apply_spatial(Tensor(t.features), rb, dw, weights=w)
-                        out = apply_pointwise(mid, pw)
+                        out = apply_pointwise(mid, pw, pw_w, pw_b)
                         return w, (out * Tensor(downstream)).sum()
 
-                    w, loss = run(dw.weights)
+                    w, loss = run(dw_w)
                     loss.backward()
-                    check(w.grad, finite_difference(lambda v: run(v)[1].item(), dw.weights))
+                    check(w.grad, finite_difference(lambda v: run(v)[1].item(), dw_w))
                 else:
-                    k = glorot_kernel(kind, ch, down_ch,
-                                      1 if kind == "pointwise" else 3, rng, bias=True)
+                    k, k_w, _ = draw_conv(rng, kind, ch, down_ch,
+                                          1 if kind == "pointwise" else 3, bias=True)
 
                     def run(w_arr, x_arr):
                         w = Tensor(w_arr, requires_grad=True)
@@ -171,12 +168,12 @@ def test_04_gradient_suite():
                             out = apply_spatial(x, rb, k, weights=w)
                         return w, x, (out * Tensor(downstream)).sum()
 
-                    w, x, loss = run(k.weights, t.features)
+                    w, x, loss = run(k_w, t.features)
                     loss.backward()
                     check(w.grad, finite_difference(
-                        lambda v: run(v, t.features)[2].item(), k.weights))
+                        lambda v: run(v, t.features)[2].item(), k_w))
                     check(x.grad, finite_difference(
-                        lambda v: run(k.weights, v)[2].item(), t.features))
+                        lambda v: run(k_w, v)[2].item(), t.features))
 
         # Jaccard-extension loss through softmax.
         for _ in range(50):

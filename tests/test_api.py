@@ -1,0 +1,66 @@
+"""The package root exports what the README documents or the tools use.
+
+`lim3d/__init__.py` re-exports names from the submodules. Each must be
+named in the README's "Library API" section or be imported from the
+package root by the CLI, a demo or `bench/`; each name that section
+documents must be exported. An export that nothing documents or uses, or a
+documented name that is gone, fails here.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "lim3d"
+
+
+def exports() -> set[str]:
+    """Names `__init__.py` binds with ``from .module import ...``."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+            for alias in node.names}
+
+
+def documented() -> set[str]:
+    """Identifiers in backticks, or calls like ``name(args)``, in the
+    README's Library API section."""
+    text = (ROOT / "README.md").read_text()
+    section = re.search(r"^## Library API\n(.*?)(?=^## )", text, re.M | re.S)
+    assert section, "README.md has no '## Library API' section"
+    spans = re.findall(r"`([^`]+)`", section.group(1))
+    return {m.group(1) for span in spans
+            if (m := re.fullmatch(r"([A-Za-z_]\w*)(\(.*\))?", span, re.S))}
+
+
+def used() -> set[str]:
+    """Names the CLI, the demos and `bench/` take from the package root:
+    ``from lim3d import name``, ``lim3d.name`` and, in the CLI,
+    ``from . import name``; submodules and dunders left out."""
+    names = set()
+    for path in [PACKAGE / "cli.py", *sorted(ROOT.glob("demos/*.py")),
+                 *sorted(ROOT.glob("bench/*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    (node.level == 0 and node.module == "lim3d")
+                    or (path.name == "cli.py" and node.level == 1 and node.module is None)):
+                names.update(alias.name for alias in node.names)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "lim3d"):
+                names.add(node.attr)
+    return {n for n in names if not n.startswith("_") and not (PACKAGE / f"{n}.py").exists()}
+
+
+def test_every_export_is_documented_or_used():
+    assert exports() - documented() - used() == set()
+
+
+def test_every_documented_or_used_name_is_exported():
+    assert (documented() | used()) - exports() == set()
+
+
+def test_the_parsers_see_the_names():
+    # Guards the checks above against a parser that finds nothing.
+    assert {"ConvSpec", "apply_spatial", "spatial_forward", "densify"} <= documented()
+    assert {"MiniSegNet", "voxelize", "topology_cost"} <= used()

@@ -14,8 +14,8 @@ from composed_reference import (apply_pointwise_reference, apply_spatial_referen
                                 log_softmax_reference, lovasz_softmax_reference,
                                 softmax_reference)
 from conftest import random_sparse_tensor
-from lim3d import (CylGridSpec, MiniSegNet, Tensor, ToyPipelineConfig,
-                   build_rulebook, glorot_kernel, kl_consistency, log_softmax,
+from lim3d import (ConvSpec, CylGridSpec, MiniSegNet, Tensor, ToyPipelineConfig,
+                   build_rulebook, glorot_weights, kl_consistency, log_softmax,
                    lovasz_softmax, prepare_frame, softmax, synth_sequence)
 from lim3d.network import DEFAULT_WIDTHS
 from lim3d.sparseconv import SPATIAL_BLOCK, apply_pointwise, apply_spatial
@@ -61,9 +61,10 @@ class TestConvolutions:
         t = sparse_frame(rng, n_sites)
         rb = build_rulebook(t.coords, t.grid, 3)
         m, n = 5, (5 if kind == "depthwise" else 3)
-        kernel = glorot_kernel(kind, m, n, 3, rng, bias=bias)
+        kernel = ConvSpec(kind, m, n, 3, bias)
+        w = glorot_weights(kernel, rng)
         x = rng.normal(size=(rb.n_sites, m)).astype(dtype)
-        arrays = [x, kernel.weights] + ([rng.normal(size=n)] if bias else [])
+        arrays = [x, w] + ([rng.normal(size=n)] if bias else [])
         upstream = rng.normal(size=(rb.n_sites, n)).astype(dtype)
 
         def node(apply):
@@ -74,9 +75,10 @@ class TestConvolutions:
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("bias", [False, True])
     def test_pointwise_matches_composed(self, rng, dtype, bias):
-        kernel = glorot_kernel("pointwise", 6, 4, 1, rng, bias=bias)
+        kernel = ConvSpec("pointwise", 6, 4, 1, bias)
+        w = glorot_weights(kernel, rng)
         x = rng.normal(size=(30, 6)).astype(dtype)
-        arrays = [x, kernel.weights] + ([rng.normal(size=4)] if bias else [])
+        arrays = [x, w] + ([rng.normal(size=4)] if bias else [])
         upstream = rng.normal(size=(30, 4)).astype(dtype)
 
         def node(apply):
@@ -87,11 +89,12 @@ class TestConvolutions:
     def test_constant_weights_give_input_gradient_only(self, rng):
         t = sparse_frame(rng, 30)
         rb = build_rulebook(t.coords, t.grid, 3)
-        kernel = glorot_kernel("depthwise", 3, 3, 3, rng)
+        kernel = ConvSpec("depthwise", 3, 3, 3, False)
+        w = glorot_weights(kernel, rng)
         x = rng.normal(size=(rb.n_sites, 3))
         upstream = rng.normal(size=x.shape)
-        assert_same_node(lambda x: apply_spatial(x, rb, kernel),
-                         lambda x: apply_spatial_reference(x, rb, kernel), [x], upstream)
+        assert_same_node(lambda x: apply_spatial(x, rb, kernel, w),
+                         lambda x: apply_spatial_reference(x, rb, kernel, w), [x], upstream)
 
 
 class TestSoftmax:

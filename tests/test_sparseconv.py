@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_difference, max_rel_err, peak_bytes, random_sparse_tensor
+from conftest import (conv_tensor, draw_conv, finite_difference, identity_weights, max_rel_err,
+                      peak_bytes, random_sparse_tensor)
 from dense_reference import (dense_pointwise_reference, dense_separable_reference,
                              dense_spatial_reference)
-from lim3d import (ConvKernel, ConvSpec, CylGridSpec, DomainError, LayerSpec, ShapeError,
-                   SparseVoxelTensor, ValidationError, build_rulebook, conv_cost, densify,
-                   glorot_kernel, identity_kernel, separable_conv,
-                   sparse_pointwise_conv, submanifold_conv, topology_cost)
+from lim3d import (ConvSpec, CylGridSpec, DomainError, LayerSpec, ShapeError,
+                   SparseVoxelTensor, apply_pointwise, apply_spatial, build_rulebook, conv_cost,
+                   densify, glorot_weights, pointwise_forward, spatial_forward, topology_cost)
 from lim3d.autodiff import Tensor
-from lim3d.sparseconv import (SPATIAL_BLOCK, apply_pointwise, apply_spatial, pointwise_forward,
-                              spatial_forward)
+from lim3d.sparseconv import SPATIAL_BLOCK
 
 
 def active_mask(t):
@@ -31,15 +30,15 @@ def masked_rows(dense_out, t):
 class TestKernelValidation:
     def test_depthwise_needs_matching_channels(self):
         with pytest.raises(ShapeError):
-            ConvKernel("depthwise", 2, 3, 3, np.zeros((3, 3, 3, 2)))
+            ConvSpec("depthwise", 2, 3, 3, False).weight_shape
 
     def test_pointwise_needs_size_one(self):
         with pytest.raises(DomainError):
-            ConvKernel("pointwise", 2, 2, 3, np.eye(2))
+            ConvSpec("pointwise", 2, 2, 3, False).weight_shape
 
     def test_even_kernel_rejected(self):
         with pytest.raises(DomainError):
-            ConvKernel("standard", 1, 1, 2, np.zeros((2, 2, 2, 1, 1)))
+            ConvSpec("standard", 1, 1, 2, False).weight_shape
 
     def test_unknown_kind_rejected_by_the_layout_table(self, rng):
         with pytest.raises(DomainError):
@@ -47,7 +46,7 @@ class TestKernelValidation:
         with pytest.raises(DomainError):
             conv_cost("dense", 2, 2, 3, False, 10)
         with pytest.raises(DomainError):
-            glorot_kernel("dense", 2, 2, 3, rng)
+            glorot_weights(ConvSpec("dense", 2, 2, 3, False), rng)
         # Channel counts and kernel sizes are integers >= 1; numpy integers pass.
         for kind, m, n, d in [("pointwise", 3, 0, 1), ("depthwise", 3, 3, 2.5),
                               ("depthwise", 0, 0, 3), ("standard", 3.0, 3, 3),
@@ -55,7 +54,7 @@ class TestKernelValidation:
             with pytest.raises(DomainError):
                 ConvSpec(kind, m, n, d, False).weight_shape
             with pytest.raises(DomainError):
-                glorot_kernel(kind, m, n, d, rng)
+                glorot_weights(ConvSpec(kind, m, n, d, False), rng)
         spec = ConvSpec("standard", np.int64(2), np.int32(3), np.uint8(3), False)
         assert spec.weight_shape == (3, 3, 3, 2, 3)
 
@@ -64,74 +63,102 @@ class TestKernelValidation:
         ("pointwise", 2, 5, 1, 2, 5)])
     def test_glorot_limit_from_the_fans(self, kind, m, n, d, fan_in, fan_out):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        k = glorot_kernel(kind, m, n, d, np.random.default_rng(1))
-        want = np.random.default_rng(1).uniform(-limit, limit, k.weights.shape)
-        assert k.weights.tobytes() == want.tobytes()
+        w = glorot_weights(ConvSpec(kind, m, n, d, False), np.random.default_rng(1))
+        want = np.random.default_rng(1).uniform(-limit, limit, w.shape)
+        assert w.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", ["standard", "depthwise", "pointwise"])
     def test_live_weights_bring_their_own_bias(self, rng, kind):
-        """Given `weights`, a node's weights and bias are exactly its arguments,
-        and a `ConvSpec` may stand in for the kernel; without `weights`, both
-        come from the `ConvKernel`, and a `ConvSpec` is refused."""
+        """A node's weights and bias are exactly its arguments, whatever the
+        `ConvSpec`'s bias flag says; weights are required."""
         t = random_sparse_tensor(rng, channels=3)
         rb = build_rulebook(t.coords, t.grid, 3)
         n, d = (3 if kind == "depthwise" else 4), (1 if kind == "pointwise" else 3)
-        k = ConvKernel(kind, 3, n, d, glorot_kernel(kind, 3, n, d, rng).weights, rng.normal(size=n))
-        w, b = rng.normal(size=k.weights.shape), rng.normal(size=n)
+        w, b = rng.normal(size=ConvSpec(kind, 3, n, d, True).weight_shape), rng.normal(size=n)
 
-        def node(kernel, **live):
+        def node(kernel, *live, **kw):
             if kind == "pointwise":
-                return apply_pointwise(t.features, kernel, **live).data.tobytes()
-            return apply_spatial(t.features, rb, kernel, **live).data.tobytes()
+                return apply_pointwise(t.features, kernel, *live, **kw).data.tobytes()
+            return apply_spatial(t.features, rb, kernel, *live, **kw).data.tobytes()
 
         def plain(weights, bias):
             if kind == "pointwise":
                 return pointwise_forward(t.features, weights, bias).tobytes()
             return spatial_forward(t.features, rb.neighbors, weights, bias).tobytes()
 
-        assert node(k) == node(k, bias=Tensor(b)) == plain(k.weights, k.bias)
-        for kernel in (k, ConvSpec(kind, 3, n, d, True)):
+        for kernel in (ConvSpec(kind, 3, n, d, True), ConvSpec(kind, 3, n, d, False)):
             assert node(kernel, weights=Tensor(w), bias=Tensor(b)) == plain(w, b)
+            assert node(kernel, w, b) == plain(w, b)
             assert node(kernel, weights=Tensor(w)) == plain(w, None)
-        with pytest.raises(ValidationError, match="live `weights`"):
+        with pytest.raises(TypeError, match="weights"):
             node(ConvSpec(kind, 3, n, d, True))
+
+    @pytest.mark.parametrize("kind", ["standard", "depthwise", "pointwise"])
+    @pytest.mark.parametrize("bad", ["weights", "bias"])
+    def test_weights_or_bias_of_another_shape_raise(self, rng, kind, bad):
+        """Weights not of `kernel.weight_shape`, or a bias not of
+        ``(out_channels,)``, raise instead of running another convolution: a
+        standard layout under a depthwise spec, an extra output channel, a
+        bias that would broadcast."""
+        t = random_sparse_tensor(rng, channels=3)
+        rb = build_rulebook(t.coords, t.grid, 3)
+        spec = ConvSpec(kind, 3, 3 if kind == "depthwise" else 4, 1 if kind == "pointwise" else 3,
+                        True)
+        w, b = np.zeros(spec.weight_shape), np.zeros(spec.out_channels)
+        if bad == "weights":
+            w, b = np.zeros((3, 3, 3, 3, 3) if kind == "depthwise"
+                            else spec.weight_shape[:-1] + (5,)), None
+        else:
+            b = np.zeros(1)
+        with pytest.raises(ShapeError, match=f"{bad} must have shape"):
+            if kind == "pointwise":
+                apply_pointwise(t.features, spec, w, b)
+            else:
+                apply_spatial(t.features, rb, spec, w, b)
+
+    def test_each_node_refuses_the_other_kind(self, rng):
+        t = random_sparse_tensor(rng, channels=3)
+        rb = build_rulebook(t.coords, t.grid, 1)
+        with pytest.raises(DomainError, match="standard or depthwise"):
+            apply_spatial(t.features, rb, *identity_weights("pointwise", 3))
+        with pytest.raises(DomainError, match="pointwise kernel"):
+            apply_pointwise(t.features, *identity_weights("depthwise", 3, kernel_size=1))
 
     def test_channel_mismatch_raises(self, rng):
         t = random_sparse_tensor(rng, channels=3)
         with pytest.raises(ShapeError):
-            submanifold_conv(t, identity_kernel("standard", 5))
+            conv_tensor(t, *identity_weights("standard", 5))
         with pytest.raises(ShapeError):
-            sparse_pointwise_conv(t, identity_kernel("pointwise", 5))
+            conv_tensor(t, *identity_weights("pointwise", 5))
 
 
 class TestIdentityAndZero:
     def test_identity_standard(self, rng):
         t = random_sparse_tensor(rng, channels=4)
-        out = submanifold_conv(t, identity_kernel("standard", 4))
+        out = conv_tensor(t, *identity_weights("standard", 4))
         np.testing.assert_allclose(out.features, t.features)
-        assert out.coord_set() == t.coord_set()
+        np.testing.assert_array_equal(out.coords, t.coords)
 
     def test_identity_depthwise(self, rng):
         t = random_sparse_tensor(rng, channels=3)
-        out = submanifold_conv(t, identity_kernel("depthwise", 3))
+        out = conv_tensor(t, *identity_weights("depthwise", 3))
         np.testing.assert_allclose(out.features, t.features)
 
     def test_identity_pointwise(self, rng):
         t = random_sparse_tensor(rng, channels=3)
-        out = sparse_pointwise_conv(t, identity_kernel("pointwise", 3))
+        out = conv_tensor(t, *identity_weights("pointwise", 3))
         np.testing.assert_allclose(out.features, t.features)
 
     def test_zero_weights_zero_output_same_sites(self, rng):
         t = random_sparse_tensor(rng, channels=2)
-        k = ConvKernel("standard", 2, 2, 3, np.zeros((3, 3, 3, 2, 2)))
-        out = submanifold_conv(t, k)
-        assert out.coord_set() == t.coord_set()
+        out = conv_tensor(t, ConvSpec("standard", 2, 2, 3, False), np.zeros((3, 3, 3, 2, 2)))
+        np.testing.assert_array_equal(out.coords, t.coords)
         np.testing.assert_array_equal(out.features, 0.0)
 
     def test_separable_identity_composition(self, rng):
         t = random_sparse_tensor(rng, channels=3)
-        out = separable_conv(t, identity_kernel("depthwise", 3),
-                             identity_kernel("pointwise", 3))
+        out = conv_tensor(conv_tensor(t, *identity_weights("depthwise", 3)),
+                          *identity_weights("pointwise", 3))
         np.testing.assert_allclose(out.features, t.features)
 
 
@@ -139,15 +166,16 @@ class TestHandExamples:
     def test_pointwise_channel_mix(self):
         grid = CylGridSpec(2, 2, 2, 2.0, (0.0, 2.0))
         t = SparseVoxelTensor(grid=grid, coords=[[0, 0, 0]], features=[[1.0, 2.0]])
-        k = ConvKernel("pointwise", 2, 2, 1, np.array([[1.0, 1.0], [0.0, 1.0]]))
-        np.testing.assert_allclose(sparse_pointwise_conv(t, k).features, [[1.0, 3.0]])
+        w = np.array([[1.0, 1.0], [0.0, 1.0]])
+        np.testing.assert_allclose(conv_tensor(t, ConvSpec("pointwise", 2, 2, 1, False), w).features,
+                                   [[1.0, 3.0]])
 
     def test_empty_tensor_passthrough(self):
         grid = CylGridSpec(2, 2, 2, 2.0, (0.0, 2.0))
         t = SparseVoxelTensor(grid=grid, coords=np.empty((0, 3), dtype=np.int64),
                               features=np.empty((0, 2)))
-        assert sparse_pointwise_conv(t, identity_kernel("pointwise", 2)).n_active == 0
-        assert submanifold_conv(t, identity_kernel("standard", 2)).n_active == 0
+        assert conv_tensor(t, *identity_weights("pointwise", 2)).n_active == 0
+        assert conv_tensor(t, *identity_weights("standard", 2)).n_active == 0
 
 
 class TestDenseOracle:
@@ -157,21 +185,20 @@ class TestDenseOracle:
             channels = int(rng.integers(1, 5))
             t = random_sparse_tensor(rng, channels=channels, max_dim=6)
             out_ch = channels if kind == "depthwise" else int(rng.integers(1, 5))
-            k = glorot_kernel(kind, channels, out_ch, 3, rng, bias=bool(rng.integers(2)))
-            out = submanifold_conv(t, k)
-            ref = dense_spatial_reference(densify(t), active_mask(t), k.weights,
-                                          kind, bias=k.bias)
+            spec, w, b = draw_conv(rng, kind, channels, out_ch, 3, bias=bool(rng.integers(2)))
+            out = conv_tensor(t, spec, w, b)
+            ref = dense_spatial_reference(densify(t), active_mask(t), w, kind, bias=b)
             assert np.abs(out.features - masked_rows(ref, t)).max() < 1e-5
-            assert out.coord_set() == t.coord_set()
+            np.testing.assert_array_equal(out.coords, t.coords)
 
     def test_pointwise_matches_dense(self, rng):
         for _ in range(12):
             channels = int(rng.integers(1, 6))
             t = random_sparse_tensor(rng, channels=channels, max_dim=6)
-            k = glorot_kernel("pointwise", channels, int(rng.integers(1, 6)), 1, rng,
-                              bias=True)
-            out = sparse_pointwise_conv(t, k)
-            ref = dense_pointwise_reference(densify(t), active_mask(t), k.weights, k.bias)
+            spec, w, b = draw_conv(rng, "pointwise", channels, int(rng.integers(1, 6)), 1,
+                                   bias=True)
+            out = conv_tensor(t, spec, w, b)
+            ref = dense_pointwise_reference(densify(t), active_mask(t), w, b)
             assert np.abs(out.features - masked_rows(ref, t)).max() < 1e-5
 
     def test_separable_matches_dense_fully_active(self, rng):
@@ -182,20 +209,21 @@ class TestDenseOracle:
                                   keys % grid.n_z])
         t = SparseVoxelTensor(grid=grid, coords=coords,
                               features=rng.normal(size=(grid.n_cells, 3)))
-        dw = glorot_kernel("depthwise", 3, 3, 3, rng)
-        pw = glorot_kernel("pointwise", 3, 5, 1, rng, bias=True)
-        out = separable_conv(t, dw, pw)
-        ref = dense_separable_reference(densify(t), active_mask(t), dw.weights,
-                                        pw.weights, pw_bias=pw.bias)
+        dw, dw_w, _ = draw_conv(rng, "depthwise", 3, 3, 3)
+        pw, pw_w, pw_b = draw_conv(rng, "pointwise", 3, 5, 1, bias=True)
+        out = conv_tensor(conv_tensor(t, dw, dw_w), pw, pw_w, pw_b)
+        ref = dense_separable_reference(densify(t), active_mask(t), dw_w, pw_w, pw_bias=pw_b)
         assert np.abs(out.features - masked_rows(ref, t)).max() < 1e-5
 
     def test_separable_equals_explicit_composition(self, rng):
+        """The two nodes chained in one graph equal the two plain-array kernels."""
         t = random_sparse_tensor(rng, channels=4)
-        dw = glorot_kernel("depthwise", 4, 4, 3, rng)
-        pw = glorot_kernel("pointwise", 4, 6, 1, rng, bias=True)
-        fused = separable_conv(t, dw, pw)
-        two_step = sparse_pointwise_conv(submanifold_conv(t, dw), pw)
-        np.testing.assert_array_equal(fused.features, two_step.features)
+        dw, dw_w, _ = draw_conv(rng, "depthwise", 4, 4, 3)
+        pw, pw_w, pw_b = draw_conv(rng, "pointwise", 4, 6, 1, bias=True)
+        rb = build_rulebook(t.coords, t.grid, 3)
+        fused = apply_pointwise(apply_spatial(t.features, rb, dw, dw_w), pw, pw_w, pw_b)
+        two_step = pointwise_forward(spatial_forward(t.features, rb.neighbors, dw_w), pw_w, pw_b)
+        np.testing.assert_array_equal(fused.data, two_step)
 
 
 class TestInvariants:
@@ -204,16 +232,16 @@ class TestInvariants:
             t = random_sparse_tensor(rng)
             kind = ("standard", "depthwise")[int(rng.integers(2))]
             out_ch = t.channels if kind == "depthwise" else int(rng.integers(1, 9))
-            k = glorot_kernel(kind, t.channels, out_ch, 3, rng)
-            assert submanifold_conv(t, k).coord_set() == t.coord_set()
+            spec, w, _ = draw_conv(rng, kind, t.channels, out_ch, 3)
+            np.testing.assert_array_equal(conv_tensor(t, spec, w).coords, t.coords)
 
     def test_linearity_bias_free(self, rng):
         t1 = random_sparse_tensor(rng, channels=3)
         t2 = t1.with_features(rng.normal(size=t1.features.shape))
-        k = glorot_kernel("standard", 3, 4, 3, rng)
+        spec, w, _ = draw_conv(rng, "standard", 3, 4, 3)
         a, b = 0.7, -1.3
-        combo = submanifold_conv(t1.with_features(a * t1.features + b * t2.features), k)
-        split = a * submanifold_conv(t1, k).features + b * submanifold_conv(t2, k).features
+        combo = conv_tensor(t1.with_features(a * t1.features + b * t2.features), spec, w)
+        split = a * conv_tensor(t1, spec, w).features + b * conv_tensor(t2, spec, w).features
         np.testing.assert_allclose(combo.features, split, atol=1e-6)
 
     def test_parameter_count_identity(self):
@@ -260,8 +288,8 @@ class TestGradients:
                 channels = int(rng.integers(1, 4))
                 t = random_sparse_tensor(rng, channels=channels, max_dim=4, max_active=10)
                 out_ch = channels if kind == "depthwise" else int(rng.integers(1, 4))
-                k = glorot_kernel(kind, channels, out_ch,
-                                  1 if kind == "pointwise" else 3, rng, bias=True)
+                k, k_w, k_b = draw_conv(rng, kind, channels, out_ch,
+                                        1 if kind == "pointwise" else 3, bias=True)
                 rb = None if kind == "pointwise" else build_rulebook(t.coords, t.grid, 3)
                 downstream = rng.normal(size=(t.n_active, out_ch))
 
@@ -275,14 +303,14 @@ class TestGradients:
                         out = apply_spatial(x, rb, k, weights=w, bias=b)
                     return w, x, b, (out * Tensor(downstream)).sum()
 
-                w, x, b, loss = run(k.weights, t.features, k.bias)
+                w, x, b, loss = run(k_w, t.features, k_b)
                 loss.backward()
                 fd_w = finite_difference(
-                    lambda v: run(v, t.features, k.bias)[3].item(), k.weights)
+                    lambda v: run(v, t.features, k_b)[3].item(), k_w)
                 fd_x = finite_difference(
-                    lambda v: run(k.weights, v, k.bias)[3].item(), t.features)
+                    lambda v: run(k_w, v, k_b)[3].item(), t.features)
                 fd_b = finite_difference(
-                    lambda v: run(k.weights, t.features, v)[3].item(), k.bias)
+                    lambda v: run(k_w, t.features, v)[3].item(), k_b)
                 assert max_rel_err(w.grad, fd_w) < 1e-3
                 assert max_rel_err(x.grad, fd_x) < 1e-3
                 assert max_rel_err(b.grad, fd_b) < 1e-3
@@ -290,16 +318,16 @@ class TestGradients:
     def test_identity_sum_gives_unit_input_gradient(self, rng):
         t = random_sparse_tensor(rng, channels=2)
         rb = build_rulebook(t.coords, t.grid, 3)
-        k = identity_kernel("standard", 2)
+        k, k_w = identity_weights("standard", 2)
         x = Tensor(t.features, requires_grad=True)
-        apply_spatial(x, rb, k).sum().backward()
+        apply_spatial(x, rb, k, k_w).sum().backward()
         np.testing.assert_allclose(x.grad, 1.0)
 
     def test_zero_upstream_gradient(self, rng):
         t = random_sparse_tensor(rng, channels=2)
         rb = build_rulebook(t.coords, t.grid, 3)
-        k = glorot_kernel("standard", 2, 3, 3, rng)
-        w = Tensor(k.weights, requires_grad=True)
+        k, k_w, _ = draw_conv(rng, "standard", 2, 3, 3)
+        w = Tensor(k_w, requires_grad=True)
         out = apply_spatial(Tensor(t.features), rb, k, weights=w)
         out.backward(np.zeros(out.shape))
         np.testing.assert_array_equal(w.grad, 0.0)
@@ -323,9 +351,10 @@ class TestNeighborTable:
         channels = data.draw(st.integers(1, 3))
         t, rng = wrap_grid_tensor(seed, kernel_size, n_phi, channels)
         out_ch = channels if kind == "depthwise" else data.draw(st.integers(1, 3))
-        k = glorot_kernel(kind, channels, out_ch, kernel_size, rng, bias=data.draw(st.booleans()))
-        out = submanifold_conv(t, k)
-        ref = dense_spatial_reference(densify(t), active_mask(t), k.weights, kind, bias=k.bias)
+        k, k_w, k_b = draw_conv(rng, kind, channels, out_ch, kernel_size,
+                                bias=data.draw(st.booleans()))
+        out = conv_tensor(t, k, k_w, k_b)
+        ref = dense_spatial_reference(densify(t), active_mask(t), k_w, kind, bias=k_b)
         assert np.abs(out.features - masked_rows(ref, t)).max() < 1e-5
 
     @settings(max_examples=60, deadline=None)
@@ -360,7 +389,7 @@ class TestNeighborTable:
         t = SparseVoxelTensor(grid=grid, coords=np.column_stack(np.unravel_index(keys, grid.shape)),
                               features=rng.normal(size=(10, 2)))
         out_ch = 2 if kind == "depthwise" else 3
-        k = glorot_kernel(kind, 2, out_ch, 5, rng, bias=True)
+        k, k_w, k_b = draw_conv(rng, kind, 2, out_ch, 5, bias=True)
         rb = build_rulebook(t.coords, t.grid, 5)
         downstream = rng.normal(size=(t.n_active, out_ch))
 
@@ -371,11 +400,11 @@ class TestNeighborTable:
             out = apply_spatial(x, rb, k, weights=w, bias=b)
             return w, x, b, (out * Tensor(downstream)).sum()
 
-        w, x, b, loss = run(k.weights, t.features, k.bias)
+        w, x, b, loss = run(k_w, t.features, k_b)
         loss.backward()
-        fd_w = finite_difference(lambda v: run(v, t.features, k.bias)[3].item(), k.weights)
-        fd_x = finite_difference(lambda v: run(k.weights, v, k.bias)[3].item(), t.features)
-        fd_b = finite_difference(lambda v: run(k.weights, t.features, v)[3].item(), k.bias)
+        fd_w = finite_difference(lambda v: run(v, t.features, k_b)[3].item(), k_w)
+        fd_x = finite_difference(lambda v: run(k_w, v, k_b)[3].item(), t.features)
+        fd_b = finite_difference(lambda v: run(k_w, t.features, v)[3].item(), k_b)
         assert max_rel_err(w.grad, fd_w) < 1e-3
         assert max_rel_err(x.grad, fd_x) < 1e-3
         assert max_rel_err(b.grad, fd_b) < 1e-3
@@ -417,9 +446,9 @@ class TestBlocks:
     def test_spatial_matches_dense(self, n_sites, kind):
         rng = np.random.default_rng(n_sites)
         t = frame_of(rng, n_sites, 3)
-        k = glorot_kernel(kind, 3, 3 if kind == "depthwise" else 2, 3, rng, bias=True)
-        out = submanifold_conv(t, k)
-        ref = dense_spatial_reference(densify(t), active_mask(t), k.weights, kind, bias=k.bias)
+        k, k_w, k_b = draw_conv(rng, kind, 3, 3 if kind == "depthwise" else 2, 3, bias=True)
+        out = conv_tensor(t, k, k_w, k_b)
+        ref = dense_spatial_reference(densify(t), active_mask(t), k_w, kind, bias=k_b)
         assert out.features.shape == (n_sites, k.out_channels)
         if n_sites:
             assert np.abs(out.features - masked_rows(ref, t)).max() < 1e-5
@@ -428,17 +457,17 @@ class TestBlocks:
     def test_depthwise_forward_equals_one_shot_gather(self, n_sites):
         rng = np.random.default_rng(n_sites + 1)
         t = frame_of(rng, n_sites, 4)
-        k = glorot_kernel("depthwise", 4, 4, 3, rng)
+        k, k_w, _ = draw_conv(rng, "depthwise", 4, 4, 3)
         rb = build_rulebook(t.coords, t.grid, 3)
         padded = np.concatenate([t.features, np.zeros((1, 4))])
-        one_shot = np.einsum("nkc,kc->nc", padded[rb.neighbors], k.weights.reshape(27, 4))
-        np.testing.assert_array_equal(apply_spatial(t.features, rb, k).data, one_shot)
+        one_shot = np.einsum("nkc,kc->nc", padded[rb.neighbors], k_w.reshape(27, 4))
+        np.testing.assert_array_equal(apply_spatial(t.features, rb, k, k_w).data, one_shot)
 
     @pytest.mark.parametrize("kind", ["standard", "depthwise"])
     def test_gradients_fd_across_blocks(self, kind):
         rng = np.random.default_rng(5)
         t = frame_of(rng, BLOCK_SIZES[-1], 2)
-        k = glorot_kernel(kind, 2, 2 if kind == "depthwise" else 3, 3, rng, bias=True)
+        k, k_w, k_b = draw_conv(rng, kind, 2, 2 if kind == "depthwise" else 3, 3, bias=True)
         rb = build_rulebook(t.coords, t.grid, 3)
         downstream = rng.normal(size=(t.n_active, k.out_channels))
 
@@ -449,11 +478,11 @@ class TestBlocks:
             out = apply_spatial(x, rb, k, weights=w, bias=b)
             return w, x, b, (out * Tensor(downstream)).sum()
 
-        w, x, b, loss = run(k.weights, t.features, k.bias)
+        w, x, b, loss = run(k_w, t.features, k_b)
         loss.backward()
-        fd_w = finite_difference(lambda v: run(v, t.features, k.bias)[3].item(), k.weights)
-        fd_x = finite_difference(lambda v: run(k.weights, v, k.bias)[3].item(), t.features)
-        fd_b = finite_difference(lambda v: run(k.weights, t.features, v)[3].item(), k.bias)
+        fd_w = finite_difference(lambda v: run(v, t.features, k_b)[3].item(), k_w)
+        fd_x = finite_difference(lambda v: run(k_w, v, k_b)[3].item(), t.features)
+        fd_b = finite_difference(lambda v: run(k_w, t.features, v)[3].item(), k_b)
         assert max_rel_err(w.grad, fd_w) < 1e-3
         assert max_rel_err(x.grad, fd_x) < 1e-3
         assert max_rel_err(b.grad, fd_b) < 1e-3
@@ -492,10 +521,10 @@ class TestBlocks:
     def test_peak_memory_stays_under_a_quarter_of_the_full_gather(self, kind):
         rng = np.random.default_rng(9)
         t = frame_of(rng, 5000, 64, grid=CylGridSpec(40, 40, 8, 40.0, (0.0, 8.0)))
-        k = glorot_kernel(kind, 64, 64, 3, rng)
+        k, k_w, _ = draw_conv(rng, kind, 64, 64, 3)
         rb = build_rulebook(t.coords, t.grid, 3)
         x = Tensor(t.features, requires_grad=True)
-        w = Tensor(k.weights, requires_grad=True)
+        w = Tensor(k_w, requires_grad=True)
         upstream = rng.normal(size=(t.n_active, 64))
         peak = peak_bytes(lambda: apply_spatial(x, rb, k, weights=w).backward(upstream))
         full_gather = t.n_active * 27 * 64 * 8
