@@ -7,11 +7,10 @@ one frame), ``cost`` (parameter and multiply-add accounting) and
 ``train-toy`` (the staged semi-supervised loop on synthetic data).
 
 Exit codes: 0 on success, 2 on validation problems (bad flags, missing or
-malformed inputs), 3 on internal errors. ``LIM3D_THREADS`` sets the
-sampler's worker threads (default: the machine's CPU count). Outputs of
-featurize/pseudo/train-toy carry a provenance block (tool version, config
-hash, and the seed, null where the command takes none); bulk binary outputs
-get it as a ``.meta.json`` sidecar.
+malformed inputs), 3 on internal errors. Outputs of featurize, pseudo and
+train-toy carry a provenance block (tool version, config hash, and the
+seed, null where the command takes none); bulk binary outputs get it as a
+``.meta.json`` sidecar.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -27,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import Lim3dError
+from .errors import DomainError, FormatError, Lim3dError
 from .network import mini_backbone_topology, topology_cost, LayerSpec
 from .pointcloud import (SceneSpec, frame_path, image_path, label_path,
                          list_sequence_frames, load_frame, project_range_image,
@@ -62,6 +60,20 @@ def _provenance(args, extra: dict | None = None) -> dict:
     }
 
 
+def _json_list(path: str, key: str, item_type: type, what: str) -> tuple[dict, list]:
+    """The JSON object in file `path` and its list under `key`, whose items
+    are `item_type` (`what`); anything else raises `FormatError`."""
+    with open(path) as f:
+        try:
+            raw = json.load(f)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    items = raw.get(key) if isinstance(raw, dict) else None
+    if not isinstance(items, list) or not all(isinstance(item, item_type) for item in items):
+        raise FormatError(f"{path}: expected a JSON object whose {key!r} is a list of {what}")
+    return raw, items
+
+
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
@@ -74,6 +86,8 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def cmd_synth(args) -> int:
+    if args.sequences < 1:
+        raise DomainError("--sequences must be >= 1")
     spec = SceneSpec(
         n_points=args.n_points,
         segment_length=args.segment_length,
@@ -150,13 +164,11 @@ def cmd_sample(args) -> int:
         if not ids:
             raise Lim3dError(f"no frames under {seq_root}/{name}/velodyne")
     sequences = _SequenceImages(root, names, frame_ids, args.source, args.width, args.height)
-    threads = max(1, int(os.environ.get("LIM3D_THREADS", os.cpu_count() or 1)))
     if args.target_fraction is not None:
-        beta, result = calibrate_beta(sequences, args.subset_size, args.target_fraction,
-                                      n_threads=threads)
+        beta, result = calibrate_beta(sequences, args.subset_size, args.target_fraction)
         print(f"calibrated beta = {beta:.6f}")
     else:
-        result = plan(sequences, args.subset_size, args.beta, n_threads=threads)
+        result = plan(sequences, args.subset_size, args.beta)
     # The sampler picks list positions; a plan names the frames on disk.
     chosen = SamplingPlan({i: [frame_ids[i][j] for j in idx] for i, idx in result.entries.items()})
     save_plan(args.out, chosen, keys=dict(enumerate(names)))
@@ -173,9 +185,8 @@ def cmd_sample(args) -> int:
 def _reflec_config(path: str | None) -> ReflecConfig:
     if path is None:
         return ReflecConfig()
-    with open(path) as f:
-        raw = json.load(f)
-    return ReflecConfig(n_bins=raw.get("n_bins", 10), bin_grids=tuple(map(tuple, raw["bin_grids"])))
+    raw, grids = _json_list(path, "bin_grids", list, "[rho, phi] pairs")
+    return ReflecConfig(n_bins=raw.get("n_bins", 10), bin_grids=tuple(map(tuple, grids)))
 
 
 def cmd_featurize(args) -> int:
@@ -235,11 +246,13 @@ def cmd_pseudo(args) -> int:
 
 
 def _topology_from_file(path: str) -> tuple[LayerSpec, ...]:
-    with open(path) as f:
-        raw = json.load(f)
+    _, layers = _json_list(path, "layers", dict, "layer objects")
+    for i, item in enumerate(layers):
+        if missing := sorted({"kind", "in", "out"} - item.keys()):
+            raise FormatError(f"{path}: layer {i} lacks {', '.join(missing)}")
     return tuple(LayerSpec(item["kind"], item["in"], item["out"],
                            item.get("kernel_size", 1 if item["kind"] == "pointwise" else 3),
-                           item.get("bias", True)) for item in raw["layers"])
+                           item.get("bias", True)) for item in layers)
 
 
 def cmd_cost(args) -> int:

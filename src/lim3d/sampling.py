@@ -14,8 +14,7 @@ high beta, while dynamic stretches keep most frames.
 
 Scoring a sequence of ``p`` frames takes each frame's SSIM window
 statistics once (`lim3d.ssim.frame_stats`) and carries them to the next
-pair. With ``n_threads > 1`` each worker scores one contiguous run of
-pairs; the scores do not depend on the thread count.
+pair, in one serial loop.
 
 `plan` and `calibrate_beta` take ``sequences`` as any iterable of
 sequences, such as a generator that loads each sequence's frames when it
@@ -36,9 +35,7 @@ import json
 import math
 import os
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -95,42 +92,29 @@ def supervisor(x: float, beta: float) -> float:
     return math.exp(-beta * x)
 
 
-def _score_run(frames: list[np.ndarray], start: int, stop: int) -> list[float]:
-    """SSIM of the pairs ``(j, j + 1)`` for ``start <= j < stop``; each
-    frame's statistics are taken once and reused for its second pair."""
-    prev = frame_stats(frames[start])
-    scores = []
-    for j in range(start + 1, stop + 1):
-        cur = frame_stats(frames[j])
-        scores.append(pair_score(prev, cur))
-        prev = cur
-    return scores
-
-
 def frame_redundancies(frames: list[np.ndarray], n_threads: int = 1) -> np.ndarray:
     """Per-frame redundancy over one sequence, clamped to [0, 1].
 
     Frame ``j`` scores ``ssim(frame_j, frame_j+1)``; the final frame reuses
     its predecessor pair. A single-frame sequence scores 0 (no adjacent
-    evidence of redundancy). Up to `n_threads` workers each score one
-    contiguous run of pairs.
+    evidence of redundancy).
+
+    `n_threads` is accepted and ignored: the benchmark's sample_sequences
+    warm-up still passes it. The benchmark PR that drops that keyword from
+    the warm-up removes this parameter (ROADMAP item 14).
     """
     p = len(frames)
     if p == 0:
         raise ValidationError("sequence must be nonempty")
     if p == 1:
         return np.zeros(1)
-    n_runs = max(1, min(n_threads, p - 1))
-    cuts = [(p - 1) * i // n_runs for i in range(n_runs + 1)]
-    if n_runs > 1:
-        with ThreadPoolExecutor(max_workers=n_runs) as pool:
-            runs = list(pool.map(lambda ab: _score_run(frames, *ab), zip(cuts, cuts[1:])))
-        adjacent = [score for run in runs for score in run]
-    else:
-        adjacent = _score_run(frames, 0, p - 1)
     psi = np.empty(p)
-    psi[:-1] = adjacent
-    psi[-1] = adjacent[-1]
+    prev = frame_stats(frames[0])
+    for j in range(1, p):
+        cur = frame_stats(frames[j])
+        psi[j - 1] = pair_score(prev, cur)
+        prev = cur
+    psi[-1] = psi[-2]
     return np.clip(psi, 0.0, 1.0)
 
 
@@ -157,22 +141,21 @@ def plan_from_redundancies(redundancies: list[np.ndarray], subset_size: int,
     return SamplingPlan(entries=entries)
 
 
-def _redundancies(sequences: Iterable[list[np.ndarray]], n_threads: int) -> list[np.ndarray]:
+def _redundancies(sequences: Iterable[list[np.ndarray]]) -> list[np.ndarray]:
     """One pass over `sequences`. `map` passes each sequence straight to
     `frame_redundancies` and keeps no reference to it, so the previous
     sequence is free before the next is loaded."""
-    return list(map(partial(frame_redundancies, n_threads=n_threads), sequences))
+    return list(map(frame_redundancies, sequences))
 
 
-def plan(sequences: Iterable[list[np.ndarray]], subset_size: int, beta: float,
-         n_threads: int = 1) -> SamplingPlan:
+def plan(sequences: Iterable[list[np.ndarray]], subset_size: int, beta: float) -> SamplingPlan:
     """Select frames per sequence; see the module docstring for the rule.
 
     `sequences` may be any iterable; it is consumed once, and plan entry
     ``i`` holds positions in the ``i``-th sequence it yields.
     """
     _check_settings(subset_size, beta)
-    return plan_from_redundancies(_redundancies(sequences, n_threads), subset_size, beta)
+    return plan_from_redundancies(_redundancies(sequences), subset_size, beta)
 
 
 def passive_baselines(n_frames: int, fraction: float, mode: str = "uniform",
@@ -194,7 +177,7 @@ def passive_baselines(n_frames: int, fraction: float, mode: str = "uniform",
 
 
 def calibrate_beta(sequences: Iterable[list[np.ndarray]], subset_size: int,
-                   target_fraction: float, n_threads: int = 1) -> tuple[float, SamplingPlan]:
+                   target_fraction: float) -> tuple[float, SamplingPlan]:
     """Bisection on beta toward a target global sampling fraction.
 
     The selected count is a nonincreasing step function of beta, so the
@@ -206,7 +189,7 @@ def calibrate_beta(sequences: Iterable[list[np.ndarray]], subset_size: int,
     if not 0.0 < target_fraction <= 1.0:
         raise DomainError(f"target_fraction must lie in (0, 1], got {target_fraction}")
     _check_settings(subset_size)
-    psis = _redundancies(sequences, n_threads)
+    psis = _redundancies(sequences)
     target = target_fraction * sum(len(psi) for psi in psis)
     q = subset_size
     subsets = [(float(psi[s:s + q].mean()), min(q, len(psi) - s))

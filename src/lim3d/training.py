@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, softmax
-from .errors import DivergenceError, DomainError, FormatError, ShapeError, ValidationError
+from .errors import DivergenceError, DomainError, FormatError, ShapeError, ValidationError, is_count
 from .losses import LossConfig, kl_consistency, lovasz_softmax, total_loss
 from .network import MiniSegNet, mini_backbone_topology, topology_cost
 from .pointcloud import SceneSpec, ranges_to_grayscale, synth_sequence
@@ -159,6 +159,10 @@ class ToyPipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not is_count(self.n_sequences):
+            raise DomainError(f"n_sequences must be an integer >= 1, got {self.n_sequences!r}")
+        if min(self.steps_stage1, self.steps_stage3) < 0:
+            raise DomainError("steps_stage1 and steps_stage3 must be >= 0")
         if not 0.0 < self.labeled_fraction <= 1.0:
             raise DomainError("labeled_fraction must lie in (0, 1]")
         if not 0.0 < self.heldout_fraction < 1.0:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ShapeError, ValidationError
+from .errors import CapacityError, DomainError, ShapeError, ValidationError, is_count
 from .pointcloud import PointCloud
 
 __all__ = [
@@ -47,12 +47,12 @@ class CylGridSpec:
     z_range: tuple[float, float]
 
     def __post_init__(self):
-        if min(self.n_rho, self.n_phi, self.n_z) < 1:
-            raise DomainError("all bin counts must be >= 1")
-        if self.rho_max <= 0:
-            raise DomainError("rho_max must be positive")
-        if not self.z_range[0] < self.z_range[1]:
-            raise DomainError(f"z_range must satisfy min < max, got {self.z_range}")
+        if not all(map(is_count, self.shape)):
+            raise DomainError(f"bin counts must be integers >= 1, got {self.shape}")
+        if not 0 < self.rho_max < np.inf:
+            raise DomainError(f"rho_max must be positive and finite, got {self.rho_max!r}")
+        if not -np.inf < self.z_range[0] < self.z_range[1] < np.inf:
+            raise DomainError(f"z_range must be finite with min < max, got {self.z_range}")
 
     @property
     def shape(self) -> tuple[int, int, int]:

@@ -5,6 +5,9 @@ named in the README's "Library API" section or be imported from the
 package root by the CLI, a demo or `bench/`; each name that section
 documents must be exported. An export that nothing documents or uses, or a
 documented name that is gone, fails here.
+
+No module under `src/lim3d` reads the environment or starts threads: a
+setting is a flag or an argument, and the work runs in one thread.
 """
 
 import ast
@@ -64,3 +67,42 @@ def test_the_parsers_see_the_names():
     # Guards the checks above against a parser that finds nothing.
     assert {"ConvSpec", "apply_spatial", "spatial_forward", "densify"} <= documented()
     assert {"MiniSegNet", "voxelize", "topology_cost"} <= used()
+
+
+ENV_READS = {"environ", "environb", "getenv"}
+THREAD_MODULES = {"threading", "concurrent"}
+
+
+def knobs(source: str) -> list[str]:
+    """``line: name`` for each environment read (``os.environ``,
+    ``os.getenv``) and each import of `threading` or `concurrent.futures`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names
+                                    if node.module == "os" and alias.name in ENV_READS)]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "os" and node.attr in ENV_READS):
+            names = [f"os.{node.attr}"]
+        else:
+            continue
+        found += [f"{node.lineno}: {name}" for name in names
+                  if name.startswith("os.") or name.split(".")[0] in THREAD_MODULES]
+    return found
+
+
+def test_no_module_reads_the_environment_or_imports_threads():
+    found = {str(path.relative_to(PACKAGE)): hits for path in sorted(PACKAGE.rglob("*.py"))
+             if (hits := knobs(path.read_text()))}
+    assert found == {}
+
+
+def test_the_knob_finder_sees_them():
+    # Guards the check above against a finder that finds nothing.
+    source = ("import os, threading\nfrom concurrent.futures import ThreadPoolExecutor\n"
+              "from os import getenv, path\nn = os.environ.get('N')\nimport concurrent.futures\n"
+              "p = os.PathLike\n")
+    assert set(knobs(source)) == {"1: threading", "2: concurrent.futures", "3: os.getenv",
+                                  "4: os.environ", "5: concurrent.futures"}

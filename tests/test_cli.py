@@ -121,6 +121,13 @@ class TestSynthAndSample:
         assert main(["synth", "--out-dir", str(root), "--frames", "2", flag, "0"]) == 2
         assert not root.exists()
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_synth_without_sequences_exits_2(self, tmp_path, capsys, n):
+        root = tmp_path / "out"
+        assert main(["synth", "--out-dir", str(root), "--sequences", n, "--frames", "2"]) == 2
+        assert "--sequences" in capsys.readouterr().err
+        assert not root.exists()
+
     def test_missing_dir_exits_2(self, tmp_path, capsys):
         rc = main(["sample", "--seq-dir", str(tmp_path / "nope"), "--beta", "0",
                    "--out", str(tmp_path / "p.json")])
@@ -139,17 +146,6 @@ class TestSynthAndSample:
         out = tmp_path / "p.json"
         assert main(["sample", "--seq-dir", str(dataset), *flags, "--out", str(out)]) == 2
         assert not out.exists()
-
-    def test_thread_env_override_keeps_results(self, dataset, tmp_path, monkeypatch):
-        single = tmp_path / "single.json"
-        multi = tmp_path / "multi.json"
-        monkeypatch.setenv("LIM3D_THREADS", "1")
-        assert main(["sample", "--seq-dir", str(dataset), "--beta", "4.0",
-                     "--subset-size", "8", "--out", str(single)]) == 0
-        monkeypatch.setenv("LIM3D_THREADS", "4")
-        assert main(["sample", "--seq-dir", str(dataset), "--beta", "4.0",
-                     "--subset-size", "8", "--out", str(multi)]) == 0
-        assert load_plan(single) == load_plan(multi)
 
 
 def _synth(root, sequences, *flags):
@@ -188,8 +184,7 @@ class TestOneSequenceAtATime:
         assert image_path(tmp_path / "three", "02", 15).exists()
         assert three < 1.5 * one, f"{three / one:.2f}x the one-sequence peak"
 
-    def test_sample(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LIM3D_THREADS", "1")
+    def test_sample(self, tmp_path):
         flags = ("--frames", "48", "--n-points", "50", "--width", "64", "--height", "32")
         peaks = {}
         for n in (1, 4):
@@ -254,6 +249,21 @@ class TestFeaturize:
         assert main(["featurize", "--in", str(frame), "--config", str(cfg),
                      "--out", str(out)]) == 2
         assert "internal error" not in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("text", ["[1]", '{"bin_grids": 5}', '{"bin_grids": [4, 8]}',
+                                      '{"n_bins": 4}', "{"],
+                             ids=["list", "grids-not-list", "grid-not-pair", "no-grids",
+                                  "not-json"])
+    def test_malformed_config_file_exits_2_without_output(self, dataset, tmp_path, capsys,
+                                                          text):
+        cfg = tmp_path / "reflec.json"
+        cfg.write_text(text)
+        frame = dataset / "sequences" / "00" / "velodyne" / "000000.bin"
+        assert main(["featurize", "--in", str(frame), "--config", str(cfg),
+                     "--out", str(tmp_path / "f.feat")]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "internal error" not in err
         assert list(tmp_path.iterdir()) == [cfg]
 
 
@@ -413,6 +423,19 @@ class TestCost:
         assert "internal error" not in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["[1]", '{"layers": 5}', '{"layers": [[1, 2]]}',
+                                      '{"layers": [{"kind": "pointwise", "in": 4}]}', "{}"],
+                             ids=["list", "layers-not-list", "layer-not-object",
+                                  "layer-without-out", "no-layers"])
+    def test_malformed_topology_file_exits_2(self, tmp_path, capsys, text):
+        topo = tmp_path / "topo.json"
+        topo.write_text(text)
+        out = tmp_path / "cost.json"
+        assert main(["cost", "--topology", str(topo), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(topo) in err and "internal error" not in err
+        assert not out.exists()
+
 
 class TestTrainToy:
     def test_same_seed_identical_reports(self, tmp_path):
@@ -482,7 +505,8 @@ class TestPseudoModelContract:
         frame = load_frame(dataset / "sequences" / "00" / "velodyne" / "000000.bin")
         assert n_voxels == voxelize(frame, small).n_active <= small.n_cells
 
-    @pytest.mark.parametrize("damage", ["truncated", "not_zip", "key_missing"])
+    @pytest.mark.parametrize("damage", ["truncated", "not_zip", "key_missing", "nan_rho_max",
+                                        "inf_z_range"])
     def test_malformed_model_exits_2(self, dataset, model, tmp_path, capsys, damage):
         bad = tmp_path / "bad.npz"
         if damage == "truncated":
@@ -491,7 +515,13 @@ class TestPseudoModelContract:
             bad.write_bytes(b"not a model")
         else:
             with np.load(model) as npz:
-                kept = {k: npz[k] for k in npz.files if k != "grid_bins"}
-            np.savez(bad, **kept)
+                saved = dict(npz)
+            if damage == "key_missing":
+                del saved["grid_bins"]
+            elif damage == "nan_rho_max":
+                saved["grid_rho_max"] = np.array(np.nan)
+            else:
+                saved["grid_z_range"] = np.array([-1.0, np.inf])
+            np.savez(bad, **saved)
         assert self._pseudo(dataset, tmp_path / "x.label", "--model", str(bad)) == 2
         assert "bad.npz" in capsys.readouterr().err

@@ -67,14 +67,11 @@ class TestRedundancy:
         psi = frame_redundancies([a, b])
         assert psi[0] == psi[1]
 
-    def test_thread_pool_matches_serial_bitwise(self):
-        frames = two_regime_frames()
-        np.testing.assert_array_equal(frame_redundancies(frames, n_threads=2),
-                                      frame_redundancies(frames, n_threads=1))
-
     def test_single_frame_scores_zero(self):
         assert frame_redundancies([np.zeros((8, 8))]).tolist() == [0.0]
 
+    # `n_threads` is accepted and ignored, because the benchmark's warm-up
+    # still passes it; every value must give the serial scores.
     @pytest.mark.parametrize("n_threads", [1, 2, 3, 7])
     @pytest.mark.parametrize("p", [1, 2, 3, 9])
     @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
@@ -98,7 +95,7 @@ class TestRedundancy:
             return window_means(*args)
 
         monkeypatch.setattr(SSIM_MODULE, "_window_means", counting)
-        frame_redundancies(frames, n_threads=1)
+        frame_redundancies(frames)
         # Two tables per frame (means, means of squares), one per pair (a * b).
         assert len(calls) == 3 * p - 1
 
@@ -237,8 +234,8 @@ class TestOnePass:
 
     @pytest.mark.parametrize("target", [0.2, 0.5, 1.0])
     def test_calibrate_beta(self, target):
-        assert (calibrate_beta(iter(self.SEQUENCES), 8, target, n_threads=2)
-                == calibrate_beta(self.SEQUENCES, 8, target, n_threads=2))
+        assert (calibrate_beta(iter(self.SEQUENCES), 8, target)
+                == calibrate_beta(self.SEQUENCES, 8, target))
 
 
 def calibrate_by_plans(psis, subset_size, target_fraction):
@@ -278,7 +275,7 @@ def test_calibration_matches_plan_per_step_oracle(monkeypatch, seed):
     sequences = [[None] * len(psi) for psi in psis]
     by_sequence = {id(seq): psi for seq, psi in zip(sequences, psis)}
     monkeypatch.setattr("lim3d.sampling.frame_redundancies",
-                        lambda frames, n_threads=1: by_sequence[id(frames)])
+                        lambda frames: by_sequence[id(frames)])
     for target in (0.01, 0.1, 0.2, 0.25, 0.37, 0.5, 0.8, 1.0):
         assert calibrate_beta(sequences, 8, target) == calibrate_by_plans(psis, 8, target)
 

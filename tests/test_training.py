@@ -369,6 +369,12 @@ class TestToyPipeline:
         with pytest.raises(DomainError):
             ToyPipelineConfig(**bad)
 
+    @pytest.mark.parametrize("bad", [dict(n_sequences=0), dict(n_sequences=-1),
+                                     dict(steps_stage1=-1), dict(steps_stage3=-3)])
+    def test_bad_count_fails_at_construction(self, bad):
+        with pytest.raises(DomainError):
+            ToyPipelineConfig(**bad)
+
     def test_zero_steps_equals_random_baseline(self):
         cfg = ToyPipelineConfig(stages=(1,), steps_stage1=0, seed=5,
                                 frames_per_sequence=8)

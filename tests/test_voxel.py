@@ -6,11 +6,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import peak_bytes, random_sparse_tensor
-from lim3d import (CapacityError, CylGridSpec, PointCloud, SparseVoxelTensor,
+from lim3d import (CapacityError, CylGridSpec, DomainError, PointCloud, SparseVoxelTensor,
                    ValidationError, densify, point_rows, sparsify, voxelize)
 
 
 GRID = CylGridSpec(n_rho=4, n_phi=4, n_z=4, rho_max=4.0, z_range=(-2.0, 2.0))
+
+
+class TestGridSpec:
+    @pytest.mark.parametrize("bad", [
+        dict(n_rho=0), dict(n_phi=-2), dict(n_rho=10.5), dict(n_z=True), dict(n_phi=4.0),
+        dict(rho_max=0.0), dict(rho_max=float("nan")), dict(rho_max=float("inf")),
+        dict(z_range=(2.0, -2.0)), dict(z_range=(-2.0, float("inf"))),
+        dict(z_range=(float("-inf"), 2.0)), dict(z_range=(float("nan"), 2.0)),
+    ])
+    def test_bad_grid_raises_domain_error(self, bad):
+        fields = dict(n_rho=4, n_phi=4, n_z=4, rho_max=4.0, z_range=(-2.0, 2.0))
+        with pytest.raises(DomainError):
+            CylGridSpec(**{**fields, **bad})
+
+    def test_numpy_bin_counts_accepted(self):
+        assert CylGridSpec(np.int64(4), 4, 4, 4.0, (-2.0, 2.0)).n_cells == 64
 
 
 class TestVoxelize:
