@@ -1,6 +1,12 @@
-"""Exception hierarchy shared across the package, and the `is_count` test."""
+"""Exception hierarchy shared across the package, and the `is_count` and
+`is_prob_rows` tests."""
 
 from numbers import Integral
+
+import numpy as np
+
+# How far a probability row's sum may stray from 1.
+PROB_ROW_TOL = 1e-5
 
 
 class Lim3dError(Exception):
@@ -39,6 +45,12 @@ class DivergenceError(Lim3dError, RuntimeError):
     """Training produced a non-finite loss."""
 
 
-def is_count(value) -> bool:
-    """Whether `value` is an integer >= 1: a Python or numpy int, not a bool."""
-    return isinstance(value, Integral) and not isinstance(value, bool) and value >= 1
+def is_count(value, minimum: int = 1) -> bool:
+    """Whether `value` is an integer >= `minimum`: a Python or numpy int, not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= minimum
+
+
+def is_prob_rows(probs: np.ndarray) -> bool:
+    """Whether every row of the matrix `probs` is nonnegative and sums to 1
+    within `PROB_ROW_TOL`; a NaN fails, and a matrix with no rows passes."""
+    return bool(np.all(probs >= 0) and np.all(np.abs(probs.sum(axis=1) - 1.0) <= PROB_ROW_TOL))

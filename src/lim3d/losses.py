@@ -14,12 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, as_tensor
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, is_prob_rows
 
 __all__ = ["LossConfig", "lovasz_softmax", "kl_consistency", "total_loss"]
 
 STAGES = ("train", "pseudo_label", "distill")
-_ROW_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -38,8 +37,8 @@ class LossConfig:
     def __post_init__(self):
         if not 0.0 <= self.kappa <= 1.0:
             raise DomainError("kappa must lie in [0, 1]")
-        if self.lambda_u < 0 or self.lambda_c < 0:
-            raise DomainError("loss weights must be nonnegative")
+        if not (0.0 <= self.lambda_u < np.inf and 0.0 <= self.lambda_c < np.inf):
+            raise DomainError("loss weights must be nonnegative and finite")
         if self.stage not in STAGES:
             raise DomainError(f"stage must be one of {STAGES}")
 
@@ -112,7 +111,7 @@ def kl_consistency(student_probs: Tensor | np.ndarray,
     if student.shape != teacher.shape:
         raise ValidationError(f"shapes differ: {student.shape} vs {teacher.shape}")
     for name, arr in (("student", student.data), ("teacher", teacher)):
-        if arr.size and (arr.min() < 0 or np.abs(arr.sum(axis=1) - 1.0).max() > _ROW_TOL):
+        if not is_prob_rows(arr):
             raise ValidationError(f"{name} rows must be probability vectors")
     if teacher.size == 0:
         return Tensor(0.0)

@@ -11,11 +11,12 @@ pointwise head gives class logits; the head's input doubles as per-voxel
 embeddings for contrastive mining (the input features, with no blocks).
 
 Parameters are a flat list of float64 arrays, per convolution its weights
-and then its bias, if any. `forward` accepts live autodiff tensors in their
-place and builds one node per convolution from its `ConvSpec` and them.
-`predict` runs the same plain-array kernels with no `Tensor`, so it keeps
-no graph. Activations take the features' dtype (float32 from `voxelize`);
-each layer casts its weights to it.
+and then its bias, if any. Both entry points take the frame's rulebook.
+`forward` takes live autodiff tensors for the parameters and builds one
+node per convolution from its `ConvSpec` and them. `predict`, the one
+inference path, runs the same kernels on the stored arrays with no
+`Tensor`, so it keeps no graph. Activations take the features' dtype
+(float32 from `voxelize`); each layer casts its weights to it.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ import numpy as np
 from .autodiff import Tensor, log_softmax_parts
 from .errors import DomainError, ShapeError, is_count
 from .sparseconv import (ConvSpec, CostReport, Rulebook, apply_pointwise, apply_spatial,
-                         build_rulebook, conv_cost, glorot_weights, pointwise_forward,
-                         spatial_forward)
+                         conv_cost, glorot_weights, pointwise_forward, spatial_forward)
 from .voxel import SparseVoxelTensor
 
 __all__ = ["LayerSpec", "MiniSegNet", "layer_kernels", "mini_backbone_topology", "topology_cost"]
@@ -155,10 +155,9 @@ class MiniSegNet:
 
     # -- forward -------------------------------------------------------------
 
-    def _rulebook(self, t: SparseVoxelTensor, rulebook: Rulebook | None) -> Rulebook:
+    def _check_channels(self, t: SparseVoxelTensor) -> None:
         if t.channels != self.in_channels:
             raise ShapeError(f"tensor has {t.channels} channels, network expects {self.in_channels}")
-        return rulebook if rulebook is not None else build_rulebook(t.coords, t.grid, self.kernel_size)
 
     def _walk(self, x, params: list, conv, activate):
         """Logits and embeddings: `conv(x, ConvSpec, weights, bias or None)`
@@ -172,34 +171,29 @@ class MiniSegNet:
                 x = conv(x, k, next(it), next(it) if k.bias else None)
         return x, emb
 
-    def forward(self, t: SparseVoxelTensor, params: list[Tensor] | None = None,
-                rulebook: Rulebook | None = None) -> tuple[Tensor, Tensor]:
+    def forward(self, t: SparseVoxelTensor, params: list[Tensor],
+                rulebook: Rulebook) -> tuple[Tensor, Tensor]:
         """Logits and embeddings for every active voxel, one autodiff node per
-        convolution.
-
-        With `params` given (live tensors), gradients flow back into them;
-        otherwise the stored arrays are used as constants.
-        """
-        rb = self._rulebook(t, rulebook)
+        convolution over `rulebook`, `t`'s neighbour table; gradients flow
+        back into `params`, live tensors in the order of `self.params`."""
+        self._check_channels(t)
 
         def conv(x, k, w, b):
             if k.kind == "pointwise":
                 return apply_pointwise(x, k, weights=w, bias=b)
-            return apply_spatial(x, rb, k, weights=w, bias=b)
+            return apply_spatial(x, rulebook, k, weights=w, bias=b)
 
-        live = params if params is not None else [Tensor(p) for p in self.params]
-        return self._walk(Tensor(t.features), live, conv, lambda x: x.leaky_relu(self.LEAK))
+        return self._walk(Tensor(t.features), params, conv, lambda x: x.leaky_relu(self.LEAK))
 
-    def predict(self, t: SparseVoxelTensor,
-                rulebook: Rulebook | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def predict(self, t: SparseVoxelTensor, rulebook: Rulebook) -> tuple[np.ndarray, np.ndarray]:
         """Softmax probabilities (float64) and embeddings (in the features'
-        dtype), computed by `forward`'s kernels on plain arrays: no `Tensor`,
-        no graph."""
-        nb = self._rulebook(t, rulebook).neighbors
+        dtype), computed by `forward`'s kernels over `rulebook` with the
+        stored weights on plain arrays: no `Tensor`, no graph."""
+        self._check_channels(t)
         logits, emb = self._walk(
             t.features, self.params,
             lambda x, k, w, b: (pointwise_forward(x, w, b) if k.kind == "pointwise"
-                                else spatial_forward(x, nb, w, b)),
+                                else spatial_forward(x, rulebook.neighbors, w, b)),
             lambda x: np.where(x > 0, x, self.LEAK * x))
         log_probs, _, _ = log_softmax_parts(logits, axis=1)
         return np.exp(log_probs), emb

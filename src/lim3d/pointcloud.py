@@ -13,7 +13,7 @@ Frames live under ``sequences/<seq>/velodyne/<frame>.bin`` with labels in
 ``sequences/<seq>/image_2/<frame>.pgm``.
 
 All containers are frozen dataclasses whose arrays are marked read-only at
-construction, so frames can be shared across threads freely. A range image
+construction, so frames can share arrays without copying. A range image
 is a plain read-only ``(height, width)`` float32 array of ranges in meters;
 `ranges_to_grayscale` quantizes a sequence of them by its farthest return.
 """
@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, FormatError, ShapeError, ValidationError
+from .errors import DomainError, FormatError, ShapeError, ValidationError, is_count
 
 __all__ = [
     "PointCloud",
@@ -322,7 +322,8 @@ class SceneSpec:
 
     Classes occupy disjoint height and intensity bands, so they stay
     separable after voxelization. Frames are grouped into segments of
-    `segment_length` frames; segment ``i`` translates the moving points by
+    `segment_length` frames; segment ``i`` translates the points of
+    `moving_class`, one of the `n_classes`, by
     ``segment_speeds[i % len(segment_speeds)]`` meters per frame along +x,
     wrapping inside ``[-wrap_extent, wrap_extent]``. A speed of 0 yields
     bitwise-identical consecutive frames.
@@ -345,8 +346,13 @@ class SceneSpec:
     )
 
     def __post_init__(self):
+        if not is_count(self.n_points):
+            raise DomainError(f"n_points must be an integer >= 1, got {self.n_points!r}")
         if self.n_classes < 1 or self.n_classes > len(self.class_bands):
             raise DomainError(f"n_classes must be in [1, {len(self.class_bands)}]")
+        if not (is_count(self.moving_class, 0) and self.moving_class < self.n_classes):
+            raise DomainError(f"moving_class must lie in [0, {self.n_classes}), "
+                              f"got {self.moving_class!r}")
         if self.segment_length < 1 or not self.segment_speeds:
             raise DomainError("segment_length >= 1 and at least one segment speed required")
 
@@ -401,7 +407,7 @@ def _synth_frames(spec: SceneSpec, n_frames: int, seed: int,
                   sequence_id: int) -> Iterator[tuple[PointCloud, np.ndarray]]:
     rng = np.random.default_rng(seed)
     xyz0, intensity, labels = _base_scene(spec, rng)
-    moving = labels == min(spec.moving_class, spec.n_classes - 1)
+    moving = labels == spec.moving_class
     xyz32 = xyz0.astype(np.float32)
     moving_x0 = xyz0[moving, 0]
     w, h = spec.image_width, spec.image_height

@@ -23,8 +23,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .autodiff import Tensor, as_tensor
-from .errors import (DegenerateEmbeddingError, DomainError, ShapeError,
-                     ValidationError)
+from .errors import (DegenerateEmbeddingError, DomainError, ShapeError, ValidationError,
+                     is_count, is_prob_rows)
 
 __all__ = [
     "VoxelPredictions",
@@ -39,9 +39,6 @@ __all__ = [
     "bank_push_negatives",
     "infonce_loss",
 ]
-
-_PROB_TOL = 1e-5
-
 
 @dataclass(frozen=True)
 class VoxelPredictions:
@@ -65,8 +62,7 @@ class VoxelPredictions:
             raise ShapeError("probs must be a (voxels, classes) matrix")
         if emb.ndim != 2 or len(emb) != len(probs):
             raise ShapeError("embeddings must align with probs rows")
-        if len(probs) and (probs.min() < 0 or
-                           np.abs(probs.sum(axis=1) - 1.0).max() > _PROB_TOL):
+        if not is_prob_rows(probs):
             raise ValidationError("probability rows must be nonnegative and sum to 1")
         if not np.isfinite(emb).all():
             raise ValidationError("embeddings must be finite")
@@ -122,8 +118,9 @@ class MemoryBank:
     each class holds one array of its newest rows, oldest first."""
 
     def __init__(self, n_classes: int, capacity: int = 256):
-        if n_classes < 1 or capacity < 1:
-            raise DomainError("n_classes and capacity must be >= 1")
+        if not (is_count(n_classes) and is_count(capacity)):
+            raise DomainError(f"n_classes and capacity must be integers >= 1, got "
+                              f"{n_classes!r} and {capacity!r}")
         self.capacity = capacity
         self._rows: list[np.ndarray] = [np.empty((0, 0))] * n_classes
 
@@ -164,12 +161,13 @@ class ContrastiveConfig:
     def __post_init__(self):
         if not 0.0 < self.delta_p < 1.0:
             raise DomainError("delta_p must lie in (0, 1)")
-        if self.tau <= 0:
-            raise DomainError("tau must be positive")
-        if self.n_negatives < 1:
-            raise DomainError("at least one negative is required")
-        if self.capacity < 1 or self.max_anchors < 1:
-            raise DomainError("capacity and max_anchors must be >= 1")
+        if not 0.0 < self.tau < np.inf:
+            raise DomainError(f"tau must be positive and finite, got {self.tau!r}")
+        if not is_count(self.n_negatives):
+            raise DomainError(f"n_negatives must be an integer >= 1, got {self.n_negatives!r}")
+        if not (is_count(self.capacity) and is_count(self.max_anchors)):
+            raise DomainError(f"capacity and max_anchors must be integers >= 1, got "
+                              f"{self.capacity!r} and {self.max_anchors!r}")
 
 
 # ---------------------------------------------------------------------------

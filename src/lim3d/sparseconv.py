@@ -8,7 +8,9 @@ nothing.
 
 A `Rulebook` is a neighbor table: per active site and kernel tap, the
 input row read, or the sentinel ``n_sites`` for an inactive or off-grid
-cell. `spatial_forward` pads its input with a zero sentinel row, then
+cell, built once per frame and read by every spatial layer. Only
+`spatial_forward` checks it: a table that is not (input rows, kernel taps)
+raises `ShapeError`. It pads its input with a zero sentinel row, then
 gathers (``np.take``) and contracts the neighbor rows of `SPATIAL_BLOCK`
 sites at a time. If tap ``k`` of site ``o`` reads row ``i``, tap ``K-1-k``
 of site ``i`` reads row ``o`` (across the azimuth wrap too), so in
@@ -110,9 +112,9 @@ def glorot_weights(spec: ConvSpec, rng: np.random.Generator) -> np.ndarray:
 class Rulebook:
     """``neighbors[o, k]`` is the input row tap ``k`` of site ``o`` reads, or
     the sentinel ``n_sites``. Taps run over ``(d_rho, d_phi, d_z)`` in C
-    order, as the flattened weights do, so tap ``K-1-k`` negates tap ``k``."""
+    order, as the flattened weights do, so tap ``K-1-k`` negates tap ``k``.
+    It fits only the sites it was built from, as `spatial_forward` checks."""
 
-    kernel_size: int
     neighbors: np.ndarray  # (n_sites, kernel_size**3) intp, sentinel n_sites
 
     @property
@@ -145,7 +147,7 @@ def build_rulebook(coords: np.ndarray, grid: CylGridSpec, kernel_size: int) -> R
         found = valid & (sorted_keys[pos] == neigh_keys)
         neighbors[start:start + SPATIAL_BLOCK] = np.where(found, order[pos], n)
     neighbors.setflags(write=False)
-    return Rulebook(kernel_size=kernel_size, neighbors=neighbors)
+    return Rulebook(neighbors)
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +179,12 @@ def _taps(weights: np.ndarray, dtype) -> np.ndarray:
 def spatial_forward(x: np.ndarray, neighbors: np.ndarray, weights: np.ndarray,
                     bias: np.ndarray | None = None) -> np.ndarray:
     """Standard or depthwise spatial convolution of the rows `x` over a
-    neighbor table, in the dtype of `x`; `weights` and `bias` are cast in."""
+    neighbor table, in the dtype of `x`; `weights` and `bias` are cast in.
+    A table that is not (rows of `x`, kernel taps) raises `ShapeError`."""
     taps = _taps(weights, x.dtype)
-    out = np.empty((len(neighbors), taps.shape[-1]), x.dtype)
+    if neighbors.shape != (len(x), len(taps)):
+        raise ShapeError(f"rulebook {neighbors.shape} does not fit {len(x)} sites x {len(taps)} taps")
+    out = np.empty((len(x), taps.shape[-1]), x.dtype)
     for block, x_nb in _gathered_blocks(x, neighbors):
         out[block] = _contract(x_nb, taps)
     if bias is not None:
@@ -246,8 +251,6 @@ def apply_spatial(features: Tensor | np.ndarray, rulebook: Rulebook, kernel: Con
     if kernel.kind == "pointwise":
         raise DomainError("apply_spatial takes a standard or depthwise kernel")
     inputs = _node_inputs(features, kernel, weights, bias)
-    if rulebook.kernel_size != kernel.kernel_size:
-        raise ShapeError("rulebook kernel size does not match the kernel")
     x, w = inputs[:2]
     nb = rulebook.neighbors
     b = inputs[2].data if len(inputs) == 3 else None

@@ -159,10 +159,17 @@ class ToyPipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not is_count(self.n_sequences):
-            raise DomainError(f"n_sequences must be an integer >= 1, got {self.n_sequences!r}")
-        if min(self.steps_stage1, self.steps_stage3) < 0:
-            raise DomainError("steps_stage1 and steps_stage3 must be >= 0")
+        for name in ("n_sequences", "frames_per_sequence", "subset_size"):
+            if not is_count(getattr(self, name)):
+                raise DomainError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
+        if not (is_count(self.steps_stage1, 0) and is_count(self.steps_stage3, 0)):
+            raise DomainError(f"steps_stage1 and steps_stage3 must be integers >= 0, got "
+                              f"{self.steps_stage1!r} and {self.steps_stage3!r}")
+        if not 0.0 < self.lr < np.inf:
+            raise DomainError(f"lr must be positive and finite, got {self.lr!r}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise DomainError(f"momentum must lie in [0, 1), got {self.momentum!r}")
+        self.loss_config()
         if not 0.0 < self.labeled_fraction <= 1.0:
             raise DomainError("labeled_fraction must lie in (0, 1]")
         if not 0.0 < self.heldout_fraction < 1.0:
@@ -173,6 +180,11 @@ class ToyPipelineConfig:
             raise DomainError("percentile must lie in [0, 100)")
         if not 0.0 < self.per_class_keep <= 1.0:
             raise DomainError("per_class_keep must lie in (0, 1]")
+
+    def loss_config(self, stage: str = "train") -> LossConfig:
+        """The loss weights for one training stage, checked by `LossConfig`
+        as it is built; `__post_init__` builds one so they fail here."""
+        return LossConfig(self.kappa, self.lambda_u, self.lambda_c, stage)
 
 
 @dataclass
@@ -336,8 +348,7 @@ def run_toy_pipeline(cfg: ToyPipelineConfig,
 
     def train_stage(stage: str, steps: int, frame_ids: list[int],
                     bank: MemoryBank | None) -> dict:
-        loss_cfg = LossConfig(kappa=cfg.kappa, lambda_u=cfg.lambda_u, lambda_c=cfg.lambda_c,
-                              stage=stage)
+        loss_cfg = cfg.loss_config(stage)
         opt = SGD(student.params, lr=cfg.lr, momentum=cfg.momentum)
         losses: list[float] = []
         order: list[int] = []

@@ -48,14 +48,18 @@ def identity_weights(kind, channels, kernel_size=3):
     return spec, w
 
 
+def rulebook_of(t, kernel_size=3):
+    """`t`'s own neighbour table, as `prepare_frame` builds it per frame."""
+    return build_rulebook(t.coords, t.grid, kernel_size)
+
+
 def conv_tensor(t, spec, weights, bias=None):
     """`t` with its features through one convolution node, a spatial one on
     `t`'s own rulebook."""
     if spec.kind == "pointwise":
         out = apply_pointwise(t.features, spec, weights, bias)
     else:
-        out = apply_spatial(t.features, build_rulebook(t.coords, t.grid, spec.kernel_size),
-                            spec, weights, bias)
+        out = apply_spatial(t.features, rulebook_of(t, spec.kernel_size), spec, weights, bias)
     return t.with_features(out.data)
 
 

@@ -8,6 +8,9 @@ documented name that is gone, fails here.
 
 No module under `src/lim3d` reads the environment or starts threads: a
 setting is a flag or an argument, and the work runs in one thread.
+
+Only `training.prepare_frame` builds a rulebook: the network and the
+convolutions take the frame's table and never build their own.
 """
 
 import ast
@@ -106,3 +109,39 @@ def test_the_knob_finder_sees_them():
               "p = os.PathLike\n")
     assert set(knobs(source)) == {"1: threading", "2: concurrent.futures", "3: os.getenv",
                                   "4: os.environ", "5: concurrent.futures"}
+
+
+def callers(source: str, callee: str) -> set[str]:
+    """Qualified names of the functions (``<module>`` at top level) that call
+    `callee` by name or as an attribute."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
+            elif isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", None) == callee or getattr(func, "attr", None) == callee:
+                    found.add(scope)
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_prepare_frame_builds_a_rulebook():
+    found = {f"{path.stem}.{name}" for path in sorted(PACKAGE.rglob("*.py"))
+             for name in callers(path.read_text(), "build_rulebook")}
+    assert found == {"training.prepare_frame"}
+
+
+def test_the_caller_finder_sees_them():
+    # Guards the check above against a finder that finds nothing.
+    source = ("rb = build_rulebook(c, g, 3)\n"
+              "class Net:\n    def _rulebook(self, t):\n"
+              "        return sparseconv.build_rulebook(t.coords, t.grid, 3)\n"
+              "def f():\n    def g():\n        return build_rulebook(c, g, 5)\n"
+              "def h():\n    return build_rulebook\n")
+    assert callers(source, "build_rulebook") == {"<module>", "Net._rulebook", "f.g"}

@@ -121,6 +121,13 @@ class TestSynthAndSample:
         assert main(["synth", "--out-dir", str(root), "--frames", "2", flag, "0"]) == 2
         assert not root.exists()
 
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_synth_without_points_exits_2(self, tmp_path, capsys, n):
+        root = tmp_path / "out"
+        assert main(["synth", "--out-dir", str(root), "--frames", "2", "--n-points", n]) == 2
+        assert "n_points" in capsys.readouterr().err
+        assert not root.exists()
+
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_synth_without_sequences_exits_2(self, tmp_path, capsys, n):
         root = tmp_path / "out"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import finite_difference, max_rel_err
-from lim3d import (LossConfig, ValidationError, kl_consistency, lovasz_softmax,
+from lim3d import (DomainError, LossConfig, ValidationError, kl_consistency, lovasz_softmax,
                    total_loss)
 from lim3d.autodiff import Tensor, softmax
 
@@ -107,6 +107,17 @@ class TestKlConsistency:
         with pytest.raises(ValidationError):
             kl_consistency(np.array([[0.5, 0.5]]), np.array([[0.9, 0.3]]))
 
+    @pytest.mark.parametrize("side", ["student", "teacher"])
+    def test_nan_row_rejected(self, side):
+        rows = {"student": np.array([[0.5, 0.5], [0.5, 0.5]]),
+                "teacher": np.array([[0.5, 0.5], [0.5, 0.5]])}
+        rows[side][1, 0] = np.nan
+        with pytest.raises(ValidationError, match=f"{side} rows must be probability vectors"):
+            kl_consistency(rows["student"], rows["teacher"])
+
+    def test_empty_rows_accepted(self):
+        assert kl_consistency(np.empty((0, 3)), np.empty((0, 3))).item() == 0.0
+
     def test_gradient_matches_finite_differences(self, rng):
         teacher = np.abs(rng.normal(size=(5, 3))) + 0.1
         teacher /= teacher.sum(axis=1, keepdims=True)
@@ -120,6 +131,21 @@ class TestKlConsistency:
         loss.backward()
         fd = finite_difference(lambda v: f(v)[1].item(), logits)
         assert max_rel_err(t.grad, fd) < 1e-3
+
+
+class TestLossConfig:
+    @pytest.mark.parametrize("bad", [
+        dict(kappa=math.nan), dict(kappa=1.5), dict(kappa=-0.1),
+        dict(lambda_u=math.nan), dict(lambda_u=-1.0), dict(lambda_u=math.inf),
+        dict(lambda_c=math.nan), dict(lambda_c=-0.3), dict(lambda_c=math.inf),
+        dict(stage="test")])
+    def test_bad_setting_raises_domain_error(self, bad):
+        with pytest.raises(DomainError):
+            LossConfig(**bad)
+
+    def test_zero_weights_and_kappa_bounds_accepted(self):
+        for kw in (dict(kappa=0.0, lambda_u=0.0, lambda_c=0.0), dict(kappa=1.0)):
+            LossConfig(**kw)
 
 
 class TestTotalLoss:

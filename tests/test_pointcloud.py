@@ -125,7 +125,7 @@ class TestRangeProjection:
             with pytest.raises(ValidationError, match="range"):
                 PointCloud(xyz=[[3e38, 3e38, 0], [3, 0, 0]], intensity=[0, 0])
             # One band of points beyond float32's range, every coordinate inside it.
-            spec = SceneSpec(n_points=20, n_classes=1,
+            spec = SceneSpec(n_points=20, n_classes=1, moving_class=0,
                              class_bands=((3.0e38, 3.3e38, 2.0e38, 2.2e38, 0.1, 0.2),))
             with pytest.raises(ValidationError, match="range"):
                 synth_sequence(spec, 2, seed=0)
@@ -187,6 +187,21 @@ class TestRangeOracle:
 
 
 class TestSynthSequence:
+    @pytest.mark.parametrize("bad", [dict(n_points=-5), dict(n_points=0), dict(n_points=2.5),
+                                     dict(moving_class=7), dict(moving_class=3),
+                                     dict(moving_class=-1), dict(moving_class=1.0),
+                                     dict(n_classes=2, moving_class=2)])
+    def test_bad_scene_raises_domain_error(self, bad):
+        with pytest.raises(DomainError):
+            SceneSpec(**bad)
+
+    @pytest.mark.parametrize("moving_class", [0, 1, 2])
+    def test_only_the_moving_class_moves(self, moving_class):
+        spec = SceneSpec(n_points=90, segment_speeds=(1.0,), moving_class=moving_class)
+        (a, _), (b, _) = synth_sequence(spec, 2, seed=3)
+        moved = np.any(a.xyz != b.xyz, axis=1)
+        np.testing.assert_array_equal(moved, a.labels == moving_class)
+
     def test_deterministic(self):
         spec = SceneSpec(n_points=100)
         a = synth_sequence(spec, 4, seed=9)
@@ -209,12 +224,13 @@ class TestSynthSequence:
 
     @pytest.mark.parametrize("spec", [
         SceneSpec(n_points=900, segment_length=3, segment_speeds=(0.0, 0.7, 0.0, 2.5, 9.0)),
-        SceneSpec(n_points=400, n_classes=1, segment_length=2, segment_speeds=(1.5, 0.0)),
-        SceneSpec(n_points=500, n_classes=2, moving_class=2, segment_length=2,
+        SceneSpec(n_points=400, n_classes=1, moving_class=0, segment_length=2,
+                  segment_speeds=(1.5, 0.0)),
+        SceneSpec(n_points=500, n_classes=2, moving_class=1, segment_length=2,
                   segment_speeds=(3.0, 0.0, 3.0, -3.0)),
         SceneSpec(n_points=300, segment_speeds=(0.0,)),
         SceneSpec(n_points=2000, image_width=512, image_height=64, segment_speeds=(0.0, 1.0)),
-    ], ids=["speeds", "one-class", "clamped-moving-class", "static", "wide"])
+    ], ids=["speeds", "one-class", "two-classes", "static", "wide"])
     def test_images_equal_a_full_projection(self, spec):
         # Within 14 frames every moving profile carries some points past the 12 m wrap.
         frames = synth_sequence(spec, 14, seed=4)
@@ -238,7 +254,7 @@ class TestSynthSequence:
         with pytest.raises(DomainError):
             synth_sequence(SceneSpec(n_points=50, **kw), 2, seed=0)
         with pytest.raises(DomainError):
-            synth_sequence(SceneSpec(n_points=50, n_classes=1, **kw), 2, seed=0)
+            synth_sequence(SceneSpec(n_points=50, n_classes=1, moving_class=0, **kw), 2, seed=0)
 
     @pytest.mark.parametrize("kw, n_frames", [({}, 0), (dict(image_width=0), 2),
                                               (dict(image_height=0), 2),

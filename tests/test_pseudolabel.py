@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import finite_difference, max_rel_err
-from lim3d import (ContrastiveConfig, DegenerateEmbeddingError, MemoryBank, ShapeError,
-                   VoxelPredictions, bank_push_negatives, build_anchor_set,
+from lim3d import (ContrastiveConfig, DegenerateEmbeddingError, DomainError, MemoryBank,
+                   ShapeError, ValidationError, VoxelPredictions, bank_push_negatives, build_anchor_set,
                    crb_select, entropy_partition, infonce_loss,
                    positive_center, shannon_entropy)
 from lim3d.autodiff import Tensor
@@ -201,6 +201,36 @@ class TestPositiveCenter:
         for v in vecs:
             acc += v
         np.testing.assert_allclose(positive_center(vecs).data, acc / 100, atol=1e-6)
+
+
+class TestConfigs:
+    @pytest.mark.parametrize("bad", [
+        dict(n_negatives=2.5), dict(n_negatives=0), dict(n_negatives=True),
+        dict(max_anchors=True), dict(max_anchors=0), dict(max_anchors=64.0),
+        dict(capacity=1.5), dict(capacity=0),
+        dict(tau=math.nan), dict(tau=0.0), dict(tau=-0.5), dict(tau=math.inf),
+        dict(delta_p=math.nan), dict(delta_p=1.0), dict(delta_p=0.0)])
+    def test_bad_contrastive_setting_raises_domain_error(self, bad):
+        with pytest.raises(DomainError):
+            ContrastiveConfig(**bad)
+
+    @pytest.mark.parametrize("n_classes, capacity", [(3, 4.5), (2.5, 4), (0, 4), (3, 0),
+                                                     (True, 4), (3, -1), ("3", 4)])
+    def test_bad_bank_size_raises_domain_error(self, n_classes, capacity):
+        with pytest.raises(DomainError):
+            MemoryBank(n_classes, capacity)
+
+    def test_numpy_counts_accepted(self):
+        cfg = ContrastiveConfig(n_negatives=np.int64(3), capacity=np.int32(16),
+                                max_anchors=np.int64(4))
+        assert MemoryBank(np.int64(2), cfg.capacity).n_classes == 2
+
+    @pytest.mark.parametrize("probs", [[[np.nan, 0.5]], [[0.5, 0.6]], [[1.2, -0.2]],
+                                       np.ones((2, 0))])
+    def test_bad_probability_rows_rejected(self, probs):
+        probs = np.asarray(probs, dtype=np.float64)
+        with pytest.raises(ValidationError, match="nonnegative and sum to 1"):
+            VoxelPredictions(probs=probs, embeddings=np.zeros((len(probs), 2)))
 
 
 class TestMemoryBank:

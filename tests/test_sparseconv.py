@@ -10,9 +10,10 @@ from conftest import (conv_tensor, draw_conv, finite_difference, identity_weight
                       peak_bytes, random_sparse_tensor)
 from dense_reference import (dense_pointwise_reference, dense_separable_reference,
                              dense_spatial_reference)
-from lim3d import (ConvSpec, CylGridSpec, DomainError, LayerSpec, ShapeError,
-                   SparseVoxelTensor, apply_pointwise, apply_spatial, build_rulebook, conv_cost,
-                   densify, glorot_weights, pointwise_forward, spatial_forward, topology_cost)
+from lim3d import (ConvSpec, CylGridSpec, DomainError, LayerSpec, MiniSegNet, SceneSpec,
+                   ShapeError, SparseVoxelTensor, apply_pointwise, apply_spatial, build_rulebook,
+                   conv_cost, densify, glorot_weights, pointwise_forward, spatial_forward,
+                   synth_sequence, topology_cost, voxelize)
 from lim3d.autodiff import Tensor
 from lim3d.sparseconv import SPATIAL_BLOCK
 
@@ -432,6 +433,42 @@ def frame_of(rng, n_sites, channels, grid=CylGridSpec(12, 16, 8, 12.0, (0.0, 8.0
     coords = np.column_stack(np.unravel_index(keys, grid.shape)).reshape(-1, 3)
     return SparseVoxelTensor(grid=grid, coords=coords,
                              features=rng.normal(size=(n_sites, channels)))
+
+
+def _foreign_table(t, case):
+    """A rulebook that does not fit `t`: built over fewer sites, over more
+    sites (`t`'s plus cells it leaves inactive) or for a 5-wide kernel."""
+    if case == "fewer_sites":
+        return build_rulebook(t.coords[:-11], t.grid, 3)
+    if case == "more_sites":
+        free = np.setdiff1d(np.arange(t.grid.n_cells), t.grid.cell_key(*t.coords.T))[:11]
+        extra = np.column_stack(np.unravel_index(free, t.grid.shape))
+        return build_rulebook(np.concatenate([t.coords, extra]), t.grid, 3)
+    return build_rulebook(t.coords, t.grid, 5)
+
+
+class TestRulebookFitsItsTensor:
+    """A table of another frame or kernel size raises `ShapeError` wherever
+    it is passed, not a short output or an index or broadcast error."""
+
+    @pytest.fixture
+    def frame(self):
+        pc, _ = synth_sequence(SceneSpec(n_points=150), 1, seed=0)[0]
+        return voxelize(pc, CylGridSpec(8, 12, 5, 20.0, (-1.0, 5.0)))
+
+    @pytest.mark.parametrize("case", ["fewer_sites", "more_sites", "kernel_5"])
+    @pytest.mark.parametrize("entry", ["predict", "forward", "apply_spatial", "spatial_forward"])
+    def test_foreign_table_raises_shape_error(self, frame, rng, case, entry):
+        rb = _foreign_table(frame, case)
+        assert (rb.n_sites != frame.n_active) == (case != "kernel_5")
+        net = MiniSegNet(4, 3, widths=(8,), seed=0)
+        k, w, _ = draw_conv(rng, "depthwise", 4, 4, 3)
+        run = {"predict": lambda: net.predict(frame, rb),
+               "forward": lambda: net.forward(frame, net.param_tensors(), rb),
+               "apply_spatial": lambda: apply_spatial(frame.features, rb, k, w),
+               "spatial_forward": lambda: spatial_forward(frame.features, rb.neighbors, w)}
+        with pytest.raises(ShapeError, match="does not fit"):
+            run[entry]()
 
 
 # Empty, exactly one block, one block and one row, and a ragged third block.

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import max_rel_err
+from conftest import max_rel_err, rulebook_of
 from lim3d import (ContrastiveConfig, ConvSpec, DivergenceError, DomainError, LayerSpec, LossConfig, MemoryBank,
                    MiniSegNet, SceneSpec, ShapeError, Tensor, ToyPipelineConfig, ValidationError,
                    VoxelPredictions, confusion_matrix, crb_select, ema_update,
@@ -95,8 +95,9 @@ class TestNetwork:
         grid = CylGridSpec(8, 12, 5, 20.0, (-1.0, 5.0))
         svt = voxelize(frames[0][0], grid)
         net = MiniSegNet(4, 3, widths=(8, 8), seed=0)
-        p1, e1 = net.predict(svt)
-        p2, e2 = net.predict(svt)
+        rb = rulebook_of(svt)
+        p1, e1 = net.predict(svt, rb)
+        p2, e2 = net.predict(svt, rb)
         assert p1.shape == (svt.n_active, 3)
         assert e1.shape == (svt.n_active, 8)
         np.testing.assert_array_equal(p1, p2)
@@ -111,11 +112,12 @@ class TestNetwork:
         t = random_sparse_tensor(rng, channels=2, max_dim=3, max_active=6)
         labels = rng.integers(0, 2, size=t.n_active)
         net = MiniSegNet(2, 2, widths=(3,), seed=0)
+        rb = rulebook_of(t)
 
         def loss_at(flat):
             net.load_flat(flat)
             params = net.param_tensors()
-            logits, _ = net.forward(t, params=params)
+            logits, _ = net.forward(t, params=params, rulebook=rb)
             return params, lovasz_softmax(softmax(logits, axis=1), labels)
 
         flat0 = net.flat()
@@ -134,12 +136,13 @@ class TestNetwork:
         grid = CylGridSpec(8, 12, 5, 20.0, (-1.0, 5.0))
         svt = voxelize(frames[0][0], grid)
         net = MiniSegNet(4, 3, widths=(8,), seed=0)
-        probs, emb = net.predict(svt)
+        probs, emb = net.predict(svt, rulebook_of(svt))
         assert isinstance(probs, np.ndarray) and isinstance(emb, np.ndarray)
 
     def test_predict_equals_softmax_of_forward(self):
         """`predict` runs the kernels on arrays, `forward` the nodes over
-        them; both agree bit for bit at either features dtype."""
+        them with live weights; both agree bit for bit at either features
+        dtype."""
         from lim3d.autodiff import softmax
 
         frames = synth_sequence(SceneSpec(n_points=150), 1, seed=0)
@@ -148,9 +151,9 @@ class TestNetwork:
         for dtype in (np.float32, np.float64):
             svt = voxelize(frames[0][0], grid)
             svt = svt.with_features(svt.features.astype(dtype))
-            probs, emb = net.predict(svt)
-            logits, embeddings = net.forward(svt)
-            assert logits._parents == () and embeddings._parents == ()
+            rb = rulebook_of(svt)
+            probs, emb = net.predict(svt, rb)
+            logits, embeddings = net.forward(svt, net.param_tensors(), rb)
             np.testing.assert_array_equal(probs, softmax(logits, axis=1).data)
             np.testing.assert_array_equal(emb, embeddings.data)
             assert probs.dtype == np.float64 and emb.dtype == dtype
@@ -159,6 +162,7 @@ class TestNetwork:
         frames = synth_sequence(SceneSpec(n_points=150), 1, seed=0)
         svt = voxelize(frames[0][0], CylGridSpec(8, 12, 5, 20.0, (-1.0, 5.0)))
         net = MiniSegNet(4, 3, widths=(8, 8), seed=0)
+        rb = rulebook_of(svt)
         created = []
         init = Tensor.__init__
 
@@ -167,7 +171,7 @@ class TestNetwork:
             created.append(tensor)
 
         monkeypatch.setattr(Tensor, "__init__", recording_init)
-        probs, emb = net.predict(svt)
+        probs, emb = net.predict(svt, rb)
         assert created == []
         assert isinstance(probs, np.ndarray) and isinstance(emb, np.ndarray)
 
@@ -197,10 +201,11 @@ class TestNetwork:
         frames = synth_sequence(SceneSpec(n_points=150), 1, seed=0)
         svt = voxelize(frames[0][0], CylGridSpec(8, 12, 5, 20.0, (-1.0, 5.0)))
         net = MiniSegNet(4, 3, widths, kernel_size, seed=2)
+        rb = rulebook_of(svt, kernel_size)
         for dtype in (np.float32, np.float64):
             t = svt.with_features(svt.features.astype(dtype))
-            probs, emb = net.predict(t)
-            logits, embeddings = net.forward(t)
+            probs, emb = net.predict(t, rb)
+            logits, embeddings = net.forward(t, net.param_tensors(), rb)
             assert probs.tobytes() == softmax(logits, axis=1).data.tobytes()
             assert emb.dtype == dtype and emb.tobytes() == embeddings.data.tobytes()
         if not widths:  # a network with no blocks embeds its input features
@@ -370,10 +375,27 @@ class TestToyPipeline:
             ToyPipelineConfig(**bad)
 
     @pytest.mark.parametrize("bad", [dict(n_sequences=0), dict(n_sequences=-1),
-                                     dict(steps_stage1=-1), dict(steps_stage3=-3)])
+                                     dict(steps_stage1=-1), dict(steps_stage3=-3),
+                                     dict(steps_stage1=2.5), dict(steps_stage3=True),
+                                     dict(frames_per_sequence=1.5), dict(frames_per_sequence=0),
+                                     dict(subset_size=0), dict(n_sequences=True)])
     def test_bad_count_fails_at_construction(self, bad):
         with pytest.raises(DomainError):
             ToyPipelineConfig(**bad)
+
+    @pytest.mark.parametrize("bad", [
+        dict(lr=-1.0), dict(lr=0.0), dict(lr=float("nan")), dict(lr=float("inf")),
+        dict(momentum=1.0), dict(momentum=-0.1), dict(momentum=float("nan")),
+        dict(kappa=2.0), dict(kappa=float("nan")), dict(lambda_u=float("nan")),
+        dict(lambda_c=-1.0)])
+    def test_bad_rate_or_loss_weight_fails_at_construction(self, bad):
+        with pytest.raises(DomainError):
+            ToyPipelineConfig(**bad)
+
+    def test_stage_losses_share_the_config_weights(self):
+        cfg = ToyPipelineConfig(kappa=0.5, lambda_u=2.0, lambda_c=0.1)
+        assert cfg.loss_config("distill") == LossConfig(0.5, 2.0, 0.1, "distill")
+        assert ToyPipelineConfig(steps_stage1=np.int64(0), momentum=0.0).steps_stage1 == 0
 
     def test_zero_steps_equals_random_baseline(self):
         cfg = ToyPipelineConfig(stages=(1,), steps_stage1=0, seed=5,
