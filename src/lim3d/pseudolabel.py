@@ -45,8 +45,8 @@ class VoxelPredictions:
     """Per-voxel softmax rows and embeddings for one frame.
 
     Embeddings stay float32 or float64 as given (any other dtype becomes
-    float64). `radii` (voxel center distance from the sensor axis) enables
-    range-balanced filtering; it is optional.
+    float64). `radii` (voxel center distance from the sensor axis, finite)
+    enables range-balanced filtering; it is optional.
     """
 
     probs: np.ndarray               # (v, n_classes), rows sum to 1
@@ -72,6 +72,8 @@ class VoxelPredictions:
             radii = np.ascontiguousarray(self.radii, dtype=np.float64).reshape(-1)
             if len(radii) != len(probs):
                 raise ShapeError("radii must align with probs rows")
+            if not np.isfinite(radii).all():
+                raise ValidationError("radii must be finite")
             object.__setattr__(self, "radii", radii)
 
     @property
@@ -113,9 +115,15 @@ class PseudoLabelSet:
         return len(self.labels) == n_voxels
 
 
+def _check_class(class_id: int, n_classes: int) -> None:
+    if not (is_count(class_id, 0) and class_id < n_classes):
+        raise DomainError(f"class_id {class_id!r} out of range [0, {n_classes})")
+
+
 class MemoryBank:
     """Per-class FIFO queues of negative embeddings with a fixed capacity:
-    each class holds one array of its newest rows, oldest first."""
+    each class holds one array of its newest rows, oldest first. A class id
+    outside ``[0, n_classes)`` raises `DomainError`."""
 
     def __init__(self, n_classes: int, capacity: int = 256):
         if not (is_count(n_classes) and is_count(capacity)):
@@ -131,6 +139,7 @@ class MemoryBank:
     def push(self, class_id: int, rows: np.ndarray) -> None:
         """Append one row ``(d,)`` or a block ``(n, d)``, evicting the oldest
         rows past `capacity`."""
+        _check_class(class_id, self.n_classes)
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))[-self.capacity:]
         held = self._rows[class_id]
         kept = np.concatenate([held, rows])[-self.capacity:] if held.size else rows.copy()
@@ -138,10 +147,12 @@ class MemoryBank:
         self._rows[class_id] = kept
 
     def size(self, class_id: int) -> int:
+        _check_class(class_id, self.n_classes)
         return len(self._rows[class_id])
 
     def newest(self, class_id: int, k: int) -> np.ndarray:
         """The `k` most recently pushed negatives, oldest of them first."""
+        _check_class(class_id, self.n_classes)
         held = self._rows[class_id]
         if len(held) < k:
             raise ValidationError(f"class {class_id}: {len(held)} negatives < {k} requested")
@@ -203,10 +214,11 @@ def crb_select(pls: PseudoLabelSet, v: VoxelPredictions,
     """Keep only the most confident reliable voxels, balanced per class and range.
 
     Within each class and each radial band (near/mid/far thirds of the
-    observed radius range, or a single band when radii are absent), the top
-    ``ceil(per_class_keep * n)`` voxels by class probability stay reliable;
-    the rest are demoted to the unreliable group. Ties prefer the lower
-    voxel id.
+    observed radius range; one band when radii are absent or all equal),
+    the top ``ceil(per_class_keep * n)`` voxels by class probability stay
+    reliable; the rest are demoted to the unreliable group. Ties prefer the
+    lower voxel id: one sort orders the voxels by group, confidence
+    descending and id, and a voxel's rank is its offset in its group.
     """
     if not 0.0 < per_class_keep <= 1.0:
         raise DomainError(f"per_class_keep must lie in (0, 1], got {per_class_keep}")
@@ -217,27 +229,17 @@ def crb_select(pls: PseudoLabelSet, v: VoxelPredictions,
     if ids.size == 0:
         return pls
     classes = pls.labels[ids]
-
-    if v.radii is not None:
-        r = v.radii[ids]
-        lo, hi = float(r.min()), float(r.max())
-        if hi > lo:
-            band = np.minimum(np.floor((r - lo) / (hi - lo) * 3).astype(np.int64), 2)
-        else:
-            band = np.zeros(ids.size, dtype=np.int64)
-    else:
-        band = np.zeros(ids.size, dtype=np.int64)
-
+    r = v.radii[ids] if v.radii is not None else np.zeros(ids.size)
+    lo, hi = r.min(), r.max()
+    band = np.minimum(np.floor((r - lo) / (hi - lo if hi > lo else np.inf) * 3), 2)
+    group = classes * 3 + band.astype(np.int64)
+    order = np.lexsort((ids, -v.probs[ids, classes], group))
+    sorted_group = group[order]
+    first = np.searchsorted(sorted_group, sorted_group)
+    size = np.searchsorted(sorted_group, sorted_group, side="right") - first
+    demoted = np.arange(ids.size) - first >= np.ceil(per_class_keep * size)
     labels = pls.labels.copy()
-    for cls in np.unique(classes):
-        for b in np.unique(band):
-            group = ids[(classes == cls) & (band == b)]
-            if group.size == 0:
-                continue
-            conf = v.probs[group, cls]
-            n_keep = math.ceil(per_class_keep * group.size)
-            order = np.lexsort((group, -conf))  # confidence desc, id asc on ties
-            labels[group[order[n_keep:]]] = -1
+    labels[ids[order[demoted]]] = -1
     return PseudoLabelSet(labels=labels)
 
 
@@ -257,8 +259,10 @@ def build_anchor_set(v: VoxelPredictions, pls: PseudoLabelSet,
 
     A voxel qualifies when its label in `pls` equals the class and its
     softmax probability for the class exceeds the confidence threshold.
-    Returns at most `cfg.max_anchors` anchors (lowest voxel ids first).
+    Returns at most `cfg.max_anchors` anchors (lowest voxel ids first). A
+    class id outside ``[0, n_classes)`` raises `DomainError`.
     """
+    _check_class(class_id, v.n_classes)
     _check_aligned(v, pls)
     eligible = np.flatnonzero((pls.labels == class_id) & (v.probs[:, class_id] > cfg.delta_p))
     eligible = eligible[: cfg.max_anchors]
@@ -276,13 +280,15 @@ def positive_center(anchors: np.ndarray | Tensor):
 def bank_push_negatives(bank: MemoryBank, v: VoxelPredictions, pls: PseudoLabelSet,
                         class_id: int) -> MemoryBank:
     """Push unreliable voxels whose probability rank for `class_id` is in the
-    bottom half of their class distribution; oldest entries are evicted."""
-    if not 0 <= class_id < v.n_classes:
-        raise DomainError(f"class_id {class_id} out of range")
+    bottom half of their class distribution; oldest entries are evicted. The
+    rank counts the classes of lower probability, and of equal probability
+    and lower id: its place in a stable ascending sort of the row."""
+    _check_class(class_id, v.n_classes)
     _check_aligned(v, pls)
     ids = np.flatnonzero(pls.labels < 0)
-    order = np.argsort(v.probs[ids], axis=1, kind="stable")
-    rank = (order == class_id).argmax(axis=1)
+    probs = v.probs[ids]
+    own = probs[:, class_id:class_id + 1]
+    rank = (probs < own).sum(axis=1) + (probs[:, :class_id] == own).sum(axis=1)
     # Only the newest `capacity` rows would survive the push; gather no more.
     bank.push(class_id, v.embeddings[ids[rank < math.ceil(v.n_classes / 2)][-bank.capacity:]])
     return bank

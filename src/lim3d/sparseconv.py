@@ -129,7 +129,10 @@ class Rulebook:
 
 def build_rulebook(coords: np.ndarray, grid: CylGridSpec, kernel_size: int) -> Rulebook:
     """Neighbor table for every kernel tap over the given active sites, built
-    `SPATIAL_BLOCK` sites at a time so its temporaries stay bounded."""
+    `SPATIAL_BLOCK` sites at a time so its temporaries stay bounded.
+    `kernel_size` must be an odd integer >= 1, else `DomainError`."""
+    if not is_count(kernel_size) or kernel_size % 2 == 0:
+        raise DomainError(f"kernel_size must be an odd positive integer, got {kernel_size!r}")
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
     n, taps = len(coords), kernel_size ** 3
     keys = grid.cell_key(*coords.T)

@@ -180,6 +180,8 @@ class ToyPipelineConfig:
             raise DomainError("percentile must lie in [0, 100)")
         if not 0.0 < self.per_class_keep <= 1.0:
             raise DomainError("per_class_keep must lie in (0, 1]")
+        # `LayerSpec` checks the widths and kernel size of the network to be built.
+        mini_backbone_topology(1, self.scene.n_classes, self.widths, self.kernel_size)
 
     def loss_config(self, stage: str = "train") -> LossConfig:
         """The loss weights for one training stage, checked by `LossConfig`
@@ -189,7 +191,7 @@ class ToyPipelineConfig:
 
 @dataclass
 class Frame:
-    """A cloud as the network sees it: voxels, their rulebook and radii.
+    """A cloud as the network sees it: its voxels and their rulebook.
 
     `pseudo` holds the frame's training labels, None until it has some:
     `run_toy_pipeline` sets it to the ground truth (every voxel reliable)
@@ -199,7 +201,6 @@ class Frame:
 
     svt: SparseVoxelTensor
     rulebook: Rulebook
-    radii: np.ndarray
     pseudo: PseudoLabelSet | None = None
 
 
@@ -211,9 +212,7 @@ def prepare_frame(pc, grid: CylGridSpec, reflec: ReflecConfig | None,
         feats = coarse_histograms(pc, normalize_reflectivity(reflectivity(pc)), reflec)
         pc = augment(pc, feats)
     svt = voxelize(pc, grid)
-    rb = build_rulebook(svt.coords, svt.grid, kernel_size)
-    radii = grid.voxel_centers(svt.coords)[:, 0]
-    return Frame(svt=svt, rulebook=rb, radii=radii)
+    return Frame(svt=svt, rulebook=build_rulebook(svt.coords, svt.grid, kernel_size))
 
 
 def label_frame(teacher: MiniSegNet, frame: Frame, percentile: float,
@@ -222,10 +221,12 @@ def label_frame(teacher: MiniSegNet, frame: Frame, percentile: float,
 
     Voxels above the `percentile` of the frame's entropy are unreliable;
     percentile 0 marks every voxel reliable. `crb_select` then keeps the
-    `per_class_keep` most confident reliable voxels per class and range band.
+    `per_class_keep` most confident reliable voxels per class and range band,
+    the bands cut from the voxel centers' radii on the frame's grid.
     """
     probs, emb = teacher.predict(frame.svt, rulebook=frame.rulebook)
-    vp = VoxelPredictions(probs=probs, embeddings=emb, radii=frame.radii)
+    radii = frame.svt.grid.voxel_centers(frame.svt.coords)[:, 0]
+    vp = VoxelPredictions(probs=probs, embeddings=emb, radii=radii)
     if percentile == 0.0:
         pls = PseudoLabelSet(labels=probs.argmax(axis=1))
     else:
@@ -259,15 +260,14 @@ def train_step(student: MiniSegNet, teacher: MiniSegNet, frame: Frame, opt: SGD,
 
     lc = None
     if bank is not None and loss_cfg.stage == "distill" and pls is not None:
-        vp = VoxelPredictions(probs=probs.data, embeddings=emb.data, radii=frame.radii)
+        vp = VoxelPredictions(probs=probs.data, embeddings=emb.data)
+        anchors = {}
         for c in range(student.n_classes):
             bank_push_negatives(bank, vp, pls, c)
-        anchors, positives = {}, {}
-        for c in range(student.n_classes):
             a_ids, _ = build_anchor_set(vp, pls, contrastive, c)
             if len(a_ids):
                 anchors[c] = emb.take(a_ids)
-                positives[c] = positive_center(anchors[c])
+        positives = {c: positive_center(a) for c, a in anchors.items()}
         lc = infonce_loss(anchors, positives, bank, contrastive)
 
     loss = total_loss(ls, lu, lc, loss_cfg)
@@ -456,7 +456,9 @@ def load_model(path: str | os.PathLike) -> tuple[MiniSegNet, CylGridSpec, Reflec
 
     Raises:
         FormatError: the file is not a complete model (not a zip archive,
-            truncated, a bad checksum, a missing key or a malformed value).
+            truncated, a bad checksum, a missing key or a malformed value),
+            or its `in_channels` is not the 4 point features plus the
+            histogram width of its reflectivity config.
     """
     with open(path, "rb") as f:
         try:
@@ -485,6 +487,11 @@ def load_model(path: str | os.PathLike) -> tuple[MiniSegNet, CylGridSpec, Reflec
             (int(r), int(p)) for r, p in saved["reflec_grids"])) if n_bins > 0 else None
         shape = (int(saved["in_channels"]), int(saved["n_classes"]),
                  tuple(int(w) for w in saved["widths"]), int(saved["kernel_size"]))
+        # `voxelize` emits (dx, dy, dz, intensity), then the histograms.
+        n_features = 4 + (reflec.feature_dim if reflec is not None else 0)
+        if shape[0] != n_features:
+            raise FormatError(f"in_channels {shape[0]} does not match the {n_features} "
+                              f"input features of the grid and reflectivity config")
         # Checked before the network allocates its layers.
         _, cost = topology_cost(mini_backbone_topology(*shape), 0)
         if cost.trainable_params != saved["flat"].size:

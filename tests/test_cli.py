@@ -513,7 +513,7 @@ class TestPseudoModelContract:
         assert n_voxels == voxelize(frame, small).n_active <= small.n_cells
 
     @pytest.mark.parametrize("damage", ["truncated", "not_zip", "key_missing", "nan_rho_max",
-                                        "inf_z_range"])
+                                        "inf_z_range", "feature_width"])
     def test_malformed_model_exits_2(self, dataset, model, tmp_path, capsys, damage):
         bad = tmp_path / "bad.npz"
         if damage == "truncated":
@@ -527,6 +527,9 @@ class TestPseudoModelContract:
                 del saved["grid_bins"]
             elif damage == "nan_rho_max":
                 saved["grid_rho_max"] = np.array(np.nan)
+            elif damage == "feature_width":  # 4 + 2 x 5 histogram bins, not 4 inputs
+                saved["reflec_bins"] = np.array(5)
+                saved["reflec_grids"] = np.array([[4, 8], [8, 16]])
             else:
                 saved["grid_z_range"] = np.array([-1.0, np.inf])
             np.savez(bad, **saved)

@@ -119,14 +119,19 @@ class TestCrbSelect:
        percentile=st.one_of(st.just(0.0), st.floats(0.0, 100.0, exclude_min=True,
                                                     exclude_max=True)),
        keep=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
-       with_radii=st.booleans())
-def test_partition_matches_per_voxel_oracle(seed, n, c, percentile, keep, with_radii):
+       quantized=st.booleans(), radii_kind=st.sampled_from(["none", "repeated", "equal"]))
+def test_partition_matches_per_voxel_oracle(seed, n, c, percentile, keep, quantized,
+                                            radii_kind):
     """Entropy split then CRB filter equal the dict-and-set versions, with
     ties in entropy, in class probability and in radius across bands."""
     rng = np.random.default_rng(seed)
-    logits = rng.integers(0, 3, size=(n, c)).astype(np.float64)  # repeated rows: ties
-    probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-    radii = rng.choice([1.0, 2.5, 2.5, 7.0, 9.0], size=n) if with_radii else None
+    if quantized:  # eighths: equal class probabilities across unequal rows
+        probs = rng.multinomial(8, np.full(c, 1.0 / c), size=n) / 8.0
+    else:
+        logits = rng.integers(0, 3, size=(n, c)).astype(np.float64)  # repeated rows: ties
+        probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+    radii = {"none": None, "repeated": rng.choice([1.0, 2.5, 2.5, 7.0, 9.0], size=n),
+             "equal": np.full(n, 4.0)}[radii_kind]  # "equal": a zero radius span
     vp = VoxelPredictions(probs=probs, embeddings=np.zeros((n, 2)), radii=radii)
     if percentile == 0.0:  # `label_frame`'s rule: every voxel starts reliable
         pls = PseudoLabelSet(labels=probs.argmax(axis=1))
@@ -225,6 +230,12 @@ class TestConfigs:
                                 max_anchors=np.int64(4))
         assert MemoryBank(np.int64(2), cfg.capacity).n_classes == 2
 
+    @pytest.mark.parametrize("radii", [[1.0, np.nan], [np.inf, 2.0]])
+    def test_non_finite_radii_rejected(self, radii):
+        with pytest.raises(ValidationError, match="radii must be finite"):
+            VoxelPredictions(probs=np.full((2, 2), 0.5), embeddings=np.zeros((2, 2)),
+                             radii=np.array(radii))
+
     @pytest.mark.parametrize("probs", [[[np.nan, 0.5]], [[0.5, 0.6]], [[1.2, -0.2]],
                                        np.ones((2, 0))])
     def test_bad_probability_rows_rejected(self, probs):
@@ -262,6 +273,9 @@ class TestMemoryBank:
         vp = make_predictions(rng, n=40, c=5)
         probs = vp.probs.copy()
         probs[::3] = 0.2  # uniform rows: the stable sort breaks ties by class id
+        # Rows with some tied classes: a tie ranks the lower class id lower.
+        probs[1::3] = rng.permuted(np.tile([0.3, 0.3, 0.2, 0.1, 0.1], (len(probs[1::3]), 1)),
+                                   axis=1)
         vp = VoxelPredictions(probs=probs, embeddings=vp.embeddings)
         unreliable = frozenset(rng.choice(40, size=25, replace=False).tolist())
         pls = PseudoLabelSet(labels=[-1 if i in unreliable else 0 for i in range(40)])
@@ -274,6 +288,30 @@ class TestMemoryBank:
             if expect:
                 np.testing.assert_array_equal(bank.newest(c, len(expect)),
                                               vp.embeddings[expect])
+
+    @pytest.mark.parametrize("class_id", [-1, 3, 2.0, True, None])
+    def test_class_id_outside_the_bank_raises_domain_error(self, rng, class_id):
+        bank = MemoryBank(n_classes=3, capacity=4)
+        bank.push(2, rng.normal(size=(2, 4)))
+        with pytest.raises(DomainError):
+            bank.push(class_id, rng.normal(size=(1, 4)))
+        with pytest.raises(DomainError):
+            bank.size(class_id)
+        with pytest.raises(DomainError):
+            bank.newest(class_id, 1)
+        with pytest.raises(DomainError):
+            infonce_loss({class_id: np.ones((1, 4))}, {class_id: np.ones(4)}, bank,
+                         ContrastiveConfig(n_negatives=1))
+        assert bank.size(2) == 2  # no bad push reached class 2's queue
+
+    @pytest.mark.parametrize("class_id", [-1, 3, 1.0, False])
+    def test_class_id_outside_the_predictions_raises_domain_error(self, rng, class_id):
+        vp = make_predictions(rng, n=10, c=3)
+        pls = PseudoLabelSet(labels=[-1] * 5 + [0] * 5)
+        with pytest.raises(DomainError):
+            build_anchor_set(vp, pls, ContrastiveConfig(delta_p=0.1), class_id)
+        with pytest.raises(DomainError):
+            bank_push_negatives(MemoryBank(n_classes=3), vp, pls, class_id)
 
     def test_empty_unreliable_no_change(self, rng):
         vp = make_predictions(rng, n=5)

@@ -59,6 +59,13 @@ class TestKernelValidation:
         spec = ConvSpec("standard", np.int64(2), np.int32(3), np.uint8(3), False)
         assert spec.weight_shape == (3, 3, 3, 2, 3)
 
+    @pytest.mark.parametrize("kernel_size", [4, 2, 0, -1, 2.0, 3.0, True, None])
+    def test_rulebook_needs_an_odd_integer_kernel_size(self, kernel_size):
+        grid = CylGridSpec(3, 4, 3, rho_max=3.0, z_range=(0.0, 3.0))
+        with pytest.raises(DomainError, match="kernel_size"):
+            build_rulebook(np.array([[0, 0, 0], [1, 2, 1]]), grid, kernel_size)
+        assert build_rulebook(np.array([[0, 0, 0]]), grid, np.int64(1)).neighbors.shape == (1, 1)
+
     @pytest.mark.parametrize("kind,m,n,d,fan_in,fan_out", [
         ("standard", 2, 5, 3, 2 * 27, 5 * 27), ("depthwise", 4, 4, 5, 125, 125),
         ("pointwise", 2, 5, 1, 2, 5)])

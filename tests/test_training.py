@@ -298,7 +298,8 @@ class TestSteps:
         net = MiniSegNet(4, 3, widths=(8, 8), seed=0)
         pls, probs = label_frame(net, frame, 70.0, 0.6)
         want_probs, emb = net.predict(frame.svt, rulebook=frame.rulebook)
-        vp = VoxelPredictions(probs=want_probs, embeddings=emb, radii=frame.radii)
+        radii = TOY_GRID.voxel_centers(frame.svt.coords)[:, 0]
+        vp = VoxelPredictions(probs=want_probs, embeddings=emb, radii=radii)
         want = crb_select(entropy_partition(vp, percentile=70.0), vp, 0.6)
         np.testing.assert_array_equal(probs, want_probs)
         np.testing.assert_array_equal(pls.labels, want.labels)
@@ -378,7 +379,10 @@ class TestToyPipeline:
                                      dict(steps_stage1=-1), dict(steps_stage3=-3),
                                      dict(steps_stage1=2.5), dict(steps_stage3=True),
                                      dict(frames_per_sequence=1.5), dict(frames_per_sequence=0),
-                                     dict(subset_size=0), dict(n_sequences=True)])
+                                     dict(subset_size=0), dict(n_sequences=True),
+                                     dict(kernel_size=4), dict(kernel_size=0),
+                                     dict(kernel_size=3.0), dict(widths=(0,)),
+                                     dict(widths=(16, 2.5)), dict(widths=(16, -8))])
     def test_bad_count_fails_at_construction(self, bad):
         with pytest.raises(DomainError):
             ToyPipelineConfig(**bad)
@@ -513,6 +517,19 @@ class TestModelFile:
         np.savez(tmp_path / "wide.npz", **saved)
         with pytest.raises(FormatError, match="topology"):
             load_model(tmp_path / "wide.npz")
+
+    @pytest.mark.parametrize("key, value", [("reflec_bins", 5), ("reflec_bins", 0),
+                                            ("in_channels", 5)])
+    def test_input_channels_not_fitting_the_features_rejected(self, tmp_path, key, value):
+        """A model's input width is the 4 point features plus its histograms."""
+        reflec = ReflecConfig(n_bins=10, bin_grids=((4, 8), (8, 16), (16, 24)))
+        save_model(tmp_path / "m.npz", MiniSegNet(34, 3, widths=(4,), seed=0), self.GRID, reflec)
+        with np.load(tmp_path / "m.npz") as npz:
+            saved = dict(npz)
+        saved[key] = np.array(value)
+        np.savez(tmp_path / "bad.npz", **saved)
+        with pytest.raises(FormatError, match=r"bad\.npz.*in_channels"):
+            load_model(tmp_path / "bad.npz")
 
 
 
