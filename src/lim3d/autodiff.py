@@ -20,11 +20,12 @@ the tensor's dtype, so ``t * 0.5`` or ``-t`` never promotes a float32 `t`.
 Every gradient is cast to its tensor's dtype before it is accumulated, so
 float64 loss heads do not drag a float32 network's backward into float64.
 
-Only the primitives the network and the loss heads need are provided.
-Each network layer (`sparseconv`) and loss head (`losses`), and
-`log_softmax`, is one node with its own backward, which repeats the numpy
-operations of the primitive graph in the same order, so the values and
-gradients are those of the composed graph bit for bit.
+Only the primitives the network and the loss heads need are provided;
+there is no activation primitive, as the leaky ReLU runs inside the
+pointwise convolution node. Each network layer (`sparseconv`) and loss head
+(`losses`), and `log_softmax`, is one node with its own backward, which
+repeats the numpy operations of the primitive graph in the same order, so
+the values and gradients are those of the composed graph bit for bit.
 """
 
 from __future__ import annotations
@@ -172,15 +173,6 @@ class Tensor:
             return (g * np.sign(self.data),)
 
         return Tensor(np.abs(self.data), _parents=(self,), _backward=backward)
-
-    def leaky_relu(self, negative_slope: float = 0.1):
-        slope = float(negative_slope)
-        mask = self.data > 0
-
-        def backward(g):
-            return (np.where(mask, g, g * slope),)
-
-        return Tensor(np.where(mask, self.data, slope * self.data), _parents=(self,), _backward=backward)
 
     # -- reductions ------------------------------------------------------
 

@@ -6,9 +6,11 @@ it runs: a separable layer is a bias-free depthwise kernel, then a
 pointwise mix that carries the layer's bias; a standard or pointwise layer
 is one kernel. `MiniSegNet` draws its weights, `forward` and `predict` run,
 and `topology_cost` counts by walking that rule. The mini backbone's four
-separable blocks (leaky-ReLU activations) widen the channels and a
-pointwise head gives class logits; the head's input doubles as per-voxel
-embeddings for contrastive mining (the input features, with no blocks).
+separable blocks widen the channels and a pointwise head gives class
+logits; the head's input doubles as per-voxel embeddings for contrastive
+mining (the input features, with no blocks). Each block ends in a leaky
+ReLU, which its pointwise mix applies to its own output (the `leak` of
+`pointwise_forward` and `apply_pointwise`), so there is no activation node.
 
 Parameters are a flat list of float64 arrays, per convolution its weights
 and then its bias, if any. Both entry points take the frame's rulebook.
@@ -159,16 +161,19 @@ class MiniSegNet:
         if t.channels != self.in_channels:
             raise ShapeError(f"tensor has {t.channels} channels, network expects {self.in_channels}")
 
-    def _walk(self, x, params: list, conv, activate):
-        """Logits and embeddings: `conv(x, ConvSpec, weights, bias or None)`
-        per convolution of `layer_kernels`, taking `params` in order, and
-        `activate` between layers."""
-        it, emb = iter(params), x
+    def _walk(self, x, params: list, conv):
+        """Logits and embeddings: `conv(x, ConvSpec, weights, bias or None,
+        leak or None)` per convolution of `layer_kernels`, taking `params` in
+        order. Every layer but the head gives its last convolution, a
+        separable block's pointwise mix, the leak of its activation."""
+        it, emb, last = iter(params), x, len(self.topology) - 1
         for i, spec in enumerate(self.topology):
-            if i:
-                x = emb = activate(x)
-            for k in layer_kernels(spec):
-                x = conv(x, k, next(it), next(it) if k.bias else None)
+            kernels = layer_kernels(spec)
+            for k in kernels:
+                leak = self.LEAK if i < last and k is kernels[-1] else None
+                x = conv(x, k, next(it), next(it) if k.bias else None, leak)
+            if i < last:
+                emb = x
         return x, emb
 
     def forward(self, t: SparseVoxelTensor, params: list[Tensor],
@@ -178,12 +183,12 @@ class MiniSegNet:
         back into `params`, live tensors in the order of `self.params`."""
         self._check_channels(t)
 
-        def conv(x, k, w, b):
+        def conv(x, k, w, b, leak):
             if k.kind == "pointwise":
-                return apply_pointwise(x, k, weights=w, bias=b)
+                return apply_pointwise(x, k, weights=w, bias=b, leak=leak)
             return apply_spatial(x, rulebook, k, weights=w, bias=b)
 
-        return self._walk(Tensor(t.features), params, conv, lambda x: x.leaky_relu(self.LEAK))
+        return self._walk(Tensor(t.features), params, conv)
 
     def predict(self, t: SparseVoxelTensor, rulebook: Rulebook) -> tuple[np.ndarray, np.ndarray]:
         """Softmax probabilities (float64) and embeddings (in the features'
@@ -192,8 +197,7 @@ class MiniSegNet:
         self._check_channels(t)
         logits, emb = self._walk(
             t.features, self.params,
-            lambda x, k, w, b: (pointwise_forward(x, w, b) if k.kind == "pointwise"
-                                else spatial_forward(x, rulebook.neighbors, w, b)),
-            lambda x: np.where(x > 0, x, self.LEAK * x))
+            lambda x, k, w, b, leak: (pointwise_forward(x, w, b, leak) if k.kind == "pointwise"
+                                      else spatial_forward(x, rulebook.neighbors, w, b)))
         log_probs, _, _ = log_softmax_parts(logits, axis=1)
         return np.exp(log_probs), emb

@@ -6,7 +6,9 @@ material rather than the distance. Per frame, R is rescaled into [0, 1)
 and histogrammed over ``n_bins`` value ranges inside coarse cylindrical
 ``(rho, phi)`` bins at several resolutions. Every point inherits its bin's
 max-normalized histogram, concatenated over the scales, giving a
-label-free per-point descriptor of length ``n_scales * n_bins``.
+label-free per-point descriptor of length ``n_scales * n_bins``. The
+per-scale tables are stacked into one, and a single gather of every
+point's row per scale writes the whole output.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ def coarse_histograms(pc: PointCloud, r_norm: np.ndarray, cfg: ReflecConfig) -> 
     if n and (r_norm.min() < 0.0 or r_norm.max() >= 1.0):
         raise DomainError("normalized reflectivity must lie in [0, 1)")
 
-    out = np.zeros((n, cfg.feature_dim), dtype=np.float32)
+    out = np.empty((n, cfg.feature_dim), dtype=np.float32)
     if n == 0:
         return out
 
@@ -97,16 +99,21 @@ def coarse_histograms(pc: PointCloud, r_norm: np.ndarray, cfg: ReflecConfig) -> 
     phi = np.arctan2(xyz[:, 1], xyz[:, 0])
     rho_lo, rho_hi = float(rho.min()), float(rho.max())
     rho_span = rho_hi - rho_lo
+    # Fractions of the rho span and the turn; each scale multiplies by its bin count.
+    rho_frac = (rho - rho_lo) / rho_span if rho_span > 0.0 else None
+    phi_frac = (phi + np.pi) / (2.0 * np.pi)
 
     value_bin = np.floor(r_norm * cfg.n_bins).astype(np.int64)
 
+    # Each scale's table of normalized histograms, stacked into one, and each
+    # point's row of it per scale.
+    tables, rows, offset = [], np.empty((n, cfg.n_scales), np.int64), 0
     for scale, (n_rho, n_phi) in enumerate(cfg.bin_grids):
-        if rho_span > 0.0:
-            i_rho = np.minimum((np.floor((rho - rho_lo) / rho_span * n_rho)).astype(np.int64),
-                               n_rho - 1)
+        if rho_frac is not None:
+            i_rho = np.minimum(np.floor(rho_frac * n_rho).astype(np.int64), n_rho - 1)
         else:
             i_rho = np.zeros(n, dtype=np.int64)
-        i_phi = np.floor((phi + np.pi) / (2.0 * np.pi) * n_phi).astype(np.int64) % n_phi
+        i_phi = np.floor(phi_frac * n_phi).astype(np.int64) % n_phi
         cell = i_rho * n_phi + i_phi
 
         counts = np.bincount(cell * cfg.n_bins + value_bin, minlength=n_rho * n_phi * cfg.n_bins)
@@ -115,11 +122,15 @@ def coarse_histograms(pc: PointCloud, r_norm: np.ndarray, cfg: ReflecConfig) -> 
         nonempty = peaks > 0
         normalized = np.zeros_like(counts)
         normalized[nonempty] = counts[nonempty] / peaks[nonempty, None]
-
-        col = scale * cfg.n_bins
         # Casting the per-bin table, not the per-point gather, rounds the same
-        # values and halves the (n, n_bins) temporary.
-        out[:, col:col + cfg.n_bins] = normalized.astype(np.float32)[cell]
+        # values and keeps the gather in float32.
+        tables.append(normalized.astype(np.float32))
+        rows[:, scale] = cell + offset
+        offset += len(normalized)
+    # Every row is in range, so "clip" changes nothing but lets numpy write
+    # into `out` unbuffered.
+    np.take(np.concatenate(tables), rows, axis=0, out=out.reshape(n, cfg.n_scales, cfg.n_bins),
+            mode="clip")
     return out
 
 

@@ -8,20 +8,22 @@ nothing.
 
 A `Rulebook` is a neighbor table: per active site and kernel tap, the
 input row read, or the sentinel ``n_sites`` for an inactive or off-grid
-cell, built once per frame and read by every spatial layer. Only
-`spatial_forward` checks it: a table that is not (input rows, kernel taps)
-raises `ShapeError`. It pads its input with a zero sentinel row, then
-gathers (``np.take``) and contracts the neighbor rows of `SPATIAL_BLOCK`
-sites at a time. If tap ``k`` of site ``o`` reads row ``i``, tap ``K-1-k``
-of site ``i`` reads row ``o`` (across the azimuth wrap too), so in
-`spatial_backward` one gather of the upstream gradient gives the input
-gradient (kernel mirrored once per call) and the weight gradient (input
-rows, taps flipped back). These plain-array kernels, and
-`pointwise_forward`, serve inference directly; `apply_spatial` and
-`apply_pointwise` wrap them as one autodiff node per convolution, bias
-included. A convolution computes in its input's dtype (float32 for
-voxelized features); float64 weights are cast in inside the node, and
-their gradients cast back.
+cell, built once per frame by lookup in a table of the grid's cells and
+read by every spatial layer. Only `spatial_forward` checks it: a table that
+is not (input rows, kernel taps) raises `ShapeError`. It pads its input
+with a zero sentinel row, then gathers (``np.take``) and contracts the
+neighbor rows of `SPATIAL_BLOCK` sites at a time. If tap ``k`` of site
+``o`` reads row ``i``, tap ``K-1-k`` of site ``i`` reads row ``o`` (across
+the azimuth wrap too), so in `spatial_backward` one gather of the upstream
+gradient gives the input gradient (kernel mirrored once per call) and the
+weight gradient (input rows, taps flipped back). These plain-array
+kernels, and `pointwise_forward`, serve inference directly;
+`apply_spatial` and `apply_pointwise` wrap them as one autodiff node per
+convolution, bias included. Given a `leak`, the pointwise mix also runs the
+leaky ReLU on its output in place, and its backward takes each entry's
+slope from that output's sign, so no pre-activation or mask is kept. A
+convolution computes in its input's dtype (float32 for voxelized features);
+float64 weights are cast in inside the node, and their gradients cast back.
 
 A convolution is a `ConvSpec`, which names its shape, and its weight
 arrays. The spec's `weight_shape` is the one per-kind weight layout and the
@@ -128,27 +130,37 @@ class Rulebook:
 
 
 def build_rulebook(coords: np.ndarray, grid: CylGridSpec, kernel_size: int) -> Rulebook:
-    """Neighbor table for every kernel tap over the given active sites, built
-    `SPATIAL_BLOCK` sites at a time so its temporaries stay bounded.
-    `kernel_size` must be an odd integer >= 1, else `DomainError`."""
+    """Neighbor table for every kernel tap over the given active sites, read
+    from an int32 table of each cell's row (or the sentinel ``n``). Padding
+    that table by the kernel radius, the azimuth axis with wrapped copies of
+    its cells and the others with the sentinel, puts each tap at a fixed
+    flat offset from its site. `kernel_size` must be an odd integer >= 1,
+    else `DomainError`; a coordinate outside `grid` or a repeated one, which
+    the table shows as a cell holding another site's row, raises
+    `ValidationError`."""
     if not is_count(kernel_size) or kernel_size % 2 == 0:
         raise DomainError(f"kernel_size must be an odd positive integer, got {kernel_size!r}")
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
-    n, taps = len(coords), kernel_size ** 3
-    keys = grid.cell_key(*coords.T)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
+    n, r = len(coords), (kernel_size - 1) // 2
+    if n and (coords.min() < 0 or (coords >= grid.shape).any()):
+        raise ValidationError(f"rulebook coordinates must lie in the {grid.shape} grid")
+    table = np.full((grid.n_rho + 2 * r, grid.n_phi + 2 * r, grid.n_z + 2 * r), n, np.int32)
+    cells, rows = tuple((coords + r).T), np.arange(n)
+    table[cells] = rows
+    if (table[cells] != rows).any():
+        raise ValidationError("duplicate rulebook coordinates")
+    ring = np.r_[:r, r + grid.n_phi:grid.n_phi + 2 * r]  # the azimuth padding
+    table[:, ring] = table[:, r + (ring - r) % grid.n_phi]
 
-    d_rho, d_phi, d_z = np.indices((kernel_size,) * 3).reshape(3, taps) - (kernel_size - 1) // 2
-    neighbors = np.empty((n, taps), np.intp)
+    # Site (a, b, c) sits at (a + r, b + r, c + r) in the table, so its window
+    # starts at (a, b, c). The flat index of each tap is replaced by its row
+    # `SPATIAL_BLOCK` sites at a time.
+    taps = np.ravel_multi_index(np.indices((kernel_size,) * 3).reshape(3, -1), table.shape)
+    neighbors = np.add.outer(np.ravel_multi_index(coords.T, table.shape), taps)
+    flat = table.ravel()
     for start in range(0, n, SPATIAL_BLOCK):
-        c = coords[start:start + SPATIAL_BLOCK]
-        n_rho, n_z = c[:, :1] + d_rho, c[:, 2:] + d_z  # (b, K) each
-        valid = (n_rho >= 0) & (n_rho < grid.n_rho) & (n_z >= 0) & (n_z < grid.n_z)
-        neigh_keys = grid.cell_key(n_rho, (c[:, 1:2] + d_phi) % grid.n_phi, n_z)
-        pos = np.minimum(np.searchsorted(sorted_keys, neigh_keys), n - 1)
-        found = valid & (sorted_keys[pos] == neigh_keys)
-        neighbors[start:start + SPATIAL_BLOCK] = np.where(found, order[pos], n)
+        block = neighbors[start:start + SPATIAL_BLOCK]
+        block[...] = flat[block]
     neighbors.setflags(write=False)
     return Rulebook(neighbors)
 
@@ -215,12 +227,17 @@ def spatial_backward(g: np.ndarray, x: np.ndarray, neighbors: np.ndarray,
     return g_x, g_w[::-1].reshape(weights.shape)
 
 
-def pointwise_forward(x: np.ndarray, weights: np.ndarray,
-                      bias: np.ndarray | None = None) -> np.ndarray:
-    """Per-site channel mix in the dtype of `x`; `weights` and `bias` are cast in."""
+def pointwise_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None = None,
+                      leak: float | None = None) -> np.ndarray:
+    """Per-site channel mix in the dtype of `x`; `weights` and `bias` are cast
+    in. With a `leak`, the leaky ReLU ``max(z, leak * z)`` then runs on the
+    output in place, which for ``0 < leak < 1`` is ``where(z > 0, z, leak * z)``
+    bit for bit, signed zeros included."""
     out = x @ weights.astype(x.dtype, copy=False)
     if bias is not None:
         out += bias.astype(x.dtype, copy=False)
+    if leak is not None:
+        np.maximum(out, out * leak, out=out)
     return out
 
 
@@ -267,21 +284,27 @@ def apply_spatial(features: Tensor | np.ndarray, rulebook: Rulebook, kernel: Con
 
 def apply_pointwise(features: Tensor | np.ndarray, kernel: ConvSpec,
                     weights: Tensor | np.ndarray,
-                    bias: Tensor | np.ndarray | None = None) -> Tensor:
+                    bias: Tensor | np.ndarray | None = None,
+                    leak: float | None = None) -> Tensor:
     """Per-site channel mix as one autodiff node over `pointwise_forward`,
-    in the dtype of `features`, as `apply_spatial`."""
+    in the dtype of `features`, as `apply_spatial`. With a `leak`, the node
+    ends in the leaky ReLU; its backward reads the slope of each entry off
+    the sign of the output, so no pre-activation or mask is kept."""
     if kernel.kind != "pointwise":
         raise DomainError("apply_pointwise takes a pointwise kernel")
     inputs = _node_inputs(features, kernel, weights, bias)
     x, w = inputs[:2]
     b = inputs[2].data if len(inputs) == 3 else None
+    out = pointwise_forward(x.data, w.data, b, leak)
 
     def backward(g):
+        if leak is not None:
+            g = np.where(out > 0, g, g * leak)
         g_x = g @ w.data.astype(x.data.dtype, copy=False).T if x.requires_grad else None
         g_w = x.data.T @ g
         return (g_x, g_w) if b is None else (g_x, g_w, g.sum(axis=0))
 
-    return Tensor(pointwise_forward(x.data, w.data, b), _parents=inputs, _backward=backward)
+    return Tensor(out, _parents=inputs, _backward=backward)
 
 
 # ---------------------------------------------------------------------------

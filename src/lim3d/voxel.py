@@ -6,6 +6,9 @@ higher-index bin, and ``phi = pi`` wraps onto the ``-pi`` edge. Per-voxel
 features are the mean point features ``(dx, dy, dz, intensity, *extra)``
 where the offsets are measured from the voxel center; they are summed and
 averaged in float64 and stored as float32, the precision of the points.
+Each column is summed in point order by ``np.bincount``; the columns are
+read a block of `COLUMN_BLOCK` at a time, through transposes of
+`ROW_BLOCK` points, not by one strided read each.
 Voxel labels are the majority vote of point labels with ties broken toward
 the smaller class id, counted over the ids present in the cloud; a
 negative point label raises `ValidationError`.
@@ -33,6 +36,8 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 DENSIFY_GUARD = 10_000_000
+# `voxelize` transposes feature columns in (4096, 8) float32 blocks of 128 kB.
+COLUMN_BLOCK, ROW_BLOCK = 8, 4096
 
 
 @dataclass(frozen=True)
@@ -161,6 +166,19 @@ def _bin_points(xyz: np.ndarray, grid: CylGridSpec) -> tuple[np.ndarray, np.ndar
     return keep, grid.cell_key(i_rho, i_phi, i_z)
 
 
+def _columns(sources: list[np.ndarray], n: int):
+    """Every column of the (n, k) float32 `sources`, in order, as a contiguous
+    row of one reused buffer: read it before taking the next."""
+    block = np.empty((min(COLUMN_BLOCK, max(src.shape[1] for src in sources)), n), np.float32)
+    for src in sources:
+        for first in range(0, src.shape[1], COLUMN_BLOCK):
+            part = src[:, first:first + COLUMN_BLOCK]
+            rows = block[:part.shape[1]]
+            for start in range(0, n, ROW_BLOCK):
+                rows[:, start:start + ROW_BLOCK] = part[start:start + ROW_BLOCK].T
+            yield from rows
+
+
 def voxelize(pc: PointCloud, grid: CylGridSpec) -> SparseVoxelTensor:
     """Bin a cloud into the cylindrical grid.
 
@@ -175,33 +193,35 @@ def voxelize(pc: PointCloud, grid: CylGridSpec) -> SparseVoxelTensor:
     """
     if pc.labels is not None and pc.labels.size and pc.labels.min() < 0:
         raise ValidationError("voxelize: point labels must be nonnegative class ids")
-    xyz = pc.xyz.astype(np.float64)
-    keep, keys = _bin_points(xyz, grid)
+    keep, keys = _bin_points(pc.xyz.astype(np.float64), grid)
     dropped = int(len(pc) - keep.sum())
     if dropped:
         log.info("voxelize: dropped %d of %d points outside the grid", dropped, len(pc))
 
-    columns = [*xyz.T, pc.intensity]
+    sources = [pc.xyz, pc.intensity[:, None]]
     if pc.extra_features is not None:
-        columns.extend(pc.extra_features.T)
+        sources.append(pc.extra_features)
+    width = sum(src.shape[1] for src in sources)
 
     if keys.size == 0:
         empty_labels = np.empty(0, dtype=np.int64) if pc.labels is not None else None
         return SparseVoxelTensor(grid=grid, coords=np.empty((0, 3), dtype=np.int64),
-                                 features=np.empty((0, len(columns)), np.float32),
+                                 features=np.empty((0, width), np.float32),
                                  labels=empty_labels, dropped_points=dropped)
 
     uniq_keys, inverse = np.unique(keys, return_inverse=True)
     n_voxels = uniq_keys.size
     coords = grid.cell_coords(uniq_keys)
 
-    # bincount adds each voxel's points in point order, in float64. Masking
-    # one column at a time means the (n, k) extra features are never copied
-    # whole; each column's sums go straight into one (n_voxels, k) array,
-    # which becomes the means in place.
-    feats = np.empty((n_voxels, len(columns)))
-    for j, c in enumerate(columns):
-        feats[:, j] = np.bincount(inverse, weights=c[keep], minlength=n_voxels)
+    # bincount adds each voxel's points in point order, in float64. A dropped
+    # point adds into one extra bin that is cut off, so every column is read
+    # whole, with no mask. Each column's sums go straight into one
+    # (n_voxels, width) array, which becomes the means in place.
+    point_voxel = np.full(len(pc), n_voxels)
+    point_voxel[keep] = inverse
+    feats = np.empty((n_voxels, width))
+    for j, column in enumerate(_columns(sources, len(pc))):
+        feats[:, j] = np.bincount(point_voxel, weights=column, minlength=n_voxels + 1)[:n_voxels]
     feats /= np.bincount(inverse, minlength=n_voxels)[:, None]
 
     # Offsets relative to voxel centers replace the absolute coordinates.

@@ -2,8 +2,9 @@
 
 These are the library's earlier implementations, kept as references: each
 layer and loss head is built from autodiff primitives (`astype`, `take`,
-`abs`, `exp`, `log`, `sum`, ...), one node per numpy call. The fused nodes
-in `lim3d.sparseconv`, `lim3d.autodiff` and `lim3d.losses` repeat the same
+`abs`, `exp`, `log`, `sum`, ...), one node per numpy call, and the leaky
+ReLU is its own node (`leaky_relu_reference`). The fused nodes in
+`lim3d.sparseconv`, `lim3d.autodiff` and `lim3d.losses` repeat the same
 numpy operations in the same order inside one backward, so on any input
 the values and every gradient must agree bit for bit.
 """
@@ -57,14 +58,27 @@ def apply_spatial_reference(features, rulebook, kernel, weights, bias=None):
     return out
 
 
-def apply_pointwise_reference(features, kernel, weights, bias=None):
-    """Matmul node over astype'd weights, plus a bias add node."""
+def leaky_relu_reference(t, negative_slope=0.1):
+    """The activation as a node of its own, which keeps its input's sign mask."""
+    t = as_tensor(t)
+    slope = float(negative_slope)
+    mask = t.data > 0
+
+    def backward(g):
+        return (np.where(mask, g, g * slope),)
+
+    return Tensor(np.where(mask, t.data, slope * t.data), _parents=(t,), _backward=backward)
+
+
+def apply_pointwise_reference(features, kernel, weights, bias=None, leak=None):
+    """Matmul node over astype'd weights, plus a bias add node and, with a
+    `leak`, a leaky ReLU node."""
     x = as_tensor(features)
     dtype = x.data.dtype
     out = x @ as_tensor(weights).astype(dtype)
     if bias is not None:
         out = out + as_tensor(bias).astype(dtype)
-    return out
+    return out if leak is None else leaky_relu_reference(out, leak)
 
 
 def log_softmax_reference(t, axis=-1):
@@ -106,9 +120,10 @@ def kl_consistency_reference(student_probs, teacher_probs):
     return (Tensor(t_entropy) - cross) * (1.0 / teacher.shape[0])
 
 
-def forward_reference(net, t, params, rulebook):
+def forward_reference(net, t, params, rulebook, activation=leaky_relu_reference):
     """`MiniSegNet.forward` over the composed layers: logits and embeddings.
-    It walks `net.topology` through `layer_kernels`, taking `params` in order."""
+    It walks `net.topology` through `layer_kernels`, taking `params` in
+    order, and runs `activation(x, net.LEAK)` after every layer but the head."""
     live = iter(params)
 
     def layer(x, spec):
@@ -122,5 +137,5 @@ def forward_reference(net, t, params, rulebook):
 
     x = Tensor(t.features)
     for spec in net.topology[:-1]:
-        x = layer(x, spec).leaky_relu(net.LEAK)
+        x = activation(layer(x, spec), net.LEAK)
     return layer(x, net.topology[-1]), x

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from composed_reference import forward_reference, leaky_relu_reference
 from conftest import finite_difference, max_rel_err
 from lim3d import (CylGridSpec, LifecycleError, MiniSegNet, ShapeError, SparseVoxelTensor,
                    build_rulebook, lovasz_softmax)
@@ -134,6 +135,23 @@ class TestLifecycle:
         assert out._parents == () and out._backward is None
 
 
+def held_arrays(root):
+    """Every array the graph under `root` holds: each node's data, and each
+    array a node's backward keeps in its closure."""
+    seen, stack, arrays = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        arrays.append(node.data)
+        if node._backward is not None:
+            arrays += [c.cell_contents for c in node._backward.__closure__ or ()
+                       if isinstance(c.cell_contents, np.ndarray)]
+        stack.extend(node._parents)
+    return arrays
+
+
 class TestRelease:
     """Each interior node frees its gradient and saved inputs once its own
     backward has run; only leaves created with ``requires_grad`` keep a grad."""
@@ -150,7 +168,7 @@ class TestRelease:
 
     def test_arrays_saved_in_closures_are_freed(self, rng):
         x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        out = log_softmax(x.leaky_relu(0.1), axis=1)
+        out = log_softmax(leaky_relu_reference(x, 0.1), axis=1)
         saved = [weakref.ref(cell.cell_contents)
                  for node in (out, out._parents[0]) for cell in node._backward.__closure__
                  if isinstance(cell.cell_contents, np.ndarray)]
@@ -184,6 +202,41 @@ class TestRelease:
         # 64 kB covers the Python objects; the graph itself is about 7 MB.
         assert held <= live + 64_000, f"{(held - live) / 1e6:.2f} MB beyond the live arrays"
 
+    def test_graph_holds_no_pre_activation_or_mask(self, rng):
+        """The leaky ReLU runs inside the pointwise node, which reads the
+        slope off its output's sign: at the start of backward the graph
+        holds no pre-activation and no mask, where the composed graph holds
+        both."""
+        grid = CylGridSpec(12, 16, 6, 12.0, (0.0, 6.0))
+        keys = rng.choice(grid.n_cells, size=400, replace=False)
+        coords = np.column_stack(np.unravel_index(keys, grid.shape))
+        svt = SparseVoxelTensor(grid=grid, coords=coords,
+                                features=rng.normal(size=(400, 4)).astype(np.float32))
+        rb = build_rulebook(svt.coords, grid, 3)
+        labels = rng.integers(0, 3, size=400)
+        net = MiniSegNet(4, 3, widths=(8, 8, 6), seed=0)
+        pre_activations = []
+
+        def reference_node(t, negative_slope):
+            pre_activations.append(t.data)
+            return leaky_relu_reference(t, negative_slope)
+
+        def graph(forward):
+            logits, _ = forward(net.param_tensors())
+            return lovasz_softmax(softmax(logits, axis=1), labels)
+
+        def holds(arrays, a):
+            return any(h.shape == a.shape and h.tobytes() == a.tobytes() for h in arrays)
+
+        composed = held_arrays(graph(
+            lambda ps: forward_reference(net, svt, ps, rb, reference_node)))
+        fused = held_arrays(graph(lambda ps: net.forward(svt, ps, rb)))
+        assert len(pre_activations) == 3 and all((a < 0).any() for a in pre_activations)
+        assert all(holds(composed, a) for a in pre_activations)
+        assert any(a.dtype == bool for a in composed)
+        assert not any(holds(fused, a) for a in pre_activations)
+        assert not any(a.dtype == bool for a in fused)
+
 
 class TestDtypes:
     def test_float32_and_float64_kept_anything_else_float64(self):
@@ -195,7 +248,7 @@ class TestDtypes:
     def test_python_scalar_never_promotes_float32(self):
         t = Tensor(np.array([0.5, -1.5, 2.0], np.float32), requires_grad=True)
         results = [t * 2.0, 2.0 * t, t + 1, 1 + t, -t, t - 1.0, 1.0 - t, t / 2.0, 2.0 / t,
-                   t * np.float64(3.0), t ** 2.0, t.mean(), t.leaky_relu(0.1), t.exp(),
+                   t * np.float64(3.0), t ** 2.0, t.mean(), leaky_relu_reference(t, 0.1), t.exp(),
                    t.abs().log(), t.take([2, 0])]
         assert [r.data.dtype for r in results] == [np.float32] * len(results)
         total = results[0].sum()

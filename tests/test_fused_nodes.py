@@ -17,8 +17,9 @@ from conftest import random_sparse_tensor
 from lim3d import (ConvSpec, CylGridSpec, MiniSegNet, Tensor, ToyPipelineConfig,
                    build_rulebook, glorot_weights, kl_consistency, log_softmax,
                    lovasz_softmax, prepare_frame, softmax, synth_sequence)
+from lim3d import network
 from lim3d.network import DEFAULT_WIDTHS
-from lim3d.sparseconv import SPATIAL_BLOCK, apply_pointwise, apply_spatial
+from lim3d.sparseconv import SPATIAL_BLOCK, apply_pointwise, apply_spatial, pointwise_forward
 from lim3d.training import TOY_GRID
 
 DTYPES = [np.float32, np.float64]
@@ -83,6 +84,33 @@ class TestConvolutions:
 
         def node(apply):
             return lambda x, w, b=None: apply(x, kernel, weights=w, bias=b)
+
+        assert_same_node(node(apply_pointwise), node(apply_pointwise_reference), arrays, upstream)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_pointwise_with_activation_matches_composed(self, rng, dtype, bias):
+        """Against the mix, then a leaky ReLU node of its own: row 0 gives +0
+        pre-activations, row 1 the smallest negative one, whose leak product
+        underflows to -0, and the rest mixed signs; the input holds a -0."""
+        kernel = ConvSpec("pointwise", 6, 4, 1, bias)
+        w = glorot_weights(kernel, rng)
+        w[0] = -1.0
+        x = rng.normal(size=(30, 6)).astype(dtype)
+        x[0] = 0.0
+        x[1] = [np.finfo(dtype).smallest_subnormal, 0.0, -0.0, 0.0, 0.0, 0.0]
+        b = rng.normal(size=4)
+        b[:2] = 0.0
+        arrays = [x, w] + ([b] if bias else [])
+        upstream = rng.normal(size=(30, 4)).astype(dtype)
+
+        pre = pointwise_forward(x, w, b if bias else None)
+        out = pointwise_forward(x, w, b if bias else None, leak=0.1)
+        assert ((pre == 0) & ~np.signbit(pre)).any() and (pre < 0).any()
+        assert ((out == 0) & np.signbit(out)).any()
+
+        def node(apply):
+            return lambda x, w, b=None: apply(x, kernel, weights=w, bias=b, leak=0.1)
 
         assert_same_node(node(apply_pointwise), node(apply_pointwise_reference), arrays, upstream)
 
@@ -181,3 +209,25 @@ class TestNetwork:
     @pytest.mark.parametrize("widths", [(), (5,), DEFAULT_WIDTHS])
     def test_other_shapes_match_composed(self, dtype, widths, kernel_size):
         assert_network_matches_composed(dtype, widths, kernel_size)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("kernel_size", [1, 3])
+    @pytest.mark.parametrize("widths", [(), (5,), DEFAULT_WIDTHS])
+    def test_predict_logits_and_embeddings_equal_forward(self, monkeypatch, dtype, widths,
+                                                         kernel_size):
+        """`predict` runs the same fused kernel as `forward`'s nodes: the
+        logits it takes the softmax of are `forward`'s, bit for bit."""
+        hp = ToyPipelineConfig()
+        pc = synth_sequence(hp.scene, 1, seed=3)[0][0]
+        frame = prepare_frame(pc, TOY_GRID, hp.reflec, kernel_size)
+        svt = frame.svt.with_features(frame.svt.features.astype(dtype))
+        net = MiniSegNet(svt.channels, hp.scene.n_classes, widths, kernel_size, seed=4)
+        seen = []
+        parts = network.log_softmax_parts
+        monkeypatch.setattr(network, "log_softmax_parts",
+                            lambda x, axis: seen.append(x) or parts(x, axis))
+        _, emb = net.predict(svt, frame.rulebook)
+        logits, embeddings = net.forward(svt, net.param_tensors(), frame.rulebook)
+        assert len(seen) == 1
+        assert_bitwise(seen[0], logits.data)
+        assert_bitwise(emb, embeddings.data)

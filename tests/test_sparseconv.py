@@ -11,9 +11,9 @@ from conftest import (conv_tensor, draw_conv, finite_difference, identity_weight
 from dense_reference import (dense_pointwise_reference, dense_separable_reference,
                              dense_spatial_reference)
 from lim3d import (ConvSpec, CylGridSpec, DomainError, LayerSpec, MiniSegNet, SceneSpec,
-                   ShapeError, SparseVoxelTensor, apply_pointwise, apply_spatial, build_rulebook,
-                   conv_cost, densify, glorot_weights, pointwise_forward, spatial_forward,
-                   synth_sequence, topology_cost, voxelize)
+                   ShapeError, SparseVoxelTensor, ValidationError, apply_pointwise, apply_spatial,
+                   build_rulebook, conv_cost, densify, glorot_weights, pointwise_forward,
+                   spatial_forward, synth_sequence, topology_cost, voxelize)
 from lim3d.autodiff import Tensor
 from lim3d.sparseconv import SPATIAL_BLOCK
 
@@ -65,6 +65,18 @@ class TestKernelValidation:
         with pytest.raises(DomainError, match="kernel_size"):
             build_rulebook(np.array([[0, 0, 0], [1, 2, 1]]), grid, kernel_size)
         assert build_rulebook(np.array([[0, 0, 0]]), grid, np.int64(1)).neighbors.shape == (1, 1)
+
+    @pytest.mark.parametrize("coords,match", [
+        ([[1, 1, 1], [1, 1, 1], [1, 1, 2]], "duplicate"),
+        ([[0, 0, 0], [1, 1, 1], [0, 0, 0]], "duplicate"),
+        ([[4, 1, 1]], "grid"), ([[-1, 0, 0]], "grid"), ([[1, 4, 1]], "grid"),
+        ([[1, 1, -1]], "grid"), ([[0, 0, 0], [1, 1, 4]], "grid"),
+    ])
+    @pytest.mark.parametrize("kernel_size", [1, 3])
+    def test_rulebook_refuses_bad_coordinates(self, coords, match, kernel_size):
+        grid = CylGridSpec(4, 4, 4, rho_max=4.0, z_range=(0.0, 4.0))
+        with pytest.raises(ValidationError, match=match):
+            build_rulebook(np.array(coords), grid, kernel_size)
 
     @pytest.mark.parametrize("kind,m,n,d,fan_in,fan_out", [
         ("standard", 2, 5, 3, 2 * 27, 5 * 27), ("depthwise", 4, 4, 5, 125, 125),

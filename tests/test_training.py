@@ -561,9 +561,10 @@ class TestDtypePolicy:
         logits, emb = net.forward(svt, params=params, rulebook=frame.rulebook)
         monkeypatch.setattr(Tensor, "__init__", init)
         assert logits.data.dtype == dtype and emb.data.dtype == dtype
-        # The input, then one node per layer: spatial, pointwise and leaky ReLU
-        # per block, and the head. The weights are cast inside the nodes.
-        assert len(created) == 1 + 3 * 4 + 1
+        # The input, then one node per convolution: spatial, and pointwise with
+        # the leaky ReLU inside, per block, and the head. The weights are cast
+        # inside the nodes.
+        assert len(created) == 1 + 2 * 4 + 1
         assert {t.data.dtype for t in created} == {np.dtype(dtype)}
         # Backward frees each node's gradient, so record the dtype reaching each node.
         arriving = []
