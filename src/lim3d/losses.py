@@ -76,7 +76,7 @@ def lovasz_softmax(probs: Tensor | np.ndarray, labels: np.ndarray) -> Tensor:
     if n == 0:
         return Tensor(0.0)
     p = probs.data
-    classes = np.unique(labels).tolist()
+    classes = np.flatnonzero(np.bincount(labels, minlength=c)).tolist()
     scale = 1.0 / len(classes)
     total, saved = None, []
     for k in classes:

@@ -79,9 +79,10 @@ def coarse_histograms(pc: PointCloud, r_norm: np.ndarray, cfg: ReflecConfig) -> 
 
     `r_norm` must already lie in [0, 1). For each scale, points fall into
     cylindrical bins spanning the frame's observed rho range and the full
-    [-pi, pi) azimuth; the bin's reflectivity histogram is divided by its
-    largest count (nonempty bins therefore contain an exact 1.0) and
-    broadcast to every point in the bin.
+    [-pi, pi) azimuth (all in the first rho bin when all points share one
+    rho); the bin's reflectivity histogram is divided by its largest count
+    (nonempty bins therefore contain an exact 1.0, and empty ones stay zero)
+    and broadcast to every point in the bin.
     """
     r_norm = np.asarray(r_norm, dtype=np.float64)
     n = len(pc)
@@ -98,9 +99,9 @@ def coarse_histograms(pc: PointCloud, r_norm: np.ndarray, cfg: ReflecConfig) -> 
     rho = np.hypot(xyz[:, 0], xyz[:, 1])
     phi = np.arctan2(xyz[:, 1], xyz[:, 0])
     rho_lo, rho_hi = float(rho.min()), float(rho.max())
-    rho_span = rho_hi - rho_lo
-    # Fractions of the rho span and the turn; each scale multiplies by its bin count.
-    rho_frac = (rho - rho_lo) / rho_span if rho_span > 0.0 else None
+    # Fractions of the rho span and the turn; each scale multiplies by its bin
+    # count. A zero span is divided by 1: every point has fraction 0.
+    rho_frac = (rho - rho_lo) / ((rho_hi - rho_lo) or 1.0)
     phi_frac = (phi + np.pi) / (2.0 * np.pi)
 
     value_bin = np.floor(r_norm * cfg.n_bins).astype(np.int64)
@@ -109,19 +110,14 @@ def coarse_histograms(pc: PointCloud, r_norm: np.ndarray, cfg: ReflecConfig) -> 
     # point's row of it per scale.
     tables, rows, offset = [], np.empty((n, cfg.n_scales), np.int64), 0
     for scale, (n_rho, n_phi) in enumerate(cfg.bin_grids):
-        if rho_frac is not None:
-            i_rho = np.minimum(np.floor(rho_frac * n_rho).astype(np.int64), n_rho - 1)
-        else:
-            i_rho = np.zeros(n, dtype=np.int64)
+        i_rho = np.minimum(np.floor(rho_frac * n_rho).astype(np.int64), n_rho - 1)
         i_phi = np.floor(phi_frac * n_phi).astype(np.int64) % n_phi
         cell = i_rho * n_phi + i_phi
 
         counts = np.bincount(cell * cfg.n_bins + value_bin, minlength=n_rho * n_phi * cfg.n_bins)
         counts = counts.reshape(n_rho * n_phi, cfg.n_bins).astype(np.float64)
-        peaks = counts.max(axis=1)
-        nonempty = peaks > 0
-        normalized = np.zeros_like(counts)
-        normalized[nonempty] = counts[nonempty] / peaks[nonempty, None]
+        # An empty cell's row of zeros is divided by 1 and stays zero.
+        normalized = counts / np.maximum(counts.max(axis=1), 1.0)[:, None]
         # Casting the per-bin table, not the per-point gather, rounds the same
         # values and keeps the gather in float32.
         tables.append(normalized.astype(np.float32))

@@ -2,15 +2,17 @@
 
 Points are binned in cylinder coordinates ``(rho, phi, z)``. Bin edges are
 uniform and half-open: a point exactly on a boundary falls into the
-higher-index bin, and ``phi = pi`` wraps onto the ``-pi`` edge. Per-voxel
-features are the mean point features ``(dx, dy, dz, intensity, *extra)``
-where the offsets are measured from the voxel center; they are summed and
-averaged in float64 and stored as float32, the precision of the points.
-Each column is summed in point order by ``np.bincount``; the columns are
-read a block of `COLUMN_BLOCK` at a time, through transposes of
-`ROW_BLOCK` points, not by one strided read each.
-Voxel labels are the majority vote of point labels with ties broken toward
-the smaller class id, counted over the ids present in the cloud; a
+higher-index bin, and ``phi = pi`` wraps onto the ``-pi`` edge. Each point
+gets one cell key; a point outside the grid gets the outside key
+``grid.n_cells``, which sorts after every cell, so its voxel row is
+``n_voxels``, one past the last. Per-voxel features are the mean point
+features ``(dx, dy, dz, intensity, *extra)`` where the offsets are measured
+from the voxel center; they are summed and averaged in float64 and stored
+as float32, the precision of the points. Each column is summed in point
+order by ``np.bincount``; the columns are read a block of `COLUMN_BLOCK` at
+a time, through transposes of `ROW_BLOCK` points, not by one strided read
+each. Voxel labels are the majority vote of point labels with ties broken
+toward the smaller class id, counted over the ids present in the cloud; a
 negative point label raises `ValidationError`.
 """
 
@@ -151,19 +153,20 @@ class SparseVoxelTensor:
 # ---------------------------------------------------------------------------
 
 
-def _bin_points(xyz: np.ndarray, grid: CylGridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of the points inside the grid, and the linear cell key of each of those."""
+def _cell_keys(xyz: np.ndarray, grid: CylGridSpec) -> np.ndarray:
+    """Linear cell key of every point; the outside key for one outside the grid."""
     rho = np.hypot(xyz[:, 0], xyz[:, 1])
     phi = np.arctan2(xyz[:, 1], xyz[:, 0])
     z = xyz[:, 2]
     z_min, z_max = grid.z_range
     keep = (rho < grid.rho_max) & (z >= z_min) & (z < z_max)
-    i_rho = np.floor(rho[keep] / grid.rho_max * grid.n_rho).astype(np.int64)
-    i_phi = np.floor((phi[keep] + np.pi) / (2.0 * np.pi) * grid.n_phi).astype(np.int64) % grid.n_phi
-    i_z = np.floor((z[keep] - z_min) / (z_max - z_min) * grid.n_z).astype(np.int64)
-    i_rho = np.minimum(i_rho, grid.n_rho - 1)  # guards rho == rho_max*(1-eps) float edge
-    i_z = np.minimum(i_z, grid.n_z - 1)
-    return keep, grid.cell_key(i_rho, i_phi, i_z)
+    # Clipped before the cast, an outside point's index fits int64; inside,
+    # the clip guards the rho == rho_max*(1-eps) and z ~ z_max float edges.
+    i_rho = np.minimum(np.floor(rho / grid.rho_max * grid.n_rho), grid.n_rho - 1)
+    i_phi = np.floor((phi + np.pi) / (2.0 * np.pi) * grid.n_phi).astype(np.int64) % grid.n_phi
+    i_z = np.clip(np.floor((z - z_min) / (z_max - z_min) * grid.n_z), 0, grid.n_z - 1)
+    keys = grid.cell_key(i_rho.astype(np.int64), i_phi, i_z.astype(np.int64))
+    return np.where(keep, keys, grid.n_cells)
 
 
 def _columns(sources: list[np.ndarray], n: int):
@@ -182,8 +185,9 @@ def _columns(sources: list[np.ndarray], n: int):
 def voxelize(pc: PointCloud, grid: CylGridSpec) -> SparseVoxelTensor:
     """Bin a cloud into the cylindrical grid.
 
-    Points with ``rho >= rho_max`` or ``z`` outside the grid are dropped;
-    the count is logged and recorded on the result. Feature rows are
+    Points with ``rho >= rho_max`` or ``z`` outside the grid are dropped:
+    they take the outside key and row ``n_voxels``, which no voxel keeps.
+    Their count is logged and recorded on the result. Feature rows are
     ``(dx, dy, dz, intensity, *extra_features)`` averaged per voxel in
     float64 and returned as float32; offsets are from the voxel center in
     Cartesian coordinates.
@@ -193,72 +197,55 @@ def voxelize(pc: PointCloud, grid: CylGridSpec) -> SparseVoxelTensor:
     """
     if pc.labels is not None and pc.labels.size and pc.labels.min() < 0:
         raise ValidationError("voxelize: point labels must be nonnegative class ids")
-    keep, keys = _bin_points(pc.xyz.astype(np.float64), grid)
-    dropped = int(len(pc) - keep.sum())
+    cells, rows, counts = np.unique(_cell_keys(pc.xyz.astype(np.float64), grid),
+                                    return_inverse=True, return_counts=True)
+    # The outside key sorts last: the dropped points, if any, hold row
+    # `n_voxels`, the one extra bin that every sum below cuts off.
+    n_voxels = int(np.searchsorted(cells, grid.n_cells))
+    dropped = len(pc) - int(counts[:n_voxels].sum())
     if dropped:
         log.info("voxelize: dropped %d of %d points outside the grid", dropped, len(pc))
 
     sources = [pc.xyz, pc.intensity[:, None]]
     if pc.extra_features is not None:
         sources.append(pc.extra_features)
-    width = sum(src.shape[1] for src in sources)
+    coords = grid.cell_coords(cells[:n_voxels])
 
-    if keys.size == 0:
-        empty_labels = np.empty(0, dtype=np.int64) if pc.labels is not None else None
-        return SparseVoxelTensor(grid=grid, coords=np.empty((0, 3), dtype=np.int64),
-                                 features=np.empty((0, width), np.float32),
-                                 labels=empty_labels, dropped_points=dropped)
-
-    uniq_keys, inverse = np.unique(keys, return_inverse=True)
-    n_voxels = uniq_keys.size
-    coords = grid.cell_coords(uniq_keys)
-
-    # bincount adds each voxel's points in point order, in float64. A dropped
-    # point adds into one extra bin that is cut off, so every column is read
-    # whole, with no mask. Each column's sums go straight into one
-    # (n_voxels, width) array, which becomes the means in place.
-    point_voxel = np.full(len(pc), n_voxels)
-    point_voxel[keep] = inverse
-    feats = np.empty((n_voxels, width))
+    # bincount adds each voxel's points in point order, in float64, and reads
+    # every column whole, with no mask. Each column's sums go straight into
+    # one (n_voxels, channels) array, which becomes the means in place.
+    feats = np.empty((n_voxels, sum(src.shape[1] for src in sources)))
     for j, column in enumerate(_columns(sources, len(pc))):
-        feats[:, j] = np.bincount(point_voxel, weights=column, minlength=n_voxels + 1)[:n_voxels]
-    feats /= np.bincount(inverse, minlength=n_voxels)[:, None]
+        feats[:, j] = np.bincount(rows, weights=column, minlength=n_voxels + 1)[:n_voxels]
+    feats /= counts[:n_voxels, None]
 
     # Offsets relative to voxel centers replace the absolute coordinates.
-    centers_cyl = grid.voxel_centers(coords)
-    centers_xyz = np.column_stack([
-        centers_cyl[:, 0] * np.cos(centers_cyl[:, 1]),
-        centers_cyl[:, 0] * np.sin(centers_cyl[:, 1]),
-        centers_cyl[:, 2],
-    ])
-    feats[:, :3] -= centers_xyz
+    rho_c, phi_c, z_c = grid.voxel_centers(coords).T
+    feats[:, :3] -= np.column_stack([rho_c * np.cos(phi_c), rho_c * np.sin(phi_c), z_c])
 
     labels = None
     if pc.labels is not None:
         # Vote over the ids present, not up to the largest id: a .label file
-        # may hold the 0xFFFFFFFF sentinel.
-        present, label_idx = np.unique(pc.labels[keep], return_inverse=True)
-        votes = np.bincount(inverse * present.size + label_idx,
-                            minlength=n_voxels * present.size)
-        # `present` is sorted and argmax takes the first maximum, so ties go
-        # to the smallest id.
-        labels = present[votes.reshape(n_voxels, present.size).argmax(axis=1)]
+        # may hold the 0xFFFFFFFF sentinel. `present` is sorted and argmax
+        # takes the first maximum, so ties go to the smallest id. An empty
+        # cloud has no id: one column keeps the reshape valid.
+        present, label_idx = np.unique(pc.labels, return_inverse=True)
+        votes = np.bincount(rows * present.size + label_idx, minlength=(n_voxels + 1) * present.size)
+        labels = present[votes.reshape(-1, present.size or 1)[:n_voxels].argmax(axis=1)]
 
     return SparseVoxelTensor(grid=grid, coords=coords, features=feats.astype(np.float32),
                              labels=labels, dropped_points=dropped)
 
 
 def point_rows(pc: PointCloud, t: SparseVoxelTensor) -> np.ndarray:
-    """Row of `t` holding each point of `pc`; -1 for a point outside the grid
-    or in a cell that `t` leaves inactive."""
-    keep, keys = _bin_points(pc.xyz.astype(np.float64), t.grid)
-    rows = np.full(len(pc), -1, dtype=np.int64)
-    active = t.keys()
-    if len(active) and keys.size:
-        pos = np.minimum(np.searchsorted(active, keys), len(active) - 1)
-        hit = active[pos] == keys
-        rows[np.flatnonzero(keep)[hit]] = pos[hit]
-    return rows
+    """Row of `t` holding each point of `pc`, found by searching the point's
+    cell key among `t`'s; -1 for a point outside the grid or in a cell that
+    `t` leaves inactive."""
+    keys = _cell_keys(pc.xyz.astype(np.float64), t.grid)
+    # The end key sorts after the outside key and matches no point.
+    active = np.append(t.keys(), t.grid.n_cells + 1)
+    rows = np.searchsorted(active, keys)
+    return np.where(active[rows] == keys, rows, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Earlier implementations of three per-frame array passes, kept as oracles.
 
-- `voxelize_reference` sums each feature column with its own masked,
-  strided read: ``bincount(inverse, weights=column[keep])``.
+- `voxelize_reference` bins the points itself, by the documented rule of
+  uniform half-open bins over ``[0, rho_max) x [-pi, pi) x [z_min, z_max)``,
+  and sums each feature column with its own masked, strided read:
+  ``bincount(inverse, weights=column[keep])``.
 - `coarse_histograms_reference` writes each scale's ``(n, n_bins)`` gather
   into its slice of the output.
 - `build_rulebook_reference` sorts the site keys and finds each neighbor by
@@ -15,12 +17,25 @@ same order, so on any valid input the outputs must agree byte for byte.
 import numpy as np
 
 from lim3d.sparseconv import Rulebook
-from lim3d.voxel import SparseVoxelTensor, _bin_points
+from lim3d.voxel import SparseVoxelTensor
+
+
+def uniform_bins(values, lo, hi, n):
+    """Index of each value among `n` uniform half-open bins over ``[lo, hi)``;
+    `n` for a value at `hi` or one that rounds up onto it."""
+    return np.floor((values - lo) / (hi - lo) * n).astype(np.int64)
 
 
 def voxelize_reference(pc, grid):
     xyz = pc.xyz.astype(np.float64)
-    keep, keys = _bin_points(xyz, grid)
+    rho, phi, z = np.hypot(xyz[:, 0], xyz[:, 1]), np.arctan2(xyz[:, 1], xyz[:, 0]), xyz[:, 2]
+    keep = (rho < grid.rho_max) & (grid.z_range[0] <= z) & (z < grid.z_range[1])
+    # A kept rho or z that rounds up onto the top edge stays in the last bin;
+    # phi = pi wraps onto bin 0.
+    cells = (np.minimum(uniform_bins(rho[keep], 0.0, grid.rho_max, grid.n_rho), grid.n_rho - 1),
+             uniform_bins(phi[keep], -np.pi, np.pi, grid.n_phi) % grid.n_phi,
+             np.minimum(uniform_bins(z[keep], *grid.z_range, grid.n_z), grid.n_z - 1))
+    keys = np.ravel_multi_index(cells, grid.shape)
     dropped = int(len(pc) - keep.sum())
     columns = [*xyz.T, pc.intensity]
     if pc.extra_features is not None:

@@ -60,6 +60,18 @@ class TestVoxelize:
                         extra_features=None if extra_width is None else np.empty((0, extra_width)))
         assert assert_voxelize_matches(pc).n_active == 0
 
+    def test_edge_and_far_points(self):
+        # rho just below rho_max, phi = +pi and -pi, z on both z edges and
+        # just below z_max, then points whose bin index would overflow int64.
+        below = float(np.nextafter(np.float32(6.0), np.float32(0.0)))
+        top = float(np.nextafter(np.float32(3.0), np.float32(0.0)))
+        xyz = [[below, 0.0, 0.0], [-1.0, 0.0, 0.5], [-1.0, -0.0, 0.5], [2.5, 1.0, -2.0],
+               [2.5, 1.0, 3.0], [0.0, 2.0, top], [1e38, 0.0, 0.0], [1.0, 1.0, -1e38],
+               [1.0, -1.0, 1e38]]
+        pc = PointCloud(xyz=xyz, intensity=np.linspace(0, 1, len(xyz)), labels=np.arange(len(xyz)))
+        t = assert_voxelize_matches(pc)
+        assert t.dropped_points == 4
+
     @pytest.mark.parametrize("xyz", [[1.0, 0.5, 0.0], [9.0, 0.0, 0.0]])
     def test_single_point_inside_or_dropped(self, xyz):
         pc = PointCloud(xyz=[xyz], intensity=[0.25], labels=[3], extra_features=[[1.5, -2.0]])
