@@ -22,9 +22,10 @@ from .sparseconv import (ConvSpec, CostReport, Rulebook, apply_pointwise, apply_
                          build_rulebook, conv_cost, glorot_weights, pointwise_forward,
                          spatial_forward)
 from .ssim import ssim
-from .training import (SGD, TOY_GRID, ToyPipelineConfig, confusion_matrix, ema_update,
-                       iou_per_class, label_frame, load_model, mean_iou, prepare_frame,
-                       run_toy_pipeline, save_model, train_step)
+from .training import (SGD, TOY_GRID, ToyPipelineConfig, ToyRun, confusion_matrix, ema_update,
+                       evaluate, iou_per_class, label_frame, label_stage, load_model, mean_iou,
+                       prepare_frame, prepare_run, run_toy_pipeline, save_model, train_stage,
+                       train_step)
 from .voxel import (CylGridSpec, SparseVoxelTensor, densify, point_rows,
                     sparsify, voxelize)
 

@@ -7,11 +7,12 @@ the composite loss (supervised Jaccard extension, KL consistency to the
 teacher, and in the distill stage the contrastive term fed by a FIFO bank
 of unreliable-voxel negatives), then the teacher tracks it by EMA.
 
-`run_toy_pipeline` composes them. Each frame's training labels live in one
-place, `Frame.pseudo`: the frames that the redundancy-driven sampling plan
-picks get their ground truth there, and stage 1 trains on them; stage 2
-labels the other frames; stage 3 keeps training the stage-1 student on every
-frame with labels, ground truth or pseudo-labels alike.
+`run_toy_pipeline` composes four stages over one `ToyRun`. `prepare_run`
+puts the ground truth of the frames the redundancy-driven sampling plan
+picks in `Frame.pseudo`, each frame's one place for training labels;
+`train_stage` trains on the frames it is given (stage 1 on those, stage 3
+on all with labels), `label_stage` labels frames with any network (stage 2
+uses the teacher) and `evaluate` scores one. A variant is a composition.
 
 A trained network only works on its training input: the features and
 voxels that `prepare_frame` builds from a cloud with one grid and one
@@ -39,7 +40,7 @@ from .pseudolabel import (ContrastiveConfig, MemoryBank, PseudoLabelSet,
                           build_anchor_set, entropy_partition, crb_select,
                           infonce_loss, positive_center)
 from .reflectivity import ReflecConfig, augment, coarse_histograms, normalize_reflectivity, reflectivity
-from .sampling import calibrate_beta
+from .sampling import SamplingPlan, calibrate_beta
 from .sparseconv import Rulebook, build_rulebook
 from .voxel import CylGridSpec, SparseVoxelTensor, voxelize
 
@@ -55,6 +56,7 @@ __all__ = [
     "prepare_frame",
     "label_frame",
     "train_step",
+    "ToyRun", "prepare_run", "train_stage", "label_stage", "evaluate",
     "run_toy_pipeline",
     "save_model",
     "load_model",
@@ -194,9 +196,8 @@ class Frame:
     """A cloud as the network sees it: its voxels and their rulebook.
 
     `pseudo` holds the frame's training labels, None until it has some:
-    `run_toy_pipeline` sets it to the ground truth (every voxel reliable)
-    for the frames its sampling plan picks, and to `label_frame`'s
-    pseudo-labels for the others.
+    `prepare_run` sets the ground truth (every voxel reliable) of the
+    frames its sampling plan picks, and `label_stage` pseudo-labels.
     """
 
     svt: SparseVoxelTensor
@@ -280,138 +281,153 @@ def train_step(student: MiniSegNet, teacher: MiniSegNet, frame: Frame, opt: SGD,
     return value
 
 
+@dataclass
+class ToyRun:
+    """What the toy run's stages share; `rng` orders every stage's steps."""
+
+    cfg: ToyPipelineConfig
+    frames: list[Frame]
+    heldout: list[Frame]
+    student: MiniSegNet
+    teacher: MiniSegNet
+    rng: np.random.Generator
+    beta: float
+    plan: SamplingPlan
+
+
+def prepare_run(cfg: ToyPipelineConfig, sequences: list[list] | None = None) -> ToyRun:
+    """A run on `sequences` of ``(PointCloud, range image)`` pairs, or on the
+    config's synthetic ones: each one's trailing `heldout_fraction` is held
+    out, and the sampling plan picks the frames whose ground truth is kept."""
+    rng = np.random.default_rng(cfg.seed)
+    if sequences is None:
+        sequences = [synth_sequence(cfg.scene, cfg.frames_per_sequence, cfg.seed + 1000 * s,
+                                    sequence_id=s) for s in range(cfg.n_sequences)]
+    train_seqs, heldout = [], []
+    for seq in sequences:
+        n_held = max(1, math.ceil(cfg.heldout_fraction * len(seq)))
+        if n_held >= len(seq):
+            raise DomainError("heldout_fraction leaves no training frames")
+        train_seqs.append(seq[:-n_held])
+        heldout.extend(seq[-n_held:])
+
+    gray = [ranges_to_grayscale([ri for _, ri in seq]) for seq in train_seqs]
+    beta, plan = calibrate_beta(gray, cfg.subset_size, cfg.labeled_fraction)
+    frames: list[Frame] = []
+    for seq_id, seq_frames in enumerate(train_seqs):
+        chosen = set(plan.entries.get(seq_id, []))
+        for idx, (pc, _) in enumerate(seq_frames):
+            frames.append(prepare_frame(pc, cfg.grid, cfg.reflec, cfg.kernel_size))
+            if idx in chosen:  # `voxelize` gives every voxel a class: none is unreliable
+                frames[-1].pseudo = PseudoLabelSet(labels=frames[-1].svt.labels)
+    heldout_frames = [prepare_frame(pc, cfg.grid, cfg.reflec, cfg.kernel_size) for pc, _ in heldout]
+    student = MiniSegNet(frames[0].svt.channels, cfg.scene.n_classes, cfg.widths,
+                         cfg.kernel_size, seed=cfg.seed)
+    return ToyRun(cfg, frames, heldout_frames, student, student.clone(), rng, float(beta), plan)
+
+
+def train_stage(run: ToyRun, stage: str, steps: int, frame_ids: list[int],
+                bank: MemoryBank | None = None) -> dict:
+    """`steps` calls of `train_step` at `stage`'s loss weights, on the frames
+    of `frame_ids` in a fresh shuffle each pass; returns the report's stage
+    entry. `steps` > 0 with no frame raises `DomainError`."""
+    if steps > 0 and not len(frame_ids):
+        raise DomainError(f"{stage}: {steps} steps need at least one frame")
+    cfg = run.cfg
+    loss_cfg = cfg.loss_config(stage)
+    opt = SGD(run.student.params, lr=cfg.lr, momentum=cfg.momentum)
+    losses, order = [], []
+    for _ in range(steps):
+        if not order:
+            order = list(frame_ids)
+            run.rng.shuffle(order)
+        losses.append(train_step(run.student, run.teacher, run.frames[order.pop()], opt,
+                                 loss_cfg, bank, cfg.contrastive))
+    return {"steps": steps, "losses": [round(v, 6) for v in losses],
+            "final_loss": losses[-1] if losses else None}
+
+
+def label_stage(run: ToyRun, labeller: MiniSegNet, frame_ids: list[int]) -> dict:
+    """Set each indexed frame's `pseudo` to `labeller`'s `label_frame`
+    labels; returns the report's stage entry, which counts them."""
+    cfg, n_classes = run.cfg, labeller.n_classes
+    per_class = np.zeros(n_classes, dtype=np.int64)
+    n_voxels = hits = checked = 0
+    for fid in frame_ids:
+        f = run.frames[fid]
+        f.pseudo, _ = label_frame(labeller, f, cfg.percentile, cfg.per_class_keep)
+        reliable = f.pseudo.labels >= 0
+        per_class += np.bincount(f.pseudo.labels[reliable], minlength=n_classes)
+        n_voxels += len(reliable)
+        if f.svt.labels is not None:
+            checked += int(reliable.sum())
+            hits += int((f.svt.labels == f.pseudo.labels)[reliable].sum())
+    n_reliable = int(per_class.sum())
+    return {"frames": len(frame_ids), "reliable_voxels": n_reliable,
+            "unreliable_voxels": n_voxels - n_reliable,
+            "per_class_reliable": {str(c): int(n) for c, n in enumerate(per_class)},
+            "agreement_with_labels": round(hits / checked, 6) if checked else None}
+
+
+def evaluate(net: MiniSegNet, frames: list[Frame]) -> np.ndarray:
+    """The confusion matrix of `net`'s predictions on `frames`' voxels."""
+    confusion = np.zeros((net.n_classes, net.n_classes), dtype=np.int64)
+    for f in frames:
+        probs, _ = net.predict(f.svt, rulebook=f.rulebook)
+        confusion += confusion_matrix(probs.argmax(axis=1), f.svt.labels, net.n_classes)
+    return confusion
+
+
 def run_toy_pipeline(cfg: ToyPipelineConfig,
                      sequences: list[list] | None = None,
                      model_path: str | None = None) -> dict:
-    """Run the staged loop on synthetic sequences and report metrics.
+    """Run the configured stages on `prepare_run`'s frames and report metrics.
 
-    `sequences` overrides the generated data; each entry is a list of
-    ``(PointCloud, range image)`` pairs as produced by `synth_sequence`.
     Returns a JSON-serializable report with per-stage losses, the sampling
     plan, per-class IoU on the held-out split, and the cost per training
     frame: multiply-adds counted from the frames' rulebooks, next to the
     bound of fully active neighbourhoods (`mult_adds_bound`). With
     `model_path`, the trained student is written there by `save_model`.
     """
-    rng = np.random.default_rng(cfg.seed)
-    if sequences is None:
-        sequences = [synth_sequence(cfg.scene, cfg.frames_per_sequence, cfg.seed + 1000 * s,
-                                    sequence_id=s)
-                     for s in range(cfg.n_sequences)]
-
-    # Held-out split: the trailing fraction of every sequence.
-    train_seqs, heldout = [], []
-    for frames in sequences:
-        n_held = max(1, math.ceil(cfg.heldout_fraction * len(frames)))
-        if n_held >= len(frames):
-            raise DomainError("heldout_fraction leaves no training frames")
-        train_seqs.append(frames[:-n_held])
-        heldout.extend(frames[-n_held:])
-
-    # Redundancy-driven selection of the labeled subset.
-    gray = [ranges_to_grayscale([ri for _, ri in frames]) for frames in train_seqs]
-    beta, labeled_plan = calibrate_beta(gray, cfg.subset_size, cfg.labeled_fraction)
-
-    frames: list[Frame] = []
-    labeled_ids, unlabeled_ids = [], []
-    for seq_id, seq_frames in enumerate(train_seqs):
-        chosen = set(labeled_plan.entries.get(seq_id, []))
-        for idx, (pc, _) in enumerate(seq_frames):
-            f = prepare_frame(pc, cfg.grid, cfg.reflec, cfg.kernel_size)
-            if idx in chosen:  # `voxelize` gives every voxel a class: none is unreliable
-                f.pseudo = PseudoLabelSet(labels=f.svt.labels)
-            (unlabeled_ids if f.pseudo is None else labeled_ids).append(len(frames))
-            frames.append(f)
-    heldout_frames = [prepare_frame(pc, cfg.grid, cfg.reflec, cfg.kernel_size) for pc, _ in heldout]
-
-    n_classes = cfg.scene.n_classes
-    student = MiniSegNet(frames[0].svt.channels, n_classes, cfg.widths, cfg.kernel_size,
-                         seed=cfg.seed)
-    teacher = student.clone()
-
-    def evaluate(net: MiniSegNet) -> np.ndarray:
-        confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-        for f in heldout_frames:
-            probs, _ = net.predict(f.svt, rulebook=f.rulebook)
-            confusion += confusion_matrix(probs.argmax(axis=1), f.svt.labels, n_classes)
-        return confusion
-
-    report: dict = {
-        "seed": cfg.seed,
-        "labeled_fraction": cfg.labeled_fraction,
-        "beta": float(beta),
-        "plan": {str(k): v for k, v in labeled_plan.entries.items()},
-        "n_labeled_frames": len(labeled_ids),
-        "n_unlabeled_frames": len(unlabeled_ids),
-        "stages": {},
-    }
-
-    def train_stage(stage: str, steps: int, frame_ids: list[int],
-                    bank: MemoryBank | None) -> dict:
-        loss_cfg = cfg.loss_config(stage)
-        opt = SGD(student.params, lr=cfg.lr, momentum=cfg.momentum)
-        losses: list[float] = []
-        order: list[int] = []
-        for _ in range(steps):
-            if not order:
-                order = list(frame_ids)
-                rng.shuffle(order)
-            losses.append(train_step(student, teacher, frames[order.pop()], opt, loss_cfg,
-                                     bank, cfg.contrastive))
-        return {"steps": steps, "losses": [round(v, 6) for v in losses],
-                "final_loss": losses[-1] if losses else None}
-
+    run = prepare_run(cfg, sequences)
+    frames, student = run.frames, run.student
+    labeled = [i for i, f in enumerate(frames) if f.pseudo is not None]
+    unlabeled = [i for i, f in enumerate(frames) if f.pseudo is None]
+    stages: dict = {}
     if 1 in cfg.stages:
-        report["stages"]["train"] = train_stage("train", cfg.steps_stage1, labeled_ids, bank=None)
-
+        stages["train"] = train_stage(run, "train", cfg.steps_stage1, labeled)
     if 2 in cfg.stages:
-        n_reliable = n_unreliable = agree_hits = agree_total = 0
-        per_class_reliable = np.zeros(n_classes, dtype=np.int64)
-        for fid in unlabeled_ids:
-            f = frames[fid]
-            f.pseudo, _ = label_frame(teacher, f, cfg.percentile, cfg.per_class_keep)
-            labels = f.pseudo.labels
-            reliable = labels >= 0
-            n_reliable += int(reliable.sum())
-            n_unreliable += int(len(labels) - reliable.sum())
-            per_class_reliable += np.bincount(labels[reliable], minlength=n_classes)
-            if f.svt.labels is not None:
-                agree_total += int(reliable.sum())
-                agree_hits += int((f.svt.labels[reliable] == labels[reliable]).sum())
-        report["stages"]["pseudo_label"] = {
-            "frames": len(unlabeled_ids),
-            "reliable_voxels": n_reliable,
-            "unreliable_voxels": n_unreliable,
-            "per_class_reliable": {str(c): int(n) for c, n in enumerate(per_class_reliable)},
-            "agreement_with_labels": round(agree_hits / agree_total, 6) if agree_total else None,
-        }
-
+        stages["pseudo_label"] = label_stage(run, run.teacher, unlabeled)
     if 3 in cfg.stages:
-        # Distillation keeps optimizing the student against the full composite
-        # objective; the teacher that produced the pseudo-labels carries over
-        # and keeps tracking the student by EMA.
-        bank = MemoryBank(n_classes, cfg.contrastive.capacity) if cfg.use_bank else None
-        usable = [i for i in range(len(frames)) if frames[i].pseudo is not None]
-        report["stages"]["distill"] = train_stage("distill", cfg.steps_stage3, usable, bank)
+        # The stage-1 student, on every frame with labels; the teacher carries over.
+        bank = MemoryBank(cfg.scene.n_classes, cfg.contrastive.capacity) if cfg.use_bank else None
+        usable = [i for i, f in enumerate(frames) if f.pseudo is not None]
+        stages["distill"] = train_stage(run, "distill", cfg.steps_stage3, usable, bank)
 
-    confusion = evaluate(student)
+    confusion = evaluate(student, run.heldout)
     per_class = iou_per_class(confusion)
     # Cost is linear in sites and pairs: the cost of the frames' sums, / n_frames, is the mean.
     sites, n_frames = sum(f.svt.n_active for f in frames), len(frames)
     layer_rows, totals = topology_cost(student.topology, sites,
                                        sum(f.rulebook.n_pairs for f in frames))
-    report["metrics"] = {
-        "per_class_iou": [None if np.isnan(v) else round(float(v), 6) for v in per_class],
-        "miou": round(mean_iou(confusion), 6),
-        "confusion": confusion.tolist(),
-    }
-    report["cost"] = {
-        "frames": n_frames,
-        "active_sites": round(sites / n_frames, 1),
-        "trainable_params": totals.trainable_params,
-        "mult_adds": round(totals.mult_adds / n_frames),
-        "mult_adds_bound": round(topology_cost(student.topology, sites)[1].mult_adds / n_frames),
-        "per_layer": [{**r, "mult_adds": round(r["mult_adds"] / n_frames)} for r in layer_rows],
+    report = {
+        "seed": cfg.seed, "labeled_fraction": cfg.labeled_fraction, "beta": run.beta,
+        "plan": {str(k): v for k, v in run.plan.entries.items()},
+        "n_labeled_frames": len(labeled), "n_unlabeled_frames": len(unlabeled),
+        "stages": stages,
+        "metrics": {
+            "per_class_iou": [None if np.isnan(v) else round(float(v), 6) for v in per_class],
+            "miou": round(mean_iou(confusion), 6),
+            "confusion": confusion.tolist(),
+        },
+        "cost": {
+            "frames": n_frames,
+            "active_sites": round(sites / n_frames, 1),
+            "trainable_params": totals.trainable_params,
+            "mult_adds": round(totals.mult_adds / n_frames),
+            "mult_adds_bound": round(topology_cost(student.topology, sites)[1].mult_adds / n_frames),
+            "per_layer": [{**r, "mult_adds": round(r["mult_adds"] / n_frames)} for r in layer_rows],
+        },
     }
     if model_path is not None:
         save_model(model_path, student, cfg.grid, cfg.reflec)

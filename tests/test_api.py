@@ -11,6 +11,10 @@ setting is a flag or an argument, and the work runs in one thread.
 
 Only `training.prepare_frame` builds a rulebook: the network and the
 convolutions take the frame's table and never build their own.
+
+No top-level function of `training` defines a nested function: the toy
+run's stages are public functions over one `ToyRun`, so a variant of the
+recipe composes them rather than patching a closure it cannot reach.
 """
 
 import ast
@@ -145,3 +149,30 @@ def test_the_caller_finder_sees_them():
               "def f():\n    def g():\n        return build_rulebook(c, g, 5)\n"
               "def h():\n    return build_rulebook\n")
     assert callers(source, "build_rulebook") == {"<module>", "Net._rulebook", "f.g"}
+
+
+FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def nested_functions(source: str) -> list[str]:
+    """``outer.inner`` for each function or lambda defined inside a top-level
+    function. Class bodies are not searched, so a dataclass field's
+    ``default_factory`` lambda is exempt."""
+    return [f"{node.name}.{getattr(inner, 'name', '<lambda>')}"
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for inner in ast.walk(node) if inner is not node and isinstance(inner, FUNCTION_NODES)]
+
+
+def test_training_functions_define_no_nested_functions():
+    assert nested_functions((PACKAGE / "training.py").read_text()) == []
+
+
+def test_the_nested_function_finder_sees_them():
+    # Guards the check above against a finder that finds nothing.
+    source = ("def f():\n    def g():\n        return lambda: 1\n"
+              "async def h():\n    key = sorted(xs, key=lambda x: -x)\n"
+              "class C:\n    n: list = field(default_factory=lambda: [])\n"
+              "    def m(self):\n        def inner():\n            pass\n"
+              "def flat():\n    return 1\n")
+    assert nested_functions(source) == ["f.g", "f.<lambda>", "h.<lambda>"]

@@ -10,14 +10,22 @@ the mirror can.
 
 Points are drawn off every azimuth bin edge: bins are half-open, so a point
 on an edge may change bin under the mirror.
+
+At the voxel level the azimuth wraps, so shifting every site's bin by k is
+exact for any bin count: `build_rulebook` gives the same table with its
+rows renumbered, and `predict` the same embeddings. Mirroring the bins
+reverses each site's `d_phi` taps, so `predict` with its depthwise kernels
+flipped along `d_phi` gives the mirrored output; the taps are then summed in
+another order, so only to float32 tolerance.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lim3d import (CylGridSpec, PointCloud, ReflecConfig, coarse_histograms, normalize_reflectivity,
+from lim3d import (CylGridSpec, MiniSegNet, PointCloud, ReflecConfig, SparseVoxelTensor,
+                   build_rulebook, coarse_histograms, normalize_reflectivity,
                    project_range_image, reflectivity, voxelize)
 
 # Every azimuth bin count and image width below divides SECTORS, so a point
@@ -134,3 +142,70 @@ def test_range_image_commutes(transform, points, width, height):
     pc = cloud(points)
     got = project_range_image(transformed(pc, transform), width, height)
     np.testing.assert_array_equal(got, transform.image(project_range_image(pc, width, height)))
+
+
+# ---------------------------------------------------------------------------
+# Voxel level: the rulebook and the network on moved sites
+# ---------------------------------------------------------------------------
+
+SITES = dict(seed=st.integers(0, 2 ** 32 - 1), density=st.floats(0.05, 0.9),
+             n_rho=st.integers(1, 4), n_phi=st.integers(1, 20), n_z=st.integers(1, 4),
+             kernel_size=st.sampled_from([1, 3, 5]))
+
+
+def moved_sites(seed, density, n_rho, n_phi, n_z, kernel_size, phi_bins):
+    """A random tensor and the tensor with each site's azimuth bin mapped by
+    `phi_bins`, each with its rulebook, and `renumber`: old row -> new row,
+    the sentinel kept."""
+    grid = CylGridSpec(n_rho, n_phi, n_z, rho_max=6.0, z_range=(-2.0, 3.0))
+    rng = np.random.default_rng(seed)
+    coords = np.argwhere(rng.random(grid.shape) < density)
+    assume(len(coords))
+    t = SparseVoxelTensor(grid, coords, rng.standard_normal((len(coords), 3)).astype(np.float32))
+    moved = t.coords.copy()
+    moved[:, 1] = phi_bins(moved[:, 1], n_phi)
+    u = SparseVoxelTensor(grid, moved, t.features)
+    renumber = np.full(len(coords) + 1, len(coords))
+    renumber[np.argsort(grid.cell_key(*moved.T), kind="stable")] = np.arange(len(coords))
+    return ((t, build_rulebook(t.coords, grid, kernel_size)),
+            (u, build_rulebook(u.coords, grid, kernel_size)), renumber)
+
+
+def renumbered(rows, renumber):
+    """`rows`, indexed by old row, in the order of the new rows."""
+    out = np.empty_like(rows)
+    out[renumber[:-1]] = rows
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 5, 15])
+@settings(max_examples=40, deadline=None)
+@given(**SITES)
+def test_azimuth_shift_renumbers_the_rulebook_and_predictions(k, seed, density, n_rho, n_phi,
+                                                             n_z, kernel_size):
+    (t, rb), (u, rb_u), renumber = moved_sites(seed, density, n_rho, n_phi, n_z, kernel_size,
+                                               lambda i, n: (i + k) % n)
+    np.testing.assert_array_equal(rb_u.neighbors, renumbered(renumber[rb.neighbors], renumber))
+
+    net = MiniSegNet(3, 4, widths=(5, 6), kernel_size=kernel_size, seed=seed % 97)
+    (probs, emb), (probs_u, emb_u) = net.predict(t, rb), net.predict(u, rb_u)
+    np.testing.assert_array_equal(emb_u, renumbered(emb, renumber))
+    # The head's matrix product may round a row differently by its position.
+    np.testing.assert_allclose(probs_u, renumbered(probs, renumber), rtol=0, atol=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**SITES)
+def test_azimuth_mirror_reverses_the_phi_taps(seed, density, n_rho, n_phi, n_z, kernel_size):
+    (t, rb), (u, rb_u), renumber = moved_sites(seed, density, n_rho, n_phi, n_z, kernel_size,
+                                               Mirror.phi_bins)
+    d = kernel_size
+    taps = rb.neighbors.reshape(-1, d, d, d)[:, :, ::-1].reshape(-1, d ** 3)
+    np.testing.assert_array_equal(rb_u.neighbors, renumbered(renumber[taps], renumber))
+
+    net = MiniSegNet(3, 4, widths=(5, 6), kernel_size=kernel_size, seed=seed % 97)
+    mirrored = net.clone()  # depthwise weights are (d_rho, d_phi, d_z, channels)
+    mirrored.params = [p[:, ::-1].copy() if p.ndim == 4 else p for p in net.params]
+    (probs, emb), (probs_u, emb_u) = net.predict(t, rb), mirrored.predict(u, rb_u)
+    np.testing.assert_allclose(emb_u, renumbered(emb, renumber), rtol=1e-5, atol=1e-5)
+    np.testing.assert_allclose(probs_u, renumbered(probs, renumber), rtol=0, atol=1e-6)

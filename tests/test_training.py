@@ -7,9 +7,9 @@ from conftest import max_rel_err, rulebook_of
 from lim3d import (ContrastiveConfig, ConvSpec, DivergenceError, DomainError, LayerSpec, LossConfig, MemoryBank,
                    MiniSegNet, SceneSpec, ShapeError, Tensor, ToyPipelineConfig, ValidationError,
                    VoxelPredictions, confusion_matrix, crb_select, ema_update,
-                   entropy_partition, iou_per_class, kl_consistency, label_frame,
-                   lovasz_softmax, mean_iou, prepare_frame, run_toy_pipeline, softmax,
-                   synth_sequence, train_step, voxelize)
+                   entropy_partition, evaluate, iou_per_class, kl_consistency, label_frame,
+                   label_stage, lovasz_softmax, mean_iou, prepare_frame, prepare_run,
+                   run_toy_pipeline, softmax, synth_sequence, train_stage, train_step, voxelize)
 from lim3d.network import DEFAULT_WIDTHS, layer_kernels, mini_backbone_topology, topology_cost
 from lim3d.pseudolabel import PseudoLabelSet
 from lim3d.errors import FormatError
@@ -405,12 +405,10 @@ class TestToyPipeline:
         cfg = ToyPipelineConfig(stages=(1,), steps_stage1=0, seed=5,
                                 frames_per_sequence=8)
         report = run_toy_pipeline(cfg)
-        base = MiniSegNet(34, 3, seed=5)
-        # fresh evaluation with an identical untouched network
-        cfg2 = ToyPipelineConfig(stages=(1,), steps_stage1=0, seed=5,
-                                 frames_per_sequence=8)
-        report2 = run_toy_pipeline(cfg2)
-        assert report["metrics"] == report2["metrics"]
+        base = MiniSegNet(34, 3, seed=5)  # the untrained student of seed 5
+        confusion = evaluate(base, prepare_run(cfg).heldout)
+        assert report["metrics"]["confusion"] == confusion.tolist()
+        assert report["metrics"]["miou"] == round(mean_iou(confusion), 6)
         assert report["stages"]["train"]["final_loss"] is None
 
     def test_small_labeled_fraction_labels_a_frame_per_subset(self):
@@ -440,19 +438,11 @@ class TestToyPipeline:
         import json
         json.dumps(report)  # must be serializable
 
-    def test_cost_counts_multiply_adds_from_the_rulebooks(self, monkeypatch):
-        import lim3d.training as training
-        prepared = []
-        prepare = training.prepare_frame
-
-        def recording(*args, **kwargs):
-            prepared.append(prepare(*args, **kwargs))
-            return prepared[-1]
-
-        monkeypatch.setattr(training, "prepare_frame", recording)
-        report = run_toy_pipeline(ToyPipelineConfig(stages=(), frames_per_sequence=8))
+    def test_cost_counts_multiply_adds_from_the_rulebooks(self):
+        cfg = ToyPipelineConfig(stages=(), frames_per_sequence=8)
+        report = run_toy_pipeline(cfg)
+        train = prepare_run(cfg).frames
         n = report["n_labeled_frames"] + report["n_unlabeled_frames"]
-        train = prepared[:n]  # the training frames are prepared before the held-out ones
         topo = mini_backbone_topology(train[0].svt.channels, 3)
         counted = [topology_cost(topo, f.svt.n_active, f.rulebook.n_pairs)[1].mult_adds
                    for f in train]
@@ -474,6 +464,62 @@ class TestToyPipeline:
                                 steps_stage3=4, frames_per_sequence=12, seed=1)
         run_toy_pipeline(cfg)
         assert len(calls) == cfg.steps_stage1 + cfg.steps_stage3
+
+    def test_stages_composed_by_hand_match_the_pipeline(self):
+        cfg = ToyPipelineConfig(labeled_fraction=0.5, steps_stage1=12, steps_stage3=8,
+                                frames_per_sequence=12, seed=3)
+        report = run_toy_pipeline(cfg)
+        run = prepare_run(cfg)
+        labeled = [i for i, f in enumerate(run.frames) if f.pseudo is not None]
+        unlabeled = [i for i, f in enumerate(run.frames) if f.pseudo is None]
+        stages = {"train": train_stage(run, "train", cfg.steps_stage1, labeled),
+                  "pseudo_label": label_stage(run, run.teacher, unlabeled)}
+        # Stage 2 labelled every other frame, so stage 3 trains on all of them.
+        assert all(f.pseudo is not None for f in run.frames)
+        stages["distill"] = train_stage(run, "distill", cfg.steps_stage3,
+                                        list(range(len(run.frames))),
+                                        MemoryBank(cfg.scene.n_classes, cfg.contrastive.capacity))
+        assert stages == report["stages"]
+        confusion = evaluate(run.student, run.heldout)
+        assert report["metrics"]["confusion"] == confusion.tolist()
+        assert report["metrics"]["miou"] == round(mean_iou(confusion), 6)
+        assert (report["beta"], report["n_labeled_frames"]) == (run.beta, len(labeled))
+        assert report["plan"] == {str(k): v for k, v in run.plan.entries.items()}
+
+    def test_label_with_the_stage1_student_by_composition(self):
+        """The variant that labels with the student rather than the teacher
+        is the same stages with another labeller."""
+        cfg = ToyPipelineConfig(labeled_fraction=0.4, steps_stage1=40, seed=3)
+        run = prepare_run(cfg)
+        labeled = [i for i, f in enumerate(run.frames) if f.pseudo is not None]
+        unlabeled = [i for i, f in enumerate(run.frames) if f.pseudo is None]
+        train_stage(run, "train", cfg.steps_stage1, labeled)
+        entry = label_stage(run, run.student, unlabeled)
+        differ = 0
+        for i in unlabeled:
+            frame = run.frames[i]
+            want, _ = label_frame(run.student, frame, cfg.percentile, cfg.per_class_keep)
+            np.testing.assert_array_equal(frame.pseudo.labels, want.labels)
+            by_teacher, _ = label_frame(run.teacher, frame, cfg.percentile, cfg.per_class_keep)
+            differ += int((by_teacher.labels != want.labels).sum())
+        assert differ > 0
+        voxels = sum(run.frames[i].svt.n_active for i in unlabeled)
+        assert entry["frames"] == len(unlabeled)
+        assert entry["reliable_voxels"] + entry["unreliable_voxels"] == voxels
+
+    def test_train_stage_needs_a_frame_to_take_a_step(self):
+        run = prepare_run(ToyPipelineConfig(labeled_fraction=0.4, frames_per_sequence=8))
+        before = run.student.flat()
+        with pytest.raises(DomainError, match="at least one frame"):
+            train_stage(run, "train", 1, [])
+        np.testing.assert_array_equal(run.student.flat(), before)
+        assert train_stage(run, "train", 0, []) == {"steps": 0, "losses": [], "final_loss": None}
+        # A frame without labels trains on the KL term alone.
+        unlabeled = [i for i, f in enumerate(run.frames) if f.pseudo is None]
+        assert unlabeled
+        entry = train_stage(run, "train", 2, unlabeled[:1])
+        assert entry["steps"] == 2 and np.isfinite(entry["final_loss"])
+        assert not np.array_equal(run.student.flat(), before)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_guard(self):
