@@ -150,15 +150,12 @@ def cmd_sample(args) -> int:
     root = Path(args.seq_dir)
     seq_root = root / "sequences"
     if not seq_root.is_dir():
-        print(f"error: sequence directory not found: {seq_root}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise Lim3dError(f"sequence directory not found: {seq_root}")
     if (args.beta is None) == (args.target_fraction is None):
-        print("error: pass exactly one of --beta or --target-fraction", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise DomainError("pass exactly one of --beta or --target-fraction")
     names = sorted(p.name for p in seq_root.iterdir() if p.is_dir())
     if not names:
-        print(f"error: no sequences under {seq_root}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise Lim3dError(f"no sequences under {seq_root}")
     frame_ids = [list_sequence_frames(root, name) for name in names]
     for name, ids in zip(names, frame_ids):
         if not ids:
@@ -257,8 +254,7 @@ def _topology_from_file(path: str) -> tuple[LayerSpec, ...]:
 
 def cmd_cost(args) -> int:
     if (args.topology is None) == (not args.mini_backbone):
-        print("error: pass exactly one of --topology or --mini-backbone", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise DomainError("pass exactly one of --topology or --mini-backbone")
     if args.mini_backbone:
         layers = mini_backbone_topology(args.in_channels, args.n_classes)
     else:

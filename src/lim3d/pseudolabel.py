@@ -219,9 +219,11 @@ def crb_select(pls: PseudoLabelSet, v: VoxelPredictions,
     reliable; the rest are demoted to the unreliable group. Ties prefer the
     lower voxel id: one sort orders the voxels by group, confidence
     descending and id, and a voxel's rank is its offset in its group.
+    Labels that are not one per voxel of `v` raise `ShapeError`.
     """
     if not 0.0 < per_class_keep <= 1.0:
         raise DomainError(f"per_class_keep must lie in (0, 1], got {per_class_keep}")
+    _check_aligned(v, pls)
     if per_class_keep == 1.0:
         return pls
 

@@ -298,13 +298,16 @@ class ToyRun:
 def prepare_run(cfg: ToyPipelineConfig, sequences: list[list] | None = None) -> ToyRun:
     """A run on `sequences` of ``(PointCloud, range image)`` pairs, or on the
     config's synthetic ones: each one's trailing `heldout_fraction` is held
-    out, and the sampling plan picks the frames whose ground truth is kept."""
+    out, and the sampling plan picks the frames whose ground truth is kept.
+    A cloud without labels raises `ValidationError`."""
     rng = np.random.default_rng(cfg.seed)
     if sequences is None:
         sequences = [synth_sequence(cfg.scene, cfg.frames_per_sequence, cfg.seed + 1000 * s,
                                     sequence_id=s) for s in range(cfg.n_sequences)]
     train_seqs, heldout = [], []
-    for seq in sequences:
+    for seq_id, seq in enumerate(sequences):
+        if missing := [i for i, (pc, _) in enumerate(seq) if pc.labels is None]:
+            raise ValidationError(f"sequence {seq_id}: frames at positions {missing} have no labels")
         n_held = max(1, math.ceil(cfg.heldout_fraction * len(seq)))
         if n_held >= len(seq):
             raise DomainError("heldout_fraction leaves no training frames")
@@ -370,9 +373,11 @@ def label_stage(run: ToyRun, labeller: MiniSegNet, frame_ids: list[int]) -> dict
 
 
 def evaluate(net: MiniSegNet, frames: list[Frame]) -> np.ndarray:
-    """The confusion matrix of `net`'s predictions on `frames`' voxels."""
+    """The confusion matrix of `net`'s predictions on labeled `frames`."""
     confusion = np.zeros((net.n_classes, net.n_classes), dtype=np.int64)
-    for f in frames:
+    for i, f in enumerate(frames):
+        if f.svt.labels is None:
+            raise ValidationError(f"evaluate: frame {i} has no voxel labels")
         probs, _ = net.predict(f.svt, rulebook=f.rulebook)
         confusion += confusion_matrix(probs.argmax(axis=1), f.svt.labels, net.n_classes)
     return confusion

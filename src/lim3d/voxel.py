@@ -3,17 +3,18 @@
 Points are binned in cylinder coordinates ``(rho, phi, z)``. Bin edges are
 uniform and half-open: a point exactly on a boundary falls into the
 higher-index bin, and ``phi = pi`` wraps onto the ``-pi`` edge. Each point
-gets one cell key; a point outside the grid gets the outside key
+gets one cell key, C order over the grid; a tensor's sites are checked, never
+sorted, to increase in it. A point outside the grid gets the outside key
 ``grid.n_cells``, which sorts after every cell, so its voxel row is
 ``n_voxels``, one past the last. Per-voxel features are the mean point
 features ``(dx, dy, dz, intensity, *extra)`` where the offsets are measured
-from the voxel center; they are summed and averaged in float64 and stored
-as float32, the precision of the points. Each column is summed in point
-order by ``np.bincount``; the columns are read a block of `COLUMN_BLOCK` at
-a time, through transposes of `ROW_BLOCK` points, not by one strided read
-each. Voxel labels are the majority vote of point labels with ties broken
-toward the smaller class id, counted over the ids present in the cloud; a
-negative point label raises `ValidationError`.
+from the voxel center; they are summed and averaged in float64 and stored as
+float32, the precision of the points. Each column is summed in point order by
+``np.bincount``; the columns are read a block of `COLUMN_BLOCK` at a time,
+through transposes of `ROW_BLOCK` points, not by one strided read each. Voxel
+labels are the majority vote of point labels with ties broken toward the
+smaller class id, counted over the ids present in the cloud; a negative point
+label raises `ValidationError`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CapacityError, DomainError, ShapeError, ValidationError, is_count
-from .pointcloud import PointCloud
+from .pointcloud import PointCloud, _frozen
 
 __all__ = [
     "CylGridSpec",
@@ -92,15 +93,16 @@ class CylGridSpec:
 class SparseVoxelTensor:
     """Active voxel coordinates plus a feature row per active site.
 
-    Coordinates are lexicographically sorted, unique and in-bounds, so two
-    tensors on one grid have the same active sites exactly when their
-    `coords` are equal. Features are float32 or float64 as given (any other
-    dtype becomes float64), one row per coordinate. `dropped_points` counts
-    points discarded during voxelization (out of grid range).
+    Coordinates lie in the grid and strictly increase in cell key, or
+    `ValidationError` is raised; rows stay as passed, so two tensors on one
+    grid have the same active sites exactly when their `coords` are equal.
+    Features are float32 or float64 as given (any other dtype becomes
+    float64). Every array is read-only, and shared if already in its stored
+    dtype and layout. `dropped_points` counts points outside the grid.
     """
 
     grid: CylGridSpec
-    coords: np.ndarray            # (v, 3) int64, sorted lexicographically
+    coords: np.ndarray            # (v, 3) int64, strictly increasing in cell key
     features: np.ndarray          # (v, channels) float32 or float64; the network computes in it
     labels: np.ndarray | None = None  # (v,) int64
     dropped_points: int = 0
@@ -114,23 +116,15 @@ class SparseVoxelTensor:
             raise ShapeError(f"features shape {features.shape} does not match {len(coords)} coords")
         if not np.isfinite(features).all():
             raise ValidationError("voxel features must be finite")
-        if len(coords):
-            if coords.min() < 0 or np.any(coords >= np.array(self.grid.shape)):
-                raise ValidationError("voxel coordinates out of grid bounds")
-            keys = self.grid.cell_key(*coords.T)
-            order = np.argsort(keys, kind="stable")
-            if np.any(np.diff(keys[order]) == 0):
-                raise ValidationError("duplicate voxel coordinates")
-            coords = coords[order]
-            features = features[order]
-            if self.labels is not None:
-                labels = np.ascontiguousarray(self.labels, dtype=np.int64).reshape(-1)
-                if len(labels) != len(coords):
-                    raise ShapeError("labels length does not match coords")
-                object.__setattr__(self, "labels", labels[order])
-        for name, arr in (("coords", coords), ("features", features)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        if coords.min(initial=0) < 0 or np.any(coords >= np.array(self.grid.shape)):
+            raise ValidationError("voxel coordinates out of grid bounds")
+        if np.any(np.diff(self.grid.cell_key(*coords.T)) <= 0):
+            raise ValidationError("voxel coordinates must be strictly increasing in cell key")
+        labels = None if self.labels is None else np.ascontiguousarray(self.labels, np.int64)
+        if labels is not None and labels.shape != (len(coords),):
+            raise ShapeError(f"labels shape {labels.shape} does not match {len(coords)} coords")
+        for name, arr in (("coords", coords), ("features", features), ("labels", labels)):
+            object.__setattr__(self, name, arr if arr is None else _frozen(arr))
 
     @property
     def n_active(self) -> int:
@@ -139,10 +133,6 @@ class SparseVoxelTensor:
     @property
     def channels(self) -> int:
         return self.features.shape[1]
-
-    def keys(self) -> np.ndarray:
-        """Sorted linear cell indices of the active sites."""
-        return self.grid.cell_key(*self.coords.T)
 
     def with_features(self, features: np.ndarray) -> "SparseVoxelTensor":
         return replace(self, features=features)
@@ -243,7 +233,7 @@ def point_rows(pc: PointCloud, t: SparseVoxelTensor) -> np.ndarray:
     `t` leaves inactive."""
     keys = _cell_keys(pc.xyz.astype(np.float64), t.grid)
     # The end key sorts after the outside key and matches no point.
-    active = np.append(t.keys(), t.grid.n_cells + 1)
+    active = np.append(t.grid.cell_key(*t.coords.T), t.grid.n_cells + 1)
     rows = np.searchsorted(active, keys)
     return np.where(active[rows] == keys, rows, -1)
 
@@ -259,8 +249,7 @@ def densify(t: SparseVoxelTensor) -> np.ndarray:
     if size > DENSIFY_GUARD:
         raise CapacityError(f"dense array of {size} elements exceeds the {DENSIFY_GUARD} guard")
     dense = np.zeros(t.grid.shape + (t.channels,), dtype=np.float64)
-    if t.n_active:
-        dense[t.coords[:, 0], t.coords[:, 1], t.coords[:, 2]] = t.features
+    dense[t.coords[:, 0], t.coords[:, 1], t.coords[:, 2]] = t.features
     return dense
 
 

@@ -21,7 +21,7 @@ def random_sparse_tensor(rng, grid=None, channels=None, max_active=48, max_dim=8
         channels = int(rng.integers(1, 9))
     n_cells = grid.n_cells
     n_active = int(rng.integers(1, min(n_cells, max_active) + 1))
-    keys = rng.choice(n_cells, size=n_active, replace=False)
+    keys = np.sort(rng.choice(n_cells, size=n_active, replace=False))
     coords = np.column_stack([
         keys // (grid.n_phi * grid.n_z),
         (keys // grid.n_z) % grid.n_phi,

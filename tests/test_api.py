@@ -15,6 +15,9 @@ convolutions take the frame's table and never build their own.
 No top-level function of `training` defines a nested function: the toy
 run's stages are public functions over one `ToyRun`, so a variant of the
 recipe composes them rather than patching a closure it cannot reach.
+
+`SparseVoxelTensor.__post_init__` calls no sort: the tensor checks the
+cell-key order its callers hand over and never reorders their rows.
 """
 
 import ast
@@ -176,3 +179,20 @@ def test_the_nested_function_finder_sees_them():
               "    def m(self):\n        def inner():\n            pass\n"
               "def flat():\n    return 1\n")
     assert nested_functions(source) == ["f.g", "f.<lambda>", "h.<lambda>"]
+
+
+SORTS = ("argsort", "lexsort", "sort", "unique")
+
+
+def test_the_voxel_tensor_checks_its_order_without_sorting():
+    source = (PACKAGE / "voxel.py").read_text()
+    assert [name for name in SORTS
+            if "SparseVoxelTensor.__post_init__" in callers(source, name)] == []
+
+
+def test_the_caller_finder_sees_a_sort():
+    # Guards the check above against a finder that finds nothing.
+    source = ("class SparseVoxelTensor:\n    def __post_init__(self):\n"
+              "        order = np.argsort(keys, kind='stable')\n        keys.sort()\n"
+              "        np.lexsort((a, b)), np.unique(keys)\n")
+    assert all(callers(source, name) == {"SparseVoxelTensor.__post_init__"} for name in SORTS)

@@ -179,7 +179,7 @@ class TestRelease:
     def test_held_memory_after_backward_is_leaf_gradients_and_caller_tensors(self, rng):
         grid = CylGridSpec(40, 40, 8, 40.0, (0.0, 8.0))
         n = 3000
-        keys = rng.choice(grid.n_cells, size=n, replace=False)
+        keys = np.sort(rng.choice(grid.n_cells, size=n, replace=False))
         coords = np.column_stack(np.unravel_index(keys, grid.shape))
         svt = SparseVoxelTensor(grid=grid, coords=coords,
                                 features=rng.normal(size=(n, 8)).astype(np.float32))
@@ -208,7 +208,7 @@ class TestRelease:
         holds no pre-activation and no mask, where the composed graph holds
         both."""
         grid = CylGridSpec(12, 16, 6, 12.0, (0.0, 6.0))
-        keys = rng.choice(grid.n_cells, size=400, replace=False)
+        keys = np.sort(rng.choice(grid.n_cells, size=400, replace=False))
         coords = np.column_stack(np.unravel_index(keys, grid.shape))
         svt = SparseVoxelTensor(grid=grid, coords=coords,
                                 features=rng.normal(size=(400, 4)).astype(np.float32))

@@ -113,6 +113,13 @@ class TestCrbSelect:
         out = crb_select(pls, vp, 0.5)
         assert out.labels.tolist() == [0, -1, 0, -1]
 
+    @pytest.mark.parametrize("keep", [0.5, 1.0])
+    @pytest.mark.parametrize("n_labels", [5, 12])
+    def test_labels_not_matching_the_voxels_rejected(self, rng, n_labels, keep):
+        vp = make_predictions(rng, n=10)
+        with pytest.raises(ShapeError, match=f"{n_labels} pseudo-labels for 10 voxels"):
+            crb_select(PseudoLabelSet(labels=[1] * n_labels), vp, keep)
+
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 60), c=st.integers(2, 5),

@@ -405,7 +405,7 @@ class TestNeighborTable:
     @pytest.mark.parametrize("kind", ["standard", "depthwise"])
     def test_kernel5_gradients_fd_on_two_phi_bins(self, rng, kind):
         grid = CylGridSpec(3, 2, 3, rho_max=3.0, z_range=(0.0, 3.0))
-        keys = rng.choice(grid.n_cells, size=10, replace=False)
+        keys = np.sort(rng.choice(grid.n_cells, size=10, replace=False))
         t = SparseVoxelTensor(grid=grid, coords=np.column_stack(np.unravel_index(keys, grid.shape)),
                               features=rng.normal(size=(10, 2)))
         out_ch = 2 if kind == "depthwise" else 3
@@ -448,7 +448,7 @@ def rulebook_by_dense_table(coords, grid, kernel_size):
 
 def frame_of(rng, n_sites, channels, grid=CylGridSpec(12, 16, 8, 12.0, (0.0, 8.0))):
     """Exactly `n_sites` random active sites on `grid`."""
-    keys = rng.choice(grid.n_cells, size=n_sites, replace=False)
+    keys = np.sort(rng.choice(grid.n_cells, size=n_sites, replace=False))
     coords = np.column_stack(np.unravel_index(keys, grid.shape)).reshape(-1, 3)
     return SparseVoxelTensor(grid=grid, coords=coords,
                              features=rng.normal(size=(n_sites, channels)))

@@ -164,9 +164,10 @@ def moved_sites(seed, density, n_rho, n_phi, n_z, kernel_size, phi_bins):
     t = SparseVoxelTensor(grid, coords, rng.standard_normal((len(coords), 3)).astype(np.float32))
     moved = t.coords.copy()
     moved[:, 1] = phi_bins(moved[:, 1], n_phi)
-    u = SparseVoxelTensor(grid, moved, t.features)
+    order = np.argsort(grid.cell_key(*moved.T), kind="stable")
+    u = SparseVoxelTensor(grid, moved[order], t.features[order])
     renumber = np.full(len(coords) + 1, len(coords))
-    renumber[np.argsort(grid.cell_key(*moved.T), kind="stable")] = np.arange(len(coords))
+    renumber[order] = np.arange(len(coords))
     return ((t, build_rulebook(t.coords, grid, kernel_size)),
             (u, build_rulebook(u.coords, grid, kernel_size)), renumber)
 

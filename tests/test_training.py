@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -520,6 +523,27 @@ class TestToyPipeline:
         entry = train_stage(run, "train", 2, unlabeled[:1])
         assert entry["steps"] == 2 and np.isfinite(entry["final_loss"])
         assert not np.array_equal(run.student.flat(), before)
+
+    @pytest.mark.parametrize("unlabeled", [list(range(8)), [6, 7]])
+    def test_clouds_without_labels_are_refused(self, unlabeled):
+        """Every training frame may be picked for its ground truth and every
+        held-out frame is scored: a fully unlabeled sequence, or one whose
+        held-out tail is unlabeled, is refused before any work."""
+        cfg = ToyPipelineConfig(frames_per_sequence=8)
+        seq = [(replace(pc, labels=None) if i in unlabeled else pc, ri)
+               for i, (pc, ri) in enumerate(synth_sequence(cfg.scene, 8, seed=3))]
+        want = re.escape(f"sequence 1: frames at positions {unlabeled}")
+        with pytest.raises(ValidationError, match=want):
+            prepare_run(cfg, [synth_sequence(cfg.scene, 8, seed=4), seq])
+
+    def test_evaluate_refuses_a_frame_without_labels(self):
+        pc, _ = synth_sequence(SceneSpec(n_points=200), 1, seed=0)[0]
+        labeled = prepare_frame(pc, TOY_GRID, None)
+        unlabeled = prepare_frame(replace(pc, labels=None), TOY_GRID, None)
+        net = MiniSegNet(labeled.svt.channels, 3, seed=0)
+        assert evaluate(net, [labeled]).sum() == labeled.svt.n_active
+        with pytest.raises(ValidationError, match="frame 1 has no voxel labels"):
+            evaluate(net, [labeled, unlabeled])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_guard(self):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import peak_bytes, random_sparse_tensor
-from lim3d import (CapacityError, CylGridSpec, DomainError, PointCloud, SparseVoxelTensor,
-                   ValidationError, densify, point_rows, sparsify, voxelize)
+from lim3d import (CapacityError, CylGridSpec, DomainError, PointCloud, ShapeError,
+                   SparseVoxelTensor, ValidationError, densify, point_rows, sparsify, voxelize)
 
 
 GRID = CylGridSpec(n_rho=4, n_phi=4, n_z=4, rho_max=4.0, z_range=(-2.0, 2.0))
@@ -198,11 +198,29 @@ class TestInvariantsAndSerialization:
         with pytest.raises(ValidationError):
             SparseVoxelTensor(grid=GRID, coords=[[0, 0, 0]], features=[[np.inf]])
 
-    def test_coords_sorted_on_construction(self):
-        t = SparseVoxelTensor(grid=GRID, coords=[[3, 0, 0], [0, 0, 1], [0, 0, 0]],
+    def test_coords_out_of_key_order_rejected(self):
+        with pytest.raises(ValidationError, match="increasing in cell key"):
+            SparseVoxelTensor(grid=GRID, coords=[[3, 0, 0], [0, 0, 1], [0, 0, 0]],
                               features=[[3.0], [1.0], [0.0]])
-        np.testing.assert_array_equal(t.coords, [[0, 0, 0], [0, 0, 1], [3, 0, 0]])
-        np.testing.assert_allclose(t.features[:, 0], [0.0, 1.0, 3.0])
+
+    def test_rows_kept_as_passed(self):
+        coords = np.array([[0, 0, 0], [0, 0, 1], [3, 0, 0]])
+        features = np.array([[0.0], [1.0], [3.0]], dtype=np.float32)
+        labels = np.array([2, 0, 1])
+        t = SparseVoxelTensor(grid=GRID, coords=coords, features=features, labels=labels)
+        np.testing.assert_array_equal(t.coords, coords)
+        assert t.features is features and np.shares_memory(t.labels, labels)
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_labels_checked_and_frozen_at_every_size(self, n):
+        coords, features = [[0, 0, 0], [0, 0, 1]][:n], np.zeros((n, 1))
+        with pytest.raises(ShapeError):
+            SparseVoxelTensor(grid=GRID, coords=coords, features=features, labels=[5, 7, 9][:n + 1])
+        t = SparseVoxelTensor(grid=GRID, coords=coords, features=features, labels=[5, 7][:n])
+        assert t.labels.dtype == np.int64 and t.labels.shape == (n,)
+        for arr in (t.coords, t.features, t.labels):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
 
 
 @settings(max_examples=30, deadline=None)
