@@ -281,14 +281,13 @@ def cmd_cost(args) -> int:
 
 def cmd_train_toy(args) -> int:
     stages = tuple(int(s) for s in args.stages.split(","))
-    overrides = {}
+    overrides = {"lambda_c": 0.0} if args.no_bank else {}
     if args.steps is not None:
         overrides.update(steps_stage1=args.steps, steps_stage3=args.steps)
     cfg = ToyPipelineConfig(
         labeled_fraction=args.labeled_fraction,
         stages=stages,
         seed=args.seed,
-        use_bank=not args.no_bank,
         frames_per_sequence=args.frames,
         **overrides,
     )
@@ -363,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=None,
                    help="override both training stages' step counts")
     p.add_argument("--frames", type=int, default=24)
-    p.add_argument("--no-bank", action="store_true")
+    p.add_argument("--no-bank", action="store_true", help="set the contrastive weight to 0")
     p.add_argument("--save-model", default=None)
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_train_toy)

@@ -18,15 +18,15 @@ from .errors import DomainError, ValidationError, is_prob_rows
 
 __all__ = ["LossConfig", "lovasz_softmax", "kl_consistency", "total_loss"]
 
-STAGES = ("train", "pseudo_label", "distill")
+STAGES = ("train", "distill")
 
 
 @dataclass(frozen=True)
 class LossConfig:
     """Composite-loss weights and the training stage gating the contrastive term.
 
-    The contrastive term enters with weight `lambda_c` in the distill stage
-    and 0 in the others.
+    `contrastive_weight` is the one rule that ties the contrastive term to a
+    stage: `lambda_c` in the distill stage and 0 in the train stage.
     """
 
     kappa: float = 0.99

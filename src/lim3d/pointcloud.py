@@ -23,7 +23,7 @@ from __future__ import annotations
 import logging
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -70,20 +70,21 @@ class PointCloud:
 
     `extra_features` holds per-point feature columns appended after load
     (for example reflectivity histograms); voxelization reduces them like
-    any other channel. Non-finite coordinates, and a point whose range
-    float32 cannot hold, raise `ValidationError`.
+    any other channel. Every array is read-only, and shared (the caller's
+    array frozen too) if already in its stored dtype and layout. Non-finite
+    coordinates, and a point whose range float32 cannot hold, raise
+    `ValidationError`.
     """
 
     xyz: np.ndarray                      # (n, 3) float32
     intensity: np.ndarray                # (n,) float32 in [0, 1]
     labels: np.ndarray | None = None     # (n,) int64 class ids
-    frame_id: int = 0
     sequence_id: int = 0
     extra_features: np.ndarray | None = None  # (n, k) float32
 
     def __post_init__(self):
-        xyz = _frozen(np.ascontiguousarray(self.xyz, dtype=np.float32).reshape(-1, 3))
-        inten = _frozen(np.ascontiguousarray(self.intensity, dtype=np.float32).reshape(-1))
+        xyz = _frozen(np.ascontiguousarray(self.xyz, dtype=np.float32)).reshape(-1, 3)
+        inten = _frozen(np.ascontiguousarray(self.intensity, dtype=np.float32)).reshape(-1)
         # Reductions only: NaN and inf show in them, and while every coordinate
         # stays within half of float32's maximum, every range fits float32.
         lo, hi = float(xyz.min(initial=0.0)), float(xyz.max(initial=0.0))
@@ -97,7 +98,7 @@ class PointCloud:
         if len(inten) != len(xyz):
             raise ShapeError(f"{len(inten)} intensities for {len(xyz)} points")
         if self.labels is not None:
-            labels = _frozen(np.ascontiguousarray(self.labels, dtype=np.int64).reshape(-1))
+            labels = _frozen(np.ascontiguousarray(self.labels, dtype=np.int64)).reshape(-1)
             if len(labels) != len(xyz):
                 raise ValidationError(f"{len(labels)} labels for {len(xyz)} points")
             object.__setattr__(self, "labels", labels)
@@ -116,8 +117,7 @@ class PointCloud:
 # ---------------------------------------------------------------------------
 
 
-def load_frame(path: str | os.PathLike, frame_id: int = 0,
-               sequence_id: int = 0) -> PointCloud:
+def load_frame(path: str | os.PathLike) -> PointCloud:
     """Load a binary ``.bin`` frame.
 
     Raises:
@@ -141,8 +141,7 @@ def load_frame(path: str | os.PathLike, frame_id: int = 0,
     if np.any(out_of_range):
         log.warning("%s: clamped %d intensities to [0, 1]", path, int(out_of_range.sum()))
         intensity = np.clip(intensity, 0.0, 1.0)
-    return PointCloud(xyz=records[:, :3], intensity=intensity,
-                      frame_id=frame_id, sequence_id=sequence_id)
+    return PointCloud(xyz=records[:, :3], intensity=intensity)
 
 
 def save_frame(path: str | os.PathLike, pc: PointCloud) -> None:
@@ -386,9 +385,9 @@ def synth_frames(spec: SceneSpec, n_frames: int, seed: int,
     spec.image_height, spec.vfov)`` byte for byte, but only the moving class
     is projected per frame: the still classes are z-buffered once per
     sequence and each frame scatter-mins its moving points into a copy of
-    that buffer. A frame whose segment speed is 0 shares the previous
-    frame's read-only ``xyz`` array and range image, so consecutive frames
-    of a still segment stay bitwise identical.
+    that buffer. A frame whose segment speed is 0 yields the previous
+    frame's cloud and range image, so consecutive frames of a still segment
+    stay bitwise identical.
 
     Raises:
         DomainError: at the call, before any frame is made: ``n_frames``
@@ -422,14 +421,11 @@ def _synth_frames(spec: SceneSpec, n_frames: int, seed: int,
             if offset != 0.0:
                 xyz[moving, 0] = np.mod(moving_x0 + offset + spec.wrap_extent, period) - spec.wrap_extent
             # Checked as a PointCloud before any of its points is projected.
-            pc = PointCloud(xyz=xyz, intensity=intensity, labels=labels,
-                            frame_id=t, sequence_id=sequence_id)
+            pc = PointCloud(xyz=xyz, intensity=intensity, labels=labels, sequence_id=sequence_id)
             if t == 0:
                 still = _zbuffer(*_pixel_ranges(pc.xyz[~moving], w, h, spec.vfov), w * h)
             pix, r = _pixel_ranges(pc.xyz[moving], w, h, spec.vfov)
             ri = _range_image(_zbuffer(pix, r, w * h, base=still), w, h)
-        else:
-            pc = replace(pc, frame_id=t)
         yield pc, ri
 
 

@@ -179,6 +179,8 @@ class ContrastiveConfig:
         if not (is_count(self.capacity) and is_count(self.max_anchors)):
             raise DomainError(f"capacity and max_anchors must be integers >= 1, got "
                               f"{self.capacity!r} and {self.max_anchors!r}")
+        if self.capacity < self.n_negatives:  # no class could ever join the loss
+            raise DomainError(f"capacity {self.capacity} is below n_negatives {self.n_negatives}")
 
 
 # ---------------------------------------------------------------------------
@@ -194,19 +196,19 @@ def shannon_entropy(probs: np.ndarray) -> np.ndarray:
 
 
 def entropy_partition(v: VoxelPredictions, percentile: float = 80.0) -> PseudoLabelSet:
-    """Split voxels at the given entropy percentile.
+    """Split voxels at the given entropy percentile in [0, 100).
 
     Voxels whose entropy lies strictly above the percentile of the frame's
     entropy distribution become unreliable; the rest receive their argmax
-    class as a reliable pseudo-label.
+    class as a reliable pseudo-label. Percentile 0 marks every voxel reliable.
     """
-    if not 0.0 < percentile < 100.0:
-        raise DomainError(f"percentile must lie in (0, 100), got {percentile}")
-    h = shannon_entropy(v.probs)
-    if len(h) == 0:
+    if not 0.0 <= percentile < 100.0:
+        raise DomainError(f"percentile must lie in [0, 100), got {percentile}")
+    if v.n_voxels == 0:  # `argmax` has no answer for zero class columns
         return PseudoLabelSet(labels=np.empty(0, dtype=np.int64))
-    labels = np.where(h > np.percentile(h, percentile), -1, v.probs.argmax(axis=1))
-    return PseudoLabelSet(labels=labels)
+    h = shannon_entropy(v.probs)
+    cut = np.percentile(h, percentile) if percentile > 0.0 else np.inf
+    return PseudoLabelSet(labels=np.where(h > cut, -1, v.probs.argmax(axis=1)))
 
 
 def crb_select(pls: PseudoLabelSet, v: VoxelPredictions,
@@ -216,23 +218,18 @@ def crb_select(pls: PseudoLabelSet, v: VoxelPredictions,
     Within each class and each radial band (near/mid/far thirds of the
     observed radius range; one band when radii are absent or all equal),
     the top ``ceil(per_class_keep * n)`` voxels by class probability stay
-    reliable; the rest are demoted to the unreliable group. Ties prefer the
-    lower voxel id: one sort orders the voxels by group, confidence
-    descending and id, and a voxel's rank is its offset in its group.
-    Labels that are not one per voxel of `v` raise `ShapeError`.
+    reliable; the rest are demoted to the unreliable group of a new set
+    (none at keep 1.0). Ties prefer the lower voxel id: one sort orders the
+    voxels by group, confidence descending and id, and a voxel's rank is its
+    offset in its group. Labels not one per voxel of `v` raise `ShapeError`.
     """
     if not 0.0 < per_class_keep <= 1.0:
         raise DomainError(f"per_class_keep must lie in (0, 1], got {per_class_keep}")
     _check_aligned(v, pls)
-    if per_class_keep == 1.0:
-        return pls
-
     ids = np.flatnonzero(pls.labels >= 0)
-    if ids.size == 0:
-        return pls
     classes = pls.labels[ids]
     r = v.radii[ids] if v.radii is not None else np.zeros(ids.size)
-    lo, hi = r.min(), r.max()
+    lo, hi = r.min(initial=np.inf), r.max(initial=-np.inf)
     band = np.minimum(np.floor((r - lo) / (hi - lo if hi > lo else np.inf) * 3), 2)
     group = classes * 3 + band.astype(np.int64)
     order = np.lexsort((ids, -v.probs[ids, classes], group))

@@ -156,7 +156,6 @@ class ToyPipelineConfig:
     per_class_keep: float = 0.9
     contrastive: ContrastiveConfig = field(default_factory=lambda: ContrastiveConfig(
         delta_p=0.7, tau=0.5, n_negatives=8, capacity=256, max_anchors=64))
-    use_bank: bool = True
     stages: tuple[int, ...] = (1, 2, 3)
     seed: int = 0
 
@@ -220,19 +219,15 @@ def label_frame(teacher: MiniSegNet, frame: Frame, percentile: float,
                 per_class_keep: float) -> tuple[PseudoLabelSet, np.ndarray]:
     """The teacher's pseudo-labels for `frame`, and its class probabilities.
 
-    Voxels above the `percentile` of the frame's entropy are unreliable;
-    percentile 0 marks every voxel reliable. `crb_select` then keeps the
-    `per_class_keep` most confident reliable voxels per class and range band,
-    the bands cut from the voxel centers' radii on the frame's grid.
+    `entropy_partition` splits the voxels at the `percentile` of the frame's
+    entropy, and `crb_select` keeps the `per_class_keep` most confident
+    reliable voxels per class and range band, the bands cut from the voxel
+    centers' radii on the frame's grid.
     """
     probs, emb = teacher.predict(frame.svt, rulebook=frame.rulebook)
     radii = frame.svt.grid.voxel_centers(frame.svt.coords)[:, 0]
     vp = VoxelPredictions(probs=probs, embeddings=emb, radii=radii)
-    if percentile == 0.0:
-        pls = PseudoLabelSet(labels=probs.argmax(axis=1))
-    else:
-        pls = entropy_partition(vp, percentile=percentile)
-    return crb_select(pls, vp, per_class_keep), probs
+    return crb_select(entropy_partition(vp, percentile), vp, per_class_keep), probs
 
 
 def train_step(student: MiniSegNet, teacher: MiniSegNet, frame: Frame, opt: SGD,
@@ -241,9 +236,9 @@ def train_step(student: MiniSegNet, teacher: MiniSegNet, frame: Frame, opt: SGD,
     """One student update on `frame`, then the teacher's EMA update at
     ``loss_cfg.kappa``; returns the loss. The supervised term covers the
     reliable voxels of `frame.pseudo`, which holds ground truth or
-    pseudo-labels alike. In the distill stage with a `bank`, the frame's
-    unreliable voxels are pushed into it and the contrastive term joins,
-    unless `frame.pseudo` is None.
+    pseudo-labels alike. When `loss_cfg` gives the contrastive term a weight
+    and there is a `bank`, the frame's unreliable voxels are pushed into it
+    and the contrastive term joins, unless `frame.pseudo` is None.
 
     Raises:
         DivergenceError: the loss is not finite; no weight has changed.
@@ -260,7 +255,7 @@ def train_step(student: MiniSegNet, teacher: MiniSegNet, frame: Frame, opt: SGD,
     lu = kl_consistency(probs, t_probs)
 
     lc = None
-    if bank is not None and loss_cfg.stage == "distill" and pls is not None:
+    if bank is not None and loss_cfg.contrastive_weight and pls is not None:
         vp = VoxelPredictions(probs=probs.data, embeddings=emb.data)
         anchors = {}
         for c in range(student.n_classes):
@@ -405,7 +400,7 @@ def run_toy_pipeline(cfg: ToyPipelineConfig,
         stages["pseudo_label"] = label_stage(run, run.teacher, unlabeled)
     if 3 in cfg.stages:
         # The stage-1 student, on every frame with labels; the teacher carries over.
-        bank = MemoryBank(cfg.scene.n_classes, cfg.contrastive.capacity) if cfg.use_bank else None
+        bank = MemoryBank(cfg.scene.n_classes, cfg.contrastive.capacity)
         usable = [i for i, f in enumerate(frames) if f.pseudo is not None]
         stages["distill"] = train_stage(run, "distill", cfg.steps_stage3, usable, bank)
 

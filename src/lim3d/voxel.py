@@ -108,7 +108,7 @@ class SparseVoxelTensor:
     dropped_points: int = 0
 
     def __post_init__(self):
-        coords = np.ascontiguousarray(self.coords, dtype=np.int64).reshape(-1, 3)
+        coords = _frozen(np.ascontiguousarray(self.coords, dtype=np.int64)).reshape(-1, 3)
         features = np.ascontiguousarray(self.features)
         if features.dtype not in (np.float32, np.float64):
             features = features.astype(np.float64)

@@ -311,8 +311,8 @@ def test_09_toy_pipeline_end_to_end():
         assert supervised["metrics"]["miou"] > 0.9, supervised["metrics"]
 
         paired = dict(labeled_fraction=0.4, stages=(1, 2, 3), seed=7)
-        with_bank = run_toy_pipeline(ToyPipelineConfig(use_bank=True, **paired))
-        without_bank = run_toy_pipeline(ToyPipelineConfig(use_bank=False, **paired))
+        with_bank = run_toy_pipeline(ToyPipelineConfig(**paired))
+        without_bank = run_toy_pipeline(ToyPipelineConfig(lambda_c=0.0, **paired))
         delta = with_bank["metrics"]["miou"] - without_bank["metrics"]["miou"]
         assert delta >= 0.0, f"bank delta {delta:+.4f}"
         elapsed = time.perf_counter() - start

@@ -143,6 +143,11 @@ class TestLossConfig:
         with pytest.raises(DomainError):
             LossConfig(**bad)
 
+    def test_labelling_stage_is_not_a_loss_stage(self):
+        """Stage 2 only labels; no training step runs at it."""
+        with pytest.raises(DomainError):
+            LossConfig(stage="pseudo_label")
+
     def test_zero_weights_and_kappa_bounds_accepted(self):
         for kw in (dict(kappa=0.0, lambda_u=0.0, lambda_c=0.0), dict(kappa=1.0)):
             LossConfig(**kw)

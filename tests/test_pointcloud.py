@@ -106,6 +106,18 @@ class TestRangeProjection:
             assert ri.shape == (4, 8) and ri.dtype == np.float32
             assert not ri.flags.writeable
 
+    def test_callers_arrays_frozen(self):
+        """Arrays already in the stored dtype are shared, and frozen
+        themselves, so the cloud cannot change after construction."""
+        xyz = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.5]], dtype=np.float32)
+        intensity = np.array([0.5, 0.25], dtype=np.float32)
+        labels = np.array([1, 2])
+        pc = PointCloud(xyz=xyz, intensity=intensity, labels=labels)
+        for arr, stored in ((xyz, pc.xyz), (intensity, pc.intensity), (labels, pc.labels)):
+            assert np.shares_memory(arr, stored)
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = -5
+
     def test_bad_vfov(self):
         pc = PointCloud(xyz=[[1.0, 0, 0]], intensity=[0.5])
         with pytest.raises(DomainError):
@@ -246,7 +258,7 @@ class TestSynthSequence:
             still = (t // 2) % 2 == 0
             assert np.shares_memory(pc.xyz, prev.xyz) == still
             assert (ri is prev_ri) == still
-            assert pc.frame_id == t and not pc.xyz.flags.writeable
+            assert (pc is prev) == still and not pc.xyz.flags.writeable
 
     @pytest.mark.parametrize("kw", [dict(image_width=0), dict(image_height=0),
                                     dict(vfov=(10.0, -10.0)), dict(vfov=(5.0, 5.0))])

@@ -77,16 +77,29 @@ class TestEntropyPartition:
     def test_percentile_domain(self, rng):
         vp = make_predictions(rng, n=5)
         from lim3d import DomainError
-        for bad in (0.0, 100.0, -5.0):
+        for bad in (100.0, -5.0):
             with pytest.raises(DomainError):
                 entropy_partition(vp, percentile=bad)
+        assert (entropy_partition(vp, percentile=0.0).labels >= 0).all()
+
+    def test_percentile_zero_labels_every_voxel_with_its_argmax(self, rng):
+        vp = make_predictions(rng, n=30, peaked=slice(0, 10))
+        np.testing.assert_array_equal(entropy_partition(vp, percentile=0.0).labels,
+                                      vp.probs.argmax(axis=1))
+
+    @pytest.mark.parametrize("percentile", [0.0, 80.0])
+    def test_empty_predictions_give_empty_labels(self, percentile):
+        vp = VoxelPredictions(probs=np.empty((0, 0)), embeddings=np.empty((0, 2)))
+        pls = entropy_partition(vp, percentile=percentile)
+        assert pls.labels.shape == (0,) and pls.labels.dtype == np.int64
+        assert crb_select(pls, vp, 0.5).labels.shape == (0,)
 
 
 class TestCrbSelect:
     def test_keep_one_is_identity(self, rng):
         vp = make_predictions(rng, n=30, radii=rng.uniform(1, 10, 30))
         pls = entropy_partition(vp, percentile=80.0)
-        assert crb_select(pls, vp, 1.0) is pls
+        np.testing.assert_array_equal(crb_select(pls, vp, 1.0).labels, pls.labels)
 
     def test_top_third_by_confidence(self):
         probs = np.array([[0.9, 0.1], [0.8, 0.2], [0.7, 0.3]])
@@ -231,6 +244,13 @@ class TestConfigs:
     def test_bad_bank_size_raises_domain_error(self, n_classes, capacity):
         with pytest.raises(DomainError):
             MemoryBank(n_classes, capacity)
+
+    def test_capacity_below_n_negatives_raises_domain_error(self):
+        """Such a bank never holds enough negatives for any class, so the
+        contrastive term would be off for the whole run."""
+        with pytest.raises(DomainError, match="capacity"):
+            ContrastiveConfig(n_negatives=8, capacity=4)
+        assert ContrastiveConfig(n_negatives=4, capacity=4).capacity == 4
 
     def test_numpy_counts_accepted(self):
         cfg = ContrastiveConfig(n_negatives=np.int64(3), capacity=np.int32(16),

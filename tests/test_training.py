@@ -326,6 +326,14 @@ class TestSteps:
         assert np.isfinite(step())
         assert (sum(bank.size(c) for c in range(3)) > 0) == filled
 
+    def test_distill_at_zero_contrastive_weight_leaves_the_bank_empty(self):
+        frame = self._frame(labeled=False)
+        frame.pseudo, _ = label_frame(MiniSegNet(4, 3, widths=(8, 8), seed=1), frame, 50.0, 1.0)
+        bank = MemoryBank(3, capacity=64)
+        _, _, step = self._step(frame, LossConfig(lambda_c=0.0, stage="distill"), bank)
+        assert np.isfinite(step())
+        assert sum(bank.size(c) for c in range(3)) == 0
+
     def test_labeled_frame_pushes_nothing_but_gives_anchors(self, rng):
         """A labeled frame's ground truth marks every voxel reliable, so the
         bank is left as it was, and the ground-truth anchors still reach the

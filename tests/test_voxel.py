@@ -211,6 +211,15 @@ class TestInvariantsAndSerialization:
         np.testing.assert_array_equal(t.coords, coords)
         assert t.features is features and np.shares_memory(t.labels, labels)
 
+    def test_callers_coords_frozen(self):
+        """A shared array is frozen itself, not only through a view, so the
+        key order checked at construction cannot change afterwards."""
+        coords = np.array([[0, 0, 0], [0, 0, 1]])
+        t = SparseVoxelTensor(grid=GRID, coords=coords, features=np.zeros((2, 1)))
+        assert np.shares_memory(t.coords, coords)
+        with pytest.raises(ValueError, match="read-only"):
+            coords[0] = [3, 3, 3]
+
     @pytest.mark.parametrize("n", [0, 2])
     def test_labels_checked_and_frozen_at_every_size(self, n):
         coords, features = [[0, 0, 0], [0, 0, 1]][:n], np.zeros((n, 1))
