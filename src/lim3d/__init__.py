@@ -26,7 +26,6 @@ from .training import (SGD, TOY_GRID, ToyPipelineConfig, ToyRun, confusion_matri
                        evaluate, iou_per_class, label_frame, label_stage, load_model, mean_iou,
                        prepare_frame, prepare_run, run_toy_pipeline, save_model, train_stage,
                        train_step)
-from .voxel import (CylGridSpec, SparseVoxelTensor, densify, point_rows,
-                    sparsify, voxelize)
+from .voxel import CylGridSpec, SparseVoxelTensor, densify, sparsify, voxelize
 
 __version__ = "0.1.0"

@@ -34,7 +34,6 @@ from .pointcloud import (SceneSpec, frame_path, image_path, label_path,
 from .reflectivity import ReflecConfig, coarse_histograms, normalize_reflectivity, reflectivity
 from .sampling import SamplingPlan, calibrate_beta, plan, save_plan
 from .training import ToyPipelineConfig, label_frame, load_model, prepare_frame, run_toy_pipeline
-from .voxel import point_rows
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -213,9 +212,8 @@ def cmd_pseudo(args) -> int:
     svt = frame.svt
     pls, probs = label_frame(net, frame, args.percentile, args.per_class_keep)
 
-    # A point outside every voxel has row -1, which picks the appended -1.
-    point_labels = np.append(pls.labels, -1)[point_rows(pc, svt)]
-    save_labels(args.out, np.where(point_labels >= 0, point_labels, UNRELIABLE_LABEL))
+    # Row n_voxels (outside the grid) picks the appended -1, saved as UNRELIABLE_LABEL.
+    save_labels(args.out, np.append(pls.labels, -1)[svt.point_rows])
 
     reliable = pls.labels >= 0
     reliable_counts = np.bincount(pls.labels[reliable], minlength=net.n_classes)

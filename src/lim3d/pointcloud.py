@@ -70,10 +70,10 @@ class PointCloud:
 
     `extra_features` holds per-point feature columns appended after load
     (for example reflectivity histograms); voxelization reduces them like
-    any other channel. Every array is read-only, and shared (the caller's
-    array frozen too) if already in its stored dtype and layout. Non-finite
-    coordinates, and a point whose range float32 cannot hold, raise
-    `ValidationError`.
+    any other channel. Every array is read-only once every check has passed,
+    and shared (the caller's array frozen too) if already in its stored dtype
+    and layout; a refused array is left as it was. Non-finite coordinates,
+    and a point whose range float32 cannot hold, raise `ValidationError`.
     """
 
     xyz: np.ndarray                      # (n, 3) float32
@@ -83,30 +83,30 @@ class PointCloud:
     extra_features: np.ndarray | None = None  # (n, k) float32
 
     def __post_init__(self):
-        xyz = _frozen(np.ascontiguousarray(self.xyz, dtype=np.float32)).reshape(-1, 3)
-        inten = _frozen(np.ascontiguousarray(self.intensity, dtype=np.float32)).reshape(-1)
+        xyz = np.ascontiguousarray(self.xyz, dtype=np.float32)
+        inten = np.ascontiguousarray(self.intensity, dtype=np.float32)
+        labels = None if self.labels is None else np.ascontiguousarray(self.labels, np.int64)
+        extra = (None if self.extra_features is None
+                 else np.ascontiguousarray(self.extra_features, dtype=np.float32))
+        points = xyz.reshape(-1, 3)
         # Reductions only: NaN and inf show in them, and while every coordinate
         # stays within half of float32's maximum, every range fits float32.
-        lo, hi = float(xyz.min(initial=0.0)), float(xyz.max(initial=0.0))
+        lo, hi = float(points.min(initial=0.0)), float(points.max(initial=0.0))
         if not np.isfinite(hi - lo):
             raise ValidationError("point coordinates must be finite")
         if max(hi, -lo) > _FLOAT32_MAX / 2 and (
-                np.linalg.norm(xyz.astype(np.float64), axis=1) > _FLOAT32_MAX).any():
+                np.linalg.norm(points.astype(np.float64), axis=1) > _FLOAT32_MAX).any():
             raise ValidationError("a point's range overflows float32")
-        object.__setattr__(self, "xyz", xyz)
-        object.__setattr__(self, "intensity", inten)
-        if len(inten) != len(xyz):
-            raise ShapeError(f"{len(inten)} intensities for {len(xyz)} points")
-        if self.labels is not None:
-            labels = _frozen(np.ascontiguousarray(self.labels, dtype=np.int64)).reshape(-1)
-            if len(labels) != len(xyz):
-                raise ValidationError(f"{len(labels)} labels for {len(xyz)} points")
-            object.__setattr__(self, "labels", labels)
-        if self.extra_features is not None:
-            extra = np.ascontiguousarray(self.extra_features, dtype=np.float32)
-            if extra.ndim != 2 or len(extra) != len(xyz):
-                raise ShapeError(f"extra_features shape {extra.shape} does not match {len(xyz)} points")
-            object.__setattr__(self, "extra_features", _frozen(extra))
+        if inten.size != len(points):
+            raise ShapeError(f"{inten.size} intensities for {len(points)} points")
+        if labels is not None and labels.size != len(points):
+            raise ValidationError(f"{labels.size} labels for {len(points)} points")
+        if extra is not None and (extra.ndim != 2 or len(extra) != len(points)):
+            raise ShapeError(f"extra_features shape {extra.shape} does not match {len(points)} points")
+        for name, arr, shape in (("xyz", xyz, points.shape), ("intensity", inten, -1),
+                                 ("labels", labels, -1), ("extra_features", extra, np.shape(extra))):
+            if arr is not None:
+                object.__setattr__(self, name, _frozen(arr).reshape(shape))
 
     def __len__(self) -> int:
         return len(self.xyz)

@@ -6,15 +6,16 @@ higher-index bin, and ``phi = pi`` wraps onto the ``-pi`` edge. Each point
 gets one cell key, C order over the grid; a tensor's sites are checked, never
 sorted, to increase in it. A point outside the grid gets the outside key
 ``grid.n_cells``, which sorts after every cell, so its voxel row is
-``n_voxels``, one past the last. Per-voxel features are the mean point
-features ``(dx, dy, dz, intensity, *extra)`` where the offsets are measured
-from the voxel center; they are summed and averaged in float64 and stored as
-float32, the precision of the points. Each column is summed in point order by
-``np.bincount``; the columns are read a block of `COLUMN_BLOCK` at a time,
-through transposes of `ROW_BLOCK` points, not by one strided read each. Voxel
-labels are the majority vote of point labels with ties broken toward the
-smaller class id, counted over the ids present in the cloud; a negative point
-label raises `ValidationError`.
+``n_voxels``, one past the last; `voxelize` keeps each point's row on the
+tensor as `point_rows`, the one map from points to voxels. Per-voxel features
+are the mean point features ``(dx, dy, dz, intensity, *extra)`` where the
+offsets are measured from the voxel center; they are summed and averaged in
+float64 and stored as float32, the precision of the points. Each column is
+summed in point order by ``np.bincount``; the columns are read a block of
+`COLUMN_BLOCK` at a time, through transposes of `ROW_BLOCK` points, not by one
+strided read each. Voxel labels are the majority vote of point labels with
+ties broken toward the smaller class id, counted over the ids present in the
+cloud; a negative point label raises `ValidationError`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "CylGridSpec",
     "SparseVoxelTensor",
     "voxelize",
-    "point_rows",
     "densify",
     "sparsify",
 ]
@@ -97,33 +97,40 @@ class SparseVoxelTensor:
     `ValidationError` is raised; rows stay as passed, so two tensors on one
     grid have the same active sites exactly when their `coords` are equal.
     Features are float32 or float64 as given (any other dtype becomes
-    float64). Every array is read-only, and shared if already in its stored
-    dtype and layout. `dropped_points` counts points outside the grid.
+    float64). `point_rows`, from `voxelize`, is each binned point's row, or
+    `n_active` outside the grid. Every array is read-only once every check
+    has passed, and shared if already in its stored dtype and layout.
     """
 
     grid: CylGridSpec
     coords: np.ndarray            # (v, 3) int64, strictly increasing in cell key
     features: np.ndarray          # (v, channels) float32 or float64; the network computes in it
     labels: np.ndarray | None = None  # (v,) int64
-    dropped_points: int = 0
+    point_rows: np.ndarray | None = None  # (n_points,) integer rows in [0, v]
 
     def __post_init__(self):
-        coords = _frozen(np.ascontiguousarray(self.coords, dtype=np.int64)).reshape(-1, 3)
+        coords = np.ascontiguousarray(self.coords, dtype=np.int64)
+        sites = coords.reshape(-1, 3)
         features = np.ascontiguousarray(self.features)
         if features.dtype not in (np.float32, np.float64):
             features = features.astype(np.float64)
-        if features.ndim != 2 or len(features) != len(coords):
-            raise ShapeError(f"features shape {features.shape} does not match {len(coords)} coords")
+        if features.ndim != 2 or len(features) != len(sites):
+            raise ShapeError(f"features shape {features.shape} does not match {len(sites)} coords")
         if not np.isfinite(features).all():
             raise ValidationError("voxel features must be finite")
-        if coords.min(initial=0) < 0 or np.any(coords >= np.array(self.grid.shape)):
+        if sites.min(initial=0) < 0 or np.any(sites >= np.array(self.grid.shape)):
             raise ValidationError("voxel coordinates out of grid bounds")
-        if np.any(np.diff(self.grid.cell_key(*coords.T)) <= 0):
+        if np.any(np.diff(self.grid.cell_key(*sites.T)) <= 0):
             raise ValidationError("voxel coordinates must be strictly increasing in cell key")
         labels = None if self.labels is None else np.ascontiguousarray(self.labels, np.int64)
-        if labels is not None and labels.shape != (len(coords),):
-            raise ShapeError(f"labels shape {labels.shape} does not match {len(coords)} coords")
-        for name, arr in (("coords", coords), ("features", features), ("labels", labels)):
+        if labels is not None and labels.shape != (len(sites),):
+            raise ShapeError(f"labels shape {labels.shape} does not match {len(sites)} coords")
+        rows = None if self.point_rows is None else np.asarray(self.point_rows)
+        if rows is not None and (rows.ndim != 1 or rows.dtype.kind not in "iu"
+                                 or rows.min(initial=0) < 0 or rows.max(initial=0) > len(sites)):
+            raise ValidationError(f"point_rows must be a vector of integers in [0, {len(sites)}]")
+        for name, arr in (("coords", _frozen(coords).reshape(-1, 3)), ("features", features),
+                          ("labels", labels), ("point_rows", rows)):
             object.__setattr__(self, name, arr if arr is None else _frozen(arr))
 
     @property
@@ -133,6 +140,11 @@ class SparseVoxelTensor:
     @property
     def channels(self) -> int:
         return self.features.shape[1]
+
+    @property
+    def dropped_points(self) -> int:
+        """Points of the binned cloud outside the grid; 0 without `point_rows`."""
+        return 0 if self.point_rows is None else int((self.point_rows == self.n_active).sum())
 
     def with_features(self, features: np.ndarray) -> "SparseVoxelTensor":
         return replace(self, features=features)
@@ -177,9 +189,9 @@ def voxelize(pc: PointCloud, grid: CylGridSpec) -> SparseVoxelTensor:
 
     Points with ``rho >= rho_max`` or ``z`` outside the grid are dropped:
     they take the outside key and row ``n_voxels``, which no voxel keeps.
-    Their count is logged and recorded on the result. Feature rows are
-    ``(dx, dy, dz, intensity, *extra_features)`` averaged per voxel in
-    float64 and returned as float32; offsets are from the voxel center in
+    Their count is logged; every point's row is kept as `point_rows`. Feature
+    rows are ``(dx, dy, dz, intensity, *extra_features)`` averaged per voxel
+    in float64 and returned as float32; offsets are from the voxel center in
     Cartesian coordinates.
 
     Raises:
@@ -224,18 +236,7 @@ def voxelize(pc: PointCloud, grid: CylGridSpec) -> SparseVoxelTensor:
         labels = present[votes.reshape(-1, present.size or 1)[:n_voxels].argmax(axis=1)]
 
     return SparseVoxelTensor(grid=grid, coords=coords, features=feats.astype(np.float32),
-                             labels=labels, dropped_points=dropped)
-
-
-def point_rows(pc: PointCloud, t: SparseVoxelTensor) -> np.ndarray:
-    """Row of `t` holding each point of `pc`, found by searching the point's
-    cell key among `t`'s; -1 for a point outside the grid or in a cell that
-    `t` leaves inactive."""
-    keys = _cell_keys(pc.xyz.astype(np.float64), t.grid)
-    # The end key sorts after the outside key and matches no point.
-    active = np.append(t.grid.cell_key(*t.coords.T), t.grid.n_cells + 1)
-    rows = np.searchsorted(active, keys)
-    return np.where(active[rows] == keys, rows, -1)
+                             labels=labels, point_rows=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Earlier implementations of three per-frame array passes, kept as oracles.
+"""Earlier implementations of per-frame array passes, kept as oracles.
 
 - `voxelize_reference` bins the points itself, by the documented rule of
   uniform half-open bins over ``[0, rho_max) x [-pi, pi) x [z_min, z_max)``,
   and sums each feature column with its own masked, strided read:
-  ``bincount(inverse, weights=column[keep])``.
+  ``bincount(inverse, weights=column[keep])``. Its `point_rows` are the
+  kept points' ``inverse``, and ``n_voxels`` for the others.
+- `point_rows` finds each point's row by binning it the same way and
+  searching its cell key among a tensor's sites.
 - `coarse_histograms_reference` writes each scale's ``(n, n_bins)`` gather
   into its slice of the output.
 - `build_rulebook_reference` sorts the site keys and finds each neighbor by
@@ -26,7 +29,9 @@ def uniform_bins(values, lo, hi, n):
     return np.floor((values - lo) / (hi - lo) * n).astype(np.int64)
 
 
-def voxelize_reference(pc, grid):
+def reference_cells(pc, grid):
+    """The mask of the points inside `grid`, and the cell key of each point
+    inside, binned by the documented rule."""
     xyz = pc.xyz.astype(np.float64)
     rho, phi, z = np.hypot(xyz[:, 0], xyz[:, 1]), np.arctan2(xyz[:, 1], xyz[:, 0]), xyz[:, 2]
     keep = (rho < grid.rho_max) & (grid.z_range[0] <= z) & (z < grid.z_range[1])
@@ -35,8 +40,12 @@ def voxelize_reference(pc, grid):
     cells = (np.minimum(uniform_bins(rho[keep], 0.0, grid.rho_max, grid.n_rho), grid.n_rho - 1),
              uniform_bins(phi[keep], -np.pi, np.pi, grid.n_phi) % grid.n_phi,
              np.minimum(uniform_bins(z[keep], *grid.z_range, grid.n_z), grid.n_z - 1))
-    keys = np.ravel_multi_index(cells, grid.shape)
-    dropped = int(len(pc) - keep.sum())
+    return keep, np.ravel_multi_index(cells, grid.shape)
+
+
+def voxelize_reference(pc, grid):
+    keep, keys = reference_cells(pc, grid)
+    xyz = pc.xyz.astype(np.float64)
     columns = [*xyz.T, pc.intensity]
     if pc.extra_features is not None:
         columns.extend(pc.extra_features.T)
@@ -44,9 +53,11 @@ def voxelize_reference(pc, grid):
         return SparseVoxelTensor(grid=grid, coords=np.empty((0, 3), dtype=np.int64),
                                  features=np.empty((0, len(columns)), np.float32),
                                  labels=None if pc.labels is None else np.empty(0, np.int64),
-                                 dropped_points=dropped)
+                                 point_rows=np.zeros(len(pc), np.intp))
     uniq_keys, inverse = np.unique(keys, return_inverse=True)
     n_voxels = uniq_keys.size
+    rows = np.full(len(pc), n_voxels, np.intp)
+    rows[keep] = inverse
     coords = grid.cell_coords(uniq_keys)
     feats = np.empty((n_voxels, len(columns)))
     for j, c in enumerate(columns):
@@ -61,7 +72,20 @@ def voxelize_reference(pc, grid):
         votes = np.bincount(inverse * present.size + label_idx, minlength=n_voxels * present.size)
         labels = present[votes.reshape(n_voxels, present.size).argmax(axis=1)]
     return SparseVoxelTensor(grid=grid, coords=coords, features=feats.astype(np.float32),
-                             labels=labels, dropped_points=dropped)
+                             labels=labels, point_rows=rows)
+
+
+def point_rows(pc, t):
+    """Row of `t` holding each point of `pc`, found by searching the point's
+    cell key among `t`'s; -1 for a point outside the grid or in a cell that
+    `t` leaves inactive."""
+    keep, keys = reference_cells(pc, t.grid)
+    # The end key is no cell's, so a search past the last site matches nothing.
+    active = np.append(t.grid.cell_key(*t.coords.T), t.grid.n_cells)
+    found = np.searchsorted(active, keys)
+    rows = np.full(len(pc), -1, np.intp)
+    rows[keep] = np.where(active[found] == keys, found, -1)
+    return rows
 
 
 def coarse_histograms_reference(pc, r_norm, cfg):

@@ -10,7 +10,9 @@ No module under `src/lim3d` reads the environment or starts threads: a
 setting is a flag or an argument, and the work runs in one thread.
 
 Only `training.prepare_frame` builds a rulebook: the network and the
-convolutions take the frame's table and never build their own.
+convolutions take the frame's table and never build their own. Likewise
+only it voxelizes, and only `voxelize` computes cell keys, so a cloud is
+binned once and every later use reads the tensor's `point_rows`.
 
 No top-level function of `training` defines a nested function: the toy
 run's stages are public functions over one `ToyRun`, so a variant of the
@@ -138,10 +140,21 @@ def callers(source: str, callee: str) -> set[str]:
     return found
 
 
+def package_callers(callee: str) -> set[str]:
+    """``module.function`` for each caller of `callee` under `src/lim3d`."""
+    return {f"{path.stem}.{name}" for path in sorted(PACKAGE.rglob("*.py"))
+            for name in callers(path.read_text(), callee)}
+
+
 def test_only_prepare_frame_builds_a_rulebook():
-    found = {f"{path.stem}.{name}" for path in sorted(PACKAGE.rglob("*.py"))
-             for name in callers(path.read_text(), "build_rulebook")}
-    assert found == {"training.prepare_frame"}
+    assert package_callers("build_rulebook") == {"training.prepare_frame"}
+
+
+def test_a_cloud_is_binned_in_one_place():
+    # The tensor's `point_rows` is the one point-to-voxel map: no caller
+    # computes cell keys again, or voxelizes a prepared cloud a second time.
+    assert package_callers("_cell_keys") == {"voxel.voxelize"}
+    assert package_callers("voxelize") == {"training.prepare_frame"}
 
 
 def test_the_caller_finder_sees_them():

@@ -8,7 +8,7 @@ from lim3d import (CylGridSpec, PointCloud, ReflecConfig, build_rulebook, coarse
                    normalize_reflectivity, reflectivity, voxelize)
 from lim3d.sparseconv import SPATIAL_BLOCK
 from lim3d.voxel import COLUMN_BLOCK, ROW_BLOCK
-from pass_reference import (build_rulebook_reference, coarse_histograms_reference,
+from pass_reference import (build_rulebook_reference, coarse_histograms_reference, point_rows,
                             voxelize_reference)
 
 GRID = CylGridSpec(n_rho=6, n_phi=8, n_z=5, rho_max=6.0, z_range=(-2.0, 3.0))
@@ -32,9 +32,11 @@ def cloud(rng, n, extra_width=None, drop=False, labels=True):
 
 def assert_voxelize_matches(pc):
     got, want = voxelize(pc, GRID), voxelize_reference(pc, GRID)
-    assert got.dropped_points == want.dropped_points
-    for a, b in ((got.coords, want.coords), (got.features, want.features)):
+    for a, b in ((got.coords, want.coords), (got.features, want.features),
+                 (got.point_rows, want.point_rows)):
         assert_same_bytes(a, b)
+    searched = point_rows(pc, got)
+    assert_same_bytes(got.point_rows, np.where(searched >= 0, searched, got.n_active))
     assert (got.labels is None) == (want.labels is None)
     if got.labels is not None:
         assert_same_bytes(got.labels, want.labels)

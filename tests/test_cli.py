@@ -10,11 +10,12 @@ import pytest
 from conftest import peak_bytes
 from lim3d.cli import build_parser, main
 from lim3d.network import MiniSegNet
-from lim3d.pointcloud import (SceneSpec, image_path, load_frame, load_labels, ranges_to_grayscale,
-                              read_pgm, synth_sequence)
+from lim3d.pointcloud import (PointCloud, SceneSpec, image_path, load_frame, load_labels,
+                              ranges_to_grayscale, read_pgm, save_frame, synth_sequence)
 from lim3d.sampling import load_plan
-from lim3d.training import TOY_GRID, save_model
+from lim3d.training import TOY_GRID, label_frame, load_model, prepare_frame, save_model
 from lim3d.voxel import CylGridSpec, voxelize
+from pass_reference import point_rows
 
 
 @pytest.fixture(scope="module")
@@ -321,6 +322,31 @@ class TestPseudo:
         assert sum(v["unreliable"] for v in meta["per_class"].values()) == \
             meta["unreliable_voxels"]
         assert (load_labels(out) == 0xFFFFFFFF).any()
+
+    def test_points_outside_the_grid_get_the_sentinel(self, dataset, model, tmp_path):
+        """One label per input point: a point past rho_max or outside z_range
+        gets 0xFFFFFFFF, every other point its voxel's pseudo-label."""
+        pc = load_frame(dataset / "sequences" / "00" / "velodyne" / "000000.bin")
+        # TOY_GRID spans rho < 20 and -1 <= z < 5.
+        far = [[30.0, 0.0, 1.0], [0.0, -20.0, 2.0], [3.0, 4.0, 5.0], [-2.0, 1.0, -1.5]]
+        pc = PointCloud(xyz=np.vstack([pc.xyz, far]), intensity=np.append(pc.intensity, [0.5] * 4))
+        save_frame(tmp_path / "f.bin", pc)
+        out = tmp_path / "f.label"
+        assert main(["pseudo", "--in", str(tmp_path / "f.bin"), "--model", str(model),
+                     "--out", str(out)]) == 0
+        labels = load_labels(out)
+        assert labels.size == len(pc)
+
+        net, grid, reflec = load_model(model)
+        frame = prepare_frame(pc, grid, reflec, net.kernel_size)
+        pls, _ = label_frame(net, frame, 80.0, 1.0)
+        rows = point_rows(pc, frame.svt)
+        inside = rows >= 0
+        assert not inside[-len(far):].any()
+        np.testing.assert_array_equal(labels[~inside], 0xFFFFFFFF)
+        want = pls.labels[rows[inside]]
+        assert (want >= 0).any() and (want < 0).any()
+        np.testing.assert_array_equal(labels[inside], np.where(want >= 0, want, 0xFFFFFFFF))
 
     def test_config_hash_covers_the_config_not_its_paths(self, dataset, tmp_path):
         frame = dataset / "sequences" / "00" / "velodyne" / "000000.bin"

@@ -118,6 +118,26 @@ class TestRangeProjection:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = -5
 
+    @pytest.mark.parametrize("field, value, error", [
+        ("xyz", np.array([[1.0, np.nan, 0.0], [0.0, 2.0, 0.5]], dtype=np.float32),
+         ValidationError),
+        ("intensity", np.array([0.5], dtype=np.float32), ShapeError),
+        ("labels", np.array([1, 2, 3]), ValidationError),
+        ("extra_features", np.zeros((3, 2), dtype=np.float32), ShapeError),
+    ])
+    def test_refused_arrays_stay_writable(self, field, value, error):
+        """A refused array is left writable; accepted ones are shared and frozen."""
+        good = dict(xyz=np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.5]], dtype=np.float32),
+                    intensity=np.array([0.5, 0.25], dtype=np.float32), labels=np.array([1, 2]),
+                    extra_features=np.zeros((2, 2), dtype=np.float32))
+        bad = {**good, field: value}
+        with pytest.raises(error):
+            PointCloud(**bad)
+        assert all(arr.flags.writeable for arr in bad.values())
+        pc = PointCloud(**good)
+        for name, arr in good.items():
+            assert np.shares_memory(getattr(pc, name), arr) and not arr.flags.writeable
+
     def test_bad_vfov(self):
         pc = PointCloud(xyz=[[1.0, 0, 0]], intensity=[0.5])
         with pytest.raises(DomainError):

@@ -106,7 +106,9 @@ def test_voxelize_commutes(transform, points, n_rho, n_phi, n_z):
     order = np.argsort(grid.cell_key(*coords.T))
     np.testing.assert_array_equal(u.coords, coords[order])
     np.testing.assert_array_equal(u.labels, t.labels[order])
-    assert u.dropped_points == t.dropped_points
+    # Row r of `t` is row inverse[r] of `u`; a point outside stays outside.
+    inverse = np.append(np.argsort(order), t.n_active)
+    np.testing.assert_array_equal(u.point_rows, inverse[t.point_rows])
 
     # The means of x and y map exactly, and dz, intensity and the extra
     # columns are the same numbers. The two voxel centers are computed from

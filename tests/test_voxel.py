@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import peak_bytes, random_sparse_tensor
 from lim3d import (CapacityError, CylGridSpec, DomainError, PointCloud, ShapeError,
-                   SparseVoxelTensor, ValidationError, densify, point_rows, sparsify, voxelize)
+                   SparseVoxelTensor, ValidationError, densify, sparsify, voxelize)
+from pass_reference import point_rows
 
 
 GRID = CylGridSpec(n_rho=4, n_phi=4, n_z=4, rho_max=4.0, z_range=(-2.0, 2.0))
@@ -82,8 +83,8 @@ class TestVoxelize:
             pc = PointCloud(xyz=rng.uniform(-4.5, 4.5, size=(n, 3)),
                             intensity=rng.uniform(size=n), labels=labels)
             t = voxelize(pc, GRID)
-            rows = point_rows(pc, t)
-            kept = rows >= 0
+            rows = t.point_rows
+            kept = rows < t.n_active
             # One row per voxel over every id up to the largest.
             votes = np.zeros((t.n_active, int(labels.max()) + 1), dtype=np.int64)
             np.add.at(votes, (rows[kept], labels[kept]), 1)
@@ -220,6 +221,40 @@ class TestInvariantsAndSerialization:
         with pytest.raises(ValueError, match="read-only"):
             coords[0] = [3, 3, 3]
 
+    @pytest.mark.parametrize("field, value, error", [
+        ("coords", np.array([[3, 0, 0], [0, 0, 1]]), ValidationError),
+        ("features", np.array([[np.nan], [1.0]], dtype=np.float32), ValidationError),
+        ("labels", np.array([1, 2, 3]), ShapeError),
+        ("point_rows", np.array([0, 1, 3]), ValidationError),
+        ("point_rows", np.array([0, -1]), ValidationError),
+        ("point_rows", np.array([[0, 1]]), ValidationError),
+        ("point_rows", np.array([0.0, 1.0]), ValidationError),
+    ])
+    def test_refused_arrays_stay_writable(self, field, value, error):
+        """A refused array is left writable; accepted ones are shared and frozen."""
+        good = dict(coords=np.array([[0, 0, 0], [0, 0, 1]]),
+                    features=np.zeros((2, 1), np.float32), labels=np.array([1, 2]),
+                    point_rows=np.array([0, 2, 1]))
+        bad = {**good, field: value}
+        with pytest.raises(error):
+            SparseVoxelTensor(grid=GRID, **bad)
+        assert all(arr.flags.writeable for arr in bad.values())
+        t = SparseVoxelTensor(grid=GRID, **good)
+        for name, arr in good.items():
+            assert np.shares_memory(getattr(t, name), arr) and not arr.flags.writeable
+
+    def test_point_rows_stored_as_given(self):
+        rows = np.array([1, 0, 2, 1], dtype=np.int32)
+        t = SparseVoxelTensor(grid=GRID, coords=[[0, 0, 0], [0, 0, 1]],
+                              features=np.zeros((2, 1)), point_rows=rows)
+        assert t.point_rows is rows and t.dropped_points == 1
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0] = 0
+
+    def test_tensor_without_point_rows_drops_nothing(self):
+        t = SparseVoxelTensor(grid=GRID, coords=[[0, 0, 0]], features=[[1.0]])
+        assert t.point_rows is None and t.dropped_points == 0
+
     @pytest.mark.parametrize("n", [0, 2])
     def test_labels_checked_and_frozen_at_every_size(self, n):
         coords, features = [[0, 0, 0], [0, 0, 1]][:n], np.zeros((n, 1))
@@ -246,7 +281,8 @@ def test_voxelize_pure_function_of_seed(seed):
 
 
 def brute_point_rows(pc, t):
-    """Per-point binning by the module's rule, then a dict lookup of the cell."""
+    """Per-point binning by the module's rule, then a dict lookup of the
+    cell; `t.n_active` for a point outside the grid, -1 in an inactive cell."""
     g = t.grid
     z_min, z_max = g.z_range
     cells = {tuple(c): row for row, c in enumerate(t.coords.tolist())}
@@ -254,7 +290,7 @@ def brute_point_rows(pc, t):
     for x, y, z in pc.xyz.astype(np.float64).tolist():
         rho, phi = np.hypot(x, y), np.arctan2(y, x)
         if not (rho < g.rho_max and z_min <= z < z_max):
-            rows.append(-1)
+            rows.append(t.n_active)
             continue
         cell = (min(int(np.floor(rho / g.rho_max * g.n_rho)), g.n_rho - 1),
                 int(np.floor((phi + np.pi) / (2.0 * np.pi) * g.n_phi)) % g.n_phi,
@@ -275,43 +311,42 @@ EDGE_POINTS = [
 
 
 class TestPointRows:
+    """`voxelize` keeps each point's row; `n_active` marks a point outside."""
+
     def test_edges(self):
         pc = PointCloud(xyz=EDGE_POINTS, intensity=np.zeros(len(EDGE_POINTS)))
         t = voxelize(pc, GRID)
-        rows = point_rows(pc, t)
-        assert rows.dtype == np.int64
-        assert rows[-1] == -1 and (rows[:-1] >= 0).all()
+        rows = t.point_rows
+        assert rows.dtype == np.intp and not rows.flags.writeable
+        assert rows[-1] == t.n_active and (rows[:-1] < t.n_active).all()
         assert t.coords[rows[0], 0] == GRID.n_rho - 1
         assert rows[1] == rows[2] and t.coords[rows[1], 1] == 0  # phi = pi wraps onto -pi
         assert t.coords[rows[3], 2] == 0
         assert rows.tolist() == brute_point_rows(pc, t)
 
     def test_empty_cloud(self):
-        pc = PointCloud(xyz=np.empty((0, 3)), intensity=np.empty(0))
-        rows = point_rows(pc, voxelize(pc, GRID))
-        assert rows.dtype == np.int64 and rows.shape == (0,)
+        rows = voxelize(PointCloud(xyz=np.empty((0, 3)), intensity=np.empty(0)), GRID).point_rows
+        assert rows.dtype == np.intp and rows.shape == (0,)
 
     def test_every_point_outside(self):
         pc = PointCloud(xyz=[[9.0, 0.0, 0.0], [0.0, 1.0, 5.0], [1.0, 1.0, -3.0]],
                         intensity=np.zeros(3))
         t = voxelize(pc, GRID)
-        assert t.n_active == 0
-        np.testing.assert_array_equal(point_rows(pc, t), [-1, -1, -1])
+        assert t.n_active == 0 and t.dropped_points == 3
+        np.testing.assert_array_equal(t.point_rows, [0, 0, 0])
 
     @settings(max_examples=100, deadline=None)
     @given(points=st.lists(st.one_of(
                st.sampled_from(EDGE_POINTS),
                st.tuples(st.floats(-6, 6), st.floats(-6, 6), st.floats(-3, 3))), max_size=40),
-           n_rho=st.integers(1, 6), n_phi=st.integers(1, 9), n_z=st.integers(1, 5),
-           split=st.integers(0, 40))
-    def test_matches_brute_force(self, points, n_rho, n_phi, n_z, split):
-        # `t` holds only the first `split` points, so some cells of the
-        # later points may be inactive in it.
+           n_rho=st.integers(1, 6), n_phi=st.integers(1, 9), n_z=st.integers(1, 5))
+    def test_matches_brute_force(self, points, n_rho, n_phi, n_z):
         grid = CylGridSpec(n_rho, n_phi, n_z, rho_max=4.0, z_range=(-2.0, 2.0))
         pc = PointCloud(xyz=np.array(points, dtype=np.float64).reshape(-1, 3),
                         intensity=np.zeros(len(points)))
-        t = voxelize(PointCloud(xyz=pc.xyz[:split], intensity=pc.intensity[:split]), grid)
-        assert point_rows(pc, t).tolist() == brute_point_rows(pc, t)
+        t = voxelize(pc, grid)
+        assert t.point_rows.tolist() == brute_point_rows(pc, t)
+        assert t.dropped_points == len(pc) - np.count_nonzero(point_rows(pc, t) >= 0)
 
 
 def reference_voxel_features(pc, t):
