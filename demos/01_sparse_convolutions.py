@@ -7,6 +7,8 @@ multiply-add budgets of a standard and a separable layer, with the
 multiply-adds counted from the tensor's rulebook.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from lim3d import (ConvSpec, CylGridSpec, LayerSpec, PointCloud, apply_pointwise,
@@ -31,8 +33,8 @@ print(f"voxelized {n} points -> {tensor.n_active} active sites, {tensor.channels
 # neighbours. Submanifold property: the active set never dilates.
 rulebook = build_rulebook(tensor.coords, grid, 3)
 standard = ConvSpec("standard", 4, 16, 3, False)
-out = tensor.with_features(
-    apply_spatial(tensor.features, rulebook, standard, glorot_weights(standard, rng)).data)
+out = replace(tensor, features=apply_spatial(tensor.features, rulebook, standard,
+                                             glorot_weights(standard, rng)).data)
 print(f"standard conv: {out.n_active} active sites (unchanged: "
       f"{np.array_equal(out.coords, tensor.coords)}), {out.channels} channels")
 

@@ -2,9 +2,8 @@
 features, and a semi-supervised toy training loop for LiDAR point clouds."""
 
 from .autodiff import Tensor, log_softmax, softmax
-from .errors import (CapacityError, DegenerateEmbeddingError, DivergenceError,
-                     DomainError, FormatError, Lim3dError, LifecycleError,
-                     ShapeError, ValidationError)
+from .errors import (DegenerateEmbeddingError, DivergenceError, DomainError, FormatError,
+                     Lim3dError, LifecycleError, ShapeError, ValidationError)
 from .losses import LossConfig, kl_consistency, lovasz_softmax, total_loss
 from .network import LayerSpec, MiniSegNet, layer_kernels, mini_backbone_topology, topology_cost
 from .pointcloud import (PointCloud, SceneSpec, load_frame, load_labels,
@@ -26,6 +25,6 @@ from .training import (SGD, TOY_GRID, ToyPipelineConfig, ToyRun, confusion_matri
                        evaluate, iou_per_class, label_frame, label_stage, load_model, mean_iou,
                        prepare_frame, prepare_run, run_toy_pipeline, save_model, train_stage,
                        train_step)
-from .voxel import CylGridSpec, SparseVoxelTensor, densify, sparsify, voxelize
+from .voxel import CylGridSpec, SparseVoxelTensor, voxelize
 
 __version__ = "0.1.0"

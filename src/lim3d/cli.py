@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .errors import DomainError, FormatError, Lim3dError
 from .network import mini_backbone_topology, topology_cost, LayerSpec
-from .pointcloud import (SceneSpec, frame_path, image_path, label_path,
+from .pointcloud import (UNRELIABLE_LABEL, SceneSpec, frame_path, image_path, label_path,
                          list_sequence_frames, load_frame, project_range_image,
                          ranges_to_grayscale, read_pgm, save_frame, save_labels,
                          synth_frames, write_pgm)
@@ -38,9 +38,6 @@ from .training import ToyPipelineConfig, label_frame, load_model, prepare_frame,
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INTERNAL = 3
-
-UNRELIABLE_LABEL = 0xFFFFFFFF  # sentinel for voxels without a reliable label
-
 
 # Paths stay out of the hash; `extra` adds the settings read from input files.
 _HASH_EXCLUDED = {"func", "infile", "model", "config", "report", "out", "save_model", "out_dir"}

@@ -25,10 +25,6 @@ class ShapeError(Lim3dError, ValueError):
     """Array shapes or channel counts do not line up."""
 
 
-class CapacityError(Lim3dError, ValueError):
-    """An operation would exceed a configured size guard."""
-
-
 class DomainError(Lim3dError, ValueError):
     """A scalar argument lies outside its documented domain."""
 

@@ -4,7 +4,8 @@ File formats
 ------------
 * ``.bin`` frames: four little-endian ``float32`` values per point in the
   order ``(x, y, z, intensity)``, 16 bytes per point.
-* ``.label`` files: one little-endian ``uint32`` class id per point.
+* ``.label`` files: one little-endian ``uint32`` class id per point, or
+  `UNRELIABLE_LABEL` (``0xFFFFFFFF``) for a point without a reliable label.
 * ``.pgm`` images: binary 8-bit grayscale (``P5``), used as the external
   image format for redundancy scoring.
 
@@ -57,6 +58,8 @@ POINT_RECORD_BYTES = 16
 DEFAULT_IMAGE_WIDTH = 512
 DEFAULT_IMAGE_HEIGHT = 64
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
+# The .label id of a point without a reliable label; `save_labels` writes -1 as it.
+UNRELIABLE_LABEL = 0xFFFFFFFF
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -165,7 +168,22 @@ def load_labels(path: str | os.PathLike) -> np.ndarray:
 
 
 def save_labels(path: str | os.PathLike, labels: np.ndarray) -> None:
-    np.ascontiguousarray(labels, dtype="<u4").tofile(path)
+    """Write one id per point as a ``.label`` file. Ids are integers in
+    ``[0, UNRELIABLE_LABEL]``; -1 is written as `UNRELIABLE_LABEL`.
+
+    Raises:
+        ValidationError: an id is not an integer, or is below -1 or above
+            `UNRELIABLE_LABEL`; no file is written.
+    """
+    ids = np.asarray(labels)
+    if ids.dtype.kind not in "iu":
+        raise ValidationError(f".label ids must be integers, got dtype {ids.dtype}")
+    bad = (ids < -1) | (ids > UNRELIABLE_LABEL)
+    if bad.any():
+        raise ValidationError(f".label ids must lie in [-1, {UNRELIABLE_LABEL}]; "
+                              f"{int(bad.sum())} do not, the first is {ids[bad][0]}")
+    # The cast to uint32 is modular, so -1 becomes UNRELIABLE_LABEL.
+    np.ascontiguousarray(ids, dtype="<u4").tofile(path)
 
 
 # ---------------------------------------------------------------------------

@@ -236,13 +236,16 @@ def train_step(student: MiniSegNet, teacher: MiniSegNet, frame: Frame, opt: SGD,
     """One student update on `frame`, then the teacher's EMA update at
     ``loss_cfg.kappa``; returns the loss. The supervised term covers the
     reliable voxels of `frame.pseudo`, which holds ground truth or
-    pseudo-labels alike. When `loss_cfg` gives the contrastive term a weight
-    and there is a `bank`, the frame's unreliable voxels are pushed into it
-    and the contrastive term joins, unless `frame.pseudo` is None.
+    pseudo-labels alike. When `loss_cfg` gives the contrastive term a weight,
+    the frame's unreliable voxels are pushed into `bank` and the contrastive
+    term joins, unless `frame.pseudo` is None.
 
     Raises:
+        DomainError: the contrastive term has a weight but there is no `bank`.
         DivergenceError: the loss is not finite; no weight has changed.
     """
+    if loss_cfg.contrastive_weight and bank is None:
+        raise DomainError(f"{loss_cfg.stage}: a contrastive weight needs a memory bank")
     params = student.param_tensors()
     logits, emb = student.forward(frame.svt, params=params, rulebook=frame.rulebook)
     probs = softmax(logits, axis=1)
@@ -255,7 +258,7 @@ def train_step(student: MiniSegNet, teacher: MiniSegNet, frame: Frame, opt: SGD,
     lu = kl_consistency(probs, t_probs)
 
     lc = None
-    if bank is not None and loss_cfg.contrastive_weight and pls is not None:
+    if loss_cfg.contrastive_weight and pls is not None:
         vp = VoxelPredictions(probs=probs.data, embeddings=emb.data)
         anchors = {}
         for c in range(student.n_classes):

@@ -21,24 +21,21 @@ cloud; a negative point label raises `ValidationError`.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ShapeError, ValidationError, is_count
+from .errors import DomainError, ShapeError, ValidationError, is_count
 from .pointcloud import PointCloud, _frozen
 
 __all__ = [
     "CylGridSpec",
     "SparseVoxelTensor",
     "voxelize",
-    "densify",
-    "sparsify",
 ]
 
 log = logging.getLogger(__name__)
 
-DENSIFY_GUARD = 10_000_000
 # `voxelize` transposes feature columns in (4096, 8) float32 blocks of 128 kB.
 COLUMN_BLOCK, ROW_BLOCK = 8, 4096
 
@@ -100,6 +97,7 @@ class SparseVoxelTensor:
     float64). `point_rows`, from `voxelize`, is each binned point's row, or
     `n_active` outside the grid. Every array is read-only once every check
     has passed, and shared if already in its stored dtype and layout.
+    ``dataclasses.replace(t, features=...)`` runs every check again.
     """
 
     grid: CylGridSpec
@@ -145,9 +143,6 @@ class SparseVoxelTensor:
     def dropped_points(self) -> int:
         """Points of the binned cloud outside the grid; 0 without `point_rows`."""
         return 0 if self.point_rows is None else int((self.point_rows == self.n_active).sum())
-
-    def with_features(self, features: np.ndarray) -> "SparseVoxelTensor":
-        return replace(self, features=features)
 
 
 # ---------------------------------------------------------------------------
@@ -237,28 +232,3 @@ def voxelize(pc: PointCloud, grid: CylGridSpec) -> SparseVoxelTensor:
 
     return SparseVoxelTensor(grid=grid, coords=coords, features=feats.astype(np.float32),
                              labels=labels, point_rows=rows)
-
-
-# ---------------------------------------------------------------------------
-# Dense round trips (oracle support)
-# ---------------------------------------------------------------------------
-
-
-def densify(t: SparseVoxelTensor) -> np.ndarray:
-    """Expand to a dense ``(n_rho, n_phi, n_z, channels)`` array of float64."""
-    size = t.grid.n_cells * t.channels
-    if size > DENSIFY_GUARD:
-        raise CapacityError(f"dense array of {size} elements exceeds the {DENSIFY_GUARD} guard")
-    dense = np.zeros(t.grid.shape + (t.channels,), dtype=np.float64)
-    dense[t.coords[:, 0], t.coords[:, 1], t.coords[:, 2]] = t.features
-    return dense
-
-
-def sparsify(dense: np.ndarray, grid: CylGridSpec) -> SparseVoxelTensor:
-    """Inverse of `densify`; all-zero feature rows become inactive sites."""
-    dense = np.asarray(dense, dtype=np.float64)
-    if dense.shape[:3] != grid.shape:
-        raise ShapeError(f"dense shape {dense.shape[:3]} != grid shape {grid.shape}")
-    active = np.argwhere(np.any(dense != 0.0, axis=3))
-    features = dense[active[:, 0], active[:, 1], active[:, 2]]
-    return SparseVoxelTensor(grid=grid, coords=active, features=features)

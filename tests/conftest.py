@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,7 +61,7 @@ def conv_tensor(t, spec, weights, bias=None):
         out = apply_pointwise(t.features, spec, weights, bias)
     else:
         out = apply_spatial(t.features, rulebook_of(t, spec.kernel_size), spec, weights, bias)
-    return t.with_features(out.data)
+    return replace(t, features=out.data)
 
 
 def peak_bytes(fn) -> int:

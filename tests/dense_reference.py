@@ -3,9 +3,33 @@
 Explicit Python loops over every grid cell and kernel tap, independent of
 the sparse implementation: azimuth wraps, radius and height taps falling
 off the grid contribute nothing, and outputs are masked to the active set.
+`densify` and `sparsify` carry a `SparseVoxelTensor` to the dense
+``(n_rho, n_phi, n_z, channels)`` array the references read, and back. This
+module takes classes from `lim3d` but no function, so no code under test
+computes the oracle's inputs or outputs.
 """
 
 import numpy as np
+
+from lim3d import SparseVoxelTensor
+
+
+def densify(t):
+    """`t` as a dense ``(n_rho, n_phi, n_z, channels)`` float64 array, zero
+    off the active sites."""
+    dense = np.zeros(t.grid.shape + (t.channels,))
+    dense[t.coords[:, 0], t.coords[:, 1], t.coords[:, 2]] = t.features
+    return dense
+
+
+def sparsify(dense, grid):
+    """Inverse of `densify`: the sites whose feature row is not all zero, in
+    C order over the grid."""
+    dense = np.asarray(dense, dtype=np.float64)
+    assert dense.shape[:3] == grid.shape, f"dense shape {dense.shape[:3]} != grid {grid.shape}"
+    active = np.argwhere(np.any(dense != 0.0, axis=3))
+    return SparseVoxelTensor(grid=grid, coords=active,
+                             features=dense[active[:, 0], active[:, 1], active[:, 2]])
 
 
 def dense_spatial_reference(dense, active_mask, weights, kind, bias=None):

@@ -13,9 +13,9 @@ import pytest
 
 from conftest import conv_tensor, draw_conv, finite_difference, max_rel_err, random_sparse_tensor
 from dense_reference import (dense_pointwise_reference, dense_separable_reference,
-                             dense_spatial_reference)
+                             dense_spatial_reference, densify)
 from lim3d import (ContrastiveConfig, MemoryBank, SceneSpec, ToyPipelineConfig,
-                   apply_pointwise, apply_spatial, build_rulebook, densify, ema_update,
+                   apply_pointwise, apply_spatial, build_rulebook, ema_update,
                    infonce_loss, kl_consistency, lovasz_softmax, ranges_to_grayscale,
                    run_toy_pipeline, ssim, synth_sequence)
 from lim3d.autodiff import Tensor, softmax

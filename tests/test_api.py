@@ -20,9 +20,14 @@ recipe composes them rather than patching a closure it cannot reach.
 
 `SparseVoxelTensor.__post_init__` calls no sort: the tensor checks the
 cell-key order its callers hand over and never reorders their rows.
+
+`tests/dense_reference.py`, the dense convolution oracle, takes classes from
+`lim3d` but no function, so it computes nothing with the code it checks.
 """
 
 import ast
+import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -77,7 +82,7 @@ def test_every_documented_or_used_name_is_exported():
 
 def test_the_parsers_see_the_names():
     # Guards the checks above against a parser that finds nothing.
-    assert {"ConvSpec", "apply_spatial", "spatial_forward", "densify"} <= documented()
+    assert {"ConvSpec", "apply_spatial", "spatial_forward", "glorot_weights"} <= documented()
     assert {"MiniSegNet", "voxelize", "topology_cost"} <= used()
 
 
@@ -209,3 +214,31 @@ def test_the_caller_finder_sees_a_sort():
               "        order = np.argsort(keys, kind='stable')\n        keys.sort()\n"
               "        np.lexsort((a, b)), np.unique(keys)\n")
     assert all(callers(source, name) == {"SparseVoxelTensor.__post_init__"} for name in SORTS)
+
+
+def package_non_classes(source: str) -> list[str]:
+    """Each name `source` imports from `lim3d` or its submodules that is not
+    a class; ``import lim3d...`` reaches every function, so it counts too."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "lim3d"]
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] == "lim3d"):
+            module = importlib.import_module(node.module)
+            found += [f"{node.module}.{alias.name}" for alias in node.names
+                      if not inspect.isclass(getattr(module, alias.name))]
+    return found
+
+
+def test_the_dense_oracle_imports_no_package_function():
+    assert package_non_classes((ROOT / "tests" / "dense_reference.py").read_text()) == []
+
+
+def test_the_import_finder_sees_functions():
+    # Guards the check above against a finder that finds nothing.
+    source = ("import numpy as np\nfrom lim3d import SparseVoxelTensor, voxelize\n"
+              "from lim3d.voxel import CylGridSpec, _cell_keys\nimport lim3d.sparseconv\n"
+              "def f():\n    from lim3d.errors import ShapeError, is_count\n")
+    assert package_non_classes(source) == ["lim3d.voxelize", "lim3d.voxel._cell_keys",
+                                           "lim3d.sparseconv", "lim3d.errors.is_count"]

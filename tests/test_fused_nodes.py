@@ -6,6 +6,8 @@ at float32 and float64. Bytes are compared, so even a flipped sign of zero
 fails.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -177,7 +179,7 @@ def assert_network_matches_composed(dtype, widths, kernel_size):
     hp = ToyPipelineConfig()
     pc = synth_sequence(hp.scene, 1, seed=3)[0][0]
     frame = prepare_frame(pc, TOY_GRID, hp.reflec, kernel_size)
-    svt = frame.svt.with_features(frame.svt.features.astype(dtype))
+    svt = replace(frame.svt, features=frame.svt.features.astype(dtype))
     assert len(np.unique(svt.labels)) >= 2
     net = MiniSegNet(svt.channels, hp.scene.n_classes, widths, kernel_size, seed=0)
     teacher_probs, _ = MiniSegNet(svt.channels, hp.scene.n_classes, widths, kernel_size,
@@ -220,7 +222,7 @@ class TestNetwork:
         hp = ToyPipelineConfig()
         pc = synth_sequence(hp.scene, 1, seed=3)[0][0]
         frame = prepare_frame(pc, TOY_GRID, hp.reflec, kernel_size)
-        svt = frame.svt.with_features(frame.svt.features.astype(dtype))
+        svt = replace(frame.svt, features=frame.svt.features.astype(dtype))
         net = MiniSegNet(svt.channels, hp.scene.n_classes, widths, kernel_size, seed=4)
         seen = []
         parts = network.log_softmax_parts

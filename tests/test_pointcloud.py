@@ -7,7 +7,7 @@ from lim3d import (DomainError, FormatError, PointCloud, SceneSpec, ShapeError,
                    ValidationError, load_frame, project_range_image,
                    ranges_to_grayscale, read_pgm, save_frame, synth_sequence,
                    write_pgm)
-from lim3d.pointcloud import load_labels, save_labels, synth_frames
+from lim3d.pointcloud import UNRELIABLE_LABEL, load_labels, save_labels, synth_frames
 from range_reference import project_reference
 
 
@@ -68,6 +68,17 @@ class TestBinaryFrames:
         labels = np.array([0, 1, 2, 0xFFFFFFFF], dtype=np.uint32)
         save_labels(tmp_path / "a.label", labels)
         np.testing.assert_array_equal(load_labels(tmp_path / "a.label"), labels)
+
+    def test_minus_one_is_written_as_the_unreliable_id(self, tmp_path):
+        save_labels(tmp_path / "a.label", np.array([-1, 0, 5, 0xFFFFFFFF]))
+        np.testing.assert_array_equal(load_labels(tmp_path / "a.label"),
+                                      [UNRELIABLE_LABEL, 0, 5, UNRELIABLE_LABEL])
+
+    @pytest.mark.parametrize("labels", [[-2, 5], [2**32 + 3, 5], [1.7], [1.0]])
+    def test_id_that_would_change_raises_and_writes_nothing(self, tmp_path, labels):
+        with pytest.raises(ValidationError):
+            save_labels(tmp_path / "a.label", np.array(labels))
+        assert not (tmp_path / "a.label").exists()
 
 
 class TestRangeProjection:

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 from conftest import (conv_tensor, draw_conv, finite_difference, identity_weights, max_rel_err,
                       peak_bytes, random_sparse_tensor)
 from dense_reference import (dense_pointwise_reference, dense_separable_reference,
-                             dense_spatial_reference)
+                             dense_spatial_reference, densify)
 from lim3d import (ConvSpec, CylGridSpec, DomainError, LayerSpec, MiniSegNet, SceneSpec,
                    ShapeError, SparseVoxelTensor, ValidationError, apply_pointwise, apply_spatial,
-                   build_rulebook, conv_cost, densify, glorot_weights, pointwise_forward,
+                   build_rulebook, conv_cost, glorot_weights, pointwise_forward,
                    spatial_forward, synth_sequence, topology_cost, voxelize)
 from lim3d.autodiff import Tensor
 from lim3d.sparseconv import SPATIAL_BLOCK
@@ -257,10 +258,10 @@ class TestInvariants:
 
     def test_linearity_bias_free(self, rng):
         t1 = random_sparse_tensor(rng, channels=3)
-        t2 = t1.with_features(rng.normal(size=t1.features.shape))
+        t2 = replace(t1, features=rng.normal(size=t1.features.shape))
         spec, w, _ = draw_conv(rng, "standard", 3, 4, 3)
         a, b = 0.7, -1.3
-        combo = conv_tensor(t1.with_features(a * t1.features + b * t2.features), spec, w)
+        combo = conv_tensor(replace(t1, features=a * t1.features + b * t2.features), spec, w)
         split = a * conv_tensor(t1, spec, w).features + b * conv_tensor(t2, spec, w).features
         np.testing.assert_allclose(combo.features, split, atol=1e-6)
 

@@ -153,7 +153,7 @@ class TestNetwork:
         net = MiniSegNet(4, 3, widths=(8, 8), seed=0)
         for dtype in (np.float32, np.float64):
             svt = voxelize(frames[0][0], grid)
-            svt = svt.with_features(svt.features.astype(dtype))
+            svt = replace(svt, features=svt.features.astype(dtype))
             rb = rulebook_of(svt)
             probs, emb = net.predict(svt, rb)
             logits, embeddings = net.forward(svt, net.param_tensors(), rb)
@@ -206,7 +206,7 @@ class TestNetwork:
         net = MiniSegNet(4, 3, widths, kernel_size, seed=2)
         rb = rulebook_of(svt, kernel_size)
         for dtype in (np.float32, np.float64):
-            t = svt.with_features(svt.features.astype(dtype))
+            t = replace(svt, features=svt.features.astype(dtype))
             probs, emb = net.predict(t, rb)
             logits, embeddings = net.forward(t, net.param_tensors(), rb)
             assert probs.tobytes() == softmax(logits, axis=1).data.tobytes()
@@ -345,14 +345,22 @@ class TestSteps:
         for c in range(3):
             bank.push(c, known[c])
         losses = []
-        for b in (bank, None):
+        for loss_cfg in (LossConfig(stage="distill"), LossConfig(lambda_c=0.0, stage="distill")):
             student = MiniSegNet(4, 3, widths=(8, 8), seed=0)
             losses.append(train_step(student, student.clone(), frame, SGD(student.params, lr=0.05),
-                                     LossConfig(stage="distill"), b, contrastive))
+                                     loss_cfg, bank, contrastive))
         for c in range(3):
             assert bank.size(c) == 1
             np.testing.assert_array_equal(bank.newest(c, 1), known[c:c + 1])
         assert losses[0] != losses[1]
+
+    def test_contrastive_weight_without_a_bank_raises_before_the_step(self):
+        student, teacher, step = self._step(self._frame(labeled=True), LossConfig(stage="distill"))
+        before = student.flat(), teacher.flat()
+        with pytest.raises(DomainError, match="memory bank"):
+            step()
+        np.testing.assert_array_equal(student.flat(), before[0])
+        np.testing.assert_array_equal(teacher.flat(), before[1])
 
     @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0])
     def test_ema_reads_the_loss_config_kappa(self, kappa):
@@ -625,7 +633,7 @@ class TestDtypePolicy:
     def test_forward_computes_in_the_features_dtype(self, dtype, monkeypatch):
         frame, n_classes = _toy_frame()
         assert frame.svt.features.dtype == np.float32
-        svt = frame.svt.with_features(frame.svt.features.astype(dtype))
+        svt = replace(frame.svt, features=frame.svt.features.astype(dtype))
         net = MiniSegNet(svt.channels, n_classes, seed=0)
         created = []
         init = Tensor.__init__
@@ -674,7 +682,7 @@ class TestDtypePolicy:
             return emb.data, [p.grad for p in params]
 
         emb32, grads32 = run(frame.svt)
-        emb64, grads64 = run(frame.svt.with_features(frame.svt.features.astype(np.float64)))
+        emb64, grads64 = run(replace(frame.svt, features=frame.svt.features.astype(np.float64)))
 
         def rel(a, b):
             return float(np.abs(a - b).max() / np.abs(b).max())

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import peak_bytes, random_sparse_tensor
-from lim3d import (CapacityError, CylGridSpec, DomainError, PointCloud, ShapeError,
-                   SparseVoxelTensor, ValidationError, densify, sparsify, voxelize)
+from dense_reference import densify, sparsify
+from lim3d import (CylGridSpec, DomainError, PointCloud, ShapeError, SparseVoxelTensor,
+                   ValidationError, voxelize)
 from pass_reference import point_rows
 
 
@@ -154,6 +156,8 @@ class TestExtraFeaturesReadInPlace:
 
 
 class TestDenseRoundTrip:
+    """The dense oracle's own `densify` and `sparsify`."""
+
     def test_single_voxel(self):
         t = SparseVoxelTensor(grid=GRID, coords=[[1, 2, 3]], features=[[7.0, 8.0]])
         dense = densify(t)
@@ -177,12 +181,6 @@ class TestDenseRoundTrip:
         dense = rng.normal(size=(4, 4, 4, 2))
         t = sparsify(dense, GRID)
         np.testing.assert_array_equal(densify(t), dense)
-
-    def test_capacity_guard(self):
-        grid = CylGridSpec(500, 500, 500, 10.0, (0.0, 1.0))
-        t = SparseVoxelTensor(grid=grid, coords=[[0, 0, 0]], features=[[1.0] * 100])
-        with pytest.raises(CapacityError):
-            densify(t)
 
 
 class TestInvariantsAndSerialization:
@@ -242,6 +240,18 @@ class TestInvariantsAndSerialization:
         t = SparseVoxelTensor(grid=GRID, **good)
         for name, arr in good.items():
             assert np.shares_memory(getattr(t, name), arr) and not arr.flags.writeable
+
+    @pytest.mark.parametrize("features, error", [
+        (np.zeros((3, 1)), ShapeError),
+        (np.array([[1.0], [np.inf]]), ValidationError),
+    ])
+    def test_replaced_features_are_checked_again(self, features, error):
+        """`dataclasses.replace` runs the constructor's checks on the new
+        features, and leaves a refused array writable."""
+        t = SparseVoxelTensor(grid=GRID, coords=[[0, 0, 0], [0, 0, 1]], features=np.zeros((2, 1)))
+        with pytest.raises(error):
+            replace(t, features=features)
+        assert features.flags.writeable
 
     def test_point_rows_stored_as_given(self):
         rows = np.array([1, 0, 2, 1], dtype=np.int32)
