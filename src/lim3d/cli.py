@@ -179,7 +179,8 @@ def _reflec_config(path: str | None) -> ReflecConfig:
     if path is None:
         return ReflecConfig()
     raw, grids = _json_list(path, "bin_grids", list, "[rho, phi] pairs")
-    return ReflecConfig(n_bins=raw.get("n_bins", 10), bin_grids=tuple(map(tuple, grids)))
+    return ReflecConfig(n_bins=raw.get("n_bins", ReflecConfig.n_bins),
+                        bin_grids=tuple(map(tuple, grids)))
 
 
 def cmd_featurize(args) -> int:
@@ -310,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-points", type=int, default=600)
     p.add_argument("--segment-length", type=int, default=8)
     p.add_argument("--speeds", default="0,1")
-    p.add_argument("--width", type=int, default=128)
-    p.add_argument("--height", type=int, default=32)
+    p.add_argument("--width", type=int, default=SceneSpec.image_width)
+    p.add_argument("--height", type=int, default=SceneSpec.image_height)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("sample", help="select diverse frames from sequences")
@@ -320,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-fraction", type=float, default=None)
     p.add_argument("--subset-size", type=int, default=10)
     p.add_argument("--source", choices=("gray", "range"), default="gray")
-    p.add_argument("--width", type=int, default=512)
-    p.add_argument("--height", type=int, default=64)
+    p.add_argument("--width", type=int, default=SceneSpec.image_width)
+    p.add_argument("--height", type=int, default=SceneSpec.image_height)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 
@@ -336,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True,
                    help="model file from train-toy --save-model; its grid, classes and "
                         "features are used")
-    p.add_argument("--percentile", type=float, default=80.0)
+    p.add_argument("--percentile", type=float, default=ToyPipelineConfig.percentile)
     p.add_argument("--per-class-keep", type=float, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pseudo)
@@ -344,19 +345,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cost", help="parameter and multiply-add accounting")
     p.add_argument("--topology", default=None, help="JSON topology file")
     p.add_argument("--mini-backbone", action="store_true")
-    p.add_argument("--in-channels", type=int, default=34)
-    p.add_argument("--n-classes", type=int, default=3)
+    # The toy model's input: (dx, dy, dz, intensity) and its histograms.
+    p.add_argument("--in-channels", type=int, default=4 + ToyPipelineConfig.reflec.feature_dim)
+    p.add_argument("--n-classes", type=int, default=ToyPipelineConfig.scene.n_classes)
     p.add_argument("--active-sites", type=int, default=1000)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_cost)
 
     p = sub.add_parser("train-toy", help="staged semi-supervised run on synthetic data")
-    p.add_argument("--labeled-fraction", type=float, default=1.0)
-    p.add_argument("--stages", default="1,2,3")
+    p.add_argument("--labeled-fraction", type=float, default=ToyPipelineConfig.labeled_fraction)
+    p.add_argument("--stages", default=",".join(map(str, ToyPipelineConfig.stages)))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--steps", type=int, default=None,
                    help="override both training stages' step counts")
-    p.add_argument("--frames", type=int, default=24)
+    p.add_argument("--frames", type=int, default=ToyPipelineConfig.frames_per_sequence)
     p.add_argument("--no-bank", action="store_true", help="set the contrastive weight to 0")
     p.add_argument("--save-model", default=None)
     p.add_argument("--report", required=True)

@@ -88,10 +88,10 @@ def topology_cost(layers: tuple[LayerSpec, ...], active_sites: int,
     total = CostReport(0, 0)
     for layer in layers:
         m, n, d = layer.in_channels, layer.out_channels, layer.kernel_size
-        c = sum((conv_cost(*k, active_sites, neighbor_pairs) for k in layer_kernels(layer)),
+        c = sum((conv_cost(k, active_sites, neighbor_pairs) for k in layer_kernels(layer)),
                 CostReport(0, 0))
         standard = (c.trainable_params if layer.kind == "pointwise"
-                    else conv_cost("standard", m, n, d, layer.bias, 0).trainable_params)
+                    else conv_cost(ConvSpec("standard", m, n, d, layer.bias), 0).trainable_params)
         rows.append({
             "kind": layer.kind,
             "in_channels": m,

@@ -54,9 +54,6 @@ log = logging.getLogger(__name__)
 
 POINT_RECORD_BYTES = 16
 
-# Default projection resolution mirrors a 64-beam spinning sensor.
-DEFAULT_IMAGE_WIDTH = 512
-DEFAULT_IMAGE_HEIGHT = 64
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 # The .label id of a point without a reliable label; `save_labels` writes -1 as it.
 UNRELIABLE_LABEL = 0xFFFFFFFF
@@ -250,6 +247,54 @@ def read_pgm(path: str | os.PathLike) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Synthetic scenes
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SceneSpec:
+    """Recipe for a synthetic labeled scene with a segment-wise motion profile.
+
+    Classes occupy disjoint height and intensity bands, so they stay
+    separable after voxelization. Frames are grouped into segments of
+    `segment_length` frames; segment ``i`` translates the points of
+    `moving_class`, one of the `n_classes`, by
+    ``segment_speeds[i % len(segment_speeds)]`` meters per frame along +x,
+    wrapping inside ``[-wrap_extent, wrap_extent]``. A speed of 0 yields
+    bitwise-identical consecutive frames. The image size and `vfov` are the
+    sensor `synth_frames` renders with, and their defaults are
+    `project_range_image`'s.
+    """
+
+    n_points: int = 600
+    n_classes: int = 3
+    segment_length: int = 8
+    segment_speeds: tuple[float, ...] = (0.0, 1.0)
+    moving_class: int = 2
+    wrap_extent: float = 12.0
+    image_width: int = 128
+    image_height: int = 32
+    vfov: tuple[float, float] = (-5.0, 60.0)
+    # Per class: (rho_lo, rho_hi, z_lo, z_hi, intensity_lo, intensity_hi)
+    class_bands: tuple[tuple[float, float, float, float, float, float], ...] = (
+        (5.0, 7.0, -0.10, 0.10, 0.08, 0.12),
+        (5.0, 7.0, 1.40, 1.60, 0.45, 0.55),
+        (5.0, 7.0, 3.80, 4.20, 0.80, 0.90),
+    )
+
+    def __post_init__(self):
+        if not is_count(self.n_points):
+            raise DomainError(f"n_points must be an integer >= 1, got {self.n_points!r}")
+        if self.n_classes < 1 or self.n_classes > len(self.class_bands):
+            raise DomainError(f"n_classes must be in [1, {len(self.class_bands)}]")
+        if not (is_count(self.moving_class, 0) and self.moving_class < self.n_classes):
+            raise DomainError(f"moving_class must lie in [0, {self.n_classes}), "
+                              f"got {self.moving_class!r}")
+        if self.segment_length < 1 or not self.segment_speeds:
+            raise DomainError("segment_length >= 1 and at least one segment speed required")
+
+
+# ---------------------------------------------------------------------------
 # Range projection
 # ---------------------------------------------------------------------------
 
@@ -298,10 +343,11 @@ def _range_image(z: np.ndarray, width: int, height: int) -> np.ndarray:
     return _frozen(np.where(z < np.inf, z, np.float32(0.0)).reshape(height, width))
 
 
-def project_range_image(pc: PointCloud, width: int = DEFAULT_IMAGE_WIDTH,
-                        height: int = DEFAULT_IMAGE_HEIGHT,
-                        vfov: tuple[float, float] = (-25.0, 3.0)) -> np.ndarray:
-    """Project a cloud to a read-only ``(height, width)`` float32 range image.
+def project_range_image(pc: PointCloud, width: int = SceneSpec.image_width,
+                        height: int = SceneSpec.image_height,
+                        vfov: tuple[float, float] = SceneSpec.vfov) -> np.ndarray:
+    """Project a cloud to a read-only ``(height, width)`` float32 range image,
+    by default with the sensor `synth_frames` renders (`SceneSpec`'s).
 
     Pixels hold ranges in meters, 0 where there is no return. Azimuth maps
     to columns over [-pi, pi), elevation to rows (top row = highest
@@ -331,47 +377,6 @@ def ranges_to_grayscale(images: list[np.ndarray]) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 # Synthetic sequences
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SceneSpec:
-    """Recipe for a synthetic labeled scene with a segment-wise motion profile.
-
-    Classes occupy disjoint height and intensity bands, so they stay
-    separable after voxelization. Frames are grouped into segments of
-    `segment_length` frames; segment ``i`` translates the points of
-    `moving_class`, one of the `n_classes`, by
-    ``segment_speeds[i % len(segment_speeds)]`` meters per frame along +x,
-    wrapping inside ``[-wrap_extent, wrap_extent]``. A speed of 0 yields
-    bitwise-identical consecutive frames.
-    """
-
-    n_points: int = 600
-    n_classes: int = 3
-    segment_length: int = 8
-    segment_speeds: tuple[float, ...] = (0.0, 1.0)
-    moving_class: int = 2
-    wrap_extent: float = 12.0
-    image_width: int = 128
-    image_height: int = 32
-    vfov: tuple[float, float] = (-5.0, 60.0)
-    # Per class: (rho_lo, rho_hi, z_lo, z_hi, intensity_lo, intensity_hi)
-    class_bands: tuple[tuple[float, float, float, float, float, float], ...] = (
-        (5.0, 7.0, -0.10, 0.10, 0.08, 0.12),
-        (5.0, 7.0, 1.40, 1.60, 0.45, 0.55),
-        (5.0, 7.0, 3.80, 4.20, 0.80, 0.90),
-    )
-
-    def __post_init__(self):
-        if not is_count(self.n_points):
-            raise DomainError(f"n_points must be an integer >= 1, got {self.n_points!r}")
-        if self.n_classes < 1 or self.n_classes > len(self.class_bands):
-            raise DomainError(f"n_classes must be in [1, {len(self.class_bands)}]")
-        if not (is_count(self.moving_class, 0) and self.moving_class < self.n_classes):
-            raise DomainError(f"moving_class must lie in [0, {self.n_classes}), "
-                              f"got {self.moving_class!r}")
-        if self.segment_length < 1 or not self.segment_speeds:
-            raise DomainError("segment_length >= 1 and at least one segment speed required")
 
 
 def _base_scene(spec: SceneSpec, rng: np.random.Generator):

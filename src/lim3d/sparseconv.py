@@ -326,9 +326,8 @@ class CostReport:
                           self.mult_adds + other.mult_adds)
 
 
-def conv_cost(kind: str, in_channels: int, out_channels: int, kernel_size: int,
-              bias: bool, active_sites: int, neighbor_pairs: int | None = None) -> CostReport:
-    """Trainable parameters and multiply-adds of one convolution from its shape.
+def conv_cost(spec: ConvSpec, active_sites: int, neighbor_pairs: int | None = None) -> CostReport:
+    """Trainable parameters and multiply-adds of one convolution from its spec.
 
     A pointwise kernel has size 1 (`ConvSpec.weight_shape` checks it) and
     costs one channel mix per site. A spatial kernel costs one mix per
@@ -336,11 +335,11 @@ def conv_cost(kind: str, in_channels: int, out_channels: int, kernel_size: int,
     fully-active neighborhood bound ``active_sites * kernel_size**3`` is
     assumed.
     """
-    params = prod(ConvSpec(kind, in_channels, out_channels, kernel_size, bias).weight_shape)
+    params = prod(spec.weight_shape)
     if active_sites < 0:
         raise DomainError("active_sites must be nonnegative")
-    taps = kernel_size ** 3
-    if neighbor_pairs is None or kind == "pointwise":
+    taps = spec.kernel_size ** 3
+    if neighbor_pairs is None or spec.kind == "pointwise":
         neighbor_pairs = active_sites * taps
     mult_adds = neighbor_pairs * (params // taps) if active_sites else 0
-    return CostReport(params + (out_channels if bias else 0), int(mult_adds))
+    return CostReport(params + (spec.out_channels if spec.bias else 0), int(mult_adds))

@@ -26,14 +26,15 @@ import math
 import os
 import zipfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .autodiff import Tensor, softmax
 from .errors import DivergenceError, DomainError, FormatError, ShapeError, ValidationError, is_count
 from .losses import LossConfig, kl_consistency, lovasz_softmax, total_loss
-from .network import MiniSegNet, mini_backbone_topology, topology_cost
+from .network import DEFAULT_WIDTHS, MiniSegNet, mini_backbone_topology, topology_cost
 from .pointcloud import SceneSpec, ranges_to_grayscale, synth_sequence
 from .pseudolabel import (ContrastiveConfig, MemoryBank, PseudoLabelSet,
                           VoxelPredictions, bank_push_negatives,
@@ -62,7 +63,7 @@ __all__ = [
     "load_model",
 ]
 
-# The cylindrical grid of the toy scenes, `ToyPipelineConfig`'s default.
+# The cylindrical grid of the toy scenes, `ToyPipelineConfig.grid`.
 TOY_GRID = CylGridSpec(n_rho=10, n_phi=16, n_z=6, rho_max=20.0, z_range=(-1.0, 5.0))
 
 
@@ -134,55 +135,47 @@ class SGD:
 
 @dataclass(frozen=True)
 class ToyPipelineConfig:
-    scene: SceneSpec = field(default_factory=SceneSpec)
-    n_sequences: int = 1
+    """The toy run's recipe. Its fields are the settings callers vary; the
+    class constants below them are the rest of the recipe, read the same
+    way (``cfg.lr``). A constant becomes a field again in the change that
+    adds a caller who sets it."""
+
     frames_per_sequence: int = 24
-    heldout_fraction: float = 0.25
     labeled_fraction: float = 1.0
-    subset_size: int = 8
-    grid: CylGridSpec = TOY_GRID
-    reflec: ReflecConfig | None = field(default_factory=lambda: ReflecConfig(
-        n_bins=10, bin_grids=((4, 8), (8, 16), (16, 24))))
-    widths: tuple[int, ...] = (16, 32, 64, 64)
-    kernel_size: int = 3
-    lr: float = 0.05
-    momentum: float = 0.9
     steps_stage1: int = 280
     steps_stage3: int = 160
-    kappa: float = 0.99
-    lambda_u: float = 1.0
     lambda_c: float = 0.3
-    percentile: float = 80.0
-    per_class_keep: float = 0.9
-    contrastive: ContrastiveConfig = field(default_factory=lambda: ContrastiveConfig(
-        delta_p=0.7, tau=0.5, n_negatives=8, capacity=256, max_anchors=64))
     stages: tuple[int, ...] = (1, 2, 3)
     seed: int = 0
 
+    scene: ClassVar[SceneSpec] = SceneSpec()
+    n_sequences: ClassVar[int] = 1
+    heldout_fraction: ClassVar[float] = 0.25
+    subset_size: ClassVar[int] = 8
+    grid: ClassVar[CylGridSpec] = TOY_GRID
+    reflec: ClassVar[ReflecConfig] = ReflecConfig(bin_grids=((4, 8), (8, 16), (16, 24)))
+    widths: ClassVar[tuple[int, ...]] = DEFAULT_WIDTHS
+    kernel_size: ClassVar[int] = 3
+    lr: ClassVar[float] = 0.05
+    momentum: ClassVar[float] = 0.9
+    kappa: ClassVar[float] = 0.99
+    lambda_u: ClassVar[float] = 1.0
+    percentile: ClassVar[float] = 80.0
+    per_class_keep: ClassVar[float] = 0.9
+    contrastive: ClassVar[ContrastiveConfig] = ContrastiveConfig(max_anchors=64)
+
     def __post_init__(self):
-        for name in ("n_sequences", "frames_per_sequence", "subset_size"):
-            if not is_count(getattr(self, name)):
-                raise DomainError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
+        if not is_count(self.frames_per_sequence):
+            raise DomainError(f"frames_per_sequence must be an integer >= 1, "
+                              f"got {self.frames_per_sequence!r}")
         if not (is_count(self.steps_stage1, 0) and is_count(self.steps_stage3, 0)):
             raise DomainError(f"steps_stage1 and steps_stage3 must be integers >= 0, got "
                               f"{self.steps_stage1!r} and {self.steps_stage3!r}")
-        if not 0.0 < self.lr < np.inf:
-            raise DomainError(f"lr must be positive and finite, got {self.lr!r}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise DomainError(f"momentum must lie in [0, 1), got {self.momentum!r}")
         self.loss_config()
         if not 0.0 < self.labeled_fraction <= 1.0:
             raise DomainError("labeled_fraction must lie in (0, 1]")
-        if not 0.0 < self.heldout_fraction < 1.0:
-            raise DomainError("heldout_fraction must lie in (0, 1)")
         if any(s not in (1, 2, 3) for s in self.stages):
             raise DomainError("stages must be a subset of (1, 2, 3)")
-        if not 0.0 <= self.percentile < 100.0:
-            raise DomainError("percentile must lie in [0, 100)")
-        if not 0.0 < self.per_class_keep <= 1.0:
-            raise DomainError("per_class_keep must lie in (0, 1]")
-        # `LayerSpec` checks the widths and kernel size of the network to be built.
-        mini_backbone_topology(1, self.scene.n_classes, self.widths, self.kernel_size)
 
     def loss_config(self, stage: str = "train") -> LossConfig:
         """The loss weights for one training stage, checked by `LossConfig`

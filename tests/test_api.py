@@ -23,9 +23,13 @@ cell-key order its callers hand over and never reorders their rows.
 
 `tests/dense_reference.py`, the dense convolution oracle, takes classes from
 `lim3d` but no function, so it computes nothing with the code it checks.
+
+Every field of `ToyPipelineConfig` is a setting some caller in `src/`,
+`bench/` or `demos/` varies; a value nothing sets is a class constant.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import re
@@ -242,3 +246,34 @@ def test_the_import_finder_sees_functions():
               "def f():\n    from lim3d.errors import ShapeError, is_count\n")
     assert package_non_classes(source) == ["lim3d.voxelize", "lim3d.voxel._cell_keys",
                                            "lim3d.sparseconv", "lim3d.errors.is_count"]
+
+
+def settings(source: str, callee: str) -> set[str]:
+    """Names `source` may pass to `callee`: each keyword of a call to it, by
+    name or as an attribute, or to ``dict``, and each string key of a dict
+    literal."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and (getattr(node.func, "id", None)
+                                           or getattr(node.func, "attr", None)) in (callee, "dict"):
+            found.update(k.arg for k in node.keywords if k.arg is not None)
+        elif isinstance(node, ast.Dict):
+            found.update(k.value for k in node.keys
+                         if isinstance(k, ast.Constant) and isinstance(k.value, str))
+    return found
+
+
+def test_every_toy_config_field_is_set_by_a_caller():
+    from lim3d import ToyPipelineConfig
+    paths = [*PACKAGE.rglob("*.py"), *ROOT.glob("bench/*.py"), *ROOT.glob("demos/*.py")]
+    used = set().union(*(settings(p.read_text(), "ToyPipelineConfig") for p in paths
+                         if not p.name.startswith("test_")))
+    assert {f.name for f in dataclasses.fields(ToyPipelineConfig)} - used == set()
+
+
+def test_the_settings_finder_sees_them():
+    # Guards the check above against a finder that finds nothing.
+    source = ("cfg = lim3d.Config(seed=1, **extra)\nextra = dict(stages=(1,))\n"
+              "overrides = {'lambda_c': 0.0, 3: 'x', **more}\nopt = SGD(p, lr=0.1)\n"
+              "name = 'frames'\ncfg.momentum = 0.5\n")
+    assert settings(source, "Config") == {"seed", "stages", "lambda_c"}

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from conftest import peak_bytes
-from lim3d.cli import build_parser, main
+from lim3d.cli import _reflec_config, build_parser, main
 from lim3d.network import MiniSegNet
 from lim3d.pointcloud import (PointCloud, SceneSpec, image_path, load_frame, load_labels,
                               ranges_to_grayscale, read_pgm, save_frame, synth_sequence)
+from lim3d.reflectivity import ReflecConfig
 from lim3d.sampling import load_plan
-from lim3d.training import TOY_GRID, label_frame, load_model, prepare_frame, save_model
+from lim3d.training import (TOY_GRID, ToyPipelineConfig, label_frame, load_model, prepare_frame,
+                            save_model)
 from lim3d.voxel import CylGridSpec, voxelize
 from pass_reference import point_rows
 
@@ -63,6 +65,28 @@ def test_flag_inventory():
     assert sum(len(f) for f in FLAGS.values()) == 39
 
 
+def test_defaults_read_the_values_they_restate(tmp_path):
+    """Each subcommand parsed with only its required flags: a default that
+    restates `synth`'s sensor or the toy recipe equals it."""
+    def parse(*argv):
+        return build_parser().parse_args(list(argv))
+
+    sensor = (SceneSpec.image_width, SceneSpec.image_height)
+    synth = parse("synth", "--out-dir", "d")
+    sample = parse("sample", "--seq-dir", "d", "--out", "p.json")
+    assert (synth.width, synth.height) == (sample.width, sample.height) == sensor
+    cfg = ToyPipelineConfig()
+    assert parse("pseudo", "--in", "f", "--model", "m", "--out", "o").percentile == cfg.percentile
+    cost = parse("cost")
+    assert (cost.in_channels, cost.n_classes) == (4 + cfg.reflec.feature_dim, cfg.scene.n_classes)
+    train = parse("train-toy", "--report", "r.json")
+    assert (train.labeled_fraction, train.frames) == (cfg.labeled_fraction, cfg.frames_per_sequence)
+    assert tuple(int(s) for s in train.stages.split(",")) == cfg.stages
+    assert _reflec_config(parse("featurize", "--in", "f", "--out", "o").config) == ReflecConfig()
+    (tmp_path / "c.json").write_text(json.dumps({"bin_grids": [[2, 4]]}))
+    assert _reflec_config(str(tmp_path / "c.json")).n_bins == ReflecConfig().n_bins
+
+
 class TestSynthAndSample:
     def test_layout(self, dataset):
         assert (dataset / "sequences" / "00" / "velodyne" / "000000.bin").exists()
@@ -96,12 +120,15 @@ class TestSynthAndSample:
         assert len(moving) >= len(static)
 
     def test_range_source_works(self, dataset, tmp_path):
-        out = tmp_path / "plan.json"
-        rc = main(["sample", "--seq-dir", str(dataset), "--beta", "4.0",
-                   "--subset-size", "8", "--source", "range",
-                   "--width", "128", "--height", "32", "--out", str(out)])
-        assert rc == 0
-        assert set(load_plan(out)) == {"00", "01"}
+        """Both sources see `synth`'s sensor, so they pick the same frames."""
+        plans = {}
+        for source in ("gray", "range"):
+            out = tmp_path / f"{source}.json"
+            assert main(["sample", "--seq-dir", str(dataset), "--beta", "4.0",
+                         "--subset-size", "8", "--source", source, "--out", str(out)]) == 0
+            plans[source] = load_plan(out)
+        assert set(plans["range"]) == {"00", "01"}
+        assert plans["range"] == plans["gray"]
 
     def test_target_fraction_close(self, tmp_path):
         root = tmp_path / "big"

@@ -46,7 +46,7 @@ class TestKernelValidation:
         with pytest.raises(DomainError):
             ConvSpec("dense", 2, 2, 3, False).weight_shape
         with pytest.raises(DomainError):
-            conv_cost("dense", 2, 2, 3, False, 10)
+            conv_cost(ConvSpec("dense", 2, 2, 3, False), 10)
         with pytest.raises(DomainError):
             glorot_weights(ConvSpec("dense", 2, 2, 3, False), rng)
         # Channel counts and kernel sizes are integers >= 1; numpy integers pass.
@@ -287,18 +287,19 @@ class TestCost:
         assert round(std / sep, 1) == 19.0
 
     def test_zero_active_sites_zero_multadds(self):
-        assert conv_cost("standard", 4, 4, 3, False, 0).mult_adds == 0
+        assert conv_cost(ConvSpec("standard", 4, 4, 3, False), 0).mult_adds == 0
         assert layer_cost("separable", 4, 8, 3, 0).mult_adds == 0
 
     def test_multadds_proportional_to_pairs(self):
-        assert conv_cost("standard", 3, 5, 3, False, 10, neighbor_pairs=40).mult_adds == 40 * 3 * 5
-        assert conv_cost("depthwise", 3, 3, 3, False, 10, neighbor_pairs=40).mult_adds == 40 * 3
-        assert conv_cost("pointwise", 3, 5, 1, False, 10).mult_adds == 10 * 3 * 5
+        standard, depthwise = ConvSpec("standard", 3, 5, 3, False), ConvSpec("depthwise", 3, 3, 3, False)
+        assert conv_cost(standard, 10, neighbor_pairs=40).mult_adds == 40 * 3 * 5
+        assert conv_cost(depthwise, 10, neighbor_pairs=40).mult_adds == 40 * 3
+        assert conv_cost(ConvSpec("pointwise", 3, 5, 1, False), 10).mult_adds == 10 * 3 * 5
         # A separable layer: the depthwise pass over every pair, one mix per site.
         assert layer_cost("separable", 3, 5, 3, 10, 40).mult_adds == 40 * 3 + 10 * 3 * 5
 
     def test_bias_counts(self):
-        assert conv_cost("pointwise", 4, 6, 1, True, 0).trainable_params == 4 * 6 + 6
+        assert conv_cost(ConvSpec("pointwise", 4, 6, 1, True), 0).trainable_params == 4 * 6 + 6
 
 
 class TestGradients:

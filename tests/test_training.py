@@ -1,5 +1,5 @@
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -388,37 +388,39 @@ class TestSteps:
 
 
 class TestToyPipeline:
-    @pytest.mark.parametrize("bad", [dict(percentile=100.0), dict(percentile=-1.0),
-                                     dict(per_class_keep=0.0), dict(per_class_keep=1.5)])
-    def test_bad_stage2_setting_fails_at_construction(self, bad):
-        with pytest.raises(DomainError):
-            ToyPipelineConfig(**bad)
-
-    @pytest.mark.parametrize("bad", [dict(n_sequences=0), dict(n_sequences=-1),
-                                     dict(steps_stage1=-1), dict(steps_stage3=-3),
+    @pytest.mark.parametrize("bad", [dict(steps_stage1=-1), dict(steps_stage3=-3),
                                      dict(steps_stage1=2.5), dict(steps_stage3=True),
-                                     dict(frames_per_sequence=1.5), dict(frames_per_sequence=0),
-                                     dict(subset_size=0), dict(n_sequences=True),
-                                     dict(kernel_size=4), dict(kernel_size=0),
-                                     dict(kernel_size=3.0), dict(widths=(0,)),
-                                     dict(widths=(16, 2.5)), dict(widths=(16, -8))])
+                                     dict(frames_per_sequence=1.5), dict(frames_per_sequence=0)])
     def test_bad_count_fails_at_construction(self, bad):
         with pytest.raises(DomainError):
             ToyPipelineConfig(**bad)
 
-    @pytest.mark.parametrize("bad", [
-        dict(lr=-1.0), dict(lr=0.0), dict(lr=float("nan")), dict(lr=float("inf")),
-        dict(momentum=1.0), dict(momentum=-0.1), dict(momentum=float("nan")),
-        dict(kappa=2.0), dict(kappa=float("nan")), dict(lambda_u=float("nan")),
-        dict(lambda_c=-1.0)])
+    @pytest.mark.parametrize("bad", [dict(lambda_c=-1.0)])
     def test_bad_rate_or_loss_weight_fails_at_construction(self, bad):
         with pytest.raises(DomainError):
             ToyPipelineConfig(**bad)
 
+    def test_the_fields_are_the_settings_callers_vary(self):
+        assert [f.name for f in fields(ToyPipelineConfig)] == [
+            "frames_per_sequence", "labeled_fraction", "steps_stage1", "steps_stage3",
+            "lambda_c", "stages", "seed"]
+        with pytest.raises(TypeError):
+            ToyPipelineConfig(lr=0.1)
+        # The rest of the recipe, read off an instance as before.
+        cfg = ToyPipelineConfig()
+        assert (cfg.scene, cfg.n_sequences, cfg.heldout_fraction, cfg.subset_size, cfg.grid) == (
+            SceneSpec(), 1, 0.25, 8, TOY_GRID)
+        assert (cfg.reflec, cfg.widths, cfg.kernel_size) == (
+            ReflecConfig(n_bins=10, bin_grids=((4, 8), (8, 16), (16, 24))), (16, 32, 64, 64), 3)
+        assert (cfg.lr, cfg.momentum, cfg.kappa, cfg.lambda_u) == (0.05, 0.9, 0.99, 1.0)
+        assert (cfg.percentile, cfg.per_class_keep) == (80.0, 0.9)
+        assert cfg.contrastive == ContrastiveConfig(delta_p=0.7, tau=0.5, n_negatives=8,
+                                                    capacity=256, max_anchors=64)
+
     def test_stage_losses_share_the_config_weights(self):
-        cfg = ToyPipelineConfig(kappa=0.5, lambda_u=2.0, lambda_c=0.1)
-        assert cfg.loss_config("distill") == LossConfig(0.5, 2.0, 0.1, "distill")
-        assert ToyPipelineConfig(steps_stage1=np.int64(0), momentum=0.0).steps_stage1 == 0
+        cfg = ToyPipelineConfig(lambda_c=0.1)
+        assert cfg.loss_config("distill") == LossConfig(cfg.kappa, cfg.lambda_u, 0.1, "distill")
+        assert ToyPipelineConfig(steps_stage1=np.int64(0)).steps_stage1 == 0
 
     def test_zero_steps_equals_random_baseline(self):
         cfg = ToyPipelineConfig(stages=(1,), steps_stage1=0, seed=5,
@@ -563,11 +565,13 @@ class TestToyPipeline:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_guard(self):
-        cfg = ToyPipelineConfig(stages=(1,), steps_stage1=40, lr=1e6,
-                                frames_per_sequence=8, seed=0)
-        from lim3d import DivergenceError
+        run = prepare_run(ToyPipelineConfig(frames_per_sequence=8))
+        labeled = [f for f in run.frames if f.pseudo is not None]
+        opt = SGD(run.student.params, lr=1e6)
         with pytest.raises(DivergenceError):
-            run_toy_pipeline(cfg)
+            for i in range(40):
+                train_step(run.student, run.teacher, labeled[i % len(labeled)], opt,
+                           run.cfg.loss_config(), None, run.cfg.contrastive)
 
 
 class TestModelFile:
