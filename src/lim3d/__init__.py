@@ -6,9 +6,8 @@ from .errors import (DegenerateEmbeddingError, DivergenceError, DomainError, For
                      Lim3dError, LifecycleError, ShapeError, ValidationError)
 from .losses import LossConfig, kl_consistency, lovasz_softmax, total_loss
 from .network import LayerSpec, MiniSegNet, layer_kernels, mini_backbone_topology, topology_cost
-from .pointcloud import (PointCloud, SceneSpec, load_frame, load_labels,
-                         project_range_image, ranges_to_grayscale, read_pgm,
-                         save_frame, save_labels, synth_sequence, write_pgm)
+from .pointcloud import (PointCloud, load_frame, load_labels, read_pgm, save_frame,
+                         save_labels, write_pgm)
 from .pseudolabel import (ContrastiveConfig, MemoryBank, PseudoLabelSet,
                           VoxelPredictions, bank_push_negatives,
                           build_anchor_set, crb_select, entropy_partition,
@@ -17,6 +16,7 @@ from .reflectivity import (ReflecConfig, augment, coarse_histograms,
                            normalize_reflectivity, reflectivity)
 from .sampling import (SamplingPlan, calibrate_beta, frame_redundancies,
                        passive_baselines, plan, supervisor)
+from .scene import SceneSpec, project_range_image, ranges_to_grayscale, synth_sequence
 from .sparseconv import (ConvSpec, CostReport, Rulebook, apply_pointwise, apply_spatial,
                          build_rulebook, conv_cost, glorot_weights, pointwise_forward,
                          spatial_forward)

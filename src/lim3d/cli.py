@@ -27,12 +27,12 @@ import numpy as np
 from . import __version__
 from .errors import DomainError, FormatError, Lim3dError
 from .network import mini_backbone_topology, topology_cost, LayerSpec
-from .pointcloud import (UNRELIABLE_LABEL, SceneSpec, frame_path, image_path, label_path,
-                         list_sequence_frames, load_frame, project_range_image,
-                         ranges_to_grayscale, read_pgm, save_frame, save_labels,
-                         synth_frames, write_pgm)
+from .pointcloud import (UNRELIABLE_LABEL, frame_path, image_path, label_path,
+                         list_sequence_frames, load_frame, read_pgm, save_frame, save_labels,
+                         write_pgm)
 from .reflectivity import ReflecConfig, coarse_histograms, normalize_reflectivity, reflectivity
 from .sampling import SamplingPlan, calibrate_beta, plan, save_plan
+from .scene import SceneSpec, project_range_image, ranges_to_grayscale, synth_frames
 from .training import ToyPipelineConfig, label_frame, load_model, prepare_frame, run_toy_pipeline
 
 EXIT_OK = 0
@@ -308,9 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sequences", type=int, default=1)
     p.add_argument("--frames", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-points", type=int, default=600)
-    p.add_argument("--segment-length", type=int, default=8)
-    p.add_argument("--speeds", default="0,1")
+    p.add_argument("--n-points", type=int, default=SceneSpec.n_points)
+    p.add_argument("--segment-length", type=int, default=SceneSpec.segment_length)
+    p.add_argument("--speeds", default=",".join(map(str, SceneSpec.segment_speeds)))
     p.add_argument("--width", type=int, default=SceneSpec.image_width)
     p.add_argument("--height", type=int, default=SceneSpec.image_height)
     p.set_defaults(func=cmd_synth)
@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="model file from train-toy --save-model; its grid, classes and "
                         "features are used")
     p.add_argument("--percentile", type=float, default=ToyPipelineConfig.percentile)
-    p.add_argument("--per-class-keep", type=float, default=1.0)
+    p.add_argument("--per-class-keep", type=float, default=ToyPipelineConfig.per_class_keep)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pseudo)
 

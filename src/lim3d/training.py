@@ -35,13 +35,13 @@ from .autodiff import Tensor, softmax
 from .errors import DivergenceError, DomainError, FormatError, ShapeError, ValidationError, is_count
 from .losses import LossConfig, kl_consistency, lovasz_softmax, total_loss
 from .network import DEFAULT_WIDTHS, MiniSegNet, mini_backbone_topology, topology_cost
-from .pointcloud import SceneSpec, ranges_to_grayscale, synth_sequence
 from .pseudolabel import (ContrastiveConfig, MemoryBank, PseudoLabelSet,
                           VoxelPredictions, bank_push_negatives,
                           build_anchor_set, entropy_partition, crb_select,
                           infonce_loss, positive_center)
 from .reflectivity import ReflecConfig, augment, coarse_histograms, normalize_reflectivity, reflectivity
 from .sampling import SamplingPlan, calibrate_beta
+from .scene import SceneSpec, ranges_to_grayscale, synth_sequence
 from .sparseconv import Rulebook, build_rulebook
 from .voxel import CylGridSpec, SparseVoxelTensor, voxelize
 
@@ -144,7 +144,7 @@ class ToyPipelineConfig:
     labeled_fraction: float = 1.0
     steps_stage1: int = 280
     steps_stage3: int = 160
-    lambda_c: float = 0.3
+    lambda_c: float = LossConfig.lambda_c
     stages: tuple[int, ...] = (1, 2, 3)
     seed: int = 0
 
@@ -158,8 +158,8 @@ class ToyPipelineConfig:
     kernel_size: ClassVar[int] = 3
     lr: ClassVar[float] = 0.05
     momentum: ClassVar[float] = 0.9
-    kappa: ClassVar[float] = 0.99
-    lambda_u: ClassVar[float] = 1.0
+    kappa: ClassVar[float] = LossConfig.kappa
+    lambda_u: ClassVar[float] = LossConfig.lambda_u
     percentile: ClassVar[float] = 80.0
     per_class_keep: ClassVar[float] = 0.9
     contrastive: ClassVar[ContrastiveConfig] = ContrastiveConfig(max_anchors=64)

@@ -10,10 +10,10 @@ import pytest
 from conftest import peak_bytes
 from lim3d.cli import _reflec_config, build_parser, main
 from lim3d.network import MiniSegNet
-from lim3d.pointcloud import (PointCloud, SceneSpec, image_path, load_frame, load_labels,
-                              ranges_to_grayscale, read_pgm, save_frame, synth_sequence)
+from lim3d.pointcloud import PointCloud, image_path, load_frame, load_labels, read_pgm, save_frame
 from lim3d.reflectivity import ReflecConfig
 from lim3d.sampling import load_plan
+from lim3d.scene import SceneSpec, ranges_to_grayscale, synth_sequence
 from lim3d.training import (TOY_GRID, ToyPipelineConfig, label_frame, load_model, prepare_frame,
                             save_model)
 from lim3d.voxel import CylGridSpec, voxelize
@@ -67,7 +67,7 @@ def test_flag_inventory():
 
 def test_defaults_read_the_values_they_restate(tmp_path):
     """Each subcommand parsed with only its required flags: a default that
-    restates `synth`'s sensor or the toy recipe equals it."""
+    restates `synth`'s scene and sensor or the toy recipe equals it."""
     def parse(*argv):
         return build_parser().parse_args(list(argv))
 
@@ -75,8 +75,11 @@ def test_defaults_read_the_values_they_restate(tmp_path):
     synth = parse("synth", "--out-dir", "d")
     sample = parse("sample", "--seq-dir", "d", "--out", "p.json")
     assert (synth.width, synth.height) == (sample.width, sample.height) == sensor
+    assert (synth.n_points, synth.segment_length) == (SceneSpec.n_points, SceneSpec.segment_length)
+    assert tuple(float(s) for s in synth.speeds.split(",")) == SceneSpec.segment_speeds
     cfg = ToyPipelineConfig()
-    assert parse("pseudo", "--in", "f", "--model", "m", "--out", "o").percentile == cfg.percentile
+    pseudo = parse("pseudo", "--in", "f", "--model", "m", "--out", "o")
+    assert (pseudo.percentile, pseudo.per_class_keep) == (cfg.percentile, cfg.per_class_keep)
     cost = parse("cost")
     assert (cost.in_channels, cost.n_classes) == (4 + cfg.reflec.feature_dim, cfg.scene.n_classes)
     train = parse("train-toy", "--report", "r.json")
@@ -155,6 +158,14 @@ class TestSynthAndSample:
         assert main(["synth", "--out-dir", str(root), "--frames", "2", "--n-points", n]) == 2
         assert "n_points" in capsys.readouterr().err
         assert not root.exists()
+
+    @pytest.mark.parametrize("speeds", ["0,inf", "nan", "1,-inf"])
+    def test_synth_non_finite_speed_exits_2_and_writes_nothing(self, tmp_path, capsys, speeds):
+        root = tmp_path / "out"
+        root.mkdir()
+        assert main(["synth", "--out-dir", str(root), "--frames", "12", "--speeds", speeds]) == 2
+        assert "segment_speeds" in capsys.readouterr().err
+        assert list(root.iterdir()) == []
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_synth_without_sequences_exits_2(self, tmp_path, capsys, n):
@@ -327,7 +338,7 @@ class TestPseudo:
         frame = dataset / "sequences" / "00" / "velodyne" / "000000.bin"
         out = tmp_path / "p0.label"
         assert main(["pseudo", "--in", str(frame), "--model", str(model), "--percentile", "0",
-                     "--out", str(out)]) == 0
+                     "--per-class-keep", "1", "--out", str(out)]) == 0
         meta = json.loads((tmp_path / "p0.label.meta.json").read_text())
         assert meta["unreliable_voxels"] == 0
         assert meta["reliable_voxels"] == meta["n_voxels"]
@@ -366,7 +377,8 @@ class TestPseudo:
 
         net, grid, reflec = load_model(model)
         frame = prepare_frame(pc, grid, reflec, net.kernel_size)
-        pls, _ = label_frame(net, frame, 80.0, 1.0)
+        pls, _ = label_frame(net, frame, ToyPipelineConfig.percentile,
+                             ToyPipelineConfig.per_class_keep)
         rows = point_rows(pc, frame.svt)
         inside = rows >= 0
         assert not inside[-len(far):].any()
@@ -374,6 +386,22 @@ class TestPseudo:
         want = pls.labels[rows[inside]]
         assert (want >= 0).any() and (want < 0).any()
         np.testing.assert_array_equal(labels[inside], np.where(want >= 0, want, 0xFFFFFFFF))
+
+    def test_default_keep_is_the_recipes(self, dataset, model, tmp_path):
+        """Default flags label a frame as the toy run's stage 2 does: the same
+        bytes as the recipe's `--per-class-keep`, which differ from keeping all."""
+        frame = dataset / "sequences" / "00" / "velodyne" / "000000.bin"
+
+        def label_bytes(name, *flags):
+            out = tmp_path / name
+            assert main(["pseudo", "--in", str(frame), "--model", str(model), "--out", str(out),
+                         *flags]) == 0
+            return out.read_bytes()
+
+        default = label_bytes("default.label")
+        assert default == label_bytes("recipe.label", "--per-class-keep",
+                                      str(ToyPipelineConfig.per_class_keep))
+        assert default != label_bytes("all.label", "--per-class-keep", "1")
 
     def test_config_hash_covers_the_config_not_its_paths(self, dataset, tmp_path):
         frame = dataset / "sequences" / "00" / "velodyne" / "000000.bin"

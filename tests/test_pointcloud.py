@@ -7,7 +7,8 @@ from lim3d import (DomainError, FormatError, PointCloud, SceneSpec, ShapeError,
                    ValidationError, load_frame, project_range_image,
                    ranges_to_grayscale, read_pgm, save_frame, synth_sequence,
                    write_pgm)
-from lim3d.pointcloud import UNRELIABLE_LABEL, load_labels, save_labels, synth_frames
+from lim3d.pointcloud import UNRELIABLE_LABEL, load_labels, save_labels
+from lim3d.scene import synth_frames
 from range_reference import project_reference
 
 
@@ -233,7 +234,13 @@ class TestSynthSequence:
     @pytest.mark.parametrize("bad", [dict(n_points=-5), dict(n_points=0), dict(n_points=2.5),
                                      dict(moving_class=7), dict(moving_class=3),
                                      dict(moving_class=-1), dict(moving_class=1.0),
-                                     dict(n_classes=2, moving_class=2)])
+                                     dict(n_classes=2, moving_class=2),
+                                     dict(segment_speeds=(0.0, np.nan)),
+                                     dict(segment_speeds=(np.inf,)), dict(segment_speeds=()),
+                                     dict(wrap_extent=0.0), dict(wrap_extent=-1.0),
+                                     dict(wrap_extent=np.inf), dict(wrap_extent=np.nan),
+                                     dict(segment_length=2.5), dict(segment_length=0),
+                                     dict(segment_length=True)])
     def test_bad_scene_raises_domain_error(self, bad):
         with pytest.raises(DomainError):
             SceneSpec(**bad)
