@@ -31,7 +31,7 @@ from .pointcloud import (UNRELIABLE_LABEL, frame_path, image_path, label_path,
                          list_sequence_frames, load_frame, read_pgm, save_frame, save_labels,
                          write_pgm)
 from .reflectivity import ReflecConfig, coarse_histograms, normalize_reflectivity, reflectivity
-from .sampling import SamplingPlan, calibrate_beta, plan, save_plan
+from .sampling import calibrate_beta, plan, save_plan
 from .scene import SceneSpec, project_range_image, ranges_to_grayscale, synth_frames
 from .training import ToyPipelineConfig, label_frame, load_model, prepare_frame, run_toy_pipeline
 
@@ -95,7 +95,7 @@ def cmd_synth(args) -> int:
     for s in range(args.sequences):
         seq = f"{s:02d}"
         # Raises on bad settings before the first directory is made.
-        frames = synth_frames(spec, args.frames, args.seed + 1000 * s, sequence_id=s)
+        frames = synth_frames(spec, args.frames, args.seed, sequence_id=s)
         for p in (frame_path(root, seq, 0), label_path(root, seq, 0), image_path(root, seq, 0)):
             p.parent.mkdir(parents=True, exist_ok=True)
         # Each frame is written as it is made. Only the range images are kept,
@@ -163,10 +163,10 @@ def cmd_sample(args) -> int:
     else:
         result = plan(sequences, args.subset_size, args.beta)
     # The sampler picks list positions; a plan names the frames on disk.
-    chosen = SamplingPlan({i: [frame_ids[i][j] for j in idx] for i, idx in result.entries.items()})
-    save_plan(args.out, chosen, keys=dict(enumerate(names)))
+    chosen = {names[i]: [frame_ids[i][j] for j in idx] for i, idx in result.entries.items()}
+    save_plan(args.out, chosen)
     total = sum(len(ids) for ids in frame_ids)
-    print(f"selected {chosen.total()} of {total} frames -> {args.out}")
+    print(f"selected {result.total()} of {total} frames -> {args.out}")
     return EXIT_OK
 
 
@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-toy", help="staged semi-supervised run on synthetic data")
     p.add_argument("--labeled-fraction", type=float, default=ToyPipelineConfig.labeled_fraction)
     p.add_argument("--stages", default=",".join(map(str, ToyPipelineConfig.stages)))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=ToyPipelineConfig.seed)
     p.add_argument("--steps", type=int, default=None,
                    help="override both training stages' step counts")
     p.add_argument("--frames", type=int, default=ToyPipelineConfig.frames_per_sequence)

@@ -75,7 +75,6 @@ class PointCloud:
     xyz: np.ndarray                      # (n, 3) float32
     intensity: np.ndarray                # (n,) float32 in [0, 1]
     labels: np.ndarray | None = None     # (n,) int64 class ids
-    sequence_id: int = 0
     extra_features: np.ndarray | None = None  # (n, k) float32
 
     def __post_init__(self):

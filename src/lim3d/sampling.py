@@ -27,6 +27,10 @@ that finds the beta hitting a target global sampling fraction, round out
 the module. The calibrator brackets beta in [0, `MAX_BETA`] and halves the
 bracket `CALIBRATION_STEPS` times, counting frames from the subset means
 alone; it builds one plan, for the beta it returns.
+
+A plan file is the JSON object ``{sequence name: [frame ids]}``: `save_plan`
+writes such a dict and `load_plan` returns one. A `SamplingPlan` holds list
+positions, which ``lim3d sample`` maps to the names and ids on disk first.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,20 +128,22 @@ def _subset_take(mean_red: float, beta: float, q: int, n: int) -> int:
     return min(max(1, math.ceil(supervisor(mean_red, beta) * q)), n)
 
 
+def _subsets(redundancies: list[np.ndarray], q: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Each run of `q` frames (fewer at a tail) as (sequence, first frame, redundancies)."""
+    for seq_id, psi in enumerate(redundancies):
+        for start in range(0, len(psi), q):
+            yield seq_id, start, psi[start:start + q]
+
+
 def plan_from_redundancies(redundancies: list[np.ndarray], subset_size: int,
                            beta: float) -> SamplingPlan:
     """Frame selection given precomputed per-frame redundancies."""
     _check_settings(subset_size, beta)
-    entries: dict[int, list[int]] = {}
-    q = subset_size
-    for seq_id, psi in enumerate(redundancies):
-        chosen: list[int] = []
-        for start in range(0, len(psi), q):
-            sub = psi[start:start + q]
-            k = _subset_take(float(sub.mean()), beta, q, len(sub))
-            order = np.argsort(sub, kind="stable")  # stable: ties to lower index
-            chosen.extend(start + int(j) for j in order[:k])
-        entries[seq_id] = sorted(chosen)
+    entries: dict[int, list[int]] = {seq_id: [] for seq_id in range(len(redundancies))}
+    for seq_id, start, sub in _subsets(redundancies, subset_size):
+        k = _subset_take(float(sub.mean()), beta, subset_size, len(sub))
+        order = np.argsort(sub, kind="stable")  # stable: ties to lower index
+        entries[seq_id].extend(start + int(j) for j in order[:k])
     return SamplingPlan(entries=entries)
 
 
@@ -191,12 +197,10 @@ def calibrate_beta(sequences: Iterable[list[np.ndarray]], subset_size: int,
     _check_settings(subset_size)
     psis = _redundancies(sequences)
     target = target_fraction * sum(len(psi) for psi in psis)
-    q = subset_size
-    subsets = [(float(psi[s:s + q].mean()), min(q, len(psi) - s))
-               for psi in psis for s in range(0, len(psi), q)]
+    subsets = [(float(sub.mean()), len(sub)) for _, _, sub in _subsets(psis, subset_size)]
 
     def count_at(beta: float) -> int:
-        return sum(_subset_take(mean_red, beta, q, n) for mean_red, n in subsets)
+        return sum(_subset_take(mean_red, beta, subset_size, n) for mean_red, n in subsets)
 
     lo, lo_count = 0.0, count_at(0.0)
     hi, hi_count = MAX_BETA, count_at(MAX_BETA)
@@ -217,14 +221,10 @@ def calibrate_beta(sequences: Iterable[list[np.ndarray]], subset_size: int,
     return beta, plan_from_redundancies(psis, subset_size, beta)
 
 
-def save_plan(path: str | os.PathLike, plan_: SamplingPlan,
-              keys: dict[int, str] | None = None) -> None:
-    """Write ``{"<seq>": [frame indices...]}``; `keys` maps ids to names."""
-    payload = {
-        (keys[s] if keys else str(s)): idx for s, idx in sorted(plan_.entries.items())
-    }
+def save_plan(path: str | os.PathLike, plan_: dict[str, list[int]]) -> None:
+    """Write a ``{sequence name: frame ids}`` plan as `load_plan` returns it."""
     with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
+        json.dump(plan_, f, indent=2, sort_keys=True)
         f.write("\n")
 
 

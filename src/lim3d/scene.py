@@ -188,8 +188,9 @@ def _base_scene(spec: SceneSpec, rng: np.random.Generator):
 
 def synth_frames(spec: SceneSpec, n_frames: int, seed: int,
                  sequence_id: int = 0) -> Iterator[tuple[PointCloud, np.ndarray]]:
-    """Deterministic synthetic sequence of labeled frames, each with its range
-    image, made one frame at a time as the iterator is advanced.
+    """Sequence `sequence_id` of the run seeded `seed`, its RNG seeded
+    ``seed + 1000 * sequence_id``: deterministic labeled frames, each with its
+    range image, made one frame at a time as the iterator is advanced.
 
     Every image equals ``project_range_image(pc, spec.image_width,
     spec.image_height, spec.vfov)`` byte for byte, but only the moving class
@@ -214,7 +215,7 @@ def synth_frames(spec: SceneSpec, n_frames: int, seed: int,
 
 def _synth_frames(spec: SceneSpec, n_frames: int, seed: int,
                   sequence_id: int) -> Iterator[tuple[PointCloud, np.ndarray]]:
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed + 1000 * sequence_id)
     xyz0, intensity, labels = _base_scene(spec, rng)
     moving = labels == spec.moving_class
     xyz32 = xyz0.astype(np.float32)
@@ -231,7 +232,7 @@ def _synth_frames(spec: SceneSpec, n_frames: int, seed: int,
             if offset != 0.0:
                 xyz[moving, 0] = np.mod(moving_x0 + offset + spec.wrap_extent, period) - spec.wrap_extent
             # Checked as a PointCloud before any of its points is projected.
-            pc = PointCloud(xyz=xyz, intensity=intensity, labels=labels, sequence_id=sequence_id)
+            pc = PointCloud(xyz=xyz, intensity=intensity, labels=labels)
             if t == 0:
                 still = _zbuffer(*_pixel_ranges(pc.xyz[~moving], w, h, spec.vfov), w * h)
             pix, r = _pixel_ranges(pc.xyz[moving], w, h, spec.vfov)
@@ -241,5 +242,5 @@ def _synth_frames(spec: SceneSpec, n_frames: int, seed: int,
 
 def synth_sequence(spec: SceneSpec, n_frames: int, seed: int,
                    sequence_id: int = 0) -> list[tuple[PointCloud, np.ndarray]]:
-    """`synth_frames` as a list: the whole sequence at once."""
+    """`synth_frames` as a list: sequence `sequence_id`, seeded ``seed + 1000 * sequence_id``."""
     return list(synth_frames(spec, n_frames, seed, sequence_id))

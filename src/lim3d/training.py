@@ -293,8 +293,8 @@ def prepare_run(cfg: ToyPipelineConfig, sequences: list[list] | None = None) -> 
     A cloud without labels raises `ValidationError`."""
     rng = np.random.default_rng(cfg.seed)
     if sequences is None:
-        sequences = [synth_sequence(cfg.scene, cfg.frames_per_sequence, cfg.seed + 1000 * s,
-                                    sequence_id=s) for s in range(cfg.n_sequences)]
+        sequences = [synth_sequence(cfg.scene, cfg.frames_per_sequence, cfg.seed, sequence_id=s)
+                     for s in range(cfg.n_sequences)]
     train_seqs, heldout = [], []
     for seq_id, seq in enumerate(sequences):
         if missing := [i for i, (pc, _) in enumerate(seq) if pc.labels is None]:

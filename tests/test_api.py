@@ -26,6 +26,10 @@ cell-key order its callers hand over and never reorders their rows.
 
 Every field of `ToyPipelineConfig` is a setting some caller in `src/`,
 `bench/` or `demos/` varies; a value nothing sets is a class constant.
+
+Only `scene` derives a sequence's seed: every other module passes
+`synth_frames` or `synth_sequence` the run's seed and a `sequence_id`,
+never a seed of its own arithmetic.
 """
 
 import ast
@@ -277,3 +281,33 @@ def test_the_settings_finder_sees_them():
               "overrides = {'lambda_c': 0.0, 3: 'x', **more}\nopt = SGD(p, lr=0.1)\n"
               "name = 'frames'\ncfg.momentum = 0.5\n")
     assert settings(source, "Config") == {"seed", "stages", "lambda_c"}
+
+
+SEEDED = ("synth_frames", "synth_sequence")
+
+
+def arithmetic_seeds(source: str) -> list[int]:
+    """Lines of the calls to `synth_frames` or `synth_sequence`, by name or as
+    an attribute, whose seed (third argument or ``seed=``) holds arithmetic."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and (getattr(node.func, "id", None)
+                                           or getattr(node.func, "attr", None)) in SEEDED:
+            seeds = node.args[2:3] + [k.value for k in node.keywords if k.arg == "seed"]
+            if any(isinstance(n, ast.BinOp) for seed in seeds for n in ast.walk(seed)):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_scene_derives_a_sequence_seed():
+    assert {f"{path.stem}:{line}" for path in sorted(PACKAGE.rglob("*.py")) if path.stem != "scene"
+            for line in arithmetic_seeds(path.read_text())} == set()
+
+
+def test_the_seed_finder_sees_them():
+    # Guards the check above against a finder that finds nothing.
+    source = ("a = synth_frames(spec, n, seed + 1000 * s, sequence_id=s)\n"
+              "b = scene.synth_sequence(spec, n, seed=int(2 * seed))\n"
+              "c = synth_sequence(spec, n, seed, sequence_id=s + 1)\n"
+              "d = synth_frames(spec, n - 1, 3)\n")
+    assert arithmetic_seeds(source) == [1, 2]

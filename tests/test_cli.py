@@ -10,7 +10,8 @@ import pytest
 from conftest import peak_bytes
 from lim3d.cli import _reflec_config, build_parser, main
 from lim3d.network import MiniSegNet
-from lim3d.pointcloud import PointCloud, image_path, load_frame, load_labels, read_pgm, save_frame
+from lim3d.pointcloud import (PointCloud, frame_path, image_path, label_path, load_frame,
+                              load_labels, read_pgm, save_frame, save_labels, write_pgm)
 from lim3d.reflectivity import ReflecConfig
 from lim3d.sampling import load_plan
 from lim3d.scene import SceneSpec, ranges_to_grayscale, synth_sequence
@@ -84,6 +85,7 @@ def test_defaults_read_the_values_they_restate(tmp_path):
     assert (cost.in_channels, cost.n_classes) == (4 + cfg.reflec.feature_dim, cfg.scene.n_classes)
     train = parse("train-toy", "--report", "r.json")
     assert (train.labeled_fraction, train.frames) == (cfg.labeled_fraction, cfg.frames_per_sequence)
+    assert train.seed == cfg.seed
     assert tuple(int(s) for s in train.stages.split(",")) == cfg.stages
     assert _reflec_config(parse("featurize", "--in", "f", "--out", "o").config) == ReflecConfig()
     (tmp_path / "c.json").write_text(json.dumps({"bin_grids": [[2, 4]]}))
@@ -99,9 +101,26 @@ class TestSynthAndSample:
     def test_pgms_are_the_sequences_grayscale(self, dataset):
         spec = SceneSpec(n_points=250, segment_length=8, segment_speeds=(0.0, 1.0))
         for s, seq in enumerate(("00", "01")):
-            frames = synth_sequence(spec, 16, seed=1000 * s, sequence_id=s)
+            frames = synth_sequence(spec, 16, seed=0, sequence_id=s)
             for t, img in enumerate(ranges_to_grayscale([ri for _, ri in frames])):
                 np.testing.assert_array_equal(read_pgm(image_path(dataset, seq, t)), img)
+
+    def test_a_sequence_is_synth_sequence_of_the_run_seed(self, tmp_path):
+        """Sequence 01 of a run seeded 5 is `synth_sequence` at seed 5 and id 1."""
+        root, ref = tmp_path / "cli", tmp_path / "ref"
+        assert main(["synth", "--out-dir", str(root), "--sequences", "2", "--frames", "10",
+                     "--seed", "5", "--n-points", "200"]) == 0
+        frames = synth_sequence(SceneSpec(n_points=200), 10, 5, sequence_id=1)
+        grays = ranges_to_grayscale([ri for _, ri in frames])
+        paths = (frame_path, label_path, image_path)
+        for path in paths:
+            path(ref, "01", 0).parent.mkdir(parents=True)
+        for t, ((pc, _), img) in enumerate(zip(frames, grays)):
+            save_frame(frame_path(ref, "01", t), pc)
+            save_labels(label_path(ref, "01", t), pc.labels)
+            write_pgm(image_path(ref, "01", t), img)
+            for path in paths:
+                assert path(root, "01", t).read_bytes() == path(ref, "01", t).read_bytes()
 
     def test_beta_zero_selects_all(self, dataset, tmp_path):
         out = tmp_path / "plan.json"

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from lim3d import Lim3dError, MiniSegNet, PointCloud
 from lim3d.pointcloud import load_frame, load_labels, read_pgm, save_frame, save_labels, write_pgm
 from lim3d.reflectivity import ReflecConfig
-from lim3d.sampling import SamplingPlan, load_plan, save_plan
+from lim3d.sampling import load_plan, save_plan
 from lim3d.training import TOY_GRID, load_model, save_model
 
 
@@ -29,7 +29,7 @@ READERS = {
     "frame": (load_frame, _write_frame),
     "labels": (load_labels, lambda p: save_labels(p, np.array([0, 1, 2, 7], dtype=np.uint32))),
     "pgm": (read_pgm, lambda p: write_pgm(p, np.arange(24, dtype=np.uint8).reshape(4, 6))),
-    "plan": (load_plan, lambda p: save_plan(p, SamplingPlan({0: [0, 3], 1: [2]}))),
+    "plan": (load_plan, lambda p: save_plan(p, {"00": [0, 3], "01": [2]})),
     "model": (load_model, _write_model),
 }
 

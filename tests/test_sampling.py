@@ -284,9 +284,14 @@ class TestPlanIO:
     def test_save_load_roundtrip(self, tmp_path):
         frames = two_regime_frames()
         result = plan([frames], 8, 4.0)
-        save_plan(tmp_path / "plan.json", result, keys={0: "00"})
+        save_plan(tmp_path / "plan.json", {"00": result.entries[0]})
         loaded = load_plan(tmp_path / "plan.json")
         assert loaded == {"00": result.entries[0]}
+
+    def test_load_returns_the_saved_dict(self, tmp_path):
+        written = {"00": [0, 3, 7], "01": [], "10": [2]}
+        save_plan(tmp_path / "plan.json", written)
+        assert load_plan(tmp_path / "plan.json") == written
 
     @pytest.mark.parametrize("text", [
         '{"00": [1, 2',           # invalid JSON
