@@ -19,6 +19,7 @@ import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import ClassVar
 
 import numpy as np
 
@@ -120,12 +121,31 @@ def _check_class(class_id: int, n_classes: int) -> None:
         raise DomainError(f"class_id {class_id!r} out of range [0, {n_classes})")
 
 
+@dataclass(frozen=True)
+class ContrastiveConfig:
+    """Thresholds for anchor mining and the contrastive loss. Its field is
+    the setting callers vary; the class constants below it are the rest of
+    the recipe, read the same way (``cfg.tau``). A constant becomes a field
+    again in the change that adds a caller who sets it."""
+
+    max_anchors: int = 128    # anchors used per class per step
+
+    delta_p: ClassVar[float] = 0.7      # anchor confidence threshold
+    tau: ClassVar[float] = 0.5          # softmax temperature
+    n_negatives: ClassVar[int] = 8      # negatives per anchor (N - 1)
+    capacity: ClassVar[int] = 256       # bank capacity per class
+
+    def __post_init__(self):
+        if not is_count(self.max_anchors):
+            raise DomainError(f"max_anchors must be an integer >= 1, got {self.max_anchors!r}")
+
+
 class MemoryBank:
     """Per-class FIFO queues of negative embeddings with a fixed capacity:
     each class holds one array of its newest rows, oldest first. A class id
     outside ``[0, n_classes)`` raises `DomainError`."""
 
-    def __init__(self, n_classes: int, capacity: int = 256):
+    def __init__(self, n_classes: int, capacity: int = ContrastiveConfig.capacity):
         if not (is_count(n_classes) and is_count(capacity)):
             raise DomainError(f"n_classes and capacity must be integers >= 1, got "
                               f"{n_classes!r} and {capacity!r}")
@@ -138,10 +158,13 @@ class MemoryBank:
 
     def push(self, class_id: int, rows: np.ndarray) -> None:
         """Append one row ``(d,)`` or a block ``(n, d)``, evicting the oldest
-        rows past `capacity`."""
+        rows past `capacity`. Rows of another width than the class holds
+        raise `ShapeError`."""
         _check_class(class_id, self.n_classes)
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))[-self.capacity:]
         held = self._rows[class_id]
+        if held.size and rows.shape[1:] != held.shape[1:]:
+            raise ShapeError(f"class {class_id} holds rows {held.shape[1:]}, not {rows.shape[1:]}")
         kept = np.concatenate([held, rows])[-self.capacity:] if held.size else rows.copy()
         kept.setflags(write=False)
         self._rows[class_id] = kept
@@ -157,30 +180,6 @@ class MemoryBank:
         if len(held) < k:
             raise ValidationError(f"class {class_id}: {len(held)} negatives < {k} requested")
         return held[len(held) - k:] if k else np.empty((0, 0))
-
-
-@dataclass(frozen=True)
-class ContrastiveConfig:
-    """Thresholds for anchor mining and the contrastive loss."""
-
-    delta_p: float = 0.7      # anchor confidence threshold
-    tau: float = 0.5          # softmax temperature
-    n_negatives: int = 8      # negatives per anchor (N - 1)
-    capacity: int = 256       # bank capacity per class
-    max_anchors: int = 128    # anchors used per class per step
-
-    def __post_init__(self):
-        if not 0.0 < self.delta_p < 1.0:
-            raise DomainError("delta_p must lie in (0, 1)")
-        if not 0.0 < self.tau < np.inf:
-            raise DomainError(f"tau must be positive and finite, got {self.tau!r}")
-        if not is_count(self.n_negatives):
-            raise DomainError(f"n_negatives must be an integer >= 1, got {self.n_negatives!r}")
-        if not (is_count(self.capacity) and is_count(self.max_anchors)):
-            raise DomainError(f"capacity and max_anchors must be integers >= 1, got "
-                              f"{self.capacity!r} and {self.max_anchors!r}")
-        if self.capacity < self.n_negatives:  # no class could ever join the loss
-            raise DomainError(f"capacity {self.capacity} is below n_negatives {self.n_negatives}")
 
 
 # ---------------------------------------------------------------------------

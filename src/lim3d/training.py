@@ -112,9 +112,13 @@ def mean_iou(confusion: np.ndarray) -> float:
 
 
 class SGD:
-    """Plain momentum SGD over a list of parameter arrays."""
+    """Plain momentum SGD over a list of parameter arrays. A negative or
+    non-finite `lr`, or a `momentum` outside [0, 1], raises `DomainError`."""
 
     def __init__(self, params: list[np.ndarray], lr: float, momentum: float = 0.9):
+        if not (0.0 <= lr < np.inf and 0.0 <= momentum <= 1.0):
+            raise DomainError(f"lr must be nonnegative and finite and momentum lie in [0, 1], "
+                              f"got {lr!r} and {momentum!r}")
         self.params = params
         self.lr = lr
         self.momentum = momentum
@@ -468,9 +472,9 @@ def load_model(path: str | os.PathLike) -> tuple[MiniSegNet, CylGridSpec, Reflec
 
     Raises:
         FormatError: the file is not a complete model (not a zip archive,
-            truncated, a bad checksum, a missing key or a malformed value),
-            or its `in_channels` is not the 4 point features plus the
-            histogram width of its reflectivity config.
+            truncated, a bad checksum, a missing key, a malformed value or a
+            non-finite weight), or its `in_channels` is not the 4 point
+            features plus the histogram width of its reflectivity config.
     """
     with open(path, "rb") as f:
         try:
@@ -508,6 +512,8 @@ def load_model(path: str | os.PathLike) -> tuple[MiniSegNet, CylGridSpec, Reflec
         _, cost = topology_cost(mini_backbone_topology(*shape), 0)
         if cost.trainable_params != saved["flat"].size:
             raise FormatError(f"{saved['flat'].size} weights do not fit the topology")
+        if not np.isfinite(saved["flat"]).all():
+            raise FormatError("flat holds a non-finite weight")
         net = MiniSegNet(*shape)
         net.load_flat(saved["flat"])
     except (TypeError, ValueError) as exc:

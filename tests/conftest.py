@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -62,6 +62,16 @@ def conv_tensor(t, spec, weights, bias=None):
     else:
         out = apply_spatial(t.features, rulebook_of(t, spec.kernel_size), spec, weights, bias)
     return replace(t, features=out.data)
+
+
+def recipe(cls, **settings):
+    """A `cls` recipe with `settings`: a field goes to the constructor, and a
+    class constant is overridden in a test-local subclass."""
+    names = {f.name for f in fields(cls)}
+    constants = {k: v for k, v in settings.items() if k not in names}
+    assert all(hasattr(cls, k) for k in constants), f"{cls.__name__} has no {constants}"
+    local = type(cls.__name__, (cls,), constants) if constants else cls
+    return local(**{k: v for k, v in settings.items() if k in names})
 
 
 def peak_bytes(fn) -> int:

@@ -11,7 +11,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import conv_tensor, draw_conv, finite_difference, max_rel_err, random_sparse_tensor
+from conftest import (conv_tensor, draw_conv, finite_difference, max_rel_err, random_sparse_tensor,
+                      recipe)
 from dense_reference import (dense_pointwise_reference, dense_separable_reference,
                              dense_spatial_reference, densify)
 from lim3d import (ContrastiveConfig, MemoryBank, SceneSpec, ToyPipelineConfig,
@@ -204,7 +205,7 @@ def test_04_gradient_suite():
             check(t.grad, finite_difference(lambda v: f_kl(v)[1].item(), logits))
 
         # Contrastive loss over anchors.
-        cfg = ContrastiveConfig(tau=0.5, n_negatives=3)
+        cfg = recipe(ContrastiveConfig, tau=0.5, n_negatives=3)
         for _ in range(50):
             bank = MemoryBank(n_classes=1, capacity=8)
             for _ in range(4):
@@ -264,7 +265,7 @@ def test_06_ssim_reference_agreement():
 
 def test_07_infonce_closed_forms():
     with criterion(7, "contrastive loss closed forms (tau = 0.5)"):
-        cfg = ContrastiveConfig(tau=0.5, n_negatives=1)
+        cfg = recipe(ContrastiveConfig, tau=0.5, n_negatives=1)
         bank = MemoryBank(n_classes=1, capacity=4)
         bank.push(0, np.array([0.0, 1.0]))
         loss = infonce_loss({0: np.array([[1.0, 0.0]])}, {0: np.array([1.0, 0.0])},
@@ -274,7 +275,7 @@ def test_07_infonce_closed_forms():
         assert abs(expect - 0.126928) < 1e-4
 
         for n_neg in (1, 3, 7, 15):
-            cfg_n = ContrastiveConfig(tau=0.5, n_negatives=n_neg)
+            cfg_n = recipe(ContrastiveConfig, tau=0.5, n_negatives=n_neg)
             bank_n = MemoryBank(n_classes=1, capacity=32)
             d = n_neg + 2
             for j in range(n_neg):

@@ -24,8 +24,10 @@ cell-key order its callers hand over and never reorders their rows.
 `tests/dense_reference.py`, the dense convolution oracle, takes classes from
 `lim3d` but no function, so it computes nothing with the code it checks.
 
-Every field of `ToyPipelineConfig` is a setting some caller in `src/`,
-`bench/` or `demos/` varies; a value nothing sets is a class constant.
+Every field of a recipe dataclass the package root exports (`SceneSpec`,
+`ToyPipelineConfig` and the rest of `RECIPES`) is a setting some caller in
+`src/`, `bench/` or `demos/` varies; a value nothing sets is a class
+constant.
 
 Only `scene` derives a sequence's seed: every other module passes
 `synth_frames` or `synth_sequence` the run's seed and a `sequence_id`,
@@ -252,35 +254,50 @@ def test_the_import_finder_sees_functions():
                                            "lim3d.sparseconv", "lim3d.errors.is_count"]
 
 
-def settings(source: str, callee: str) -> set[str]:
+def settings(source: str, callee: str, fields: tuple[str, ...] = ()) -> set[str]:
     """Names `source` may pass to `callee`: each keyword of a call to it, by
-    name or as an attribute, or to ``dict``, and each string key of a dict
-    literal."""
+    name or as an attribute, or to ``dict``, each of its `fields` that a call
+    to it passes by position, and each string key of a dict literal."""
     found = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call) and (getattr(node.func, "id", None)
-                                           or getattr(node.func, "attr", None)) in (callee, "dict"):
-            found.update(k.arg for k in node.keywords if k.arg is not None)
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in (callee, "dict"):
+                found.update(k.arg for k in node.keywords if k.arg is not None)
+            if name == callee:  # by position up to the first ``*args``
+                found.update(fields[:next((i for i, a in enumerate(node.args)
+                                           if isinstance(a, ast.Starred)), len(node.args))])
         elif isinstance(node, ast.Dict):
             found.update(k.value for k in node.keys
                          if isinstance(k, ast.Constant) and isinstance(k.value, str))
     return found
 
 
+RECIPES = ("SceneSpec", "ContrastiveConfig", "ReflecConfig", "LossConfig", "CylGridSpec",
+           "LayerSpec", "ToyPipelineConfig")
+
+
 def test_every_toy_config_field_is_set_by_a_caller():
-    from lim3d import ToyPipelineConfig
+    """Covers every recipe in `RECIPES`, the toy run's config among them."""
+    import lim3d
     paths = [*PACKAGE.rglob("*.py"), *ROOT.glob("bench/*.py"), *ROOT.glob("demos/*.py")]
-    used = set().union(*(settings(p.read_text(), "ToyPipelineConfig") for p in paths
-                         if not p.name.startswith("test_")))
-    assert {f.name for f in dataclasses.fields(ToyPipelineConfig)} - used == set()
+    sources = [p.read_text() for p in paths if not p.name.startswith("test_")]
+    unset = set()
+    for name in RECIPES:
+        fields = tuple(f.name for f in dataclasses.fields(getattr(lim3d, name)))
+        used = set().union(*(settings(source, name, fields) for source in sources))
+        unset.update(f"{name}.{field}" for field in fields if field not in used)
+    assert unset == set()
 
 
 def test_the_settings_finder_sees_them():
     # Guards the check above against a finder that finds nothing.
     source = ("cfg = lim3d.Config(seed=1, **extra)\nextra = dict(stages=(1,))\n"
               "overrides = {'lambda_c': 0.0, 3: 'x', **more}\nopt = SGD(p, lr=0.1)\n"
-              "name = 'frames'\ncfg.momentum = 0.5\n")
-    assert settings(source, "Config") == {"seed", "stages", "lambda_c"}
+              "name = 'frames'\ncfg.momentum = 0.5\nspec = Config(4, *rest, 5)\n"
+              "Grid(6, 7, 8)\n")
+    assert settings(source, "Config", ("width", "height", "depth")) == {
+        "seed", "stages", "lambda_c", "width"}
 
 
 SEEDED = ("synth_frames", "synth_sequence")

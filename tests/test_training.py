@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import max_rel_err, rulebook_of
+from conftest import max_rel_err, recipe, rulebook_of
 from lim3d import (ContrastiveConfig, ConvSpec, DivergenceError, DomainError, LayerSpec, LossConfig, MemoryBank,
                    MiniSegNet, SceneSpec, ShapeError, Tensor, ToyPipelineConfig, ValidationError,
                    VoxelPredictions, confusion_matrix, crb_select, ema_update,
@@ -284,6 +284,15 @@ class TestNetwork:
         opt.step([np.ones(2)])
         np.testing.assert_allclose(params[0], -0.25)  # velocity compounds
 
+    @pytest.mark.parametrize("lr, momentum", [(float("nan"), 0.9), (float("inf"), 0.9),
+                                              (-0.1, 0.9), (0.1, -0.5), (0.1, 1.5),
+                                              (0.1, float("nan"))])
+    def test_bad_sgd_setting_raises_domain_error(self, lr, momentum):
+        with pytest.raises(DomainError):
+            SGD([np.zeros(2)], lr=lr, momentum=momentum)
+        SGD([np.zeros(2)], lr=0.0, momentum=0.0)  # the edges are allowed
+        SGD([np.zeros(2)], lr=0.1, momentum=1.0)
+
 
 class TestSteps:
     """`label_frame` and `train_step`, the pipeline's two steps."""
@@ -315,7 +324,7 @@ class TestSteps:
         teacher = student.clone()
         opt = SGD(student.params, lr=lr)
         return student, teacher, lambda: train_step(student, teacher, frame, opt, loss_cfg,
-                                                    bank, ContrastiveConfig(n_negatives=1))
+                                                    bank, recipe(ContrastiveConfig, n_negatives=1))
 
     @pytest.mark.parametrize("stage,filled", [("train", False), ("distill", True)])
     def test_bank_is_filled_only_in_distill(self, stage, filled):
@@ -339,7 +348,7 @@ class TestSteps:
         bank is left as it was, and the ground-truth anchors still reach the
         contrastive term."""
         frame = self._frame(labeled=True)
-        contrastive = ContrastiveConfig(delta_p=0.01, n_negatives=1)
+        contrastive = recipe(ContrastiveConfig, delta_p=0.01, n_negatives=1)
         known = rng.normal(size=(3, 8))
         bank = MemoryBank(3, capacity=64)
         for c in range(3):
@@ -414,8 +423,9 @@ class TestToyPipeline:
             ReflecConfig(n_bins=10, bin_grids=((4, 8), (8, 16), (16, 24))), (16, 32, 64, 64), 3)
         assert (cfg.lr, cfg.momentum, cfg.kappa, cfg.lambda_u) == (0.05, 0.9, 0.99, 1.0)
         assert (cfg.percentile, cfg.per_class_keep) == (80.0, 0.9)
-        assert cfg.contrastive == ContrastiveConfig(delta_p=0.7, tau=0.5, n_negatives=8,
-                                                    capacity=256, max_anchors=64)
+        assert cfg.contrastive == ContrastiveConfig(max_anchors=64)
+        assert (cfg.contrastive.delta_p, cfg.contrastive.tau, cfg.contrastive.n_negatives,
+                cfg.contrastive.capacity) == (0.7, 0.5, 8, 256)
 
     def test_stage_losses_share_the_config_weights(self):
         cfg = ToyPipelineConfig(lambda_c=0.1)
@@ -619,6 +629,16 @@ class TestModelFile:
         saved[key] = np.array(value)
         np.savez(tmp_path / "bad.npz", **saved)
         with pytest.raises(FormatError, match=r"bad\.npz.*in_channels"):
+            load_model(tmp_path / "bad.npz")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, tmp_path, bad):
+        save_model(tmp_path / "m.npz", MiniSegNet(4, 3, widths=(4,), seed=0), self.GRID, None)
+        with np.load(tmp_path / "m.npz") as npz:
+            saved = dict(npz)
+        saved["flat"][7] = bad
+        np.savez(tmp_path / "bad.npz", **saved)
+        with pytest.raises(FormatError, match=r"bad\.npz.*non-finite weight"):
             load_model(tmp_path / "bad.npz")
 
 
