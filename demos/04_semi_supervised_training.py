@@ -11,6 +11,8 @@ contrastive negatives through a FIFO memory bank.
 The stages are public functions over one `ToyRun`, so a variant of the
 recipe is another composition of them. The demo ends with one: after a
 short stage 1, label with the student instead of its EMA teacher.
+`train_stage(run, stage)` reads its frames (every one with labels), its
+step count and its memory bank from the run.
 
 Takes a few seconds.
 """
@@ -51,9 +53,8 @@ print(f"wall time:              {elapsed:.0f}s")
 # A variant by composition: a short stage 1, then each network labels the
 # unlabeled frames in turn.
 run = prepare_run(ToyPipelineConfig(labeled_fraction=0.4, steps_stage1=40, seed=7))
-labeled = [i for i, f in enumerate(run.frames) if f.pseudo is not None]
 unlabeled = [i for i, f in enumerate(run.frames) if f.pseudo is None]
-train_stage(run, "train", run.cfg.steps_stage1, labeled)
+train_stage(run, "train")
 print(f"\nafter a {run.cfg.steps_stage1}-step stage 1, pseudo-labels' agreement with hidden labels:")
 for name, labeller in (("EMA teacher", run.teacher), ("student", run.student)):
     entry = label_stage(run, labeller, unlabeled)

@@ -194,7 +194,7 @@ def shannon_entropy(probs: np.ndarray) -> np.ndarray:
     return -terms.sum(axis=-1)
 
 
-def entropy_partition(v: VoxelPredictions, percentile: float = 80.0) -> PseudoLabelSet:
+def entropy_partition(v: VoxelPredictions, percentile: float) -> PseudoLabelSet:
     """Split voxels at the given entropy percentile in [0, 100).
 
     Voxels whose entropy lies strictly above the percentile of the frame's

@@ -1,10 +1,10 @@
 """Structural similarity (SSIM) for 8-bit grayscale grids.
 
 Mean SSIM over all stride-1 sliding windows, uniform window weighting,
-constants K1=0.01, K2=0.03 on a dynamic range of 255. The uniform window
-(8x8 by default) keeps the value exactly reproducible against a plain
-nested-loop implementation; `ssim(x, x)` is exactly 1.0 and the measure is
-bitwise symmetric in its arguments.
+constants K1=0.01, K2=0.03 on a dynamic range of 255. The uniform 8x8
+window (clipped to a smaller grid's sides) keeps the value exactly
+reproducible against a plain nested-loop implementation; `ssim(x, x)` is
+exactly 1.0 and the measure is bitwise symmetric in its arguments.
 
 The work splits in two steps. `frame_stats` takes one frame's window means
 ``mu``, ``mu * mu`` and variance; `pair_score` combines two frames'
@@ -17,11 +17,11 @@ Window means are exact window sums divided by ``win * win``. Each axis is
 summed by doubling runs (runs of 1, 2, 4, ... elements, then the runs that
 make up `win`: 3 adds per axis for an 8-wide window) in a dtype chosen from
 the input dtype's range, never from the data: int32 when
-``win**2 * max|x|**2 < 2**31`` (8-bit grids at the default window),
+``win**2 * max|x|**2 < 2**31`` (8-bit grids at the full 8x8 window),
 float64 otherwise and for float input. The squares ``x * x`` and products
 ``a * b`` are formed in that dtype. Each window is summed on its own, so
 on integer-valued grids whose window sums of squares stay below 2**53
-(8- and 16-bit grids at the default window) every sum is exact at any
+(8- and 16-bit grids at the full 8x8 window) every sum is exact at any
 grid size, and each window mean is the correctly rounded ``sum / n``,
 bitwise equal to averaging the window directly. For other inputs the
 means differ from a direct average by rounding only.
@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import DomainError, ShapeError
+from .errors import ShapeError
 
 __all__ = ["ssim", "frame_stats", "pair_score", "FrameStats", "DEFAULT_WINDOW"]
 
@@ -97,16 +97,14 @@ def _window_means(x: np.ndarray, win: int) -> np.ndarray:
     return means
 
 
-def frame_stats(x: np.ndarray, window: int = DEFAULT_WINDOW) -> FrameStats:
+def frame_stats(x: np.ndarray) -> FrameStats:
     """Window means, their squares and the variance of one 2-D grid."""
     x = np.asarray(x)
     if x.ndim != 2:
         raise ShapeError("ssim expects 2-D grayscale grids")
     if 0 in x.shape:
         raise ShapeError(f"ssim needs a nonempty grid, got shape {x.shape}")
-    if window < 1:
-        raise DomainError("window must be >= 1")
-    win = min(window, x.shape[0], x.shape[1])
+    win = min(DEFAULT_WINDOW, x.shape[0], x.shape[1])
     xs = x.astype(_sum_dtype(x.dtype, win), copy=False)
     mu = _window_means(xs, win)
     mu_sq = mu * mu
@@ -119,8 +117,6 @@ def pair_score(a: FrameStats, b: FrameStats) -> float:
     """SSIM of two frames from their `frame_stats`."""
     if a.x.shape != b.x.shape:
         raise ShapeError(f"image shapes differ: {a.x.shape} vs {b.x.shape}")
-    if a.win != b.win:
-        raise DomainError(f"statistics taken with windows {a.win} and {b.win}")
     # mu_a * mu_b serves the covariance and, doubled (exact), the numerator.
     # The products are summed in the squares' dtype, so ssim(x, x) is exactly 1.
     # In place, the formula is (2 mu_ab + C1) (2 cov + C2) /
@@ -143,5 +139,5 @@ def pair_score(a: FrameStats, b: FrameStats) -> float:
     return float(num.mean())
 
 
-def ssim(a: np.ndarray, b: np.ndarray, window: int = DEFAULT_WINDOW) -> float:
-    return pair_score(frame_stats(a, window), frame_stats(b, window))
+def ssim(a: np.ndarray, b: np.ndarray) -> float:
+    return pair_score(frame_stats(a), frame_stats(b))

@@ -10,9 +10,9 @@ of unreliable-voxel negatives), then the teacher tracks it by EMA.
 `run_toy_pipeline` composes four stages over one `ToyRun`. `prepare_run`
 puts the ground truth of the frames the redundancy-driven sampling plan
 picks in `Frame.pseudo`, each frame's one place for training labels;
-`train_stage` trains on the frames it is given (stage 1 on those, stage 3
-on all with labels), `label_stage` labels frames with any network (stage 2
-uses the teacher) and `evaluate` scores one. A variant is a composition.
+`train_stage` trains on every frame with labels (stage 1 on those, stage 3
+also on the pseudo-labelled rest), `label_stage` labels frames with any
+network (stage 2 uses the teacher), `evaluate` scores one. A variant is a composition.
 
 A trained network only works on its training input: the features and
 voxels that `prepare_frame` builds from a cloud with one grid and one
@@ -278,7 +278,7 @@ def train_step(student: MiniSegNet, teacher: MiniSegNet, frame: Frame, opt: SGD,
 
 @dataclass
 class ToyRun:
-    """What the toy run's stages share; `rng` orders every stage's steps."""
+    """What the toy run's stages share: `rng` orders their steps, `bank` keeps negatives."""
 
     cfg: ToyPipelineConfig
     frames: list[Frame]
@@ -288,6 +288,7 @@ class ToyRun:
     rng: np.random.Generator
     beta: float
     plan: SamplingPlan
+    bank: MemoryBank
 
 
 def prepare_run(cfg: ToyPipelineConfig, sequences: list[list] | None = None) -> ToyRun:
@@ -321,18 +322,21 @@ def prepare_run(cfg: ToyPipelineConfig, sequences: list[list] | None = None) -> 
     heldout_frames = [prepare_frame(pc, cfg.grid, cfg.reflec, cfg.kernel_size) for pc, _ in heldout]
     student = MiniSegNet(frames[0].svt.channels, cfg.scene.n_classes, cfg.widths,
                          cfg.kernel_size, seed=cfg.seed)
-    return ToyRun(cfg, frames, heldout_frames, student, student.clone(), rng, float(beta), plan)
+    return ToyRun(cfg, frames, heldout_frames, student, student.clone(), rng, float(beta), plan,
+                  MemoryBank(cfg.scene.n_classes, cfg.contrastive.capacity))
 
 
-def train_stage(run: ToyRun, stage: str, steps: int, frame_ids: list[int],
-                bank: MemoryBank | None = None) -> dict:
-    """`steps` calls of `train_step` at `stage`'s loss weights, on the frames
-    of `frame_ids` in a fresh shuffle each pass; returns the report's stage
-    entry. `steps` > 0 with no frame raises `DomainError`."""
-    if steps > 0 and not len(frame_ids):
-        raise DomainError(f"{stage}: {steps} steps need at least one frame")
+def train_stage(run: ToyRun, stage: str) -> dict:
+    """`train_step` at `stage`'s loss weights with `run.bank`, `cfg.steps_stage1`
+    times in ``"train"`` and `cfg.steps_stage3` in ``"distill"``, on every frame
+    whose `pseudo` is set in a fresh shuffle each pass; returns the report's
+    stage entry. Steps with no such frame raise `DomainError`."""
     cfg = run.cfg
     loss_cfg = cfg.loss_config(stage)
+    steps = cfg.steps_stage1 if stage == "train" else cfg.steps_stage3
+    frame_ids = [i for i, f in enumerate(run.frames) if f.pseudo is not None]
+    if steps > 0 and not frame_ids:
+        raise DomainError(f"{stage}: {steps} steps need at least one frame with labels")
     opt = SGD(run.student.params, lr=cfg.lr, momentum=cfg.momentum)
     losses, order = [], []
     for _ in range(steps):
@@ -340,7 +344,7 @@ def train_stage(run: ToyRun, stage: str, steps: int, frame_ids: list[int],
             order = list(frame_ids)
             run.rng.shuffle(order)
         losses.append(train_step(run.student, run.teacher, run.frames[order.pop()], opt,
-                                 loss_cfg, bank, cfg.contrastive))
+                                 loss_cfg, run.bank, cfg.contrastive))
     return {"steps": steps, "losses": [round(v, 6) for v in losses],
             "final_loss": losses[-1] if losses else None}
 
@@ -395,14 +399,12 @@ def run_toy_pipeline(cfg: ToyPipelineConfig,
     unlabeled = [i for i, f in enumerate(frames) if f.pseudo is None]
     stages: dict = {}
     if 1 in cfg.stages:
-        stages["train"] = train_stage(run, "train", cfg.steps_stage1, labeled)
+        stages["train"] = train_stage(run, "train")
     if 2 in cfg.stages:
         stages["pseudo_label"] = label_stage(run, run.teacher, unlabeled)
     if 3 in cfg.stages:
         # The stage-1 student, on every frame with labels; the teacher carries over.
-        bank = MemoryBank(cfg.scene.n_classes, cfg.contrastive.capacity)
-        usable = [i for i, f in enumerate(frames) if f.pseudo is not None]
-        stages["distill"] = train_stage(run, "distill", cfg.steps_stage3, usable, bank)
+        stages["distill"] = train_stage(run, "distill")
 
     confusion = evaluate(student, run.heldout)
     per_class = iou_per_class(confusion)

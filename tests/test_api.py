@@ -256,20 +256,49 @@ def test_the_import_finder_sees_functions():
 
 def settings(source: str, callee: str, fields: tuple[str, ...] = ()) -> set[str]:
     """Names `source` may pass to `callee`: each keyword of a call to it, by
-    name or as an attribute, or to ``dict``, each of its `fields` that a call
-    to it passes by position, and each string key of a dict literal."""
+    name or as an attribute, each of its `fields` that a call to it passes
+    by position, and each key of a dict that a call to it splats with
+    ``**``. Such a dict is a literal (its string keys), a ``dict(...)`` call
+    (its keywords) or a name or attribute, read through every assignment
+    to it in `source` and every ``.update(...)`` keyword it gets; a
+    conditional expression gives both branches, and a nested ``**`` is
+    followed the same way."""
+    tree = ast.parse(source)
+    bound: dict[str, list[ast.expr]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                bound.setdefault(ast.unparse(target), []).append(node.value)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "update"):
+            bound.setdefault(ast.unparse(node.func.value), []).append(node)
+
+    def keys(expr: ast.expr, seen: set[str]) -> set[str]:
+        if isinstance(expr, ast.IfExp):
+            return keys(expr.body, seen) | keys(expr.orelse, seen)
+        if isinstance(expr, ast.Dict):
+            named = {k.value for k in expr.keys
+                     if isinstance(k, ast.Constant) and isinstance(k.value, str)}
+            return named.union(*(keys(v, seen) for k, v in zip(expr.keys, expr.values)
+                                 if k is None))
+        if isinstance(expr, ast.Call) and (getattr(expr.func, "id", None) == "dict"
+                                           or getattr(expr.func, "attr", None) == "update"):
+            return set().union(*(keys(k.value, seen) if k.arg is None else {k.arg}
+                                 for k in expr.keywords))
+        name = ast.unparse(expr)
+        if name in seen:
+            return set()
+        return set().union(*(keys(v, seen | {name}) for v in bound.get(name, [])))
+
     found = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call):
-            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-            if name in (callee, "dict"):
-                found.update(k.arg for k in node.keywords if k.arg is not None)
-            if name == callee:  # by position up to the first ``*args``
-                found.update(fields[:next((i for i, a in enumerate(node.args)
-                                           if isinstance(a, ast.Starred)), len(node.args))])
-        elif isinstance(node, ast.Dict):
-            found.update(k.value for k in node.keys
-                         if isinstance(k, ast.Constant) and isinstance(k.value, str))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and (getattr(node.func, "id", None)
+                                           or getattr(node.func, "attr", None)) == callee:
+            for k in node.keywords:
+                found |= {k.arg} if k.arg is not None else keys(k.value, set())
+            # By position up to the first ``*args``.
+            found.update(fields[:next((i for i, a in enumerate(node.args)
+                                       if isinstance(a, ast.Starred)), len(node.args))])
     return found
 
 
@@ -291,13 +320,21 @@ def test_every_toy_config_field_is_set_by_a_caller():
 
 
 def test_the_settings_finder_sees_them():
-    # Guards the check above against a finder that finds nothing.
-    source = ("cfg = lim3d.Config(seed=1, **extra)\nextra = dict(stages=(1,))\n"
-              "overrides = {'lambda_c': 0.0, 3: 'x', **more}\nopt = SGD(p, lr=0.1)\n"
+    # Guards the check above against a finder that finds nothing, and
+    # against one that credits a dict no call to the recipe splats.
+    source = ("cfg = lim3d.Config(seed=1, **extra)\n"
+              "extra = dict(stages=(1,), **overrides) if fast else {}\n"
+              "overrides = {'lambda_c': 0.0, 3: 'x', **more}\noverrides.update(steps=4)\n"
+              "self.args = {'depth': 2}\nConfig(**self.args)\n"
+              "report = {'height': 1, 'miou': 0.5, **extra}\nlog = dict(n_points=3)\n"
+              "log.update(frames=2)\nopt = SGD(p, lr=0.1, **log)\n"
               "name = 'frames'\ncfg.momentum = 0.5\nspec = Config(4, *rest, 5)\n"
               "Grid(6, 7, 8)\n")
     assert settings(source, "Config", ("width", "height", "depth")) == {
-        "seed", "stages", "lambda_c", "width"}
+        "seed", "stages", "lambda_c", "steps", "depth", "width"}
+    # Report keys that name no recipe field a call sets are not credited.
+    cli = (PACKAGE / "cli.py").read_text()
+    assert settings(cli, "NoSuchRecipe", ("n_bins", "bin_grids", "grid", "lambda_c")) == set()
 
 
 SEEDED = ("synth_frames", "synth_sequence")

@@ -371,6 +371,16 @@ class TestSteps:
         np.testing.assert_array_equal(student.flat(), before[0])
         np.testing.assert_array_equal(teacher.flat(), before[1])
 
+    def test_frame_without_labels_trains_on_the_kl_term_alone(self):
+        """With `pseudo` None there is no supervised or contrastive term:
+        the KL term still moves the weights, and the bank is left alone."""
+        bank = MemoryBank(3, capacity=64)
+        student, _, step = self._step(self._frame(labeled=False), LossConfig(stage="distill"), bank)
+        before = student.flat()
+        assert np.isfinite(step())
+        assert not np.array_equal(student.flat(), before)
+        assert sum(bank.size(c) for c in range(3)) == 0
+
     @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0])
     def test_ema_reads_the_loss_config_kappa(self, kappa):
         student, teacher, step = self._step(self._frame(labeled=True), LossConfig(kappa=kappa))
@@ -503,13 +513,13 @@ class TestToyPipeline:
         run = prepare_run(cfg)
         labeled = [i for i, f in enumerate(run.frames) if f.pseudo is not None]
         unlabeled = [i for i, f in enumerate(run.frames) if f.pseudo is None]
-        stages = {"train": train_stage(run, "train", cfg.steps_stage1, labeled),
-                  "pseudo_label": label_stage(run, run.teacher, unlabeled)}
+        stages = {"train": train_stage(run, "train")}
+        # Stage 1's contrastive weight is 0, so the distill stage gets an empty bank.
+        assert sum(run.bank.size(c) for c in range(cfg.scene.n_classes)) == 0
+        stages["pseudo_label"] = label_stage(run, run.teacher, unlabeled)
         # Stage 2 labelled every other frame, so stage 3 trains on all of them.
         assert all(f.pseudo is not None for f in run.frames)
-        stages["distill"] = train_stage(run, "distill", cfg.steps_stage3,
-                                        list(range(len(run.frames))),
-                                        MemoryBank(cfg.scene.n_classes, cfg.contrastive.capacity))
+        stages["distill"] = train_stage(run, "distill")
         assert stages == report["stages"]
         confusion = evaluate(run.student, run.heldout)
         assert report["metrics"]["confusion"] == confusion.tolist()
@@ -522,9 +532,8 @@ class TestToyPipeline:
         is the same stages with another labeller."""
         cfg = ToyPipelineConfig(labeled_fraction=0.4, steps_stage1=40, seed=3)
         run = prepare_run(cfg)
-        labeled = [i for i, f in enumerate(run.frames) if f.pseudo is not None]
         unlabeled = [i for i, f in enumerate(run.frames) if f.pseudo is None]
-        train_stage(run, "train", cfg.steps_stage1, labeled)
+        train_stage(run, "train")
         entry = label_stage(run, run.student, unlabeled)
         differ = 0
         for i in unlabeled:
@@ -539,18 +548,19 @@ class TestToyPipeline:
         assert entry["reliable_voxels"] + entry["unreliable_voxels"] == voxels
 
     def test_train_stage_needs_a_frame_to_take_a_step(self):
+        """A stage trains only on frames with labels: with every `pseudo`
+        cleared it raises before any step, unless it takes none."""
         run = prepare_run(ToyPipelineConfig(labeled_fraction=0.4, frames_per_sequence=8))
-        before = run.student.flat()
-        with pytest.raises(DomainError, match="at least one frame"):
-            train_stage(run, "train", 1, [])
-        np.testing.assert_array_equal(run.student.flat(), before)
-        assert train_stage(run, "train", 0, []) == {"steps": 0, "losses": [], "final_loss": None}
-        # A frame without labels trains on the KL term alone.
-        unlabeled = [i for i, f in enumerate(run.frames) if f.pseudo is None]
-        assert unlabeled
-        entry = train_stage(run, "train", 2, unlabeled[:1])
-        assert entry["steps"] == 2 and np.isfinite(entry["final_loss"])
-        assert not np.array_equal(run.student.flat(), before)
+        for f in run.frames:
+            f.pseudo = None
+        before = run.student.flat(), run.teacher.flat()
+        for stage in ("train", "distill"):
+            with pytest.raises(DomainError, match="at least one frame"):
+                train_stage(run, stage)
+        np.testing.assert_array_equal(run.student.flat(), before[0])
+        np.testing.assert_array_equal(run.teacher.flat(), before[1])
+        run.cfg = replace(run.cfg, steps_stage1=0)
+        assert train_stage(run, "train") == {"steps": 0, "losses": [], "final_loss": None}
 
     @pytest.mark.parametrize("unlabeled", [list(range(8)), [6, 7]])
     def test_clouds_without_labels_are_refused(self, unlabeled):
