@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq-dir", required=True)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--target-fraction", type=float, default=None)
-    p.add_argument("--subset-size", type=int, default=10)
+    p.add_argument("--subset-size", type=int, default=ToyPipelineConfig.subset_size)
     p.add_argument("--source", choices=("gray", "range"), default="gray")
     p.add_argument("--width", type=int, default=SceneSpec.image_width)
     p.add_argument("--height", type=int, default=SceneSpec.image_height)

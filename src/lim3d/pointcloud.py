@@ -223,7 +223,8 @@ def read_pgm(path: str | os.PathLike) -> np.ndarray:
             while pos < len(data) and data[pos] != 0x0A:
                 pos += 1
             continue
-        start = pos
+        if (start := pos) == 2:
+            raise FormatError(f"{path}: P5 must be followed by whitespace or a '#' comment")
         while pos < len(data) and not data[pos:pos + 1].isspace():
             pos += 1
         tokens.append(data[start:pos])

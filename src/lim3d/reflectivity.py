@@ -99,21 +99,20 @@ def coarse_histograms(pc: PointCloud, r_norm: np.ndarray, cfg: ReflecConfig) -> 
     rho = np.hypot(xyz[:, 0], xyz[:, 1])
     phi = np.arctan2(xyz[:, 1], xyz[:, 0])
     rho_lo, rho_hi = float(rho.min()), float(rho.max())
-    # Fractions of the rho span and the turn; each scale multiplies by its bin
-    # count. A zero span is divided by 1: every point has fraction 0.
+    # Fractions of the rho span and the turn, >= 0 as r_norm is, so each int64
+    # cast below floors. A zero span is divided by 1: every point has fraction 0.
     rho_frac = (rho - rho_lo) / ((rho_hi - rho_lo) or 1.0)
     phi_frac = (phi + np.pi) / (2.0 * np.pi)
 
-    value_bin = np.floor(r_norm * cfg.n_bins).astype(np.int64)
+    value_bin = (r_norm * cfg.n_bins).astype(np.int64)
 
     # Each scale's table of normalized histograms, stacked into one, and each
-    # point's row of it per scale.
-    tables, rows, offset = [], np.empty((n, cfg.n_scales), np.int64), 0
-    for scale, (n_rho, n_phi) in enumerate(cfg.bin_grids):
-        i_rho = np.minimum(np.floor(rho_frac * n_rho).astype(np.int64), n_rho - 1)
-        i_phi = np.floor(phi_frac * n_phi).astype(np.int64) % n_phi
-        cell = i_rho * n_phi + i_phi
-
+    # point's row of it per scale: its cell id, built in place, plus the offset.
+    tables, rows, offset = [], np.empty((cfg.n_scales, n), np.int64), 0
+    for cell, (n_rho, n_phi) in zip(rows, cfg.bin_grids):
+        np.minimum((rho_frac * n_rho).astype(np.int64), n_rho - 1, out=cell)
+        cell *= n_phi
+        cell += (phi_frac * n_phi).astype(np.int64) % n_phi
         counts = np.bincount(cell * cfg.n_bins + value_bin, minlength=n_rho * n_phi * cfg.n_bins)
         counts = counts.reshape(n_rho * n_phi, cfg.n_bins).astype(np.float64)
         # An empty cell's row of zeros is divided by 1 and stays zero.
@@ -121,11 +120,11 @@ def coarse_histograms(pc: PointCloud, r_norm: np.ndarray, cfg: ReflecConfig) -> 
         # Casting the per-bin table, not the per-point gather, rounds the same
         # values and keeps the gather in float32.
         tables.append(normalized.astype(np.float32))
-        rows[:, scale] = cell + offset
+        cell += offset
         offset += len(normalized)
     # Every row is in range, so "clip" changes nothing but lets numpy write
     # into `out` unbuffered.
-    np.take(np.concatenate(tables), rows, axis=0, out=out.reshape(n, cfg.n_scales, cfg.n_bins),
+    np.take(np.concatenate(tables), rows.T, axis=0, out=out.reshape(n, cfg.n_scales, cfg.n_bins),
             mode="clip")
     return out
 

@@ -109,10 +109,10 @@ def _pixel_ranges(xyz: np.ndarray, width: int, height: int,
     el = np.degrees(np.arctan2(xyz[:, 2], np.hypot(xyz[:, 0], xyz[:, 1])))
     valid = (r > 0) & (el >= vfov_min) & (el <= vfov_max)
 
-    cols = np.floor((az + np.pi) / (2.0 * np.pi) * width).astype(np.int64) % width
-    rows = np.floor((vfov_max - el) / (vfov_max - vfov_min) * height).astype(np.int64)
-    rows = np.clip(rows, 0, height - 1)
-    return (rows * width + cols)[valid], r[valid].astype(np.float32)
+    # The cast floors each index >= 0; the clip keeps el == vfov_min and any dropped row in range.
+    cols = ((az + np.pi) / (2.0 * np.pi) * width).astype(np.int64) % width
+    rows = np.clip((vfov_max - el) / (vfov_max - vfov_min) * height, 0, height - 1)
+    return (rows.astype(np.int64) * width + cols)[valid], r[valid].astype(np.float32)
 
 
 def _zbuffer(pix: np.ndarray, r: np.ndarray, n_pixels: int,

@@ -157,12 +157,12 @@ def _cell_keys(xyz: np.ndarray, grid: CylGridSpec) -> np.ndarray:
     z = xyz[:, 2]
     z_min, z_max = grid.z_range
     keep = (rho < grid.rho_max) & (z >= z_min) & (z < z_max)
-    # Clipped before the cast, an outside point's index fits int64; inside,
-    # the clip guards the rho == rho_max*(1-eps) and z ~ z_max float edges.
-    i_rho = np.minimum(np.floor(rho / grid.rho_max * grid.n_rho), grid.n_rho - 1)
-    i_phi = np.floor((phi + np.pi) / (2.0 * np.pi) * grid.n_phi).astype(np.int64) % grid.n_phi
-    i_z = np.clip(np.floor((z - z_min) / (z_max - z_min) * grid.n_z), 0, grid.n_z - 1)
-    keys = grid.cell_key(i_rho.astype(np.int64), i_phi, i_z.astype(np.int64))
+    # Each index is >= 0 at its cast, which floors it. The clip before it keeps an
+    # outside point's index in int64 and guards the rho_max*(1-eps), z ~ z_max edges.
+    i_rho = np.minimum(rho / grid.rho_max * grid.n_rho, grid.n_rho - 1).astype(np.int64)
+    i_phi = ((phi + np.pi) / (2.0 * np.pi) * grid.n_phi).astype(np.int64) % grid.n_phi
+    i_z = np.clip((z - z_min) / (z_max - z_min) * grid.n_z, 0, grid.n_z - 1).astype(np.int64)
+    keys = grid.cell_key(i_rho, i_phi, i_z)
     return np.where(keep, keys, grid.n_cells)
 
 

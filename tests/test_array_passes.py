@@ -95,9 +95,19 @@ class TestCoarseHistograms:
 
     @pytest.mark.parametrize("cfg", CONFIGS)
     def test_value_bin_edges(self, rng, cfg):
-        pc = cloud(rng, 40)
+        # Random points, then points on cell edges: rho at k/8 of the span
+        # [0, 6], so that rho fraction x n_rho is an exact integer for most
+        # grids, on the +x and +y axes and at phi = +pi and -pi.
+        rho = np.arange(9) * 0.75
+        zero = np.zeros(9)
+        edges = np.vstack([np.column_stack(c) for c in ((rho, zero), (zero, rho), (-rho, zero),
+                                                       (-rho, -zero))] + [[[1.5, 1.5]] * 4])
+        random_pc = cloud(rng, 40)
+        edge_pc = PointCloud(xyz=np.column_stack([edges, rng.uniform(-1, 1, 40)]),
+                             intensity=rng.uniform(size=40))
         r = np.resize([0.0, 0.5, 0.25, 0.1, 0.999999], 40)
-        assert_same_bytes(coarse_histograms(pc, r, cfg), coarse_histograms_reference(pc, r, cfg))
+        for pc in (random_pc, edge_pc):
+            assert_same_bytes(coarse_histograms(pc, r, cfg), coarse_histograms_reference(pc, r, cfg))
 
     @pytest.mark.parametrize("cfg", CONFIGS)
     def test_zero_rho_span(self, rng, cfg):

@@ -81,6 +81,7 @@ def test_defaults_read_the_values_they_restate(tmp_path):
     cfg = ToyPipelineConfig()
     pseudo = parse("pseudo", "--in", "f", "--model", "m", "--out", "o")
     assert (pseudo.percentile, pseudo.per_class_keep) == (cfg.percentile, cfg.per_class_keep)
+    assert sample.subset_size == cfg.subset_size
     cost = parse("cost")
     assert (cost.in_channels, cost.n_classes) == (4 + cfg.reflec.feature_dim, cfg.scene.n_classes)
     train = parse("train-toy", "--report", "r.json")

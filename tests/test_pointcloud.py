@@ -218,6 +218,9 @@ class TestRangeOracle:
         flat[:, 2] = 0.0
         for vfov in ((0.0, 10.0), (-10.0, 0.0)):
             assert self.assert_matches(flat, 16, 4, vfov).any()
+        # Azimuth +pi and -pi, on the seam of the image, both land in column 0.
+        for y in (0.0, -0.0):
+            assert self.assert_matches([[-3.0, y, 0.5]], 16, 4, (-10.0, 10.0))[:, 0].any()
 
     def test_zero_range_point_dropped(self):
         ri = self.assert_matches(np.zeros((3, 3)), 8, 4, (-10.0, 10.0))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lim3d import Lim3dError, MiniSegNet, PointCloud
+from lim3d import FormatError, Lim3dError, MiniSegNet, PointCloud
 from lim3d.pointcloud import load_frame, load_labels, read_pgm, save_frame, save_labels, write_pgm
 from lim3d.reflectivity import ReflecConfig
 from lim3d.sampling import load_plan, save_plan
@@ -62,3 +62,16 @@ def test_damaged_file_loads_or_raises_lim3d_error(valid_files, name, data):
         READERS[name][0](damaged)
     except Lim3dError:
         pass
+
+
+@pytest.mark.parametrize("body", [b"P58 4\n255\n" + bytes(32), b"P50 4 4\n255\n" + bytes(16)],
+                         ids=["magic-runs-into-width", "magic-runs-into-zero"])
+def test_pgm_magic_number_must_end_before_the_width(tmp_path, body):
+    (tmp_path / "x.pgm").write_bytes(body)
+    with pytest.raises(FormatError, match="P5 must be followed by whitespace"):
+        read_pgm(tmp_path / "x.pgm")
+
+
+def test_pgm_comment_may_follow_the_magic_number(tmp_path):
+    (tmp_path / "x.pgm").write_bytes(b"P5# hand-made\n3 1\n255\n\x01\x02\x03")
+    np.testing.assert_array_equal(read_pgm(tmp_path / "x.pgm"), [[1, 2, 3]])
