@@ -229,8 +229,8 @@ def crb_select(pls: PseudoLabelSet, v: VoxelPredictions,
     classes = pls.labels[ids]
     r = v.radii[ids] if v.radii is not None else np.zeros(ids.size)
     lo, hi = r.min(initial=np.inf), r.max(initial=-np.inf)
-    band = np.minimum(np.floor((r - lo) / (hi - lo if hi > lo else np.inf) * 3), 2)
-    group = classes * 3 + band.astype(np.int64)
+    band = np.minimum(((r - lo) / (hi - lo if hi > lo else np.inf) * 3).astype(np.int64), 2)
+    group = classes * 3 + band
     order = np.lexsort((ids, -v.probs[ids, classes], group))
     sorted_group = group[order]
     first = np.searchsorted(sorted_group, sorted_group)

@@ -22,11 +22,13 @@ weights, and `load_model` returns it with the network.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import zipfile
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from operator import methodcaller
 from typing import ClassVar
 
 import numpy as np
@@ -440,25 +442,18 @@ def run_toy_pipeline(cfg: ToyPipelineConfig,
 # Model file: weights, topology and input contract in one `.npz`
 # ---------------------------------------------------------------------------
 
-_MODEL_KEYS = ("flat", "in_channels", "n_classes", "widths", "kernel_size",
-               "reflec_bins", "reflec_grids", "grid_bins", "grid_rho_max", "grid_z_range")
-
-
 def save_model(path: str | os.PathLike, net: MiniSegNet, grid: CylGridSpec,
                reflec: ReflecConfig | None) -> None:
-    """Write `net`'s weights and topology with the grid and reflectivity
-    config its input is built with (``reflec_bins`` 0 means no histograms).
-    As with `np.savez`, a path without the ``.npz`` suffix gets one."""
-    reflec_grids = (np.array(reflec.bin_grids, dtype=np.int64)
-                    if reflec is not None else np.empty((0, 2), dtype=np.int64))
-    np.savez(path, flat=net.flat(), in_channels=net.in_channels,
-             n_classes=net.n_classes, widths=np.array(net.widths, dtype=np.int64),
-             kernel_size=net.kernel_size,
-             reflec_bins=reflec.n_bins if reflec is not None else 0,
-             reflec_grids=reflec_grids,
-             grid_bins=np.array(grid.shape, dtype=np.int64),
-             grid_rho_max=float(grid.rho_max),
-             grid_z_range=np.array(grid.z_range, dtype=np.float64))
+    """Write `net`'s weights as ``flat`` and its input contract as
+    ``contract``, one JSON record of `in_channels`, `n_classes`, `widths`,
+    `kernel_size`, ``grid`` (the `CylGridSpec` fields) and ``reflec`` (the
+    `ReflecConfig` fields, or null). As with `np.savez`, a path without the
+    ``.npz`` suffix gets one."""
+    contract = {"in_channels": net.in_channels, "n_classes": net.n_classes,
+                "widths": net.widths, "kernel_size": net.kernel_size, "grid": asdict(grid),
+                "reflec": asdict(reflec) if reflec is not None else None}
+    # A numpy integer or array in the record is written as its Python value.
+    np.savez(path, flat=net.flat(), contract=json.dumps(contract, default=methodcaller("tolist")))
 
 
 # What a damaged archive raises: `zipfile` gives BadZipFile, EOFError, and for
@@ -470,13 +465,16 @@ _ARCHIVE_ERRORS = (zipfile.BadZipFile, zlib.error, EOFError, OSError, RuntimeErr
 
 def load_model(path: str | os.PathLike) -> tuple[MiniSegNet, CylGridSpec, ReflecConfig | None]:
     """Read a file written by `save_model`: the network, its grid and its
-    reflectivity config (None without histograms).
+    reflectivity config (None without histograms). Each contract field is
+    read by name and passed uncast to the constructor that checks it.
 
     Raises:
         FormatError: the file is not a complete model (not a zip archive,
-            truncated, a bad checksum, a missing key, a malformed value or a
+            truncated, a bad checksum, a missing member or field, a value its
+            constructor refuses, weights that do not fit the topology or a
             non-finite weight), or its `in_channels` is not the 4 point
-            features plus the histogram width of its reflectivity config.
+            features plus the histogram width of its reflectivity config. An
+            older file, without the ``contract`` member, is refused too.
     """
     with open(path, "rb") as f:
         try:
@@ -492,19 +490,16 @@ def load_model(path: str | os.PathLike) -> tuple[MiniSegNet, CylGridSpec, Reflec
             raise FormatError(f"{path}: not a model file ({exc})") from exc
     if damaged is not None:
         raise FormatError(f"{path}: bad checksum in {damaged}")
-    missing = [k for k in _MODEL_KEYS if k not in saved]
-    if missing:
-        raise FormatError(f"{path}: model file lacks {', '.join(missing)}")
     try:
-        n_rho, n_phi, n_z = (int(v) for v in saved["grid_bins"])
-        z_min, z_max = (float(v) for v in saved["grid_z_range"])
-        grid = CylGridSpec(n_rho=n_rho, n_phi=n_phi, n_z=n_z,
-                           rho_max=float(saved["grid_rho_max"]), z_range=(z_min, z_max))
-        n_bins = int(saved["reflec_bins"])
-        reflec = ReflecConfig(n_bins=n_bins, bin_grids=tuple(
-            (int(r), int(p)) for r, p in saved["reflec_grids"])) if n_bins > 0 else None
-        shape = (int(saved["in_channels"]), int(saved["n_classes"]),
-                 tuple(int(w) for w in saved["widths"]), int(saved["kernel_size"]))
+        contract = json.loads(saved["contract"].item())
+        g, r = contract["grid"], contract["reflec"]
+        z_min, z_max = g["z_range"]
+        grid = CylGridSpec(n_rho=g["n_rho"], n_phi=g["n_phi"], n_z=g["n_z"],
+                           rho_max=g["rho_max"], z_range=(z_min, z_max))
+        reflec = None if r is None else ReflecConfig(
+            n_bins=r["n_bins"], bin_grids=tuple(map(tuple, r["bin_grids"])))
+        shape = (contract["in_channels"], contract["n_classes"], tuple(contract["widths"]),
+                 contract["kernel_size"])
         # `voxelize` emits (dx, dy, dz, intensity), then the histograms.
         n_features = 4 + (reflec.feature_dim if reflec is not None else 0)
         if shape[0] != n_features:
@@ -518,6 +513,8 @@ def load_model(path: str | os.PathLike) -> tuple[MiniSegNet, CylGridSpec, Reflec
             raise FormatError("flat holds a non-finite weight")
         net = MiniSegNet(*shape)
         net.load_flat(saved["flat"])
+    except KeyError as exc:
+        raise FormatError(f"{path}: model file lacks {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed model value ({exc})") from exc
     return net, grid, reflec

@@ -1,3 +1,5 @@
+import json
+import math
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -82,6 +84,45 @@ def peak_bytes(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# Damage to a model file's contract record that `load_model` refuses: each
+# edits the decoded record in place and fits a model with or without histograms.
+CONTRACT_DAMAGE = {
+    "key_missing": lambda c: c.pop("grid"),
+    "grid_field_missing": lambda c: c["grid"].pop("n_phi"),
+    "reflec_missing": lambda c: c.pop("reflec"),
+    "nan_rho_max": lambda c: c["grid"].update(rho_max=math.nan),
+    "inf_z_range": lambda c: c["grid"].update(z_range=[-1.0, math.inf]),
+    "float_grid_bins": lambda c: c["grid"].update(n_rho=float(c["grid"]["n_rho"])),
+    "bool_grid_bins": lambda c: c["grid"].update(n_rho=True, n_phi=True, n_z=True),
+    "float_widths": lambda c: c.update(widths=[float(w) for w in c["widths"]]),
+    "bool_widths": lambda c: c.update(widths=[True] * len(c["widths"])),
+    "float_in_channels": lambda c: c.update(in_channels=float(c["in_channels"])),
+    "bool_in_channels": lambda c: c.update(in_channels=True),
+    "float_n_classes": lambda c: c.update(n_classes=float(c["n_classes"])),
+    "bool_n_classes": lambda c: c.update(n_classes=True),
+    "float_kernel_size": lambda c: c.update(kernel_size=float(c["kernel_size"])),
+    "bool_kernel_size": lambda c: c.update(kernel_size=True),
+}
+
+
+def edit_contract(src, dst, edit):
+    """Write the model file `src` to `dst` with `edit` applied in place to
+    its decoded contract record."""
+    with np.load(src) as npz:
+        flat, contract = npz["flat"], json.loads(npz["contract"].item())
+    edit(contract)
+    np.savez(dst, flat=flat, contract=json.dumps(contract))
+
+
+def save_ten_key_model(dst, net, grid):
+    """`net` without histograms in the layout written before the contract
+    record: ten typed members and no ``contract``."""
+    np.savez(dst, flat=net.flat(), in_channels=net.in_channels, n_classes=net.n_classes,
+             widths=np.array(net.widths), kernel_size=net.kernel_size, reflec_bins=0,
+             reflec_grids=np.empty((0, 2), dtype=np.int64), grid_bins=np.array(grid.shape),
+             grid_rho_max=grid.rho_max, grid_z_range=np.array(grid.z_range))
 
 
 def finite_difference(f, x, h=1e-4):

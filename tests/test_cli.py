@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import peak_bytes
+from conftest import CONTRACT_DAMAGE, edit_contract, peak_bytes, save_ten_key_model
 from lim3d.cli import _reflec_config, build_parser, main
 from lim3d.network import MiniSegNet
 from lim3d.pointcloud import (PointCloud, frame_path, image_path, label_path, load_frame,
@@ -613,26 +613,21 @@ class TestPseudoModelContract:
         frame = load_frame(dataset / "sequences" / "00" / "velodyne" / "000000.bin")
         assert n_voxels == voxelize(frame, small).n_active <= small.n_cells
 
-    @pytest.mark.parametrize("damage", ["truncated", "not_zip", "key_missing", "nan_rho_max",
-                                        "inf_z_range", "feature_width"])
+    @pytest.mark.parametrize("damage", ["truncated", "not_zip", "ten_key_layout",
+                                        "feature_width", *CONTRACT_DAMAGE])
     def test_malformed_model_exits_2(self, dataset, model, tmp_path, capsys, damage):
         bad = tmp_path / "bad.npz"
         if damage == "truncated":
             bad.write_bytes(model.read_bytes()[:-40])
         elif damage == "not_zip":
             bad.write_bytes(b"not a model")
+        elif damage == "ten_key_layout":
+            save_ten_key_model(bad, MiniSegNet(4, 3, widths=(4, 4), seed=1), TOY_GRID)
+        elif damage == "feature_width":  # 4 + 2 x 5 histogram bins, not 4 inputs
+            edit_contract(model, bad, lambda c: c.update(
+                reflec={"n_bins": 5, "bin_grids": [[4, 8], [8, 16]]}))
         else:
-            with np.load(model) as npz:
-                saved = dict(npz)
-            if damage == "key_missing":
-                del saved["grid_bins"]
-            elif damage == "nan_rho_max":
-                saved["grid_rho_max"] = np.array(np.nan)
-            elif damage == "feature_width":  # 4 + 2 x 5 histogram bins, not 4 inputs
-                saved["reflec_bins"] = np.array(5)
-                saved["reflec_grids"] = np.array([[4, 8], [8, 16]])
-            else:
-                saved["grid_z_range"] = np.array([-1.0, np.inf])
-            np.savez(bad, **saved)
+            edit_contract(model, bad, CONTRACT_DAMAGE[damage])
         assert self._pseudo(dataset, tmp_path / "x.label", "--model", str(bad)) == 2
+        assert not list(tmp_path.glob("x.label*"))
         assert "bad.npz" in capsys.readouterr().err

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import max_rel_err, recipe, rulebook_of
+from conftest import (CONTRACT_DAMAGE, edit_contract, max_rel_err, recipe, rulebook_of,
+                      save_ten_key_model)
 from lim3d import (ContrastiveConfig, ConvSpec, DivergenceError, DomainError, LayerSpec, LossConfig, MemoryBank,
                    MiniSegNet, SceneSpec, ShapeError, Tensor, ToyPipelineConfig, ValidationError,
                    VoxelPredictions, confusion_matrix, crb_select, ema_update,
@@ -618,28 +619,60 @@ class TestModelFile:
         assert reflec == cfg.reflec
         assert net.n_params == report["cost"]["trainable_params"]
 
+    def test_numpy_integers_round_trip(self, tmp_path):
+        grid = CylGridSpec(*map(np.int64, (7, 9, 3)), rho_max=np.float32(12.5),
+                           z_range=(np.float64(-2.0), 4.0))
+        reflec = ReflecConfig(n_bins=np.int64(4), bin_grids=tuple(map(tuple, np.array([[2, 4]]))))
+        net = MiniSegNet(np.int64(8), np.int64(5), widths=np.array([6, 8]),
+                         kernel_size=np.int64(5), seed=4)
+        save_model(tmp_path / "m.npz", net, grid, reflec)
+        back, back_grid, back_reflec = load_model(tmp_path / "m.npz")
+        np.testing.assert_array_equal(back.flat(), net.flat())
+        assert back.topology == net.topology
+        assert (back_grid, back_reflec) == (grid, reflec)
+
     def test_weights_not_fitting_the_topology_rejected(self, tmp_path):
         net = MiniSegNet(4, 3, widths=(4,), seed=0)
         save_model(tmp_path / "m.npz", net, self.GRID, None)
-        with np.load(tmp_path / "m.npz") as npz:
-            saved = dict(npz)
-        saved["widths"] = np.array([10 ** 6], dtype=np.int64)
-        np.savez(tmp_path / "wide.npz", **saved)
+        edit_contract(tmp_path / "m.npz", tmp_path / "wide.npz",
+                      lambda c: c.update(widths=[10 ** 6]))
         with pytest.raises(FormatError, match="topology"):
             load_model(tmp_path / "wide.npz")
 
-    @pytest.mark.parametrize("key, value", [("reflec_bins", 5), ("reflec_bins", 0),
-                                            ("in_channels", 5)])
-    def test_input_channels_not_fitting_the_features_rejected(self, tmp_path, key, value):
+    @pytest.mark.parametrize("edit", [lambda c: c["reflec"].update(n_bins=5),
+                                      lambda c: c.update(reflec=None),
+                                      lambda c: c.update(in_channels=5)],
+                             ids=["reflec_bins-5", "reflec_bins-0", "in_channels-5"])
+    def test_input_channels_not_fitting_the_features_rejected(self, tmp_path, edit):
         """A model's input width is the 4 point features plus its histograms."""
         reflec = ReflecConfig(n_bins=10, bin_grids=((4, 8), (8, 16), (16, 24)))
         save_model(tmp_path / "m.npz", MiniSegNet(34, 3, widths=(4,), seed=0), self.GRID, reflec)
-        with np.load(tmp_path / "m.npz") as npz:
-            saved = dict(npz)
-        saved[key] = np.array(value)
-        np.savez(tmp_path / "bad.npz", **saved)
+        edit_contract(tmp_path / "m.npz", tmp_path / "bad.npz", edit)
         with pytest.raises(FormatError, match=r"bad\.npz.*in_channels"):
             load_model(tmp_path / "bad.npz")
+
+    # Fields of a reflectivity config, which has defaults that must not fill in.
+    REFLEC_DAMAGE = {
+        "reflec_field_missing": lambda c: c["reflec"].pop("n_bins"),
+        "float_reflec_bins": lambda c: c["reflec"].update(n_bins=float(c["reflec"]["n_bins"])),
+        "bool_reflec_grid": lambda c: c["reflec"].update(bin_grids=[[True, True]]),
+    }
+
+    @pytest.mark.parametrize("damage", [*CONTRACT_DAMAGE, *REFLEC_DAMAGE])
+    def test_malformed_contract_rejected(self, tmp_path, damage):
+        # `n_bins` is the default, so only a read by name refuses a file without it.
+        reflec = ReflecConfig(bin_grids=((2, 4),))
+        save_model(tmp_path / "m.npz", MiniSegNet(14, 3, widths=(4,), seed=0), self.GRID, reflec)
+        edit_contract(tmp_path / "m.npz", tmp_path / "bad.npz",
+                      {**CONTRACT_DAMAGE, **self.REFLEC_DAMAGE}[damage])
+        with pytest.raises(FormatError, match=r"bad\.npz"):
+            load_model(tmp_path / "bad.npz")
+
+    def test_file_without_contract_rejected(self, tmp_path):
+        """The ten-key layout written before the contract record is refused."""
+        save_ten_key_model(tmp_path / "old.npz", MiniSegNet(4, 3, widths=(4,), seed=0), self.GRID)
+        with pytest.raises(FormatError, match=r"old\.npz.*contract"):
+            load_model(tmp_path / "old.npz")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_weight_rejected(self, tmp_path, bad):
