@@ -66,15 +66,8 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
     def item(self) -> float:
         return float(self.data)
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def astype(self, dtype) -> "Tensor":
         """This tensor cast to `dtype`; itself when the dtype already matches.
@@ -139,18 +132,16 @@ class Tensor:
         return Tensor(out_data, _parents=(self,), _backward=backward)
 
     def __matmul__(self, other):
+        """The product of two matrices; any other operand raises `ShapeError`."""
         other = self._operand(other)
-        out_data = self.data @ other.data
         a, b = self.data, other.data
+        if a.ndim != 2 or b.ndim != 2:
+            raise ShapeError(f"@ needs two matrices, got shapes {a.shape} and {b.shape}")
 
         def backward(g):
-            if a.ndim == 1 and b.ndim == 1:
-                return (g * b, g * a)
-            ga = np.outer(g, b) if b.ndim == 1 else g @ b.T
-            gb = np.outer(a, g) if a.ndim == 1 else a.T @ g
-            return (ga, gb)
+            return (g @ b.T, a.T @ g)
 
-        return Tensor(out_data, _parents=(self, other), _backward=backward)
+        return Tensor(a @ b, _parents=(self, other), _backward=backward)
 
     # -- elementwise functions ------------------------------------------
 
@@ -188,13 +179,8 @@ class Tensor:
 
         return Tensor(out_data, _parents=(self,), _backward=backward)
 
-    def mean(self, axis=None, keepdims: bool = False):
-        if axis is None:
-            n = self.data.size
-        elif isinstance(axis, tuple):
-            n = int(np.prod([self.data.shape[a] for a in axis]))
-        else:
-            n = self.data.shape[axis]
+    def mean(self, axis: int | None = None, keepdims: bool = False):
+        n = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     # -- indexing and shaping ---------------------------------------------

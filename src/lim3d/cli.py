@@ -7,10 +7,10 @@ one frame), ``cost`` (parameter and multiply-add accounting) and
 ``train-toy`` (the staged semi-supervised loop on synthetic data).
 
 Exit codes: 0 on success, 2 on validation problems (bad flags, missing or
-malformed inputs), 3 on internal errors. Outputs of featurize, pseudo and
-train-toy carry a provenance block (tool version, config hash, and the
-seed, null where the command takes none); bulk binary outputs get it as a
-``.meta.json`` sidecar.
+malformed inputs, a path that is a directory or cannot be read or written),
+3 on internal errors. Outputs of featurize, pseudo and train-toy carry a
+provenance block (tool version, config hash, and the seed, null where the
+command takes none); bulk binary outputs get it as a ``.meta.json`` sidecar.
 """
 
 from __future__ import annotations
@@ -371,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (Lim3dError, FileNotFoundError, NotADirectoryError, KeyError, ValueError) as exc:
+    except (Lim3dError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # pragma: no cover - defensive

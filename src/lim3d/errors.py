@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and the `is_count` and
-`is_prob_rows` tests."""
+"""Exception hierarchy shared across the package, and the `is_count`,
+`is_kernel_size` and `is_prob_rows` tests."""
 
 from numbers import Integral
 
@@ -44,6 +44,11 @@ class DivergenceError(Lim3dError, RuntimeError):
 def is_count(value, minimum: int = 1) -> bool:
     """Whether `value` is an integer >= `minimum`: a Python or numpy int, not a bool."""
     return isinstance(value, Integral) and not isinstance(value, bool) and value >= minimum
+
+
+def is_kernel_size(value) -> bool:
+    """Whether `value` is an odd integer >= 1: a Python or numpy int, not a bool."""
+    return is_count(value) and value % 2 == 1
 
 
 def is_prob_rows(probs: np.ndarray) -> bool:

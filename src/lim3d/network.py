@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, log_softmax_parts
-from .errors import DomainError, ShapeError, is_count
+from .errors import DomainError, ShapeError, is_count, is_kernel_size
 from .sparseconv import (ConvSpec, CostReport, Rulebook, apply_pointwise, apply_spatial,
                          conv_cost, glorot_weights, pointwise_forward, spatial_forward)
 from .voxel import SparseVoxelTensor
@@ -57,7 +57,7 @@ class LayerSpec:
         if not (is_count(self.in_channels) and is_count(self.out_channels)):
             raise DomainError(f"a layer needs an integer count of channels in and out, at least "
                               f"one, got {self.in_channels!r} -> {self.out_channels!r}")
-        if not is_count(self.kernel_size) or self.kernel_size % 2 == 0:
+        if not is_kernel_size(self.kernel_size):
             raise DomainError(f"kernel_size must be an odd positive integer, got {self.kernel_size!r}")
         if not isinstance(self.bias, bool):
             raise DomainError(f"bias must be True or False, got {self.bias!r}")
@@ -74,6 +74,10 @@ def layer_kernels(spec: LayerSpec) -> tuple[ConvSpec, ...]:
 def mini_backbone_topology(in_channels: int, n_classes: int,
                            widths: tuple[int, ...] = DEFAULT_WIDTHS,
                            kernel_size: int = 3) -> tuple[LayerSpec, ...]:
+    """A separable block per width, then a pointwise head. A `kernel_size`
+    that is not an odd integer >= 1 raises `DomainError`, with or without blocks."""
+    if not is_kernel_size(kernel_size):
+        raise DomainError(f"kernel_size must be an odd positive integer, got {kernel_size!r}")
     chans = (in_channels,) + tuple(widths)
     return tuple(LayerSpec("separable", m, n, kernel_size) for m, n in zip(chans, chans[1:])) + (
         LayerSpec("pointwise", chans[-1], n_classes, 1),)

@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .autodiff import Tensor, as_tensor
-from .errors import DomainError, ShapeError, ValidationError, is_count
+from .errors import DomainError, ShapeError, ValidationError, is_count, is_kernel_size
 from .voxel import CylGridSpec
 
 __all__ = [
@@ -76,23 +76,20 @@ class ConvSpec(NamedTuple):
 
     @property
     def weight_shape(self) -> tuple[int, ...]:
-        """The one per-kind weight layout. An unknown kind, a channel count or
-        kernel size that is not an integer >= 1, a pointwise kernel of size
-        other than 1 and an even spatial kernel size raise `DomainError`; a
-        depthwise kernel with in != out channels raises `ShapeError`."""
+        """The one per-kind weight layout. An unknown kind, a channel count
+        that is not an integer >= 1, a kernel size that is not an odd integer
+        >= 1 and a pointwise kernel of size other than 1 raise `DomainError`;
+        a depthwise kernel with in != out channels raises `ShapeError`."""
         d, m, n = self.kernel_size, self.in_channels, self.out_channels
-        if not all(map(is_count, (d, m, n))):
-            raise DomainError(f"channel counts and kernel size must be integers >= 1, got "
-                              f"in={m!r}, out={n!r}, kernel_size={d!r}")
+        if not (is_count(m) and is_count(n) and is_kernel_size(d)):
+            raise DomainError(f"channel counts must be integers >= 1 and the kernel size an odd "
+                              f"integer >= 1, got in={m!r}, out={n!r}, kernel_size={d!r}")
         shapes = {"standard": (d, d, d, m, n), "depthwise": (d, d, d, m), "pointwise": (m, n)}
         if self.kind not in shapes:
             raise DomainError(f"kernel kind must be one of {tuple(shapes)}, got {self.kind!r}")
-        if self.kind == "pointwise":
-            if d != 1:
-                raise DomainError("pointwise kernels require kernel_size == 1")
-        elif d % 2 == 0:
-            raise DomainError(f"spatial kernel_size must be odd, got {d}")
-        elif self.kind == "depthwise" and m != n:
+        if self.kind == "pointwise" and d != 1:
+            raise DomainError("pointwise kernels require kernel_size == 1")
+        if self.kind == "depthwise" and m != n:
             raise ShapeError("depthwise kernels require in_channels == out_channels")
         return shapes[self.kind]
 
@@ -138,7 +135,7 @@ def build_rulebook(coords: np.ndarray, grid: CylGridSpec, kernel_size: int) -> R
     else `DomainError`; a coordinate outside `grid` or a repeated one, which
     the table shows as a cell holding another site's row, raises
     `ValidationError`."""
-    if not is_count(kernel_size) or kernel_size % 2 == 0:
+    if not is_kernel_size(kernel_size):
         raise DomainError(f"kernel_size must be an odd positive integer, got {kernel_size!r}")
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
     n, r = len(coords), (kernel_size - 1) // 2

@@ -126,10 +126,8 @@ class SGD:
         self.momentum = momentum
         self._velocity = [np.zeros_like(p) for p in params]
 
-    def step(self, grads: list[np.ndarray | None]) -> None:
+    def step(self, grads: list[np.ndarray]) -> None:
         for i, g in enumerate(grads):
-            if g is None:
-                continue
             self._velocity[i] = self.momentum * self._velocity[i] - self.lr * g
             self.params[i] = self.params[i] + self._velocity[i]
 
@@ -470,26 +468,24 @@ def load_model(path: str | os.PathLike) -> tuple[MiniSegNet, CylGridSpec, Reflec
 
     Raises:
         FormatError: the file is not a complete model (not a zip archive,
-            truncated, a bad checksum, a missing member or field, a value its
-            constructor refuses, weights that do not fit the topology or a
-            non-finite weight), or its `in_channels` is not the 4 point
-            features plus the histogram width of its reflectivity config. An
-            older file, without the ``contract`` member, is refused too.
+            truncated, a member whose CRC-32 fails, a missing member or
+            field, a value its constructor refuses, weights that do not fit
+            the topology or a non-finite weight), or its `in_channels` is not
+            the 4 point features plus the histogram width of its reflectivity
+            config. An older file, without the ``contract`` member, is
+            refused too.
     """
     with open(path, "rb") as f:
         try:
-            # The checksums are read in full first, so a damaged member fails
-            # here and not halfway through `np.load`.
-            with zipfile.ZipFile(f) as archive:
-                damaged = archive.testzip()
-            if damaged is None:
-                f.seek(0)
-                with np.load(f) as npz:
-                    saved = dict(npz)
+            # `np.load` would read a bare `.npy` file whole before anything refused it.
+            if not zipfile.is_zipfile(f):
+                raise zipfile.BadZipFile("File is not a zip file")
+            f.seek(0)
+            # Each member is read in full, which checks its CRC-32.
+            with np.load(f) as npz:
+                saved = dict(npz)
         except _ARCHIVE_ERRORS as exc:
             raise FormatError(f"{path}: not a model file ({exc})") from exc
-    if damaged is not None:
-        raise FormatError(f"{path}: bad checksum in {damaged}")
     try:
         contract = json.loads(saved["contract"].item())
         g, r = contract["grid"], contract["reflec"]

@@ -106,6 +106,14 @@ CONTRACT_DAMAGE = {
     "bool_kernel_size": lambda c: c.update(kernel_size=True),
 }
 
+# Kernel sizes that are not an odd integer >= 1, which a network with no
+# blocks, whose one layer is the pointwise head, must refuse too.
+BAD_KERNEL_SIZES = (3.9, 2, True, "x", 0, -1)
+# Damage to the record of a model saved with `widths` empty, so that its
+# weights still fit the topology.
+NO_BLOCK_DAMAGE = {f"no_blocks_kernel_size_{k}": lambda c, k=k: c.update(kernel_size=k)
+                   for k in BAD_KERNEL_SIZES}
+
 
 def edit_contract(src, dst, edit):
     """Write the model file `src` to `dst` with `edit` applied in place to

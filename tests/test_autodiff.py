@@ -34,6 +34,12 @@ class TestPrimitives:
         assert max_rel_err(ta.grad, fd_a) < 1e-6
         assert max_rel_err(tw.grad, fd_w) < 1e-6
 
+    @pytest.mark.parametrize("a_shape, b_shape", [((3,), (3,)), ((2, 3), (3,)), ((3,), (3, 2)),
+                                                  ((2, 2, 3), (3, 2))])
+    def test_matmul_needs_two_matrices(self, a_shape, b_shape):
+        with pytest.raises(ShapeError, match="two matrices"):
+            Tensor(np.ones(a_shape), requires_grad=True) @ Tensor(np.ones(b_shape))
+
     def test_exp_log_abs_pow(self, rng):
         x = rng.uniform(0.5, 2.0, size=(6,))
 
@@ -110,6 +116,12 @@ class TestLifecycle:
         t = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ShapeError):
             (t * 2.0).backward()
+
+    @pytest.mark.parametrize("grad", [np.ones(2), np.ones((3, 1)), np.ones(())])
+    def test_upstream_gradient_of_another_shape_raises(self, grad):
+        t = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(ShapeError, match="upstream gradient shape"):
+            (t * 2.0).backward(grad)
 
     def test_explicit_upstream_gradient(self):
         t = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)

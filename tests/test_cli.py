@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CONTRACT_DAMAGE, edit_contract, peak_bytes, save_ten_key_model
+from conftest import CONTRACT_DAMAGE, NO_BLOCK_DAMAGE, edit_contract, peak_bytes, save_ten_key_model
 from lim3d.cli import _reflec_config, build_parser, main
 from lim3d.network import MiniSegNet
 from lim3d.pointcloud import (PointCloud, frame_path, image_path, label_path, load_frame,
@@ -236,6 +236,17 @@ class TestFrameIds:
         assert main(["sample", "--seq-dir", str(tmp_path / "empty"), *flag,
                      "--out", str(out)]) == 2
         assert "no sequences under" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    def test_sequence_without_frames_exits_2_without_plan(self, tmp_path, capsys):
+        assert _synth(tmp_path / "d", 1, "--frames", "2", "--n-points", "100") == 0
+        for frame in (tmp_path / "d" / "sequences" / "00" / "velodyne").iterdir():
+            frame.unlink()
+        out = tmp_path / "plan.json"
+        assert main(["sample", "--seq-dir", str(tmp_path / "d"), "--beta", "1",
+                     "--out", str(out)]) == 2
+        assert "no frames under" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -507,6 +518,12 @@ class TestCost:
         payload = json.loads(out.read_text())
         assert payload["trainable_params"] == 0 and payload["mult_adds"] == 0
 
+    @pytest.mark.parametrize("flags", [[], ["--topology", "topo.json", "--mini-backbone"]],
+                             ids=["neither", "both"])
+    def test_topology_source_other_than_one_exits_2(self, capsys, flags):
+        assert main(["cost", *flags]) == 2
+        assert "exactly one of --topology or --mini-backbone" in capsys.readouterr().err
+
     def test_zero_classes_exit_2(self, tmp_path, capsys):
         out = tmp_path / "cost.json"
         assert main(["cost", "--mini-backbone", "--n-classes", "0", "--out", str(out)]) == 2
@@ -614,7 +631,7 @@ class TestPseudoModelContract:
         assert n_voxels == voxelize(frame, small).n_active <= small.n_cells
 
     @pytest.mark.parametrize("damage", ["truncated", "not_zip", "ten_key_layout",
-                                        "feature_width", *CONTRACT_DAMAGE])
+                                        "feature_width", *CONTRACT_DAMAGE, *NO_BLOCK_DAMAGE])
     def test_malformed_model_exits_2(self, dataset, model, tmp_path, capsys, damage):
         bad = tmp_path / "bad.npz"
         if damage == "truncated":
@@ -626,8 +643,34 @@ class TestPseudoModelContract:
         elif damage == "feature_width":  # 4 + 2 x 5 histogram bins, not 4 inputs
             edit_contract(model, bad, lambda c: c.update(
                 reflec={"n_bins": 5, "bin_grids": [[4, 8], [8, 16]]}))
+        elif damage in NO_BLOCK_DAMAGE:
+            save_model(tmp_path / "m.npz", MiniSegNet(4, 3, widths=(), seed=1), TOY_GRID, None)
+            edit_contract(tmp_path / "m.npz", bad, NO_BLOCK_DAMAGE[damage])
         else:
             edit_contract(model, bad, CONTRACT_DAMAGE[damage])
         assert self._pseudo(dataset, tmp_path / "x.label", "--model", str(bad)) == 2
         assert not list(tmp_path.glob("x.label*"))
         assert "bad.npz" in capsys.readouterr().err
+
+
+
+# Each command with a directory, `{dir}`, where it reads or writes a file.
+DIRECTORY_ARGS = {
+    "pseudo-in": ["pseudo", "--in", "{dir}", "--model", "{model}", "--out", "{out}"],
+    "pseudo-model": ["pseudo", "--in", "{frame}", "--model", "{dir}", "--out", "{out}"],
+    "pseudo-out": ["pseudo", "--in", "{frame}", "--model", "{model}", "--out", "{dir}"],
+    "featurize-in": ["featurize", "--in", "{dir}", "--out", "{out}"],
+    "cost-topology": ["cost", "--topology", "{dir}"],
+    "sample-out": ["sample", "--seq-dir", "{data}", "--beta", "1", "--out", "{dir}"],
+}
+
+
+@pytest.mark.parametrize("case", DIRECTORY_ARGS)
+def test_directory_path_exits_2_and_writes_nothing(dataset, model, tmp_path, capsys, case):
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    paths = {"dir": directory, "model": model, "out": tmp_path / "out", "data": dataset,
+             "frame": dataset / "sequences" / "00" / "velodyne" / "000000.bin"}
+    assert main([arg.format_map(paths) for arg in DIRECTORY_ARGS[case]]) == 2
+    assert "internal error" not in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"] and not any(directory.iterdir())

@@ -81,6 +81,11 @@ class TestLovasz:
         with pytest.raises(ValidationError, match=r"\[0, 3\)"):
             lovasz_softmax(np.full((3, 3), 1.0 / 3.0), np.array(labels))
 
+    @pytest.mark.parametrize("labels", [[0, 1], [[0], [1], [2]]], ids=["too-few", "column"])
+    def test_labels_not_one_per_row_rejected(self, labels):
+        with pytest.raises(ValidationError, match="does not match 3 rows"):
+            lovasz_softmax(np.full((3, 3), 1.0 / 3.0), np.array(labels))
+
 
 class TestKlConsistency:
     def test_identical_distributions_zero(self, rng):
@@ -114,6 +119,10 @@ class TestKlConsistency:
         rows[side][1, 0] = np.nan
         with pytest.raises(ValidationError, match=f"{side} rows must be probability vectors"):
             kl_consistency(rows["student"], rows["teacher"])
+
+    def test_inputs_of_another_shape_rejected(self):
+        with pytest.raises(ValidationError, match="shapes differ"):
+            kl_consistency(np.full((1, 2), 0.5), np.full((3, 2), 0.5))
 
     def test_empty_rows_accepted(self):
         assert kl_consistency(np.empty((0, 3)), np.empty((0, 3))).item() == 0.0

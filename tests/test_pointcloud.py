@@ -383,6 +383,12 @@ class TestPgm:
             write_pgm(tmp_path / "x.pgm", np.zeros(shape, np.uint8))
         assert not (tmp_path / "x.pgm").exists()
 
+    @pytest.mark.parametrize("shape", [(5,), (2, 2, 2)])
+    def test_grid_not_2d_rejected(self, tmp_path, shape):
+        with pytest.raises(ShapeError, match="2-D"):
+            write_pgm(tmp_path / "x.pgm", np.zeros(shape, np.uint8))
+        assert not (tmp_path / "x.pgm").exists()
+
     def test_bad_magic(self, tmp_path):
         (tmp_path / "bad.pgm").write_bytes(b"P6\n1 1\n255\n\x00")
         with pytest.raises(FormatError):

@@ -256,6 +256,19 @@ class TestConfigs:
         bank = MemoryBank(np.int64(2), np.int32(16))
         assert (bank.n_classes, bank.capacity) == (2, 16)
 
+    @pytest.mark.parametrize("probs, emb, radii, error, match", [
+        (np.full(2, 0.5), np.zeros((2, 2)), None, ShapeError, "probs must be"),
+        (np.full((2, 2), 0.5), np.zeros((3, 2)), None, ShapeError, "embeddings must align"),
+        (np.full((2, 2), 0.5), np.zeros(2), None, ShapeError, "embeddings must align"),
+        (np.full((2, 2), 0.5), [[0.0, np.nan], [0.0, 0.0]], None, ValidationError,
+         "embeddings must be finite"),
+        (np.full((2, 2), 0.5), np.zeros((2, 2)), [1.0, 2.0, 3.0], ShapeError, "radii must align"),
+    ], ids=["1-D-probs", "misaligned-embeddings", "1-D-embeddings", "nan-embedding",
+            "misaligned-radii"])
+    def test_malformed_predictions_rejected(self, probs, emb, radii, error, match):
+        with pytest.raises(error, match=match):
+            VoxelPredictions(probs=probs, embeddings=np.array(emb), radii=radii)
+
     @pytest.mark.parametrize("radii", [[1.0, np.nan], [np.inf, 2.0]])
     def test_non_finite_radii_rejected(self, radii):
         with pytest.raises(ValidationError, match="radii must be finite"):
@@ -285,6 +298,12 @@ class TestMemoryBank:
                 bank.push(0, rows)
         bank.push(1, np.ones((1, 5)))  # each class sets its own width
         assert (bank.size(0), bank.size(1)) == (2, 1)
+
+    def test_newest_beyond_the_held_rows_raises(self):
+        bank = MemoryBank(n_classes=1, capacity=4)
+        bank.push(0, np.ones((2, 3)))
+        with pytest.raises(ValidationError, match="2 negatives < 3 requested"):
+            bank.newest(0, 3)
 
     def test_capacity_never_exceeded(self, rng):
         bank = MemoryBank(n_classes=2, capacity=5)
@@ -435,6 +454,12 @@ class TestInfoNce:
         bank.push(0, np.array([0.0, 1.0]))
         with pytest.raises(DegenerateEmbeddingError):
             infonce_loss({0: np.zeros((1, 2))}, {0: np.ones(2)}, bank, self.CFG)
+
+    def test_zero_norm_negative_rejected(self):
+        bank = MemoryBank(n_classes=1, capacity=4)
+        bank.push(0, np.zeros(2))
+        with pytest.raises(DegenerateEmbeddingError, match="negative"):
+            infonce_loss({0: np.ones((1, 2))}, {0: np.ones(2)}, bank, self.CFG)
 
     def test_gradient_matches_finite_differences(self, rng):
         cfg = recipe(ContrastiveConfig, tau=0.5, n_negatives=3)

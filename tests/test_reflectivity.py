@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lim3d import (PointCloud, ReflecConfig, ShapeError, ValidationError,
+from lim3d import (DomainError, PointCloud, ReflecConfig, ShapeError, ValidationError,
                    augment, coarse_histograms, normalize_reflectivity,
                    reflectivity, voxelize)
 from lim3d.voxel import CylGridSpec
@@ -89,9 +89,18 @@ class TestCoarseHistograms:
 
     def test_out_of_domain_rejected(self):
         pc = PointCloud(xyz=[[1.0, 0.0, 0.0]], intensity=[0.5])
-        from lim3d import DomainError
         with pytest.raises(DomainError):
             coarse_histograms(pc, np.array([1.0]), CFG)
+
+    @pytest.mark.parametrize("r_norm", [np.zeros(2), np.zeros((1, 1))])
+    def test_reflectivity_of_another_length_rejected(self, r_norm):
+        pc = PointCloud(xyz=[[1.0, 0.0, 0.0]], intensity=[0.5])
+        with pytest.raises(ShapeError, match="does not match 1 points"):
+            coarse_histograms(pc, r_norm, CFG)
+
+    def test_config_without_bin_grids_rejected(self):
+        with pytest.raises(DomainError, match="at least one"):
+            ReflecConfig(bin_grids=())
 
 
 class TestAugment:

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lim3d import (DomainError, FormatError, SceneSpec, ShapeError, calibrate_beta,
-                   passive_baselines, plan, ranges_to_grayscale, ssim, supervisor,
-                   synth_sequence)
-from lim3d.sampling import (CALIBRATION_STEPS, MAX_BETA, frame_redundancies, load_plan,
-                            plan_from_redundancies, save_plan)
+from lim3d import (DomainError, FormatError, SceneSpec, ShapeError, ValidationError,
+                   calibrate_beta, passive_baselines, plan, ranges_to_grayscale, ssim,
+                   supervisor, synth_sequence)
+from lim3d.sampling import (CALIBRATION_STEPS, MAX_BETA, SamplingPlan, frame_redundancies,
+                            load_plan, plan_from_redundancies, save_plan)
 
 BETA_GRID = (2.28, 4.00, 5.72, 7.45)
 # The package's `ssim` attribute is the function; this is its module.
@@ -107,8 +107,16 @@ class TestRedundancy:
         with pytest.raises(ShapeError):
             frame_redundancies(frames, n_threads=n_threads)
 
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ValidationError, match="nonempty"):
+            frame_redundancies([])
+
 
 class TestPlan:
+    def test_repeated_index_rejected(self):
+        with pytest.raises(ValidationError, match="duplicate"):
+            SamplingPlan(entries={0: [1, 3, 1]})
+
     def test_all_identical_high_beta_one_per_subset(self):
         img = np.full((16, 16), 80.0)
         frames = [img.copy() for _ in range(20)]
@@ -170,7 +178,10 @@ class TestPlan:
         lambda seqs: plan(seqs, 0, 1.0),
         lambda seqs: plan(seqs, 8, -1.0),
         lambda seqs: calibrate_beta(seqs, 0, 0.5),
-    ], ids=["plan-subset-0", "plan-beta-negative", "calibrate-subset-0"])
+        lambda seqs: calibrate_beta(seqs, 8, 0.0),
+        lambda seqs: calibrate_beta(seqs, 8, 1.5),
+    ], ids=["plan-subset-0", "plan-beta-negative", "calibrate-subset-0", "calibrate-target-0",
+            "calibrate-target-above-1"])
     def test_bad_settings_rejected_before_ssim(self, monkeypatch, call):
         monkeypatch.setattr("lim3d.sampling.frame_stats", lambda *a: pytest.fail("ssim ran"))
         monkeypatch.setattr("lim3d.sampling.pair_score", lambda *a: pytest.fail("ssim ran"))
@@ -198,6 +209,12 @@ class TestPassiveBaselines:
     def test_bad_fraction(self):
         with pytest.raises(DomainError):
             passive_baselines(10, 0.0, "uniform")
+
+    @pytest.mark.parametrize("n_frames, mode, match", [(0, "uniform", "n_frames"),
+                                                       (10, "strided", "mode")])
+    def test_no_frames_or_unknown_mode_rejected(self, n_frames, mode, match):
+        with pytest.raises(DomainError, match=match):
+            passive_baselines(n_frames, 0.5, mode)
 
 
 class TestCalibration:

@@ -301,6 +301,12 @@ class TestCost:
     def test_bias_counts(self):
         assert conv_cost(ConvSpec("pointwise", 4, 6, 1, True), 0).trainable_params == 4 * 6 + 6
 
+    def test_negative_counts_rejected(self):
+        with pytest.raises(DomainError, match="active_sites"):
+            conv_cost(ConvSpec("pointwise", 2, 2, 1, False), -1)
+        with pytest.raises(ValidationError, match="nonnegative"):
+            conv_cost(ConvSpec("depthwise", 2, 2, 3, False), 10, neighbor_pairs=-5)
+
 
 class TestGradients:
     def test_conv_gradients_fd(self, rng):

@@ -1,4 +1,6 @@
 import re
+import struct
+import zipfile
 from dataclasses import fields, replace
 
 import numpy as np
@@ -6,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (CONTRACT_DAMAGE, edit_contract, max_rel_err, recipe, rulebook_of,
-                      save_ten_key_model)
+from conftest import (BAD_KERNEL_SIZES, CONTRACT_DAMAGE, NO_BLOCK_DAMAGE, edit_contract,
+                      max_rel_err, recipe, rulebook_of, save_ten_key_model)
 from lim3d import (ContrastiveConfig, ConvSpec, DivergenceError, DomainError, LayerSpec, LossConfig, MemoryBank,
                    MiniSegNet, SceneSpec, ShapeError, Tensor, ToyPipelineConfig, ValidationError,
                    VoxelPredictions, confusion_matrix, crb_select, ema_update,
@@ -45,6 +47,11 @@ class TestEma:
     def test_layout_mismatch(self):
         with pytest.raises(ShapeError):
             ema_update(np.zeros(3), np.zeros(4), 0.5)
+
+    @pytest.mark.parametrize("kappa", [-0.1, 1.5, float("nan")])
+    def test_kappa_outside_unit_interval_rejected(self, kappa):
+        with pytest.raises(DomainError, match="kappa"):
+            ema_update(np.zeros(3), np.ones(3), kappa)
 
     @given(st.floats(0, 1), st.integers(0, 100))
     @settings(max_examples=30, deadline=None)
@@ -85,6 +92,10 @@ class TestMetrics:
         with pytest.raises(ValidationError, match=r"\[0, 3\)"):
             confusion_matrix(np.array(pred), np.array(gt), 3)
 
+    def test_inputs_of_unequal_length_rejected(self):
+        with pytest.raises(ShapeError, match="lengths differ"):
+            confusion_matrix(np.array([0, 1, 1]), np.array([0, 1]), 3)
+
 
 class TestNetwork:
     def test_flat_roundtrip(self, rng):
@@ -93,6 +104,23 @@ class TestNetwork:
         other = MiniSegNet(4, 3, widths=(8, 8), seed=2)
         other.load_flat(vec)
         np.testing.assert_array_equal(other.flat(), vec)
+
+    @pytest.mark.parametrize("kernel_size", BAD_KERNEL_SIZES)
+    def test_network_with_no_blocks_checks_its_kernel_size(self, kernel_size):
+        with pytest.raises(DomainError, match="kernel_size"):
+            MiniSegNet(4, 3, widths=(), kernel_size=kernel_size)
+
+    def test_flat_vector_of_another_length_rejected(self):
+        net = MiniSegNet(4, 3, widths=(8,), seed=1)
+        for size in (net.n_params - 1, net.n_params + 1):
+            with pytest.raises(ShapeError, match="flat vector"):
+                net.load_flat(np.zeros(size))
+
+    def test_predict_refuses_a_tensor_of_another_channel_count(self):
+        svt = voxelize(synth_sequence(SceneSpec(n_points=150), 1, seed=0)[0][0],
+                       CylGridSpec(8, 12, 5, 20.0, (-1.0, 5.0)))
+        with pytest.raises(ShapeError, match="network expects 5"):
+            MiniSegNet(5, 3, widths=(8,), seed=0).predict(svt, rulebook_of(svt))
 
     def test_forward_shapes_and_determinism(self, rng):
         frames = synth_sequence(SceneSpec(n_points=150), 1, seed=0)
@@ -415,10 +443,14 @@ class TestToyPipeline:
         with pytest.raises(DomainError):
             ToyPipelineConfig(**bad)
 
-    @pytest.mark.parametrize("bad", [dict(lambda_c=-1.0)])
+    @pytest.mark.parametrize("bad", [dict(lambda_c=-1.0), dict(labeled_fraction=0.0)])
     def test_bad_rate_or_loss_weight_fails_at_construction(self, bad):
         with pytest.raises(DomainError):
             ToyPipelineConfig(**bad)
+
+    def test_unknown_stage_fails_at_construction(self):
+        with pytest.raises(DomainError, match="stages"):
+            ToyPipelineConfig(stages=(1, 4))
 
     def test_the_fields_are_the_settings_callers_vary(self):
         assert [f.name for f in fields(ToyPipelineConfig)] == [
@@ -658,13 +690,14 @@ class TestModelFile:
         "bool_reflec_grid": lambda c: c["reflec"].update(bin_grids=[[True, True]]),
     }
 
-    @pytest.mark.parametrize("damage", [*CONTRACT_DAMAGE, *REFLEC_DAMAGE])
+    @pytest.mark.parametrize("damage", [*CONTRACT_DAMAGE, *REFLEC_DAMAGE, *NO_BLOCK_DAMAGE])
     def test_malformed_contract_rejected(self, tmp_path, damage):
         # `n_bins` is the default, so only a read by name refuses a file without it.
         reflec = ReflecConfig(bin_grids=((2, 4),))
-        save_model(tmp_path / "m.npz", MiniSegNet(14, 3, widths=(4,), seed=0), self.GRID, reflec)
+        widths = () if damage in NO_BLOCK_DAMAGE else (4,)
+        save_model(tmp_path / "m.npz", MiniSegNet(14, 3, widths=widths, seed=0), self.GRID, reflec)
         edit_contract(tmp_path / "m.npz", tmp_path / "bad.npz",
-                      {**CONTRACT_DAMAGE, **self.REFLEC_DAMAGE}[damage])
+                      {**CONTRACT_DAMAGE, **self.REFLEC_DAMAGE, **NO_BLOCK_DAMAGE}[damage])
         with pytest.raises(FormatError, match=r"bad\.npz"):
             load_model(tmp_path / "bad.npz")
 
@@ -673,6 +706,23 @@ class TestModelFile:
         save_ten_key_model(tmp_path / "old.npz", MiniSegNet(4, 3, widths=(4,), seed=0), self.GRID)
         with pytest.raises(FormatError, match=r"old\.npz.*contract"):
             load_model(tmp_path / "old.npz")
+
+    def test_npy_file_rejected(self, tmp_path):
+        np.save(tmp_path / "bad.npy", MiniSegNet(4, 3, widths=(4,), seed=0).flat())
+        with pytest.raises(FormatError, match=r"bad\.npy.*not a zip file"):
+            load_model(tmp_path / "bad.npy")
+
+    def test_member_with_a_bad_crc_rejected(self, tmp_path):
+        save_model(tmp_path / "bad.npz", MiniSegNet(4, 3, widths=(4,), seed=0), self.GRID, None)
+        with zipfile.ZipFile(tmp_path / "bad.npz") as archive:
+            info = archive.getinfo("flat.npy")
+        body = bytearray((tmp_path / "bad.npz").read_bytes())
+        # The stored member's data follows its 30-byte local header, name and extra field.
+        name_len, extra_len = struct.unpack_from("<HH", body, info.header_offset + 26)
+        body[info.header_offset + 30 + name_len + extra_len + info.compress_size - 1] ^= 1
+        (tmp_path / "bad.npz").write_bytes(bytes(body))
+        with pytest.raises(FormatError, match=r"bad\.npz.*Bad CRC-32 for file 'flat\.npy'"):
+            load_model(tmp_path / "bad.npz")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_weight_rejected(self, tmp_path, bad):
